@@ -76,27 +76,24 @@ func (f *Frame) SetLSN(l LSN) {
 	}
 }
 
-// PageRun is one changed byte range of a page mutation; Before and After
-// have equal length.
+// PageRun is one changed byte range of a page mutation: the bytes at
+// [Off, Off+len(After)) after the change.
 type PageRun struct {
-	Off           int
-	Before, After []byte
+	Off   int
+	After []byte
 }
 
 // PageLogger receives physiological redo records for page mutations made
 // through Pool.Modify. Implemented by the WAL; nil disables logging.
 type PageLogger interface {
-	// LogPageDelta records that page id changed at [off, off+len(after)) from
-	// before to after, returning the record's LSN.
-	LogPageDelta(id pagestore.PageID, off int, before, after []byte) (LSN, error)
-	// LogPageDeltas records every changed run of ONE page mutation as a
+	// LogPageDelta records every changed run of ONE page mutation as a
 	// single log record, returning its LSN. The grouping is a correctness
 	// requirement, not an optimization: a flush may tear between records,
 	// and recovery must never reconstruct a page that is halfway through a
 	// Modify (say, a B+tree header counting a cell whose bytes never made
 	// the log). One record is atomic under the log's checksum framing — it
 	// is either entirely durable or entirely discarded.
-	LogPageDeltas(id pagestore.PageID, runs []PageRun) (LSN, error)
+	LogPageDelta(id pagestore.PageID, runs []PageRun) (LSN, error)
 }
 
 // Pool is a buffer pool of page frames, partitioned into shards so that
@@ -229,7 +226,7 @@ func (p *Pool) SetWriteRetry(attempts int, base time.Duration) {
 func (p *Pool) SetFlushLSN(fn func(LSN) error) { p.flushLSN = fn }
 
 // SetLogger installs the page-delta logger (the WAL). Must be called before
-// concurrent use. With no logger, Modify skips the before-image copy.
+// concurrent use. With no logger, Modify skips the before-copy and the diff.
 func (p *Pool) SetLogger(l PageLogger) { p.logger = l }
 
 // Modify applies a mutation to the frame under its exclusive latch, logs the
@@ -259,21 +256,11 @@ func (p *Pool) Modify(f *Frame, fn func(data []byte) error) error {
 		return nil // no change
 	}
 	// All of the mutation's changed runs go into ONE log record (see
-	// PageLogger.LogPageDeltas): record framing is the torn-flush atomicity
-	// boundary, so a page recovered from the log is always at a Modify
-	// boundary, never halfway through one.
-	var lsn LSN
-	var err error
-	if len(runs) == 1 {
-		r := runs[0]
-		lsn, err = p.logger.LogPageDelta(f.ID, r.lo, before[r.lo:r.hi], f.Data[r.lo:r.hi])
-	} else {
-		prs := make([]PageRun, len(runs))
-		for i, r := range runs {
-			prs[i] = PageRun{Off: r.lo, Before: before[r.lo:r.hi], After: f.Data[r.lo:r.hi]}
-		}
-		lsn, err = p.logger.LogPageDeltas(f.ID, prs)
-	}
+	// PageLogger): record framing is the torn-flush atomicity boundary, so a
+	// page recovered from the log is always at a Modify boundary, never
+	// halfway through one. The before-copy is not logged: recovery is
+	// redo-only and rollback is logical.
+	lsn, err := p.logger.LogPageDelta(f.ID, runs)
 	if err != nil {
 		return err
 	}
@@ -301,41 +288,21 @@ func PageLSN(d []byte) LSN {
 		LSN(d[4])<<24 | LSN(d[5])<<16 | LSN(d[6])<<8 | LSN(d[7])
 }
 
-// diffRange returns the smallest [lo, hi) covering all differing bytes, or
-// (-1, -1) if the buffers are identical. The LSN field [0,8) is excluded:
-// it is maintained by the logging machinery itself.
-func diffRange(a, b []byte) (int, int) {
-	lo := 8
-	for lo < len(a) && a[lo] == b[lo] {
-		lo++
-	}
-	if lo == len(a) {
-		return -1, -1
-	}
-	hi := len(a)
-	for hi > lo && a[hi-1] == b[hi-1] {
-		hi--
-	}
-	return lo, hi
-}
-
 // diffGapMin is the unchanged-byte stretch that splits a delta into separate
 // runs. Below it, the per-record framing overhead outweighs the bytes saved;
 // above it, logging the gap is pure write amplification. The slotted page
 // layouts make the amplification severe: an insert touches the header/slot
 // array near the page start and cell content near the free-space pointer, so
 // a single covering range drags the untouched free space in the middle —
-// frequently kilobytes — into every before/after image.
+// frequently kilobytes — into every logged image.
 const diffGapMin = 64
 
-// byteRun is one changed region of a page.
-type byteRun struct{ lo, hi int }
-
-// diffRuns returns the changed regions of the page as maximal runs, merging
-// runs separated by fewer than diffGapMin unchanged bytes. The LSN field
-// [0,8) is excluded, as in diffRange.
-func diffRuns(a, b []byte) []byteRun {
-	var runs []byteRun
+// diffRuns returns the changed regions of b against a as maximal runs
+// aliasing b, merging runs separated by fewer than diffGapMin unchanged
+// bytes. The LSN field [0,8) is excluded: it is maintained by the logging
+// machinery itself.
+func diffRuns(a, b []byte) []PageRun {
+	var runs []PageRun
 	i := 8
 	for {
 		for i < len(a) && a[i] == b[i] {
@@ -354,7 +321,7 @@ func diffRuns(a, b []byte) []byteRun {
 				break
 			}
 		}
-		runs = append(runs, byteRun{lo: lo, hi: hi})
+		runs = append(runs, PageRun{Off: lo, After: b[lo:hi]})
 		i = hi
 	}
 }

@@ -86,15 +86,7 @@ type recordingLogger struct {
 	lastLSN LSN
 }
 
-func (r *recordingLogger) LogPageDelta(id pagestore.PageID, off int, before, after []byte) (LSN, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.deltas++
-	r.lastLSN += 100
-	return r.lastLSN, nil
-}
-
-func (r *recordingLogger) LogPageDeltas(id pagestore.PageID, runs []PageRun) (LSN, error) {
+func (r *recordingLogger) LogPageDelta(id pagestore.PageID, runs []PageRun) (LSN, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.deltas++
@@ -140,22 +132,25 @@ type errSentinel struct{}
 
 func (errSentinel) Error() string { return "sentinel" }
 
-func TestDiffRange(t *testing.T) {
+func TestDiffRuns(t *testing.T) {
 	a := make([]byte, pagestore.PageSize)
 	b := make([]byte, pagestore.PageSize)
-	if lo, hi := diffRange(a, b); lo != -1 || hi != -1 {
-		t.Errorf("identical: %d,%d", lo, hi)
+	if runs := diffRuns(a, b); len(runs) != 0 {
+		t.Errorf("identical: %v", runs)
 	}
-	b[100] = 1
-	b[200] = 2
-	if lo, hi := diffRange(a, b); lo != 100 || hi != 201 {
-		t.Errorf("got %d,%d", lo, hi)
+	// Two changes a short gap apart merge; one beyond diffGapMin splits off.
+	b[100], b[120] = 1, 2
+	b[122+diffGapMin] = 3
+	runs := diffRuns(a, b)
+	if len(runs) != 2 || runs[0].Off != 100 || len(runs[0].After) != 21 ||
+		runs[1].Off != 122+diffGapMin || len(runs[1].After) != 1 || runs[1].After[0] != 3 {
+		t.Errorf("got %+v", runs)
 	}
 	// Changes within the LSN field are ignored.
 	b = make([]byte, pagestore.PageSize)
 	b[3] = 9
-	if lo, hi := diffRange(a, b); lo != -1 || hi != -1 {
-		t.Errorf("LSN-only diff: %d,%d", lo, hi)
+	if runs := diffRuns(a, b); len(runs) != 0 {
+		t.Errorf("LSN-only diff: %v", runs)
 	}
 }
 

@@ -320,12 +320,20 @@ func (c *Catalog) UpdateCollectionStats(col *Collection, s *stats.CollectionStat
 	return c.updateLocked(col)
 }
 
+// updateLocked rewrites the collection's row. A row must fit one page; when
+// the statistics snapshot pushes it past that, the snapshot's resolution is
+// degraded until it fits rather than failing the write.
 func (c *Catalog) updateLocked(col *Collection) error {
-	payload, err := json.Marshal(col)
-	if err != nil {
-		return err
+	for {
+		payload, err := json.Marshal(col)
+		if err != nil {
+			return err
+		}
+		err = c.cols.Update(col.rid, payload)
+		if !errors.Is(err, heap.ErrTooLarge) || !col.Stats.Coarsen() {
+			return err
+		}
 	}
-	return c.cols.Update(col.rid, payload)
 }
 
 // GetCollection returns a collection's metadata, or nil.

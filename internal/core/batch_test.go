@@ -65,88 +65,132 @@ func setupBatchCol(t *testing.T, db *DB, versioned bool) *Collection {
 	return col
 }
 
-// TestInsertBatchMatchesSequentialInserts is the bulk-loader correctness
-// anchor: a batch insert must leave byte-identical logical index contents
-// (DocID index, NodeID index, every value index) to N sequential Inserts of
-// the same documents, and the batch database must pass full physical and
-// structural verification.
-func TestInsertBatchMatchesSequentialInserts(t *testing.T) {
-	for _, versioned := range []bool{false, true} {
-		t.Run(fmt.Sprintf("versioned=%v", versioned), func(t *testing.T) {
-			const n = 40
-			docs := make([][]byte, n)
-			for i := range docs {
-				docs[i] = batchDoc(i)
+// ingestEntryPoints are the four ways documents reach the one ingest
+// pipeline. The first is the reference the others are compared against.
+var ingestEntryPoints = []struct {
+	name   string
+	insert func(db *DB, col *Collection, docs [][]byte) ([]xml.DocID, error)
+}{
+	{"Collection.Insert", func(_ *DB, col *Collection, docs [][]byte) ([]xml.DocID, error) {
+		ids := make([]xml.DocID, len(docs))
+		for i, d := range docs {
+			var err error
+			if ids[i], err = col.Insert(d); err != nil {
+				return nil, err
 			}
-
-			seqDB, batchDB := newDB(t), newDB(t)
-			seqCol := setupBatchCol(t, seqDB, versioned)
-			batchCol := setupBatchCol(t, batchDB, versioned)
-
-			seqIDs := make([]xml.DocID, n)
-			for i, d := range docs {
-				id, err := seqCol.Insert(d)
-				if err != nil {
-					t.Fatalf("sequential insert %d: %v", i, err)
-				}
-				seqIDs[i] = id
-			}
-			batchIDs, err := batchCol.InsertBatch(docs, BatchOptions{})
+		}
+		return ids, nil
+	}},
+	{"Txn.Insert", func(db *DB, col *Collection, docs [][]byte) ([]xml.DocID, error) {
+		ids := make([]xml.DocID, len(docs))
+		for i, d := range docs {
+			err := db.RunTxn(func(t *Txn) (err error) {
+				ids[i], err = t.Insert(col, d)
+				return err
+			})
 			if err != nil {
-				t.Fatalf("InsertBatch: %v", err)
+				return nil, err
 			}
-			if len(batchIDs) != n {
-				t.Fatalf("InsertBatch returned %d ids, want %d", len(batchIDs), n)
-			}
-			for i := range seqIDs {
-				if seqIDs[i] != batchIDs[i] {
-					t.Fatalf("DocID %d: sequential %d vs batch %d", i, seqIDs[i], batchIDs[i])
-				}
-			}
-
-			// Logical index contents must match byte for byte. (Physical page
-			// layouts may differ — sorted insertion packs leaves differently —
-			// which is exactly why the comparison is over entries, not pages.)
-			treesEqual(t, "docIx", dumpTree(t, seqCol.docIx), dumpTree(t, batchCol.docIx))
-			treesEqual(t, "nodeIx", dumpTree(t, seqCol.nodeIx.Tree()), dumpTree(t, batchCol.nodeIx.Tree()))
-			if len(seqCol.valIxs) != 2 || len(batchCol.valIxs) != 2 {
-				t.Fatalf("value index count: %d vs %d", len(seqCol.valIxs), len(batchCol.valIxs))
-			}
-			for i := range seqCol.valIxs {
-				treesEqual(t, "valIx "+seqCol.valIxs[i].meta.Name,
-					dumpTree(t, seqCol.valIxs[i].ix.Tree()),
-					dumpTree(t, batchCol.valIxs[i].ix.Tree()))
-			}
-
-			// Documents round-trip from the batch store.
-			for i, id := range batchIDs {
-				var buf bytes.Buffer
-				if err := batchCol.Serialize(id, &buf); err != nil {
-					t.Fatalf("serialize batch doc %d: %v", i, err)
-				}
-				if buf.String() != string(docs[i]) {
-					t.Fatalf("batch doc %d round-trip:\n got %s\nwant %s", i, buf.String(), docs[i])
-				}
-			}
-
-			// Queries resolve through the value indexes.
-			hits, plan, err := batchCol.Query("/item[qty = 21]")
-			if err != nil || len(hits) != 1 || hits[0].Doc != batchIDs[7] {
-				t.Fatalf("indexed query after batch: hits=%v plan=%v err=%v", hits, plan, err)
-			}
-
-			// Physical + structural cross-check of the batch database.
-			if err := batchDB.VerifyPages(); err != nil {
-				t.Fatalf("VerifyPages after batch: %v", err)
-			}
-			rep, err := batchDB.ScrubPass(nil)
-			if err != nil {
-				t.Fatalf("ScrubPass after batch: %v", err)
-			}
-			if !rep.Clean() {
-				t.Fatalf("scrub found damage after batch: %+v", rep)
-			}
+		}
+		return ids, nil
+	}},
+	{"Txn.InsertBatch", func(db *DB, col *Collection, docs [][]byte) (ids []xml.DocID, err error) {
+		err = db.RunTxn(func(t *Txn) (err error) {
+			ids, err = t.InsertBatch(col, docs, BatchOptions{})
+			return err
 		})
+		return ids, err
+	}},
+	{"Collection.InsertBatch", func(_ *DB, col *Collection, docs [][]byte) ([]xml.DocID, error) {
+		return col.InsertBatch(docs, BatchOptions{})
+	}},
+}
+
+// TestInsertBatchMatchesSequentialInserts is the ingest correctness anchor:
+// every entry point — one document at a time or a whole batch, transacted or
+// not — must leave byte-identical logical index contents (DocID index,
+// NodeID index, every value index) for the same documents, and each database
+// must pass full physical and structural verification.
+func TestInsertBatchMatchesSequentialInserts(t *testing.T) {
+	const n = 40
+	docs := make([][]byte, n)
+	for i := range docs {
+		docs[i] = batchDoc(i)
+	}
+	for _, versioned := range []bool{false, true} {
+		var refCol *Collection
+		var refIDs []xml.DocID
+		for _, ep := range ingestEntryPoints {
+			t.Run(fmt.Sprintf("versioned=%v/%s", versioned, ep.name), func(t *testing.T) {
+				db := newDB(t)
+				col := setupBatchCol(t, db, versioned)
+				ids, err := ep.insert(db, col, docs)
+				if err != nil {
+					t.Fatalf("insert: %v", err)
+				}
+				if len(ids) != n {
+					t.Fatalf("returned %d ids, want %d", len(ids), n)
+				}
+
+				// Documents round-trip.
+				for i, id := range ids {
+					var buf bytes.Buffer
+					if err := col.Serialize(id, &buf); err != nil {
+						t.Fatalf("serialize doc %d: %v", i, err)
+					}
+					if buf.String() != string(docs[i]) {
+						t.Fatalf("doc %d round-trip:\n got %s\nwant %s", i, buf.String(), docs[i])
+					}
+				}
+				// Queries resolve through the value indexes.
+				hits, plan, err := col.Query("/item[qty = 21]")
+				if err != nil || len(hits) != 1 || hits[0].Doc != ids[7] {
+					t.Fatalf("indexed query: hits=%v plan=%v err=%v", hits, plan, err)
+				}
+				if got := col.StatsSnapshot(); got.DocCount != n || got.Index("ix_qty").Entries != n {
+					t.Fatalf("stats: %d docs, %d ix_qty entries, want %d each", got.DocCount, got.Index("ix_qty").Entries, n)
+				}
+
+				// Physical + structural cross-check.
+				if err := col.CheckConsistency(); err != nil {
+					t.Fatalf("CheckConsistency: %v", err)
+				}
+				if err := db.VerifyPages(); err != nil {
+					t.Fatalf("VerifyPages: %v", err)
+				}
+				rep, err := db.ScrubPass(nil)
+				if err != nil {
+					t.Fatalf("ScrubPass: %v", err)
+				}
+				if !rep.Clean() {
+					t.Fatalf("scrub found damage: %+v", rep)
+				}
+
+				if refCol == nil {
+					refCol, refIDs = col, ids
+					return
+				}
+				// Logical index contents must match the reference byte for
+				// byte. (Physical page layouts may differ — sorted insertion
+				// packs leaves differently — which is exactly why the
+				// comparison is over entries, not pages.)
+				for i := range refIDs {
+					if refIDs[i] != ids[i] {
+						t.Fatalf("DocID %d: reference %d vs %d", i, refIDs[i], ids[i])
+					}
+				}
+				treesEqual(t, "docIx", dumpTree(t, refCol.docIx), dumpTree(t, col.docIx))
+				treesEqual(t, "nodeIx", dumpTree(t, refCol.nodeIx.Tree()), dumpTree(t, col.nodeIx.Tree()))
+				if len(refCol.valIxs) != 2 || len(col.valIxs) != 2 {
+					t.Fatalf("value index count: %d vs %d", len(refCol.valIxs), len(col.valIxs))
+				}
+				for i := range refCol.valIxs {
+					treesEqual(t, "valIx "+refCol.valIxs[i].meta.Name,
+						dumpTree(t, refCol.valIxs[i].ix.Tree()),
+						dumpTree(t, col.valIxs[i].ix.Tree()))
+				}
+			})
+		}
 	}
 }
 

@@ -1,26 +1,34 @@
 package core
 
-// Bulk document loading. InsertBatch amortizes the three per-document costs
-// of the regular insert path over a whole batch: (1) index maintenance —
-// NodeID-, DocID- and value-index entries are accumulated in memory, sorted,
-// and applied with in-order B+tree insertion instead of interleaved
-// per-record puts; (2) WAL traffic — the batch commits once, so force-at-
-// commit syncs the device once instead of once per document; (3) parse
-// failures — every document is parsed (or schema-validated) before anything
-// mutates, so a bad document rejects the batch without burning DocIDs.
+// Document ingest: the one insert pipeline of §3.2 / Figure 4. Every entry
+// point — Txn.InsertBatch and, through it, Txn.Insert, Collection.InsertBatch
+// and the session layer; the untransacted Collection.Insert / InsertStream /
+// InsertValidated; compensation's restoreDoc — runs the same two stages:
 //
-// Atomicity matches the transactional insert path: each document's logical
-// undo record is logged before any page effects, so a crash mid-batch makes
-// the whole batch a loser that recovery wipes; an in-process error triggers
-// the same wipe immediately and logs an abort.
+//   - tokenize: parse (or schema-validate) every document into a buffered
+//     token stream on one pooled parse arena, before anything mutates, so a
+//     bad document rejects the call without burning a DocID;
+//   - ingestLocked: four passes under writeMu — (1) shred each stream to
+//     packed heap records, accumulating the NodeID-index entries they
+//     produce; (2) insert those entries in key order; (3) base rows and the
+//     DocID index; (4) per value index, one streaming key-generation pass per
+//     document, keys sorted, inserted in order. B+trees see monotone inserts
+//     whether the call carries one document or ten thousand.
+//
+// Atomicity is the transaction's, not the pipeline's: Txn.InsertBatch logs
+// each document's logical undo record before ingestLocked touches a page, so
+// a crash mid-ingest makes the transaction a loser that recovery wipes, and
+// an in-process error is undone by Txn.Rollback the same way. One commit —
+// one device sync — covers the whole call.
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"rx/internal/arena"
 	"rx/internal/heap"
@@ -41,63 +49,129 @@ type BatchOptions struct {
 	// parsing.
 	Schema string
 	// Mem, when non-nil, charges the batch's staging memory (parse arena,
-	// ingest arena) against a budget; a breach rejects the batch with
-	// rxerr.ErrOverBudget before (parse) or with a full wipe after (ingest)
-	// any page effects.
+	// ingest arena) against a budget; a breach fails the batch with
+	// rxerr.ErrOverBudget before any page effects (parse) or after some
+	// (ingest), which the transaction's rollback then wipes.
 	Mem *memgov.Budget
 }
 
-// InsertBatch parses and stores many documents as one atomic batch,
-// maintaining all indexes, and returns their DocIDs in input order. See the
-// package comment above for what the batch path amortizes.
-func (c *Collection) InsertBatch(docs [][]byte, opts BatchOptions) ([]xml.DocID, error) {
-	if len(docs) == 0 {
-		return nil, nil
-	}
-	if err := c.db.checkWritable(); err != nil {
-		return nil, err
-	}
-	// One parse arena for the whole batch: every stream lives in it until
-	// the batch insert completes (pass 4 re-scans streams for value-index
-	// keys), then the lot resets at once. Its chunks are the batch's first
-	// real staging allocation, charged against the memory budget as they
-	// grow — a document set too big for the budget dies here, before any
-	// DocID is burned or page touched.
-	pa := parseArenas.Get().(*arena.Arena)
-	defer func() { pa.Reset(); parseArenas.Put(pa) }()
-	var charged int64
-	defer func() { opts.Mem.Release(charged) }()
-	foot := int64(pa.Footprint())
-	if err := opts.Mem.Reserve(foot); err != nil {
-		return nil, err
-	}
-	charged = foot
-	streams := make([][]byte, len(docs))
-	for i, doc := range docs {
-		var stream []byte
+// parseArenas recycles parse arenas across ingest calls so the steady state
+// allocates no fresh chunks. Parsing runs outside writeMu, so these cannot
+// share the writeMu-guarded ingest arena; a Pool keeps them safe under
+// concurrent inserts.
+var parseArenas = sync.Pool{New: func() any { return arena.New() }}
+
+// tokenized is tokenize's result: the token streams plus the staging they
+// live on, held until release.
+type tokenized struct {
+	streams [][]byte
+	pa      *arena.Arena
+	mem     *memgov.Budget
+	charged int64
+}
+
+// release recycles the parse arena (invalidating the streams) and returns
+// its budget charge.
+func (tk *tokenized) release() {
+	tk.pa.Reset()
+	parseArenas.Put(tk.pa)
+	tk.mem.Release(tk.charged)
+}
+
+// tokenize turns documents into buffered token streams — Figure 4's single
+// parse-or-validate fork. All streams live on one pooled parse arena until
+// release (ingest re-scans them for value-index keys), then the lot resets at
+// once. The arena's chunks are the call's first real staging allocation,
+// charged against opts.Mem as they grow: a document set too big for the
+// budget dies here, before any DocID is burned or page touched. On error
+// everything is already released.
+func (c *Collection) tokenize(docs [][]byte, opts BatchOptions) (tokenized, error) {
+	var sch *xmlschema.Schema
+	if opts.Schema != "" {
 		var err error
-		if opts.Schema != "" {
-			sch, serr := c.db.compiledSchema(opts.Schema)
-			if serr != nil {
-				return nil, serr
-			}
-			stream, err = xmlschema.Validate(doc, sch, c.db.cat)
+		if sch, err = c.db.compiledSchema(opts.Schema); err != nil {
+			return tokenized{}, err
+		}
+	}
+	tk := tokenized{
+		streams: make([][]byte, len(docs)),
+		pa:      parseArenas.Get().(*arena.Arena),
+		mem:     opts.Mem,
+	}
+	for i, doc := range docs {
+		var err error
+		if sch != nil {
+			tk.streams[i], err = xmlschema.Validate(doc, sch, c.db.cat)
 		} else {
-			stream, err = xmlparse.Parse(doc, c.db.cat, xmlparse.Options{Arena: pa})
+			tk.streams[i], err = xmlparse.Parse(doc, c.db.cat, xmlparse.Options{Arena: tk.pa})
 		}
 		if err != nil {
-			return nil, fmt.Errorf("core: batch document %d: %w", i, err)
-		}
-		if now := int64(pa.Footprint()); now > foot {
-			if err := opts.Mem.Reserve(now - foot); err != nil {
-				return nil, err
+			if len(docs) > 1 {
+				err = fmt.Errorf("core: batch document %d: %w", i, err)
 			}
-			charged += now - foot
-			foot = now
+		} else if grown := int64(tk.pa.Footprint()) - tk.charged; grown > 0 {
+			if err = tk.mem.Reserve(grown); err == nil {
+				tk.charged += grown
+			}
 		}
-		streams[i] = stream
+		if err != nil {
+			tk.release()
+			return tokenized{}, err
+		}
 	}
-	return c.insertStreamBatch(streams, opts.Mem)
+	return tk, nil
+}
+
+// Insert parses and stores an XML document, maintaining all indexes, and
+// returns its DocID. It is the untransacted engine primitive: no document
+// lock, no undo record.
+func (c *Collection) Insert(doc []byte) (xml.DocID, error) {
+	return c.insertDoc(doc, BatchOptions{})
+}
+
+// InsertValidated validates the document against a registered schema
+// (Figure 4: load the binary schema from the catalog, execute the
+// validation VM, store the typed token stream) and inserts it.
+func (c *Collection) InsertValidated(schemaName string, doc []byte) (xml.DocID, error) {
+	return c.insertDoc(doc, BatchOptions{Schema: schemaName})
+}
+
+func (c *Collection) insertDoc(doc []byte, opts BatchOptions) (xml.DocID, error) {
+	tk, err := c.tokenize([][]byte{doc}, opts)
+	if err != nil {
+		return 0, err
+	}
+	defer tk.release()
+	return c.InsertStream(tk.streams[0])
+}
+
+// InsertStream stores a document given as a buffered token stream (the
+// Figure-4 pipeline joins here after parsing or validation).
+func (c *Collection) InsertStream(stream []byte) (xml.DocID, error) {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	docID, err := c.db.cat.AllocDocID(c.meta)
+	if err != nil {
+		return 0, err
+	}
+	if err := c.ingestLocked([]xml.DocID{docID}, [][]byte{stream}, nil); err != nil {
+		return 0, err
+	}
+	return docID, nil
+}
+
+// InsertBatch stores many documents as one atomic batch — one transaction,
+// one commit — and returns their DocIDs in input order.
+func (c *Collection) InsertBatch(docs [][]byte, opts BatchOptions) ([]xml.DocID, error) {
+	var ids []xml.DocID
+	err := c.db.RunTxn(func(t *Txn) (err error) {
+		ids, err = t.InsertBatch(c, docs, opts)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ids, nil
 }
 
 // nodeEntry is one deferred NodeID-index insertion.
@@ -113,195 +187,142 @@ type valEntry struct {
 	rid heap.RID
 }
 
-// insertStreamBatch stores pre-parsed token streams as one batch, charging
-// ingest staging against mem (nil = ungoverned).
-func (c *Collection) insertStreamBatch(streams [][]byte, mem *memgov.Budget) (ids []xml.DocID, err error) {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-
-	ids = make([]xml.DocID, len(streams))
-	// The error returns below are `return nil, err`, which clears the named
-	// ids — the cleanup must range over its own reference to the slice or it
-	// would see an empty batch and leave half-inserted documents visible.
-	allocated := ids
-	var txn uint64
-	// Any failure past this point may have mutated pages for some of the
-	// documents; wipe whatever exists of each and abort the batch's
-	// transaction, exactly as recovery would after a crash mid-batch.
-	defer func() {
-		if err == nil {
-			return
-		}
-		c.db.noteWriteErr(err)
-		for _, id := range allocated {
-			if id == 0 {
-				continue
-			}
-			if werr := c.wipeDocLocked(id); werr != nil {
-				// The wipe itself failed (full device blocking an eviction's
-				// write-ahead flush): park it as compensation debt so the
-				// partial document cannot outlive degraded mode.
-				c.db.deferCompensation(
-					[]logicalOp{{Kind: "insert", Col: c.meta.Name, Doc: id}}, werr)
-			}
-		}
-		if c.db.log != nil && txn != 0 {
-			_, _ = c.db.log.Abort(txn)
-		}
-	}()
-	for i := range streams {
-		if ids[i], err = c.db.cat.AllocDocID(c.meta); err != nil {
-			return nil, err
-		}
-	}
-	if c.db.log != nil {
-		txn = txnSeq.Add(1)
-		c.db.log.Begin(txn)
-		// Undo-before-effects invariant (see txn.go): every document's undo
-		// record is durable-ordered before any of the batch's page deltas.
-		for _, id := range ids {
-			payload, jerr := json.Marshal(logicalOp{Kind: "insert", Col: c.meta.Name, Doc: id})
-			if jerr != nil {
-				err = jerr
-				return nil, err
-			}
-			c.db.log.Logical(txn, payload)
-		}
-	}
-
-	// Pass 1 — shred: heap records are inserted document by document (the
-	// packer emits them bottom-up), while the NodeID-index entries they
-	// produce are only accumulated. Packing and key scratch for the whole
-	// batch comes from the ingest arena, reset once per batch: the
-	// interval endpoints accumulated in nodes (pass 2) and the assembled
-	// value keys (pass 4) stay valid until then.
+// ingestLocked stores token streams under their pre-allocated DocIDs (ids
+// ascend), charging ingest staging against mem (nil = ungoverned). Caller
+// holds writeMu and owns atomicity: an error may leave the documents
+// partially stored, for Txn.Rollback / recovery (wipeDoc) to clear.
+func (c *Collection) ingestLocked(ids []xml.DocID, streams [][]byte, mem *memgov.Budget) error {
+	// Packing and key scratch for the whole call comes from the ingest arena,
+	// reset once at the end: the interval endpoints accumulated in nodeScratch
+	// (pass 2) and the assembled value keys (pass 4) stay valid until then,
+	// by which time pages and index entries own their own copies. The arena
+	// is the call's other staging ground beside the parse arena; its growth
+	// is charged against the budget at the pass boundaries where it grows.
 	a := c.ingestArena()
 	defer a.Reset()
-	// The ingest arena is the batch's other staging ground (pack scratch,
-	// interval endpoints, value keys); charge its growth against the budget
-	// at the pass boundaries where it grows.
-	ingestFoot := int64(a.Footprint())
-	var ingestCharged int64
-	defer func() { mem.Release(ingestCharged) }()
+	foot := int64(a.Footprint())
+	var charged int64
+	defer func() { mem.Release(charged) }()
 	chargeIngest := func() error {
-		if now := int64(a.Footprint()); now > ingestFoot {
-			if rerr := mem.Reserve(now - ingestFoot); rerr != nil {
-				return rerr
+		if now := int64(a.Footprint()); now > foot {
+			if err := mem.Reserve(now - foot); err != nil {
+				return err
 			}
-			ingestCharged += now - ingestFoot
-			ingestFoot = now
+			charged += now - foot
+			foot = now
 		}
 		return nil
 	}
-	var nodes []nodeEntry
-	docBytes := make([]int64, len(streams))
-	var records int64
-	for i, stream := range streams {
-		docID := ids[i]
-		err = pack.PackStreamArena(stream, c.packThreshold(), a, func(rec pack.EncodedRecord) error {
-			docBytes[i] += int64(len(rec.Payload))
-			records++
-			rid, herr := c.xmlTbl.Insert(xmlRow(docID, rec.MinNodeID, rec.Payload))
-			if herr != nil {
-				return herr
-			}
-			for _, upper := range rec.Intervals {
-				nodes = append(nodes, nodeEntry{doc: docID, upper: upper, rid: rid})
-			}
-			return nil
-		})
+
+	// Pass 1 — shred: heap records are inserted document by document (the
+	// packer emits them bottom-up, §3.2), while the NodeID-index entries
+	// they produce are only accumulated.
+	c.nodeScratch = c.nodeScratch[:0]
+	var docID xml.DocID
+	var docBytes, totalBytes, maxBytes, records int64
+	shred := func(rec pack.EncodedRecord) error {
+		docBytes += int64(len(rec.Payload))
+		records++
+		rid, err := c.xmlTbl.Insert(xmlRow(docID, rec.MinNodeID, rec.Payload))
 		if err != nil {
-			return nil, err
+			return err
 		}
+		for _, upper := range rec.Intervals {
+			c.nodeScratch = append(c.nodeScratch, nodeEntry{doc: docID, upper: upper, rid: rid})
+		}
+		return nil
 	}
-	if err = chargeIngest(); err != nil {
-		return nil, err
+	for i, stream := range streams {
+		docID, docBytes = ids[i], 0
+		if err := pack.PackStreamArena(stream, c.packThreshold(), a, shred); err != nil {
+			return err
+		}
+		totalBytes += docBytes
+		maxBytes = max(maxBytes, docBytes)
+	}
+	if err := chargeIngest(); err != nil {
+		return err
 	}
 
 	// Pass 2 — NodeID index, in key order: (DocID, NodeID) sorts exactly
 	// like the tree's composite keys, so the B+tree sees monotone inserts.
-	sort.Slice(nodes, func(a, b int) bool {
-		if nodes[a].doc != nodes[b].doc {
-			return nodes[a].doc < nodes[b].doc
+	slices.SortFunc(c.nodeScratch, func(x, y nodeEntry) int {
+		if x.doc != y.doc {
+			return cmp.Compare(x.doc, y.doc)
 		}
-		return bytes.Compare(nodes[a].upper, nodes[b].upper) < 0
+		return bytes.Compare(x.upper, y.upper)
 	})
-	for _, e := range nodes {
+	for _, e := range c.nodeScratch {
+		var err error
 		if c.meta.Versioned {
 			err = c.nodeIx.PutV(e.doc, 1, e.upper, e.rid)
 		} else {
 			err = c.nodeIx.Put(e.doc, e.upper, e.rid)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 
-	// Pass 3 — base rows and the DocID index (IDs ascend, so these puts are
-	// in key order already).
+	// Pass 3 — base rows (the implicit DocID column, plus the current version
+	// for versioned collections) and the DocID index; IDs ascend, so these
+	// puts are in key order already.
 	for _, id := range ids {
-		baseRID, berr := c.base.Insert(c.baseRow(id, 1))
-		if berr != nil {
-			err = berr
-			return nil, err
+		baseRID, err := c.base.Insert(c.baseRow(id, 1))
+		if err != nil {
+			return err
 		}
 		var d [8]byte
 		binary.BigEndian.PutUint64(d[:], uint64(id))
-		if err = c.docIx.Put(d[:], baseRID.Bytes()); err != nil {
-			return nil, err
+		if err := c.docIx.Put(d[:], baseRID.Bytes()); err != nil {
+			return err
 		}
 	}
 
-	// Pass 4 — value indexes: accumulate every document's keys per index,
-	// sort, insert in order. Needs the NodeID index populated (pass 2) to
-	// resolve match nodes to record RIDs.
-	ixEntries := map[string]int64{}
+	// Pass 4 — value indexes (§3.3): one streaming key-generation pass per
+	// document per index, keys sorted, inserted in order. Needs the NodeID
+	// index populated (pass 2) to resolve match nodes to record RIDs.
+	var ixEntries map[string]int64
 	for _, ov := range c.valIxs {
-		var entries []valEntry
+		entries := c.valScratch[:0]
 		for i, stream := range streams {
-			matches, merr := quickxscan.EvalTokens(ov.keygen, stream)
-			if merr != nil {
-				err = merr
-				return nil, err
+			matches, err := quickxscan.EvalTokens(ov.keygen, stream)
+			if err != nil {
+				return err
 			}
 			for _, m := range matches {
-				rid, lerr := c.lookupCur(ids[i], m.ID)
-				if lerr != nil {
-					err = lerr
-					return nil, err
+				rid, err := c.lookupCur(ids[i], m.ID)
+				if err != nil {
+					return err
 				}
-				enc, eerr := valueindex.EncodeTypedInto(a.Make(2*len(m.Value)+18), ov.ix.Type(), m.Value)
-				if eerr != nil {
-					if errors.Is(eerr, valueindex.ErrNotIndexable) {
+				enc, err := valueindex.EncodeTypedInto(a.Make(2*len(m.Value)+18), ov.ix.Type(), m.Value)
+				if err != nil {
+					if errors.Is(err, valueindex.ErrNotIndexable) {
 						continue
 					}
-					err = eerr
-					return nil, err
+					return err
 				}
 				key := valueindex.AppendEntryKey(a.Make(len(enc)+8+len(m.ID)), enc, ids[i], m.ID)
 				entries = append(entries, valEntry{key: key, rid: rid})
 			}
 		}
-		sort.Slice(entries, func(a, b int) bool {
-			return bytes.Compare(entries[a].key, entries[b].key) < 0
-		})
+		slices.SortFunc(entries, func(x, y valEntry) int { return bytes.Compare(x.key, y.key) })
 		for _, e := range entries {
-			if err = ov.ix.PutKey(e.key, e.rid); err != nil {
-				return nil, err
+			if err := ov.ix.PutKey(e.key, e.rid); err != nil {
+				return err
 			}
 		}
-		ixEntries[ov.meta.Name] += int64(len(entries))
-	}
-	if err = chargeIngest(); err != nil {
-		return nil, err
-	}
-
-	// One commit — one device sync — for the whole batch.
-	if c.db.log != nil {
-		if _, err = c.db.log.Commit(txn); err != nil {
-			return nil, err
+		if len(entries) > 0 {
+			if ixEntries == nil {
+				ixEntries = map[string]int64{}
+			}
+			ixEntries[ov.meta.Name] += int64(len(entries))
 		}
+		c.valScratch = entries
 	}
-	c.noteBatch(docBytes, records, streams, ixEntries)
-	return ids, nil
+	if err := chargeIngest(); err != nil {
+		return err
+	}
+	c.noteIngest(totalBytes, maxBytes, records, streams, ixEntries)
+	return nil
 }

@@ -20,8 +20,6 @@ import (
 	"rx/internal/valueindex"
 	"rx/internal/vsax"
 	"rx/internal/xml"
-	"rx/internal/xmlparse"
-	"rx/internal/xmlschema"
 	"rx/internal/xpath"
 )
 
@@ -43,11 +41,14 @@ type Collection struct {
 	ixMu   sync.RWMutex
 	valIxs []*openValueIndex
 
-	// ing is the ingest arena: scratch for packing and key generation,
-	// reset per document (per batch in InsertBatch). Guarded by writeMu;
-	// lazily created. Its footprint stays bounded by the largest document
-	// inserted through this collection.
-	ing *arena.Arena
+	// ing is the ingest arena: scratch for packing and key generation, reset
+	// per ingestLocked call. Guarded by writeMu; lazily created. Its
+	// footprint stays bounded by the largest batch inserted through this
+	// collection. nodeScratch and valScratch are ingestLocked's deferred
+	// index entries, recycled the same way.
+	ing         *arena.Arena
+	nodeScratch []nodeEntry
+	valScratch  []valEntry
 
 	// statsMu guards the live optimizer statistics; planner reads take a
 	// snapshot under it. Ordered after writeMu (writers note mutations while
@@ -214,147 +215,6 @@ func splitXMLRow(row []byte) (xml.DocID, nodeid.ID, []byte, error) {
 	}
 	minID := nodeid.ID(row[8+n : 8+n+int(l)])
 	return doc, minID, row[8+n+int(l):], nil
-}
-
-// parseArenas recycles parse arenas across Insert/InsertBatch calls so the
-// steady-state ingest path allocates no fresh chunks. Parsing runs outside
-// writeMu, so these cannot share the writeMu-guarded ingest arena; a Pool
-// keeps them safe under concurrent inserts.
-var parseArenas = sync.Pool{New: func() any { return arena.New() }}
-
-// Insert parses and stores an XML document, maintaining all indexes, and
-// returns its DocID.
-func (c *Collection) Insert(doc []byte) (xml.DocID, error) {
-	// The parse arena is call-local (parsing runs outside writeMu, so it
-	// cannot share the ingest arena); the stream it backs lives until the
-	// insert below completes, after which the whole arena resets at once.
-	pa := parseArenas.Get().(*arena.Arena)
-	defer func() { pa.Reset(); parseArenas.Put(pa) }()
-	stream, err := xmlparse.Parse(doc, c.db.cat, xmlparse.Options{Arena: pa})
-	if err != nil {
-		return 0, err
-	}
-	return c.InsertStream(stream)
-}
-
-// InsertStream stores a document given as a buffered token stream (the
-// Figure-4 pipeline joins here after parsing or validation).
-func (c *Collection) InsertStream(stream []byte) (xml.DocID, error) {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	docID, err := c.db.cat.AllocDocID(c.meta)
-	if err != nil {
-		return 0, err
-	}
-	if err := c.insertStreamLocked(docID, stream); err != nil {
-		return 0, err
-	}
-	return docID, nil
-}
-
-// allocDoc reserves the next DocID without inserting anything. Transactions
-// use it to learn the ID before logging the insert's undo record, which must
-// be durable before any of the insertion's page effects can be (a crash may
-// otherwise redo an uncommitted insert that recovery cannot compensate). An
-// ID reserved but never used is just a gap in the sequence.
-func (c *Collection) allocDoc() (xml.DocID, error) {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	return c.db.cat.AllocDocID(c.meta)
-}
-
-// insertStreamAt stores a document under a pre-reserved DocID.
-func (c *Collection) insertStreamAt(docID xml.DocID, stream []byte) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	return c.insertStreamLocked(docID, stream)
-}
-
-// insertStreamLocked does the insert work for a preallocated DocID.
-// Caller holds writeMu.
-func (c *Collection) insertStreamLocked(docID xml.DocID, stream []byte) error {
-	// Tree construction: packed records are generated bottom-up in a
-	// streaming fashion, and index keys for the NodeID index are generated
-	// per record (§3.2). Packing scratch comes from the ingest arena,
-	// recycled once the document's pages and index entries own their own
-	// copies of the bytes.
-	a := c.ingestArena()
-	defer a.Reset()
-	var docBytes, records int64
-	err := pack.PackStreamArena(stream, c.packThreshold(), a, func(rec pack.EncodedRecord) error {
-		docBytes += int64(len(rec.Payload))
-		records++
-		rid, err := c.xmlTbl.Insert(xmlRow(docID, rec.MinNodeID, rec.Payload))
-		if err != nil {
-			return err
-		}
-		for _, upper := range rec.Intervals {
-			if c.meta.Versioned {
-				err = c.nodeIx.PutV(docID, 1, upper, rid)
-			} else {
-				err = c.nodeIx.Put(docID, upper, rid)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	// Base table row: the implicit DocID column (plus the current version
-	// for versioned collections).
-	var d [8]byte
-	binary.BigEndian.PutUint64(d[:], uint64(docID))
-	baseRID, err := c.base.Insert(c.baseRow(docID, 1))
-	if err != nil {
-		return err
-	}
-	if err := c.docIx.Put(d[:], baseRID.Bytes()); err != nil {
-		return err
-	}
-	// XPath value index keys: one streaming pass per index (§3.3).
-	var ixEntries map[string]int64
-	for _, ov := range c.valIxs {
-		n, err := c.addValueKeys(ov, docID, stream)
-		if err != nil {
-			return err
-		}
-		if n > 0 {
-			if ixEntries == nil {
-				ixEntries = map[string]int64{}
-			}
-			ixEntries[ov.meta.Name] += int64(n)
-		}
-	}
-	c.noteInsert(docBytes, records, stream, ixEntries)
-	return nil
-}
-
-// addValueKeys generates and inserts one index's keys for a document,
-// returning how many entries landed.
-func (c *Collection) addValueKeys(ov *openValueIndex, docID xml.DocID, stream []byte) (int, error) {
-	matches, err := quickxscan.EvalTokens(ov.keygen, stream)
-	if err != nil {
-		return 0, err
-	}
-	added := 0
-	for _, m := range matches {
-		rid, err := c.lookupCur(docID, m.ID)
-		if err != nil {
-			return added, err
-		}
-		err = ov.ix.Put(m.Value, docID, m.ID, rid)
-		if err != nil {
-			if !errors.Is(err, valueindex.ErrNotIndexable) {
-				return added, err
-			}
-			continue
-		}
-		added++
-	}
-	return added, nil
 }
 
 // Count returns the number of documents.
@@ -592,8 +452,7 @@ func (c *Collection) wipeDoc(doc xml.DocID) error {
 	return c.wipeDocLocked(doc)
 }
 
-// wipeDocLocked is wipeDoc for callers already holding writeMu (batch
-// rollback wipes many documents under one lock acquisition).
+// wipeDocLocked is wipeDoc for callers already holding writeMu.
 func (c *Collection) wipeDocLocked(doc xml.DocID) error {
 	if c.meta.Versioned {
 		// Versioned collections switch whole document versions; compensation
@@ -720,19 +579,4 @@ func (c *Collection) evalStored(doc xml.DocID, e *quickxscan.Eval) ([]quickxscan
 		return nil, err
 	}
 	return a.matches, nil
-}
-
-// InsertValidated validates the document against a registered schema
-// (Figure 4: load the binary schema from the catalog, execute the
-// validation VM, store the typed token stream) and inserts it.
-func (c *Collection) InsertValidated(schemaName string, doc []byte) (xml.DocID, error) {
-	sch, err := c.db.compiledSchema(schemaName)
-	if err != nil {
-		return 0, err
-	}
-	stream, err := xmlschema.Validate(doc, sch, c.db.cat)
-	if err != nil {
-		return 0, err
-	}
-	return c.InsertStream(stream)
 }

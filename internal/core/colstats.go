@@ -163,41 +163,16 @@ func (c *Collection) countStreamPaths(pc map[string]int64, stream []byte) {
 	c.pathStack = stack[:0]
 }
 
-// noteInsert records one inserted document. ixEntries maps index name to the
-// number of value keys added. Caller holds writeMu.
-func (c *Collection) noteInsert(docBytes, records int64, stream []byte, ixEntries map[string]int64) {
-	c.statsMu.Lock()
-	c.live.DocCount++
-	c.live.RecordCount += records
-	c.live.TotalDocBytes += docBytes
-	if docBytes > c.live.MaxDocBytes {
-		c.live.MaxDocBytes = docBytes
-	}
-	if c.live.PathCounts == nil {
-		c.live.PathCounts = map[string]int64{}
-	}
-	c.countStreamPaths(c.live.PathCounts, stream)
-	for name, n := range ixEntries {
-		c.live.EnsureIndex(name).Entries += n
-	}
-	c.statsDirty++
-	dirty := c.statsDirty
-	c.statsMu.Unlock()
-	if dirty >= statsPersistEvery {
-		c.persistStats()
-	}
-}
-
-// noteBatch records one committed bulk load. Caller holds writeMu.
-func (c *Collection) noteBatch(docBytes []int64, records int64, streams [][]byte, ixEntries map[string]int64) {
+// noteIngest records one ingestLocked call: len(streams) documents of
+// totalBytes packed bytes (the largest maxBytes) in records records. ixEntries
+// maps index name to the number of value keys added. Caller holds writeMu.
+func (c *Collection) noteIngest(totalBytes, maxBytes, records int64, streams [][]byte, ixEntries map[string]int64) {
 	c.statsMu.Lock()
 	c.live.DocCount += int64(len(streams))
 	c.live.RecordCount += records
-	for _, b := range docBytes {
-		c.live.TotalDocBytes += b
-		if b > c.live.MaxDocBytes {
-			c.live.MaxDocBytes = b
-		}
+	c.live.TotalDocBytes += totalBytes
+	if maxBytes > c.live.MaxDocBytes {
+		c.live.MaxDocBytes = maxBytes
 	}
 	if c.live.PathCounts == nil {
 		c.live.PathCounts = map[string]int64{}

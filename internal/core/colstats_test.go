@@ -400,3 +400,60 @@ func TestExplainEstimates(t *testing.T) {
 		t.Fatalf("chosen %s is not the cheapest alternative %+v", p.Method, p.Alternatives[0])
 	}
 }
+
+// TestRefreshStatsFitsCatalogRow: two full-resolution histograms over
+// thousands of distinct keys serialize past what one catalog row can hold.
+// The refresh must degrade the persisted snapshot's resolution rather than
+// fail and leave the planner on stale statistics.
+func TestRefreshStatsFitsCatalogRow(t *testing.T) {
+	store := pagestore.NewMemStore()
+	db, err := Open(store, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, _ := db.CreateCollection("orders", CollectionOptions{})
+	if err := col.CreateValueIndex("ix_total", "/order/total", xml.TDouble); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.CreateValueIndex("ix_cust", "/order/cust", xml.TString); err != nil {
+		t.Fatal(err)
+	}
+	const n = 4000
+	docs := make([][]byte, n)
+	for i := range docs {
+		docs[i] = []byte(fmt.Sprintf(`<order><cust>customer-%06d</cust><total>%d</total></order>`, i, i))
+	}
+	if _, err := col.InsertBatch(docs, BatchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.RefreshStats(nil); err != nil {
+		t.Fatalf("RefreshStats: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Open(store, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	col2, err := db2.Collection("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := col2.StatsSnapshot()
+	for _, name := range []string{"ix_total", "ix_cust"} {
+		is := s.Index(name)
+		if is == nil || is.Distinct != n || len(is.Hist.Buckets) == 0 || is.Hist.Total != n {
+			t.Fatalf("reopened %s stats = %+v, want a histogram over %d distinct entries", name, is, n)
+		}
+	}
+	res, p, err := col2.Query(`/order[total = 1234]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || p.Method == "scan" {
+		t.Fatalf("indexed query after reopen: %d results via %+v", len(res), p)
+	}
+}

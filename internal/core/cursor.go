@@ -245,7 +245,8 @@ func (c *Collection) newDocCursor(q *xpath.Query, docs []xml.DocID, plan *Plan, 
 // quarantine policy: a quarantined document is skipped (Degraded) or fails
 // the cursor with a typed ErrQuarantined; a checksum failure during
 // evaluation first quarantines the document — detection-on-read feeds the
-// same registry the scrubber fills — then applies the same policy.
+// same registry the scrubber fills — then applies the same policy. A document
+// deleted since it was listed as a candidate yields no results (deletedUnder).
 func (c *Collection) evalCursorDoc(doc xml.DocID, e *quickxscan.Eval, degraded bool) (res []Result, skipped bool, err error) {
 	if q, ok := c.db.quarantined(c.meta.Name, doc); ok {
 		if degraded {
@@ -266,6 +267,9 @@ func (c *Collection) evalCursorDoc(doc xml.DocID, e *quickxscan.Eval, degraded b
 				Col: c.meta.Name, Doc: doc,
 				Reason: fmt.Sprintf("page %d failed checksum during query", pe.PageID),
 			})
+		}
+		if c.deletedUnder(doc, err) {
+			return nil, false, nil
 		}
 		return nil, false, err
 	}

@@ -779,9 +779,7 @@ func (c *Collection) execNodeList(q *xpath.Query, plan *Plan, opts QueryOptions)
 		results = results[:opts.Limit]
 	}
 	if opts.NeedValues {
-		if err := c.fillValues(ctx, results); err != nil {
-			return nil, err
-		}
+		return c.fillValues(ctx, results)
 	}
 	return results, nil
 }
@@ -869,29 +867,35 @@ func sortResults(rs []Result) {
 	})
 }
 
-// fillValues computes string values for exact node-list results.
-func (c *Collection) fillValues(ctx context.Context, rs []Result) error {
-	for i := range rs {
+// fillValues computes string values for exact node-list results, dropping
+// those whose document was deleted since the index scan listed it.
+func (c *Collection) fillValues(ctx context.Context, rs []Result) ([]Result, error) {
+	out := rs[:0]
+	for _, r := range rs {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		v, err := c.NodeString(rs[i].Doc, rs[i].Node)
+		v, err := c.NodeString(r.Doc, r.Node)
 		if err != nil {
-			return err
+			if c.deletedUnder(r.Doc, err) {
+				continue
+			}
+			return nil, err
 		}
-		rs[i].Value = v
+		r.Value = v
+		out = append(out, r)
 	}
-	return nil
+	return out, nil
 }
 
-// largeDocs reports whether documents in this collection typically span
-// multiple records — the §4.3 condition for preferring NodeID-level access.
-func (c *Collection) largeDocs() bool {
-	docs, err := c.Count()
-	if err != nil || docs == 0 {
-		return false
-	}
-	return int(c.xmlTbl.Count())/docs >= 4
+// deletedUnder reports whether reading doc failed only because another
+// connection deleted it after it was listed as a candidate. Outside a
+// transaction such a document is simply no longer in the result
+// (read-committed at document granularity). The DocID index is re-checked: a
+// live document with a missing record is damage, and stays an error for
+// scrub to see.
+func (c *Collection) deletedUnder(doc xml.DocID, err error) bool {
+	return errors.Is(err, ErrNotFound) && !c.Has(doc)
 }
 
 // execNodeFilter implements NodeID-list filtering (§4.3): candidate result

@@ -32,9 +32,6 @@ func TestNodeIDFilteringOnLargeDocs(t *testing.T) {
 	if err := col.CreateValueIndex("ix_qty", "//qty", xml.TDouble); err != nil {
 		t.Fatal(err)
 	}
-	if !col.largeDocs() {
-		t.Fatal("workload should qualify as large documents")
-	}
 
 	// Scan answer for ground truth.
 	scanRes, _, err := col.Query("/order/items/item[qty = 7]/sku")

@@ -14,7 +14,6 @@ import (
 	"rx/internal/vsax"
 	"rx/internal/wal"
 	"rx/internal/xml"
-	"rx/internal/xmlparse"
 )
 
 // Transactions: document-level ACID on top of the shared infrastructure.
@@ -87,40 +86,68 @@ func (t *Txn) record(op logicalOp) error {
 	return nil
 }
 
-// Insert stores a document under an X document lock. The DocID is reserved
-// (and the undo record logged) before the insertion itself runs.
+// Insert stores a document under an X document lock: a batch of one.
 func (t *Txn) Insert(col *Collection, doc []byte) (xml.DocID, error) {
-	id, err := t.insert(col, doc)
-	t.db.noteWriteErr(err)
-	return id, err
+	ids, err := t.InsertBatch(col, [][]byte{doc}, BatchOptions{})
+	if err != nil {
+		return 0, err
+	}
+	return ids[0], nil
 }
 
-func (t *Txn) insert(col *Collection, doc []byte) (xml.DocID, error) {
+// InsertBatch stores documents under X document locks and returns their
+// DocIDs in input order. It is the one transactional owner of the ingest
+// pipeline (bulk.go): DocIDs are reserved, and every document's undo record
+// logged, before the first page effect.
+func (t *Txn) InsertBatch(col *Collection, docs [][]byte, opts BatchOptions) ([]xml.DocID, error) {
+	ids, err := t.insertBatch(col, docs, opts)
+	t.db.noteWriteErr(err)
+	return ids, err
+}
+
+func (t *Txn) insertBatch(col *Collection, docs [][]byte, opts BatchOptions) ([]xml.DocID, error) {
 	if t.done {
-		return 0, errTxnDone
+		return nil, errTxnDone
+	}
+	if len(docs) == 0 {
+		return nil, nil
 	}
 	if err := t.db.checkWritable(); err != nil {
-		return 0, err
+		return nil, err
 	}
-	// Parse first: a malformed document must not burn an ID or log anything.
-	stream, err := xmlparse.Parse(doc, col.db.cat, xmlparse.Options{})
+	// Tokenize first: a malformed document must not burn an ID or log anything.
+	tk, err := col.tokenize(docs, opts)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	id, err := col.allocDoc()
-	if err != nil {
-		return 0, err
+	defer tk.release()
+	// The collection intention lock can wait on a transactional query's S
+	// lock, so it is taken before writeMu; the document locks below are on
+	// IDs nobody else has seen yet.
+	if err := t.lk.Lock(lock.CollectionRes(col.Name()), lock.IX); err != nil {
+		return nil, err
 	}
-	if err := t.lk.LockDoc(col.Name(), id, lock.X); err != nil {
-		return 0, err
+	col.writeMu.Lock()
+	defer col.writeMu.Unlock()
+	// An ID reserved but never used is just a gap in the sequence.
+	ids := make([]xml.DocID, len(docs))
+	for i := range ids {
+		if ids[i], err = t.db.cat.AllocDocID(col.meta); err != nil {
+			return nil, err
+		}
 	}
-	if err := t.record(logicalOp{Kind: "insert", Col: col.Name(), Doc: id}); err != nil {
-		return 0, err
+	for _, id := range ids {
+		if err := t.lk.LockDoc(col.Name(), id, lock.X); err != nil {
+			return nil, err
+		}
+		if err := t.record(logicalOp{Kind: "insert", Col: col.Name(), Doc: id}); err != nil {
+			return nil, err
+		}
 	}
-	if err := col.insertStreamAt(id, stream); err != nil {
-		return 0, err
+	if err := col.ingestLocked(ids, tk.streams, opts.Mem); err != nil {
+		return nil, err
 	}
-	return id, nil
+	return ids, nil
 }
 
 // Delete removes a document under an X lock, capturing its content for undo
@@ -487,10 +514,12 @@ func (c *Collection) undoSnapshot(doc xml.DocID) ([]byte, error) {
 // deltas, leaving cross-structure links (NodeID index, value keys, record
 // chains) out of step with each other.
 func (c *Collection) restoreDoc(doc xml.DocID, stream []byte) error {
-	if err := c.wipeDoc(doc); err != nil {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	if err := c.wipeDocLocked(doc); err != nil {
 		return err
 	}
-	return c.insertStreamAt(doc, stream)
+	return c.ingestLocked([]xml.DocID{doc}, [][]byte{stream}, nil)
 }
 
 // DocStream re-encodes a stored document as a buffered token stream (used

@@ -237,34 +237,20 @@ func (s *Session) CreateValueIndex(ctx context.Context, col, name, path string, 
 	return c.CreateValueIndex(name, path, typ)
 }
 
-// Insert stores one document. Inside an open transaction it joins it (X
-// document lock, undo record); outside it runs as its own autocommit
-// transaction, so a server crash can never leave a half-applied insert.
+// Insert stores one document: a batch of one.
 func (s *Session) Insert(ctx context.Context, col string, doc []byte) (xml.DocID, error) {
-	txn, err := s.guard(ctx)
+	ids, err := s.InsertBatch(ctx, col, [][]byte{doc})
 	if err != nil {
 		return 0, err
 	}
-	c, err := s.collection(col)
-	if err != nil {
-		return 0, err
-	}
-	if txn != nil {
-		return txn.Insert(c, doc)
-	}
-	var id xml.DocID
-	err = s.db.RunTxn(func(t *core.Txn) error {
-		var ierr error
-		id, ierr = t.Insert(c, doc)
-		return ierr
-	})
-	return id, err
+	return ids[0], nil
 }
 
-// InsertBatch stores many documents as one atomic batch. Outside a
-// transaction it uses the engine's bulk path (sorted index insertion, one
-// WAL commit); inside one it inserts per document under the transaction's
-// locks so rollback covers the batch.
+// InsertBatch stores many documents as one atomic batch through the engine's
+// one ingest pipeline (sorted index insertion, undo logged before effects).
+// Inside an open transaction it joins it (X document locks, rollback covers
+// the batch); outside it runs as its own autocommit transaction with one WAL
+// commit, so a server crash can never leave a half-applied insert.
 func (s *Session) InsertBatch(ctx context.Context, col string, docs [][]byte) ([]xml.DocID, error) {
 	txn, err := s.guard(ctx)
 	if err != nil {
@@ -274,16 +260,11 @@ func (s *Session) InsertBatch(ctx context.Context, col string, docs [][]byte) ([
 	if err != nil {
 		return nil, err
 	}
-	if txn == nil {
-		return c.InsertBatch(docs, core.BatchOptions{Mem: s.mem})
+	opts := core.BatchOptions{Mem: s.mem}
+	if txn != nil {
+		return txn.InsertBatch(c, docs, opts)
 	}
-	ids := make([]xml.DocID, len(docs))
-	for i, doc := range docs {
-		if ids[i], err = txn.Insert(c, doc); err != nil {
-			return nil, err
-		}
-	}
-	return ids, nil
+	return c.InsertBatch(docs, opts)
 }
 
 // Delete removes a document.

@@ -8,6 +8,7 @@ import (
 
 	"rx/internal/core"
 	"rx/internal/rxerr"
+	"rx/internal/xml"
 )
 
 func newDB(t *testing.T) *core.DB {
@@ -230,4 +231,159 @@ func TestSessionQueryCancel(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled query = %v", err)
 	}
+}
+
+// TestInTxnBatchIsAtomic: inside an open transaction a batch goes through the
+// same ingest pipeline as outside one — every document is parsed before
+// anything mutates, and Rollback takes the whole batch back out of the
+// documents, the indexes and the statistics.
+func TestInTxnBatchIsAtomic(t *testing.T) {
+	db := newDB(t)
+	s := New(db)
+	defer s.Close()
+	ctx := context.Background()
+	if err := s.CreateCollection(ctx, "c"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateValueIndex(ctx, "c", "ix", "/d/v", xml.TDouble); err != nil {
+		t.Fatal(err)
+	}
+	col, err := db.Collection("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertEmpty := func(when string) {
+		t.Helper()
+		if ids, err := s.DocIDs(ctx, "c"); err != nil || len(ids) != 0 {
+			t.Fatalf("%s: documents %v, err %v", when, ids, err)
+		}
+		if n, err := col.NodeIndex().Count(); err != nil || n != 0 {
+			t.Fatalf("%s: %d NodeID index entries, err %v", when, n, err)
+		}
+		if n, err := col.ValueIndex("ix").Count(); err != nil || n != 0 {
+			t.Fatalf("%s: %d value index entries, err %v", when, n, err)
+		}
+		if st := col.StatsSnapshot(); st.DocCount != 0 || st.RecordCount != 0 || st.Index("ix").Entries != 0 {
+			t.Fatalf("%s: stats count %d docs, %d records, %d index entries", when, st.DocCount, st.RecordCount, st.Index("ix").Entries)
+		}
+	}
+
+	docs := [][]byte{[]byte(`<d><v>1</v></d>`), []byte(`<d><v>2</v></d>`), []byte(`<d><v>3</v></d>`)}
+	if err := s.Begin(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := s.InsertBatch(ctx, "c", docs)
+	if err != nil || len(ids) != len(docs) {
+		t.Fatalf("in-txn batch: ids %v, err %v", ids, err)
+	}
+	if err := s.Rollback(ctx); err != nil {
+		t.Fatal(err)
+	}
+	assertEmpty("after rollback")
+
+	// A malformed later document rejects the batch before the earlier ones
+	// are stored or any DocID is allocated.
+	if err := s.Begin(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.InsertBatch(ctx, "c", [][]byte{docs[0], []byte(`<d><unclosed>`)}); err == nil {
+		t.Fatal("batch with a malformed document succeeded")
+	}
+	assertEmpty("after rejected batch")
+	if err := s.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	next, err := s.Insert(ctx, "c", docs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ids[len(ids)-1] + 1; next != want {
+		t.Fatalf("DocID after rejected batch = %d, want %d (the rejected batch must not burn IDs)", next, want)
+	}
+}
+
+// TestQuerySkipsDocumentsDeletedUnderIt: outside a transaction a cursor is
+// read-committed at document granularity, so a candidate another session
+// deletes before the cursor reaches it drops out of the result instead of
+// failing the query.
+func TestQuerySkipsDocumentsDeletedUnderIt(t *testing.T) {
+	db := newDB(t)
+	ctx := context.Background()
+	reader, writer := New(db), New(db)
+	defer reader.Close()
+	defer writer.Close()
+	if err := writer.CreateCollection(ctx, "c"); err != nil {
+		t.Fatal(err)
+	}
+	var docs [][]byte
+	for i := 0; i < 8; i++ {
+		docs = append(docs, []byte(`<d><v>x</v></d>`))
+	}
+	ids, err := writer.InsertBatch(ctx, "c", docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Serial cursors evaluate one candidate per step, lazily.
+	cur, err := reader.Query(ctx, "c", "/d/v", Parallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	if !cur.Next() {
+		t.Fatalf("first result: %v", cur.Err())
+	}
+	for _, id := range ids[2:5] {
+		if err := writer.Delete(ctx, "c", id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := []xml.DocID{cur.Result().Doc}
+	for cur.Next() {
+		got = append(got, cur.Result().Doc)
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatalf("cursor failed over deleted candidates: %v", err)
+	}
+	want := append(append([]xml.DocID(nil), ids[:2]...), ids[5:]...)
+	if len(got) != len(want) {
+		t.Fatalf("results from docs %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("results from docs %v, want %v", got, want)
+		}
+	}
+}
+
+// TestSessionInsertAllocs is the allocation tripwire on the path real
+// traffic takes: a session insert is the engine primitive plus a
+// transaction (locks, undo record), and must stay within a fixed handful of
+// allocations of it.
+func TestSessionInsertAllocs(t *testing.T) {
+	db := newDB(t)
+	s := New(db)
+	defer s.Close()
+	ctx := context.Background()
+	if err := s.CreateCollection(ctx, "c"); err != nil {
+		t.Fatal(err)
+	}
+	col, err := db.Collection("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := []byte(`<order id="7"><cust>C01</cust><items><item><sku>S1</sku><qty>3</qty></item></items></order>`)
+	engine := testing.AllocsPerRun(200, func() {
+		if _, err := col.Insert(doc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	session := testing.AllocsPerRun(200, func() {
+		if _, err := s.Insert(ctx, "c", doc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if session > engine+20 {
+		t.Fatalf("Session.Insert %.0f allocs/op vs Collection.Insert %.0f: more than 20 apart", session, engine)
+	}
+	t.Logf("allocs/op: Session.Insert %.0f, Collection.Insert %.0f", session, engine)
 }

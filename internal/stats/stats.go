@@ -13,7 +13,10 @@
 // heuristic behavior.
 package stats
 
-import "bytes"
+import (
+	"bytes"
+	"sort"
+)
 
 // Default selectivities when no histogram is available.
 const (
@@ -101,20 +104,25 @@ func (b *Builder) Add(enc []byte) {
 
 // merge halves the bucket list by pairing neighbors and doubles the depth.
 func (b *Builder) merge() {
-	merged := b.buckets[:0]
-	for i := 0; i < len(b.buckets); i += 2 {
-		if i+1 < len(b.buckets) {
-			merged = append(merged, Bucket{
-				UpperBound: b.buckets[i+1].UpperBound,
-				Count:      b.buckets[i].Count + b.buckets[i+1].Count,
-				Distinct:   b.buckets[i].Distinct + b.buckets[i+1].Distinct,
+	b.buckets = mergePairs(b.buckets[:0], b.buckets)
+	b.depth *= 2
+}
+
+// mergePairs appends src's buckets to dst with neighbors paired up. dst may
+// be src[:0] to merge in place.
+func mergePairs(dst, src []Bucket) []Bucket {
+	for i := 0; i < len(src); i += 2 {
+		if i+1 < len(src) {
+			dst = append(dst, Bucket{
+				UpperBound: src[i+1].UpperBound,
+				Count:      src[i].Count + src[i+1].Count,
+				Distinct:   src[i].Distinct + src[i+1].Distinct,
 			})
 		} else {
-			merged = append(merged, b.buckets[i])
+			dst = append(dst, src[i])
 		}
 	}
-	b.buckets = merged
-	b.depth *= 2
+	return dst
 }
 
 // Build finalizes the histogram. The builder must not be reused.
@@ -307,6 +315,45 @@ func (s *CollectionStats) Clone() *CollectionStats {
 		cp.Indexes[k] = v.Clone()
 	}
 	return &cp
+}
+
+// coarseBuckets is the histogram resolution Coarsen will not go below.
+const coarseBuckets = 8
+
+// Coarsen sheds one step of resolution so a snapshot too big for its catalog
+// row can still be persisted — statistics are advisory, persisting them is
+// not. It first halves every histogram above coarseBuckets buckets (the
+// builder's merge-doubling, on a fresh slice: built bucket lists are shared
+// between clones), then halves PathCounts, keeping the most frequent paths.
+// It reports false when nothing is left to shed.
+func (s *CollectionStats) Coarsen() bool {
+	if s == nil {
+		return false
+	}
+	shed := false
+	for _, is := range s.Indexes {
+		if len(is.Hist.Buckets) > coarseBuckets {
+			is.Hist.Buckets = mergePairs(nil, is.Hist.Buckets)
+			shed = true
+		}
+	}
+	if shed || len(s.PathCounts) == 0 {
+		return shed
+	}
+	paths := make([]string, 0, len(s.PathCounts))
+	for p := range s.PathCounts {
+		paths = append(paths, p)
+	}
+	sort.Slice(paths, func(i, j int) bool {
+		if ci, cj := s.PathCounts[paths[i]], s.PathCounts[paths[j]]; ci != cj {
+			return ci > cj
+		}
+		return paths[i] < paths[j]
+	})
+	for _, p := range paths[len(paths)/2:] {
+		delete(s.PathCounts, p)
+	}
+	return true
 }
 
 // AvgDocBytes returns the average document size, 0 when empty.

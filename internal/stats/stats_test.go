@@ -171,6 +171,53 @@ func TestCollectionStatsCloneIsolation(t *testing.T) {
 	}
 }
 
+// TestCoarsen: each step sheds resolution without losing entries — histograms
+// first (leaving the original's shared bucket list alone), then the rarest
+// paths — and the steps run out.
+func TestCoarsen(t *testing.T) {
+	vals := make([]uint64, 1000)
+	for i := range vals {
+		vals[i] = uint64(i)
+	}
+	cs := New()
+	cs.EnsureIndex("ix").Hist = buildHist(t, 64, vals)
+	for i := 0; i < 10; i++ {
+		cs.PathCounts[fmt.Sprintf("/p%d", i)] = int64(i)
+	}
+	full := len(cs.Index("ix").Hist.Buckets)
+	cl := cs.Clone()
+	if !cl.Coarsen() {
+		t.Fatal("nothing shed from a full-resolution snapshot")
+	}
+	h := cl.Index("ix").Hist
+	var sum int64
+	for _, b := range h.Buckets {
+		sum += b.Count
+	}
+	if len(h.Buckets) != (full+1)/2 || sum != 1000 || len(cl.PathCounts) != 10 {
+		t.Fatalf("first step: %d buckets holding %d entries, %d paths; want %d, 1000, 10", len(h.Buckets), sum, len(cl.PathCounts), (full+1)/2)
+	}
+	if got := cs.Index("ix").Hist; len(got.Buckets) != full || got.Buckets[0].Count+got.Buckets[1].Count != h.Buckets[0].Count {
+		t.Fatalf("coarsening the clone disturbed the original's buckets")
+	}
+	steps := 1
+	for cl.Coarsen() {
+		if steps++; steps > 64 {
+			t.Fatal("Coarsen never runs out")
+		}
+	}
+	if n := len(cl.Index("ix").Hist.Buckets); n == 0 || n > coarseBuckets || len(cl.PathCounts) != 0 {
+		t.Fatalf("floor: %d buckets, %d paths", n, len(cl.PathCounts))
+	}
+	// Paths go rarest first.
+	cl = cs.Clone()
+	cl.Indexes = nil
+	cl.Coarsen()
+	if _, ok := cl.PathCounts["/p9"]; !ok || len(cl.PathCounts) != 5 {
+		t.Fatalf("path trim kept %v", cl.PathCounts)
+	}
+}
+
 func TestCollectionStatsJSONRoundTrip(t *testing.T) {
 	cs := New()
 	cs.DocCount = 3

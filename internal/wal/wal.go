@@ -7,8 +7,9 @@
 // Design (ARIES-flavoured, scoped to this engine):
 //
 //   - Physical redo: every page mutation made through buffer.Pool.Modify is
-//     logged as a (page, offset, before, after) delta. Page LSNs stamped
-//     into the first 8 bytes of each page make redo idempotent.
+//     logged as one record holding the after-image of each changed byte run
+//     of that page. Page LSNs stamped into the first 8 bytes of each page
+//     make redo idempotent. No before-images are logged: nothing reads them.
 //   - Logical undo: transactions additionally log logical operation records
 //     (insert document X, delete subtree Y ...); recovery first repeats
 //     history physically, then compensates loser transactions by running
@@ -42,27 +43,26 @@ type Kind uint8
 
 // Log record kinds.
 const (
-	KindPageDelta Kind = iota + 1
-	KindBegin
+	KindBegin Kind = iota + 2
 	KindCommit
 	KindAbort
 	KindLogical
 	KindCheckpoint
-	// KindPageDeltaV carries every changed run of one page mutation in a
-	// single record, so the mutation is atomic under torn-flush recovery
-	// (a record either passes its checksum whole or is discarded whole).
-	KindPageDeltaV
+	// KindPageDelta carries the after-image of every changed run of one page
+	// mutation in a single record, so the mutation is atomic under torn-flush
+	// recovery (a record either passes its checksum whole or is discarded
+	// whole). Its value skips 1 and 7, the retired delta layouts that also
+	// carried before-images: a log still holding those fails decode instead
+	// of being misread.
+	KindPageDelta Kind = 8
 )
 
 // Record is one decoded log record.
 type Record struct {
 	LSN  buffer.LSN
 	Kind Kind
-	// PageDelta fields.
-	Page          pagestore.PageID
-	Off           int
-	Before, After []byte
-	// PageDeltaV field: all changed runs of one page mutation.
+	// PageDelta fields: the page and all changed runs of one mutation.
+	Page pagestore.PageID
 	Runs []buffer.PageRun
 	// Transaction fields.
 	Txn uint64
@@ -281,39 +281,25 @@ func (l *Log) appendLocked(kind Kind, payload []byte) buffer.LSN {
 	return lsn
 }
 
-// LogPageDelta implements buffer.PageLogger.
-func (l *Log) LogPageDelta(id pagestore.PageID, off int, before, after []byte) (buffer.LSN, error) {
-	payload := make([]byte, 0, 12+len(before)+len(after))
-	payload = binary.BigEndian.AppendUint32(payload, uint32(id))
-	payload = binary.BigEndian.AppendUint32(payload, uint32(off))
-	payload = binary.BigEndian.AppendUint32(payload, uint32(len(before)))
-	payload = append(payload, before...)
-	payload = append(payload, after...)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendLocked(KindPageDelta, payload), nil
-}
-
-// LogPageDeltas implements buffer.PageLogger: one record for every changed
-// run of a single page mutation. See KindPageDeltaV for why the runs must
+// LogPageDelta implements buffer.PageLogger: one record for every changed
+// run of a single page mutation. See KindPageDelta for why the runs must
 // share a record.
-func (l *Log) LogPageDeltas(id pagestore.PageID, runs []buffer.PageRun) (buffer.LSN, error) {
+func (l *Log) LogPageDelta(id pagestore.PageID, runs []buffer.PageRun) (buffer.LSN, error) {
 	size := 8
 	for _, r := range runs {
-		size += 8 + len(r.Before) + len(r.After)
+		size += 8 + len(r.After)
 	}
 	payload := make([]byte, 0, size)
 	payload = binary.BigEndian.AppendUint32(payload, uint32(id))
 	payload = binary.BigEndian.AppendUint32(payload, uint32(len(runs)))
 	for _, r := range runs {
 		payload = binary.BigEndian.AppendUint32(payload, uint32(r.Off))
-		payload = binary.BigEndian.AppendUint32(payload, uint32(len(r.Before)))
-		payload = append(payload, r.Before...)
+		payload = binary.BigEndian.AppendUint32(payload, uint32(len(r.After)))
 		payload = append(payload, r.After...)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendLocked(KindPageDeltaV, payload), nil
+	return l.appendLocked(KindPageDelta, payload), nil
 }
 
 // Begin logs a transaction start.
@@ -508,20 +494,8 @@ func decode(lsn buffer.LSN, body []byte) (Record, error) {
 	p := body[1:]
 	switch r.Kind {
 	case KindPageDelta:
-		if len(p) < 12 {
-			return Record{}, errors.New("wal: short page delta")
-		}
-		r.Page = pagestore.PageID(binary.BigEndian.Uint32(p[0:4]))
-		r.Off = int(binary.BigEndian.Uint32(p[4:8]))
-		bl := int(binary.BigEndian.Uint32(p[8:12]))
-		if 12+bl > len(p) {
-			return Record{}, errors.New("wal: short page delta body")
-		}
-		r.Before = p[12 : 12+bl]
-		r.After = p[12+bl:]
-	case KindPageDeltaV:
 		if len(p) < 8 {
-			return Record{}, errors.New("wal: short page delta vector")
+			return Record{}, errors.New("wal: short page delta")
 		}
 		r.Page = pagestore.PageID(binary.BigEndian.Uint32(p[0:4]))
 		n := int(binary.BigEndian.Uint32(p[4:8]))
@@ -531,16 +505,12 @@ func decode(lsn buffer.LSN, body []byte) (Record, error) {
 				return Record{}, errors.New("wal: short page delta run")
 			}
 			off := int(binary.BigEndian.Uint32(p[0:4]))
-			bl := int(binary.BigEndian.Uint32(p[4:8]))
-			if 8+2*bl > len(p) {
+			al := int(binary.BigEndian.Uint32(p[4:8]))
+			if 8+al > len(p) {
 				return Record{}, errors.New("wal: short page delta run body")
 			}
-			r.Runs = append(r.Runs, buffer.PageRun{
-				Off:    off,
-				Before: p[8 : 8+bl],
-				After:  p[8+bl : 8+2*bl],
-			})
-			p = p[8+2*bl:]
+			r.Runs = append(r.Runs, buffer.PageRun{Off: off, After: p[8 : 8+al]})
+			p = p[8+al:]
 		}
 	case KindBegin, KindCommit, KindAbort:
 		if len(p) < 8 {
@@ -599,7 +569,7 @@ func Recover(l *Log, store pagestore.Store) (*RecoveryResult, error) {
 	buf := make([]byte, pagestore.PageSize)
 	for i, r := range recs {
 		switch r.Kind {
-		case KindPageDelta, KindPageDeltaV:
+		case KindPageDelta:
 			if i <= lastCP {
 				continue
 			}
@@ -617,15 +587,11 @@ func Recover(l *Log, store pagestore.Store) (*RecoveryResult, error) {
 				res.Skipped++
 				continue
 			}
-			if r.Kind == KindPageDelta {
-				copy(buf[r.Off:], r.After)
-			} else {
-				// All runs of one Modify land together — the record is the
-				// atomicity unit, so redo can never leave the page halfway
-				// through a mutation.
-				for _, run := range r.Runs {
-					copy(buf[run.Off:], run.After)
-				}
+			// All runs of one Modify land together — the record is the
+			// atomicity unit, so redo can never leave the page halfway
+			// through a mutation.
+			for _, run := range r.Runs {
+				copy(buf[run.Off:], run.After)
 			}
 			stampLSN(buf, r.LSN)
 			if err := store.WritePage(r.Page, buf); err != nil {

@@ -15,7 +15,7 @@ func TestAppendFlushRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	log.Begin(1)
-	lsn, err := log.LogPageDelta(3, 100, []byte{0, 0}, []byte{7, 8})
+	lsn, err := log.LogPageDelta(3, []buffer.PageRun{{Off: 100, After: []byte{7, 8}}, {Off: 900, After: []byte{9}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,9 +36,10 @@ func TestAppendFlushRecords(t *testing.T) {
 	if recs[0].Kind != KindBegin || recs[0].Txn != 1 {
 		t.Errorf("rec0 = %+v", recs[0])
 	}
-	if recs[1].Kind != KindPageDelta || recs[1].Page != 3 || recs[1].Off != 100 ||
-		!bytes.Equal(recs[1].After, []byte{7, 8}) {
-		t.Errorf("rec1 = %+v", recs[1])
+	if r := recs[1]; r.Kind != KindPageDelta || r.Page != 3 || len(r.Runs) != 2 ||
+		r.Runs[0].Off != 100 || !bytes.Equal(r.Runs[0].After, []byte{7, 8}) ||
+		r.Runs[1].Off != 900 || !bytes.Equal(r.Runs[1].After, []byte{9}) {
+		t.Errorf("rec1 = %+v", r)
 	}
 	if recs[2].Kind != KindLogical || string(recs[2].Payload) != `{"op":"x"}` {
 		t.Errorf("rec2 = %+v", recs[2])
@@ -187,7 +188,7 @@ func TestTornTailGarbageRecovers(t *testing.T) {
 	store := pagestore.NewMemStore()
 	store.Allocate()
 	log.Begin(1)
-	log.LogPageDelta(0, 100, []byte{0}, []byte{42})
+	log.LogPageDelta(0, []buffer.PageRun{{Off: 100, After: []byte{42}}})
 	log.Commit(1)
 
 	size, _ := dev.Size()
@@ -214,6 +215,44 @@ func TestTornTailGarbageRecovers(t *testing.T) {
 	store.ReadPage(0, buf)
 	if buf[100] != 42 {
 		t.Errorf("committed delta lost: %x", buf[100])
+	}
+}
+
+// TestTornMultiRunDeltaIsAllOrNothing: the record is the torn-flush atomicity
+// unit. A flush that tears inside a multi-run delta — after its first run's
+// bytes are on the device — must lose the whole record, never apply a prefix
+// of its runs (a slot array counting a cell whose bytes never made the log).
+func TestTornMultiRunDeltaIsAllOrNothing(t *testing.T) {
+	dev := &MemDevice{}
+	log, _ := Open(dev)
+	store := pagestore.NewMemStore()
+	store.Allocate()
+	log.LogPageDelta(0, []buffer.PageRun{{Off: 50, After: []byte{1}}})
+	log.FlushAll()
+	whole, _ := dev.Size()
+	log.LogPageDelta(0, []buffer.PageRun{{Off: 100, After: []byte{2, 2}}, {Off: 4000, After: []byte{3, 3}}})
+	log.FlushAll()
+	full, _ := dev.Size()
+	// Tear the second record just short of its last run's bytes.
+	dev.buf = dev.buf[:full-2]
+
+	log2, err := Open(dev)
+	if err != nil {
+		t.Fatalf("open with torn multi-run record: %v", err)
+	}
+	if recs, err := log2.Records(); err != nil || len(recs) != 1 {
+		t.Fatalf("torn record not discarded whole: %d records, %v", len(recs), err)
+	}
+	if got, _ := dev.Size(); got < whole {
+		t.Fatalf("intact record lost: device %d < %d", got, whole)
+	}
+	if _, err := Recover(log2, store); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, pagestore.PageSize)
+	store.ReadPage(0, buf)
+	if buf[50] != 1 || buf[100] != 0 || buf[4000] != 0 {
+		t.Errorf("page after recovery: [50]=%d [100]=%d [4000]=%d, want 1 0 0", buf[50], buf[100], buf[4000])
 	}
 }
 
