@@ -2,7 +2,8 @@ package main
 
 // Machine-readable smoke benchmarks. `rxbench -json DIR` runs a small
 // benchmark per perf-tracked experiment suite (E10 parse/shred, E13 query
-// scan, E14 checksum read, E16 bulk load) through testing.Benchmark and
+// scan, E14 checksum read, E16 bulk load, E18 planner, E19 stored-document
+// scan kernel) through testing.Benchmark and
 // writes one BENCH_<id>.json per suite; `-compare DIR` additionally checks
 // the results against a committed baseline directory with a generous
 // threshold gate (allocs/op is machine-independent and gated tightly;
@@ -176,6 +177,12 @@ func runSmokeBenchmarks() map[string][]benchResult {
 	// baseline preserves the gap so a planner regression trips the gate.
 	suites["E18"] = e18Benchmarks()
 
+	// E19 — the stored-document scan kernel, per document: one record walk
+	// feeding QuickXScan with nothing to keep, so what is measured is the
+	// walker, the ID synthesis and the matcher. allocs/op is the tripwire: a
+	// small per-document constant, with no per-node term.
+	suites["E19"] = e19Benchmarks()
+
 	// E16 — bulk load (32-document batches through InsertBatch).
 	suites["E16"] = []benchResult{
 		run("bulk-load-32", func(b *testing.B) {
@@ -289,6 +296,53 @@ func e18Benchmarks() []benchResult {
 		run("filter/costed", q(filterCol, filter, "", 12800)),
 		run("andorder/heuristic", q(andCol, andorder, "nodeid-anding", 1)),
 		run("andorder/costed", q(andCol, andorder, "", 1)),
+	}
+}
+
+// e19Docs is how many documents one E19 scan covers; the per-query set-up
+// (parse, plan, compile) is spread over them and rounds to nothing.
+const e19Docs = 512
+
+func e19Benchmarks() []benchResult {
+	db, err := core.OpenMemory()
+	if err != nil {
+		panic(err)
+	}
+	defer db.Close()
+	col, err := db.CreateCollection("e19", core.CollectionOptions{})
+	if err != nil {
+		panic(err)
+	}
+	docs := make([][]byte, e19Docs)
+	for i := range docs {
+		docs[i] = benchDocXML(i) // ≈100 stored nodes, one record
+	}
+	if _, err := col.InsertBatch(docs, core.BatchOptions{}); err != nil {
+		panic(err)
+	}
+	// One op is one document: each pass scans the whole collection serially
+	// and advances the op count by its size.
+	scan := func(expr string) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for done := 0; done < b.N; done += e19Docs {
+				rs, _, err := col.QueryOpts(expr, core.QueryOptions{NeedValues: true, Parallelism: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(rs) != 0 {
+					b.Fatalf("%s: %d results, want none", expr, len(rs))
+				}
+			}
+		}
+	}
+	return []benchResult{
+		// Descendant axes keep every subtree alive: all ≈100 nodes of a
+		// document are decoded and matched.
+		run("stored-scan/descendant", scan(`//Part[Qty > 1000]/Desc`)),
+		// Child axes let the evaluator rule subtrees out: the 16 Part
+		// subtrees of a document are stepped over by their byte length.
+		run("stored-scan/child-axis", scan(`/Product[Price > 1000]/Name`)),
 	}
 }
 

@@ -317,12 +317,14 @@ func (c *Collection) rootRecordBorrowed(doc xml.DocID) (*pack.Record, func(), er
 	return c.fetchRecordBorrowed(rid)
 }
 
-// handlerVisitor adapts pack.Walk to vsax events.
+// handlerVisitor adapts the pack walker to vsax events. The node, its ID and
+// its value belong to the walker and die with the callback — exactly the
+// lifetime vsax.Handler promises its implementations.
 type handlerVisitor struct {
 	h vsax.Handler
 }
 
-func (v handlerVisitor) Enter(n pack.Node, r *pack.Record) (bool, error) {
+func (v handlerVisitor) Enter(n *pack.Node) (bool, error) {
 	switch n.Kind {
 	case xml.Element:
 		return true, v.h.StartElement(n.Name, n.Abs)
@@ -340,17 +342,37 @@ func (v handlerVisitor) Enter(n pack.Node, r *pack.Record) (bool, error) {
 	return true, nil
 }
 
-func (v handlerVisitor) Leave(n pack.Node, r *pack.Record) (bool, error) {
+func (v handlerVisitor) Leave(n *pack.Node) (bool, error) {
 	return true, v.h.EndElement(n.Abs)
+}
+
+// skippingVisitor is handlerVisitor for a handler that implements
+// vsax.SubtreeSkipper: it passes the walker's question on.
+type skippingVisitor struct {
+	handlerVisitor
+	s vsax.SubtreeSkipper
+}
+
+func (v skippingVisitor) SkipContent() bool { return v.s.CanSkipSubtree() }
+
+// visitorFor picks the walker adapter for h. The SubtreeSkipper lookup
+// happens here, once per walk; generic handlers get a visitor that cannot
+// skip at all.
+func visitorFor(h vsax.Handler) pack.Visitor {
+	if s, ok := h.(vsax.SubtreeSkipper); ok {
+		return skippingVisitor{handlerVisitor{h}, s}
+	}
+	return handlerVisitor{h}
 }
 
 // WalkDoc drives a vsax.Handler with the stored document's events — the
 // persistent-data iterator of Figure 8.
 func (c *Collection) WalkDoc(doc xml.DocID, h vsax.Handler) error {
 	// Zero-copy: the handler sees values aliased into pinned buffer-pool
-	// frames; the walker holds at most one pin at a time and releases it
-	// before the handler returns control to the caller. Handlers that keep
-	// values beyond the event callback must copy (vsax contract).
+	// frames and IDs aliased into the walker's ID stack; the walker holds at
+	// most one pin at a time and releases it before the handler returns
+	// control to the caller. Handlers that keep values or IDs beyond the
+	// event callback must copy (vsax contract).
 	root, release, err := c.rootRecordBorrowed(doc)
 	if err != nil {
 		return err
@@ -359,7 +381,7 @@ func (c *Collection) WalkDoc(doc xml.DocID, h vsax.Handler) error {
 		release()
 		return err
 	}
-	if err := pack.WalkBorrowed(root, release, c.borrowFetcher(doc), handlerVisitor{h}); err != nil {
+	if err := pack.WalkBorrowed(root, release, c.borrowFetcher(doc), visitorFor(h)); err != nil {
 		return err
 	}
 	return h.EndDocument()
@@ -536,47 +558,47 @@ func (c *Collection) dropValueKeys(ov *openValueIndex, doc xml.DocID) (int, erro
 	return dropped, nil
 }
 
-// scanAdapter drives a quickxscan evaluator from vsax events.
-type scanAdapter struct {
-	e       *quickxscan.Eval
-	matches []quickxscan.Match
+// evalVisitor feeds the pack walker's nodes straight to a QuickXScan
+// evaluator — one dispatch per node — and lets the evaluator's reachability
+// answer (Eval.CanSkip) steer the walker past content the query cannot match.
+// The evaluator keeps its own copies of its candidates' IDs and values.
+type evalVisitor struct {
+	e *quickxscan.Eval
 }
 
-func (a *scanAdapter) StartDocument() error { a.e.StartDocument(); return nil }
-func (a *scanAdapter) EndDocument() error {
-	ms, err := a.e.EndDocument()
-	a.matches = ms
-	return err
+func (v evalVisitor) Enter(n *pack.Node) (bool, error) {
+	switch n.Kind {
+	case xml.Element:
+		v.e.StartElement(n.Name, n.Abs)
+	case xml.Attribute:
+		v.e.Attribute(n.Name, n.Value, n.Abs)
+	case xml.Text:
+		v.e.Text(n.Value, n.Abs)
+	case xml.Comment:
+		v.e.Comment(n.Value, n.Abs)
+	}
+	return true, nil
 }
-func (a *scanAdapter) StartElement(name xml.QName, id nodeid.ID) error {
-	a.e.StartElement(name, id)
-	return nil
+
+func (v evalVisitor) Leave(n *pack.Node) (bool, error) {
+	v.e.EndElement(n.Abs)
+	return true, nil
 }
-func (a *scanAdapter) EndElement(id nodeid.ID) error { a.e.EndElement(id); return nil }
-func (a *scanAdapter) NSDecl(prefix, uri xml.NameID, id nodeid.ID) error {
-	return nil
-}
-func (a *scanAdapter) Attribute(name xml.QName, value []byte, typ xml.TypeID, id nodeid.ID) error {
-	a.e.Attribute(name, value, id)
-	return nil
-}
-func (a *scanAdapter) Text(value []byte, typ xml.TypeID, id nodeid.ID) error {
-	a.e.Text(value, id)
-	return nil
-}
-func (a *scanAdapter) Comment(value []byte, id nodeid.ID) error {
-	a.e.Comment(value, id)
-	return nil
-}
-func (a *scanAdapter) PI(target xml.NameID, value []byte, id nodeid.ID) error { return nil }
+
+func (v evalVisitor) SkipContent() bool { return v.e.CanSkip() }
 
 // evalStored evaluates a compiled query over a stored document by scanning
-// its records in document order (the base scan-based access of §4.2).
+// its records in document order (the base scan-based access of §4.2),
+// stepping over every subtree the query cannot match in.
 func (c *Collection) evalStored(doc xml.DocID, e *quickxscan.Eval) ([]quickxscan.Match, error) {
-	e.Reset()
-	a := &scanAdapter{e: e}
-	if err := c.WalkDoc(doc, a); err != nil {
+	root, release, err := c.rootRecordBorrowed(doc)
+	if err != nil {
 		return nil, err
 	}
-	return a.matches, nil
+	e.Reset()
+	e.StartDocument()
+	if err := pack.WalkBorrowed(root, release, c.borrowFetcher(doc), evalVisitor{e}); err != nil {
+		return nil, err
+	}
+	return e.EndDocument()
 }

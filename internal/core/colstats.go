@@ -277,9 +277,9 @@ func (h *pathCountHandler) NSDecl(prefix, uri xml.NameID, id nodeid.ID) error { 
 func (h *pathCountHandler) Attribute(name xml.QName, value []byte, typ xml.TypeID, id nodeid.ID) error {
 	return nil
 }
-func (h *pathCountHandler) Text(value []byte, typ xml.TypeID, id nodeid.ID) error    { return nil }
-func (h *pathCountHandler) Comment(value []byte, id nodeid.ID) error                 { return nil }
-func (h *pathCountHandler) PI(target xml.NameID, value []byte, id nodeid.ID) error   { return nil }
+func (h *pathCountHandler) Text(value []byte, typ xml.TypeID, id nodeid.ID) error  { return nil }
+func (h *pathCountHandler) Comment(value []byte, id nodeid.ID) error               { return nil }
+func (h *pathCountHandler) PI(target xml.NameID, value []byte, id nodeid.ID) error { return nil }
 
 // RefreshStats rebuilds the collection's statistics exactly from the stored
 // data — sizes and counts from a heap scan, path counts from document walks,

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rx/internal/pagestore"
@@ -236,16 +237,24 @@ func TestForceMethodValidation(t *testing.T) {
 	}
 }
 
-// TestPlannerDifferential is the planner oracle test: on randomized data and
-// a grid of queries, every access method the planner can produce must return
-// byte-identical results to the forced full scan.
-func TestPlannerDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	db := newDB(t)
-	col, _ := db.CreateCollection("c", CollectionOptions{PackThreshold: 512})
-
-	// Mixed shapes: single-record docs and multi-record docs, duplicate-heavy
-	// and distinct fields, so different queries admit different method sets.
+// differentialCorpus fills col with the seeded corpus the differential tests
+// share (the planner oracle here, the scan-kernel skip oracle in
+// scankernel_test.go) and returns the DocIDs. Mixed shapes: orders —
+// single-record and multi-record, duplicate-heavy and distinct fields, so
+// different queries admit different method sets — then catalogs with
+// attributes and mixed content, the recursive a/b shape, and archives large
+// enough that their entries sit behind proxies in several records. The
+// collection's PackThreshold decides how many records a document spans.
+func differentialCorpus(t *testing.T, rng *rand.Rand, col *Collection) []xml.DocID {
+	t.Helper()
+	var ids []xml.DocID
+	add := func(doc string) {
+		id, err := col.Insert([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
 	for i := 0; i < 60; i++ {
 		items := 1 + rng.Intn(6)
 		doc := `<order><hdr><cust>` + fmt.Sprintf("C%02d", rng.Intn(8)) + `</cust>` +
@@ -254,10 +263,57 @@ func TestPlannerDifferential(t *testing.T) {
 			doc += fmt.Sprintf(`<item><sku>S%03d</sku><qty>%d</qty></item>`, rng.Intn(40), 1+rng.Intn(9))
 		}
 		doc += `</items></order>`
-		if _, err := col.Insert([]byte(doc)); err != nil {
-			t.Fatal(err)
-		}
+		add(doc)
 	}
+	for i := 0; i < 6; i++ {
+		doc := `<Catalog><Categories>`
+		for j := 0; j < 3+rng.Intn(12); j++ {
+			doc += fmt.Sprintf(`<Product pid="p%d" cat="%c"><ProductName>W%d</ProductName>`+
+				`<RegPrice>%d.50</RegPrice><Discount>0.%d</Discount>`+
+				`<Note>see <b>p%d</b> too<!--n%d--></Note></Product>`,
+				j, 'a'+rune(rng.Intn(3)), rng.Intn(100), rng.Intn(300), 5*rng.Intn(6), rng.Intn(9), j)
+		}
+		doc += `</Categories><Footer>end</Footer></Catalog>`
+		add(doc)
+	}
+	var rec func(depth int) string
+	rec = func(depth int) string {
+		if depth == 0 {
+			return fmt.Sprintf(`<b>%d</b>`, rng.Intn(10))
+		}
+		out := `<a>`
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			if rng.Intn(3) == 0 {
+				out += fmt.Sprintf(`<b>%d</b>`, rng.Intn(10))
+			} else {
+				out += rec(depth - 1)
+			}
+		}
+		return out + `</a>`
+	}
+	for i := 0; i < 8; i++ {
+		add(rec(2 + rng.Intn(4)))
+	}
+	for i := 0; i < 3; i++ {
+		doc := fmt.Sprintf(`<arch year="%d"><head><title>archive %d</title></head><entries>`, 2000+i, i)
+		for j := 0; j < 40+rng.Intn(40); j++ {
+			doc += fmt.Sprintf(`<entry n="%d"><who>C%02d</who><body>%s</body><qty>%d</qty></entry>`,
+				j, rng.Intn(8), strings.Repeat("lorem ", 3+rng.Intn(10)), rng.Intn(10))
+		}
+		doc += `</entries><tail>done</tail></arch>`
+		add(doc)
+	}
+	return ids
+}
+
+// TestPlannerDifferential is the planner oracle test: on randomized data and
+// a grid of queries, every access method the planner can produce must return
+// byte-identical results to the forced full scan.
+func TestPlannerDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	db := newDB(t)
+	col, _ := db.CreateCollection("c", CollectionOptions{PackThreshold: 512})
+	differentialCorpus(t, rng, col)
 	must := func(err error) {
 		if err != nil {
 			t.Fatal(err)

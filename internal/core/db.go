@@ -65,7 +65,7 @@ type DB struct {
 	degraded  atomic.Bool
 	degMu     sync.Mutex
 	degReason string
-	compDebt  []logicalOp // unresolved undo work, replayed before leaving degraded mode
+	compDebt  []logicalOp  // unresolved undo work, replayed before leaving degraded mode
 	spaceFree atomic.Int64 // last watchdog probe (-1 = never probed)
 	watchLow  atomic.Int64 // watchdog low-water mark (0 = no watchdog)
 	watchHigh atomic.Int64 // watchdog high-water mark

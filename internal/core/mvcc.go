@@ -127,7 +127,7 @@ func (c *Collection) WalkDocAt(doc xml.DocID, ver uint64, h vsax.Handler) error 
 	if err := h.StartDocument(); err != nil {
 		return err
 	}
-	if err := pack.Walk(root, c.fetcherAt(doc, ver), handlerVisitor{h}); err != nil {
+	if err := pack.Walk(root, c.fetcherAt(doc, ver), visitorFor(h)); err != nil {
 		return err
 	}
 	return h.EndDocument()

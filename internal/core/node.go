@@ -64,14 +64,14 @@ type stringValueVisitor struct {
 	out []byte
 }
 
-func (v *stringValueVisitor) Enter(n pack.Node, r *pack.Record) (bool, error) {
+func (v *stringValueVisitor) Enter(n *pack.Node) (bool, error) {
 	if n.Kind == xml.Text {
 		v.out = append(v.out, n.Value...)
 	}
 	return true, nil
 }
 
-func (v *stringValueVisitor) Leave(pack.Node, *pack.Record) (bool, error) { return true, nil }
+func (v *stringValueVisitor) Leave(*pack.Node) (bool, error) { return true, nil }
 
 // NodeString returns the XPath string value of a stored node: the value of
 // attribute/text/comment/PI nodes, or the concatenated descendant text of an
@@ -89,7 +89,7 @@ func (c *Collection) NodeString(doc xml.DocID, id nodeid.ID) ([]byte, error) {
 		return out, nil
 	case xml.Element:
 		v := &stringValueVisitor{}
-		if err := pack.WalkSubtreeBorrowed(rec, release, n, c.borrowFetcher(doc), v); err != nil {
+		if err := pack.WalkSubtreeBorrowed(rec, release, &n, c.borrowFetcher(doc), v); err != nil {
 			return nil, err
 		}
 		return v.out, nil
@@ -126,7 +126,7 @@ func (c *Collection) SerializeNode(doc xml.DocID, id nodeid.ID, w io.Writer) err
 	// serializer declares any that the fragment actually uses. rec.NS is
 	// decoded into owned structs, so seeding it past the walk is safe.
 	h := &nsSeedingHandler{Handler: s, seed: rec.NS, names: c.db.cat}
-	if err := pack.WalkSubtreeBorrowed(rec, release, n, c.borrowFetcher(doc), handlerVisitor{h}); err != nil {
+	if err := pack.WalkSubtreeBorrowed(rec, release, &n, c.borrowFetcher(doc), visitorFor(h)); err != nil {
 		return err
 	}
 	if err := s.EndDocument(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -784,65 +785,99 @@ func (c *Collection) execNodeList(q *xpath.Query, plan *Plan, opts QueryOptions)
 	return results, nil
 }
 
-// docCandidates computes the candidate DocID set for the filtering access
+// docCandidates computes the candidate DocID list for the filtering access
 // paths: intersected across conjuncts for ANDing, unioned for ORing (§4.3
-// access method 2). The documents come back sorted.
+// access method 2). Each index range scan yields one sorted, duplicate-free
+// DocID list; lists combine by linear merge. The documents come back sorted.
 func (c *Collection) docCandidates(plan *Plan, opts QueryOptions) ([]xml.DocID, error) {
 	ctx := opts.context()
 	pq := plan.pq
-	docSet := func(pc planConjunct) (map[xml.DocID]bool, error) {
-		set := map[xml.DocID]bool{}
+	docList := func(pc planConjunct) ([]xml.DocID, error) {
+		var docs []xml.DocID
 		seen := 0
 		err := pc.ov.ix.Scan(pc.rng, func(e valueindex.Entry) bool {
 			if seen++; seen%ctxCheckEvery == 0 && ctx.Err() != nil {
 				return false
 			}
-			set[e.Doc] = true
+			docs = append(docs, e.Doc)
 			return true
 		})
 		if err == nil {
 			err = ctx.Err()
 		}
-		return set, err
+		// Entries arrive in value order, not DocID order, and a document
+		// can hold several matching nodes.
+		slices.Sort(docs)
+		return slices.Compact(docs), err
 	}
-	var candidates map[xml.DocID]bool
+	var docs []xml.DocID
 	if len(pq.orParts) == 2 {
-		l, err := docSet(pq.orParts[0])
+		l, err := docList(pq.orParts[0])
 		if err != nil {
 			return nil, err
 		}
-		r, err := docSet(pq.orParts[1])
+		r, err := docList(pq.orParts[1])
 		if err != nil {
 			return nil, err
 		}
-		for d := range r {
-			l[d] = true
-		}
-		candidates = l
+		docs = unionSorted(l, r)
 	} else {
-		for _, pc := range pq.conjuncts {
-			s, err := docSet(pc)
+		for i, pc := range pq.conjuncts {
+			l, err := docList(pc)
 			if err != nil {
 				return nil, err
 			}
-			if candidates == nil {
-				candidates = s
-				continue
-			}
-			for d := range candidates {
-				if !s[d] {
-					delete(candidates, d)
-				}
+			if i == 0 {
+				docs = l
+			} else {
+				docs = intersectSorted(docs, l)
 			}
 		}
 	}
-	plan.CandidateDocs = len(candidates)
-	docs := make([]xml.DocID, 0, len(candidates))
-	for d := range candidates {
-		docs = append(docs, d)
-	}
-	sort.Slice(docs, func(i, j int) bool { return docs[i] < docs[j] })
+	plan.CandidateDocs = len(docs)
 	return docs, nil
+}
+
+// intersectSorted merges two ascending duplicate-free lists into their
+// intersection, reusing a's storage.
+func intersectSorted(a, b []xml.DocID) []xml.DocID {
+	out := a[:0]
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+// unionSorted merges two ascending duplicate-free lists into their union.
+func unionSorted(a, b []xml.DocID) []xml.DocID {
+	out := make([]xml.DocID, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // prefixAtLevel returns the first n levels of a node ID.

@@ -6,7 +6,6 @@ import (
 	"rx/internal/nodeid"
 	"rx/internal/pack"
 	"rx/internal/quickxscan"
-	"rx/internal/vsax"
 	"rx/internal/xml"
 )
 
@@ -94,13 +93,6 @@ func (c *Collection) evalSubtree(doc xml.DocID, rootID nodeid.ID, e *quickxscan.
 	if err != nil {
 		return nil, err
 	}
-	e.Reset()
-	a := &scanAdapter{e: e}
-	if err := a.StartDocument(); err != nil {
-		return nil, err
-	}
-	// Synthesize the ancestors with their true node IDs (prefixes of
-	// rootID), so matches report real positions.
 	rels, err := nodeid.Split(rootID)
 	if err != nil {
 		return nil, err
@@ -109,31 +101,25 @@ func (c *Collection) evalSubtree(doc xml.DocID, rootID nodeid.ID, e *quickxscan.
 		return nil, fmt.Errorf("core: ancestor chain mismatch at %s (%d names for %d levels)",
 			rootID, len(ancestors), len(rels)-1)
 	}
-	prefix := nodeid.ID{}
+	e.Reset()
+	e.StartDocument()
+	// Synthesize the ancestors with their true node IDs (prefixes of
+	// rootID), so matches report real positions.
+	length := 0 // of the innermost open ancestor's ID
 	for i, name := range ancestors {
-		prefix = nodeid.Append(prefix, rels[i])
-		if err := a.StartElement(name, nodeid.Clone(prefix)); err != nil {
-			return nil, err
-		}
+		length += len(rels[i])
+		e.StartElement(name, rootID[:length])
 	}
 	rec, release, node, err := c.findNodeBorrowed(doc, rootID)
 	if err != nil {
 		return nil, err
 	}
-	if err := pack.WalkSubtreeBorrowed(rec, release, node, c.borrowFetcher(doc), handlerVisitor{a}); err != nil {
+	if err := pack.WalkSubtreeBorrowed(rec, release, &node, c.borrowFetcher(doc), evalVisitor{e}); err != nil {
 		return nil, err
 	}
 	for i := len(ancestors) - 1; i >= 0; i-- {
-		var id nodeid.ID
-		if err := a.EndElement(id); err != nil {
-			return nil, err
-		}
+		e.EndElement(rootID[:length])
+		length -= len(rels[i])
 	}
-	if err := a.EndDocument(); err != nil {
-		return nil, err
-	}
-	return a.matches, nil
+	return e.EndDocument()
 }
-
-// handlerVisitor is reused from collection.go; vsax import is needed there.
-var _ vsax.Handler = (*scanAdapter)(nil)

@@ -173,28 +173,38 @@ func RelAt(i int) Rel {
 	if i < 127 {
 		return relSingles[i]
 	}
+	return appendRelAt(nil, i)
+}
+
+// appendRelAt appends RelAt(i) to dst without an intermediate allocation.
+func appendRelAt(dst []byte, i int) []byte {
+	if i < 127 {
+		return append(dst, byte(2*i+2))
+	}
 	i -= 127
 	digits := 1
 	capacity := 126 * 127
-	r := Rel{0xFF}
+	dst = append(dst, 0xFF)
 	for i >= capacity {
 		i -= capacity
 		capacity *= 126
 		digits++
-		r = append(r, 0xFD)
+		dst = append(dst, 0xFD)
 	}
-	// Encode i as `digits` base-126 O-digits followed by a base-127 E digit.
-	e := i % 127
+	// Encode i as `digits` base-126 O-digits followed by a base-127 E digit,
+	// filling the digits from the least significant end.
+	for d := 0; d <= digits; d++ {
+		dst = append(dst, 0)
+	}
+	pos := len(dst) - 1
+	dst[pos] = byte(2*(i%127) + 2)
 	i /= 127
-	ds := make([]int, digits)
-	for d := digits - 1; d >= 0; d-- {
-		ds[d] = i % 126
+	for d := 0; d < digits; d++ {
+		pos--
+		dst[pos] = byte(2*(i%126) + 1)
 		i /= 126
 	}
-	for _, d := range ds {
-		r = append(r, byte(2*d+1))
-	}
-	return append(r, byte(2*e+2))
+	return dst
 }
 
 // Next returns the relative ID that sorts immediately into the open slot

@@ -64,9 +64,9 @@ func (n *Node) IsProxy() bool { return n.Kind == xml.Proxy }
 // body) into owned memory, so the record stays valid after the underlying
 // buffer-pool frame is released. Offsets are preserved: Nodes decoded after a
 // Detach are indistinguishable from ones decoded before it, but Nodes decoded
-// BEFORE the Detach keep aliases (Rel, Value) into the old buffer — only
-// their Abs IDs are owned (nodeid.Append always allocates). Callers that hold
-// pre-detach Nodes across a Detach must restrict themselves to Abs.
+// BEFORE the Detach keep aliases (Rel, Value) into the old buffer. The walker
+// uses nothing of a pre-detach Node but its scalar fields, and re-derives the
+// node's Abs from its ID stack.
 func (r *Record) Detach() {
 	r.ContextID = nodeid.Clone(r.ContextID)
 	r.body = append([]byte(nil), r.body...)
@@ -74,53 +74,65 @@ func (r *Record) Detach() {
 
 // Decode parses a record payload.
 func Decode(payload []byte) (*Record, error) {
+	r := new(Record)
+	if err := r.decode(payload); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// decode parses a record payload into r, overwriting it (the capacity of
+// Path and NS is reused).
+func (r *Record) decode(payload []byte) error {
 	d := decoder{buf: payload}
 	ctxLen, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if d.pos+int(ctxLen) > len(payload) {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
-	r := &Record{ContextID: nodeid.ID(payload[d.pos : d.pos+int(ctxLen)])}
+	r.ContextID = nodeid.ID(payload[d.pos : d.pos+int(ctxLen)])
 	d.pos += int(ctxLen)
 	pathLen, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
+	r.Path = r.Path[:0]
 	for i := 0; i < int(pathLen); i++ {
 		uri, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		local, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		r.Path = append(r.Path, xml.QName{URI: xml.NameID(uri), Local: xml.NameID(local)})
 	}
 	nsLen, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
+	r.NS = r.NS[:0]
 	for i := 0; i < int(nsLen); i++ {
 		p, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		u, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		r.NS = append(r.NS, NSBinding{Prefix: xml.NameID(p), URI: xml.NameID(u)})
 	}
 	cnt, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.SubtreeCount = int(cnt)
 	r.body = payload[d.pos:]
-	return r, nil
+	return nil
 }
 
 type decoder struct {
@@ -155,46 +167,65 @@ func (d *decoder) relID() (nodeid.Rel, error) {
 
 // DecodeNodeAt decodes the node starting at offset off in the record body,
 // under the given parent absolute ID. Returns the node; n.end is the offset
-// just past the node's entire encoding (including element children).
+// just past the node's entire encoding (including element children). The
+// node's Abs is freshly allocated and owned by the caller — this is the
+// entry for point lookups and edits, which keep nodes; traversals decode in
+// place and synthesize IDs on a nodeid.Stack instead.
 func (r *Record) DecodeNodeAt(off int, parentAbs nodeid.ID) (Node, error) {
-	return r.decodeNodeAt(nil, off, parentAbs)
+	var n Node
+	if err := r.decodeNodeAt(&n, off); err != nil {
+		return Node{}, err
+	}
+	n.Abs = nodeid.Append(parentAbs, n.Rel)
+	return n, nil
 }
 
-// decodeNodeAt is DecodeNodeAt with the node's absolute ID allocated from
-// the arena when one is given (nil: the Go heap).
-func (r *Record) decodeNodeAt(a *arena.Arena, off int, parentAbs nodeid.ID) (Node, error) {
+// decodeNodeAt decodes the node entry at offset off into *n, overwriting
+// every field except Abs (the caller knows the parent; the entry does not).
+// It is the one routine that understands a node entry's layout. Fields are
+// assigned one by one so that reusing a scratch Node costs no struct copy.
+func (r *Record) decodeNodeAt(n *Node, off int) error {
 	d := decoder{buf: r.body, pos: off}
 	if d.pos >= len(d.buf) {
-		return Node{}, ErrCorrupt
+		return ErrCorrupt
 	}
 	kind := xml.Kind(d.buf[d.pos])
 	d.pos++
 	rel, err := d.relID()
 	if err != nil {
-		return Node{}, err
+		return err
 	}
-	n := Node{Kind: kind, Rel: rel, Abs: appendID(a, parentAbs, rel), start: off}
+	n.Kind = kind
+	n.Rel = rel
+	n.Name = xml.QName{}
+	n.Type = 0
+	n.Value = nil
+	n.EntryCount = 0
+	n.BodyLen = 0
+	n.ProxyCount = 0
+	n.start = off
+	n.bodyStart = 0
 	switch kind {
 	case xml.Element:
 		uri, err := d.uvarint()
 		if err != nil {
-			return Node{}, err
+			return err
 		}
 		local, err := d.uvarint()
 		if err != nil {
-			return Node{}, err
+			return err
 		}
 		typ, err := d.uvarint()
 		if err != nil {
-			return Node{}, err
+			return err
 		}
 		ec, err := d.uvarint()
 		if err != nil {
-			return Node{}, err
+			return err
 		}
 		bl, err := d.uvarint()
 		if err != nil {
-			return Node{}, err
+			return err
 		}
 		n.Name = xml.QName{URI: xml.NameID(uri), Local: xml.NameID(local)}
 		n.Type = xml.TypeID(typ)
@@ -203,74 +234,70 @@ func (r *Record) decodeNodeAt(a *arena.Arena, off int, parentAbs nodeid.ID) (Nod
 		n.bodyStart = d.pos
 		n.end = d.pos + int(bl)
 		if n.end > len(r.body) {
-			return Node{}, ErrCorrupt
+			return ErrCorrupt
 		}
+		return nil
 	case xml.Attribute:
 		uri, err := d.uvarint()
 		if err != nil {
-			return Node{}, err
+			return err
 		}
 		local, err := d.uvarint()
 		if err != nil {
-			return Node{}, err
+			return err
 		}
 		typ, err := d.uvarint()
 		if err != nil {
-			return Node{}, err
+			return err
 		}
 		n.Name = xml.QName{URI: xml.NameID(uri), Local: xml.NameID(local)}
 		n.Type = xml.TypeID(typ)
 		if n.Value, err = d.value(); err != nil {
-			return Node{}, err
+			return err
 		}
-		n.end = d.pos
 	case xml.Text:
 		typ, err := d.uvarint()
 		if err != nil {
-			return Node{}, err
+			return err
 		}
 		n.Type = xml.TypeID(typ)
 		if n.Value, err = d.value(); err != nil {
-			return Node{}, err
+			return err
 		}
-		n.end = d.pos
 	case xml.Comment:
 		if n.Value, err = d.value(); err != nil {
-			return Node{}, err
+			return err
 		}
-		n.end = d.pos
 	case xml.ProcessingInstruction:
 		target, err := d.uvarint()
 		if err != nil {
-			return Node{}, err
+			return err
 		}
 		n.Name = xml.QName{Local: xml.NameID(target)}
 		if n.Value, err = d.value(); err != nil {
-			return Node{}, err
+			return err
 		}
-		n.end = d.pos
 	case xml.Namespace:
 		p, err := d.uvarint()
 		if err != nil {
-			return Node{}, err
+			return err
 		}
 		u, err := d.uvarint()
 		if err != nil {
-			return Node{}, err
+			return err
 		}
 		n.Name = xml.QName{URI: xml.NameID(u), Local: xml.NameID(p)}
-		n.end = d.pos
 	case xml.Proxy:
 		cnt, err := d.uvarint()
 		if err != nil {
-			return Node{}, err
+			return err
 		}
 		n.ProxyCount = int(cnt)
-		n.end = d.pos
 	default:
-		return Node{}, fmt.Errorf("%w: node kind %d at %d", ErrCorrupt, kind, off)
+		return fmt.Errorf("%w: node kind %d at %d", ErrCorrupt, kind, off)
 	}
-	return n, nil
+	n.end = d.pos
+	return nil
 }
 
 func (d *decoder) value() ([]byte, error) {
@@ -420,51 +447,66 @@ func (r *Record) Find(target nodeid.ID) (Node, bool, error) {
 // record (§3.1: "for each contiguous interval of node IDs for nodes within a
 // record in document order, only one entry is in the node ID index").
 func (r *Record) Intervals() ([]nodeid.ID, nodeid.ID, error) {
-	return r.IntervalsArena(nil)
+	return r.intervals(nil, new(intervalScratch))
 }
 
-// IntervalsArena is Intervals with every returned (and intermediate) node ID
-// allocated from the arena when one is given; the result is valid until the
-// arena's next Reset.
-func (r *Record) IntervalsArena(a *arena.Arena) ([]nodeid.ID, nodeid.ID, error) {
+// intervalScratch is the reusable state of an intervals pass: the decode
+// slot, the current node's ID and a copy of the last real node's.
+type intervalScratch struct {
+	n    Node
+	ids  nodeid.Stack
+	last []byte
+}
+
+// intervals is Intervals with every returned node ID allocated from the
+// arena when one is given (valid until the arena's next Reset). Only the
+// returned IDs are allocated: the pass decodes in place and keeps the
+// current ID in sc.
+func (r *Record) intervals(a *arena.Arena, sc *intervalScratch) ([]nodeid.ID, nodeid.ID, error) {
 	var uppers []nodeid.ID
 	var minID nodeid.ID
-	var last nodeid.ID // last real node ID in the current interval
-	inInterval := false
+	inInterval := false // sc.last is the last real node ID of an open interval
+	n, ids := &sc.n, &sc.ids
+	ids.Reset(r.ContextID)
+	if sc.last == nil {
+		sc.last = a.Make(len(r.ContextID) + 32)
+	}
 
-	var walk func(off int, parentAbs nodeid.ID, entries int) (int, error)
-	walk = func(off int, parentAbs nodeid.ID, entries int) (int, error) {
+	var walk func(off, entries int) error
+	walk = func(off, entries int) error {
 		for i := 0; i < entries; i++ {
-			n, err := r.decodeNodeAt(a, off, parentAbs)
-			if err != nil {
-				return 0, err
-			}
-			if n.IsProxy() {
-				if inInterval {
-					uppers = append(uppers, cloneID(a, last))
-					inInterval = false
-				}
-			} else {
-				if minID == nil {
-					minID = cloneID(a, n.Abs)
-				}
-				last = n.Abs
-				inInterval = true
-				if n.Kind == xml.Element && n.EntryCount > 0 {
-					if _, err := walk(n.bodyStart, n.Abs, n.EntryCount); err != nil {
-						return 0, err
-					}
-				}
+			if err := r.decodeNodeAt(n, off); err != nil {
+				return err
 			}
 			off = n.end
+			if n.IsProxy() {
+				if inInterval {
+					uppers = append(uppers, cloneID(a, sc.last))
+					inInterval = false
+				}
+				continue
+			}
+			abs := ids.Push(n.Rel)
+			if minID == nil {
+				minID = cloneID(a, abs)
+			}
+			sc.last = append(sc.last[:0], abs...)
+			inInterval = true
+			if n.Kind == xml.Element && n.EntryCount > 0 {
+				ids.Descend()
+				if err := walk(n.bodyStart, n.EntryCount); err != nil {
+					return err
+				}
+				ids.Ascend()
+			}
 		}
-		return off, nil
+		return nil
 	}
-	if _, err := walk(0, r.ContextID, r.SubtreeCount); err != nil {
+	if err := walk(0, r.SubtreeCount); err != nil {
 		return nil, nil, err
 	}
 	if inInterval {
-		uppers = append(uppers, cloneID(a, last))
+		uppers = append(uppers, cloneID(a, sc.last))
 	}
 	return uppers, minID, nil
 }
@@ -480,25 +522,25 @@ func cloneID(a *arena.Arena, id nodeid.ID) nodeid.ID {
 // CountNodes returns the number of real nodes stored in the record.
 func (r *Record) CountNodes() (int, error) {
 	count := 0
-	var walk func(off int, parentAbs nodeid.ID, entries int) error
-	walk = func(off int, parentAbs nodeid.ID, entries int) error {
+	var n Node
+	var walk func(off, entries int) error
+	walk = func(off, entries int) error {
 		for i := 0; i < entries; i++ {
-			n, err := r.DecodeNodeAt(off, parentAbs)
-			if err != nil {
+			if err := r.decodeNodeAt(&n, off); err != nil {
 				return err
 			}
+			off = n.end
 			if !n.IsProxy() {
 				count++
 				if n.Kind == xml.Element && n.EntryCount > 0 {
-					if err := walk(n.bodyStart, n.Abs, n.EntryCount); err != nil {
+					if err := walk(n.bodyStart, n.EntryCount); err != nil {
 						return err
 					}
 				}
 			}
-			off = n.end
 		}
 		return nil
 	}
-	err := walk(0, r.ContextID, r.SubtreeCount)
+	err := walk(0, r.SubtreeCount)
 	return count, err
 }

@@ -83,6 +83,10 @@ type Packer struct {
 	// free recycles closed openElems (and their entries/ns capacity) within
 	// the document, so sibling turnover does not allocate.
 	free []*openElem
+	// rec and sc are finishRecord's scratch — the emitted record decoded
+	// back for its node-ID interval pass — reused across records.
+	rec  Record
+	sc   intervalScratch
 	err  error
 	done bool
 }
@@ -392,7 +396,7 @@ func (p *Packer) flushRun(e *openElem, run []segment) error {
 	for _, s := range run {
 		payload = append(payload, s.bytes...)
 	}
-	rec, err := finishRecord(p.a, e.abs, payload)
+	rec, err := p.finishRecord(payload)
 	if err != nil {
 		return p.fail(err)
 	}
@@ -410,7 +414,7 @@ func (p *Packer) emitRecord(root *openElem, entries []segment) error {
 	for _, s := range entries {
 		payload = append(payload, s.bytes...)
 	}
-	rec, err := finishRecord(p.a, nodeid.Root, payload)
+	rec, err := p.finishRecord(payload)
 	if err != nil {
 		return p.fail(err)
 	}
@@ -462,12 +466,11 @@ func makeProxy(a *arena.Arena, run []segment) segment {
 }
 
 // finishRecord computes MinNodeID and the node-ID intervals of a payload.
-func finishRecord(a *arena.Arena, contextID nodeid.ID, payload []byte) (EncodedRecord, error) {
-	rec, err := Decode(payload)
-	if err != nil {
+func (p *Packer) finishRecord(payload []byte) (EncodedRecord, error) {
+	if err := p.rec.decode(payload); err != nil {
 		return EncodedRecord{}, err
 	}
-	intervals, minID, err := rec.IntervalsArena(a)
+	intervals, minID, err := p.rec.intervals(p.a, &p.sc)
 	if err != nil {
 		return EncodedRecord{}, err
 	}

@@ -71,7 +71,7 @@ type collector struct {
 	ids  []nodeid.ID
 }
 
-func (c *collector) Enter(n Node, r *Record) (bool, error) {
+func (c *collector) Enter(n *Node) (bool, error) {
 	c.ids = append(c.ids, nodeid.Clone(n.Abs))
 	switch n.Kind {
 	case xml.Element:
@@ -95,7 +95,7 @@ func (c *collector) Enter(n Node, r *Record) (bool, error) {
 	return true, nil
 }
 
-func (c *collector) Leave(n Node, r *Record) (bool, error) {
+func (c *collector) Leave(n *Node) (bool, error) {
 	c.sb.WriteString(">")
 	return true, nil
 }

@@ -14,19 +14,12 @@ import (
 func EvalTokens(e *Eval, stream []byte) ([]Match, error) {
 	e.Reset()
 	r := tokens.NewReader(stream)
-	// One shared path buffer holds the current node's absolute ID; event
-	// consumers only read IDs during the event (candidates are cloned at
-	// finalize), so no per-node allocation is needed.
-	path := make([]byte, 0, 64)
-	lens := []int{0}     // path length per open depth
-	counters := []int{0} // next child slot per open depth
-	extend := func() nodeid.ID {
-		d := len(counters) - 1
-		rel := nodeid.RelAt(counters[d])
-		counters[d]++
-		path = append(path[:lens[d]], rel...)
-		return nodeid.ID(path)
-	}
+	// The evaluator's ID stack holds the current node's absolute ID in one
+	// shared buffer; event consumers only read IDs during the event
+	// (finalize copies what a candidate keeps), so no per-node allocation is
+	// needed.
+	ids := &e.ids
+	ids.Reset(nodeid.Root)
 	for r.More() {
 		t, err := r.Next()
 		if err != nil {
@@ -35,32 +28,22 @@ func EvalTokens(e *Eval, stream []byte) ([]Match, error) {
 		switch t.Kind {
 		case tokens.StartDocument:
 			e.StartDocument()
-			path = path[:0]
-			lens = append(lens[:0], 0)
-			counters = append(counters[:0], 0)
+			ids.Reset(nodeid.Root)
 		case tokens.EndDocument:
 			return e.EndDocument()
 		case tokens.StartElement:
-			id := extend()
-			e.StartElement(t.Name, id)
-			lens = append(lens, len(path))
-			counters = append(counters, 0)
+			e.StartElement(t.Name, ids.PushNext())
+			ids.Descend()
 		case tokens.EndElement:
-			idLen := lens[len(lens)-1]
-			lens = lens[:len(lens)-1]
-			counters = counters[:len(counters)-1]
-			path = path[:idLen]
-			e.EndElement(nodeid.ID(path))
+			e.EndElement(ids.Ascend())
 		case tokens.Attr:
-			e.Attribute(t.Name, t.Value, extend())
-		case tokens.NSDecl:
-			counters[len(counters)-1]++ // namespace nodes occupy an ID slot
+			e.Attribute(t.Name, t.Value, ids.PushNext())
+		case tokens.NSDecl, tokens.PI:
+			ids.SkipSlot() // occupy an ID slot; neither is matched
 		case tokens.Text:
-			e.Text(t.Value, extend())
+			e.Text(t.Value, ids.PushNext())
 		case tokens.Comment:
-			e.Comment(t.Value, extend())
-		case tokens.PI:
-			counters[len(counters)-1]++ // PI nodes are not matched
+			e.Comment(t.Value, ids.PushNext())
 		}
 	}
 	return e.EndDocument()

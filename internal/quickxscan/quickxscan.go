@@ -26,11 +26,11 @@
 package quickxscan
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 
 	"rx/internal/nodeid"
 	"rx/internal/xml"
@@ -102,14 +102,20 @@ type qnode struct {
 type cmpInfo struct {
 	op  xpath.CmpOp
 	lit xpath.Literal
+	str []byte // lit.Str, for allocation-free comparison against node values
 }
 
-// cand is a candidate result flowing up the query tree.
+// cand is a candidate result flowing up the query tree. Its node ID and
+// string value are spans of the evaluator's kept buffer (both empty inside a
+// predicate chain, where only the candidate's existence matters).
 type cand struct {
-	id    nodeid.ID
-	value []byte
+	id    span
+	value span
 	loose bool
 }
+
+// span is a byte range of Eval.kept.
+type span struct{ off, end int }
 
 // instance is a matching instance on a query node's stack.
 type instance struct {
@@ -144,22 +150,28 @@ type Eval struct {
 	doc   *qnode
 	nodes []*qnode // topological order (parents before children)
 
-	depth     int
-	openElems []openElem
-	valueMIs  []*instance // open instances accumulating string values
-	results   []Match
-	stats     Stats
-	live      int
-	inDoc     bool
-	err       error
+	depth int
+	// openElems holds, per open element (and the document), where its
+	// matching instances start in pushed; pushed is the flat stack of every
+	// instance pushed for a still-open element, in push order.
+	openElems []int
+	pushed    []*instance
+	docMI     instance     // the document node's instance, reused across documents
+	valueMIs  []*instance  // open instances accumulating string values
+	ids       nodeid.Stack // EvalTokens' ID synthesizer, reused across documents
+	// kept holds the IDs and values of the document's candidates. Event IDs
+	// and values die with their event, so a candidate keeps a copy — here, in
+	// one buffer reused across documents, not in a heap object per
+	// candidate; only what finally matches is copied out at EndDocument.
+	kept  []byte
+	stats Stats
+	live  int
+	inDoc bool
+	err   error
 	// free recycles matching instances: an instance popped from its stack
 	// is never referenced again (candidates are copied out at finalize and
 	// upward links only ever point at still-open ancestors).
 	free []*instance
-}
-
-type openElem struct {
-	pushed []*instance // instances pushed for this element, in push order
 }
 
 // Compile builds an evaluator for the query. Names are resolved against the
@@ -295,7 +307,7 @@ func (e *Eval) compilePred(pe xpath.Expr, anchor *qnode, names xml.Names, nsMap 
 		}
 		term.terminal = true
 		term.makesCand = true
-		term.cmp = &cmpInfo{op: x.Op, lit: x.Lit}
+		term.cmp = &cmpInfo{op: x.Op, lit: x.Lit, str: []byte(x.Lit.Str)}
 		term.needValue = true
 		return peLeaf{slot}, nil
 	default:
@@ -311,8 +323,9 @@ func (e *Eval) Reset() {
 	}
 	e.depth = 0
 	e.openElems = e.openElems[:0]
+	e.pushed = e.pushed[:0]
 	e.valueMIs = e.valueMIs[:0]
-	e.results = nil
+	e.kept = e.kept[:0]
 	e.live = 0
 	e.inDoc = false
 	e.err = nil
@@ -325,9 +338,24 @@ func (e *Eval) Stats() Stats { return e.stats }
 func (e *Eval) StartDocument() {
 	e.inDoc = true
 	e.depth = 0
-	docMI := &instance{q: e.doc, depth: 0}
+	docMI := &e.docMI
+	docMI.reset(e.doc, 0, nil)
 	e.push(e.doc, docMI)
-	e.openElems = append(e.openElems, openElem{pushed: []*instance{docMI}})
+	e.openElems = append(e.openElems, len(e.pushed))
+	e.pushed = append(e.pushed, docMI)
+}
+
+// reset makes mi a fresh instance of q, keeping its buffers' capacity.
+// Fields are set one by one: assigning a whole instance literal costs a
+// struct copy per match.
+func (mi *instance) reset(q *qnode, depth int, up *instance) {
+	mi.q, mi.depth, mi.upTarget = q, depth, up
+	mi.raw = mi.raw[:0]
+	mi.valid = mi.valid[:0]
+	mi.rawRemainder = mi.rawRemainder[:0]
+	mi.leafVals = mi.leafVals[:0]
+	mi.value = mi.value[:0]
+	mi.closed = false
 }
 
 // newInstance takes an instance from the freelist or allocates one.
@@ -335,9 +363,7 @@ func (e *Eval) newInstance(q *qnode, depth int, up *instance) *instance {
 	if n := len(e.free); n > 0 {
 		mi := e.free[n-1]
 		e.free = e.free[:n-1]
-		*mi = instance{q: q, depth: depth, upTarget: up,
-			raw: mi.raw[:0], valid: mi.valid[:0], rawRemainder: mi.rawRemainder[:0],
-			leafVals: mi.leafVals[:0], value: mi.value[:0]}
+		mi.reset(q, depth, up)
 		return mi
 	}
 	return &instance{q: q, depth: depth, upTarget: up}
@@ -365,9 +391,6 @@ func (e *Eval) push(q *qnode, mi *instance) {
 	e.stats.Pushes++
 	if e.live > e.stats.MaxLive {
 		e.stats.MaxLive = e.live
-	}
-	if q.needValue {
-		e.valueMIs = append(e.valueMIs, mi)
 	}
 }
 
@@ -430,7 +453,7 @@ func (e *Eval) StartElement(name xml.QName, id nodeid.ID) {
 		return
 	}
 	e.depth++
-	frame := openElem{}
+	e.openElems = append(e.openElems, len(e.pushed))
 	// Parents precede children in e.nodes, so self-axis chains see their
 	// parent's instance pushed within this same event.
 	for _, q := range e.nodes[1:] {
@@ -443,9 +466,51 @@ func (e *Eval) StartElement(name xml.QName, id nodeid.ID) {
 		}
 		mi := e.newInstance(q, e.depth, tp)
 		e.push(q, mi)
-		frame.pushed = append(frame.pushed, mi)
+		e.pushed = append(e.pushed, mi)
+		// Only element instances stay open across events; attribute and
+		// text instances carry their whole value from their single event.
+		if q.needValue {
+			e.valueMIs = append(e.valueMIs, mi)
+		}
 	}
-	e.openElems = append(e.openElems, frame)
+}
+
+// CanSkip reports, for the element whose StartElement was just processed,
+// whether its whole content can be stepped over: no query node can match
+// anywhere below it and no open string value needs its text. A query node
+// can still match below when
+//
+//   - its axis is descendant(-or-self) and its parent step has a live
+//     instance (every live instance is an ancestor-or-self of this element),
+//   - its axis is child or attribute and its parent step was pushed for this
+//     very element, or
+//   - its parent step can itself still match below.
+//
+// Only the verdict "none can" is needed, and the third case cannot hold
+// unless one of the first two does somewhere up the query tree, so one pass
+// over the query nodes testing the first two decides it in O(|Q|). The
+// answer depends on the query and the open path alone, so a scan that skips
+// when CanSkip says so returns exactly what a full scan returns; the caller
+// still delivers EndElement.
+func (e *Eval) CanSkip() bool {
+	if len(e.valueMIs) > 0 {
+		return false
+	}
+	for _, q := range e.nodes[1:] {
+		st := q.parent.stack
+		if len(st) == 0 {
+			continue
+		}
+		switch q.axis {
+		case xpath.Descendant, xpath.DescendantOrSelf:
+			return false
+		case xpath.Child, xpath.Attribute:
+			if st[len(st)-1].depth == e.depth {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Attribute processes an attribute of the current element.
@@ -486,13 +551,9 @@ func (e *Eval) Text(value []byte, id nodeid.ID) {
 	}
 	// Accumulate into open string values.
 	for _, mi := range e.valueMIs {
-		if !mi.closed && mi.q.needValue {
-			mi.value = append(mi.value, value...)
-		}
+		mi.value = append(mi.value, value...)
 	}
-	e.instantLeaf(value, id, func(q *qnode) bool {
-		return q.test == xpath.TestText || q.test == xpath.TestNode
-	})
+	e.instantLeaf(value, id, xpath.TestText)
 }
 
 // Comment processes a comment node.
@@ -500,19 +561,17 @@ func (e *Eval) Comment(value []byte, id nodeid.ID) {
 	if !e.inDoc {
 		return
 	}
-	e.instantLeaf(value, id, func(q *qnode) bool {
-		return q.test == xpath.TestComment || q.test == xpath.TestNode
-	})
+	e.instantLeaf(value, id, xpath.TestComment)
 }
 
 // instantLeaf matches leaf document nodes (text, comments) that live for a
-// single event.
-func (e *Eval) instantLeaf(value []byte, id nodeid.ID, test func(*qnode) bool) {
+// single event; kind is the node test that selects them besides node().
+func (e *Eval) instantLeaf(value []byte, id nodeid.ID, kind xpath.TestKind) {
 	for _, q := range e.nodes[1:] {
 		if q.axis == xpath.Attribute || q.axis == xpath.Self {
 			continue
 		}
-		if !test(q) {
+		if q.test != kind && q.test != xpath.TestNode {
 			continue
 		}
 		tp := findUpTarget(q, e.depth+1)
@@ -540,10 +599,10 @@ func (e *Eval) EndElement(id nodeid.ID) {
 	if !e.inDoc {
 		return
 	}
-	frame := e.openElems[len(e.openElems)-1]
+	start := e.openElems[len(e.openElems)-1]
 	e.openElems = e.openElems[:len(e.openElems)-1]
-	for i := len(frame.pushed) - 1; i >= 0; i-- {
-		mi := frame.pushed[i]
+	for i := len(e.pushed) - 1; i >= start; i-- {
+		mi := e.pushed[i]
 		e.finalize(mi, id)
 		// Pop from its stack (it is necessarily on top).
 		st := mi.q.stack
@@ -564,6 +623,7 @@ func (e *Eval) EndElement(id nodeid.ID) {
 		}
 		e.recycle(mi)
 	}
+	e.pushed = e.pushed[:start]
 	e.depth--
 	// Prune value accumulators that closed.
 	if len(e.valueMIs) > 0 {
@@ -585,28 +645,56 @@ func (e *Eval) EndDocument() ([]Match, error) {
 	if !e.inDoc {
 		return nil, errors.New("quickxscan: EndDocument without StartDocument")
 	}
-	frame := e.openElems[len(e.openElems)-1]
-	e.openElems = e.openElems[:len(e.openElems)-1]
-	docMI := frame.pushed[0]
+	e.openElems = e.openElems[:0]
+	e.pushed = e.pushed[:0]
+	docMI := &e.docMI
 	e.inDoc = false
 	// The document instance is trivially valid: everything raw is a result.
-	out := append(docMI.valid, docMI.raw...)
+	docMI.valid = append(docMI.valid, docMI.raw...)
+	out := docMI.valid
 	e.doc.stack = e.doc.stack[:0]
 	e.live--
-	sort.Slice(out, func(i, j int) bool { return nodeid.Compare(out[i].id, out[j].id) < 0 })
-	matches := make([]Match, 0, len(out))
-	for i, c := range out {
-		if i > 0 && nodeid.Equal(out[i-1].id, c.id) {
-			continue // defense in depth; propagation should be duplicate-free
-		}
-		matches = append(matches, Match{ID: c.id, Value: c.value})
+	if len(out) == 0 {
+		return nil, nil
 	}
-	e.results = matches
+	kept := e.kept
+	id := func(c cand) []byte { return kept[c.id.off:c.id.end] }
+	slices.SortFunc(out, func(a, b cand) int { return bytes.Compare(id(a), id(b)) })
+	// Defense in depth: propagation should be duplicate-free.
+	out = slices.CompactFunc(out, func(a, b cand) bool { return bytes.Equal(id(a), id(b)) })
+	// Matches outlive the scan: copy them out of the kept buffer into one
+	// block the caller owns.
+	size := 0
+	for _, c := range out {
+		size += c.id.end - c.id.off + c.value.end - c.value.off
+	}
+	block := make([]byte, 0, size)
+	own := func(s span) []byte {
+		if s.off == s.end {
+			return nil
+		}
+		start := len(block)
+		block = append(block, kept[s.off:s.end]...)
+		return block[start:len(block):len(block)]
+	}
+	matches := make([]Match, len(out))
+	for i, c := range out {
+		matches[i] = Match{ID: own(c.id), Value: own(c.value)}
+	}
 	return matches, nil
 }
 
+// keep copies b into the kept buffer.
+func (e *Eval) keep(b []byte) span {
+	off := len(e.kept)
+	e.kept = append(e.kept, b...)
+	return span{off, len(e.kept)}
+}
+
 // finalize decides an instance's predicates and routes its candidate
-// sequences (the Table-1 propagation, generalized).
+// sequences (the Table-1 propagation, generalized). Sequences move between
+// instance-owned buffers in place and a new candidate's ID and value go to
+// the kept buffer, so nothing is allocated once the buffers are warm.
 func (e *Eval) finalize(mi *instance, id nodeid.ID) {
 	mi.closed = true
 	q := mi.q
@@ -617,48 +705,45 @@ func (e *Eval) finalize(mi *instance, id nodeid.ID) {
 			break
 		}
 	}
-	var validOut []cand
-	validOut = append(validOut, mi.valid...)
 	if selfValid {
-		validOut = append(validOut, mi.raw...)
-		mi.raw = nil
-		if q.makesCand {
-			ok := true
-			if q.cmp != nil {
-				ok = compare(mi.value, q.cmp)
-			}
-			if ok {
-				c := cand{id: nodeid.Clone(id)}
-				if e.opts.NeedValues && !q.inPred {
-					c.value = append([]byte(nil), mi.value...)
+		mi.valid = append(mi.valid, mi.raw...)
+		if q.makesCand && (q.cmp == nil || compare(mi.value, q.cmp)) {
+			// A candidate that may become a result keeps its ID and value.
+			// Inside a predicate chain only its existence matters (it ends
+			// as leafVals[slot] = true), so nothing is kept.
+			var c cand
+			if !q.inPred {
+				c.id = e.keep(id)
+				if e.opts.NeedValues {
+					c.value = e.keep(mi.value)
 				}
-				validOut = append(validOut, c)
 			}
+			mi.valid = append(mi.valid, c)
 		}
 	} else {
 		// Keep only re-targetable (loose) raw candidates for sideways moves.
-		var rem []cand
 		for _, c := range mi.raw {
 			if c.loose {
-				rem = append(rem, c)
+				mi.rawRemainder = append(mi.rawRemainder, c)
 			}
 		}
-		mi.rawRemainder = rem
-		mi.raw = nil
 	}
-	if len(validOut) == 0 {
+	mi.raw = mi.raw[:0]
+	if len(mi.valid) == 0 {
 		return
 	}
 	// Cross the step boundary upward.
+	up := mi.upTarget
 	if q.inPred && q.parent == q.anchor {
 		// Delivery into the anchor's predicate leaf.
-		mi.upTarget.leafVals[q.predSlot] = true
+		up.leafVals[q.predSlot] = true
 		return
 	}
-	for i := range validOut {
-		validOut[i].loose = q.loose
+	base := len(up.raw)
+	up.raw = append(up.raw, mi.valid...)
+	for i := base; i < len(up.raw); i++ {
+		up.raw[i].loose = q.loose
 	}
-	mi.upTarget.raw = append(mi.upTarget.raw, validOut...)
 }
 
 // compare applies the terminal comparison to a node's string value.
@@ -666,13 +751,15 @@ func (e *Eval) finalize(mi *instance, id nodeid.ID) {
 // XPath's NaN behaviour); string literals compare lexicographically.
 func compare(value []byte, c *cmpInfo) bool {
 	if c.lit.IsNum {
-		v, err := strconv.ParseFloat(strings.TrimSpace(string(value)), 64)
+		// ParseFloat does not retain its argument, so the conversion of a
+		// short value stays on the stack.
+		v, err := strconv.ParseFloat(string(bytes.TrimSpace(value)), 64)
 		if err != nil {
 			return false
 		}
 		return cmpOrd(c.op, compareFloat(v, c.lit.Num))
 	}
-	return cmpOrd(c.op, strings.Compare(string(value), c.lit.Str))
+	return cmpOrd(c.op, bytes.Compare(value, c.str))
 }
 
 func compareFloat(a, b float64) int {

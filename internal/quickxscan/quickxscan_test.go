@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"rx/internal/dom"
+	"rx/internal/nodeid"
+	"rx/internal/tokens"
 	"rx/internal/xml"
 	"rx/internal/xmlparse"
 	"rx/internal/xpath"
@@ -391,6 +393,179 @@ func BenchmarkQuickXScan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := EvalTokens(e, stream); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestElementValueAfterAttributeMatch: an attribute (or text) match lives
+// for one event and must not stay registered as a string-value accumulator —
+// its recycled instance used to be handed to the next element match while
+// still listed, so that element's text was appended twice.
+func TestElementValueAfterAttributeMatch(t *testing.T) {
+	dict := xml.NewDict()
+	stream, _ := xmlparse.Parse([]byte(`<a k="v"><b>x</b></a>`), dict, xmlparse.Options{})
+	q, _ := xpath.Parse(`/a[@k = "v"]/b`)
+	e, _ := Compile(q, dict, nil, Options{NeedValues: true})
+	ms, err := EvalTokens(e, stream)
+	if err != nil || len(ms) != 1 {
+		t.Fatalf("ms=%v err=%v", ms, err)
+	}
+	if string(ms[0].Value) != "x" {
+		t.Errorf("element value = %q, want %q", ms[0].Value, "x")
+	}
+}
+
+// evalTokensSkipping is EvalTokens for a driver that believes CanSkip: after
+// every StartElement it asks, and on true feeds the evaluator nothing until
+// the matching EndElement — what the stored-record walker does with the
+// element's byte length.
+func evalTokensSkipping(e *Eval, stream []byte) (ms []Match, skipped int, err error) {
+	e.Reset()
+	var ids nodeid.Stack
+	ids.Reset(nodeid.Root)
+	r := tokens.NewReader(stream)
+	for r.More() {
+		t, err := r.Next()
+		if err != nil {
+			return nil, 0, err
+		}
+		switch t.Kind {
+		case tokens.StartDocument:
+			e.StartDocument()
+		case tokens.StartElement:
+			id := ids.PushNext() // stays valid while the stack is not touched
+			e.StartElement(t.Name, id)
+			if !e.CanSkip() {
+				ids.Descend()
+				continue
+			}
+			for depth := 1; depth > 0; {
+				t, err := r.Next()
+				if err != nil {
+					return nil, 0, err
+				}
+				switch t.Kind {
+				case tokens.StartElement:
+					depth++
+				case tokens.EndElement:
+					depth--
+				}
+				skipped++
+			}
+			e.EndElement(id)
+		case tokens.EndElement:
+			e.EndElement(ids.Ascend())
+		case tokens.Attr:
+			e.Attribute(t.Name, t.Value, ids.PushNext())
+		case tokens.NSDecl, tokens.PI:
+			ids.SkipSlot()
+		case tokens.Text:
+			e.Text(t.Value, ids.PushNext())
+		case tokens.Comment:
+			e.Comment(t.Value, ids.PushNext())
+		}
+	}
+	ms, err = e.EndDocument()
+	return ms, skipped, err
+}
+
+// TestCanSkipNeverChangesResults: over random documents and a query set that
+// covers every axis, node test, value accumulation and boolean predicate
+// shape, a scan that skips whenever CanSkip allows returns the very matches
+// (IDs and values) of the full scan — and does skip on the child-axis
+// queries.
+func TestCanSkipNeverChangesResults(t *testing.T) {
+	queries := []string{
+		"/e0/e1", "/e0/e1/e2", "/e0/e1[e2]/e3", "/e0/e1/@a0", "/e0/*/e2", "/e0/e1/text()",
+		"/e0/e1[@a0 = '5']", "/e0/e1[e2 = 't3']", "/e0[e1 and e2]/e3", "/e0[e1 or @a1]/e2",
+		"/e0[not(e1)]/e2", "/e0/e1[. = 't1']", "/e0/e1//e2", "/e0//e1/e2", "/e0/e1[.//e3]/e2",
+		"/e0/e1/self::e1/e2", "/e0/e1/node()", "/e0/e1[e2/e3 = 't2']",
+		"//e1", "//e1/e2", "//e1[e2]/@a0", "//e2//text()", "/e9/e1", "/e0/e9//e1",
+	}
+	skippedAny := false
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		doc := randomDoc(rng, 0, 5)
+		dict := xml.NewDict()
+		stream, err := xmlparse.Parse([]byte(doc), dict, xmlparse.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, query := range queries {
+			q, err := xpath.Parse(query)
+			if err != nil {
+				t.Fatalf("%s: %v", query, err)
+			}
+			for _, needValues := range []bool{false, true} {
+				e, err := Compile(q, dict, nil, Options{NeedValues: needValues})
+				if err != nil {
+					t.Fatalf("%s: %v", query, err)
+				}
+				want, err := EvalTokens(e, stream)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, skipped, err := evalTokensSkipping(e, stream)
+				if err != nil {
+					t.Fatal(err)
+				}
+				skippedAny = skippedAny || skipped > 0
+				if len(got) != len(want) {
+					t.Fatalf("seed %d %s values=%v: %d matches skipping, %d full\n doc %s",
+						seed, query, needValues, len(got), len(want), doc)
+				}
+				for i := range got {
+					if !nodeid.Equal(got[i].ID, want[i].ID) || string(got[i].Value) != string(want[i].Value) {
+						t.Fatalf("seed %d %s values=%v: match %d = %s %q skipping, %s %q full\n doc %s",
+							seed, query, needValues, i, got[i].ID, got[i].Value, want[i].ID, want[i].Value, doc)
+					}
+				}
+			}
+		}
+	}
+	if !skippedAny {
+		t.Error("no subtree was ever skipped: the test exercises nothing")
+	}
+}
+
+// TestEvalAllocsIndependentOfDocumentSize is the evaluator half of the
+// scan-kernel allocation tripwire: with no match to keep, a scan allocates
+// nothing per node, whatever the document's size.
+func TestEvalAllocsIndependentOfDocumentSize(t *testing.T) {
+	build := func(products int) []byte {
+		var sb strings.Builder
+		sb.WriteString("<catalog>")
+		for i := 0; i < products; i++ {
+			fmt.Fprintf(&sb, `<product id="%d"><name>W%d</name><price> %d </price><note>n<!--c--></note></product>`, i, i, i%50)
+		}
+		sb.WriteString("</catalog>")
+		return []byte(sb.String())
+	}
+	dict := xml.NewDict()
+	for _, query := range []string{
+		`/catalog/product[price > 100 and @id != "x"]/name`,
+		`//product[price > 100 or not(name)]//note/text()`,
+	} {
+		q, _ := xpath.Parse(query)
+		e, err := Compile(q, dict, nil, Options{NeedValues: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var allocs [2]float64
+		for i, products := range []int{20, 400} {
+			stream, err := xmlparse.Parse(build(products), dict, xmlparse.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs[i] = testing.AllocsPerRun(20, func() {
+				ms, err := EvalTokens(e, stream)
+				if err != nil || len(ms) != 0 {
+					t.Fatalf("ms=%d err=%v", len(ms), err)
+				}
+			})
+		}
+		if allocs[1] > allocs[0] || allocs[1] > 4 {
+			t.Errorf("%s: %v allocs for 20 products, %v for 400; want the same small constant", query, allocs[0], allocs[1])
 		}
 	}
 }

@@ -17,10 +17,18 @@ import (
 // iterators over stored data pass real IDs, iterators over transient data
 // synthesize packer-identical ones.
 //
-// Value slices are valid only for the duration of the callback: iterators
-// over stored data serve them zero-copy from pinned buffer-pool frames that
-// are released as the walk advances. A handler that retains a value beyond
-// its event must copy it.
+// Value slices AND node IDs are valid only for the duration of the callback.
+// Iterators over stored data serve values zero-copy from pinned buffer-pool
+// frames that are released as the walk advances, and every iterator keeps
+// the current node's ID in one reusable buffer (nodeid.Stack) that the next
+// event overwrites. A handler that retains either beyond its event must copy
+// it — the copy-on-retain idiom:
+//
+//	kept := nodeid.Clone(id)
+//	val := append([]byte(nil), value...)
+//
+// (Only FromDOM passes IDs and values that outlive the event, because the
+// tree owns them; handlers must not rely on that.)
 type Handler interface {
 	StartDocument() error
 	EndDocument() error
@@ -33,21 +41,26 @@ type Handler interface {
 	PI(target xml.NameID, value []byte, id nodeid.ID) error
 }
 
+// SubtreeSkipper is an optional interface a Handler may implement to let an
+// iterator over stored data step over content that cannot affect the
+// handler's outcome. Iterators look it up once per walk, not per node.
+// Immediately after StartElement returned for an element that has content,
+// the iterator asks CanSkipSubtree; on true it delivers no event for anything
+// inside the element — stored records skip the bytes using the length the
+// element header carries, and never fetch the records its content was packed
+// into — and goes straight to the element's EndElement. A handler that does
+// not implement it (the serializer, TokenSink, counting handlers) sees every
+// node, which is the reference behaviour skipping is tested against.
+type SubtreeSkipper interface {
+	CanSkipSubtree() bool
+}
+
 // FromTokens drives a handler from a buffered token stream, synthesizing
 // node IDs exactly as the packer assigns them.
 func FromTokens(stream []byte, h Handler) error {
 	r := tokens.NewReader(stream)
-	type frame struct {
-		abs  nodeid.ID
-		next int
-	}
-	stack := []frame{{abs: nodeid.Root}}
-	cur := &stack[0]
-	alloc := func() nodeid.ID {
-		rel := nodeid.RelAt(cur.next)
-		cur.next++
-		return nodeid.Append(cur.abs, rel)
-	}
+	var ids nodeid.Stack
+	ids.Reset(nodeid.Root)
 	for r.More() {
 		t, err := r.Next()
 		if err != nil {
@@ -55,47 +68,27 @@ func FromTokens(stream []byte, h Handler) error {
 		}
 		switch t.Kind {
 		case tokens.StartDocument:
-			if err := h.StartDocument(); err != nil {
-				return err
-			}
+			err = h.StartDocument()
 		case tokens.EndDocument:
-			if err := h.EndDocument(); err != nil {
-				return err
-			}
+			err = h.EndDocument()
 		case tokens.StartElement:
-			id := alloc()
-			if err := h.StartElement(t.Name, id); err != nil {
-				return err
-			}
-			stack = append(stack, frame{abs: id})
-			cur = &stack[len(stack)-1]
+			err = h.StartElement(t.Name, ids.PushNext())
+			ids.Descend()
 		case tokens.EndElement:
-			id := cur.abs
-			stack = stack[:len(stack)-1]
-			cur = &stack[len(stack)-1]
-			if err := h.EndElement(id); err != nil {
-				return err
-			}
+			err = h.EndElement(ids.Ascend())
 		case tokens.NSDecl:
-			if err := h.NSDecl(t.Prefix, t.URI, alloc()); err != nil {
-				return err
-			}
+			err = h.NSDecl(t.Prefix, t.URI, ids.PushNext())
 		case tokens.Attr:
-			if err := h.Attribute(t.Name, t.Value, t.Type, alloc()); err != nil {
-				return err
-			}
+			err = h.Attribute(t.Name, t.Value, t.Type, ids.PushNext())
 		case tokens.Text:
-			if err := h.Text(t.Value, t.Type, alloc()); err != nil {
-				return err
-			}
+			err = h.Text(t.Value, t.Type, ids.PushNext())
 		case tokens.Comment:
-			if err := h.Comment(t.Value, alloc()); err != nil {
-				return err
-			}
+			err = h.Comment(t.Value, ids.PushNext())
 		case tokens.PI:
-			if err := h.PI(t.Name.Local, t.Value, alloc()); err != nil {
-				return err
-			}
+			err = h.PI(t.Name.Local, t.Value, ids.PushNext())
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

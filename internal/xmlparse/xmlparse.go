@@ -12,9 +12,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"strconv"
 	"strings"
+	"sync"
 
 	"rx/internal/arena"
 	"rx/internal/tokens"
