@@ -1,9 +1,9 @@
 package main
 
 // Machine-readable smoke benchmarks. `rxbench -json DIR` runs a small
-// benchmark per perf-tracked experiment suite (E10 parse/shred, E13 query
-// scan, E14 checksum read, E16 bulk load, E18 planner, E19 stored-document
-// scan kernel) through testing.Benchmark and
+// benchmark per perf-tracked experiment suite (E3 sub-document update, E10
+// parse/shred, E13 query scan, E14 checksum read, E16 bulk load, E18 planner,
+// E19 stored-document scan kernel) through testing.Benchmark and
 // writes one BENCH_<id>.json per suite; `-compare DIR` additionally checks
 // the results against a committed baseline directory with a generous
 // threshold gate (allocs/op is machine-independent and gated tightly;
@@ -74,6 +74,47 @@ func mustDB(b *testing.B) (*core.DB, *core.Collection) {
 // runSmokeBenchmarks returns results keyed by suite ID.
 func runSmokeBenchmarks() map[string][]benchResult {
 	suites := map[string][]benchResult{}
+
+	// E3 — one transactional UpdateText on a multi-record document with one
+	// value index: the edit pipeline end to end (plan, undo record, record
+	// rewrite, value-key maintenance).
+	suites["E3"] = []benchResult{
+		run("txn-update-text", func(b *testing.B) {
+			db, err := core.OpenMemory()
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			col, err := db.CreateCollection("bench", core.CollectionOptions{PackThreshold: 256})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := col.CreateValueIndex("qty", "/Product/Part/Qty", xml.TDouble); err != nil {
+				b.Fatal(err)
+			}
+			id, err := col.Insert(benchDocXML(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			texts, _, err := col.Query("/Product/Part/Qty/text()")
+			if err != nil || len(texts) != 16 {
+				b.Fatalf("Qty texts: %d, %v", len(texts), err)
+			}
+			if n := col.XMLTable().Count(); n < 3 {
+				panic(fmt.Sprintf("E3: document packed into %d records, want several", n))
+			}
+			vals := [2][]byte{[]byte("7"), []byte("8")}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				node := texts[i%len(texts)].Node
+				err := db.RunTxn(func(t *core.Txn) error { return t.UpdateText(col, id, node, vals[i&1]) })
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		}),
+	}
 
 	// E10 — parse + shred + index maintenance (single-document insert).
 	suites["E10"] = []benchResult{

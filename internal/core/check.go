@@ -6,6 +6,7 @@ import (
 
 	"rx/internal/heap"
 	"rx/internal/nodeid"
+	"rx/internal/pack"
 	"rx/internal/valueindex"
 	"rx/internal/xml"
 )
@@ -22,6 +23,9 @@ import (
 //  3. Every XPath value index holds exactly the keys re-derived by
 //     evaluating its path over the stored documents.
 //  4. Every document in the DocID index serializes without error.
+//  5. Every proxy entry describes the run record it resolves to — first
+//     subtree and subtree count — and every run record has exactly one (the
+//     edit pipeline's proxy invariant, edit.go).
 func (c *Collection) CheckConsistency() error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -90,10 +94,45 @@ func (c *Collection) checkDoc(doc xml.DocID) error {
 		perRID[e.rid] = append(perRID[e.rid], e.upper.String())
 	}
 	// Invariant 1: the entry set per record equals the record's intervals.
+	// Invariant 5 on the way: count the proxies that resolve to each record.
+	proxies := map[heap.RID]int{}
+	var checkProxies func(parentID nodeid.ID, list []*pack.MutNode) error
+	checkProxies = func(parentID nodeid.ID, list []*pack.MutNode) error {
+		for _, m := range list {
+			switch m.Kind {
+			case xml.Proxy:
+				run, err := c.openRun(doc, parentID, m)
+				if err != nil {
+					return err
+				}
+				if len(run.tops) != m.ProxyCount {
+					return fmt.Errorf("proxy %s counts %d subtrees, its run holds %d",
+						nodeid.Append(parentID, m.Rel), m.ProxyCount, len(run.tops))
+				}
+				proxies[run.rid]++
+			case xml.Element:
+				if err := checkProxies(nodeid.Append(parentID, m.Rel), m.Children); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	runs := 0
 	for rid, got := range perRID {
 		rec, err := c.fetchRecord(rid)
 		if err != nil {
 			return err
+		}
+		tops, err := rec.Mutable()
+		if err != nil {
+			return err
+		}
+		if err := checkProxies(rec.ContextID, tops); err != nil {
+			return err
+		}
+		if len(rec.ContextID) > 0 {
+			runs++
 		}
 		uppers, _, err := rec.Intervals()
 		if err != nil {
@@ -111,6 +150,14 @@ func (c *Collection) checkDoc(doc xml.DocID) error {
 				return fmt.Errorf("record %s: stray entry %s", rid, g)
 			}
 		}
+	}
+	for rid, n := range proxies {
+		if n != 1 {
+			return fmt.Errorf("record %s: %d proxies resolve to it", rid, n)
+		}
+	}
+	if len(proxies) != runs {
+		return fmt.Errorf("%d run records for %d proxies", runs, len(proxies))
 	}
 	// Invariant 4: the document walks end to end.
 	h := &nodeCountHandler{}

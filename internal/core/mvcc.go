@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,11 +19,12 @@ import (
 
 // Document-level multiversioning (§5.1): versioned collections keep the
 // most up-to-date data in the XPath value indexes but versions for the XML
-// data and the NodeID index. Updates are copy-on-write at record
-// granularity — edited records become new rows, untouched records are
-// shared — and each new version writes a complete NodeID-index entry set,
-// so a reader pinned to a snapshot version never blocks and never misses
-// (the paper's "reader's deferred access is guaranteed to be successful").
+// data and the NodeID index. Updates (the edit pipeline's verEdit sink) are
+// copy-on-write at record granularity — edited records become new rows,
+// untouched records are shared — and each new version writes a complete
+// NodeID-index entry set, so a reader pinned to a snapshot version never
+// blocks and never misses (the paper's "reader's deferred access is
+// guaranteed to be successful").
 
 // Versioned reports whether the collection is multiversioned.
 func (c *Collection) Versioned() bool { return c.meta.Versioned }
@@ -143,15 +143,17 @@ func (c *Collection) SerializeAt(doc xml.DocID, ver uint64, w io.Writer) error {
 	return s.Err()
 }
 
-// verEdit accumulates one versioned update's copy-on-write effects.
+// verEdit is the copy-on-write record sink (edit.go): one versioned edit's
+// record effects, installed as version cur+1 by commit. Edited records become
+// new rows, untouched records are carried over.
 type verEdit struct {
+	c   *Collection
 	doc xml.DocID
 	cur uint64
-	// edited maps replaced records (old RID) to their new row and interval
-	// uppers.
-	edited map[heap.RID]verNewRec
-	// dropped marks records whose content leaves the new version entirely.
-	dropped map[heap.RID]bool
+	// gone holds the records absent from the new version: dropped ones, and
+	// replaced ones whose new rows are in added.
+	gone  map[heap.RID]bool
+	added []verNewRec
 }
 
 type verNewRec struct {
@@ -164,32 +166,44 @@ func (c *Collection) beginVerEdit(doc xml.DocID) (*verEdit, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &verEdit{doc: doc, cur: cur, edited: map[heap.RID]verNewRec{}, dropped: map[heap.RID]bool{}}, nil
+	return &verEdit{c: c, doc: doc, cur: cur, gone: map[heap.RID]bool{}}, nil
 }
 
-// rewriteCOW re-encodes an edited record as a new row and registers it.
-func (c *Collection) rewriteCOW(ve *verEdit, oldRID heap.RID, rec *pack.Record, tops []*pack.MutNode) error {
-	payload := rec.Encode(tops)
-	newRec, err := pack.Decode(payload)
+// rewrite stores the edited record as a new row.
+func (ve *verEdit) rewrite(r *openRec) error {
+	row, uppers, err := encodeRecord(ve.doc, r.rec, r.tops)
 	if err != nil {
 		return err
 	}
-	uppers, minID, err := newRec.Intervals()
+	rid, err := ve.c.xmlTbl.Insert(row)
 	if err != nil {
 		return err
 	}
-	rid, err := c.xmlTbl.Insert(xmlRow(ve.doc, minID, payload))
-	if err != nil {
-		return err
-	}
-	ve.edited[oldRID] = verNewRec{rid: rid, uppers: uppers}
+	ve.gone[r.rid] = true
+	ve.added = append(ve.added, verNewRec{rid: rid, uppers: uppers})
 	return nil
 }
 
-// commitVerEdit writes the new version's complete entry set and bumps the
+// drop leaves the record out of the new version; like dropInside's records,
+// its row stays for older snapshots until vacuum.
+func (ve *verEdit) drop(r *openRec) error {
+	ve.gone[r.rid] = true
+	return nil
+}
+
+func (ve *verEdit) dropInside(id nodeid.ID, keep heap.RID) error {
+	return ve.c.nodeIx.ScanVersion(ve.doc, ve.cur, func(upper nodeid.ID, rid heap.RID) bool {
+		if rid != keep && nodeid.IsAncestorOrSelf(id, upper) {
+			ve.gone[rid] = true
+		}
+		return true
+	})
+}
+
+// commit writes the new version's complete entry set and bumps the
 // document's current version.
-func (c *Collection) commitVerEdit(ve *verEdit) error {
-	newVer := ve.cur + 1
+func (ve *verEdit) commit() error {
+	c, newVer := ve.c, ve.cur+1
 	// Collect the carried-over entries first: inserting while scanning
 	// would self-deadlock on the index tree's latch.
 	type carry struct {
@@ -198,13 +212,9 @@ func (c *Collection) commitVerEdit(ve *verEdit) error {
 	}
 	var carried []carry
 	err := c.nodeIx.ScanVersion(ve.doc, ve.cur, func(upper nodeid.ID, rid heap.RID) bool {
-		if ve.dropped[rid] {
-			return true
+		if !ve.gone[rid] {
+			carried = append(carried, carry{upper: nodeid.Clone(upper), rid: rid})
 		}
-		if _, ok := ve.edited[rid]; ok {
-			return true
-		}
-		carried = append(carried, carry{upper: nodeid.Clone(upper), rid: rid})
 		return true
 	})
 	if err != nil {
@@ -215,7 +225,7 @@ func (c *Collection) commitVerEdit(ve *verEdit) error {
 			return err
 		}
 	}
-	for _, nr := range ve.edited {
+	for _, nr := range ve.added {
 		for _, u := range nr.uppers {
 			if err := c.nodeIx.PutV(ve.doc, newVer, u, nr.rid); err != nil {
 				return err
@@ -223,158 +233,6 @@ func (c *Collection) commitVerEdit(ve *verEdit) error {
 		}
 	}
 	return c.setVersion(ve.doc, newVer)
-}
-
-// updateTextVersioned is the copy-on-write UpdateText.
-func (c *Collection) updateTextVersioned(doc xml.DocID, id nodeid.ID, newValue []byte) error {
-	ve, err := c.beginVerEdit(doc)
-	if err != nil {
-		return err
-	}
-	rid, err := c.nodeIx.LookupV(doc, ve.cur, id)
-	if err != nil {
-		return fmt.Errorf("%w: doc %d node %s", ErrNotFound, doc, id)
-	}
-	rec, err := c.fetchRecord(rid)
-	if err != nil {
-		return err
-	}
-	tops, err := rec.Mutable()
-	if err != nil {
-		return err
-	}
-	_, _, node, err := pack.FindMut(tops, rec.ContextID, id)
-	if err != nil {
-		return fmt.Errorf("%w: doc %d node %s", ErrNotFound, doc, id)
-	}
-	if node.Kind != xml.Text && node.Kind != xml.Attribute {
-		return fmt.Errorf("core: UpdateText target %s is a %v", id, node.Kind)
-	}
-	node.Value = append([]byte(nil), newValue...)
-	if err := c.rewriteCOW(ve, rid, rec, tops); err != nil {
-		return err
-	}
-	return c.commitVerEdit(ve)
-}
-
-// insertFragmentVersioned is the copy-on-write InsertFragment record edit:
-// the caller (InsertFragment) has already decided the target record, the
-// parent and the new subtree.
-func (c *Collection) insertFragmentVersioned(doc xml.DocID, rid heap.RID, rec *pack.Record, tops []*pack.MutNode) error {
-	ve, err := c.beginVerEdit(doc)
-	if err != nil {
-		return err
-	}
-	if err := c.rewriteCOW(ve, rid, rec, tops); err != nil {
-		return err
-	}
-	return c.commitVerEdit(ve)
-}
-
-// deleteSubtreeVersioned is the copy-on-write DeleteSubtree.
-func (c *Collection) deleteSubtreeVersioned(doc xml.DocID, id nodeid.ID) error {
-	ve, err := c.beginVerEdit(doc)
-	if err != nil {
-		return err
-	}
-	rid0, err := c.nodeIx.LookupV(doc, ve.cur, id)
-	if err != nil {
-		return fmt.Errorf("%w: doc %d node %s", ErrNotFound, doc, id)
-	}
-	rec0, err := c.fetchRecord(rid0)
-	if err != nil {
-		return err
-	}
-	tops, err := rec0.Mutable()
-	if err != nil {
-		return err
-	}
-	parent, idx, _, err := pack.FindMut(tops, rec0.ContextID, id)
-	if err != nil {
-		return fmt.Errorf("%w: doc %d node %s", ErrNotFound, doc, id)
-	}
-	// Records fully inside the subtree leave the new version (their rows
-	// stay for older snapshots until vacuum).
-	err = c.nodeIx.ScanVersion(doc, ve.cur, func(upper nodeid.ID, rid heap.RID) bool {
-		if rid != rid0 && nodeid.IsAncestorOrSelf(id, upper) {
-			ve.dropped[rid] = true
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if parent == nil {
-		tops = append(tops[:idx], tops[idx+1:]...)
-	} else {
-		parent.Children = append(parent.Children[:idx], parent.Children[idx+1:]...)
-	}
-	if len(tops) == 0 {
-		// The record emptied: drop it from the new version and shrink the
-		// proxy in the (copy-on-write edited) parent record.
-		ve.dropped[rid0] = true
-		if err := c.dropProxyVersioned(ve, id); err != nil {
-			return err
-		}
-	} else {
-		if err := c.rewriteCOW(ve, rid0, rec0, tops); err != nil {
-			return err
-		}
-	}
-	return c.commitVerEdit(ve)
-}
-
-// dropProxyVersioned removes/shrinks the covering proxy via copy-on-write.
-func (c *Collection) dropProxyVersioned(ve *verEdit, id nodeid.ID) error {
-	parentID, err := nodeid.Parent(id)
-	if err != nil {
-		return err
-	}
-	rid, err := c.nodeIx.LookupV(ve.doc, ve.cur, parentID)
-	if err != nil {
-		return nil
-	}
-	rec, err := c.fetchRecord(rid)
-	if err != nil {
-		return err
-	}
-	tops, err := rec.Mutable()
-	if err != nil {
-		return err
-	}
-	rel, err := nodeid.LastRel(id)
-	if err != nil {
-		return err
-	}
-	removeProxy := func(list []*pack.MutNode) ([]*pack.MutNode, bool) {
-		best := -1
-		for i, m := range list {
-			if m.Kind == xml.Proxy && bytes.Compare(m.Rel, rel) <= 0 {
-				best = i
-			}
-		}
-		if best < 0 {
-			return list, false
-		}
-		if list[best].ProxyCount > 1 {
-			list[best].ProxyCount--
-			return list, true
-		}
-		return append(list[:best], list[best+1:]...), true
-	}
-	changed := false
-	if nodeid.Equal(rec.ContextID, parentID) {
-		tops, changed = removeProxy(tops)
-	} else {
-		_, _, parent, err := pack.FindMut(tops, rec.ContextID, parentID)
-		if err == nil && parent != nil {
-			parent.Children, changed = removeProxy(parent.Children)
-		}
-	}
-	if !changed {
-		return nil
-	}
-	return c.rewriteCOW(ve, rid, rec, tops)
 }
 
 // deleteVersionedDoc removes every version of a document.

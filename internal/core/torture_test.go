@@ -1,7 +1,8 @@
 package core
 
-// Crash-recovery torture harness: a seeded insert/update/delete workload
-// runs over fault-wrapped storage (internal/fault), a crash-stop fault is
+// Crash-recovery torture harness: a seeded workload of document inserts and
+// deletes and of all three sub-document edits (UpdateText, InsertFragment,
+// DeleteSubtree) runs over fault-wrapped storage (internal/fault), a crash-stop fault is
 // injected at every sync boundary and at sampled write indices, and after
 // each simulated power loss the engine is recovered from the durable image
 // and checked against a client-side oracle:
@@ -53,11 +54,16 @@ func torturePad(tag string, seq int) string {
 type tortureDoc struct {
 	tval  string    // current text of <t>
 	kval  string    // text of <k> (never updated; covered by a value index)
+	items []string  // texts of the <i> children of <l>; copied, never edited in place
 	tnode nodeid.ID // node ID of the text under <t>, for update ops
 }
 
 func (d tortureDoc) expect() string {
-	return fmt.Sprintf("<d><t>%s</t><k>%s</k></d>", d.tval, d.kval)
+	l := "<l/>"
+	if len(d.items) > 0 {
+		l = "<l><i>" + strings.Join(d.items, "</i><i>") + "</i></l>"
+	}
+	return fmt.Sprintf("<d><t>%s</t><k>%s</k>%s</d>", d.tval, d.kval, l)
 }
 
 // pendOp is one model mutation staged by an uncommitted transaction.
@@ -188,12 +194,46 @@ func tortureWorkload(t *testing.T, seed int64, rules []fault.Rule, checksums boo
 		tx := db.Begin()
 		nops := 1 + rng.Intn(2)
 		var pend []pendOp
+		// target draws a committed document and returns the model of its
+		// state inside this transaction; ok is false if the transaction has
+		// already deleted it.
+		target := func() (id xml.DocID, d tortureDoc, ok bool) {
+			id = env.order[rng.Intn(len(env.order))]
+			d = env.docs[id] // committed docs always have tnode resolved
+			if i := findPend(pend, id); i >= 0 {
+				if pend[i].doc == nil {
+					return id, d, false
+				}
+				d = *pend[i].doc
+			}
+			return id, d, true
+		}
+		// nodesOf resolves a query's nodes within one document as it stands —
+		// item IDs are not kept in the model, because a rolled-back
+		// transaction restores a document under fresh node IDs.
+		nodesOf := func(q string, id xml.DocID, want int) ([]nodeid.ID, bool) {
+			res, _, err := col.Query(q)
+			if err != nil {
+				return nil, !crashed("query %s: %v", q, err)
+			}
+			var ids []nodeid.ID
+			for _, r := range res {
+				if r.Doc == id {
+					ids = append(ids, r.Node)
+				}
+			}
+			if len(ids) != want {
+				t.Fatalf("doc %d: %s selects %d nodes, model has %d", id, q, len(ids), want)
+			}
+			return ids, true
+		}
 		for o := 0; o < nops; o++ {
 			seq++
 			pick := rng.Float64()
 			switch {
-			case pick < 0.40 || len(env.order) == 0:
-				d := tortureDoc{tval: torturePad("v", seq), kval: fmt.Sprintf("k%d", seq%7)}
+			case pick < 0.35 || len(env.order) == 0:
+				d := tortureDoc{tval: torturePad("v", seq), kval: fmt.Sprintf("k%d", seq%7),
+					items: []string{fmt.Sprintf("a%d", seq), fmt.Sprintf("b%d", seq)}}
 				id, err := tx.Insert(col, []byte(d.expect()))
 				if err != nil {
 					if crashed("insert: %v", err) {
@@ -201,14 +241,10 @@ func tortureWorkload(t *testing.T, seed int64, rules []fault.Rule, checksums boo
 					}
 				}
 				pend = append(pend, pendOp{id, &d})
-			case pick < 0.75:
-				id := env.order[rng.Intn(len(env.order))]
-				d := env.docs[id] // committed docs always have tnode resolved
-				if i := findPend(pend, id); i >= 0 {
-					if pend[i].doc == nil {
-						continue // this txn already deleted it; skip the op
-					}
-					d = *pend[i].doc
+			case pick < 0.55:
+				id, d, ok := target()
+				if !ok {
+					continue // this txn already deleted it; skip the op
 				}
 				d.tval = torturePad("u", seq)
 				if err := tx.UpdateText(col, id, d.tnode, []byte(d.tval)); err != nil {
@@ -217,9 +253,43 @@ func tortureWorkload(t *testing.T, seed int64, rules []fault.Rule, checksums boo
 					}
 				}
 				pend = append(pend, pendOp{id, &d})
+			case pick < 0.70:
+				id, d, ok := target()
+				if !ok {
+					continue
+				}
+				l, ok := nodesOf("/d/l", id, 1)
+				if !ok {
+					return env
+				}
+				item := fmt.Sprintf("i%d", seq)
+				if _, err := tx.InsertFragment(col, id, l[0], AsLastChild, []byte("<i>"+item+"</i>")); err != nil {
+					if crashed("insert fragment %d: %v", id, err) {
+						return env
+					}
+				}
+				d.items = append(d.items[:len(d.items):len(d.items)], item)
+				pend = append(pend, pendOp{id, &d})
+			case pick < 0.85:
+				id, d, ok := target()
+				if !ok || len(d.items) == 0 {
+					continue
+				}
+				j := rng.Intn(len(d.items))
+				is, ok := nodesOf("/d/l/i", id, len(d.items))
+				if !ok {
+					return env
+				}
+				if err := tx.DeleteSubtree(col, id, is[j]); err != nil {
+					if crashed("delete subtree %d: %v", id, err) {
+						return env
+					}
+				}
+				d.items = append(d.items[:j:j], d.items[j+1:]...)
+				pend = append(pend, pendOp{id, &d})
 			default:
-				id := env.order[rng.Intn(len(env.order))]
-				if i := findPend(pend, id); i >= 0 && pend[i].doc == nil {
+				id, _, ok := target()
+				if !ok {
 					continue // already deleted in this txn
 				}
 				if err := tx.Delete(col, id); err != nil {

@@ -51,8 +51,8 @@ type logicalOp struct {
 	// Node is the target node (hex).
 	Node string
 	// Data carries the op-specific undo payload: the document token stream
-	// (delete), the old text value (update-text), or the subtree fragment
-	// XML (delete-subtree).
+	// (delete), the old text value (update-text), or the subtree's token
+	// stream (delete-subtree).
 	Data []byte
 	// Anchor/Pos describe where a deleted subtree is re-inserted on undo.
 	Anchor string
@@ -180,125 +180,39 @@ func (t *Txn) deleteDoc(col *Collection, doc xml.DocID) error {
 
 // UpdateText updates a text or attribute node under an X document lock.
 func (t *Txn) UpdateText(col *Collection, doc xml.DocID, id nodeid.ID, newValue []byte) error {
-	err := t.updateText(col, doc, id, newValue)
-	t.db.noteWriteErr(err)
+	_, err := t.edit(col, editReq{kind: editUpdateText, doc: doc, id: id, data: newValue})
 	return err
 }
 
-func (t *Txn) updateText(col *Collection, doc xml.DocID, id nodeid.ID, newValue []byte) error {
-	if t.done {
-		return errTxnDone
-	}
-	if err := t.db.checkWritable(); err != nil {
-		return err
-	}
-	if err := t.lk.LockDoc(col.Name(), doc, lock.X); err != nil {
-		return err
-	}
-	// Validate the target before logging: a doomed operation must not leave
-	// an undo record that compensation would then try to apply.
-	kind, _, err := col.NodeKind(doc, id)
-	if err != nil {
-		return err
-	}
-	if kind != xml.Text && kind != xml.Attribute {
-		return fmt.Errorf("core: UpdateText target %s is a %v", id, kind)
-	}
-	old, err := col.NodeString(doc, id)
-	if err != nil {
-		return err
-	}
-	snap, err := col.undoSnapshot(doc)
-	if err != nil {
-		return err
-	}
-	if err := t.record(logicalOp{Kind: "update-text", Col: col.Name(), Doc: doc, Node: id.String(), Data: old, Stream: snap}); err != nil {
-		return err
-	}
-	return col.UpdateText(doc, id, newValue)
-}
-
-// InsertFragment inserts a fragment under an X document lock. The new node's
-// ID is planned (and the undo record logged) before the insertion runs.
+// InsertFragment inserts a fragment under an X document lock and returns the
+// new node's ID.
 func (t *Txn) InsertFragment(col *Collection, doc xml.DocID, anchor nodeid.ID, pos Position, fragment []byte) (nodeid.ID, error) {
-	id, err := t.insertFragment(col, doc, anchor, pos, fragment)
-	t.db.noteWriteErr(err)
-	return id, err
+	return t.edit(col, editReq{kind: editInsert, doc: doc, id: anchor, pos: pos, data: fragment})
 }
 
-func (t *Txn) insertFragment(col *Collection, doc xml.DocID, anchor nodeid.ID, pos Position, fragment []byte) (nodeid.ID, error) {
+// DeleteSubtree deletes a subtree under an X document lock. (Undo restores
+// content; the restored nodes get fresh IDs, which no committed state can
+// have observed.)
+func (t *Txn) DeleteSubtree(col *Collection, doc xml.DocID, id nodeid.ID) error {
+	_, err := t.edit(col, editReq{kind: editDelete, doc: doc, id: id})
+	return err
+}
+
+// edit is the transactional owner of the edit pipeline (edit.go): the X
+// document lock, then plan, the undo record, apply. A request the plan
+// rejects logs nothing, so compensation never meets a doomed operation.
+func (t *Txn) edit(col *Collection, req editReq) (id nodeid.ID, err error) {
+	defer func() { t.db.noteWriteErr(err) }()
 	if t.done {
 		return nil, errTxnDone
 	}
 	if err := t.db.checkWritable(); err != nil {
 		return nil, err
 	}
-	if err := t.lk.LockDoc(col.Name(), doc, lock.X); err != nil {
+	if err := t.lk.LockDoc(col.Name(), req.doc, lock.X); err != nil {
 		return nil, err
 	}
-	newID, err := col.planFragmentID(doc, anchor, pos, fragment)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := col.undoSnapshot(doc)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.record(logicalOp{Kind: "insert-frag", Col: col.Name(), Doc: doc, Node: newID.String(), Stream: snap}); err != nil {
-		return nil, err
-	}
-	got, err := col.InsertFragment(doc, anchor, pos, fragment)
-	if err != nil {
-		return nil, err
-	}
-	if !nodeid.Equal(got, newID) {
-		return nil, fmt.Errorf("core: fragment landed at %s, planned %s", got, newID)
-	}
-	return got, nil
-}
-
-// DeleteSubtree deletes a subtree under an X document lock, capturing the
-// fragment and its position for undo before the deletion runs. (Undo
-// restores content; the restored nodes get fresh IDs, which no committed
-// state can have observed.)
-func (t *Txn) DeleteSubtree(col *Collection, doc xml.DocID, id nodeid.ID) error {
-	err := t.deleteSubtree(col, doc, id)
-	t.db.noteWriteErr(err)
-	return err
-}
-
-func (t *Txn) deleteSubtree(col *Collection, doc xml.DocID, id nodeid.ID) error {
-	if t.done {
-		return errTxnDone
-	}
-	if len(id) == 0 || nodeid.Level(id) == 1 {
-		return errors.New("core: cannot delete the document root; use Delete")
-	}
-	if err := t.db.checkWritable(); err != nil {
-		return err
-	}
-	if err := t.lk.LockDoc(col.Name(), doc, lock.X); err != nil {
-		return err
-	}
-	var frag bytes.Buffer
-	if err := col.SerializeNode(doc, id, &frag); err != nil {
-		return err
-	}
-	anchor, pos, err := col.undoAnchor(doc, id)
-	if err != nil {
-		return err
-	}
-	snap, err := col.undoSnapshot(doc)
-	if err != nil {
-		return err
-	}
-	if err := t.record(logicalOp{
-		Kind: "delete-subtree", Col: col.Name(), Doc: doc, Node: id.String(),
-		Data: frag.Bytes(), Anchor: anchor.String(), Pos: pos, Stream: snap,
-	}); err != nil {
-		return err
-	}
-	return col.DeleteSubtree(doc, id)
+	return col.edit(req, t.record)
 }
 
 // Serialize reads a document under an S lock (repeatable read at document
@@ -420,80 +334,41 @@ func (db *DB) compensate(op logicalOp) error {
 		// Clear any partial remains of the delete first, then restore the
 		// captured content under the same DocID.
 		return col.restoreDoc(op.Doc, op.Data)
-	case "update-text":
+	case "update-text", "insert-frag", "delete-subtree":
 		if len(op.Stream) > 0 {
 			return col.restoreDoc(op.Doc, op.Stream)
 		}
+		// The targeted inverse is itself an edit.
 		id, err := nodeid.Parse(op.Node)
 		if err != nil {
 			return err
 		}
-		err = col.UpdateText(op.Doc, id, op.Data)
-		if errors.Is(err, ErrNotFound) {
-			// The enclosing document is already compensated away (a loser
-			// that inserted it and then updated it); nothing to restore.
+		req := editReq{doc: op.Doc, id: id}
+		switch op.Kind {
+		case "update-text":
+			req.kind, req.data = editUpdateText, op.Data
+		case "insert-frag":
+			req.kind = editDelete
+		case "delete-subtree":
+			if _, _, err := col.findNode(op.Doc, id); err == nil {
+				return nil // the deletion never (durably) applied
+			}
+			if req.id, err = nodeid.Parse(op.Anchor); err != nil {
+				return err
+			}
+			req.kind, req.pos, req.data, req.tokenized = editInsert, op.Pos, op.Data, true
+		}
+		_, err = col.edit(req, nil)
+		if errors.Is(err, ErrNotFound) && req.kind != editInsert {
+			// The update or insertion never (durably) applied, or the
+			// enclosing document is already compensated away (a loser that
+			// inserted it and then edited it).
 			return nil
 		}
-		return err
-	case "insert-frag":
-		if len(op.Stream) > 0 {
-			return col.restoreDoc(op.Doc, op.Stream)
-		}
-		id, err := nodeid.Parse(op.Node)
-		if err != nil {
-			return err
-		}
-		err = col.DeleteSubtree(op.Doc, id)
-		if errors.Is(err, ErrNotFound) {
-			return nil // the insertion never (durably) applied
-		}
-		return err
-	case "delete-subtree":
-		if len(op.Stream) > 0 {
-			return col.restoreDoc(op.Doc, op.Stream)
-		}
-		id, err := nodeid.Parse(op.Node)
-		if err != nil {
-			return err
-		}
-		if _, _, err := col.findNode(op.Doc, id); err == nil {
-			return nil // the deletion never (durably) applied
-		}
-		anchor, err := nodeid.Parse(op.Anchor)
-		if err != nil {
-			return err
-		}
-		_, err = col.InsertFragment(op.Doc, anchor, op.Pos, op.Data)
 		return err
 	default:
 		return fmt.Errorf("core: unknown logical op %q", op.Kind)
 	}
-}
-
-// undoAnchor computes where a subtree would be re-inserted: before its next
-// sibling if it has one, else as the parent's last child.
-func (c *Collection) undoAnchor(doc xml.DocID, id nodeid.ID) (nodeid.ID, Position, error) {
-	parentID, err := nodeid.Parent(id)
-	if err != nil {
-		return nil, 0, err
-	}
-	sibs, err := c.childEntries(doc, parentID)
-	if err != nil {
-		return nil, 0, err
-	}
-	rel, err := nodeid.LastRel(id)
-	if err != nil {
-		return nil, 0, err
-	}
-	for i, s := range sibs {
-		if bytes.Equal(s.rel, rel) {
-			if i+1 < len(sibs) {
-				return nodeid.Append(parentID, sibs[i+1].rel), BeforeNode, nil
-			}
-			break
-		}
-	}
-	return parentID, AsLastChild, nil
 }
 
 // undoSnapshot captures the pre-operation document state for full-state

@@ -159,58 +159,29 @@ func FindMut(tops []*MutNode, contextID, target nodeid.ID) (parent *MutNode, idx
 	}
 }
 
-// LastChildRel returns the relative ID of an element's last child entry
-// (including proxies, whose relative ID is their first subtree's — callers
-// resolving append positions must chase trailing proxies through their
-// records). ok is false for childless elements.
-func LastChildRel(m *MutNode) (nodeid.Rel, bool, bool) {
-	if len(m.Children) == 0 {
-		return nil, false, false
-	}
-	last := m.Children[len(m.Children)-1]
-	return last.Rel, last.Kind == xml.Proxy, true
-}
-
-// LastTopRel returns the relative ID of the record's last top-level subtree
-// relative to the context node.
-func (r *Record) LastTopRel() (nodeid.Rel, bool, error) {
-	var rel nodeid.Rel
-	isProxy := false
-	err := r.Top(func(n Node) (bool, error) {
-		rel = append(nodeid.Rel(nil), n.Rel...)
-		isProxy = n.IsProxy()
-		return true, nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	if rel == nil {
-		return nil, false, errors.New("pack: empty record")
-	}
-	return rel, isProxy, nil
-}
-
 // BuildMutFromTokens constructs a mutable subtree from a token stream
-// holding exactly one element (a parsed fragment). The root element gets
-// rootRel; descendants get fresh sequential IDs.
+// holding exactly one element (a parsed fragment; nodes around the element
+// are ignored) or, failing an element, one leaf node (a stored text,
+// attribute, comment, PI or namespace node re-encoded on its own). The
+// subtree's root gets rootRel; descendants get fresh sequential IDs.
 func BuildMutFromTokens(stream []byte, rootRel nodeid.Rel) (*MutNode, error) {
 	type frame struct {
 		node *MutNode
 		next int
 	}
-	var root *MutNode
+	var root, lone *MutNode
 	var stack []frame
-	alloc := func() nodeid.Rel {
-		f := &stack[len(stack)-1]
-		rel := nodeid.RelAt(f.next)
-		f.next++
-		return rel
-	}
-	push := func(m *MutNode) {
-		if len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			f.node.Children = append(f.node.Children, m)
+	add := func(m *MutNode) {
+		if len(stack) == 0 {
+			if lone == nil {
+				lone = m
+			}
+			return
 		}
+		f := &stack[len(stack)-1]
+		m.Rel = nodeid.RelAt(f.next)
+		f.next++
+		f.node.Children = append(f.node.Children, m)
 	}
 	r := tokens.NewReader(stream)
 	for r.More() {
@@ -226,45 +197,32 @@ func BuildMutFromTokens(stream []byte, rootRel nodeid.Rel) (*MutNode, error) {
 				if root != nil {
 					return nil, errors.New("pack: fragment must have exactly one root element")
 				}
-				m.Rel = append(nodeid.Rel(nil), rootRel...)
 				root = m
 			} else {
-				m.Rel = alloc()
-				push(m)
+				add(m)
 			}
 			stack = append(stack, frame{node: m})
 		case tokens.EndElement:
 			stack = stack[:len(stack)-1]
 		case tokens.Attr:
-			if len(stack) == 0 {
-				return nil, errors.New("pack: attribute outside element in fragment")
-			}
-			push(&MutNode{Kind: xml.Attribute, Rel: alloc(), Name: t.Name, Type: t.Type, Value: append([]byte(nil), t.Value...)})
+			add(&MutNode{Kind: xml.Attribute, Name: t.Name, Type: t.Type, Value: append([]byte(nil), t.Value...)})
 		case tokens.NSDecl:
-			if len(stack) == 0 {
-				return nil, errors.New("pack: namespace outside element in fragment")
-			}
-			push(&MutNode{Kind: xml.Namespace, Rel: alloc(), Name: xml.QName{URI: t.URI, Local: t.Prefix}})
+			add(&MutNode{Kind: xml.Namespace, Name: xml.QName{URI: t.URI, Local: t.Prefix}})
 		case tokens.Text:
-			if len(stack) == 0 {
-				continue // ignore whitespace around the fragment root
-			}
-			push(&MutNode{Kind: xml.Text, Rel: alloc(), Type: t.Type, Value: append([]byte(nil), t.Value...)})
+			add(&MutNode{Kind: xml.Text, Type: t.Type, Value: append([]byte(nil), t.Value...)})
 		case tokens.Comment:
-			if len(stack) == 0 {
-				continue
-			}
-			push(&MutNode{Kind: xml.Comment, Rel: alloc(), Value: append([]byte(nil), t.Value...)})
+			add(&MutNode{Kind: xml.Comment, Value: append([]byte(nil), t.Value...)})
 		case tokens.PI:
-			if len(stack) == 0 {
-				continue
-			}
-			push(&MutNode{Kind: xml.ProcessingInstruction, Rel: alloc(), Name: t.Name, Value: append([]byte(nil), t.Value...)})
+			add(&MutNode{Kind: xml.ProcessingInstruction, Name: t.Name, Value: append([]byte(nil), t.Value...)})
 		}
 	}
 	if root == nil {
-		return nil, errors.New("pack: fragment has no element")
+		root = lone
 	}
+	if root == nil {
+		return nil, errors.New("pack: fragment has no node")
+	}
+	root.Rel = append(nodeid.Rel(nil), rootRel...)
 	return root, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rx/internal/nodeid"
+	"rx/internal/tokens"
 	"rx/internal/xml"
 	"rx/internal/xmlparse"
 )
@@ -100,21 +101,11 @@ func TestBuildMutFromTokens(t *testing.T) {
 	if _, err := BuildMutFromTokens(nil, rel); err == nil {
 		t.Error("empty fragment should fail")
 	}
-}
-
-func TestLastTopRelAndLastChildRel(t *testing.T) {
-	rec, _ := singleRecord(t, `<a><b/><c/></a>`)
-	rel, isProxy, err := rec.LastTopRel()
-	if err != nil || isProxy || !bytes.Equal(rel, nodeid.Rel{0x02}) {
-		t.Errorf("LastTopRel = %x proxy=%v err=%v", []byte(rel), isProxy, err)
-	}
-	tops, _ := rec.Mutable()
-	crel, isProxy, ok := LastChildRel(tops[0])
-	if !ok || isProxy || !bytes.Equal(crel, nodeid.Rel{0x04}) {
-		t.Errorf("LastChildRel = %x proxy=%v ok=%v", []byte(crel), isProxy, ok)
-	}
-	leaf := tops[0].Children[0]
-	if _, _, ok := LastChildRel(leaf); ok {
-		t.Error("childless element should report no last child")
+	// A stream holding one leaf: a stored node re-encoded on its own.
+	w := tokens.NewWriter(16)
+	w.Text([]byte("alone"), 0)
+	leaf, err := BuildMutFromTokens(w.Bytes(), rel)
+	if err != nil || leaf.Kind != xml.Text || string(leaf.Value) != "alone" || !bytes.Equal(leaf.Rel, rel) {
+		t.Errorf("lone leaf = %+v, %v", leaf, err)
 	}
 }
