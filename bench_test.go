@@ -1,608 +1,19 @@
-// Benchmarks, one per reproduced evaluation artifact (DESIGN.md E1–E11).
-// `go test -bench=. -benchmem` exercises them at bench scale; `rxbench`
-// regenerates the full experiment tables.
+// `go test -bench` over the experiment registry (internal/experiments,
+// DESIGN.md's per-experiment index): every case and every operation a table
+// times, as sub-benchmarks named Experiments/<ID>/<name>. `rxbench` renders
+// the same registry's tables and gates its baselined cases.
 package rx
 
 import (
-	"bytes"
-	"fmt"
-	"io"
-	"math/rand"
-	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 
-	"rx/internal/buffer"
-	"rx/internal/construct"
-	"rx/internal/core"
-	"rx/internal/dom"
-	"rx/internal/pagestore"
-	"rx/internal/quickxscan"
-	"rx/internal/serialize"
-	"rx/internal/shred"
-	"rx/internal/wal"
-	"rx/internal/xml"
-	"rx/internal/xmlgen"
-	"rx/internal/xmlparse"
-	"rx/internal/xmlschema"
-	"rx/internal/xpath"
-	"rx/internal/xpathdom"
-	"rx/internal/xpathnaive"
+	"rx/internal/experiments"
 )
 
-// ---- E1/E2: storage and traversal vs packing factor ----
-
-func buildShapedCollection(b *testing.B, k, n, threshold int) (*core.Collection, DocID) {
-	b.Helper()
-	db, err := core.OpenMemory()
-	if err != nil {
-		b.Fatal(err)
-	}
-	col, err := db.CreateCollection("b", core.CollectionOptions{PackThreshold: threshold})
-	if err != nil {
-		b.Fatal(err)
-	}
-	id, err := col.Insert(xmlgen.Shaped(k, n))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return col, id
-}
-
-// BenchmarkE1StoragePacking measures insert cost per packing threshold and
-// reports the §3.1 storage metrics as custom benchmark outputs.
-func BenchmarkE1StoragePacking(b *testing.B) {
-	for _, th := range []int{400, 1600, 7700} {
-		b.Run(fmt.Sprintf("threshold=%d", th), func(b *testing.B) {
-			const k, n = 5000, 20
-			doc := xmlgen.Shaped(k, n)
-			b.SetBytes(int64(len(doc)))
-			b.ReportAllocs()
-			var col *core.Collection
-			for i := 0; i < b.N; i++ {
-				db, _ := core.OpenMemory()
-				c, _ := db.CreateCollection("b", core.CollectionOptions{PackThreshold: th})
-				if _, err := c.Insert(doc); err != nil {
-					b.Fatal(err)
-				}
-				col = c
-			}
-			entries, _ := col.NodeIndex().Count()
-			b.ReportMetric(float64(entries)/float64(2*k+1), "ixentries/node")
-			b.ReportMetric(float64(2*k+1)/float64(col.XMLTable().Count()), "nodes/record")
-		})
-	}
-}
-
-// BenchmarkE1NodePerRowBaseline is the one-node-per-row insert baseline.
-func BenchmarkE1NodePerRowBaseline(b *testing.B) {
-	const k, n = 5000, 20
-	doc := xmlgen.Shaped(k, n)
-	dict := xml.NewDict()
-	stream, err := xmlparse.Parse(doc, dict, xmlparse.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(doc)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pool := buffer.New(pagestore.NewMemStore(), 1<<14)
-		ss, _ := shred.Create(pool)
-		if _, err := ss.Insert(1, stream); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE2Traversal measures document-order traversal per scheme.
-func BenchmarkE2Traversal(b *testing.B) {
-	const k, n = 5000, 20
-	b.Run("node-per-row", func(b *testing.B) {
-		pool := buffer.New(pagestore.NewMemStore(), 1<<14)
-		ss, _ := shred.Create(pool)
-		dict := xml.NewDict()
-		stream, _ := xmlparse.Parse(xmlgen.Shaped(k, n), dict, xmlparse.Options{})
-		ss.Insert(1, stream)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			count := 0
-			if err := ss.Traverse(1, func(shred.Node) error { count++; return nil }); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, th := range []int{400, 7700} {
-		b.Run(fmt.Sprintf("packed/threshold=%d", th), func(b *testing.B) {
-			col, id := buildShapedCollection(b, k, n, th)
-			var buf bytes.Buffer
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				if err := col.Serialize(id, &buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE3NodeUpdate measures single text-node updates per threshold.
-func BenchmarkE3NodeUpdate(b *testing.B) {
-	for _, th := range []int{400, 7700} {
-		b.Run(fmt.Sprintf("threshold=%d", th), func(b *testing.B) {
-			col, id := buildShapedCollection(b, 5000, 20, th)
-			res, _, err := col.Query("/r/e/text()")
-			if err != nil || len(res) == 0 {
-				b.Fatalf("%v %v", res, err)
-			}
-			rng := rand.New(rand.NewSource(1))
-			val := []byte("wwwwwwwwwwwwwwwwwwww")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := col.UpdateText(id, res[rng.Intn(len(res))].Node, val); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ---- E4/E5/E6: QuickXScan ----
-
-// BenchmarkE4ScanLinearity: throughput should be flat across sizes.
-func BenchmarkE4ScanLinearity(b *testing.B) {
-	dict := xml.NewDict()
-	q, _ := xpath.Parse("/Catalog/Categories/Product[RegPrice > 100 and Discount > 0.1]/ProductName")
-	e, err := quickxscan.Compile(q, dict, nil, quickxscan.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for _, products := range []int{1000, 8000} {
-		stream, _ := xmlparse.Parse(xmlgen.Catalog(rng, products, 200), dict, xmlparse.Options{})
-		b.Run(fmt.Sprintf("products=%d", products), func(b *testing.B) {
-			b.SetBytes(int64(len(stream)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := quickxscan.EvalTokens(e, stream); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE5ActiveStates: recursive //a//a//a, reporting live-state counts.
-func BenchmarkE5ActiveStates(b *testing.B) {
-	dict := xml.NewDict()
-	q, _ := xpath.Parse("//a//a//a")
-	stream, _ := xmlparse.Parse(xmlgen.Recursive(64), dict, xmlparse.Options{})
-	b.Run("quickxscan", func(b *testing.B) {
-		e, _ := quickxscan.Compile(q, dict, nil, quickxscan.Options{})
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := quickxscan.EvalTokens(e, stream); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(e.Stats().MaxLive), "max-live")
-	})
-	b.Run("naive-automaton", func(b *testing.B) {
-		e, _ := xpathnaive.Compile(q, dict, nil)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.EvalTokens(stream); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(e.Stats().MaxActive), "max-active")
-	})
-}
-
-// BenchmarkE6EvaluatorComparison: quickxscan vs naive vs DOM on one catalog.
-func BenchmarkE6EvaluatorComparison(b *testing.B) {
-	dict := xml.NewDict()
-	rng := rand.New(rand.NewSource(13))
-	stream, _ := xmlparse.Parse(xmlgen.Catalog(rng, 5000, 1000), dict, xmlparse.Options{})
-	q, _ := xpath.Parse("/Catalog/Categories/Product/RegPrice")
-	b.Run("quickxscan", func(b *testing.B) {
-		e, _ := quickxscan.Compile(q, dict, nil, quickxscan.Options{})
-		b.SetBytes(int64(len(stream)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := quickxscan.EvalTokens(e, stream); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("naive-stream", func(b *testing.B) {
-		e, _ := xpathnaive.Compile(q, dict, nil)
-		b.SetBytes(int64(len(stream)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.EvalTokens(stream); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("dom-build-eval", func(b *testing.B) {
-		c, _ := xpathdom.Compile(q, dict, nil)
-		b.SetBytes(int64(len(stream)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tree, err := dom.Build(stream)
-			if err != nil {
-				b.Fatal(err)
-			}
-			c.Evaluate(tree)
-		}
-	})
-}
-
-// ---- E7: access methods ----
-
-func buildCatalogCollection(b *testing.B, docs, products int, indexed bool) *core.Collection {
-	b.Helper()
-	db, _ := core.OpenMemory()
-	col, _ := db.CreateCollection("cat", core.CollectionOptions{})
-	rng := rand.New(rand.NewSource(21))
-	for d := 0; d < docs; d++ {
-		if _, err := col.Insert(xmlgen.Catalog(rng, products, 1000)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if indexed {
-		if err := col.CreateValueIndex("ix_regprice", "/Catalog/Categories/Product/RegPrice", xml.TDouble); err != nil {
-			b.Fatal(err)
-		}
-		if err := col.CreateValueIndex("ix_discount", "//Discount", xml.TDouble); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return col
-}
-
-// BenchmarkE7AccessMethods compares scan vs the Table-2 index access paths.
-func BenchmarkE7AccessMethods(b *testing.B) {
-	const docs, products = 400, 10
-	queries := map[string]string{
-		"selective":   "/Catalog/Categories/Product[RegPrice > 990]",
-		"anding":      "/Catalog/Categories/Product[RegPrice > 900 and Discount > 0.2]",
-		"containment": "/Catalog/Categories/Product[Discount > 0.2]",
-	}
-	for mode, indexed := range map[string]bool{"scan": false, "indexed": true} {
-		col := buildCatalogCollection(b, docs, products, indexed)
-		for name, q := range queries {
-			b.Run(mode+"/"+name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := col.Query(q); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// ---- E8: constructors ----
-
-// BenchmarkE8Constructors: tagging template vs per-row materialization.
-func BenchmarkE8Constructors(b *testing.B) {
-	dict := xml.NewDict()
-	expr := construct.Element("Emp",
-		construct.Attributes(construct.Attr("id", 0), construct.Attr("name", 1)),
-		construct.Forest(construct.As("hire", 2), construct.As("department", 3)),
-	)
-	tpl, _ := construct.Compile(expr, dict)
-	row := construct.Row{[]byte("1234"), []byte("John Doe"), []byte("2000-05-24"), []byte("Accting")}
-	b.Run("template", func(b *testing.B) {
-		s := newDiscardSerializer(dict)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := tpl.Emit(s, row, nil, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("xmlagg-orderby", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			agg := construct.NewAgg(tpl)
-			for j := 0; j < 100; j++ {
-				agg.Add(row, []byte(fmt.Sprintf("%03d", (j*37)%100)))
-			}
-			if err := agg.SerializeInto(io.Discard, dict, "emps"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// ---- E9/E10: parsing, validation, insertion ----
-
-// BenchmarkE9ParseValidate: parse vs validate throughput.
-func BenchmarkE9ParseValidate(b *testing.B) {
-	rng := rand.New(rand.NewSource(29))
-	doc := xmlgen.Catalog(rng, 10000, 200)
-	dict := xml.NewDict()
-	b.Run("parse", func(b *testing.B) {
-		b.SetBytes(int64(len(doc)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := xmlparse.Parse(doc, dict, xmlparse.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("validate", func(b *testing.B) {
-		sch, err := xmlschema.Compile([]byte(benchXSD))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(doc)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := xmlschema.Validate(doc, sch, dict); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkE10Insert: end-to-end insertion throughput.
-func BenchmarkE10Insert(b *testing.B) {
-	rng := rand.New(rand.NewSource(31))
-	doc := xmlgen.Catalog(rng, 100, 200)
-	for _, indexed := range []bool{false, true} {
-		name := "plain"
-		if indexed {
-			name = "with-value-index"
-		}
-		b.Run(name, func(b *testing.B) {
-			db, _ := core.OpenMemory()
-			col, _ := db.CreateCollection("c", core.CollectionOptions{})
-			if indexed {
-				col.CreateValueIndex("ix", "/Catalog/Categories/Product/RegPrice", xml.TDouble)
-			}
-			b.SetBytes(int64(len(doc)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := col.Insert(doc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ---- E11: concurrency ----
-
-// BenchmarkE11Concurrency: snapshot reads under a concurrent writer (MVCC)
-// vs locked reads.
-func BenchmarkE11Concurrency(b *testing.B) {
-	b.Run("mvcc-snapshot-read", func(b *testing.B) {
-		db, _ := core.OpenMemory()
-		col, _ := db.CreateCollection("v", core.CollectionOptions{Versioned: true})
-		id, _ := col.Insert([]byte(`<page><body>content</body></page>`))
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				ver, err := col.SnapshotVersion(id)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				if err := col.SerializeAt(id, ver, io.Discard); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-	})
-	b.Run("locked-read", func(b *testing.B) {
-		db, _ := core.OpenMemory()
-		col, _ := db.CreateCollection("c", core.CollectionOptions{})
-		id, _ := col.Insert([]byte(`<page><body>content</body></page>`))
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				tx := db.Begin()
-				var buf bytes.Buffer
-				if err := tx.Serialize(col, id, &buf); err != nil {
-					b.Error(err)
-					tx.Rollback()
-					return
-				}
-				tx.Commit()
-			}
-		})
-	})
-}
-
-const benchXSD = `
-<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
-  <xs:element name="Catalog">
-    <xs:complexType><xs:sequence>
-      <xs:element name="Categories">
-        <xs:complexType><xs:sequence>
-          <xs:element ref="Product" minOccurs="0" maxOccurs="unbounded"/>
-        </xs:sequence></xs:complexType>
-      </xs:element>
-    </xs:sequence></xs:complexType>
-  </xs:element>
-  <xs:element name="Product">
-    <xs:complexType>
-      <xs:sequence>
-        <xs:element name="ProductName" type="xs:string"/>
-        <xs:element name="RegPrice" type="xs:double"/>
-        <xs:element name="Discount" type="xs:double" minOccurs="0"/>
-      </xs:sequence>
-      <xs:attribute name="pid" type="xs:integer" use="required"/>
-    </xs:complexType>
-  </xs:element>
-</xs:schema>`
-
-// newDiscardSerializer builds a serializer that throws its output away.
-func newDiscardSerializer(dict xml.Names) *serialize.Serializer {
-	return serialize.New(io.Discard, dict)
-}
-
-// ---- E13: parallel scan speedup ----
-
-// BenchmarkParallelScan measures the parallel query executor against the
-// same scan run serially: 64 catalog documents, a predicate scan that
-// re-evaluates every document, worker counts 1/2/4/8.
-func BenchmarkParallelScan(b *testing.B) {
-	db, err := core.OpenMemory()
-	if err != nil {
-		b.Fatal(err)
-	}
-	col, err := db.CreateCollection("bench", core.CollectionOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < 64; i++ {
-		if _, err := col.Insert(xmlgen.Catalog(rng, 200, 1000)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	const query = "/Catalog/Categories/Product[RegPrice > 500]/ProductName"
-	want := -1
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", par), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rs, _, err := col.QueryOpts(query, core.QueryOptions{Parallelism: par})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if want < 0 {
-					want = len(rs)
-				} else if len(rs) != want {
-					b.Fatalf("workers=%d returned %d results, want %d", par, len(rs), want)
-				}
-			}
-		})
-	}
-}
-
-// ---- E15/E16: write-path throughput ----
-
-// walBenchDB opens a memory-paged database logged to a file device in the
-// benchmark's temp dir, so log syncs pay a real fsync.
-func walBenchDB(b *testing.B, groupDelay time.Duration) (*core.DB, *wal.Log) {
-	b.Helper()
-	dev, err := wal.OpenFileDevice(filepath.Join(b.TempDir(), "bench.wal"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var wopts []wal.Option
-	if groupDelay > 0 {
-		wopts = append(wopts, wal.WithGroupCommit(groupDelay))
-	}
-	log, err := wal.Open(dev, wopts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	db, err := core.Open(pagestore.NewMemStore(), core.Options{WAL: log})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return db, log
-}
-
-// BenchmarkGroupCommit measures commit throughput with 8 concurrent writers,
-// without and with a group-commit window (E15; rxbench e15 prints the full
-// writer sweep with syncs-per-commit ratios).
-func BenchmarkGroupCommit(b *testing.B) {
-	const writers = 8
-	for _, bench := range []struct {
-		name  string
-		delay time.Duration
-	}{{"sync-per-commit", 0}, {"group-2ms", 2 * time.Millisecond}} {
-		b.Run(bench.name, func(b *testing.B) {
-			db, log := walBenchDB(b, bench.delay)
-			defer db.Close()
-			col, err := db.CreateCollection("bench", core.CollectionOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			c0, s0 := log.CommitCount(), log.SyncCount()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				for w := 0; w < writers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						tx := db.Begin()
-						if _, err := tx.Insert(col, []byte(fmt.Sprintf("<r><w>%d</w></r>", w))); err != nil {
-							b.Error(err)
-							return
-						}
-						if err := tx.Commit(); err != nil {
-							b.Error(err)
-						}
-					}(w)
-				}
-				wg.Wait()
-			}
-			b.StopTimer()
-			commits, syncs := log.CommitCount()-c0, log.SyncCount()-s0
-			if commits > 0 {
-				b.ReportMetric(float64(syncs)/float64(commits), "syncs/commit")
-			}
-		})
-	}
-}
-
-// BenchmarkBulkLoad measures document ingest throughput: one transaction
-// (and one log sync) per document versus InsertBatch with 1000-document
-// batches (E16). The batch path must beat per-document ingest by at least
-// 2x; rxbench e16 prints the MB/s table.
-func BenchmarkBulkLoad(b *testing.B) {
-	const docsPerIter = 1000
-	docs := make([][]byte, docsPerIter)
-	var total int
-	for i := range docs {
-		docs[i] = []byte(fmt.Sprintf(
-			"<item><sku>SKU-%06d</sku><qty>%d</qty><note>ingest corpus member %d</note></item>",
-			i, i%97, i))
-		total += len(docs[i])
-	}
-	for _, bench := range []struct {
-		name  string
-		batch bool
-	}{{"per-doc", false}, {"batch-1000", true}} {
-		b.Run(bench.name, func(b *testing.B) {
-			b.SetBytes(int64(total))
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				db, _ := walBenchDB(b, 0)
-				col, err := db.CreateCollection("bench", core.CollectionOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if bench.batch {
-					if _, err := col.InsertBatch(docs, core.BatchOptions{}); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					for _, d := range docs {
-						tx := db.Begin()
-						if _, err := tx.Insert(col, d); err != nil {
-							b.Fatal(err)
-						}
-						if err := tx.Commit(); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				b.StopTimer()
-				db.Close()
-				b.StartTimer()
-			}
-		})
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry() {
+		// Fixtures are built inside the experiment's own sub-benchmark, so a
+		// -bench filter builds only what it selects.
+		b.Run(e.ID, e.Bench)
 	}
 }

@@ -1,13 +1,15 @@
-// rxbench regenerates every experiment table of EXPERIMENTS.md (the
-// reproduction of the paper's evaluation artifacts; see DESIGN.md's
-// per-experiment index).
+// rxbench is the command-line consumer of the experiment registry
+// (internal/experiments): it regenerates every experiment table of
+// EXPERIMENTS.md (the reproduction of the paper's evaluation artifacts; see
+// DESIGN.md's per-experiment index) and runs the gated cases against the
+// committed baselines.
 //
 // Usage:
 //
 //	rxbench                 # run everything
 //	rxbench e1 e5 e7        # run selected experiments
 //	rxbench -quick          # smaller workloads (CI-sized)
-//	rxbench -json DIR       # run smoke benchmarks, write BENCH_<id>.json
+//	rxbench -json DIR       # run the gated cases, write BENCH_<id>.json
 //	rxbench -json DIR -compare bench   # also gate against a baseline dir
 package main
 
@@ -23,21 +25,21 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "smaller workloads")
-	jsonDir := flag.String("json", "", "run smoke benchmarks and write BENCH_<id>.json files to this directory (skips the experiment tables)")
+	jsonDir := flag.String("json", "", "run the gated benchmark cases and write BENCH_<id>.json files to this directory (skips the experiment tables)")
 	compareDir := flag.String("compare", "", "with -json: compare results against the baseline BENCH_*.json in this directory; exit nonzero on regression")
 	flag.Parse()
 
 	if *jsonDir != "" {
-		suites := runSmokeBenchmarks()
-		if err := writeBenchJSON(*jsonDir, suites); err != nil {
+		suites, err := runGated()
+		if err == nil {
+			err = writeBenchJSON(*jsonDir, suites)
+		}
+		if err == nil && *compareDir != "" {
+			err = compareBench(*compareDir, suites)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "rxbench: %v\n", err)
 			os.Exit(1)
-		}
-		if *compareDir != "" {
-			if err := compareBench(*compareDir, suites); err != nil {
-				fmt.Fprintf(os.Stderr, "rxbench: %v\n", err)
-				os.Exit(1)
-			}
 		}
 		return
 	}
@@ -45,59 +47,23 @@ func main() {
 	for _, a := range flag.Args() {
 		sel[strings.ToLower(a)] = true
 	}
-	want := func(id string) bool { return len(sel) == 0 || sel[strings.ToLower(id)] }
-
-	scale := func(full, quickVal int) int {
-		if *quick {
-			return quickVal
-		}
-		return full
-	}
-
-	type exp struct {
-		id  string
-		run func() (*experiments.Table, error)
-	}
-	exps := []exp{
-		{"e1", func() (*experiments.Table, error) { return experiments.E1(scale(20000, 4000), 20) }},
-		{"e2", func() (*experiments.Table, error) { return experiments.E2(scale(20000, 4000), 20, scale(5, 2)) }},
-		{"e3", func() (*experiments.Table, error) { return experiments.E3(scale(20000, 4000), 20, scale(300, 50)) }},
-		{"e4", experiments.E4},
-		{"e5", experiments.E5},
-		{"e6", func() (*experiments.Table, error) { return experiments.E6(scale(20000, 4000)) }},
-		{"e7", func() (*experiments.Table, error) { return experiments.E7(scale(2000, 300), 10) }},
-		{"e7b", func() (*experiments.Table, error) { return experiments.E7Large(scale(50, 10), scale(2000, 500)) }},
-		{"e8", func() (*experiments.Table, error) { return experiments.E8(scale(100000, 10000)) }},
-		{"e9", func() (*experiments.Table, error) { return experiments.E9(scale(20000, 4000)) }},
-		{"e10", func() (*experiments.Table, error) { return experiments.E10(scale(200, 40), 20) }},
-		{"e11", func() (*experiments.Table, error) {
-			return experiments.E11(4, time.Duration(scale(1000, 300))*time.Millisecond)
-		}},
-		{"e11b", experiments.E11Locks},
-		{"e15", func() (*experiments.Table, error) {
-			return experiments.E15(scale(50, 10), 2*time.Millisecond)
-		}},
-		{"e16", func() (*experiments.Table, error) {
-			return experiments.E16(scale(5000, 500), 1000)
-		}},
-	}
 
 	fmt.Println("System R/X reproduction — experiment harness")
 	fmt.Println("(E12, Table-1 propagation semantics, is a correctness artifact: run `go test ./internal/quickxscan/ -run 'Table1|Propagation'`)")
 	fmt.Println()
-	for _, e := range exps {
-		if !want(e.id) {
+	for _, e := range experiments.Registry() {
+		if e.Table == nil || len(sel) > 0 && !sel[strings.ToLower(e.ID)] {
 			continue
 		}
 		start := time.Now()
-		tbl, err := e.run()
+		tbl, err := e.Table(&experiments.Meter{Quick: *quick})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.id, err)
+			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
 			os.Exit(1)
 		}
 		var sb strings.Builder
 		tbl.Render(&sb)
 		fmt.Print(sb.String())
-		fmt.Printf("(%s took %v)\n\n", strings.ToUpper(e.id), time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s took %v)\n\n", strings.ToUpper(e.ID), time.Since(start).Round(time.Millisecond))
 	}
 }

@@ -56,10 +56,11 @@ func main() {
 	}
 
 	// Load validated catalogs.
+	validated := rx.BatchOptions{Schema: "catalog"}
 	rng := rand.New(rand.NewSource(7))
 	for d := 0; d < 200; d++ {
 		doc := genCatalog(rng, 5)
-		if _, err := col.InsertValidated("catalog", doc); err != nil {
+		if _, err := col.InsertBatch([][]byte{doc}, validated); err != nil {
 			log.Fatalf("doc %d: %v", d, err)
 		}
 	}
@@ -67,8 +68,8 @@ func main() {
 	fmt.Printf("loaded %d validated catalog documents\n", n)
 
 	// A document that violates the schema is rejected.
-	if _, err := col.InsertValidated("catalog",
-		[]byte(`<Catalog><Categories><Product pid="1"><RegPrice>5</RegPrice></Product></Categories></Catalog>`)); err != nil {
+	if _, err := col.InsertBatch([][]byte{
+		[]byte(`<Catalog><Categories><Product pid="1"><RegPrice>5</RegPrice></Product></Categories></Catalog>`)}, validated); err != nil {
 		fmt.Printf("invalid document rejected: %v\n", err)
 	}
 

@@ -91,14 +91,3 @@ func TestCapacityIsExact(t *testing.T) {
 		t.Fatalf("Make len/cap = %d/%d", len(m), cap(m))
 	}
 }
-
-func BenchmarkAlloc(b *testing.B) {
-	a := New()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if i%1024 == 0 {
-			a.Reset()
-		}
-		_ = a.AllocRaw(48)
-	}
-}

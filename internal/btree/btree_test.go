@@ -302,29 +302,3 @@ func TestOracleProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkPut(b *testing.B) {
-	tr := newTree(b, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tr.Put(key(i), key(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGet(b *testing.B) {
-	tr := newTree(b, 4096)
-	const N = 100000
-	for i := 0; i < N; i++ {
-		tr.Put(key(i), key(i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Get(key(i % N)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

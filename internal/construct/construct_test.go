@@ -174,22 +174,3 @@ func TestTokenStreamInsertable(t *testing.T) {
 		t.Errorf("got %s", tpl2out)
 	}
 }
-
-func BenchmarkTemplateEmit(b *testing.B) {
-	dict := xml.NewDict()
-	expr := Element("Emp",
-		Attributes(Attr("id", 0), Attr("name", 1)),
-		Forest(As("hire", 2), As("department", 3)),
-	)
-	tpl, _ := Compile(expr, dict)
-	row := Row{[]byte("1234"), []byte("John Doe"), []byte("2000-05-24"), []byte("Accting")}
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := tpl.Serialize(&buf, dict, row); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -2,8 +2,8 @@ package core
 
 // Document ingest: the one insert pipeline of §3.2 / Figure 4. Every entry
 // point — Txn.InsertBatch and, through it, Txn.Insert, Collection.InsertBatch
-// and the session layer; the untransacted Collection.Insert / InsertStream /
-// InsertValidated; compensation's restoreDoc — runs the same two stages:
+// and the session layer; the untransacted Collection.Insert / InsertStream;
+// compensation's restoreDoc — runs the same two stages:
 //
 //   - tokenize: parse (or schema-validate) every document into a buffered
 //     token stream on one pooled parse arena, before anything mutates, so a
@@ -126,18 +126,7 @@ func (c *Collection) tokenize(docs [][]byte, opts BatchOptions) (tokenized, erro
 // returns its DocID. It is the untransacted engine primitive: no document
 // lock, no undo record.
 func (c *Collection) Insert(doc []byte) (xml.DocID, error) {
-	return c.insertDoc(doc, BatchOptions{})
-}
-
-// InsertValidated validates the document against a registered schema
-// (Figure 4: load the binary schema from the catalog, execute the
-// validation VM, store the typed token stream) and inserts it.
-func (c *Collection) InsertValidated(schemaName string, doc []byte) (xml.DocID, error) {
-	return c.insertDoc(doc, BatchOptions{Schema: schemaName})
-}
-
-func (c *Collection) insertDoc(doc []byte, opts BatchOptions) (xml.DocID, error) {
-	tk, err := c.tokenize([][]byte{doc}, opts)
+	tk, err := c.tokenize([][]byte{doc}, BatchOptions{})
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,6 @@
 package core
 
-// Resource-exhaustion torture harness: a seeded insert/update/delete/bulk
+// Resource-exhaustion torture harness: a seeded insert/edit/delete/bulk
 // workload runs with the page store and the WAL device sharing one
 // fault.DiskBudget, so the whole engine sees a "device" with N bytes free.
 // A profile run measures how many bytes the workload wants; torture runs
@@ -33,10 +33,13 @@ import (
 
 	"rx/internal/fault"
 	"rx/internal/leakcheck"
+	"rx/internal/nodeid"
 	"rx/internal/pagestore"
+	"rx/internal/quickxscan"
 	"rx/internal/rxerr"
 	"rx/internal/wal"
 	"rx/internal/xml"
+	"rx/internal/xpath"
 )
 
 const exhaustionIters = 30
@@ -128,9 +131,9 @@ func (env *exhaustionEnv) noteErr(t *testing.T, label string, err error) {
 }
 
 // exhaustionWorkload drives the seeded mixed workload: transactional
-// inserts/updates/deletes, bulk batches, checkpoints. It never fatals on a
-// typed shed; the oracle tracks exactly the operations that reported
-// success.
+// inserts, sub-document edits and deletes, bulk batches, checkpoints. It
+// never fatals on a typed shed; the oracle tracks exactly the operations that
+// reported success.
 func (env *exhaustionEnv) exhaustionWorkload(t *testing.T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -195,6 +198,63 @@ func (env *exhaustionEnv) exhaustionWorkload(t *testing.T, seed int64) {
 				env.order = append(env.order, s.id)
 			}
 
+		case pick < 0.90:
+			// Sub-document edit, always on the indexed <k>: UpdateText of the
+			// first one, InsertFragment of another, DeleteSubtree of the last
+			// (of <t> when one <k> is left; a document down to <d><k/></d>
+			// gets an insert instead).
+			id := env.order[rng.Intn(len(env.order))]
+			seq++
+			content := env.oracle[id]
+			kind := rng.Intn(3)
+			ks, target := strings.Count(content, "<k>"), "/d/k"
+			switch {
+			case kind == 0:
+				target = "/d/k/text()"
+			case kind == 1 || ks == 1 && !strings.Contains(content, "<t>"):
+				kind, target = 1, "/d"
+			case ks == 1:
+				target = "/d/t"
+			}
+			nodes, err := env.nodesIn(id, target)
+			if err != nil {
+				// While a parked rollback is pending (exhaustionVerify's second
+				// carve-out) the live image may lack the document altogether;
+				// any other time only the typed error passes.
+				if deg, _ := env.db.Degraded(); !deg || env.db.Stats().PendingUndo == 0 {
+					env.noteErr(t, "locate", err)
+				}
+				continue
+			}
+			tx := env.db.Begin()
+			switch kind {
+			case 0:
+				val := fmt.Sprintf("k%d", 5+seq%5)
+				err = tx.UpdateText(env.col, id, nodes[0], []byte(val))
+				open := strings.Index(content, "<k>") + len("<k>")
+				content = content[:open] + val + content[open+strings.Index(content[open:], "<"):]
+			case 1:
+				frag := fmt.Sprintf("<k>k%d</k>", seq%5)
+				_, err = tx.InsertFragment(env.col, id, nodes[0], AsLastChild, []byte(frag))
+				content = strings.TrimSuffix(content, "</d>") + frag + "</d>"
+			default:
+				err = tx.DeleteSubtree(env.col, id, nodes[len(nodes)-1])
+				tag := target[len("/d/"):]
+				open := strings.LastIndex(content, "<"+tag+">")
+				end := open + strings.Index(content[open:], "</"+tag+">") + len("</"+tag+">")
+				content = content[:open] + content[end:]
+			}
+			if err != nil {
+				env.noteErr(t, "edit", err)
+				env.noteErr(t, "rollback after failed edit", tx.Rollback())
+				continue
+			}
+			if err := tx.Commit(); err != nil {
+				env.noteErr(t, "edit commit", err)
+				continue
+			}
+			env.oracle[id] = content
+
 		default:
 			id := env.order[rng.Intn(len(env.order))]
 			tx := env.db.Begin()
@@ -221,6 +281,25 @@ func (env *exhaustionEnv) exhaustionWorkload(t *testing.T, seed int64) {
 				it, pick, len(ids), len(env.oracle), err, env.db.Stats().PendingUndo)
 		}
 	}
+}
+
+// nodesIn returns the nodes of one stored document that expr selects, in
+// document order.
+func (env *exhaustionEnv) nodesIn(doc xml.DocID, expr string) ([]nodeid.ID, error) {
+	q, err := xpath.Parse(expr)
+	if err != nil {
+		return nil, err
+	}
+	e, err := quickxscan.Compile(q, env.db.cat, nil, quickxscan.Options{})
+	if err != nil {
+		return nil, err
+	}
+	ms, err := env.col.evalStored(doc, e)
+	ids := make([]nodeid.ID, len(ms))
+	for i, m := range ms {
+		ids[i] = m.ID
+	}
+	return ids, err
 }
 
 // exhaustionVerify checks the end state of a schedule: the oracle holds

@@ -100,7 +100,7 @@ func TestSkipDifferential(t *testing.T) {
 		`/Catalog//Note//b`, `//entry[qty = 3]/who`,
 		// attributes
 		`/Catalog/Categories/Product/@pid`, `/Catalog/Categories/Product[@cat = 'b']/ProductName`,
-		`/arch/@year`, `//entry/@n`, `/arch/entries/entry[@n = '7']/who`,
+		`/arch/@year`, `//entry/@n`, `/arch/entries/entry[@n = '7']/who`, `//@n`, `//@*`, `/arch//@n`,
 		// text() and other node tests
 		`/order/hdr/cust/text()`, `//ProductName/text()`, `/Catalog/Categories/Product/Note/node()`,
 		`/Catalog/Categories/Product/Note/comment()`, `/order/*/cust`,

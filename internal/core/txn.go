@@ -235,7 +235,7 @@ func (t *Txn) Query(col *Collection, expr string) ([]Result, *Plan, error) {
 	if err := t.lk.Lock(lock.CollectionRes(col.Name()), lock.S); err != nil {
 		return nil, nil, err
 	}
-	return col.Query(expr)
+	return col.QueryOpts(expr, QueryOptions{})
 }
 
 // Cursor opens a streaming cursor under an S collection lock. The lock is

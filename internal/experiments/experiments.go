@@ -1,30 +1,136 @@
-// Package experiments implements the reproduction of every evaluation
-// artifact in the paper (see DESIGN.md's per-experiment index, E1–E12).
-// Each experiment returns a Table that cmd/rxbench renders; the root-level
-// benchmarks drive the same code through testing.B.
+// Package experiments is the one place a measured body is written: the
+// reproduction of every evaluation artifact in the paper (DESIGN.md's
+// per-experiment index) as a registry. An experiment is a table builder that
+// times its operations through a Meter, plus the benchmark cases that are not
+// rows of a table; fixtures and timed operations exist once. Three thin
+// consumers read the registry: cmd/rxbench renders the tables, rxbench
+// -json/-compare runs the gated cases through testing.Benchmark, and the root
+// bench_test.go runs everything under `go test -bench`.
 package experiments
 
 import (
 	"fmt"
-	"math/rand"
-	"runtime"
 	"strings"
+	"testing"
 	"time"
-
-	"rx/internal/buffer"
-	"rx/internal/core"
-	"rx/internal/dom"
-	"rx/internal/nodeid"
-	"rx/internal/pagestore"
-	"rx/internal/quickxscan"
-	"rx/internal/shred"
-	"rx/internal/xml"
-	"rx/internal/xmlgen"
-	"rx/internal/xmlparse"
-	"rx/internal/xpath"
-	"rx/internal/xpathdom"
-	"rx/internal/xpathnaive"
 )
+
+// Experiment is one entry of the registry.
+type Experiment struct {
+	ID string
+	// Table builds the experiment's EXPERIMENTS.md table. Nil for experiments
+	// reported as benchmark cases only.
+	Table func(*Meter) (*Table, error)
+	// Cases builds their fixtures and returns the measured bodies that are
+	// not operations of the table. Nil when there are none.
+	Cases func() ([]Case, error)
+}
+
+// Case is one measured body. Whatever it needs beyond what Experiment.Cases
+// built, it sets up before its own ResetTimer.
+type Case struct {
+	Name string
+	// Gated cases have a committed baseline in bench/BENCH_<ID>.json that
+	// `rxbench -json DIR -compare bench` holds them to.
+	Gated bool
+	Run   func(*testing.B)
+}
+
+// Registry lists every experiment, in EXPERIMENTS.md order.
+func Registry() []Experiment {
+	return []Experiment{
+		{"E1", e1, nil},
+		{"E2", e2, nil},
+		{"E3", e3, e3Cases},
+		{"E4", e4, nil},
+		{"E5", e5, nil},
+		{"E6", e6, nil},
+		{"E7", e7, nil},
+		{"E7b", e7b, nil},
+		{"E8", e8, nil},
+		{"E9", e9, nil},
+		{"E10", e10, e10Cases},
+		{"E11", e11, nil},
+		{"E11b", e11b, nil},
+		{"E13", nil, e13Cases},
+		{"E14", nil, e14Cases},
+		{"E15", e15, nil},
+		{"E16", e16, e16Cases},
+		{"E18", nil, e18Cases},
+		{"E19", nil, e19Cases},
+	}
+}
+
+// Bench runs the experiment under `go test -bench`: its cases, and every
+// operation its table times, each as a sub-benchmark, at CI scale.
+func (e Experiment) Bench(b *testing.B) {
+	if e.Cases != nil {
+		cases, err := e.Cases()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range cases {
+			b.Run(c.Name, c.Run)
+		}
+	}
+	if e.Table != nil {
+		if _, err := e.Table(&Meter{Quick: true, b: b}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// Meter is how a table builder times an operation, so that the operation is
+// written once: a table takes the mean of a few runs, `go test -bench` (see
+// Experiment.Bench) runs the same closure as a sub-benchmark.
+type Meter struct {
+	Quick bool // CI-sized workloads
+	b     *testing.B
+}
+
+// pick returns the full-scale or the CI-scale value.
+func (m *Meter) pick(full, small int) int {
+	if m.Quick {
+		return small
+	}
+	return full
+}
+
+// time runs the operation and returns its mean duration: over iters runs, or
+// over the sub-benchmark's when benchmarking.
+func (m *Meter) time(name string, iters int, run func() error) (el time.Duration, err error) {
+	if m.b == nil {
+		start := time.Now()
+		for i := 0; i < iters && err == nil; i++ {
+			err = run()
+		}
+		return time.Since(start) / time.Duration(iters), err
+	}
+	m.b.Run(name, func(b *testing.B) {
+		loop(func() error { err = run(); return err })(b)
+		el = b.Elapsed() / time.Duration(b.N)
+	})
+	return el, err
+}
+
+// loop is the benchmark body over one operation.
+func loop(run func() error) func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// op is one named operation over a fixture that is already built.
+type op struct {
+	name string
+	run  func() error
+}
 
 // Table is one experiment's result.
 type Table struct {
@@ -77,373 +183,4 @@ func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func i0(v int) string     { return fmt.Sprintf("%d", v) }
 func dms(d time.Duration) string {
 	return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000)
-}
-
-// buildPacked loads one Shaped(k, n) document into a fresh collection with
-// the given pack threshold, returning the collection and its DocID.
-func buildPacked(k, n, threshold int) (*core.DB, *core.Collection, xml.DocID, error) {
-	db, err := core.OpenMemory()
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	col, err := db.CreateCollection("e", core.CollectionOptions{PackThreshold: threshold})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	id, err := col.Insert(xmlgen.Shaped(k, n))
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return db, col, id, nil
-}
-
-// E1 reproduces the §3.1 storage model: bytes and NodeID-index entries per
-// node as the packing factor grows, against the one-node-per-row baseline.
-func E1(k, n int) (*Table, error) {
-	t := &Table{
-		ID:      "E1",
-		Title:   fmt.Sprintf("storage vs packing factor (k=%d elements, n=%d-byte values)", k, n),
-		Claim:   "packed storage ≈ k(n + h/p) vs node-per-row k(n+h); index entries ≤ 2k/p vs k (§3.1)",
-		Headers: []string{"scheme", "threshold", "records", "p=nodes/rec", "heap KiB", "index entries", "entries/node", "total store KiB", "total bytes/node"},
-	}
-	nodes := 2*k + 1 // elements + text nodes + root
-
-	// Baseline: one node per row.
-	pool := buffer.New(pagestore.NewMemStore(), 1<<14)
-	ss, err := shred.Create(pool)
-	if err != nil {
-		return nil, err
-	}
-	dict := xml.NewDict()
-	stream, err := xmlparse.Parse(xmlgen.Shaped(k, n), dict, xmlparse.Options{})
-	if err != nil {
-		return nil, err
-	}
-	sn, err := ss.Insert(1, stream)
-	if err != nil {
-		return nil, err
-	}
-	_, sPages, sEntries, err := ss.Stats()
-	if err != nil {
-		return nil, err
-	}
-	sBytes := sPages * pagestore.PageSize
-	sTotal := int(pool.Store().NumPages()) * pagestore.PageSize
-	t.Rows = append(t.Rows, []string{
-		"node-per-row", "-", i0(sn), "1.0", i0(sBytes / 1024),
-		i0(sEntries), f2(float64(sEntries) / float64(sn)),
-		i0(sTotal / 1024), f1(float64(sTotal) / float64(sn)),
-	})
-
-	for _, th := range []int{200, 400, 800, 1600, 3200, 7700} {
-		db, col, _, err := buildPacked(k, n, th)
-		if err != nil {
-			return nil, err
-		}
-		recs := int(col.XMLTable().Count())
-		pages, err := col.XMLTable().Pages()
-		if err != nil {
-			return nil, err
-		}
-		entries, err := col.NodeIndex().Count()
-		if err != nil {
-			return nil, err
-		}
-		bytes := pages * pagestore.PageSize
-		total := int(db.Pool().Store().NumPages()) * pagestore.PageSize
-		t.Rows = append(t.Rows, []string{
-			"tree-packed", i0(th), i0(recs), f1(float64(nodes) / float64(recs)),
-			i0(bytes / 1024),
-			i0(entries), f2(float64(entries) / float64(nodes)),
-			i0(total / 1024), f1(float64(total) / float64(nodes)),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"index entries fall as ~2/p vs 1 per node; the total store (heap + B+tree) shows the full k·h/p vs k·h gap")
-	return t, nil
-}
-
-// nodeCounter counts nodes during a stored-document walk.
-type nodeCounter struct{ nodes int }
-
-func (h *nodeCounter) StartDocument() error                           { return nil }
-func (h *nodeCounter) EndDocument() error                             { return nil }
-func (h *nodeCounter) StartElement(xml.QName, nodeid.ID) error        { h.nodes++; return nil }
-func (h *nodeCounter) EndElement(nodeid.ID) error                     { return nil }
-func (h *nodeCounter) NSDecl(xml.NameID, xml.NameID, nodeid.ID) error { h.nodes++; return nil }
-func (h *nodeCounter) Attribute(xml.QName, []byte, xml.TypeID, nodeid.ID) error {
-	h.nodes++
-	return nil
-}
-func (h *nodeCounter) Text([]byte, xml.TypeID, nodeid.ID) error { h.nodes++; return nil }
-func (h *nodeCounter) Comment([]byte, nodeid.ID) error          { h.nodes++; return nil }
-func (h *nodeCounter) PI(xml.NameID, []byte, nodeid.ID) error   { h.nodes++; return nil }
-
-// E2 reproduces the §3.1 traversal model: full-document traversal time per
-// node for packed storage vs the per-node-join baseline (ratio ≈ 1/p).
-func E2(k, n, iters int) (*Table, error) {
-	t := &Table{
-		ID:      "E2",
-		Title:   fmt.Sprintf("document-order traversal (k=%d elements, n=%d-byte values)", k, n),
-		Claim:   "packed traversal ≈ k·t/p vs node-per-row k·t: the larger p, the cheaper (§3.1)",
-		Headers: []string{"scheme", "threshold", "p=nodes/rec", "ns/node", "speedup vs node-per-row"},
-	}
-	nodes := 2*k + 1
-
-	// Baseline.
-	pool := buffer.New(pagestore.NewMemStore(), 1<<14)
-	ss, err := shred.Create(pool)
-	if err != nil {
-		return nil, err
-	}
-	dict := xml.NewDict()
-	stream, _ := xmlparse.Parse(xmlgen.Shaped(k, n), dict, xmlparse.Options{})
-	if _, err := ss.Insert(1, stream); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	for it := 0; it < iters; it++ {
-		count := 0
-		if err := ss.Traverse(1, func(shred.Node) error { count++; return nil }); err != nil {
-			return nil, err
-		}
-	}
-	baseNs := float64(time.Since(start).Nanoseconds()) / float64(iters*nodes)
-	t.Rows = append(t.Rows, []string{"node-per-row", "-", "1.0", f1(baseNs), "1.0x"})
-
-	for _, th := range []int{200, 800, 3200, 7700} {
-		_, col, id, err := buildPacked(k, n, th)
-		if err != nil {
-			return nil, err
-		}
-		recs := int(col.XMLTable().Count())
-		start := time.Now()
-		for it := 0; it < iters; it++ {
-			h := &nodeCounter{}
-			if err := col.WalkDoc(id, h); err != nil {
-				return nil, err
-			}
-		}
-		ns := float64(time.Since(start).Nanoseconds()) / float64(iters*nodes)
-		t.Rows = append(t.Rows, []string{
-			"tree-packed", i0(th), f1(float64(nodes) / float64(recs)),
-			f1(ns), fmt.Sprintf("%.1fx", baseNs/ns),
-		})
-	}
-	return t, nil
-}
-
-// E3 reproduces the §3.1 update model: single-node update cost vs packing
-// factor (touched bytes ≈ p·n).
-func E3(k, n, updates int) (*Table, error) {
-	t := &Table{
-		ID:      "E3",
-		Title:   fmt.Sprintf("single text-node update (k=%d elements, n=%d-byte values)", k, n),
-		Claim:   "updating one node touches ~p·n bytes under packing vs n per node-per-row; 'touching a relatively large size may not be too bad, since the I/O unit is a page' (§3.1)",
-		Headers: []string{"threshold", "p=nodes/rec", "avg record bytes", "µs/update"},
-	}
-	rng := rand.New(rand.NewSource(9))
-	for _, th := range []int{200, 800, 3200, 7700} {
-		_, col, id, err := buildPacked(k, n, th)
-		if err != nil {
-			return nil, err
-		}
-		recs := int(col.XMLTable().Count())
-		pages, _ := col.XMLTable().Pages()
-		res, _, err := col.Query("/r/e/text()")
-		if err != nil {
-			return nil, err
-		}
-		newVal := []byte(strings.Repeat("w", n))
-		start := time.Now()
-		for u := 0; u < updates; u++ {
-			target := res[rng.Intn(len(res))]
-			if err := col.UpdateText(id, target.Node, newVal); err != nil {
-				return nil, err
-			}
-		}
-		el := time.Since(start)
-		t.Rows = append(t.Rows, []string{
-			i0(th), f1(float64(2*k+1) / float64(recs)),
-			i0(pages * pagestore.PageSize / recs),
-			f2(float64(el.Microseconds()) / float64(updates)),
-		})
-	}
-	t.Notes = append(t.Notes, "update cost grows with record size (decode+re-encode of the packed record), the counter-factor of §3.1")
-	return t, nil
-}
-
-// E4 reproduces the §4.2 linearity claim: QuickXScan elapsed time vs
-// document size for a fixed query.
-func E4() (*Table, error) {
-	t := &Table{
-		ID:      "E4",
-		Title:   "QuickXScan elapsed time vs document size |D|",
-		Claim:   "linear performance with regard to the document size (§4.2: O(|Q|·r·|D|), small r)",
-		Headers: []string{"products", "stream KiB", "ms/scan", "ns/KiB"},
-	}
-	dict := xml.NewDict()
-	q, _ := xpath.Parse("/Catalog/Categories/Product[RegPrice > 100 and Discount > 0.1]/ProductName")
-	e, err := quickxscan.Compile(q, dict, nil, quickxscan.Options{})
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(3))
-	for _, products := range []int{500, 2000, 8000, 32000} {
-		doc := xmlgen.Catalog(rng, products, 200)
-		stream, err := xmlparse.Parse(doc, dict, xmlparse.Options{})
-		if err != nil {
-			return nil, err
-		}
-		iters := 3
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := quickxscan.EvalTokens(e, stream); err != nil {
-				return nil, err
-			}
-		}
-		el := time.Since(start) / time.Duration(iters)
-		t.Rows = append(t.Rows, []string{
-			i0(products), i0(len(stream) / 1024), dms(el),
-			f1(float64(el.Nanoseconds()) / (float64(len(stream)) / 1024)),
-		})
-	}
-	t.Notes = append(t.Notes, "ns/KiB stays flat across a 64x size range = linear scaling")
-	return t, nil
-}
-
-// E5 reproduces Figure 7: live matching state of QuickXScan vs the
-// state-set automaton baseline on //a//a//a over recursive documents.
-func E5() (*Table, error) {
-	t := &Table{
-		ID:      "E5",
-		Title:   "active matching state on //a//a//a vs recursion degree r (Figure 7)",
-		Claim:   "QuickXScan keeps O(|Q|·r) matching instances; automata keep 'potentially exponential' active states (§4.2, Fig. 7)",
-		Headers: []string{"recursion r", "QuickXScan max live", "naive automaton max active", "ratio"},
-	}
-	dict := xml.NewDict()
-	q, _ := xpath.Parse("//a//a//a")
-	qe, err := quickxscan.Compile(q, dict, nil, quickxscan.Options{})
-	if err != nil {
-		return nil, err
-	}
-	ne, err := xpathnaive.Compile(q, dict, nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range []int{2, 4, 8, 16, 32, 64} {
-		stream, _ := xmlparse.Parse(xmlgen.Recursive(r), dict, xmlparse.Options{})
-		if _, err := quickxscan.EvalTokens(qe, stream); err != nil {
-			return nil, err
-		}
-		if _, err := ne.EvalTokens(stream); err != nil {
-			return nil, err
-		}
-		ql := qe.Stats().MaxLive
-		nl := ne.Stats().MaxActive
-		t.Rows = append(t.Rows, []string{i0(r), i0(ql), i0(nl), f1(float64(nl) / float64(ql))})
-	}
-	t.Notes = append(t.Notes, "QuickXScan grows linearly in r; the automaton's state set grows superlinearly (polynomial of degree |Q|)")
-	return t, nil
-}
-
-// E6 reproduces the §4.2 comparison: QuickXScan vs the naive streaming
-// automaton vs DOM-based evaluation, in elapsed time and allocated memory,
-// over both a flat catalog and a recursive document.
-func E6(products int) (*Table, error) {
-	t := &Table{
-		ID:      "E6",
-		Title:   fmt.Sprintf("evaluator comparison (catalog with %d products; recursive document r=192)", products),
-		Claim:   "QuickXScan outperforms streaming automata in elapsed time and memory and is orders of magnitude better than DOM-based evaluation once materialization is paid (§4.2)",
-		Headers: []string{"workload / query", "evaluator", "ms", "alloc MiB"},
-	}
-	dict := xml.NewDict()
-	rng := rand.New(rand.NewSource(13))
-	catalog, err := xmlparse.Parse(xmlgen.Catalog(rng, products, 1000), dict, xmlparse.Options{})
-	if err != nil {
-		return nil, err
-	}
-	recursive, err := xmlparse.Parse(xmlgen.Recursive(192), dict, xmlparse.Options{})
-	if err != nil {
-		return nil, err
-	}
-
-	measure := func(iters int, fn func() error) (time.Duration, float64, error) {
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := fn(); err != nil {
-				return 0, 0, err
-			}
-		}
-		el := time.Since(start) / time.Duration(iters)
-		runtime.ReadMemStats(&ms1)
-		alloc := float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(iters) / (1 << 20)
-		return el, alloc, nil
-	}
-
-	type workload struct {
-		name   string
-		stream []byte
-		query  string
-		iters  int
-	}
-	workloads := []workload{
-		{"catalog //Product[RegPrice > 500]/ProductName", catalog, "//Product[RegPrice > 500]/ProductName", 5},
-		{"catalog /Catalog/Categories/Product/RegPrice", catalog, "/Catalog/Categories/Product/RegPrice", 5},
-		{"recursive //a//a//a (r=192)", recursive, "//a//a//a", 5},
-	}
-	for _, wl := range workloads {
-		q, err := xpath.Parse(wl.query)
-		if err != nil {
-			return nil, err
-		}
-		qe, err := quickxscan.Compile(q, dict, nil, quickxscan.Options{})
-		if err != nil {
-			return nil, err
-		}
-		el, al, err := measure(wl.iters, func() error {
-			_, err := quickxscan.EvalTokens(qe, wl.stream)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{wl.name, "QuickXScan", dms(el), f2(al)})
-
-		if ne, err := xpathnaive.Compile(q, dict, nil); err == nil {
-			el, al, err := measure(wl.iters, func() error {
-				_, err := ne.EvalTokens(wl.stream)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, []string{"", "naive state-set automaton", dms(el), f2(al)})
-		} else {
-			t.Rows = append(t.Rows, []string{"", "naive state-set automaton", "n/a (predicates unsupported)", "-"})
-		}
-
-		ce, err := xpathdom.Compile(q, dict, nil)
-		if err != nil {
-			return nil, err
-		}
-		el, al, err = measure(wl.iters, func() error {
-			tree, err := dom.Build(wl.stream)
-			if err != nil {
-				return err
-			}
-			ce.Evaluate(tree)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{"", "DOM (materialize + navigate)", dms(el), f2(al)})
-	}
-	t.Notes = append(t.Notes,
-		"QuickXScan needs no materialization (DOM allocates the whole tree per evaluation) and no state-set growth (the automaton's states explode on the recursive document)")
-	return t, nil
 }

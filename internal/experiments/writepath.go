@@ -1,0 +1,268 @@
+package experiments
+
+// E14–E16: the write path inherited from the relational substrate — page
+// checksums (the measured leg of E14; its fault-injection legs are tests),
+// WAL group commit, and bulk loading against per-document commits.
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+
+	"rx/internal/buffer"
+	"rx/internal/core"
+	"rx/internal/pagestore"
+	"rx/internal/wal"
+	"rx/internal/xml"
+	"rx/internal/xmlgen"
+)
+
+// e14Cases — page I/O cost: raw store, checksum-verified store, and a hot
+// (resident) page through the buffer pool over each. The pool pair is the
+// engine-visible number: a hot page verifies once per residency, so the
+// checksummed read must be within noise of the raw one.
+func e14Cases() ([]Case, error) {
+	page := make([]byte, pagestore.PageSize)
+	for i := range page {
+		page[i] = byte(i)
+	}
+	newStore := func(b *testing.B, checksummed bool) pagestore.Store {
+		var s pagestore.Store = pagestore.NewMemStore()
+		if checksummed {
+			s = pagestore.NewChecksumStore(s)
+		}
+		id, err := s.Allocate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.WritePage(id, page); err != nil {
+			b.Fatal(err)
+		}
+		return s
+	}
+	storeRead := func(checksummed bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			s := newStore(b, checksummed)
+			buf := make([]byte, pagestore.PageSize)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.ReadPage(0, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	poolHot := func(checksummed bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			s := newStore(b, checksummed)
+			pool := buffer.New(s, 64)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f, err := pool.Fetch(0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pool.Unpin(f, false)
+			}
+		}
+	}
+	return []Case{
+		{"store-read/raw", true, storeRead(false)},
+		{"store-read/checksum", true, storeRead(true)},
+		{"pool-hot/raw", true, poolHot(false)},
+		{"pool-hot/checksum", true, poolHot(true)},
+	}, nil
+}
+
+// fileLogged opens a fresh memory-paged database logged to a file in dir —
+// a real file, so every log sync pays the OS fsync cost being amortized —
+// with one collection carrying the given indexes.
+func fileLogged(dir, name string, groupDelay time.Duration, indexes ...indexDef) (*core.DB, *core.Collection, *wal.Log, error) {
+	dev, err := wal.OpenFileDevice(filepath.Join(dir, name+".wal"))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var wopts []wal.Option
+	if groupDelay > 0 {
+		wopts = append(wopts, wal.WithGroupCommit(groupDelay))
+	}
+	log, err := wal.Open(dev, wopts...)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	db, err := core.Open(pagestore.NewMemStore(), core.Options{WAL: log})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	col, err := db.CreateCollection("c", core.CollectionOptions{})
+	if err == nil {
+		err = createIndexes(col, indexes...)
+	}
+	return db, col, log, err
+}
+
+// commitRound has writers goroutines each commit n single-insert
+// transactions.
+func commitRound(db *core.DB, col *core.Collection, writers, n int) error {
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				doc := []byte(fmt.Sprintf("<r><w>%d</w><i>%d</i></r>", w, i))
+				if err := db.RunTxn(func(t *core.Txn) error { _, err := t.Insert(col, doc); return err }); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	return <-errs
+}
+
+// e15 measures commit batching: W concurrent writers each commit small
+// transactions against a file-backed log, with and without a group-commit
+// window. The counters on the log give exact syncs-per-commit ratios.
+func e15(m *Meter) (*Table, error) {
+	commitsPerWriter, window := m.pick(50, 10), 2*time.Millisecond
+	t := &Table{
+		ID:      "E15",
+		Title:   fmt.Sprintf("WAL group commit (%d commits/writer, %v window)", commitsPerWriter, window),
+		Claim:   "logging inherited from the relational substrate scales to concurrent writers (§5): one log sync serves a group of committers",
+		Headers: []string{"writers", "mode", "commits", "syncs", "syncs/commit", "commits/sec"},
+	}
+	dir, err := os.MkdirTemp("", "rx-e15-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	for _, writers := range []int{1, 2, 4, 8} {
+		for _, groupDelay := range []time.Duration{0, window} {
+			mode := "sync per commit"
+			if groupDelay > 0 {
+				mode = fmt.Sprintf("group commit %v", groupDelay)
+			}
+			db, col, log, err := fileLogged(dir, fmt.Sprintf("e15-%d-%d", writers, groupDelay), groupDelay)
+			if err != nil {
+				return nil, err
+			}
+			c0, s0 := log.CommitCount(), log.SyncCount()
+			el, err := m.time(fmt.Sprintf("writers=%d/%s", writers, mode), 1, func() error {
+				return commitRound(db, col, writers, commitsPerWriter)
+			})
+			commits, syncs := log.CommitCount()-c0, log.SyncCount()-s0
+			db.Close()
+			if err != nil {
+				return nil, err
+			}
+			t.Rows = append(t.Rows, []string{
+				fmt.Sprint(writers), mode, fmt.Sprint(commits), fmt.Sprint(syncs),
+				fmt.Sprintf("%.3f", float64(syncs)/float64(commits)),
+				f1(float64(commitsPerWriter*writers) / el.Seconds()),
+			})
+		}
+	}
+	t.Notes = append(t.Notes,
+		"syncs/commit < 1 means committers shared durability syncs; the single-writer group row pays only the window latency, never extra syncs")
+	return t, nil
+}
+
+// e16 measures bulk loading: the same document set — deliberately tiny
+// documents, the worst case for per-document commit overhead — ingested one
+// transaction (and one log sync) per document versus InsertBatch (sorted
+// index insertion, one commit per batch), both over a file-backed log.
+func e16(m *Meter) (*Table, error) {
+	docs, batchSize := m.pick(5000, 500), 1000
+	t := &Table{
+		ID:      "E16",
+		Title:   fmt.Sprintf("bulk document loading (%d docs, batches of %d)", docs, batchSize),
+		Claim:   "batch shredding with sorted index insertion and one commit per batch amortizes the per-document write-path cost",
+		Headers: []string{"path", "docs", "commits", "syncs", "ms", "MB/s", "docs/sec"},
+	}
+	dir, err := os.MkdirTemp("", "rx-e16-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	totalBytes := 0
+	payloads := generate(docs, func(i int) []byte {
+		d := []byte(fmt.Sprintf(
+			"<item><sku>SKU-%06d</sku><qty>%d</qty><price>%d.%02d</price><note>bulk load subject %d of the ingest corpus</note></item>",
+			i, i%97, i%500, i%100, i))
+		totalBytes += len(d)
+		return d
+	})
+	for i, loader := range []struct {
+		name string
+		load func(*core.DB, *core.Collection) error
+	}{
+		{"per-document commits", func(db *core.DB, col *core.Collection) error {
+			for _, p := range payloads {
+				if err := db.RunTxn(func(t *core.Txn) error { _, err := t.Insert(col, p); return err }); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{fmt.Sprintf("InsertBatch(%d)", batchSize), func(_ *core.DB, col *core.Collection) error {
+			for off := 0; off < len(payloads); off += batchSize {
+				if _, err := col.InsertBatch(payloads[off:min(off+batchSize, len(payloads))], core.BatchOptions{}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		db, col, log, err := fileLogged(dir, fmt.Sprint("e16-", i), 0,
+			indexDef{"ix_qty", "//qty", xml.TDouble}, indexDef{"ix_sku", "//sku", xml.TString})
+		if err != nil {
+			return nil, err
+		}
+		c0, s0 := log.CommitCount(), log.SyncCount()
+		el, err := m.time(loader.name, 1, func() error { return loader.load(db, col) })
+		// Every run of the loader (a benchmark makes several) adds the corpus.
+		if n, cerr := col.Count(); err == nil && (cerr != nil || n == 0 || n%docs != 0) {
+			err = fmt.Errorf("E16 %s: %d docs stored loading %d at a time (%v)", loader.name, n, docs, cerr)
+		}
+		commits, syncs := log.CommitCount()-c0, log.SyncCount()-s0
+		db.Close()
+		if err != nil {
+			return nil, err
+		}
+		t.Rows = append(t.Rows, []string{
+			loader.name, fmt.Sprint(docs), fmt.Sprint(commits), fmt.Sprint(syncs), dms(el),
+			fmt.Sprintf("%.1f", float64(totalBytes)/1e6/el.Seconds()),
+			f1(float64(docs) / el.Seconds()),
+		})
+	}
+	t.Notes = append(t.Notes,
+		"the batch path stores the same documents with identical logical index contents (see TestInsertBatchMatchesSequentialInserts); the win is one sorted insertion pass per index and one log sync per batch")
+	return t, nil
+}
+
+// e16Cases — gated: the full parse→pack→index ingest path through
+// InsertBatch, in memory; one op is one 32-document batch.
+func e16Cases() ([]Case, error) {
+	return []Case{{Name: "bulk-load-32", Gated: true, Run: func(b *testing.B) {
+		db, col, err := memCollection(core.CollectionOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer db.Close()
+		docs := generate(32, xmlgen.Product)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := col.InsertBatch(docs, core.BatchOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}}}, nil
+}

@@ -303,35 +303,6 @@ func TestEvictionPersistence(t *testing.T) {
 	}
 }
 
-func BenchmarkInsert(b *testing.B) {
-	tbl := newTable(b, 1024)
-	data := make([]byte, 200)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tbl.Insert(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFetch(b *testing.B) {
-	tbl := newTable(b, 1024)
-	var rids []RID
-	data := make([]byte, 200)
-	for i := 0; i < 10000; i++ {
-		rid, _ := tbl.Insert(data)
-		rids = append(rids, rid)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tbl.Fetch(rids[i%len(rids)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestFetchBorrowed(t *testing.T) {
 	pool := buffer.New(pagestore.NewMemStore(), 16)
 	tbl, err := Create(pool)

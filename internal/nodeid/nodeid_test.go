@@ -320,31 +320,3 @@ func TestClone(t *testing.T) {
 		t.Error("Clone(nil) should be nil")
 	}
 }
-
-func BenchmarkBetween(b *testing.B) {
-	lo, hi := Rel{0x02}, Rel{0x04}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x, err := Between(lo, hi)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i%2 == 0 {
-			lo = x
-		} else {
-			hi = x
-		}
-		if len(lo) > 64 {
-			lo, hi = Rel{0x02}, Rel{0x04}
-		}
-	}
-}
-
-func BenchmarkCompare(b *testing.B) {
-	x := Append(Append(Root, RelAt(5)), RelAt(100))
-	y := Append(Append(Root, RelAt(5)), RelAt(101))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Compare(x, y)
-	}
-}

@@ -479,25 +479,3 @@ func randomDoc(rng *rand.Rand, depth, maxDepth int) string {
 	sb.WriteString("</" + name + ">")
 	return sb.String()
 }
-
-func BenchmarkPack(b *testing.B) {
-	var sb strings.Builder
-	sb.WriteString("<catalog>")
-	for i := 0; i < 1000; i++ {
-		fmt.Fprintf(&sb, `<product id="%d"><name>Widget %d</name><price>%d.99</price></product>`, i, i, i%500)
-	}
-	sb.WriteString("</catalog>")
-	dict := xml.NewDict()
-	stream, err := xmlparse.Parse([]byte(sb.String()), dict, xmlparse.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(stream)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := PackStream(stream, 0, func(EncodedRecord) error { return nil }); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -269,67 +269,6 @@ func TestChecksumRederiveRepairsLostSidecar(t *testing.T) {
 	}
 }
 
-func benchStores(b *testing.B) (raw, checked Store) {
-	mem := NewMemStore()
-	cs := NewChecksumStore(NewMemStore())
-	for i := 0; i < 64; i++ {
-		mem.Allocate()
-		cs.Allocate()
-	}
-	return mem, cs
-}
-
-// BenchmarkChecksumStore measures the CRC32 overhead of the checksummed
-// store against the raw store (E14 in EXPERIMENTS.md).
-func BenchmarkChecksumStore(b *testing.B) {
-	raw, checked := benchStores(b)
-	buf := make([]byte, PageSize)
-	for i := range buf {
-		buf[i] = byte(i)
-	}
-	for _, bench := range []struct {
-		name  string
-		store Store
-	}{{"write/raw", raw}, {"write/checksum", checked}} {
-		b.Run(bench.name, func(b *testing.B) {
-			b.SetBytes(PageSize)
-			for i := 0; i < b.N; i++ {
-				if err := bench.store.WritePage(PageID(i%64), buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	for _, bench := range []struct {
-		name  string
-		store Store
-	}{{"read/raw", raw}, {"read/checksum", checked}} {
-		b.Run(bench.name, func(b *testing.B) {
-			b.SetBytes(PageSize)
-			for i := 0; i < b.N; i++ {
-				if err := bench.store.ReadPage(PageID(i%64), buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	// Concurrent readers: verification holds the store lock only shared, so
-	// this should scale with cores instead of serializing on verification.
-	b.Run("read/checksum-parallel", func(b *testing.B) {
-		b.SetBytes(PageSize)
-		b.RunParallel(func(pb *testing.PB) {
-			pbuf := make([]byte, PageSize)
-			i := 0
-			for pb.Next() {
-				if err := checked.ReadPage(PageID(i%64), pbuf); err != nil {
-					b.Fatal(err)
-				}
-				i++
-			}
-		})
-	})
-}
-
 // TestChecksumSidecarMigration: a version-0 (IEEE) sidecar is rewritten to
 // Castagnoli entries on first load, pages verify throughout, and a page that
 // fails its old IEEE checksum keeps a stale entry so the corruption is still

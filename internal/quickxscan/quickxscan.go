@@ -74,9 +74,12 @@ type qnode struct {
 	anyURI bool      // name test with no prefix matches any namespace? (false: no-namespace only)
 	parent *qnode
 
-	// Predicates anchored at this query node.
-	preds     []predExpr
-	numLeaves int
+	// Predicates anchored at this query node. looseLeaves are the leaf slots
+	// whose path starts with a descendant step: true for one instance, such a
+	// leaf is true for every instance below it on the stack as well.
+	preds       []predExpr
+	numLeaves   int
+	looseLeaves []int
 
 	// Predicate-chain bookkeeping: inPred marks query nodes inside a
 	// predicate path; predSlot is the leaf slot (on every node of the
@@ -215,6 +218,9 @@ func (e *Eval) compileChain(s *xpath.Step, parent *qnode, names xml.Names, nsMap
 			}(),
 			anchor: anchor,
 			loose:  s.Axis == xpath.Descendant || s.Axis == xpath.DescendantOrSelf,
+		}
+		if q.loose && inPred && cur == anchor {
+			anchor.looseLeaves = append(anchor.looseLeaves, slot)
 		}
 		if s.Test == xpath.TestName {
 			uri := ""
@@ -612,15 +618,19 @@ func (e *Eval) EndElement(id nodeid.ID) {
 		}
 		mi.q.stack = st[:len(st)-1]
 		e.live--
-		// Sideways: pending raw candidates move to the next instance below
-		// (they are contained in the outer matching too).
-		if len(mi.rawRemainder) > 0 {
-			if len(mi.q.stack) > 0 {
-				below := mi.q.stack[len(mi.q.stack)-1]
-				below.raw = append(below.raw, mi.rawRemainder...)
+		// Sideways: pending raw candidates, and predicate leaves reached
+		// through a descendant step, move to the next instance below (they
+		// are contained in the outer matching too).
+		if len(mi.q.stack) > 0 {
+			below := mi.q.stack[len(mi.q.stack)-1]
+			below.raw = append(below.raw, mi.rawRemainder...)
+			for _, slot := range mi.q.looseLeaves {
+				if mi.leafVals[slot] {
+					below.leafVals[slot] = true
+				}
 			}
-			mi.rawRemainder = mi.rawRemainder[:0]
 		}
+		mi.rawRemainder = mi.rawRemainder[:0]
 		e.recycle(mi)
 	}
 	e.pushed = e.pushed[:start]
@@ -720,11 +730,19 @@ func (e *Eval) finalize(mi *instance, id nodeid.ID) {
 			}
 			mi.valid = append(mi.valid, c)
 		}
-	} else {
-		// Keep only re-targetable (loose) raw candidates for sideways moves.
+	}
+	if !selfValid || q.inPred {
+		// Keep only re-targetable (loose) raw candidates for sideways moves. A
+		// result candidate moves sideways only from an instance that failed,
+		// or it would be returned twice; in a predicate chain a candidate is
+		// mere existence, which holds for the outer instance too whatever
+		// this one decided — and one candidate says it all.
 		for _, c := range mi.raw {
 			if c.loose {
 				mi.rawRemainder = append(mi.rawRemainder, c)
+				if q.inPred {
+					break
+				}
 			}
 		}
 	}

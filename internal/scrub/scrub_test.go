@@ -160,30 +160,3 @@ func TestRateLimiterHonored(t *testing.T) {
 		t.Fatalf("throttled pass over %d ops at %d ops/s took %v, want >= %v", ops, rate, elapsed, min)
 	}
 }
-
-func BenchmarkScrubPass(b *testing.B) {
-	db, _ := buildDB(b, 32)
-	defer db.Close()
-	s := scrub.New(db, scrub.Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.RunPass(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkScrubPassThrottled measures limiter overhead at a rate high
-// enough that no sleeping occurs — the cost of the deadline arithmetic
-// itself.
-func BenchmarkScrubPassThrottled(b *testing.B) {
-	db, _ := buildDB(b, 32)
-	defer db.Close()
-	s := scrub.New(db, scrub.Options{Rate: 50_000_000})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.RunPass(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -106,3 +106,31 @@ func Orders(rng *rand.Rand, lines int) []byte {
 	fmt.Fprintf(&sb, `</Items><Total>%.2f</Total></Order>`, total)
 	return []byte(sb.String())
 }
+
+// Product generates the ≈1.5 KiB product document of the gated smoke cases
+// (E3, E10, E13, E16, E19): two attributes, a name, a price and 16 Part
+// children with a description and a quantity each — ≈100 stored nodes.
+func Product(i int) []byte {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, `<Product pid="%d" cat="tools">`, i)
+	fmt.Fprintf(&sb, `<Name>Widget %d</Name><Price>%d.99</Price>`, i, i%97)
+	for j := 0; j < 16; j++ {
+		fmt.Fprintf(&sb, `<Part num="%d-%d"><Desc>part %d of product %d, standard finish</Desc><Qty>%d</Qty></Part>`,
+			i, j, j, i, j*3)
+	}
+	sb.WriteString(`</Product>`)
+	return []byte(sb.String())
+}
+
+// Parts generates E18's adversarial planner shape: one selective field (Sku)
+// and parts Part/Qty entries, so an index over Qty holds parts entries per
+// document and walking it costs far more than evaluating the document once.
+func Parts(i, parts int) []byte {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, `<Product><Sku>SKU-%d</Sku>`, i)
+	for j := 0; j < parts; j++ {
+		fmt.Fprintf(&sb, `<Part><Qty>%d</Qty></Part>`, j)
+	}
+	sb.WriteString(`</Product>`)
+	return []byte(sb.String())
+}

@@ -57,3 +57,16 @@ func TestDeepAndOrders(t *testing.T) {
 		t.Errorf("items = %d", got)
 	}
 }
+
+func TestProductAndParts(t *testing.T) {
+	doc := Product(3)
+	mustParse(t, doc)
+	if got := strings.Count(string(doc), "<Part "); got != 16 {
+		t.Errorf("parts = %d", got)
+	}
+	doc = Parts(42, 64)
+	mustParse(t, doc)
+	if got := strings.Count(string(doc), "<Qty>"); got != 64 || !strings.Contains(string(doc), "<Sku>SKU-42</Sku>") {
+		t.Errorf("qty entries = %d in %.60s", got, doc)
+	}
+}

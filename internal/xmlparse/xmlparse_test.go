@@ -269,22 +269,3 @@ func TestLargeText(t *testing.T) {
 		t.Error("large text truncated")
 	}
 }
-
-func BenchmarkParse(b *testing.B) {
-	var sb strings.Builder
-	sb.WriteString("<catalog>")
-	for i := 0; i < 1000; i++ {
-		fmt.Fprintf(&sb, `<product id="%d"><name>Widget %d</name><price>%d.99</price></product>`, i, i, i%500)
-	}
-	sb.WriteString("</catalog>")
-	doc := []byte(sb.String())
-	dict := xml.NewDict()
-	b.SetBytes(int64(len(doc)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Parse(doc, dict, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

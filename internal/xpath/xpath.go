@@ -153,8 +153,10 @@ func writeStep(sb *strings.Builder, s *Step) {
 	switch s.Axis {
 	case Child:
 		sb.WriteString("/")
-	case Descendant, DescendantOrSelf:
+	case Descendant:
 		sb.WriteString("//")
+	case DescendantOrSelf:
+		sb.WriteString("/descendant-or-self::")
 	case Attribute:
 		sb.WriteString("/@")
 	case Self:
@@ -342,28 +344,27 @@ func (p *parser) relPath(axis Axis) (*Step, error) {
 	}
 	cur := first
 	for {
+		for cur.Next != nil { // a step after // may have come back as two
+			cur = cur.Next
+		}
 		switch {
 		case p.eat("//"):
-			s, err := p.step(Descendant)
-			if err != nil {
-				return nil, err
-			}
-			cur.Next = s
-			cur = s
+			axis = Descendant
 		case p.eat("/"):
-			s, err := p.step(Child)
-			if err != nil {
-				return nil, err
-			}
-			cur.Next = s
-			cur = s
+			axis = Child
 		default:
 			return first, nil
+		}
+		if cur.Next, err = p.step(axis); err != nil {
+			return nil, err
 		}
 	}
 }
 
-// step parses one step with the given default axis.
+// step parses one step with the given default axis. "//" abbreviates
+// /descendant-or-self::node()/, and only a step that names no axis of its own
+// folds that into a plain descendant step: //@k, //self::a and //. come back
+// as two steps, the descendant-or-self one first, or the "//" would be lost.
 func (p *parser) step(axis Axis) (*Step, error) {
 	p.skipSpace()
 	s := &Step{Axis: axis}
@@ -385,10 +386,10 @@ func (p *parser) step(axis Axis) (*Step, error) {
 		// Abbreviated self::node().
 		s.Axis = Self
 		s.Test = TestNode
-		return p.preds(s)
 	}
 	// Node test.
 	switch {
+	case s.Test != 0:
 	case p.eat("*"):
 		s.Test = TestStar
 	case p.eat("text()"):
@@ -414,7 +415,11 @@ func (p *parser) step(axis Axis) (*Step, error) {
 			s.Local = name
 		}
 	}
-	return p.preds(s)
+	s, err := p.preds(s)
+	if err == nil && axis == Descendant && (s.Axis == Attribute || s.Axis == Child || s.Axis == Self) {
+		s = &Step{Axis: DescendantOrSelf, Test: TestNode, Next: s}
+	}
+	return s, err
 }
 
 func (p *parser) preds(s *Step) (*Step, error) {

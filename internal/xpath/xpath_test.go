@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -71,6 +72,17 @@ func TestParseExplicitAxes(t *testing.T) {
 	q = mustParse(t, "/descendant-or-self::a")
 	if q.Steps.Axis != DescendantOrSelf {
 		t.Error("descendant-or-self:: not parsed")
+	}
+	// An axis named after "//" must not swallow it: //@k is
+	// /descendant-or-self::node()/@k, not /@k.
+	for _, src := range []string{"//@k", "/a//@k", "/a[.//@k = 'v']", "//self::a", "/a//."} {
+		if got, lost := mustParse(t, src).String(), mustParse(t, strings.Replace(src, "//", "/", 1)).String(); got == lost {
+			t.Errorf("%q parsed as %q: the // is lost", src, got)
+		}
+	}
+	q = mustParse(t, "//@k")
+	if s := q.Steps; s.Axis != DescendantOrSelf || s.Test != TestNode || s.Next == nil || s.Next.Axis != Attribute || s.Next.Local != "k" {
+		t.Errorf("//@k = %q", q.String())
 	}
 }
 
@@ -188,6 +200,9 @@ func TestStringRoundTrip(t *testing.T) {
 		"/a/text()",
 		"/Catalog/Categories/Product[RegPrice > 100 and Discount > 0.1]",
 		"//s[.//t = 'XML']",
+		"//@k",
+		"/a//@k",
+		"/a/descendant-or-self::b",
 	} {
 		q := mustParse(t, src)
 		q2 := mustParse(t, q.String())
