@@ -85,7 +85,7 @@ func main() {
 		`//Product[ProductName = 'no such product']`,                     // scan fallback
 	}
 	for _, q := range queries {
-		results, plan, err := col.Query(q)
+		results, plan, err := col.QueryOpts(q, rx.QueryOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

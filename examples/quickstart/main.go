@@ -68,7 +68,7 @@ func main() {
 	fmt.Println()
 
 	// Subdocument update: change a price in place (no LOB rewrite).
-	tRes, _, err := col.Query("/book[@year = 1999]/price/text()")
+	tRes, _, err := col.QueryOpts("/book[@year = 1999]/price/text()", rx.QueryOptions{})
 	if err != nil || len(tRes) != 1 {
 		log.Fatalf("price text: %v %v", tRes, err)
 	}
@@ -80,6 +80,6 @@ func main() {
 	fmt.Println()
 
 	// The index followed the update.
-	hits, plan, _ := col.Query("/book[price < 20]")
+	hits, plan, _ := col.QueryOpts("/book[price < 20]", rx.QueryOptions{})
 	fmt.Printf("query /book[price < 20] → %d match via %s\n", len(hits), plan.Method)
 }

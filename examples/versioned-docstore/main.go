@@ -55,7 +55,7 @@ func main() {
 	}()
 
 	// Writer: three edits, three new versions. Readers never block it.
-	bodies, _, _ := col.Query("/page/body/text()")
+	bodies, _, _ := col.QueryOpts("/page/body/text()", rx.QueryOptions{})
 	for i := 2; i <= 4; i++ {
 		text := fmt.Sprintf("Version %d, edited in place.", i)
 		if err := col.UpdateText(id, bodies[0].Node, []byte(text)); err != nil {
@@ -75,7 +75,7 @@ func main() {
 
 	// Transactional edit with rollback: the subtree insert is undone.
 	tx := db.Begin()
-	pages, _, _ := col.Query("/page")
+	pages, _, _ := col.QueryOpts("/page", rx.QueryOptions{})
 	if _, err := tx.InsertFragment(col, id, pages[0].Node, rx.AsLastChild,
 		[]byte(`<draft>not ready</draft>`)); err != nil {
 		log.Fatal(err)

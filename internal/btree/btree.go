@@ -121,23 +121,6 @@ func Open(pool *buffer.Pool, meta pagestore.PageID) (*Tree, error) {
 // MetaPage returns the tree's durable identity for catalog storage.
 func (t *Tree) MetaPage() pagestore.PageID { return t.meta }
 
-// Reload re-reads the root pointer from the meta page. Call after recovery
-// has replayed WAL records that may have moved the root.
-func (t *Tree) Reload() error {
-	f, err := t.pool.Fetch(t.meta)
-	if err != nil {
-		return err
-	}
-	f.RLock()
-	root := pagestore.PageID(binary.BigEndian.Uint32(f.Data[8:12]))
-	f.RUnlock()
-	t.pool.Unpin(f, false)
-	t.mu.Lock()
-	t.root = root
-	t.mu.Unlock()
-	return nil
-}
-
 func initNode(d []byte, leaf bool) {
 	for i := 8; i < len(d); i++ {
 		d[i] = 0

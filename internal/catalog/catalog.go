@@ -431,13 +431,6 @@ func (c *Catalog) Schemas() []string {
 	return names
 }
 
-// NameCount returns the number of interned names.
-func (c *Catalog) NameCount() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.byID)
-}
-
 // Pages returns every page the catalog owns: the meta page plus the name,
 // collection, and schema heap chains. The chain walks are fault-tolerant
 // (an unreadable chain page is included and truncates that chain), so the

@@ -45,7 +45,7 @@ func TestBackupRestore(t *testing.T) {
 	if buf.String() != `<r><v>7</v></r>` {
 		t.Errorf("restored doc = %s", buf.String())
 	}
-	res, plan, err := col2.Query("/r[v = 7]")
+	res, plan, err := col2.QueryOpts("/r[v = 7]", QueryOptions{})
 	if err != nil || len(res) != 1 {
 		t.Fatalf("restored query: %v %v (plan %v)", res, err, plan)
 	}

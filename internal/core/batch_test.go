@@ -143,7 +143,7 @@ func TestInsertBatchMatchesSequentialInserts(t *testing.T) {
 					}
 				}
 				// Queries resolve through the value indexes.
-				hits, plan, err := col.Query("/item[qty = 21]")
+				hits, plan, err := col.QueryOpts("/item[qty = 21]", QueryOptions{})
 				if err != nil || len(hits) != 1 || hits[0].Doc != ids[7] {
 					t.Fatalf("indexed query: hits=%v plan=%v err=%v", hits, plan, err)
 				}

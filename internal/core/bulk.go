@@ -279,8 +279,9 @@ func (c *Collection) ingestLocked(ids []xml.DocID, streams [][]byte, mem *memgov
 			if err != nil {
 				return err
 			}
+			r := docReader{c, ids[i], 1} // a new document is version 1 (passes 2 and 3)
 			for _, m := range matches {
-				rid, err := c.lookupCur(ids[i], m.ID)
+				rid, err := r.lookup(m.ID)
 				if err != nil {
 					return err
 				}

@@ -48,31 +48,21 @@ func (c *Collection) CheckConsistency() error {
 
 func (c *Collection) checkDoc(doc xml.DocID) error {
 	// Gather the document's entries (current version).
+	r, err := c.reader(doc)
+	if err != nil {
+		return err
+	}
 	type entry struct {
 		upper nodeid.ID
 		rid   heap.RID
 	}
 	var entries []entry
-	if c.meta.Versioned {
-		ver, err := c.currentVersion(doc)
-		if err != nil {
-			return err
-		}
-		err = c.nodeIx.ScanVersion(doc, ver, func(upper nodeid.ID, rid heap.RID) bool {
-			entries = append(entries, entry{nodeid.Clone(upper), rid})
-			return true
-		})
-		if err != nil {
-			return err
-		}
-	} else {
-		err := c.nodeIx.ScanDoc(doc, func(upper nodeid.ID, rid heap.RID) bool {
-			entries = append(entries, entry{nodeid.Clone(upper), rid})
-			return true
-		})
-		if err != nil {
-			return err
-		}
+	err = r.entries(func(upper nodeid.ID, rid heap.RID) bool {
+		entries = append(entries, entry{nodeid.Clone(upper), rid})
+		return true
+	})
+	if err != nil {
+		return err
 	}
 	if len(entries) == 0 {
 		return errors.New("no NodeID entries")
@@ -80,11 +70,12 @@ func (c *Collection) checkDoc(doc xml.DocID) error {
 	// Invariant 2 + derive per-record intervals for invariant 1.
 	perRID := map[heap.RID][]string{}
 	for _, e := range entries {
-		rec, err := c.fetchRecord(e.rid)
+		rec, release, err := c.borrowRecord(e.rid)
 		if err != nil {
 			return fmt.Errorf("entry %s → %s: %w", e.upper, e.rid, err)
 		}
-		n, found, err := rec.Find(e.upper)
+		n, found, err := rec.Find(e.upper, nil)
+		release()
 		if err != nil {
 			return err
 		}
@@ -101,7 +92,7 @@ func (c *Collection) checkDoc(doc xml.DocID) error {
 		for _, m := range list {
 			switch m.Kind {
 			case xml.Proxy:
-				run, err := c.openRun(doc, parentID, m)
+				run, err := r.openRun(parentID, m)
 				if err != nil {
 					return err
 				}
@@ -120,7 +111,7 @@ func (c *Collection) checkDoc(doc xml.DocID) error {
 	}
 	runs := 0
 	for rid, got := range perRID {
-		rec, err := c.fetchRecord(rid)
+		rec, err := detached(c.borrowRecord(rid))
 		if err != nil {
 			return err
 		}
@@ -161,7 +152,7 @@ func (c *Collection) checkDoc(doc xml.DocID) error {
 	}
 	// Invariant 4: the document walks end to end.
 	h := &nodeCountHandler{}
-	if err := c.WalkDoc(doc, h); err != nil {
+	if err := r.walkDoc(h, nil); err != nil {
 		return fmt.Errorf("walk: %w", err)
 	}
 	if h.nodes == 0 {

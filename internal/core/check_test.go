@@ -37,7 +37,7 @@ func TestConsistencyAfterChurn(t *testing.T) {
 
 	// Updates on several docs.
 	for _, id := range ids[:4] {
-		res, _, _ := col.Query(`//item[sku = 'S005']/qty/text()`)
+		res, _, _ := col.QueryOpts(`//item[sku = 'S005']/qty/text()`, QueryOptions{})
 		for _, r := range res {
 			if r.Doc == id {
 				if err := col.UpdateText(id, r.Node, []byte("99")); err != nil {
@@ -48,7 +48,7 @@ func TestConsistencyAfterChurn(t *testing.T) {
 	}
 	// Subtree deletions.
 	for _, id := range ids[4:6] {
-		res, _, _ := col.Query(`//item[sku = 'S010']`)
+		res, _, _ := col.QueryOpts(`//item[sku = 'S010']`, QueryOptions{})
 		for _, r := range res {
 			if r.Doc == id {
 				if err := col.DeleteSubtree(id, r.Node); err != nil {
@@ -59,7 +59,7 @@ func TestConsistencyAfterChurn(t *testing.T) {
 	}
 	// Fragment insertions.
 	for _, id := range ids[6:8] {
-		root, _, _ := col.Query("/order/items")
+		root, _, _ := col.QueryOpts("/order/items", QueryOptions{})
 		for _, r := range root {
 			if r.Doc == id {
 				if _, err := col.InsertFragment(id, r.Node, AsLastChild,
@@ -94,9 +94,9 @@ func TestConsistencyVersioned(t *testing.T) {
 	sb.WriteString("</r>")
 	id, _ := col.Insert([]byte(sb.String()))
 	for round := 0; round < 4; round++ {
-		res, _, _ := col.Query(`//e[v = 25]/v/text()`)
+		res, _, _ := col.QueryOpts(`//e[v = 25]/v/text()`, QueryOptions{})
 		if len(res) == 0 {
-			res, _, _ = col.Query(`//e[v = 2525]/v/text()`)
+			res, _, _ = col.QueryOpts(`//e[v = 2525]/v/text()`, QueryOptions{})
 		}
 		if err := col.UpdateText(id, res[0].Node, []byte("2525")); err != nil {
 			t.Fatal(err)

@@ -238,37 +238,13 @@ func (c *Collection) DocIDs() ([]xml.DocID, error) {
 	return out, err
 }
 
-// fetchRecord loads and decodes the packed record at rid.
-func (c *Collection) fetchRecord(rid heap.RID) (*pack.Record, error) {
-	row, err := c.xmlTbl.Fetch(rid)
-	if err != nil {
-		return nil, err
-	}
-	_, _, payload, err := splitXMLRow(row)
-	if err != nil {
-		return nil, err
-	}
-	return pack.Decode(payload)
-}
-
-// fetcher returns a pack.Fetch resolving proxies through the NodeID index
-// (§3.4).
-func (c *Collection) fetcher(doc xml.DocID) pack.Fetch {
-	return func(first nodeid.ID) (*pack.Record, error) {
-		rid, err := c.lookupCur(doc, first)
-		if err != nil {
-			return nil, err
-		}
-		return c.fetchRecord(rid)
-	}
-}
-
-// fetchRecordBorrowed loads the packed record at rid without copying it out
-// of the buffer pool: the returned record's body aliases the pinned,
-// read-latched heap frame until release is called. Callers must follow the
-// single-borrow rule (heap.FetchBorrowed): never hold two borrows on one
-// goroutine, and never touch the B+trees while a borrow is outstanding.
-func (c *Collection) fetchRecordBorrowed(rid heap.RID) (*pack.Record, func(), error) {
+// borrowRecord loads the packed record at rid without copying it out of the
+// buffer pool: the returned record's body aliases the pinned, read-latched
+// heap frame until release is called. Callers must follow the single-borrow
+// rule (heap.FetchBorrowed): never hold two borrows on one goroutine, and
+// never touch the B+trees while a borrow is outstanding. Every stored-record
+// read in the engine comes through here.
+func (c *Collection) borrowRecord(rid heap.RID) (*pack.Record, func(), error) {
 	row, release, err := c.xmlTbl.FetchBorrowed(rid)
 	if err != nil {
 		return nil, nil, err
@@ -286,35 +262,136 @@ func (c *Collection) fetchRecordBorrowed(rid heap.RID) (*pack.Record, func(), er
 	return rec, release, nil
 }
 
-// borrowFetcher is fetcher over the zero-copy path. The pack walker
-// guarantees it is only called with no borrow outstanding, so the index
-// lookup inside never nests under a heap-page latch.
-func (c *Collection) borrowFetcher(doc xml.DocID) pack.FetchBorrow {
-	return func(first nodeid.ID) (*pack.Record, func(), error) {
-		rid, err := c.lookupCur(doc, first)
-		if err != nil {
-			return nil, nil, err
+// detached turns a borrow into an owned record — the bytes copied once, the
+// frame released — for callers that keep the record across index access or
+// other borrows (the edit planner, the consistency check).
+func detached(rec *pack.Record, release func(), err error) (*pack.Record, error) {
+	if err != nil {
+		return nil, err
+	}
+	rec.Detach()
+	release()
+	return rec, nil
+}
+
+// docReader is the one stored-document access path (§3.4): whole-document
+// walks, node lookups, query evaluation, the edit planner, the consistency
+// check and salvage all resolve "the record that holds (doc, version, node)"
+// here. The version is fixed when the reader is made — the document's current
+// one (Collection.reader) or a caller's snapshot — so one read sees one
+// version however many records it crosses and whatever commits meanwhile
+// (§5.1: "reader's deferred access is guaranteed to be successful"). On a
+// plain collection ver is unused.
+type docReader struct {
+	c   *Collection
+	doc xml.DocID
+	ver uint64
+}
+
+// reader pins the document's current version.
+func (c *Collection) reader(doc xml.DocID) (docReader, error) {
+	ver, err := c.currentVersion(doc)
+	return docReader{c, doc, ver}, err
+}
+
+// lookup resolves a node to the RID of the record holding it at the reader's
+// version (§3.4) — the one place a read chooses between the plain and the
+// versioned key layout.
+func (r docReader) lookup(id nodeid.ID) (heap.RID, error) {
+	if !r.c.meta.Versioned {
+		return r.c.nodeIx.Lookup(r.doc, id)
+	}
+	return r.c.nodeIx.LookupV(r.doc, r.ver, id)
+}
+
+// entries visits the NodeID-index entries of the reader's version in node-ID
+// order.
+func (r docReader) entries(fn func(upper nodeid.ID, rid heap.RID) bool) error {
+	if !r.c.meta.Versioned {
+		return r.c.nodeIx.ScanDoc(r.doc, fn)
+	}
+	return r.c.nodeIx.ScanVersion(r.doc, r.ver, fn)
+}
+
+// borrow resolves a node to its record, borrowed (borrowRecord). As a method
+// value it is the walker's proxy resolver: the walker calls it only with no
+// borrow outstanding, so the index lookup never nests under a heap-page
+// latch.
+func (r docReader) borrow(id nodeid.ID) (*pack.Record, func(), error) {
+	rid, err := r.lookup(id)
+	if err != nil {
+		what := fmt.Sprintf("doc %d node %s", r.doc, id)
+		if len(id) == 0 {
+			what = fmt.Sprintf("document %d", r.doc)
 		}
-		return c.fetchRecordBorrowed(rid)
+		return nil, nil, lookupErr(err, what)
 	}
+	return r.c.borrowRecord(rid)
 }
 
-// rootRecord loads the record containing the document root.
-func (c *Collection) rootRecord(doc xml.DocID) (*pack.Record, error) {
-	rid, err := c.lookupCur(doc, nodeid.Root)
+// find locates a node through the NodeID index (§3.4: "when a (docid, nodeid)
+// is given from an XPath value index, to find the record containing the
+// corresponding node, use this pair as the key on the node ID index"). The
+// record and the node's Value alias a pinned heap frame until release is
+// called. The index maps every node to the record that physically contains
+// it, so the in-record descent never crosses into another record. ancestors,
+// when non-nil, receives the names of the node's element ancestors, root
+// first: the record header's context path, then the descent (pack.Find).
+func (r docReader) find(id nodeid.ID, ancestors *[]xml.QName) (*pack.Record, func(), pack.Node, error) {
+	rec, release, err := r.borrow(id)
 	if err != nil {
-		return nil, lookupErr(err, fmt.Sprintf("document %d", doc))
+		return nil, nil, pack.Node{}, err
 	}
-	return c.fetchRecord(rid)
+	if ancestors != nil {
+		*ancestors = append(*ancestors, rec.Path...)
+	}
+	n, found, err := rec.Find(id, ancestors)
+	if err == nil && !found {
+		err = fmt.Errorf("%w: doc %d node %s", ErrNotFound, r.doc, id)
+	}
+	if err != nil {
+		release()
+		return nil, nil, pack.Node{}, err
+	}
+	return rec, release, n, nil
 }
 
-// rootRecordBorrowed is rootRecord over the zero-copy path.
-func (c *Collection) rootRecordBorrowed(doc xml.DocID) (*pack.Record, func(), error) {
-	rid, err := c.lookupCur(doc, nodeid.Root)
+// walk is the one whole-document driver: v sees the reader's version from the
+// root record down, zero-copy — values aliased into pinned buffer-pool frames,
+// IDs into the walker's stack, at most one pin at a time and none once walk
+// returns. With lost non-nil it is the salvage traversal (pack.WalkPartial).
+func (r docReader) walk(v pack.Visitor, lost *int) error {
+	root, release, err := r.borrow(nodeid.Root)
 	if err != nil {
-		return nil, nil, lookupErr(err, fmt.Sprintf("document %d", doc))
+		return err
 	}
-	return c.fetchRecordBorrowed(rid)
+	if lost != nil {
+		*lost, err = pack.WalkPartial(root, release, r.borrow, v)
+		return err
+	}
+	return pack.Walk(root, release, r.borrow, v)
+}
+
+// walkDoc drives a vsax.Handler with the document's events — the
+// persistent-data iterator of Figure 8. Handlers that keep values or IDs
+// beyond the event callback must copy (vsax contract).
+func (r docReader) walkDoc(h vsax.Handler, lost *int) error {
+	if err := h.StartDocument(); err != nil {
+		return err
+	}
+	if err := r.walk(visitorFor(h), lost); err != nil {
+		return err
+	}
+	return h.EndDocument()
+}
+
+// serialize writes the document as XML text.
+func (r docReader) serialize(w io.Writer) error {
+	s := serialize.New(w, r.c.db.cat)
+	if err := r.walkDoc(s, nil); err != nil {
+		return err
+	}
+	return s.Err()
 }
 
 // handlerVisitor adapts the pack walker to vsax events. The node, its ID and
@@ -365,35 +442,23 @@ func visitorFor(h vsax.Handler) pack.Visitor {
 	return handlerVisitor{h}
 }
 
-// WalkDoc drives a vsax.Handler with the stored document's events — the
-// persistent-data iterator of Figure 8.
+// WalkDoc drives a vsax.Handler with the stored document's events, at its
+// current version.
 func (c *Collection) WalkDoc(doc xml.DocID, h vsax.Handler) error {
-	// Zero-copy: the handler sees values aliased into pinned buffer-pool
-	// frames and IDs aliased into the walker's ID stack; the walker holds at
-	// most one pin at a time and releases it before the handler returns
-	// control to the caller. Handlers that keep values or IDs beyond the
-	// event callback must copy (vsax contract).
-	root, release, err := c.rootRecordBorrowed(doc)
+	r, err := c.reader(doc)
 	if err != nil {
 		return err
 	}
-	if err := h.StartDocument(); err != nil {
-		release()
-		return err
-	}
-	if err := pack.WalkBorrowed(root, release, c.borrowFetcher(doc), visitorFor(h)); err != nil {
-		return err
-	}
-	return h.EndDocument()
+	return r.walkDoc(h, nil)
 }
 
 // Serialize writes the stored document as XML text.
 func (c *Collection) Serialize(doc xml.DocID, w io.Writer) error {
-	s := serialize.New(w, c.db.cat)
-	if err := c.WalkDoc(doc, s); err != nil {
+	r, err := c.reader(doc)
+	if err != nil {
 		return err
 	}
-	return s.Err()
+	return r.serialize(w)
 }
 
 // Delete removes a document and all of its index entries.
@@ -591,13 +656,17 @@ func (v evalVisitor) SkipContent() bool { return v.e.CanSkip() }
 // its records in document order (the base scan-based access of §4.2),
 // stepping over every subtree the query cannot match in.
 func (c *Collection) evalStored(doc xml.DocID, e *quickxscan.Eval) ([]quickxscan.Match, error) {
-	root, release, err := c.rootRecordBorrowed(doc)
+	r, err := c.reader(doc)
 	if err != nil {
 		return nil, err
 	}
+	return r.eval(e)
+}
+
+func (r docReader) eval(e *quickxscan.Eval) ([]quickxscan.Match, error) {
 	e.Reset()
 	e.StartDocument()
-	if err := pack.WalkBorrowed(root, release, c.borrowFetcher(doc), evalVisitor{e}); err != nil {
+	if err := r.walk(evalVisitor{e}, nil); err != nil {
 		return nil, err
 	}
 	return e.EndDocument()

@@ -232,16 +232,6 @@ func (c *Collection) persistStats() {
 	_ = c.db.cat.UpdateCollectionStats(c.meta, snap)
 }
 
-// PersistStats forces the snapshot into the catalog row, surfacing errors
-// (DB.Close and RefreshStats use it; tests too).
-func (c *Collection) PersistStats() error {
-	c.statsMu.Lock()
-	snap := c.live.Clone()
-	c.statsDirty = 0
-	c.statsMu.Unlock()
-	return c.db.cat.UpdateCollectionStats(c.meta, snap)
-}
-
 // pathCountHandler counts elements per path from stored-document walks
 // (vsax events) during RefreshStats.
 type pathCountHandler struct {

@@ -160,7 +160,7 @@ func TestPlanFlipAfterRefresh(t *testing.T) {
 	if err := col.RefreshStats(nil); err != nil {
 		t.Fatal(err)
 	}
-	_, p, err := col.Query(`/r[v >= 300]`)
+	_, p, err := col.QueryOpts(`/r[v >= 300]`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestPlanFlipAfterRefresh(t *testing.T) {
 	if _, err := col.InsertBatch(batch, BatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	_, p, err = col.Query(`/r[v >= 300]`)
+	_, p, err = col.QueryOpts(`/r[v >= 300]`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestPlanFlipAfterRefresh(t *testing.T) {
 	if col.StatsEpoch() == epoch {
 		t.Fatal("refresh must bump the stats epoch")
 	}
-	res, p, err := col.Query(`/r[v >= 300]`)
+	res, p, err := col.QueryOpts(`/r[v >= 300]`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,13 +248,21 @@ func TestForceMethodValidation(t *testing.T) {
 func differentialCorpus(t *testing.T, rng *rand.Rand, col *Collection) []xml.DocID {
 	t.Helper()
 	var ids []xml.DocID
-	add := func(doc string) {
+	for _, doc := range differentialDocs(rng) {
 		id, err := col.Insert([]byte(doc))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
 	}
+	return ids
+}
+
+// differentialDocs generates the corpus' documents (FuzzStoredRead draws its
+// seeds from them).
+func differentialDocs(rng *rand.Rand) []string {
+	var docs []string
+	add := func(doc string) { docs = append(docs, doc) }
 	for i := 0; i < 60; i++ {
 		items := 1 + rng.Intn(6)
 		doc := `<order><hdr><cust>` + fmt.Sprintf("C%02d", rng.Intn(8)) + `</cust>` +
@@ -303,7 +311,7 @@ func differentialCorpus(t *testing.T, rng *rand.Rand, col *Collection) []xml.Doc
 		doc += `</entries><tail>done</tail></arch>`
 		add(doc)
 	}
-	return ids
+	return docs
 }
 
 // TestPlannerDifferential is the planner oracle test: on randomized data and
@@ -345,7 +353,7 @@ func TestPlannerDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: scan oracle: %v", q, err)
 		}
-		chosen, _, err := col.Query(q)
+		chosen, _, err := col.QueryOpts(q, QueryOptions{})
 		if err != nil {
 			t.Fatalf("%s: costed plan: %v", q, err)
 		}
@@ -394,7 +402,7 @@ func TestDeterministicProbeOrder(t *testing.T) {
 	}
 	var first *Plan
 	for i := 0; i < 5; i++ {
-		_, p, err := col.Query(`/r[a = 1 and b = 7]`)
+		_, p, err := col.QueryOpts(`/r[a = 1 and b = 7]`, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -505,7 +513,7 @@ func TestRefreshStatsFitsCatalogRow(t *testing.T) {
 			t.Fatalf("reopened %s stats = %+v, want a histogram over %d distinct entries", name, is, n)
 		}
 	}
-	res, p, err := col2.Query(`/order[total = 1234]`)
+	res, p, err := col2.QueryOpts(`/order[total = 1234]`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"rx/internal/heap"
 	"rx/internal/pagestore"
+	"rx/internal/valueindex"
 	"rx/internal/xml"
 )
 
@@ -90,7 +92,7 @@ func TestQueryScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	results, plan, err := col.Query("/Catalog/Categories/Product[RegPrice > 100]")
+	results, plan, err := col.QueryOpts("/Catalog/Categories/Product[RegPrice > 100]", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +122,13 @@ func TestTable2AccessMethods(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	scanRes, _, err := col.Query("/Catalog/Categories/Product[RegPrice > 100]")
+	scanRes, _, err := col.QueryOpts("/Catalog/Categories/Product[RegPrice > 100]", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Case 1: exact match → NodeID list, no re-evaluation.
-	res1, plan1, err := col.Query("/Catalog/Categories/Product[RegPrice > 100]")
+	res1, plan1, err := col.QueryOpts("/Catalog/Categories/Product[RegPrice > 100]", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestTable2AccessMethods(t *testing.T) {
 	}
 
 	// Case 2: containment → filtering (DocID list + re-evaluation).
-	res2, plan2, err := col.Query("/Catalog/Categories/Product[Discount > 0.1]")
+	res2, plan2, err := col.QueryOpts("/Catalog/Categories/Product[Discount > 0.1]", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +168,7 @@ func TestTable2AccessMethods(t *testing.T) {
 	// Case 3: ANDing across both indexes. Both predicates are selective, so
 	// the costed planner keeps both probes (an unselective predicate would be
 	// pruned from the intersection — see TestPlannerCostChoices).
-	res3, plan3, err := col.Query("/Catalog/Categories/Product[RegPrice > 250 and Discount > 0.1]")
+	res3, plan3, err := col.QueryOpts("/Catalog/Categories/Product[RegPrice > 250 and Discount > 0.1]", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,13 +179,13 @@ func TestTable2AccessMethods(t *testing.T) {
 		t.Errorf("case 3 should use both indexes: %v", plan3.Indexes)
 	}
 	// Verify against scan.
-	sc3, _, _ := col.Query("//Product[RegPrice > 250 and Discount > 0.1]")
+	sc3, _, _ := col.QueryOpts("//Product[RegPrice > 250 and Discount > 0.1]", QueryOptions{})
 	if len(res3) != len(sc3) {
 		t.Errorf("case 3: %d results vs scan %d", len(res3), len(sc3))
 	}
 
 	// ORing.
-	res4, plan4, err := col.Query("/Catalog/Categories/Product[RegPrice > 250 or Discount > 0.1]")
+	res4, plan4, err := col.QueryOpts("/Catalog/Categories/Product[RegPrice > 250 or Discount > 0.1]", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +194,7 @@ func TestTable2AccessMethods(t *testing.T) {
 	}
 	plainScan := func(expr string) int {
 		// evaluate with a collection scan by disabling index match via //
-		results, plan, err := col.Query(expr)
+		results, plan, err := col.QueryOpts(expr, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +202,7 @@ func TestTable2AccessMethods(t *testing.T) {
 		return len(results)
 	}
 	_ = plainScan
-	sc4, _, _ := col.Query("//Product[RegPrice > 250 or Discount > 0.1]")
+	sc4, _, _ := col.QueryOpts("//Product[RegPrice > 250 or Discount > 0.1]", QueryOptions{})
 	if len(res4) != len(sc4) {
 		t.Errorf("case 4: %d results vs scan %d", len(res4), len(sc4))
 	}
@@ -209,7 +211,7 @@ func TestTable2AccessMethods(t *testing.T) {
 	if err := col.CreateValueIndex("ix_discount_exact", "/Catalog/Categories/Product/Discount", xml.TDouble); err != nil {
 		t.Fatal(err)
 	}
-	res5, plan5, err := col.Query("/Catalog/Categories/Product[RegPrice > 250 and Discount > 0.1]")
+	res5, plan5, err := col.QueryOpts("/Catalog/Categories/Product[RegPrice > 250 and Discount > 0.1]", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +241,7 @@ func TestNodeStringAndSerializeNode(t *testing.T) {
 	col, _ := db.CreateCollection("c", CollectionOptions{})
 	doc := `<r xmlns:p="urn:x"><item id="7">hello <b>nested</b></item></r>`
 	id, _ := col.Insert([]byte(doc))
-	res, _, err := col.Query("/r/item")
+	res, _, err := col.QueryOpts("/r/item", QueryOptions{})
 	if err != nil || len(res) != 1 {
 		t.Fatalf("res=%v err=%v", res, err)
 	}
@@ -286,7 +288,7 @@ func TestDelete(t *testing.T) {
 		t.Errorf("Count = %d", n)
 	}
 	// The deleted doc's index entries are gone: query must not return it.
-	res, plan, err := col.Query("/r[price >= 0]")
+	res, plan, err := col.QueryOpts("/r[price >= 0]", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +321,7 @@ func TestIndexBackfill(t *testing.T) {
 	if cnt != 5 {
 		t.Errorf("backfilled entries = %d", cnt)
 	}
-	res, plan, err := col.Query("/r[v >= 3]")
+	res, plan, err := col.QueryOpts("/r[v >= 3]", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +361,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if buf.String() != `<r><price>42</price></r>` {
 		t.Errorf("reopened doc = %s", buf.String())
 	}
-	res, plan, err := col2.Query("/r[price = 42]")
+	res, plan, err := col2.QueryOpts("/r[price = 42]", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,11 +450,58 @@ func TestManyDocuments(t *testing.T) {
 	if n != N {
 		t.Fatalf("Count = %d", n)
 	}
-	res, plan, err := col.Query(fmt.Sprintf("/d[n >= %d]", N-25))
+	res, plan, err := col.QueryOpts(fmt.Sprintf("/d[n >= %d]", N-25), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 25 {
 		t.Errorf("got %d results (plan %s)", len(res), plan.Method)
 	}
+}
+
+// TestCreateValueIndexBackfillRIDs: every entry CreateValueIndex backfills
+// carries the RID of the record that holds its node at the document's current
+// version — the same RID ingest and edits would have stored. (On a versioned
+// collection a plain-layout NodeID lookup lands on the newest version's first
+// entry, the root record.)
+func TestCreateValueIndexBackfillRIDs(t *testing.T) {
+	bothModes(t, CollectionOptions{PackThreshold: 400}, func(t *testing.T, col *Collection) {
+		var sb strings.Builder
+		sb.WriteString("<r>")
+		for i := 0; i < 60; i++ {
+			fmt.Fprintf(&sb, "<item><sku>S%03d</sku><note>%040d</note></item>", i, i)
+		}
+		sb.WriteString("</r>")
+		doc, err := col.Insert([]byte(sb.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := col.CreateValueIndex("by_sku", "/r/item/sku", xml.TString); err != nil {
+			t.Fatal(err)
+		}
+		r, err := col.reader(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, rids := 0, map[heap.RID]bool{}
+		err = col.ValueIndex("by_sku").Scan(valueindex.Range{}, func(e valueindex.Entry) bool {
+			entries++
+			rids[e.RID] = true
+			want, err := r.lookup(e.Node)
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			if e.RID != want {
+				t.Errorf("entry for node %s carries RID %s, its record is %s", e.Node, e.RID, want)
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if entries != 60 || len(rids) < 2 {
+			t.Fatalf("%d entries over %d records: the document must span records", entries, len(rids))
+		}
+	})
 }

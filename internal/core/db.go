@@ -139,16 +139,11 @@ func (db *DB) Flush() error { return db.pool.FlushAll() }
 // this is a full scrub: any page damaged by a torn write or bit rot is
 // reported as an ErrPageChecksum rather than waiting to be tripped over.
 func (db *DB) VerifyPages() error {
-	if err := db.pool.FlushAll(); err != nil {
+	n, errs, err := db.ScanPages(nil)
+	if err != nil || len(errs) == 0 {
 		return err
 	}
-	buf := make([]byte, pagestore.PageSize)
-	for id := pagestore.PageID(0); id < db.store.NumPages(); id++ {
-		if err := db.store.ReadPage(id, buf); err != nil {
-			return fmt.Errorf("core: verify page %d of %d: %w", id, db.store.NumPages(), err)
-		}
-	}
-	return nil
+	return fmt.Errorf("core: verify page %d of %d: %w", errs[0].Page, n, errs[0].Err)
 }
 
 // RegisterCloser adds fn to the set run at the start of Close, in reverse

@@ -109,13 +109,13 @@ type openRec struct {
 	tops []*pack.MutNode
 }
 
-// openRec decodes the record holding node id at the current version.
-func (c *Collection) openRec(doc xml.DocID, id nodeid.ID) (*openRec, error) {
-	rid, err := c.lookupCur(doc, id)
+// openRec decodes the record holding node id at the reader's version.
+func (r docReader) openRec(id nodeid.ID) (*openRec, error) {
+	rid, err := r.lookup(id)
 	if err != nil {
-		return nil, lookupErr(err, fmt.Sprintf("doc %d node %s", doc, id))
+		return nil, lookupErr(err, fmt.Sprintf("doc %d node %s", r.doc, id))
 	}
-	rec, err := c.fetchRecord(rid)
+	rec, err := detached(r.c.borrowRecord(rid))
 	if err != nil {
 		return nil, err
 	}
@@ -127,16 +127,16 @@ func (c *Collection) openRec(doc xml.DocID, id nodeid.ID) (*openRec, error) {
 }
 
 // openRun decodes the run record a proxy entry under parentID stands for.
-func (c *Collection) openRun(doc xml.DocID, parentID nodeid.ID, proxy *pack.MutNode) (*openRec, error) {
+func (r docReader) openRun(parentID nodeid.ID, proxy *pack.MutNode) (*openRec, error) {
 	first := nodeid.Append(parentID, proxy.Rel)
-	r, err := c.openRec(doc, first)
+	run, err := r.openRec(first)
 	if err != nil {
 		return nil, err
 	}
-	if !nodeid.Equal(r.rec.ContextID, parentID) || len(r.tops) == 0 || !bytes.Equal(r.tops[0].Rel, proxy.Rel) {
-		return nil, fmt.Errorf("%w: doc %d: proxy %s does not resolve to its run", pack.ErrCorrupt, doc, first)
+	if !nodeid.Equal(run.rec.ContextID, parentID) || len(run.tops) == 0 || !bytes.Equal(run.tops[0].Rel, proxy.Rel) {
+		return nil, fmt.Errorf("%w: doc %d: proxy %s does not resolve to its run", pack.ErrCorrupt, r.doc, first)
 	}
-	return r, nil
+	return run, nil
 }
 
 // children returns the child entries of element id (or of the document node)
@@ -159,6 +159,7 @@ func (r *openRec) children(id nodeid.ID) (*[]*pack.MutNode, error) {
 // is derived from, decoded once.
 type editPlan struct {
 	req      editReq
+	r        docReader // the document at the version the edit starts from
 	parentID nodeid.ID // parent of the entries in list (editInsert, editDelete)
 	// tgt is the record the edit rewrites; list the sibling list in it that
 	// holds the target or receives the new subtree; idx the target's (or the
@@ -179,10 +180,10 @@ type editPlan struct {
 // locate resolves the record and sibling list holding node id. With
 // structural set (the edit adds or removes an entry of that list) a run
 // record's covering proxy is resolved too.
-func (c *Collection) locate(p *editPlan, id nodeid.ID, structural bool) error {
+func (p *editPlan) locate(id nodeid.ID, structural bool) error {
 	doc := p.req.doc
 	var err error
-	if p.tgt, err = c.openRec(doc, id); err != nil {
+	if p.tgt, err = p.r.openRec(id); err != nil {
 		return err
 	}
 	ctx := p.tgt.rec.ContextID
@@ -199,7 +200,7 @@ func (c *Collection) locate(p *editPlan, id nodeid.ID, structural bool) error {
 	if !structural || len(ctx) == 0 {
 		return nil // the root record has no proxy
 	}
-	if p.holder, err = c.openRec(doc, ctx); err != nil {
+	if p.holder, err = p.r.openRec(ctx); err != nil {
 		return err
 	}
 	if p.plist, err = p.holder.children(ctx); err != nil {
@@ -242,11 +243,14 @@ func (p *editPlan) prevEntry() *pack.MutNode {
 
 // planEdit is the pipeline's read-only stage. Caller holds writeMu.
 func (c *Collection) planEdit(req editReq) (*editPlan, error) {
-	p := &editPlan{req: req}
-	var err error
+	r, err := c.reader(req.doc)
+	if err != nil {
+		return nil, err
+	}
+	p := &editPlan{req: req, r: r}
 	switch req.kind {
 	case editUpdateText:
-		if err = c.locate(p, req.id, false); err != nil {
+		if err = p.locate(req.id, false); err != nil {
 			return nil, err
 		}
 		if k := (*p.list)[p.idx].Kind; k != xml.Text && k != xml.Attribute {
@@ -259,9 +263,9 @@ func (c *Collection) planEdit(req editReq) (*editPlan, error) {
 		if p.parentID, err = nodeid.Parent(req.id); err != nil {
 			return nil, err
 		}
-		err = c.locate(p, req.id, true)
+		err = p.locate(req.id, true)
 	case editInsert:
-		err = c.planInsert(p)
+		err = p.planInsert()
 	}
 	if err != nil {
 		return nil, err
@@ -271,14 +275,14 @@ func (c *Collection) planEdit(req editReq) (*editPlan, error) {
 
 // planInsert sites a new subtree at (anchor, pos): the list it joins and a
 // relative ID strictly between its neighbours', wherever those are stored.
-func (c *Collection) planInsert(p *editPlan) error {
-	doc, anchor := p.req.doc, p.req.id
+func (p *editPlan) planInsert() error {
+	anchor := p.req.id
 	var lo, hi nodeid.Rel
 	var err error
 	switch p.req.pos {
 	case AsLastChild:
 		p.parentID = anchor
-		if p.tgt, err = c.openRec(doc, anchor); err != nil {
+		if p.tgt, err = p.r.openRec(anchor); err != nil {
 			return err
 		}
 		if p.list, err = p.tgt.children(anchor); err != nil {
@@ -289,7 +293,7 @@ func (c *Collection) planInsert(p *editPlan) error {
 			if last.Kind == xml.Proxy {
 				// The last children live in a run record: append to it.
 				p.holder, p.plist, p.pidx = p.tgt, p.list, n-1
-				if p.tgt, err = c.openRun(doc, anchor, last); err != nil {
+				if p.tgt, err = p.r.openRun(anchor, last); err != nil {
 					return err
 				}
 				p.list = &p.tgt.tops
@@ -304,7 +308,7 @@ func (c *Collection) planInsert(p *editPlan) error {
 		if len(p.parentID) == 0 {
 			return errors.New("core: cannot insert siblings of the document root")
 		}
-		if err = c.locate(p, anchor, true); err != nil {
+		if err = p.locate(anchor, true); err != nil {
 			return err
 		}
 		lo, hi = (*p.list)[p.idx].Rel, p.nextRel()
@@ -312,7 +316,7 @@ func (c *Collection) planInsert(p *editPlan) error {
 			hi, lo = lo, nil
 			if prev := p.prevEntry(); prev != nil {
 				if prev.Kind == xml.Proxy {
-					run, err := c.openRun(doc, p.parentID, prev)
+					run, err := p.r.openRun(p.parentID, prev)
 					if err != nil {
 						return err
 					}
@@ -387,7 +391,7 @@ func (c *Collection) undoRecord(p *editPlan) (logicalOp, error) {
 		if op.Stream != nil {
 			break
 		}
-		if op.Data, err = c.subtreeStream(p.req.doc, p.tgt.rec, p.req.id); err != nil {
+		if op.Data, err = p.r.subtreeStream(p.tgt.rec, p.req.id); err != nil {
 			return op, err
 		}
 		op.Anchor, op.Pos = p.parentID.String(), AsLastChild
@@ -401,16 +405,16 @@ func (c *Collection) undoRecord(p *editPlan) (logicalOp, error) {
 // subtreeStream re-encodes the stored subtree at id, which rec holds, as a
 // token stream. Unlike XML text it represents any node kind, a lone text or
 // attribute node included.
-func (c *Collection) subtreeStream(doc xml.DocID, rec *pack.Record, id nodeid.ID) ([]byte, error) {
-	n, found, err := rec.Find(id)
+func (r docReader) subtreeStream(rec *pack.Record, id nodeid.ID) ([]byte, error) {
+	n, found, err := rec.Find(id, nil)
 	if err != nil {
 		return nil, err
 	}
 	if !found {
-		return nil, fmt.Errorf("%w: doc %d node %s", ErrNotFound, doc, id)
+		return nil, fmt.Errorf("%w: doc %d node %s", ErrNotFound, r.doc, id)
 	}
 	w := tokens.NewWriter(256)
-	if err := pack.WalkSubtreeBorrowed(rec, nil, &n, c.borrowFetcher(doc), visitorFor(&vsax.TokenSink{W: w})); err != nil {
+	if err := pack.WalkSubtree(rec, nil, &n, r.borrow, visitorFor(&vsax.TokenSink{W: w})); err != nil {
 		return nil, err
 	}
 	return w.Bytes(), nil
@@ -420,12 +424,8 @@ func (c *Collection) subtreeStream(doc xml.DocID, rec *pack.Record, id nodeid.ID
 // decoded trees, written through the sink, inside the one value-index
 // maintenance bracket.
 func (c *Collection) applyEdit(p *editPlan) error {
-	doc := p.req.doc
-	sink, err := c.newSink(doc)
-	if err != nil {
-		return err
-	}
-	before, err := c.captureValueKeys(doc)
+	sink := c.newSink(p.r)
+	before, err := c.captureValueKeys(p.r)
 	if err != nil {
 		return err
 	}
@@ -464,7 +464,7 @@ func (c *Collection) applyEdit(p *editPlan) error {
 	if err := sink.commit(); err != nil {
 		return err
 	}
-	return c.reconcileValueKeys(doc, before)
+	return c.reconcileValueKeys(p.req.doc, before)
 }
 
 // insertOrdered places sub in list, keeping sibling order by relative ID.
@@ -496,11 +496,11 @@ type recordSink interface {
 	commit() error
 }
 
-func (c *Collection) newSink(doc xml.DocID) (recordSink, error) {
+func (c *Collection) newSink(r docReader) recordSink {
 	if c.meta.Versioned {
-		return c.beginVerEdit(doc)
+		return &verEdit{c: c, doc: r.doc, cur: r.ver, gone: map[heap.RID]bool{}}
 	}
-	return plainSink{c, doc}, nil
+	return plainSink{c, r.doc}
 }
 
 // plainSink edits records in place.
@@ -615,10 +615,10 @@ type valueKeySnapshot struct {
 
 // captureValueKeys records every value index's keys for the document before
 // an update.
-func (c *Collection) captureValueKeys(doc xml.DocID) ([]valueKeySnapshot, error) {
+func (c *Collection) captureValueKeys(r docReader) ([]valueKeySnapshot, error) {
 	var out []valueKeySnapshot
 	for _, ov := range c.valIxs {
-		ms, err := c.evalStored(doc, ov.keygen)
+		ms, err := r.eval(ov.keygen)
 		if err != nil {
 			return nil, err
 		}
@@ -630,8 +630,15 @@ func (c *Collection) captureValueKeys(doc xml.DocID) ([]valueKeySnapshot, error)
 // reconcileValueKeys diffs each index's keys after an update against the
 // snapshot, applying only the changes.
 func (c *Collection) reconcileValueKeys(doc xml.DocID, before []valueKeySnapshot) error {
+	if len(before) == 0 {
+		return nil
+	}
+	r, err := c.reader(doc) // the version the edit just installed
+	if err != nil {
+		return err
+	}
 	for _, snap := range before {
-		after, err := c.evalStored(doc, snap.ov.keygen)
+		after, err := r.eval(snap.ov.keygen)
 		if err != nil {
 			return err
 		}
@@ -656,17 +663,30 @@ func (c *Collection) reconcileValueKeys(doc xml.DocID, before []valueKeySnapshot
 				return err
 			}
 		}
+		fresh := after[:0]
 		for _, m := range after {
-			if oldSet[key(m)] {
-				continue
+			if !oldSet[key(m)] {
+				fresh = append(fresh, m)
 			}
-			rid, err := c.lookupCur(doc, m.ID)
-			if err != nil {
-				return err
-			}
-			if err := snap.ov.ix.Put(m.Value, doc, m.ID, rid); err != nil && !errors.Is(err, valueindex.ErrNotIndexable) {
-				return err
-			}
+		}
+		if err := r.putValueKeys(snap.ov.ix, fresh); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// putValueKeys is the one value-key put loop: each key — derived from the
+// reader's document for ix — goes in under the RID of the record that holds
+// its node at the reader's version.
+func (r docReader) putValueKeys(ix *valueindex.Index, keys []quickxscan.Match) error {
+	for _, m := range keys {
+		rid, err := r.lookup(m.ID)
+		if err != nil {
+			return err
+		}
+		if err := ix.Put(m.Value, r.doc, m.ID, rid); err != nil && !errors.Is(err, valueindex.ErrNotIndexable) {
+			return err
 		}
 	}
 	return nil

@@ -52,7 +52,7 @@ func TestUpdateText(t *testing.T) {
 		col.CreateValueIndex("ix", "//price", xml.TDouble)
 		id, _ := col.Insert([]byte(`<r><p a="old"><price>10</price></p></r>`))
 
-		res, _, _ := col.Query("//price/text()")
+		res, _, _ := col.QueryOpts("//price/text()", QueryOptions{})
 		if len(res) != 1 {
 			t.Fatal("text node not found")
 		}
@@ -63,17 +63,17 @@ func TestUpdateText(t *testing.T) {
 			t.Errorf("after UpdateText: %s", got)
 		}
 		// The value index reflects the change.
-		hits, plan, _ := col.Query("/r/p[price = 99]")
+		hits, plan, _ := col.QueryOpts("/r/p[price = 99]", QueryOptions{})
 		if len(hits) != 1 {
 			t.Errorf("index stale after text update (plan %s): %v", plan.Method, hits)
 		}
-		hits, _, _ = col.Query("/r/p[price = 10]")
+		hits, _, _ = col.QueryOpts("/r/p[price = 10]", QueryOptions{})
 		if len(hits) != 0 {
 			t.Errorf("old value still indexed: %v", hits)
 		}
 
 		// Attribute update.
-		ares, _, _ := col.Query("//p/@a")
+		ares, _, _ := col.QueryOpts("//p/@a", QueryOptions{})
 		if err := col.UpdateText(id, ares[0].Node, []byte("new")); err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestUpdateText(t *testing.T) {
 			t.Errorf("after attr update: %s", got)
 		}
 		// Element target is rejected, transactionally too, and logs nothing.
-		eres, _, _ := col.Query("//p")
+		eres, _, _ := col.QueryOpts("//p", QueryOptions{})
 		if err := col.UpdateText(id, eres[0].Node, []byte("x")); err == nil {
 			t.Error("UpdateText on an element should fail")
 		}
@@ -101,23 +101,23 @@ func TestDeleteSubtreeSimple(t *testing.T) {
 		col.CreateValueIndex("ix", "//v", xml.TDouble)
 		id, _ := col.Insert([]byte(`<r><a><v>1</v></a><b><v>2</v></b><c><v>3</v></c></r>`))
 
-		res, _, _ := col.Query("/r/b")
+		res, _, _ := col.QueryOpts("/r/b", QueryOptions{})
 		if err := col.DeleteSubtree(id, res[0].Node); err != nil {
 			t.Fatal(err)
 		}
 		if got := serializeStr(t, col, id); got != `<r><a><v>1</v></a><c><v>3</v></c></r>` {
 			t.Errorf("after delete: %s", got)
 		}
-		hits, _, _ := col.Query("/r/*[v = 2]")
+		hits, _, _ := col.QueryOpts("/r/*[v = 2]", QueryOptions{})
 		if len(hits) != 0 {
 			t.Errorf("deleted subtree still queryable: %v", hits)
 		}
-		hits, _, _ = col.Query("/r/*[v = 3]")
+		hits, _, _ = col.QueryOpts("/r/*[v = 3]", QueryOptions{})
 		if len(hits) != 1 {
 			t.Errorf("sibling lost: %v", hits)
 		}
 		// Root deletion is rejected on both entries.
-		root, _, _ := col.Query("/r")
+		root, _, _ := col.QueryOpts("/r", QueryOptions{})
 		if err := col.DeleteSubtree(id, root[0].Node); err == nil {
 			t.Error("root deletion should be rejected")
 		}
@@ -141,7 +141,7 @@ func TestDeleteSubtreeMultiRecord(t *testing.T) {
 		id, _ := col.Insert([]byte(sb.String()))
 
 		rows0 := col.XMLTable().Count()
-		res, _, _ := col.Query("/r/big")
+		res, _, _ := col.QueryOpts("/r/big", QueryOptions{})
 		if len(res) != 1 {
 			t.Fatal("big not found")
 		}
@@ -163,7 +163,7 @@ func TestDeleteSubtreeMultiRecord(t *testing.T) {
 			t.Errorf("child records not reclaimed: %d -> %d", rows0, rows1)
 		}
 		// Remaining structure is fully navigable.
-		hits, _, _ := col.Query("//e")
+		hits, _, _ := col.QueryOpts("//e", QueryOptions{})
 		if len(hits) != 0 {
 			t.Errorf("descendants of deleted subtree remain: %d", len(hits))
 		}
@@ -174,7 +174,7 @@ func TestInsertFragmentPositions(t *testing.T) {
 	bothModes(t, CollectionOptions{}, func(t *testing.T, col *Collection) {
 		id, _ := col.Insert([]byte(`<r><a/><c/></r>`))
 
-		cRes, _, _ := col.Query("/r/c")
+		cRes, _, _ := col.QueryOpts("/r/c", QueryOptions{})
 		if _, err := col.InsertFragment(id, cRes[0].Node, BeforeNode, []byte(`<b>mid</b>`)); err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestInsertFragmentPositions(t *testing.T) {
 			t.Errorf("BeforeNode: %s", got)
 		}
 
-		aRes, _, _ := col.Query("/r/a")
+		aRes, _, _ := col.QueryOpts("/r/a", QueryOptions{})
 		if _, err := col.InsertFragment(id, aRes[0].Node, BeforeNode, []byte(`<first/>`)); err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestInsertFragmentPositions(t *testing.T) {
 			t.Errorf("Before first: %s", got)
 		}
 
-		cRes, _, _ = col.Query("/r/c")
+		cRes, _, _ = col.QueryOpts("/r/c", QueryOptions{})
 		if _, err := col.InsertFragment(id, cRes[0].Node, AfterNode, []byte(`<last x="1"/>`)); err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestInsertFragmentPositions(t *testing.T) {
 		}
 
 		// AsLastChild under an inner element.
-		bRes, _, _ := col.Query("/r/b")
+		bRes, _, _ := col.QueryOpts("/r/b", QueryOptions{})
 		newID, err := col.InsertFragment(id, bRes[0].Node, AsLastChild, []byte(`<sub>deep</sub>`))
 		if err != nil {
 			t.Fatal(err)
@@ -214,11 +214,11 @@ func TestInsertFragmentPositions(t *testing.T) {
 
 		// Siblings of the root, children of a text node, a malformed fragment
 		// and an unknown position are rejected.
-		root, _, _ := col.Query("/r")
+		root, _, _ := col.QueryOpts("/r", QueryOptions{})
 		if _, err := col.InsertFragment(id, root[0].Node, AfterNode, []byte(`<x/>`)); err == nil {
 			t.Error("sibling of the root accepted")
 		}
-		txt, _, _ := col.Query("/r/b/text()")
+		txt, _, _ := col.QueryOpts("/r/b/text()", QueryOptions{})
 		if _, err := col.InsertFragment(id, txt[0].Node, AsLastChild, []byte(`<x/>`)); err == nil {
 			t.Error("child of a text node accepted")
 		}
@@ -236,11 +236,11 @@ func TestInsertFragmentMaintainsIndexes(t *testing.T) {
 		col.CreateValueIndex("ix", "/r/item/price", xml.TDouble)
 		id, _ := col.Insert([]byte(`<r><item><price>10</price></item></r>`))
 
-		root, _, _ := col.Query("/r")
+		root, _, _ := col.QueryOpts("/r", QueryOptions{})
 		if _, err := col.InsertFragment(id, root[0].Node, AsLastChild, []byte(`<item><price>55</price></item>`)); err != nil {
 			t.Fatal(err)
 		}
-		hits, plan, err := col.Query("/r/item[price = 55]")
+		hits, plan, err := col.QueryOpts("/r/item[price = 55]", QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestManySiblingInsertions(t *testing.T) {
 	// assignment: IDs must stay ordered and unique with no relabeling.
 	bothModes(t, CollectionOptions{}, func(t *testing.T, col *Collection) {
 		id, _ := col.Insert([]byte(`<r><a/><z/></r>`))
-		aRes, _, _ := col.Query("/r/a")
+		aRes, _, _ := col.QueryOpts("/r/a", QueryOptions{})
 		anchor := aRes[0].Node
 		for i := 0; i < 40; i++ {
 			if _, err := col.InsertFragment(id, anchor, AfterNode, []byte(fmt.Sprintf("<m i=\"%d\"/>", i))); err != nil {
@@ -274,7 +274,7 @@ func TestManySiblingInsertions(t *testing.T) {
 				t.Fatalf("sibling order wrong around %d: %s", i, got)
 			}
 		}
-		res, _, _ := col.Query("//m")
+		res, _, _ := col.QueryOpts("//m", QueryOptions{})
 		if len(res) != 40 {
 			t.Errorf("got %d m elements", len(res))
 		}
@@ -292,7 +292,7 @@ func TestUpdateOnMultiRecordDocument(t *testing.T) {
 		id, _ := col.Insert([]byte(sb.String()))
 
 		// Update a text deep in some middle record.
-		res, _, _ := col.Query(`//e[@k = '40']/text()`)
+		res, _, _ := col.QueryOpts(`//e[@k = '40']/text()`, QueryOptions{})
 		if len(res) != 1 {
 			t.Fatalf("text not found: %v", res)
 		}
@@ -304,7 +304,7 @@ func TestUpdateOnMultiRecordDocument(t *testing.T) {
 			t.Error("update lost")
 		}
 		// Insert a sibling in the middle.
-		eRes, _, _ := col.Query(`//e[@k = '40']`)
+		eRes, _, _ := col.QueryOpts(`//e[@k = '40']`, QueryOptions{})
 		if _, err := col.InsertFragment(id, eRes[0].Node, AfterNode, []byte(`<inserted/>`)); err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +313,7 @@ func TestUpdateOnMultiRecordDocument(t *testing.T) {
 			t.Errorf("mid-record insert misplaced: %.200s", got)
 		}
 		// Document still has all elements.
-		all, _, _ := col.Query("//e")
+		all, _, _ := col.QueryOpts("//e", QueryOptions{})
 		if len(all) != 80 {
 			t.Errorf("element count = %d", len(all))
 		}
@@ -338,14 +338,18 @@ func editItems(t *testing.T, col *Collection) (xml.DocID, []string) {
 // runStarts returns the positions among /r/item of each run's first item.
 func runStarts(t *testing.T, col *Collection, doc xml.DocID) []int {
 	t.Helper()
-	items, _, err := col.Query("/r/item")
+	items, _, err := col.QueryOpts("/r/item", QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := col.reader(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var starts []int
 	var last heap.RID
 	for i, it := range items {
-		rid, err := col.lookupCur(doc, it.Node)
+		rid, err := r.lookup(it.Node)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +378,7 @@ func TestRunProxyBookkeeping(t *testing.T) {
 	}
 	itemAt := func(t *testing.T, col *Collection, i int) nodeid.ID {
 		t.Helper()
-		res, _, err := col.Query("/r/item")
+		res, _, err := col.QueryOpts("/r/item", QueryOptions{})
 		if err != nil || i >= len(res) {
 			t.Fatalf("item %d of %d: %v", i, len(res), err)
 		}
@@ -437,7 +441,7 @@ func TestRollbackLeafDelete(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, _, err := col.Query(q)
+				res, _, err := col.QueryOpts(q, QueryOptions{})
 				if err != nil || len(res) == 0 {
 					t.Fatalf("%s: %v, %d results", q, err, len(res))
 				}
@@ -473,7 +477,11 @@ func TestRewriteRecordSurfacesCorruptRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := col.openRec(doc, nodeid.Root)
+	rd, err := col.reader(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := rd.openRec(nodeid.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +519,7 @@ func TestEditReadFaultsSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc, items := editItems(t, col)
-	res, _, _ := col.Query("/r/item")
+	res, _, _ := col.QueryOpts("/r/item", QueryOptions{})
 	// Leave one item in the second run.
 	for _, i := range []int{4, 3} {
 		if err := col.DeleteSubtree(doc, res[i].Node); err != nil {

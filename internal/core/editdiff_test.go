@@ -331,7 +331,7 @@ func (e *editDiff) check(label string) {
 		if err != nil {
 			t.Fatalf("%s: %s by scan: %v", label, q, err)
 		}
-		got, plan, err := e.col.Query(q)
+		got, plan, err := e.col.QueryOpts(q, QueryOptions{})
 		if err != nil {
 			t.Fatalf("%s: %s: %v", label, q, err)
 		}

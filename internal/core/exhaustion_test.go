@@ -708,7 +708,7 @@ func TestInsertBatchMidBatchDeviceFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("baseline doc ids: %v", err)
 	}
-	wantHits, _, err := env.col.Query(`/d[k = "k2"]`)
+	wantHits, _, err := env.col.QueryOpts(`/d[k = "k2"]`, QueryOptions{})
 	if err != nil || len(wantHits) != 1 || wantHits[0].Doc != baseIDs[1] {
 		t.Fatalf("baseline query: hits=%v err=%v", wantHits, err)
 	}
@@ -753,7 +753,7 @@ func TestInsertBatchMidBatchDeviceFailure(t *testing.T) {
 	if err := env.db.VerifyPages(); err != nil {
 		t.Fatalf("verify pages after failed batch: %v", err)
 	}
-	hits, _, err := env.col.Query(`/d[k = "k2"]`)
+	hits, _, err := env.col.QueryOpts(`/d[k = "k2"]`, QueryOptions{})
 	if err != nil || len(hits) != len(wantHits) || hits[0].Doc != wantHits[0].Doc {
 		t.Fatalf("query after failed batch: hits=%v err=%v", hits, err)
 	}

@@ -11,8 +11,6 @@ import (
 	"rx/internal/heap"
 	"rx/internal/nodeid"
 	"rx/internal/nodeindex"
-	"rx/internal/pack"
-	"rx/internal/serialize"
 	"rx/internal/vsax"
 	"rx/internal/xml"
 )
@@ -24,7 +22,9 @@ import (
 // untouched records are shared — and each new version writes a complete
 // NodeID-index entry set, so a reader pinned to a snapshot version never
 // blocks and never misses (the paper's "reader's deferred access is
-// guaranteed to be successful").
+// guaranteed to be successful"). Every read, snapshot or not, resolves its
+// version once — when its docReader is made — and looks every record up at
+// that version: one read, one version.
 
 // Versioned reports whether the collection is multiversioned.
 func (c *Collection) Versioned() bool { return c.meta.Versioned }
@@ -82,65 +82,15 @@ func (c *Collection) SnapshotVersion(doc xml.DocID) (uint64, error) {
 	return c.currentVersion(doc)
 }
 
-// lookupCur resolves (doc, id) to a record at the document's current
-// version (or plainly, for unversioned collections).
-func (c *Collection) lookupCur(doc xml.DocID, id nodeid.ID) (heap.RID, error) {
-	if !c.meta.Versioned {
-		return c.nodeIx.Lookup(doc, id)
-	}
-	ver, err := c.currentVersion(doc)
-	if err != nil {
-		return heap.InvalidRID, err
-	}
-	return c.nodeIx.LookupV(doc, ver, id)
-}
-
-// lookupAt resolves (doc, id) at a snapshot version.
-func (c *Collection) lookupAt(doc xml.DocID, ver uint64, id nodeid.ID) (heap.RID, error) {
-	if !c.meta.Versioned {
-		return c.nodeIx.Lookup(doc, id)
-	}
-	return c.nodeIx.LookupV(doc, ver, id)
-}
-
-// fetcherAt returns a proxy resolver pinned to a snapshot version.
-func (c *Collection) fetcherAt(doc xml.DocID, ver uint64) pack.Fetch {
-	return func(first nodeid.ID) (*pack.Record, error) {
-		rid, err := c.lookupAt(doc, ver, first)
-		if err != nil {
-			return nil, err
-		}
-		return c.fetchRecord(rid)
-	}
-}
-
 // WalkDocAt drives a handler with a snapshot version's events.
 func (c *Collection) WalkDocAt(doc xml.DocID, ver uint64, h vsax.Handler) error {
-	rid, err := c.lookupAt(doc, ver, nodeid.Root)
-	if err != nil {
-		return err
-	}
-	root, err := c.fetchRecord(rid)
-	if err != nil {
-		return err
-	}
-	if err := h.StartDocument(); err != nil {
-		return err
-	}
-	if err := pack.Walk(root, c.fetcherAt(doc, ver), visitorFor(h)); err != nil {
-		return err
-	}
-	return h.EndDocument()
+	return docReader{c, doc, ver}.walkDoc(h, nil)
 }
 
 // SerializeAt writes a snapshot version of the document as XML text — a
 // reader that never blocks behind writers (§5.1).
 func (c *Collection) SerializeAt(doc xml.DocID, ver uint64, w io.Writer) error {
-	s := serialize.New(w, c.db.cat)
-	if err := c.WalkDocAt(doc, ver, s); err != nil {
-		return err
-	}
-	return s.Err()
+	return docReader{c, doc, ver}.serialize(w)
 }
 
 // verEdit is the copy-on-write record sink (edit.go): one versioned edit's
@@ -159,14 +109,6 @@ type verEdit struct {
 type verNewRec struct {
 	rid    heap.RID
 	uppers []nodeid.ID
-}
-
-func (c *Collection) beginVerEdit(doc xml.DocID) (*verEdit, error) {
-	cur, err := c.currentVersion(doc)
-	if err != nil {
-		return nil, err
-	}
-	return &verEdit{c: c, doc: doc, cur: cur, gone: map[heap.RID]bool{}}, nil
 }
 
 // rewrite stores the edited record as a new row.

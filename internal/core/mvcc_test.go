@@ -6,7 +6,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"rx/internal/nodeid"
+	"rx/internal/serialize"
 	"rx/internal/xml"
 )
 
@@ -26,7 +29,7 @@ func TestVersionedSnapshotReads(t *testing.T) {
 	}
 
 	// Update the text: version 2.
-	res, _, _ := col.Query("//status/text()")
+	res, _, _ := col.QueryOpts("//status/text()", QueryOptions{})
 	if err := col.UpdateText(id, res[0].Node, []byte("published")); err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +67,11 @@ func TestVersionedSubtreeOps(t *testing.T) {
 	id, _ := col.Insert([]byte(`<r><a/><b/></r>`))
 	v1, _ := col.SnapshotVersion(id)
 
-	aRes, _, _ := col.Query("/r/a")
+	aRes, _, _ := col.QueryOpts("/r/a", QueryOptions{})
 	if _, err := col.InsertFragment(id, aRes[0].Node, AfterNode, []byte(`<mid>x</mid>`)); err != nil {
 		t.Fatal(err)
 	}
-	bRes, _, _ := col.Query("/r/b")
+	bRes, _, _ := col.QueryOpts("/r/b", QueryOptions{})
 	if err := col.DeleteSubtree(id, bRes[0].Node); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +110,7 @@ func TestVersionedCOWSharesRecords(t *testing.T) {
 	id, _ := col.Insert([]byte(sb.String()))
 	rows1 := col.XMLTable().Count()
 
-	res, _, _ := col.Query(`//e[@k = '30']/text()`)
+	res, _, _ := col.QueryOpts(`//e[@k = '30']/text()`, QueryOptions{})
 	if err := col.UpdateText(id, res[0].Node, []byte("NEW")); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +132,7 @@ func TestVacuum(t *testing.T) {
 	sb.WriteString("</r>")
 	id, _ := col.Insert([]byte(sb.String()))
 	for v := 0; v < 5; v++ {
-		res, _, _ := col.Query(`//e[@k = '10']/text()`)
+		res, _, _ := col.QueryOpts(`//e[@k = '10']/text()`, QueryOptions{})
 		if err := col.UpdateText(id, res[0].Node, []byte(fmt.Sprintf("v%d", v))); err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +163,7 @@ func TestVersionedDelete(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("v", CollectionOptions{Versioned: true})
 	id, _ := col.Insert([]byte(`<a>x</a>`))
-	res, _, _ := col.Query("/a/text()")
+	res, _, _ := col.QueryOpts("/a/text()", QueryOptions{})
 	col.UpdateText(id, res[0].Node, []byte("y"))
 	if err := col.Delete(id); err != nil {
 		t.Fatal(err)
@@ -180,7 +183,7 @@ func TestReadersNeverBlockWriter(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("v", CollectionOptions{Versioned: true})
 	id, _ := col.Insert([]byte(`<doc><counter>0</counter></doc>`))
-	res, _, _ := col.Query("//counter/text()")
+	res, _, _ := col.QueryOpts("//counter/text()", QueryOptions{})
 	textID := res[0].Node
 
 	var wg sync.WaitGroup
@@ -249,4 +252,86 @@ func TestUnversionedSnapshotRejected(t *testing.T) {
 		t.Error("Vacuum on unversioned collection should fail")
 	}
 	_ = xml.DocID(0)
+}
+
+// commitOnThirdText is a serializer that, on its third Text event — the walk
+// is then inside the document, its root long resolved — has another goroutine
+// commit an edit and waits for it.
+type commitOnThirdText struct {
+	*serialize.Serializer
+	t      *testing.T
+	texts  int
+	commit func() error
+}
+
+func (h *commitOnThirdText) Text(v []byte, typ xml.TypeID, id nodeid.ID) error {
+	if h.texts++; h.texts == 3 {
+		done := make(chan error, 1)
+		go func() { done <- h.commit() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				h.t.Error(err)
+			}
+		case <-time.After(20 * time.Second):
+			// A heap placement change put the writer's new row on the page
+			// the reader has latched: pick another target item.
+			h.t.Fatal("the committing writer is blocked behind the reader's page latch")
+		}
+	}
+	return h.Serializer.Text(v, typ, id)
+}
+
+// TestVersionedReadSeesOneVersion is §5.1's guarantee for the auto-commit
+// read: a walk of a multi-record versioned document resolves the version once,
+// so a commit landing mid-walk changes nothing the walk still has to fetch —
+// the output is the pre-commit document byte for byte, never a mix of the
+// root at version v and later records at v+1.
+func TestVersionedReadSeesOneVersion(t *testing.T) {
+	for _, edit := range []string{"update-text", "delete-subtree"} {
+		t.Run(edit, func(t *testing.T) {
+			db := newDB(t)
+			col, _ := db.CreateCollection("v", CollectionOptions{Versioned: true, PackThreshold: 400})
+			var sb strings.Builder
+			sb.WriteString("<r>")
+			for i := 0; i < 600; i++ {
+				fmt.Fprintf(&sb, "<item><n>%d</n><v>value %d</v></item>", i, i)
+			}
+			sb.WriteString("</r>")
+			doc, err := col.Insert([]byte(sb.String()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := serializeStr(t, col, doc)
+			if before != sb.String() {
+				t.Fatal("the stored document does not round-trip")
+			}
+			items, _, err := col.QueryOpts("/r/item", QueryOptions{})
+			if err != nil || len(items) != 600 {
+				t.Fatalf("%d items, %v", len(items), err)
+			}
+			texts, _, _ := col.QueryOpts("/r/item/v/text()", QueryOptions{})
+			commit := func() error { return col.UpdateText(doc, texts[590].Node, []byte("CHANGED")) }
+			if edit == "delete-subtree" {
+				commit = func() error { return col.DeleteSubtree(doc, items[590].Node) }
+			}
+			var buf bytes.Buffer
+			h := &commitOnThirdText{Serializer: serialize.New(&buf, db.cat), t: t, commit: commit}
+			if err := col.WalkDoc(doc, h); err != nil {
+				t.Fatal(err)
+			}
+			if h.texts < 1200 {
+				t.Fatalf("the walk saw %d text nodes", h.texts)
+			}
+			if buf.String() != before {
+				t.Error("a walk that began before the commit returned a document the commit had touched")
+			}
+			if after := serializeStr(t, col, doc); after == before {
+				t.Error("the commit did not happen")
+			}
+			if pinned := db.pool.Stats().Pinned; pinned != 0 {
+				t.Errorf("%d frames still pinned", pinned)
+			}
+		})
+	}
 }

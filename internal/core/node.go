@@ -11,54 +11,6 @@ import (
 	"rx/internal/xml"
 )
 
-// findNode locates a node by (doc, id) through the NodeID index (§3.4:
-// "when a (docid, nodeid) is given from an XPath value index, to find the
-// record containing the corresponding node, use this pair as the key on the
-// node ID index").
-func (c *Collection) findNode(doc xml.DocID, id nodeid.ID) (*pack.Record, pack.Node, error) {
-	rid, err := c.lookupCur(doc, id)
-	if err != nil {
-		return nil, pack.Node{}, fmt.Errorf("%w: doc %d node %s", ErrNotFound, doc, id)
-	}
-	rec, err := c.fetchRecord(rid)
-	if err != nil {
-		return nil, pack.Node{}, err
-	}
-	n, found, err := rec.Find(id)
-	if err != nil {
-		return nil, pack.Node{}, err
-	}
-	if !found {
-		return nil, pack.Node{}, fmt.Errorf("%w: doc %d node %s", ErrNotFound, doc, id)
-	}
-	return rec, n, nil
-}
-
-// findNodeBorrowed is findNode over the zero-copy path: the record (and the
-// node's Value) alias a pinned heap frame until release is called. The
-// node-ID index maps every node to the record that physically contains it,
-// so Find never needs to cross into another record here.
-func (c *Collection) findNodeBorrowed(doc xml.DocID, id nodeid.ID) (*pack.Record, func(), pack.Node, error) {
-	rid, err := c.lookupCur(doc, id)
-	if err != nil {
-		return nil, nil, pack.Node{}, fmt.Errorf("%w: doc %d node %s", ErrNotFound, doc, id)
-	}
-	rec, release, err := c.fetchRecordBorrowed(rid)
-	if err != nil {
-		return nil, nil, pack.Node{}, err
-	}
-	n, found, err := rec.Find(id)
-	if err != nil {
-		release()
-		return nil, nil, pack.Node{}, err
-	}
-	if !found {
-		release()
-		return nil, nil, pack.Node{}, fmt.Errorf("%w: doc %d node %s", ErrNotFound, doc, id)
-	}
-	return rec, release, n, nil
-}
-
 // stringValueVisitor accumulates descendant text.
 type stringValueVisitor struct {
 	out []byte
@@ -77,7 +29,11 @@ func (v *stringValueVisitor) Leave(*pack.Node) (bool, error) { return true, nil 
 // attribute/text/comment/PI nodes, or the concatenated descendant text of an
 // element.
 func (c *Collection) NodeString(doc xml.DocID, id nodeid.ID) ([]byte, error) {
-	rec, release, n, err := c.findNodeBorrowed(doc, id)
+	r, err := c.reader(doc)
+	if err != nil {
+		return nil, err
+	}
+	rec, release, n, err := r.find(id, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +45,7 @@ func (c *Collection) NodeString(doc xml.DocID, id nodeid.ID) ([]byte, error) {
 		return out, nil
 	case xml.Element:
 		v := &stringValueVisitor{}
-		if err := pack.WalkSubtreeBorrowed(rec, release, &n, c.borrowFetcher(doc), v); err != nil {
+		if err := pack.WalkSubtree(rec, release, &n, r.borrow, v); err != nil {
 			return nil, err
 		}
 		return v.out, nil
@@ -101,7 +57,11 @@ func (c *Collection) NodeString(doc xml.DocID, id nodeid.ID) ([]byte, error) {
 
 // NodeKind returns a stored node's kind and name.
 func (c *Collection) NodeKind(doc xml.DocID, id nodeid.ID) (xml.Kind, xml.QName, error) {
-	_, release, n, err := c.findNodeBorrowed(doc, id)
+	r, err := c.reader(doc)
+	if err != nil {
+		return 0, xml.QName{}, err
+	}
+	_, release, n, err := r.find(id, nil)
 	if err != nil {
 		return 0, xml.QName{}, err
 	}
@@ -113,7 +73,11 @@ func (c *Collection) NodeKind(doc xml.DocID, id nodeid.ID) (xml.Kind, xml.QName,
 // in-scope namespaces make the fragment self-contained (§3.1: "being
 // self-contained when accessed from an XPath value index").
 func (c *Collection) SerializeNode(doc xml.DocID, id nodeid.ID, w io.Writer) error {
-	rec, release, n, err := c.findNodeBorrowed(doc, id)
+	r, err := c.reader(doc)
+	if err != nil {
+		return err
+	}
+	rec, release, n, err := r.find(id, nil)
 	if err != nil {
 		return err
 	}
@@ -126,7 +90,7 @@ func (c *Collection) SerializeNode(doc xml.DocID, id nodeid.ID, w io.Writer) err
 	// serializer declares any that the fragment actually uses. rec.NS is
 	// decoded into owned structs, so seeding it past the walk is safe.
 	h := &nsSeedingHandler{Handler: s, seed: rec.NS, names: c.db.cat}
-	if err := pack.WalkSubtreeBorrowed(rec, release, &n, c.borrowFetcher(doc), visitorFor(h)); err != nil {
+	if err := pack.WalkSubtree(rec, release, &n, r.borrow, visitorFor(h)); err != nil {
 		return err
 	}
 	if err := s.EndDocument(); err != nil {

@@ -69,7 +69,7 @@ func TestQueryOracleAfterChurn(t *testing.T) {
 				newDoc()
 			case 1: // update a qty text
 				if id, ok := pickLive(); ok {
-					res, _, _ := col.Query("//qty/text()")
+					res, _, _ := col.QueryOpts("//qty/text()", QueryOptions{})
 					for _, r := range res {
 						if r.Doc == id {
 							if err := col.UpdateText(id, r.Node, []byte(fmt.Sprint(rng.Intn(9)))); err != nil {
@@ -81,7 +81,7 @@ func TestQueryOracleAfterChurn(t *testing.T) {
 				}
 			case 2: // insert a fragment
 				if id, ok := pickLive(); ok {
-					root, _, _ := col.Query("/order/items")
+					root, _, _ := col.QueryOpts("/order/items", QueryOptions{})
 					for _, r := range root {
 						if r.Doc == id {
 							if _, err := col.InsertFragment(id, r.Node, AsLastChild,
@@ -94,7 +94,7 @@ func TestQueryOracleAfterChurn(t *testing.T) {
 				}
 			case 3: // delete a subtree
 				if id, ok := pickLive(); ok {
-					res, _, _ := col.Query("//item")
+					res, _, _ := col.QueryOpts("//item", QueryOptions{})
 					for _, r := range res {
 						if r.Doc == id {
 							if err := col.DeleteSubtree(id, r.Node); err != nil {
@@ -123,7 +123,7 @@ func TestQueryOracleAfterChurn(t *testing.T) {
 		// Oracle comparison per query.
 		dict := db.Catalog()
 		for _, qs := range queries {
-			got, plan, err := col.Query(qs)
+			got, plan, err := col.QueryOpts(qs, QueryOptions{})
 			if err != nil {
 				t.Fatalf("seed %d %q: %v", seed, qs, err)
 			}

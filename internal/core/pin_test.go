@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"rx/internal/nodeid"
 	"rx/internal/pagestore"
 	"rx/internal/xml"
 )
@@ -174,4 +176,105 @@ func TestConcurrentReadersUnderEviction(t *testing.T) {
 	if pinned := db.Stats().PoolPinned; pinned != 0 {
 		t.Errorf("PoolPinned = %d after all readers finished, want 0", pinned)
 	}
+}
+
+// failAfter is a handler that errors on its n-th text node, to end a walk
+// while the walker holds a borrowed record.
+type failAfter struct {
+	nodeCountHandler
+	n int
+}
+
+func (h *failAfter) Text([]byte, xml.TypeID, nodeid.ID) error {
+	if h.n--; h.n == 0 {
+		return errors.New("stop here")
+	}
+	return nil
+}
+
+// TestSnapshotCheckAndSalvageLeaveNoPins covers the entries that read owned
+// record copies before the borrowed path became the only one — snapshot walks
+// and serialization, the consistency check, salvage, the edit planner: on a
+// pool far smaller than the data, each returns exact bytes and leaves no
+// frame pinned, on success and when the walk ends in an error.
+func TestSnapshotCheckAndSalvageLeaveNoPins(t *testing.T) {
+	db, err := Open(pagestore.NewMemStore(), Options{PoolPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	col, err := db.CreateCollection("pins", CollectionOptions{Versioned: true, PackThreshold: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noPins := func(after string) {
+		t.Helper()
+		if pinned := db.pool.Stats().Pinned; pinned != 0 {
+			t.Fatalf("%d frames pinned after %s", pinned, after)
+		}
+	}
+	const docs = 12
+	var ids []xml.DocID
+	var v1 []string
+	for i := 0; i < docs; i++ {
+		var sb strings.Builder
+		fmt.Fprintf(&sb, `<doc n="%d">`, i)
+		for j := 0; j < 60; j++ {
+			fmt.Fprintf(&sb, `<item><k>key-%03d-%03d</k><v>%030d</v></item>`, i, j, j)
+		}
+		sb.WriteString(`</doc>`)
+		id, err := col.Insert([]byte(sb.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, v1 = append(ids, id), append(v1, sb.String())
+	}
+	keys, _, err := col.QueryOpts("/doc/item/k/text()", QueryOptions{})
+	if err != nil || len(keys) != docs*60 {
+		t.Fatalf("%d keys, %v", len(keys), err)
+	}
+	for i, id := range ids {
+		if err := col.UpdateText(id, keys[i*60+30].Node, []byte("EDITED")); err != nil {
+			t.Fatal(err)
+		}
+		noPins("UpdateText")
+	}
+	for i, id := range ids {
+		var buf bytes.Buffer
+		if err := col.SerializeAt(id, 1, &buf); err != nil || buf.String() != v1[i] {
+			t.Fatalf("SerializeAt(doc %d, v1): err %v, exact %v", id, err, buf.String() == v1[i])
+		}
+		noPins("SerializeAt")
+		want := strings.Replace(v1[i], fmt.Sprintf("key-%03d-030", i), "EDITED", 1)
+		buf.Reset()
+		if err := col.SerializeAt(id, 2, &buf); err != nil || buf.String() != want {
+			t.Fatalf("SerializeAt(doc %d, v2): err %v, exact %v", id, err, buf.String() == want)
+		}
+		h := &nodeCountHandler{}
+		if err := col.WalkDocAt(id, 1, h); err != nil || h.nodes != 2+60*5 {
+			t.Fatalf("WalkDocAt(doc %d, v1): %d nodes, %v", id, h.nodes, err)
+		}
+		noPins("WalkDocAt")
+		if err := col.WalkDocAt(id, 1, &failAfter{n: 70}); err == nil {
+			t.Fatal("a failing handler did not fail the walk")
+		}
+		noPins("a WalkDocAt that ended in a handler error")
+		if err := col.SerializeAt(id, 0, &buf); err == nil {
+			t.Fatal("version 0, older than any written, serialized")
+		}
+		noPins("SerializeAt of a missing version")
+		lost := 0
+		stream, err := col.docStream(id, &lost)
+		if err != nil || lost != 0 {
+			t.Fatalf("salvage of doc %d: lost %d, %v", id, lost, err)
+		}
+		noPins("salvage")
+		if full, err := col.DocStream(id); err != nil || !bytes.Equal(full, stream) {
+			t.Fatalf("salvage of an intact document differs from DocStream (err %v)", err)
+		}
+	}
+	if err := col.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	noPins("CheckConsistency")
 }

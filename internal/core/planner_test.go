@@ -32,7 +32,7 @@ func plannerDB(t *testing.T) *Collection {
 
 func TestPlannerStringIndex(t *testing.T) {
 	col := plannerDB(t)
-	res, plan, err := col.Query(`/emp[name = 'Emp 07']`)
+	res, plan, err := col.QueryOpts(`/emp[name = 'Emp 07']`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestPlannerStringIndex(t *testing.T) {
 		t.Errorf("results = %d", len(res))
 	}
 	// Range over strings.
-	res, plan, _ = col.Query(`/emp[name < 'Emp 03']`)
+	res, plan, _ = col.QueryOpts(`/emp[name < 'Emp 03']`, QueryOptions{})
 	if plan.Method == "scan" {
 		t.Errorf("string range should use the index: %+v", plan)
 	}
@@ -54,7 +54,7 @@ func TestPlannerStringIndex(t *testing.T) {
 
 func TestPlannerDateIndex(t *testing.T) {
 	col := plannerDB(t)
-	res, plan, err := col.Query(`/emp[hire >= '2015-01-01']`)
+	res, plan, err := col.QueryOpts(`/emp[hire >= '2015-01-01']`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestPlannerDateIndex(t *testing.T) {
 		t.Errorf("results = %d", len(res))
 	}
 	// A string literal that is not a date cannot use the date index.
-	_, plan2, err := col.Query(`/emp[hire = 'not-a-date']`)
+	_, plan2, err := col.QueryOpts(`/emp[hire = 'not-a-date']`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +76,14 @@ func TestPlannerDateIndex(t *testing.T) {
 
 func TestPlannerDecimalIndex(t *testing.T) {
 	col := plannerDB(t)
-	res, plan, err := col.Query(`/emp[salary >= 55000]`)
+	res, plan, err := col.QueryOpts(`/emp[salary >= 55000]`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Method != "nodeid-list" || plan.Indexes[0] != "ix_salary" {
 		t.Errorf("plan = %+v", plan)
 	}
-	scan, _, _ := col.Query(`//emp[salary >= 55000]`)
+	scan, _, _ := col.QueryOpts(`//emp[salary >= 55000]`, QueryOptions{})
 	if len(res) != len(scan) {
 		t.Errorf("decimal index results %d vs scan %d", len(res), len(scan))
 	}
@@ -91,7 +91,7 @@ func TestPlannerDecimalIndex(t *testing.T) {
 
 func TestPlannerNERejected(t *testing.T) {
 	col := plannerDB(t)
-	_, plan, err := col.Query(`/emp[name != 'Emp 07']`)
+	_, plan, err := col.QueryOpts(`/emp[name != 'Emp 07']`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +105,14 @@ func TestPlannerExistencePredicateForcesReeval(t *testing.T) {
 	// [name] existence is not indexable (unparsable values would be missed);
 	// with an extra indexed conjunct the plan may narrow docs but must not
 	// claim exactness.
-	res, plan, err := col.Query(`/emp[salary >= 55000 and name]`)
+	res, plan, err := col.QueryOpts(`/emp[salary >= 55000 and name]`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Exact {
 		t.Errorf("existence conjunct must force re-evaluation: %+v", plan)
 	}
-	scan, _, _ := col.Query(`//emp[salary >= 55000 and name]`)
+	scan, _, _ := col.QueryOpts(`//emp[salary >= 55000 and name]`, QueryOptions{})
 	if len(res) != len(scan) {
 		t.Errorf("results %d vs scan %d", len(res), len(scan))
 	}
@@ -122,7 +122,7 @@ func TestPlannerDescendantSpineNotExact(t *testing.T) {
 	col := plannerDB(t)
 	// A descendant spine cannot use node-level prefixes; it must still get
 	// the right answer through doc-level filtering.
-	res, plan, err := col.Query(`//emp[name = 'Emp 07']`)
+	res, plan, err := col.QueryOpts(`//emp[name = 'Emp 07']`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,18 +143,16 @@ func (c *Collection) CreateValueIndex(name, path string, typ xml.TypeID) error {
 		return err
 	}
 	for _, doc := range docs {
-		matches, err := c.evalStored(doc, kg)
+		r, err := c.reader(doc)
 		if err != nil {
 			return err
 		}
-		for _, m := range matches {
-			rid, err := c.nodeIx.Lookup(doc, m.ID)
-			if err != nil {
-				return err
-			}
-			if err := ix.Put(m.Value, doc, m.ID, rid); err != nil && !errors.Is(err, valueindex.ErrNotIndexable) {
-				return err
-			}
+		keys, err := r.eval(kg)
+		if err != nil {
+			return err
+		}
+		if err := r.putValueKeys(ix, keys); err != nil {
+			return err
 		}
 	}
 	c.ixMu.Lock()
@@ -203,17 +201,10 @@ func (c *Collection) ValueIndex(name string) *valueindex.Index {
 	return nil
 }
 
-// Query evaluates an XPath query over the collection, using value indexes
-// when they apply (§4.3) and falling back to a QuickXScan relation-scan
-// otherwise. It is the legacy convenience shim kept for a release; new code
-// uses the context-first session API (session.Session.Query) or, inside the
-// engine, QueryOpts/Cursor with explicit options.
-func (c *Collection) Query(expr string) ([]Result, *Plan, error) {
-	return c.QueryOpts(expr, QueryOptions{})
-}
-
-// QueryOpts evaluates the query with explicit options, materializing every
-// result. Use Cursor to stream results instead.
+// QueryOpts evaluates an XPath query over the collection, using value
+// indexes when they apply (§4.3) and falling back to a QuickXScan
+// relation-scan otherwise, and materializes every result. Use Cursor to
+// stream results instead.
 func (c *Collection) QueryOpts(expr string, opts QueryOptions) ([]Result, *Plan, error) {
 	cur, err := c.Cursor(expr, opts)
 	if err != nil {

@@ -23,7 +23,6 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -32,9 +31,6 @@ import (
 	"rx/internal/heap"
 	"rx/internal/pack"
 	"rx/internal/pagestore"
-	"rx/internal/tokens"
-	"rx/internal/valueindex"
-	"rx/internal/vsax"
 	"rx/internal/xml"
 	"rx/internal/xmlparse"
 )
@@ -377,7 +373,10 @@ func (db *DB) healCollection(c *Collection, bad, owned map[pagestore.PageID]bool
 		if throttle != nil {
 			throttle()
 		}
-		stream, lost, err := c.salvageStream(doc)
+		// Subtrees whose records are unreachable are skipped and counted; 0
+		// lost means a complete, lossless capture.
+		lost := 0
+		stream, err := c.docStream(doc, &lost)
 		if err != nil {
 			// Root record or a decodable prefix is gone: keep the document's
 			// identity alive with a placeholder so it is never silently
@@ -514,45 +513,19 @@ func (c *Collection) rebuildValueIndex(ov *openValueIndex, throttle func()) erro
 		if throttle != nil {
 			throttle()
 		}
-		matches, err := c.evalStored(doc, ov.keygen)
+		r, err := c.reader(doc)
 		if err != nil {
 			continue
 		}
-		for _, m := range matches {
-			rid, err := c.lookupCur(doc, m.ID)
-			if err != nil {
-				continue
-			}
-			if err := ov.ix.Put(m.Value, doc, m.ID, rid); err != nil &&
-				!errors.Is(err, valueindex.ErrNotIndexable) {
-				return err
-			}
+		keys, err := r.eval(ov.keygen)
+		if err != nil {
+			continue
+		}
+		if err := r.putValueKeys(ov.ix, keys); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// salvageStream re-encodes a stored document as a token stream, skipping
-// subtrees whose records are unreachable. lost counts the skipped subtrees;
-// 0 means a complete, lossless capture.
-func (c *Collection) salvageStream(doc xml.DocID) ([]byte, int, error) {
-	root, err := c.rootRecord(doc)
-	if err != nil {
-		return nil, 0, err
-	}
-	w := tokens.NewWriter(4096)
-	sink := &vsax.TokenSink{W: w}
-	if err := sink.StartDocument(); err != nil {
-		return nil, 0, err
-	}
-	lost, err := pack.WalkPartial(root, c.fetcher(doc), handlerVisitor{sink})
-	if err != nil {
-		return nil, lost, err
-	}
-	if err := sink.EndDocument(); err != nil {
-		return nil, lost, err
-	}
-	return append([]byte(nil), w.Bytes()...), lost, nil
 }
 
 // placeholderStream builds the stand-in document stored for a document

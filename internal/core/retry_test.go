@@ -113,7 +113,7 @@ func TestRunTxnNoRetryWithoutOption(t *testing.T) {
 
 func mustTextNode2(t *testing.T, col *Collection, id xml.DocID) []byte {
 	t.Helper()
-	res, _, err := col.Query("/a/text()")
+	res, _, err := col.QueryOpts("/a/text()", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

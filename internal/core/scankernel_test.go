@@ -11,6 +11,8 @@ import (
 	"rx/internal/pack"
 	"rx/internal/pagestore"
 	"rx/internal/quickxscan"
+	"rx/internal/tokens"
+	"rx/internal/vsax"
 	"rx/internal/xml"
 	"rx/internal/xpath"
 )
@@ -78,6 +80,33 @@ func sameMatches(a, b []quickxscan.Match) bool {
 	return true
 }
 
+// differentialQueries is the query set of the differential oracles over
+// differentialDocs: child-only and mixed /–// spines, attributes, text(),
+// element results whose string value is collected, and/or/not predicates.
+var differentialQueries = []string{
+	// child-only spines
+	`/order/hdr/total`, `/order/items/item/sku`, `/Catalog/Categories/Product/ProductName`,
+	`/arch/head/title`, `/arch/entries/entry/who`, `/a/a/b`, `/nosuch/x`,
+	// mixed / and //
+	`/order//qty`, `//items/item[qty > 5]/sku`, `/arch//entry/body`, `//a//a//b`, `/a/a//b`,
+	`/Catalog//Note//b`, `//entry[qty = 3]/who`,
+	// attributes
+	`/Catalog/Categories/Product/@pid`, `/Catalog/Categories/Product[@cat = 'b']/ProductName`,
+	`/arch/@year`, `//entry/@n`, `/arch/entries/entry[@n = '7']/who`, `//@n`, `//@*`, `/arch//@n`,
+	// text() and other node tests
+	`/order/hdr/cust/text()`, `//ProductName/text()`, `/Catalog/Categories/Product/Note/node()`,
+	`/Catalog/Categories/Product/Note/comment()`, `/order/*/cust`,
+	// element results whose string value spans a subtree
+	`/order/hdr`, `/Catalog/Categories/Product/Note`, `/arch/head`, `/a/a`,
+	// and / or / not predicates, at several spine levels
+	`/order[hdr/cust = 'C03']/items/item/qty`, `/order/hdr[cust = 'C01' and total >= 200]`,
+	`/order/hdr[cust = 'C05' or total > 900]/total`, `/order[not(hdr/total > 500)]/items/item[qty = 3]/sku`,
+	`/Catalog/Categories/Product[Discount = 0.25]/ProductName`,
+	`/Catalog/Categories/Product[RegPrice > 100 and not(Discount = 0)]/@pid`,
+	`/arch[head/title = 'archive 1']/entries/entry[who = 'C02' or qty > 8]/body`,
+	`/arch/entries[entry/qty = 9]/entry/who`, `/a[b]/a[not(b)]//b`, `/order/items[item]/item[. = 'x']`,
+}
+
 // TestSkipDifferential is the skip oracle: over the differential corpus
 // (orders, catalogs, the recursive a/b shape, multi-record archives behind
 // proxies) and a query set covering child-only and mixed /–// spines,
@@ -91,31 +120,8 @@ func TestSkipDifferential(t *testing.T) {
 	col, _ := db.CreateCollection("c", CollectionOptions{PackThreshold: 512})
 	docs := differentialCorpus(t, rng, col)
 
-	queries := []string{
-		// child-only spines
-		`/order/hdr/total`, `/order/items/item/sku`, `/Catalog/Categories/Product/ProductName`,
-		`/arch/head/title`, `/arch/entries/entry/who`, `/a/a/b`, `/nosuch/x`,
-		// mixed / and //
-		`/order//qty`, `//items/item[qty > 5]/sku`, `/arch//entry/body`, `//a//a//b`, `/a/a//b`,
-		`/Catalog//Note//b`, `//entry[qty = 3]/who`,
-		// attributes
-		`/Catalog/Categories/Product/@pid`, `/Catalog/Categories/Product[@cat = 'b']/ProductName`,
-		`/arch/@year`, `//entry/@n`, `/arch/entries/entry[@n = '7']/who`, `//@n`, `//@*`, `/arch//@n`,
-		// text() and other node tests
-		`/order/hdr/cust/text()`, `//ProductName/text()`, `/Catalog/Categories/Product/Note/node()`,
-		`/Catalog/Categories/Product/Note/comment()`, `/order/*/cust`,
-		// element results whose string value spans a subtree
-		`/order/hdr`, `/Catalog/Categories/Product/Note`, `/arch/head`, `/a/a`,
-		// and / or / not predicates, at several spine levels
-		`/order[hdr/cust = 'C03']/items/item/qty`, `/order/hdr[cust = 'C01' and total >= 200]`,
-		`/order/hdr[cust = 'C05' or total > 900]/total`, `/order[not(hdr/total > 500)]/items/item[qty = 3]/sku`,
-		`/Catalog/Categories/Product[Discount = 0.25]/ProductName`,
-		`/Catalog/Categories/Product[RegPrice > 100 and not(Discount = 0)]/@pid`,
-		`/arch[head/title = 'archive 1']/entries/entry[who = 'C02' or qty > 8]/body`,
-		`/arch/entries[entry/qty = 9]/entry/who`, `/a[b]/a[not(b)]//b`, `/order/items[item]/item[. = 'x']`,
-	}
 	skipped := 0
-	for _, expr := range queries {
+	for _, expr := range differentialQueries {
 		q, err := xpath.Parse(expr)
 		if err != nil {
 			t.Fatalf("%s: %v", expr, err)
@@ -252,6 +258,18 @@ func TestWalkerIDLifetime(t *testing.T) {
 	if err != nil || !bytes.Equal(gotStream, wantStream) {
 		t.Fatalf("DocStream under ID poisoning differs (err %v)", err)
 	}
+	// The snapshot entries ride the same borrowed walk (the version is unused
+	// on a plain collection).
+	for i, doc := range docs {
+		var buf bytes.Buffer
+		if err := col.SerializeAt(doc, 0, &buf); err != nil || buf.String() != texts[i] {
+			t.Fatalf("SerializeAt(doc %d) under ID poisoning (err %v):\n got  %.200s\n want %.200s", doc, err, buf.String(), texts[i])
+		}
+	}
+	w := tokens.NewWriter(4096)
+	if err := col.WalkDocAt(docs[0], 0, &vsax.TokenSink{W: w}); err != nil || !bytes.Equal(w.Bytes(), wantStream) {
+		t.Fatalf("WalkDocAt under ID poisoning differs from DocStream (err %v)", err)
+	}
 	if err := col.RefreshStats(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +291,8 @@ func TestWalkerIDLifetime(t *testing.T) {
 	if err := col.SerializeNode(wantHits[0].doc, target, &gotNode); err != nil || gotNode.String() != wantNode.String() {
 		t.Fatalf("SerializeNode under ID poisoning: %q (err %v), want %q", gotNode.String(), err, wantNode.String())
 	}
-	salvaged, lost, err := col.salvageStream(docs[0])
+	lost := 0
+	salvaged, err := col.docStream(docs[0], &lost)
 	if err != nil || lost != 0 || !bytes.Equal(salvaged, wantStream) {
 		t.Fatalf("repair salvage under ID poisoning: lost %d, err %v, stream equal %v", lost, err, bytes.Equal(salvaged, wantStream))
 	}
@@ -351,6 +370,16 @@ func TestEvalStoredAllocsIndependentOfDocumentSize(t *testing.T) {
 	}
 }
 
+// pageAccesses counts the buffer-pool page fetches fn makes — every B+tree
+// node visited and every heap row read is one — so a test can state what an
+// operation touched: an index probe costs the tree's height, a record one.
+func pageAccesses(db *DB, fn func()) uint64 {
+	before := db.pool.Stats()
+	fn()
+	after := db.pool.Stats()
+	return after.Hits + after.Misses - before.Hits - before.Misses
+}
+
 // TestSkippedDocumentFetchesOnlyItsRoot: a rooted child-axis query over a
 // multi-record document whose root element already rules it out reads the
 // root record and nothing else — the skipped body costs neither decode nor
@@ -372,12 +401,7 @@ func TestSkippedDocumentFetchesOnlyItsRoot(t *testing.T) {
 	if records < 10 {
 		t.Fatalf("document packed into %d records; the test wants many", records)
 	}
-	accesses := func(fn func()) uint64 {
-		before := db.pool.Stats()
-		fn()
-		after := db.pool.Stats()
-		return after.Hits + after.Misses - before.Hits - before.Misses
-	}
+	accesses := func(fn func()) uint64 { return pageAccesses(db, fn) }
 	eval := func(expr string) func() {
 		q, _ := xpath.Parse(expr)
 		e, err := quickxscan.Compile(q, db.cat, nil, quickxscan.Options{NeedValues: true})
@@ -391,7 +415,11 @@ func TestSkippedDocumentFetchesOnlyItsRoot(t *testing.T) {
 		}
 	}
 	rootOnly := accesses(func() {
-		_, release, err := col.rootRecordBorrowed(doc)
+		r, err := col.reader(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, release, err := r.borrow(nodeid.Root)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -66,8 +66,8 @@ func (r *ScrubReport) Clean() bool {
 }
 
 // ScanPages flushes dirty pages and reads back every page of the store,
-// collecting every failure (VerifyPages stops at the first — this is the
-// scrubber's variant, which needs the full damage picture). throttle, if
+// collecting every failure (the scrubber needs the full damage picture;
+// VerifyPages reports the first). throttle, if
 // non-nil, is called before each page read; the scrubber's rate limiter
 // sleeps there.
 func (db *DB) ScanPages(throttle func()) (scanned int, errs []PageError, err error) {
@@ -185,13 +185,15 @@ func (c *Collection) scrubDoc(doc xml.DocID, bad map[pagestore.PageID]bool) (str
 		if bad[rid.Page] {
 			return fmt.Sprintf("record page %d failed verification", rid.Page), rid.Page
 		}
-		if _, ferr := c.fetchRecord(rid); ferr != nil {
+		_, release, ferr := c.borrowRecord(rid)
+		if ferr != nil {
 			var pe pagestore.ErrPageChecksum
 			if errors.As(ferr, &pe) {
 				return fmt.Sprintf("record page %d failed checksum", pe.PageID), pe.PageID
 			}
 			return fmt.Sprintf("record %s unreadable: %v", rid, ferr), rid.Page
 		}
+		release()
 	}
 	if serr != nil {
 		var pe pagestore.ErrPageChecksum
@@ -306,14 +308,9 @@ func (c *Collection) scanDocRIDsTolerant(doc xml.DocID) ([]heap.RID, error) {
 		}
 		return true
 	}
-	var err error
-	if c.meta.Versioned {
-		var ver uint64
-		if ver, err = c.currentVersion(doc); err == nil {
-			err = c.nodeIx.ScanVersion(doc, ver, fn)
-		}
-	} else {
-		err = c.nodeIx.ScanDoc(doc, fn)
+	r, err := c.reader(doc)
+	if err == nil {
+		err = r.entries(fn)
 	}
 	return rids, err
 }

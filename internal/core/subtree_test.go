@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"rx/internal/quickxscan"
 	"rx/internal/xml"
+	"rx/internal/xpath"
 )
 
 // bigOrderDoc builds a multi-record document: many items under one order.
@@ -34,7 +36,7 @@ func TestNodeIDFilteringOnLargeDocs(t *testing.T) {
 	}
 
 	// Scan answer for ground truth.
-	scanRes, _, err := col.Query("/order/items/item[qty = 7]/sku")
+	scanRes, _, err := col.QueryOpts("/order/items/item[qty = 7]/sku", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestNodeIDFilteringOnLargeDocs(t *testing.T) {
 		t.Fatal("ground truth empty")
 	}
 
-	res, plan, err := col.Query("/order/items/item[qty = 7]/sku")
+	res, plan, err := col.QueryOpts("/order/items/item[qty = 7]/sku", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,19 +107,73 @@ func TestNodeIDFilteringRejectsNonMatchingPaths(t *testing.T) {
 	}
 }
 
+// TestEvalSubtreeProbesOncePerCandidate: re-evaluating a NodeID-filtering
+// candidate costs the version read (versioned collections), one NodeID-index
+// probe and one record fetch — the ancestor names come from the record the
+// walk borrows, not from a second probe and a second, copied, record.
+func TestEvalSubtreeProbesOncePerCandidate(t *testing.T) {
+	bothModes(t, CollectionOptions{PackThreshold: 300}, func(t *testing.T, col *Collection) {
+		db := col.db
+		doc, err := col.Insert(bigOrderDoc(80))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands, _, err := col.QueryOpts("/order/items/item", QueryOptions{})
+		if err != nil || len(cands) != 80 {
+			t.Fatalf("%d candidates, %v", len(cands), err)
+		}
+		q, _ := xpath.Parse("/order/items/item[qty = 7]/sku")
+		e, err := quickxscan.Compile(q, db.cat, nil, quickxscan.Options{NeedValues: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		matched := 0
+		for _, cd := range cands {
+			var r docReader
+			version := pageAccesses(db, func() { r, err = col.reader(doc) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe := pageAccesses(db, func() { _, err = r.lookup(cd.Node) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ms []quickxscan.Match
+			got := pageAccesses(db, func() { ms, err = col.evalSubtree(doc, cd.Node, e) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := version + probe + 1; got != want {
+				t.Fatalf("candidate %s: %d page accesses, want %d (version read %d + one probe %d + one record)",
+					cd.Node, got, want, version, probe)
+			}
+			matched += len(ms)
+		}
+		if matched != 9 { // qty cycles 1..9 over 80 items: items 6, 15, …, 78
+			t.Errorf("%d matches, want 9", matched)
+		}
+	})
+}
+
 func TestAncestorChain(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{PackThreshold: 300})
 	id, _ := col.Insert(bigOrderDoc(80))
-	res, _, err := col.Query("//sku")
+	res, _, err := col.QueryOpts("//sku", QueryOptions{})
 	if err != nil || len(res) == 0 {
 		t.Fatalf("%v %v", res, err)
 	}
 	// sku's ancestors are order/items/item.
-	names, err := col.ancestorChain(id, res[40].Node)
+	r, err := col.reader(id)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var names []xml.QName
+	_, release, _, err := r.find(res[40].Node, &names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
 	var rendered []string
 	for _, q := range names {
 		s, _ := db.Catalog().Lookup(q.Local)

@@ -212,7 +212,7 @@ func tortureWorkload(t *testing.T, seed int64, rules []fault.Rule, checksums boo
 		// item IDs are not kept in the model, because a rolled-back
 		// transaction restores a document under fresh node IDs.
 		nodesOf := func(q string, id xml.DocID, want int) ([]nodeid.ID, bool) {
-			res, _, err := col.Query(q)
+			res, _, err := col.QueryOpts(q, QueryOptions{})
 			if err != nil {
 				return nil, !crashed("query %s: %v", q, err)
 			}
@@ -326,7 +326,7 @@ func tortureWorkload(t *testing.T, seed int64, rules []fault.Rule, checksums boo
 			if _, ok := env.docs[p.id]; !ok {
 				continue // inserted then deleted in the same txn
 			}
-			res, _, err := col.Query("/d/t/text()")
+			res, _, err := col.QueryOpts("/d/t/text()", QueryOptions{})
 			if err != nil {
 				if crashed("post-commit query: %v", err) {
 					return env

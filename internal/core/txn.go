@@ -350,7 +350,7 @@ func (db *DB) compensate(op logicalOp) error {
 		case "insert-frag":
 			req.kind = editDelete
 		case "delete-subtree":
-			if _, _, err := col.findNode(op.Doc, id); err == nil {
+			if _, _, err := col.NodeKind(op.Doc, id); err == nil {
 				return nil // the deletion never (durably) applied
 			}
 			if req.id, err = nodeid.Parse(op.Anchor); err != nil {
@@ -400,9 +400,18 @@ func (c *Collection) restoreDoc(doc xml.DocID, stream []byte) error {
 // DocStream re-encodes a stored document as a buffered token stream (used
 // for undo capture and for feeding other pipeline stages).
 func (c *Collection) DocStream(doc xml.DocID) ([]byte, error) {
+	return c.docStream(doc, nil)
+}
+
+// docStream is DocStream; with lost non-nil, subtrees whose records cannot be
+// fetched are left out and counted instead of failing the capture (salvage).
+func (c *Collection) docStream(doc xml.DocID, lost *int) ([]byte, error) {
+	r, err := c.reader(doc)
+	if err != nil {
+		return nil, err
+	}
 	w := tokens.NewWriter(4096)
-	sink := &vsax.TokenSink{W: w}
-	if err := c.WalkDoc(doc, sink); err != nil {
+	if err := r.walkDoc(&vsax.TokenSink{W: w}, lost); err != nil {
 		return nil, err
 	}
 	return append([]byte(nil), w.Bytes()...), nil

@@ -82,15 +82,15 @@ func TestTxnRollbackDeleteAndUpdates(t *testing.T) {
 		t.Errorf("after rollback: %s", buf.String())
 	}
 	// Indexes consistent after undo.
-	hits, _, _ := col.Query("//p[v = 1]")
+	hits, _, _ := col.QueryOpts("//p[v = 1]", QueryOptions{})
 	if len(hits) != 1 {
 		t.Errorf("index broken after rollback: %v", hits)
 	}
 
 	// Text update + subtree delete + fragment insert, all rolled back.
-	tRes, _, _ := col.Query("//p/v/text()")
-	qRes, _, _ := col.Query("/r/q")
-	pRes, _, _ := col.Query("/r/p")
+	tRes, _, _ := col.QueryOpts("//p/v/text()", QueryOptions{})
+	qRes, _, _ := col.QueryOpts("/r/q", QueryOptions{})
+	pRes, _, _ := col.QueryOpts("/r/p", QueryOptions{})
 	tx2 := db.Begin()
 	if err := tx2.UpdateText(col, id, tRes[0].Node, []byte("99")); err != nil {
 		t.Fatal(err)
@@ -151,11 +151,11 @@ func TestCrashRecoveryCommittedSurvives(t *testing.T) {
 		t.Error("uncommitted doc survived recovery")
 	}
 	// Query via index works post-recovery.
-	hits, _, err := col2.Query("/r[v = 42]")
+	hits, _, err := col2.QueryOpts("/r[v = 42]", QueryOptions{})
 	if err != nil || len(hits) != 1 {
 		t.Errorf("post-recovery query: %v, %v", hits, err)
 	}
-	hits, _, _ = col2.Query("/r[v = 666]")
+	hits, _, _ = col2.QueryOpts("/r[v = 666]", QueryOptions{})
 	if len(hits) != 0 {
 		t.Error("uncommitted data visible via index after recovery")
 	}
@@ -169,7 +169,7 @@ func TestCrashRecoveryUncommittedUpdateUndone(t *testing.T) {
 	id, _ := col.Insert([]byte(`<r><v>old</v></r>`))
 	db.Checkpoint()
 
-	tRes, _, _ := col.Query("//v/text()")
+	tRes, _, _ := col.QueryOpts("//v/text()", QueryOptions{})
 	tx := db.Begin()
 	if err := tx.UpdateText(col, id, tRes[0].Node, []byte("new")); err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestDocLockConflict(t *testing.T) {
 
 func mustTextNode(t *testing.T, col *Collection, id xml.DocID) []byte {
 	t.Helper()
-	res, _, err := col.Query("/a/text()")
+	res, _, err := col.QueryOpts("/a/text()", QueryOptions{})
 	if err != nil || len(res) == 0 {
 		t.Fatalf("text node: %v %v", res, err)
 	}

@@ -26,6 +26,7 @@
 package heap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -402,23 +403,15 @@ func (t *Table) tryInsert(pg pagestore.PageID, flag byte, payload []byte, countI
 	return RID{Page: pg, Slot: uint16(slot)}, true, nil
 }
 
-// Fetch returns a copy of the record's payload, following forwarding stubs.
+// Fetch returns a copy of the record's payload, following forwarding stubs:
+// a borrow, copied out and released.
 func (t *Table) Fetch(rid RID) ([]byte, error) {
-	payload, fwd, err := t.fetchRaw(rid)
+	payload, release, err := t.FetchBorrowed(rid)
 	if err != nil {
 		return nil, err
 	}
-	if fwd != InvalidRID {
-		payload, fwd2, err := t.fetchRaw(fwd)
-		if err != nil {
-			return nil, err
-		}
-		if fwd2 != InvalidRID {
-			return nil, fmt.Errorf("heap: forwarding chain longer than one hop at %s", rid)
-		}
-		return payload, nil
-	}
-	return payload, nil
+	defer release()
+	return bytes.Clone(payload), nil
 }
 
 // FetchBorrowed returns the record's payload as a slice aliasing the
@@ -455,10 +448,10 @@ func (t *Table) FetchBorrowed(rid RID) ([]byte, func(), error) {
 	return payload, release, nil
 }
 
-// fetchBorrowedRaw is fetchRaw without the copy-out: on success the returned
-// payload aliases the frame, which stays pinned and share-latched until
-// release. A forwarding stub releases the page immediately and returns the
-// target RID instead (stub bytes are decoded before the release).
+// fetchBorrowedRaw is the one slot reader: on success the returned payload
+// aliases the frame, which stays pinned and share-latched until release. A
+// forwarding stub releases the page immediately and returns the target RID
+// instead (stub bytes are decoded before the release).
 func (t *Table) fetchBorrowedRaw(rid RID) ([]byte, func(), RID, error) {
 	f, err := t.pool.Fetch(rid.Page)
 	if err != nil {
@@ -487,34 +480,6 @@ func (t *Table) fetchBorrowedRaw(rid RID) ([]byte, func(), RID, error) {
 		return nil, nil, fwd, nil
 	}
 	return body, drop, InvalidRID, nil
-}
-
-// fetchRaw reads the record at rid; if it is a forwarding stub, returns the
-// target RID instead of a payload.
-func (t *Table) fetchRaw(rid RID) ([]byte, RID, error) {
-	f, err := t.pool.Fetch(rid.Page)
-	if err != nil {
-		return nil, InvalidRID, err
-	}
-	defer t.pool.Unpin(f, false)
-	f.RLock()
-	defer f.RUnlock()
-	slots := int(binary.BigEndian.Uint16(f.Data[hdrSlots:]))
-	if int(rid.Slot) >= slots {
-		return nil, InvalidRID, fmt.Errorf("%w: %s", ErrNotFound, rid)
-	}
-	off, length := slotAt(f.Data, int(rid.Slot))
-	if off == 0 {
-		return nil, InvalidRID, fmt.Errorf("%w: %s", ErrNotFound, rid)
-	}
-	flag := f.Data[off]
-	body := f.Data[off+1 : off+length]
-	if flag == recForward {
-		return nil, RIDFromBytes(body), nil
-	}
-	out := make([]byte, len(body))
-	copy(out, body)
-	return out, InvalidRID, nil
 }
 
 // Delete removes the record, following and removing a forwarding stub.

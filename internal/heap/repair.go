@@ -18,12 +18,6 @@ import (
 // it inside buffer.Pool.Modify so the change is logged and checksummed.
 func InitPageImage(d []byte) { initPage(d) }
 
-// PageNextID returns the next-page pointer of a heap page image.
-func PageNextID(d []byte) pagestore.PageID { return pageNext(d) }
-
-// SetPageNextID rewrites the next-page pointer of a heap page image.
-func SetPageNextID(d []byte, id pagestore.PageID) { setPageNext(d, id) }
-
 // ForwardTargetsInPage returns the targets of every forwarding stub on a heap
 // page image. Slot bounds are validated so a garbage page yields an empty
 // list rather than a panic.

@@ -61,15 +61,18 @@ type Node struct {
 func (n *Node) IsProxy() bool { return n.Kind == xml.Proxy }
 
 // Detach copies the record's borrowed byte ranges (ContextID and the encoded
-// body) into owned memory, so the record stays valid after the underlying
-// buffer-pool frame is released. Offsets are preserved: Nodes decoded after a
-// Detach are indistinguishable from ones decoded before it, but Nodes decoded
-// BEFORE the Detach keep aliases (Rel, Value) into the old buffer. The walker
-// uses nothing of a pre-detach Node but its scalar fields, and re-derives the
-// node's Abs from its ID stack.
+// body) into owned memory — one buffer, one copy of the record — so the
+// record stays valid after the underlying buffer-pool frame is released.
+// Offsets are preserved: Nodes decoded after a Detach are indistinguishable
+// from ones decoded before it, but Nodes decoded BEFORE the Detach keep
+// aliases (Rel, Value) into the old buffer. The walker uses nothing of a
+// pre-detach Node but its scalar fields, and re-derives the node's Abs from
+// its ID stack.
 func (r *Record) Detach() {
-	r.ContextID = nodeid.Clone(r.ContextID)
-	r.body = append([]byte(nil), r.body...)
+	buf := make([]byte, len(r.ContextID)+len(r.body))
+	n := copy(buf, r.ContextID)
+	copy(buf[n:], r.body)
+	r.ContextID, r.body = nodeid.ID(buf[:n:n]), buf[n:]
 }
 
 // Decode parses a record payload.
@@ -313,131 +316,60 @@ func (d *decoder) value() ([]byte, error) {
 	return v, nil
 }
 
-// Top iterates the record's top-level subtrees in order.
-func (r *Record) Top(fn func(n Node) (bool, error)) error {
-	off := 0
-	for i := 0; i < r.SubtreeCount; i++ {
-		n, err := r.DecodeNodeAt(off, r.ContextID)
-		if err != nil {
-			return err
-		}
-		ok, err := fn(n)
-		if err != nil || !ok {
-			return err
-		}
-		off = n.end
-	}
-	return nil
-}
-
-// Children iterates an element node's child entries (attributes, namespace
-// nodes, child nodes and proxies) in document order. fn returning false
-// stops the iteration.
-func (r *Record) Children(elem *Node, fn func(n Node) (bool, error)) error {
-	if elem.Kind != xml.Element {
-		return nil
-	}
-	off := elem.bodyStart
-	for i := 0; i < elem.EntryCount; i++ {
-		n, err := r.DecodeNodeAt(off, elem.Abs)
-		if err != nil {
-			return err
-		}
-		ok, err := fn(n)
-		if err != nil || !ok {
-			return err
-		}
-		off = n.end
-	}
-	return nil
-}
-
-// FirstChildOffset returns the offset of an element's first child entry, or
-// -1 when it has none.
-func (r *Record) FirstChildOffset(elem *Node) int {
-	if elem.Kind != xml.Element || elem.EntryCount == 0 {
-		return -1
-	}
-	return elem.bodyStart
-}
-
 // Find locates the node with absolute ID target within this record,
 // descending from the top-level subtrees. If the path descends into a proxy,
 // Find returns the proxy node and found=false (the caller resolves it via
 // the NodeID index). If the target does not exist, found=false and node.Kind
-// is zero.
-func (r *Record) Find(target nodeid.ID) (Node, bool, error) {
+// is zero. When ancestors is non-nil, the names of the elements the descent
+// passes through — target's ancestors inside this record, outermost first —
+// are appended to it; with the header's Path before them they name every
+// ancestor of target (§3.1: a record is self-contained).
+func (r *Record) Find(target nodeid.ID, ancestors *[]xml.QName) (Node, bool, error) {
 	if !nodeid.IsAncestorOrSelf(r.ContextID, target) {
 		return Node{}, false, fmt.Errorf("%w: target %s outside record context %s", ErrCorrupt, target, r.ContextID)
 	}
-	var cur Node
-	curSet := false
-	// Scan top-level entries for the subtree containing target.
-	err := r.Top(func(n Node) (bool, error) {
-		if n.IsProxy() {
-			// The proxy covers [its ID .. next sibling); conservatively match
-			// if target is >= proxy start. Correct resolution is decided by
-			// the caller through the NodeID index, so only remember it if
-			// nothing better follows.
-			if nodeid.Compare(n.Abs, target) <= 0 {
-				cur = n
-				curSet = true
-			}
-			return true, nil
-		}
-		if nodeid.IsAncestorOrSelf(n.Abs, target) {
-			cur = n
-			curSet = true
-			return false, nil
-		}
-		if nodeid.Compare(n.Abs, target) > 0 {
-			return false, nil // past it
-		}
-		return true, nil
-	})
-	if err != nil {
-		return Node{}, false, err
-	}
-	if !curSet {
-		return Node{}, false, nil
-	}
+	off, entries, parent := 0, r.SubtreeCount, r.ContextID
 	for {
-		if cur.IsProxy() {
-			return cur, false, nil
-		}
-		if nodeid.Equal(cur.Abs, target) {
-			return cur, true, nil
-		}
-		if cur.Kind != xml.Element {
-			return Node{}, false, nil
-		}
-		var next Node
-		nextSet := false
-		err := r.Children(&cur, func(n Node) (bool, error) {
-			if n.IsProxy() {
+		// Scan one sibling list for the entry containing target.
+		var cur Node
+		curSet := false
+	siblings:
+		for i := 0; i < entries; i++ {
+			n, err := r.DecodeNodeAt(off, parent)
+			if err != nil {
+				return Node{}, false, err
+			}
+			off = n.end
+			switch {
+			case n.IsProxy():
+				// The proxy covers [its ID .. next sibling); conservatively
+				// match if target is >= proxy start. Correct resolution is
+				// decided by the caller through the NodeID index, so only
+				// remember it if nothing better follows.
 				if nodeid.Compare(n.Abs, target) <= 0 {
-					next = n
-					nextSet = true
+					cur, curSet = n, true
 				}
-				return true, nil
+			case nodeid.IsAncestorOrSelf(n.Abs, target):
+				cur, curSet = n, true
+				break siblings
+			case nodeid.Compare(n.Abs, target) > 0:
+				break siblings // past it
 			}
-			if nodeid.IsAncestorOrSelf(n.Abs, target) {
-				next = n
-				nextSet = true
-				return false, nil
-			}
-			if nodeid.Compare(n.Abs, target) > 0 {
-				return false, nil
-			}
-			return true, nil
-		})
-		if err != nil {
-			return Node{}, false, err
 		}
-		if !nextSet {
+		switch {
+		case !curSet:
+			return Node{}, false, nil
+		case cur.IsProxy():
+			return cur, false, nil
+		case nodeid.Equal(cur.Abs, target):
+			return cur, true, nil
+		case cur.Kind != xml.Element:
 			return Node{}, false, nil
 		}
-		cur = next
+		if ancestors != nil {
+			*ancestors = append(*ancestors, cur.Name)
+		}
+		off, entries, parent = cur.bodyStart, cur.EntryCount, cur.Abs
 	}
 }
 

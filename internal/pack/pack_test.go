@@ -32,9 +32,9 @@ func packDoc(t testing.TB, doc string, threshold int) ([]EncodedRecord, *xml.Dic
 	return recs, dict
 }
 
-// fetcher builds a Fetch over a set of records using their intervals,
+// fetcher builds a FetchBorrow over a set of (owned) records using their intervals,
 // emulating the NodeID index with a linear scan (tests only).
-func fetcher(t testing.TB, recs []EncodedRecord) Fetch {
+func fetcher(t testing.TB, recs []EncodedRecord) FetchBorrow {
 	type entry struct {
 		upper nodeid.ID
 		rec   *Record
@@ -49,7 +49,7 @@ func fetcher(t testing.TB, recs []EncodedRecord) Fetch {
 			entries = append(entries, entry{u, r})
 		}
 	}
-	return func(first nodeid.ID) (*Record, error) {
+	return func(first nodeid.ID) (*Record, func(), error) {
 		var best *entry
 		for i := range entries {
 			e := &entries[i]
@@ -58,9 +58,9 @@ func fetcher(t testing.TB, recs []EncodedRecord) Fetch {
 			}
 		}
 		if best == nil {
-			return nil, fmt.Errorf("no record for %s", first)
+			return nil, nil, fmt.Errorf("no record for %s", first)
 		}
-		return best.rec, nil
+		return best.rec, nil, nil
 	}
 }
 
@@ -111,7 +111,7 @@ func walkTrace(t testing.TB, recs []EncodedRecord, dict *xml.Dict) (string, []no
 		t.Fatalf("last emitted record is not the root record (context %s)", root.ContextID)
 	}
 	c := &collector{dict: dict}
-	if err := Walk(root, fetcher(t, recs), c); err != nil {
+	if err := Walk(root, nil, fetcher(t, recs), c); err != nil {
 		t.Fatal(err)
 	}
 	return c.sb.String(), c.ids
@@ -232,17 +232,17 @@ func TestFindEveryNode(t *testing.T) {
 	_, ids := walkTrace(t, recs, dict)
 	fetch := fetcher(t, recs)
 	for _, id := range ids {
-		rec, err := fetch(id)
+		rec, _, err := fetch(id)
 		if err != nil {
 			t.Fatalf("fetch %s: %v", id, err)
 		}
-		n, found, err := rec.Find(id)
+		n, found, err := rec.Find(id, nil)
 		for err == nil && !found && n.IsProxy() {
-			rec, err = fetch(id)
+			rec, _, err = fetch(id)
 			if err != nil {
 				break
 			}
-			n, found, err = rec.Find(id)
+			n, found, err = rec.Find(id, nil)
 			break // fetch is interval-exact in this harness; one hop is enough
 		}
 		if err != nil {
@@ -257,9 +257,9 @@ func TestFindEveryNode(t *testing.T) {
 	}
 	// A non-existent ID is not found.
 	bogus := nodeid.Append(nodeid.ID{0x02}, nodeid.Rel{0xEE})
-	rec, err := fetch(bogus)
+	rec, _, err := fetch(bogus)
 	if err == nil {
-		if _, found, _ := rec.Find(bogus); found {
+		if _, found, _ := rec.Find(bogus, nil); found {
 			t.Error("bogus node reported found")
 		}
 	}

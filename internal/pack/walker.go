@@ -9,15 +9,13 @@ import (
 	"rx/internal/xml"
 )
 
-// Fetch resolves a proxy: given the absolute node ID of the first subtree in
-// a packed-away run, it returns the record holding that run. Implementations
-// search the NodeID index (§3.4). The ID is valid only during the call.
-type Fetch func(first nodeid.ID) (*Record, error)
-
-// FetchBorrow resolves a proxy like Fetch, but may return a record whose
-// bytes are borrowed from a pinned buffer-pool frame. The returned release
-// function (nil when the record is owned) unpins the frame; the walker calls
-// it exactly once, either directly or after a Detach.
+// FetchBorrow resolves a proxy: given the absolute node ID of the first
+// subtree in a packed-away run, it returns the record holding that run.
+// Implementations search the NodeID index (§3.4). The ID is valid only during
+// the call. The record's bytes may be borrowed from a pinned buffer-pool
+// frame; the returned release function (nil when the record is owned) unpins
+// the frame, and the walker calls it exactly once, either directly or after a
+// Detach.
 type FetchBorrow func(first nodeid.ID) (*Record, func(), error)
 
 // Visitor receives document-order traversal events. Enter is called for
@@ -56,8 +54,8 @@ type Skipper interface {
 // two heap-page read latches at once (see heap.FetchBorrowed). Before
 // fetching a proxy's record, the current borrow is detached (its bytes
 // copied to owned memory, frame released); when a fetched record's subtree
-// walk completes, its frame is released without the copy. Owned records
-// (nil release) go through the same steps as no-ops.
+// walk completes, its frame is released without the copy. A record the caller
+// owns (nil release) goes through the same steps as no-ops.
 type walker struct {
 	v     Visitor
 	skip  Skipper // nil: the visitor never skips
@@ -108,21 +106,16 @@ func run(rec *Record, release func(), off, entries int, parent nodeid.ID, fetch 
 	return err
 }
 
-// owned adapts a Fetch to the borrowing signature: its records are owned, so
-// there is nothing to release.
-func owned(fetch Fetch) FetchBorrow {
-	return func(first nodeid.ID) (*Record, func(), error) {
-		rec, err := fetch(first)
-		return rec, nil, err
-	}
-}
-
 // Walk traverses the subtrees of rec in document order, fetching proxied
 // records as needed. This is the stored-data traversal of §3.4: the records
 // form a block-based tree walked depth-first, with fetch order matching the
-// (DocID, minNodeID) clustering order.
-func Walk(rec *Record, fetch Fetch, v Visitor) error {
-	return run(rec, nil, 0, rec.SubtreeCount, rec.ContextID, owned(fetch), v, nil)
+// (DocID, minNodeID) clustering order. rec's bytes may live in a pinned
+// buffer-pool frame, released by calling release (nil if rec is owned). Proxy
+// records are fetched through fetch and their frames released as soon as each
+// subtree completes, so the walk holds at most one frame pin at any instant
+// regardless of document size.
+func Walk(rec *Record, release func(), fetch FetchBorrow, v Visitor) error {
+	return run(rec, release, 0, rec.SubtreeCount, rec.ContextID, fetch, v, nil)
 }
 
 // WalkPartial is Walk, except that a proxy whose record cannot be fetched is
@@ -130,26 +123,16 @@ func Walk(rec *Record, fetch Fetch, v Visitor) error {
 // failing the walk. It returns the number of subtrees lost this way. This is
 // the best-effort salvage traversal: when a heap page is gone, everything
 // still reachable is recovered and the loss is reported, never silent.
-func WalkPartial(rec *Record, fetch Fetch, v Visitor) (lost int, err error) {
-	err = run(rec, nil, 0, rec.SubtreeCount, rec.ContextID, owned(fetch), v, &lost)
+func WalkPartial(rec *Record, release func(), fetch FetchBorrow, v Visitor) (lost int, err error) {
+	err = run(rec, release, 0, rec.SubtreeCount, rec.ContextID, fetch, v, &lost)
 	return lost, err
 }
 
-// WalkBorrowed is Walk over borrowed records: rec's bytes may live in a
-// pinned buffer-pool frame, released by calling release (nil if rec is
-// owned). Proxy records are fetched through fetch and their frames released
-// as soon as each subtree completes, so the walk holds at most one frame pin
-// at any instant regardless of document size.
-func WalkBorrowed(rec *Record, release func(), fetch FetchBorrow, v Visitor) error {
-	return run(rec, release, 0, rec.SubtreeCount, rec.ContextID, fetch, v, nil)
-}
-
-// WalkSubtreeBorrowed traverses one node's subtree (the node itself
-// included), resolving proxies; same lifetime contract as WalkBorrowed. n
-// must have been decoded from rec. Used for node-scoped serialization,
-// string values and subtree re-evaluation of nodes reached through the
-// NodeID index.
-func WalkSubtreeBorrowed(rec *Record, release func(), n *Node, fetch FetchBorrow, v Visitor) error {
+// WalkSubtree traverses one node's subtree (the node itself included),
+// resolving proxies; same lifetime contract as Walk. n must have been decoded
+// from rec. Used for node-scoped serialization, string values and subtree
+// re-evaluation of nodes reached through the NodeID index.
+func WalkSubtree(rec *Record, release func(), n *Node, fetch FetchBorrow, v Visitor) error {
 	parent := n.Abs[:len(n.Abs)-len(n.Rel)]
 	return run(rec, release, n.start, 1, parent, fetch, v, nil)
 }

@@ -808,7 +808,3 @@ func cmpOrd(op xpath.CmpOp, ord int) bool {
 	}
 	return false
 }
-
-// Live returns the number of matching instances currently alive (for the
-// Figure-7 experiment).
-func (e *Eval) Live() int { return e.live }

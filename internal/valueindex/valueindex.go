@@ -165,14 +165,10 @@ func entryKey(encVal []byte, doc xml.DocID, id nodeid.ID) []byte {
 	return append(k, id...)
 }
 
-// EntryKey assembles the full (encoded value, DocID, NodeID) entry key.
-// Exported for the bulk loader, which sorts assembled keys before insertion
-// so B+tree puts run in key order.
-func EntryKey(encVal []byte, doc xml.DocID, id nodeid.ID) []byte {
-	return AppendEntryKey(nil, encVal, doc, id)
-}
-
-// AppendEntryKey is EntryKey appending into dst (arena scratch friendly).
+// AppendEntryKey assembles the full (encoded value, DocID, NodeID) entry key,
+// appending into dst (arena scratch friendly). Exported for the bulk loader,
+// which sorts assembled keys before insertion so B+tree puts run in key
+// order.
 func AppendEntryKey(dst []byte, encVal []byte, doc xml.DocID, id nodeid.ID) []byte {
 	k := append(dst, encVal...)
 	var d [8]byte
@@ -181,7 +177,7 @@ func AppendEntryKey(dst []byte, encVal []byte, doc xml.DocID, id nodeid.ID) []by
 	return append(k, id...)
 }
 
-// PutKey inserts a pre-assembled entry key (see EntryKey).
+// PutKey inserts a pre-assembled entry key (see AppendEntryKey).
 func (ix *Index) PutKey(key []byte, rid heap.RID) error {
 	return ix.tree.Put(key, rid.Bytes())
 }

@@ -163,8 +163,8 @@ func TestIDSynthesizersAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stored packIDs
-	noProxies := func(nodeid.ID) (*pack.Record, error) { return nil, errors.New("single record") }
-	if err := pack.Walk(root, noProxies, &stored); err != nil {
+	noProxies := func(nodeid.ID) (*pack.Record, func(), error) { return nil, nil, errors.New("single record") }
+	if err := pack.Walk(root, nil, noProxies, &stored); err != nil {
 		t.Fatal(err)
 	}
 	if len(stored.out) != len(fromTokens.out) {

@@ -70,43 +70,6 @@ func Shaped(k, n int) []byte {
 	return []byte(sb.String())
 }
 
-// Deep generates a document of the given depth and fanout (elements per
-// level), for shape sweeps.
-func Deep(rng *rand.Rand, depth, fanout int) []byte {
-	var sb strings.Builder
-	var rec func(d int)
-	rec = func(d int) {
-		if d == 0 {
-			fmt.Fprintf(&sb, "<leaf>%d</leaf>", rng.Intn(1000))
-			return
-		}
-		fmt.Fprintf(&sb, `<n d="%d">`, d)
-		for i := 0; i < fanout; i++ {
-			rec(d - 1)
-		}
-		sb.WriteString("</n>")
-	}
-	rec(depth)
-	return []byte(sb.String())
-}
-
-// Orders generates an order document (the order-processing workload of the
-// examples): customer, line items with parts and quantities.
-func Orders(rng *rand.Rand, lines int) []byte {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, `<Order id="%d"><Customer>%s</Customer><Items>`, rng.Intn(100000), ProductName(rng))
-	total := 0.0
-	for i := 0; i < lines; i++ {
-		qty := 1 + rng.Intn(9)
-		price := 5 + rng.Float64()*95
-		total += float64(qty) * price
-		fmt.Fprintf(&sb, `<Item line="%d"><Part>%s</Part><Qty>%d</Qty><Price>%.2f</Price></Item>`,
-			i+1, ProductName(rng), qty, price)
-	}
-	fmt.Fprintf(&sb, `</Items><Total>%.2f</Total></Order>`, total)
-	return []byte(sb.String())
-}
-
 // Product generates the ≈1.5 KiB product document of the gated smoke cases
 // (E3, E10, E13, E16, E19): two attributes, a name, a price and 16 Part
 // children with a description and a quantity each — ≈100 stored nodes.

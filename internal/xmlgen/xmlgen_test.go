@@ -48,16 +48,6 @@ func TestShaped(t *testing.T) {
 	}
 }
 
-func TestDeepAndOrders(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	mustParse(t, Deep(rng, 4, 3))
-	doc := Orders(rng, 7)
-	mustParse(t, doc)
-	if got := strings.Count(string(doc), "<Item "); got != 7 {
-		t.Errorf("items = %d", got)
-	}
-}
-
 func TestProductAndParts(t *testing.T) {
 	doc := Product(3)
 	mustParse(t, doc)

@@ -81,7 +81,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	if !bytes.Contains(buf.Bytes(), []byte("Native XML")) {
 		t.Errorf("doc = %s", buf.String())
 	}
-	res2, _, err := col2.Query("/book[title = 'Ghost']")
+	res2, _, err := col2.QueryOpts("/book[title = 'Ghost']", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestVersionedFacade(t *testing.T) {
 	col, _ := db.CreateCollection("v", CollectionOptions{Versioned: true})
 	id, _ := col.Insert([]byte(`<d><v>1</v></d>`))
 	v1, _ := col.SnapshotVersion(id)
-	res, _, _ := col.Query("/d/v/text()")
+	res, _, _ := col.QueryOpts("/d/v/text()", QueryOptions{})
 	if err := col.UpdateText(id, res[0].Node, []byte("2")); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFragmentPositions(t *testing.T) {
 	db, _ := Open("")
 	col, _ := db.CreateCollection("c", CollectionOptions{})
 	id, _ := col.Insert([]byte(`<r><a/></r>`))
-	aRes, _, _ := col.Query("/r/a")
+	aRes, _, _ := col.QueryOpts("/r/a", QueryOptions{})
 	if _, err := col.InsertFragment(id, aRes[0].Node, AfterNode, []byte(`<b/>`)); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestOpenVariants(t *testing.T) {
 		if _, err := col.Insert([]byte(`<a><b>x</b></a>`)); err != nil {
 			t.Fatal(err)
 		}
-		rs, _, err := col.Query("/a/b")
+		rs, _, err := col.QueryOpts("/a/b", QueryOptions{})
 		if err != nil || len(rs) != 1 {
 			t.Fatalf("rs=%v err=%v", rs, err)
 		}
@@ -223,7 +223,7 @@ func TestOpenVariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, _, err := col2.Query("/k")
+		rs, _, err := col2.QueryOpts("/k", QueryOptions{})
 		if err != nil || len(rs) != 1 {
 			t.Fatalf("after recovery rs=%v err=%v", rs, err)
 		}
