@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -316,7 +317,8 @@ func differentialDocs(rng *rand.Rand) []string {
 
 // TestPlannerDifferential is the planner oracle test: on randomized data and
 // a grid of queries, every access method the planner can produce must return
-// byte-identical results to the forced full scan.
+// byte-identical results to the forced full scan — serial and parallel, with
+// values, under a Limit, and with one document quarantined.
 func TestPlannerDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	db := newDB(t)
@@ -349,36 +351,91 @@ func TestPlannerDifferential(t *testing.T) {
 	}
 
 	for _, q := range queries {
-		want, wantPlan, err := col.QueryOpts(q, QueryOptions{ForceMethod: "scan", Parallelism: 1})
+		want, wantPlan, err := col.QueryOpts(q, QueryOptions{ForceMethod: "scan", Parallelism: 1, NeedValues: true})
 		if err != nil {
 			t.Fatalf("%s: scan oracle: %v", q, err)
+		}
+		compare := func(label string, got, want []Result, values bool) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s via %s: %d results, scan %d", q, label, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Doc != want[i].Doc || got[i].Node.String() != want[i].Node.String() ||
+					values && string(got[i].Value) != string(want[i].Value) {
+					t.Fatalf("%s via %s: result %d = %v, scan %v", q, label, i, got[i], want[i])
+				}
+			}
 		}
 		chosen, _, err := col.QueryOpts(q, QueryOptions{})
 		if err != nil {
 			t.Fatalf("%s: costed plan: %v", q, err)
 		}
-		compare := func(method string, got []Result) {
-			if len(got) != len(want) {
-				t.Fatalf("%s via %s: %d results, scan %d", q, method, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Doc != want[i].Doc || got[i].Node.String() != want[i].Node.String() {
-					t.Fatalf("%s via %s: result %d = %v, scan %v", q, method, i, got[i], want[i])
+		compare("costed:"+wantPlan.Method, chosen, want, false)
+		// Every candidate the planner priced must agree with the oracle,
+		// serial and on the worker pool, with and without values, and a
+		// Limit must stop at the oracle's first results.
+		for _, alt := range wantPlan.Alternatives {
+			for _, par := range []int{1, 4} {
+				for _, values := range []bool{false, true} {
+					label := fmt.Sprintf("%s/par=%d/values=%v", alt.Method, par, values)
+					opts := QueryOptions{ForceMethod: alt.Method, Parallelism: par, NeedValues: values}
+					got, p, err := col.QueryOpts(q, opts)
+					if err != nil {
+						t.Fatalf("%s forced %s: %v", q, label, err)
+					}
+					if p.Method != alt.Method {
+						t.Fatalf("%s forced %s ran as %s", q, alt.Method, p.Method)
+					}
+					compare(label, got, want, values)
+					opts.Limit = 3
+					if got, _, err = col.QueryOpts(q, opts); err != nil {
+						t.Fatalf("%s forced %s limit 3: %v", q, label, err)
+					}
+					compare(label+"/limit=3", got, want[:min(3, len(want))], values)
 				}
 			}
 		}
-		compare("costed:"+wantPlan.Method, chosen)
-		// Every candidate the planner priced must agree with the oracle.
-		for _, alt := range wantPlan.Alternatives {
-			got, p, err := col.QueryOpts(q, QueryOptions{ForceMethod: alt.Method, Parallelism: 1})
-			if err != nil {
-				t.Fatalf("%s forced %s: %v", q, alt.Method, err)
-			}
-			if p.Method != alt.Method {
-				t.Fatalf("%s forced %s ran as %s", q, alt.Method, p.Method)
-			}
-			compare(alt.Method, got)
+		if len(want) == 0 {
+			continue
 		}
+		// One quarantined document — the first with results, so every
+		// method lists it — is skipped by a degraded query and fails any
+		// other with a typed error, whichever access method runs.
+		victim := want[0].Doc
+		var rest []Result
+		for _, r := range want {
+			if r.Doc != victim {
+				rest = append(rest, r)
+			}
+		}
+		col.db.Quarantine("c", victim, "differential", pagestore.InvalidPage)
+		for _, alt := range wantPlan.Alternatives {
+			for _, par := range []int{1, 4} {
+				label := fmt.Sprintf("%s/par=%d/degraded", alt.Method, par)
+				cur, err := col.Cursor(q, QueryOptions{ForceMethod: alt.Method, Parallelism: par, NeedValues: true, Degraded: true})
+				if err != nil {
+					t.Fatalf("%s forced %s: %v", q, label, err)
+				}
+				var got []Result
+				for cur.Next() {
+					got = append(got, cur.Result())
+				}
+				if err := cur.Err(); err != nil {
+					t.Fatalf("%s forced %s: %v", q, label, err)
+				}
+				compare(label, got, rest, true)
+				if cur.Skipped() != 1 {
+					t.Fatalf("%s forced %s: Skipped() = %d, want 1", q, label, cur.Skipped())
+				}
+				cur.Close()
+				var qe ErrQuarantined
+				if _, _, err := col.QueryOpts(q, QueryOptions{ForceMethod: alt.Method, Parallelism: par}); !errors.As(err, &qe) || qe.Doc != victim {
+					t.Fatalf("%s forced %s/par=%d without Degraded: err %v, want ErrQuarantined for doc %d", q, alt.Method, par, err, victim)
+				}
+			}
+		}
+		col.db.ClearQuarantine("c", victim)
 	}
 }
 

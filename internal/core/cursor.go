@@ -1,15 +1,14 @@
 package core
 
-// The parallel query executor and streaming cursor. The §4.3 access methods
-// that re-evaluate candidate documents (relation scan, DocID-list
-// filtering) are embarrassingly parallel: per-document evaluation is
-// independent (each worker owns a compiled QuickXScan evaluator and the
-// storage read path is concurrency-safe), so the candidate set is
-// partitioned dynamically across a worker pool and per-document result
-// batches are merged back into document order. Index-only access paths
-// (exact NodeID lists, NodeID filtering) stay serial — they are already
-// narrowed by the index — and the cursor just iterates their materialized
-// results.
+// The query executor and streaming cursor. Every §4.3 access method is one
+// recipe (query.go) whose sorted candidate keys — documents, subtrees or
+// exact result nodes — are visited in key order by candidateRun.visit, the
+// one per-candidate step. Candidates are independent (each worker owns a
+// compiled QuickXScan evaluator and the storage read path is
+// concurrency-safe), so the list is partitioned dynamically across a worker
+// pool and per-candidate result batches are merged back into key order,
+// which is (DocID, NodeID) result order; a serial cursor visits lazily on
+// the caller's goroutine instead.
 
 import (
 	"context"
@@ -23,7 +22,6 @@ import (
 	"rx/internal/pagestore"
 	"rx/internal/quickxscan"
 	"rx/internal/xml"
-	"rx/internal/xpath"
 )
 
 // resultsBytes estimates the working-set bytes a result batch pins: the
@@ -64,15 +62,10 @@ type Cursor struct {
 	src     batcher
 	batch   []Result
 	bpos    int
-	skipped atomic.Int64
-
-	// mem/memHeld hold a budget reservation for results materialized up
-	// front (index-only access paths), released when the cursor stops.
-	mem     *memgov.Budget
-	memHeld int64
+	skipped int
 }
 
-// batcher yields per-document result batches in document order. ok=false
+// batcher yields per-candidate result batches in key order. ok=false
 // with a nil error means the source is exhausted.
 type batcher interface {
 	nextBatch() (batch []Result, ok bool, err error)
@@ -127,7 +120,7 @@ func (cu *Cursor) Plan() *Plan { return cu.plan }
 
 // Skipped reports how many quarantined documents a Degraded cursor skipped
 // so far. Always 0 without QueryOptions.Degraded.
-func (cu *Cursor) Skipped() int { return int(cu.skipped.Load()) }
+func (cu *Cursor) Skipped() int { return cu.skipped }
 
 // Close releases the cursor, cancelling and waiting out any background
 // workers. It is safe to call multiple times.
@@ -146,50 +139,38 @@ func (cu *Cursor) stop() {
 		cu.src.close()
 		cu.src = nil
 	}
-	cu.mem.Release(cu.memHeld)
-	cu.memHeld = 0
 }
 
-// newSliceCursor wraps already-materialized results (index-only access).
-// The whole result set sits in memory for the cursor's lifetime, so it is
-// charged against the budget in one piece.
-func newSliceCursor(results []Result, plan *Plan, opts QueryOptions) (*Cursor, error) {
-	n := resultsBytes(results)
-	if err := opts.Mem.Reserve(n); err != nil {
-		return nil, err
-	}
-	return &Cursor{plan: plan, limit: opts.Limit, batch: results,
-		mem: opts.Mem, memHeld: n}, nil
-}
-
-// newDocCursor builds a cursor that evaluates the query over docs, either
+// newCursor builds the cursor that visits a plan's candidate keys, either
 // lazily on the caller's goroutine (serial) or via a worker pool.
-func (c *Collection) newDocCursor(q *xpath.Query, docs []xml.DocID, plan *Plan, opts QueryOptions) (*Cursor, error) {
+func (c *Collection) newCursor(plan *Plan, list *keyList, opts QueryOptions) (*Cursor, error) {
 	par := opts.Parallelism
 	if par <= 0 {
 		par = runtime.NumCPU()
 	}
-	if par > len(docs) {
-		par = len(docs)
+	n := len(list.keys)
+	if par > n {
+		par = n
 	}
 	cu := &Cursor{plan: plan, limit: opts.Limit}
-	if len(docs) == 0 {
+	if n == 0 {
 		return cu, nil
 	}
+	run := &candidateRun{col: c, list: list, exact: plan.Exact, values: opts.NeedValues,
+		degraded: opts.Degraded, skipped: &cu.skipped}
 	eopts := quickxscan.Options{NeedValues: opts.NeedValues}
 	if par <= 1 {
-		e, err := quickxscan.Compile(q, c.db.cat, nil, eopts)
+		e, err := quickxscan.Compile(plan.q, c.db.cat, nil, eopts)
 		if err != nil {
 			return nil, err
 		}
-		cu.src = &serialSource{col: c, eval: e, docs: docs, ctx: opts.context(),
-			degraded: opts.Degraded, skipped: &cu.skipped, mem: opts.Mem}
+		cu.src = &serialSource{run: run, eval: e, ctx: opts.context(), mem: opts.Mem}
 		return cu, nil
 	}
 	plan.Parallelism = par
 	evals := make([]*quickxscan.Eval, par)
 	for i := range evals {
-		e, err := quickxscan.Compile(q, c.db.cat, nil, eopts)
+		e, err := quickxscan.Compile(plan.q, c.db.cat, nil, eopts)
 		if err != nil {
 			return nil, err
 		}
@@ -197,13 +178,13 @@ func (c *Collection) newDocCursor(q *xpath.Query, docs []xml.DocID, plan *Plan, 
 	}
 	ctx, cancel := context.WithCancel(opts.context())
 	s := &parallelSource{
+		run:    run,
 		ctx:    ctx,
 		cancel: cancel,
-		// Buffered to the document count so workers never block on send:
+		// Buffered to the candidate count so workers never block on send:
 		// an early Close only has to cancel and wait, never drain.
-		ch:      make(chan docBatch, len(docs)),
-		total:   len(docs),
-		pending: make(map[int]docBatch),
+		ch:      make(chan keyBatch, n),
+		pending: make(map[int]keyBatch),
 		mem:     opts.Mem,
 	}
 	var next atomic.Int64
@@ -213,14 +194,10 @@ func (c *Collection) newDocCursor(q *xpath.Query, docs []xml.DocID, plan *Plan, 
 			defer s.wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(docs) || s.ctx.Err() != nil {
+				if i >= n || s.ctx.Err() != nil {
 					return
 				}
-				doc := docs[i]
-				res, skip, err := c.evalCursorDoc(doc, e, opts.Degraded)
-				if skip {
-					cu.skipped.Add(1)
-				}
+				res, skip, err := run.visit(i, e)
 				// The channel buffer is where results accumulate ahead of the
 				// consumer, so this is where the memory budget is charged; the
 				// reservation travels with the batch and is released when the
@@ -233,7 +210,7 @@ func (c *Collection) newDocCursor(q *xpath.Query, docs []xml.DocID, plan *Plan, 
 						}
 					}
 				}
-				s.ch <- docBatch{idx: i, res: res, err: err, bytes: n}
+				s.ch <- keyBatch{idx: i, res: res, skip: skip, err: err, bytes: n}
 			}
 		}(e)
 	}
@@ -241,34 +218,62 @@ func (c *Collection) newDocCursor(q *xpath.Query, docs []xml.DocID, plan *Plan, 
 	return cu, nil
 }
 
-// evalCursorDoc evaluates one candidate document for a cursor, applying the
-// quarantine policy: a quarantined document is skipped (Degraded) or fails
-// the cursor with a typed ErrQuarantined; a checksum failure during
-// evaluation first quarantines the document — detection-on-read feeds the
-// same registry the scrubber fills — then applies the same policy. A document
-// deleted since it was listed as a candidate yields no results (deletedUnder).
-func (c *Collection) evalCursorDoc(doc xml.DocID, e *quickxscan.Eval, degraded bool) (res []Result, skipped bool, err error) {
-	if q, ok := c.db.quarantined(c.meta.Name, doc); ok {
-		if degraded {
+// candidateRun is what a cursor's source needs to visit its candidates: the
+// keys, what to do with each, and where skips are counted.
+type candidateRun struct {
+	col      *Collection
+	list     *keyList
+	exact    bool // a key is a result node to emit, not a document or subtree to evaluate
+	values   bool
+	degraded bool
+	skipped  *int      // the cursor's count, kept by the consumer (noteSkip)
+	lastSkip xml.DocID // the document skipped last
+}
+
+// visit runs candidate i — evaluates its document (level-0 key) or its
+// subtree, or, for an exact plan, emits the key itself with its string value
+// when wanted — applying the quarantine policy: a quarantined document is
+// skipped (Degraded) or fails the cursor with a typed ErrQuarantined; a
+// checksum failure during the read first quarantines the document —
+// detection-on-read feeds the same registry the scrubber fills — then
+// applies the same policy. A document deleted since it was listed as a
+// candidate yields no results (deletedUnder).
+func (r *candidateRun) visit(i int, e *quickxscan.Eval) (res []Result, skipped bool, err error) {
+	c, k := r.col, r.list.keys[i]
+	node := r.list.node(k)
+	if q, ok := c.db.quarantined(c.meta.Name, k.doc); ok {
+		if r.degraded {
 			return nil, true, nil
 		}
 		return nil, false, q.err()
 	}
-	matches, err := c.evalStored(doc, e)
+	var matches []quickxscan.Match
+	switch {
+	case !r.exact && len(node) > 0:
+		matches, err = c.evalSubtree(k.doc, node, e)
+	case !r.exact:
+		matches, err = c.evalStored(k.doc, e)
+	case r.values:
+		var v []byte
+		v, err = c.NodeString(k.doc, node)
+		matches = []quickxscan.Match{{ID: node, Value: v}}
+	default:
+		matches = []quickxscan.Match{{ID: node}}
+	}
 	if err != nil {
 		var pe pagestore.ErrPageChecksum
 		if errors.As(err, &pe) {
-			c.db.Quarantine(c.meta.Name, doc,
+			c.db.Quarantine(c.meta.Name, k.doc,
 				fmt.Sprintf("page %d failed checksum during query", pe.PageID), pe.PageID)
-			if degraded {
+			if r.degraded {
 				return nil, true, nil
 			}
 			return nil, false, fmt.Errorf("%w", ErrQuarantined{
-				Col: c.meta.Name, Doc: doc,
+				Col: c.meta.Name, Doc: k.doc,
 				Reason: fmt.Sprintf("page %d failed checksum during query", pe.PageID),
 			})
 		}
-		if c.deletedUnder(doc, err) {
+		if c.deletedUnder(k.doc, err) {
 			return nil, false, nil
 		}
 		return nil, false, err
@@ -278,9 +283,19 @@ func (c *Collection) evalCursorDoc(doc xml.DocID, e *quickxscan.Eval, degraded b
 	}
 	res = make([]Result, len(matches))
 	for j, m := range matches {
-		res[j] = Result{Doc: doc, Node: m.ID, Value: m.Value}
+		res[j] = Result{Doc: k.doc, Node: m.ID, Value: m.Value}
 	}
 	return res, false, nil
+}
+
+// noteSkip counts skipped candidate i's document, once: the consumer sees
+// candidates in key order, where a document's keys are adjacent.
+func (r *candidateRun) noteSkip(i int) {
+	doc := r.list.keys[i].doc
+	if *r.skipped == 0 || doc != r.lastSkip {
+		*r.skipped++
+	}
+	r.lastSkip = doc
 }
 
 // err converts a registry entry into the typed error queries surface.
@@ -288,36 +303,33 @@ func (q QuarantineEntry) err() error {
 	return fmt.Errorf("%w", ErrQuarantined{Col: q.Col, Doc: q.Doc, Reason: q.Reason})
 }
 
-// serialSource evaluates one document per nextBatch call on the caller's
+// serialSource visits one candidate per nextBatch call on the caller's
 // goroutine — fully lazy, no background work.
 type serialSource struct {
-	col      *Collection
-	eval     *quickxscan.Eval
-	docs     []xml.DocID
-	pos      int
-	ctx      context.Context
-	degraded bool
-	skipped  *atomic.Int64
-	mem      *memgov.Budget
-	held     int64 // bytes reserved for the batch currently out with the cursor
+	run  *candidateRun
+	eval *quickxscan.Eval
+	pos  int
+	ctx  context.Context
+	mem  *memgov.Budget
+	held int64 // bytes reserved for the batch currently out with the cursor
 }
 
 func (s *serialSource) nextBatch() ([]Result, bool, error) {
 	// The previous batch has been fully consumed by the cursor.
 	s.mem.Release(s.held)
 	s.held = 0
-	for s.pos < len(s.docs) {
+	for s.pos < len(s.run.list.keys) {
 		if err := s.ctx.Err(); err != nil {
 			return nil, false, err
 		}
-		doc := s.docs[s.pos]
+		i := s.pos
 		s.pos++
-		rs, skip, err := s.col.evalCursorDoc(doc, s.eval, s.degraded)
+		rs, skip, err := s.run.visit(i, s.eval)
 		if err != nil {
 			return nil, false, err
 		}
 		if skip {
-			s.skipped.Add(1)
+			s.run.noteSkip(i)
 			continue
 		}
 		if len(rs) == 0 {
@@ -339,28 +351,29 @@ func (s *serialSource) close() {
 	s.held = 0
 }
 
-// docBatch is one document's results, tagged with its position in the
+// keyBatch is one candidate's results, tagged with its position in the
 // candidate order and the budget bytes reserved for it.
-type docBatch struct {
+type keyBatch struct {
 	idx   int
 	res   []Result
+	skip  bool
 	err   error
 	bytes int64
 }
 
-// parallelSource merges worker output back into document order: batches
+// parallelSource merges worker output back into key order: batches
 // arriving early are parked in pending until their turn. Budget
 // reservations travel with the batches — made by the producing worker,
 // released when the consumer hands the batch to the cursor's successor call
 // or when the source closes.
 type parallelSource struct {
+	run     *candidateRun
 	ctx     context.Context
 	cancel  context.CancelFunc
-	ch      chan docBatch
+	ch      chan keyBatch
 	wg      sync.WaitGroup
 	next    int
-	total   int
-	pending map[int]docBatch
+	pending map[int]keyBatch
 	mem     *memgov.Budget
 	held    int64 // bytes reserved for the batch currently out with the cursor
 }
@@ -370,7 +383,7 @@ func (s *parallelSource) nextBatch() ([]Result, bool, error) {
 	s.mem.Release(s.held)
 	s.held = 0
 	for {
-		if s.next >= s.total {
+		if s.next >= len(s.run.list.keys) {
 			return nil, false, nil
 		}
 		b, ok := s.pending[s.next]
@@ -390,6 +403,10 @@ func (s *parallelSource) nextBatch() ([]Result, bool, error) {
 		s.next++
 		if b.err != nil {
 			return nil, false, b.err
+		}
+		if b.skip {
+			s.run.noteSkip(b.idx)
+			continue
 		}
 		if len(b.res) == 0 {
 			continue

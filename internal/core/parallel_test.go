@@ -156,118 +156,173 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 	}
 }
 
-// TestQueryCtxCancel checks that a cancelled context aborts both the serial
-// and the parallel path promptly with ctx.Err().
-func TestQueryCtxCancel(t *testing.T) {
+// pricedProducts selects every Product of a seedCatalog collection (prices
+// are positive); cheapProducts selects none.
+const (
+	pricedProducts = "/Catalog/Categories/Product[RegPrice >= 0]"
+	cheapProducts  = "/Catalog/Categories/Product[RegPrice < 0]"
+)
+
+// indexedCatalog seeds n catalog documents and indexes their prices, so the
+// price queries above admit every access method shape: scan, docid-list,
+// nodeid-list and nodeid-filtering.
+func indexedCatalog(t *testing.T, n int) *Collection {
+	t.Helper()
 	db := newDB(t)
 	col, err := db.CreateCollection("cat", CollectionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedCatalog(t, col, 20)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	const q = "/Catalog/Categories/Product/ProductName"
-	for _, par := range []int{1, 4} {
-		_, _, err := col.QueryOpts(q, QueryOptions{Ctx: ctx, Parallelism: par})
-		if err != context.Canceled {
-			t.Errorf("parallelism %d: expected context.Canceled, got %v", par, err)
-		}
+	seedCatalog(t, col, n)
+	if err := col.CreateValueIndex("by_price", "/Catalog/Categories/Product/RegPrice", xml.TDouble); err != nil {
+		t.Fatal(err)
 	}
+	return col
 }
 
-// TestCursorSemantics exercises the streaming contract: empty results,
-// early Close, exhaustion, and Limit.
-func TestCursorSemantics(t *testing.T) {
-	db := newDB(t)
-	col, err := db.CreateCollection("cat", CollectionOptions{})
+// methodsOf lists every access method the planner prices for expr.
+func methodsOf(t *testing.T, col *Collection, expr string) []string {
+	t.Helper()
+	p, err := col.Plan(expr, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedCatalog(t, col, 12)
+	var out []string
+	for _, a := range p.Alternatives {
+		out = append(out, a.Method)
+	}
+	if len(out) < 4 {
+		t.Fatalf("%s admits only %v; the fixture should admit every method shape", expr, out)
+	}
+	return out
+}
 
-	t.Run("empty", func(t *testing.T) {
-		cur, err := col.Cursor("/Nope/Nothing", QueryOptions{})
+// TestQueryCtxCancel checks that a cancelled context aborts every access
+// method, serial and parallel, with ctx.Err(): up front when the context is
+// already done, and between candidates when it is cancelled mid-stream.
+func TestQueryCtxCancel(t *testing.T) {
+	col := indexedCatalog(t, 20)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, m := range methodsOf(t, col, pricedProducts) {
+		for _, par := range []int{1, 4} {
+			_, _, err := col.QueryOpts(pricedProducts, QueryOptions{Ctx: ctx, Parallelism: par, ForceMethod: m})
+			if err != context.Canceled {
+				t.Errorf("%s, parallelism %d: expected context.Canceled, got %v", m, par, err)
+			}
+		}
+		// A serial cursor checks the context before each candidate.
+		ctx, cancel := context.WithCancel(context.Background())
+		cur, err := col.Cursor(pricedProducts, QueryOptions{Ctx: ctx, Parallelism: 1, ForceMethod: m})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer cur.Close()
-		if cur.Next() {
-			t.Fatal("Next returned true on empty result set")
+		if !cur.Next() {
+			t.Fatalf("%s: no first result: %v", m, cur.Err())
 		}
-		if cur.Err() != nil {
-			t.Fatalf("Err after exhaustion: %v", cur.Err())
+		cancel()
+		for cur.Next() {
+		}
+		if err := cur.Err(); err != context.Canceled {
+			t.Errorf("%s: cancelled mid-stream, Err = %v, want context.Canceled", m, err)
+		}
+		cur.Close()
+	}
+}
+
+// TestCursorSemantics exercises the streaming contract on every access
+// method: empty results, early Close, exhaustion, and Limit.
+func TestCursorSemantics(t *testing.T) {
+	col := indexedCatalog(t, 12)
+	methods := methodsOf(t, col, pricedProducts)
+
+	t.Run("empty", func(t *testing.T) {
+		for _, m := range methods {
+			cur, err := col.Cursor(cheapProducts, QueryOptions{ForceMethod: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cur.Next() {
+				t.Fatalf("%s: Next returned true on empty result set", m)
+			}
+			if cur.Err() != nil {
+				t.Fatalf("%s: Err after exhaustion: %v", m, cur.Err())
+			}
+			cur.Close()
 		}
 	})
 
 	t.Run("early close", func(t *testing.T) {
-		for _, par := range []int{1, 4} {
-			cur, err := col.Cursor("/Catalog/Categories/Product/ProductName",
-				QueryOptions{Parallelism: par})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !cur.Next() {
-				t.Fatalf("parallelism %d: expected at least one result", par)
-			}
-			if err := cur.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if cur.Next() {
-				t.Fatal("Next returned true after Close")
-			}
-			if cur.Err() != nil {
-				t.Fatalf("Err after early Close: %v", cur.Err())
-			}
-			if err := cur.Close(); err != nil {
-				t.Fatal("second Close errored:", err)
+		for _, m := range methods {
+			for _, par := range []int{1, 4} {
+				cur, err := col.Cursor(pricedProducts, QueryOptions{Parallelism: par, ForceMethod: m})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !cur.Next() {
+					t.Fatalf("%s, parallelism %d: expected at least one result", m, par)
+				}
+				if err := cur.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if cur.Next() {
+					t.Fatalf("%s: Next returned true after Close", m)
+				}
+				if cur.Err() != nil {
+					t.Fatalf("%s: Err after early Close: %v", m, cur.Err())
+				}
+				if err := cur.Close(); err != nil {
+					t.Fatal("second Close errored:", err)
+				}
 			}
 		}
 	})
 
 	t.Run("exhaustion", func(t *testing.T) {
-		cur, err := col.Cursor("/Catalog/Categories/Product/ProductName",
-			QueryOptions{Parallelism: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cur.Close()
-		n := 0
-		for cur.Next() {
-			if len(cur.Result().Node) == 0 {
-				t.Fatal("result with empty node ID")
-			}
-			n++
-		}
-		if n != 12 {
-			t.Fatalf("expected 12 results, got %d", n)
-		}
-		if cur.Next() {
-			t.Fatal("Next returned true after exhaustion")
-		}
-		if cur.Err() != nil {
-			t.Fatalf("Err after exhaustion: %v", cur.Err())
-		}
-	})
-
-	t.Run("limit", func(t *testing.T) {
-		for _, par := range []int{1, 4} {
-			cur, err := col.Cursor("/Catalog/Categories/Product/ProductName",
-				QueryOptions{Parallelism: par, Limit: 5})
+		for _, m := range methods {
+			cur, err := col.Cursor(pricedProducts, QueryOptions{Parallelism: 2, ForceMethod: m})
 			if err != nil {
 				t.Fatal(err)
 			}
 			n := 0
 			for cur.Next() {
+				if len(cur.Result().Node) == 0 {
+					t.Fatalf("%s: result with empty node ID", m)
+				}
 				n++
 			}
-			if n != 5 {
-				t.Fatalf("parallelism %d: Limit 5 yielded %d results", par, n)
+			if n != 12 {
+				t.Fatalf("%s: expected 12 results, got %d", m, n)
+			}
+			if cur.Next() {
+				t.Fatalf("%s: Next returned true after exhaustion", m)
 			}
 			if cur.Err() != nil {
-				t.Fatalf("Err after limit: %v", cur.Err())
+				t.Fatalf("%s: Err after exhaustion: %v", m, cur.Err())
 			}
 			cur.Close()
+		}
+	})
+
+	t.Run("limit", func(t *testing.T) {
+		for _, m := range methods {
+			for _, par := range []int{1, 4} {
+				cur, err := col.Cursor(pricedProducts, QueryOptions{Parallelism: par, Limit: 5, ForceMethod: m})
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := 0
+				for cur.Next() {
+					n++
+				}
+				if n != 5 {
+					t.Fatalf("%s, parallelism %d: Limit 5 yielded %d results", m, par, n)
+				}
+				if cur.Err() != nil {
+					t.Fatalf("%s: Err after limit: %v", m, cur.Err())
+				}
+				cur.Close()
+			}
 		}
 	})
 }

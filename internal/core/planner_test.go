@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"rx/internal/xml"
@@ -131,5 +133,32 @@ func TestPlannerDescendantSpineNotExact(t *testing.T) {
 	}
 	if len(res) != 1 {
 		t.Errorf("results = %d", len(res))
+	}
+}
+
+// TestKeyListSort checks the candidate sort against a comparison sort on
+// keys whose DocIDs span several radix passes and whose documents hold
+// several node keys each.
+func TestKeyListSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, maxDoc := range []int64{200, 70000, 1 << 40} {
+		l := &keyList{}
+		var keys []candidate
+		for i := 0; i < 3000; i++ {
+			lo := len(l.ids)
+			for d := rng.Intn(3); d > 0; d-- {
+				l.ids = append(l.ids, byte(2+2*rng.Intn(3)))
+			}
+			keys = append(keys, candidate{xml.DocID(rng.Int63n(maxDoc)), uint32(lo), uint32(len(l.ids))})
+		}
+		want := slices.Clone(keys)
+		slices.SortStableFunc(want, l.compare)
+		got := l.sort(keys)
+		for i := range want {
+			if l.compare(got[i], want[i]) != 0 {
+				t.Fatalf("max doc %d: key %d = (%d, %s), want (%d, %s)", maxDoc, i,
+					got[i].doc, l.node(got[i]), want[i].doc, l.node(want[i]))
+			}
+		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"rx/internal/catalog"
 	"rx/internal/memgov"
 	"rx/internal/nodeid"
-	"rx/internal/quickxscan"
 	"rx/internal/stats"
 	"rx/internal/valueindex"
 	"rx/internal/xml"
@@ -39,11 +38,12 @@ type Plan struct {
 	// Exact is true when the index result needed no re-evaluation on the
 	// documents.
 	Exact bool
-	// CandidateDocs is the number of documents re-evaluated (0 for exact
-	// node-level access; the collection size for a scan).
+	// CandidateDocs is the number of candidates re-evaluated: documents,
+	// or subtrees for nodeid-filtering (0 for exact node-level access; the
+	// collection size for a scan).
 	CandidateDocs int
-	// Parallelism is the number of workers used for document
-	// re-evaluation (1 for index-only access and serial execution).
+	// Parallelism is the number of workers that visited the candidates (1
+	// for serial execution).
 	Parallelism int
 	// EstDocs is the planner's cardinality estimate: documents (or, for
 	// node-level plans, subtrees/result nodes) the plan expects to touch.
@@ -55,8 +55,8 @@ type Plan struct {
 	// first; the chosen plan is among them. EXPLAIN surfaces this.
 	Alternatives []PlanAlt
 
-	q  *xpath.Query
-	pq *plannedQuery
+	q      *xpath.Query
+	recipe recipe
 }
 
 // PlanAlt is one candidate access path the planner considered.
@@ -68,13 +68,14 @@ type PlanAlt struct {
 
 // QueryOptions tune one query execution.
 type QueryOptions struct {
-	// Parallelism caps the worker goroutines that re-evaluate candidate
-	// documents: 0 picks runtime.NumCPU(), 1 forces serial execution.
-	// Index-only access paths (exact NodeID lists) ignore it.
+	// Parallelism caps the worker goroutines that visit the plan's
+	// candidates — documents, subtrees or exact result nodes, whichever the
+	// access method lists: 0 picks runtime.NumCPU(), 1 forces serial
+	// execution.
 	Parallelism int
 	// Limit stops the query after this many results (0 = unlimited).
 	Limit int
-	// Ctx cancels the query between documents; nil means
+	// Ctx cancels the query between candidates; nil means
 	// context.Background().
 	Ctx context.Context
 	// NeedValues includes each result node's string value.
@@ -222,10 +223,9 @@ func (c *Collection) QueryOpts(expr string, opts QueryOptions) ([]Result, *Plan,
 }
 
 // Cursor plans the query and returns a streaming cursor over its results in
-// (DocID, NodeID) order. Scan and DocID-filtering access paths evaluate
-// candidate documents lazily — in parallel when opts.Parallelism allows —
-// so callers iterate without materializing the full result set. The caller
-// must Close the cursor.
+// (DocID, NodeID) order. Every access method visits its candidates lazily —
+// in parallel when opts.Parallelism allows — so callers iterate without
+// materializing the full result set. The caller must Close the cursor.
 func (c *Collection) Cursor(expr string, opts QueryOptions) (*Cursor, error) {
 	p, err := c.Plan(expr, opts)
 	if err != nil {
@@ -263,34 +263,14 @@ func (c *Collection) CursorPlanned(p *Plan, opts QueryOptions) (*Cursor, error) 
 	cp.Alternatives = append([]PlanAlt(nil), p.Alternatives...)
 	plan := &cp
 	plan.Parallelism = 1
-	q := plan.q
-	switch plan.Method {
-	case "nodeid-list", "nodeid-anding":
-		results, err := c.execNodeList(q, plan, opts)
-		if err != nil {
-			return nil, err
-		}
-		return newSliceCursor(results, plan, opts)
-	case "nodeid-filtering":
-		results, err := c.execNodeFilter(q, plan, opts)
-		if err != nil {
-			return nil, err
-		}
-		return newSliceCursor(results, plan, opts)
-	case "docid-list", "docid-anding", "docid-oring":
-		docs, err := c.docCandidates(plan, opts)
-		if err != nil {
-			return nil, err
-		}
-		return c.newDocCursor(q, docs, plan, opts)
-	default:
-		docs, err := c.DocIDs()
-		if err != nil {
-			return nil, err
-		}
-		plan.CandidateDocs = len(docs)
-		return c.newDocCursor(q, docs, plan, opts)
+	list, err := c.candidates(opts.context(), plan.recipe)
+	if err != nil {
+		return nil, err
 	}
+	if !plan.Exact {
+		plan.CandidateDocs = len(list.keys)
+	}
+	return c.newCursor(plan, list, opts)
 }
 
 // planConjunct is one usable comparison conjunct with its matched index.
@@ -302,12 +282,17 @@ type planConjunct struct {
 	level int
 }
 
-// plannedQuery carries the planning work product between selection and
-// execution.
-type plannedQuery struct {
+// recipe is a candidate plan's execution, one fixed shape for every §4.3
+// access method (Table 2): scan each conjunct's value-index range, cut each
+// entry's node ID to level, and combine the conjuncts' keys by AND (or, with
+// or set, by OR); candidates turns it into sorted keys and the cursor visits
+// each one. A level-0 key is a document to evaluate (a scan has no
+// conjuncts and lists every document); a deeper key is a subtree to
+// evaluate, or, when the plan is Exact, the result node itself.
+type recipe struct {
 	conjuncts []planConjunct
-	orParts   []planConjunct // both sides of a top-level OR
-	spineLen  int
+	or        bool
+	level     int
 }
 
 // Cost model constants. Units are abstract ("roughly one record fetch");
@@ -431,7 +416,6 @@ func (c *Collection) selectAccessPath(q *xpath.Query, valIxs []*openValueIndex, 
 	// more expensive to rehydrate and walk than a small one, whether its
 	// bulk sits in one packed record or many.
 	perDoc := rpd*costFetchRecord + costEvalRecord + costEvalPerKB*avgKB
-	spineLen := len(spine)
 	var cands []*Plan
 
 	// Parallel full scan: always a candidate (and the differential oracle).
@@ -449,7 +433,7 @@ func (c *Collection) selectAccessPath(q *xpath.Query, valIxs []*openValueIndex, 
 			Indexes: []string{orParts[0].ov.meta.Name, orParts[1].ov.meta.Name},
 			EstDocs: int(math.Round(d)),
 			EstCost: 2*costIndexProbe + e*costIndexEntry + d*perDoc,
-			pq:      &plannedQuery{orParts: orParts, spineLen: spineLen},
+			recipe:  recipe{conjuncts: orParts, or: true},
 		})
 	}
 
@@ -498,7 +482,7 @@ func (c *Collection) selectAccessPath(q *xpath.Query, valIxs []*openValueIndex, 
 			Indexes: names,
 			EstDocs: int(math.Round(d)),
 			EstCost: cost + d*perDoc,
-			pq:      &plannedQuery{conjuncts: included, spineLen: spineLen},
+			recipe:  recipe{conjuncts: included},
 		})
 	}
 
@@ -532,7 +516,7 @@ func (c *Collection) selectAccessPath(q *xpath.Query, valIxs []*openValueIndex, 
 			Exact:   true,
 			EstDocs: int(math.Round(res)),
 			EstCost: cost,
-			pq:      &plannedQuery{conjuncts: matched, spineLen: spineLen},
+			recipe:  recipe{conjuncts: matched, level: len(spine)},
 		})
 	}
 
@@ -552,7 +536,7 @@ func (c *Collection) selectAccessPath(q *xpath.Query, valIxs []*openValueIndex, 
 			Indexes: []string{matched[0].ov.meta.Name},
 			EstDocs: int(math.Round(subtrees)),
 			EstCost: costIndexProbe + e*(costIndexEntry+costNodeEntry) + subtrees*perSub,
-			pq:      &plannedQuery{conjuncts: matched, spineLen: spineLen},
+			recipe:  recipe{conjuncts: matched, level: anchor},
 		})
 	}
 
@@ -582,9 +566,6 @@ func (c *Collection) selectAccessPath(q *xpath.Query, valIxs []*openValueIndex, 
 	}
 	chosen.Alternatives = alts
 	chosen.q = q
-	if chosen.pq == nil {
-		chosen.pq = &plannedQuery{spineLen: spineLen}
-	}
 	return chosen, nil
 }
 
@@ -718,127 +699,170 @@ func fullPredicatePath(prefix []*xpath.Step, leaf *xpath.Step) *xpath.Query {
 	return out
 }
 
-// execNodeList answers the query from index entries alone: the result node
-// is the spine-length prefix of each matching predicate node; multiple
-// exact indexes are ANDed at the node level (§4.3 access methods 1 and 3).
-func (c *Collection) execNodeList(q *xpath.Query, plan *Plan, opts QueryOptions) ([]Result, error) {
-	ctx := opts.context()
-	pq := plan.pq
-	type key struct {
-		doc  xml.DocID
-		node string
-	}
-	var sets []map[key]bool
-	for _, pc := range pq.conjuncts {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		set := map[key]bool{}
-		seen := 0
-		err := pc.ov.ix.Scan(pc.rng, func(e valueindex.Entry) bool {
-			if seen++; seen%ctxCheckEvery == 0 && ctx.Err() != nil {
-				return false
-			}
-			prefix, ok := prefixAtLevel(e.Node, pq.spineLen)
-			if ok {
-				set[key{e.Doc, string(prefix)}] = true
-			}
-			return true
-		})
-		if err == nil {
-			err = ctx.Err()
-		}
-		if err != nil {
-			return nil, err
-		}
-		sets = append(sets, set)
-	}
-	// Intersect.
-	base := sets[0]
-	for _, s := range sets[1:] {
-		for k := range base {
-			if !s[k] {
-				delete(base, k)
-			}
-		}
-	}
-	var results []Result
-	for k := range base {
-		results = append(results, Result{Doc: k.doc, Node: nodeid.ID(k.node)})
-	}
-	sortResults(results)
-	if opts.Limit > 0 && len(results) > opts.Limit {
-		results = results[:opts.Limit]
-	}
-	if opts.NeedValues {
-		return c.fillValues(ctx, results)
-	}
-	return results, nil
+// candidate is one key of a recipe's candidate list: a document and, for
+// node-level plans, a subtree root or result node within it, whose ID is
+// ids[lo:hi] of the list's buffer (lo == hi: the document itself). Keys hold
+// no pointer: a list of thousands is one allocation the collector need not
+// scan.
+type candidate struct {
+	doc    xml.DocID
+	lo, hi uint32
 }
 
-// docCandidates computes the candidate DocID list for the filtering access
-// paths: intersected across conjuncts for ANDing, unioned for ORing (§4.3
-// access method 2). Each index range scan yields one sorted, duplicate-free
-// DocID list; lists combine by linear merge. The documents come back sorted.
-func (c *Collection) docCandidates(plan *Plan, opts QueryOptions) ([]xml.DocID, error) {
-	ctx := opts.context()
-	pq := plan.pq
-	docList := func(pc planConjunct) ([]xml.DocID, error) {
-		var docs []xml.DocID
-		seen := 0
-		err := pc.ov.ix.Scan(pc.rng, func(e valueindex.Entry) bool {
-			if seen++; seen%ctxCheckEvery == 0 && ctx.Err() != nil {
-				return false
-			}
-			docs = append(docs, e.Doc)
-			return true
-		})
-		if err == nil {
-			err = ctx.Err()
-		}
-		// Entries arrive in value order, not DocID order, and a document
-		// can hold several matching nodes.
-		slices.Sort(docs)
-		return slices.Compact(docs), err
-	}
-	var docs []xml.DocID
-	if len(pq.orParts) == 2 {
-		l, err := docList(pq.orParts[0])
-		if err != nil {
-			return nil, err
-		}
-		r, err := docList(pq.orParts[1])
-		if err != nil {
-			return nil, err
-		}
-		docs = unionSorted(l, r)
-	} else {
-		for i, pc := range pq.conjuncts {
-			l, err := docList(pc)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				docs = l
-			} else {
-				docs = intersectSorted(docs, l)
-			}
-		}
-	}
-	plan.CandidateDocs = len(docs)
-	return docs, nil
+// keyList is a recipe's candidate keys in (DocID, NodeID) order — result
+// order — without duplicates. Their node IDs share one buffer.
+type keyList struct {
+	keys  []candidate
+	ids   []byte
+	spare []candidate // the buffer the last sort left free, taken by the next scan
 }
 
-// intersectSorted merges two ascending duplicate-free lists into their
+func (l *keyList) node(k candidate) nodeid.ID { return l.ids[k.lo:k.hi:k.hi] }
+
+func (l *keyList) compare(a, b candidate) int {
+	switch {
+	case a.doc < b.doc:
+		return -1
+	case a.doc > b.doc:
+		return 1
+	}
+	return nodeid.Compare(l.node(a), l.node(b))
+}
+
+func (l *keyList) equal(a, b candidate) bool { return l.compare(a, b) == 0 }
+
+// candidates turns a recipe into its key list: every document for a scan;
+// otherwise each conjunct's range-scan keys, combined by linear merge —
+// intersected for AND (§4.3 access methods 2–3), unioned for OR.
+func (c *Collection) candidates(ctx context.Context, rc recipe) (*keyList, error) {
+	l := &keyList{}
+	if len(rc.conjuncts) == 0 {
+		docs, err := c.DocIDs()
+		if err != nil {
+			return nil, err
+		}
+		l.keys = make([]candidate, len(docs))
+		for i, d := range docs {
+			l.keys[i].doc = d
+		}
+		return l, nil
+	}
+	for i, pc := range rc.conjuncts {
+		keys, err := l.scan(ctx, pc, rc.level)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case i == 0:
+			l.keys = keys
+		case rc.or:
+			l.keys = l.union(l.keys, keys)
+		default:
+			l.keys = l.intersect(l.keys, keys)
+		}
+	}
+	return l, nil
+}
+
+// scan is the one value-index scan behind query execution: the entries of
+// pc's range, each cut to its level-ancestor (level 0: the document), sorted
+// and deduplicated. Entries arrive in (value, doc, node) order, so an
+// equality range is already in key order with its duplicates adjacent:
+// those are dropped as they arrive, and the sort runs only when a key came
+// out of order.
+func (l *keyList) scan(ctx context.Context, pc planConjunct, level int) ([]candidate, error) {
+	keys := l.spare[:0]
+	l.spare = nil
+	sorted := true
+	seen := 0
+	err := pc.ov.ix.Scan(pc.rng, func(e valueindex.Entry) bool {
+		if seen++; seen%ctxCheckEvery == 0 && ctx.Err() != nil {
+			return false
+		}
+		prefix, ok := prefixAtLevel(e.Node, level)
+		if !ok {
+			return true
+		}
+		lo := uint32(len(l.ids))
+		if len(prefix) > 0 {
+			l.ids = append(l.ids, prefix...)
+		}
+		k := candidate{e.Doc, lo, lo + uint32(len(prefix))}
+		if n := len(keys); n > 0 && keys[n-1].doc >= k.doc {
+			switch c := l.compare(keys[n-1], k); {
+			case c == 0:
+				l.ids = l.ids[:lo]
+				return true
+			case c > 0:
+				sorted = false
+			}
+		}
+		keys = append(keys, k)
+		return true
+	})
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !sorted {
+		keys = slices.CompactFunc(l.sort(keys), l.equal)
+	}
+	return keys, nil
+}
+
+// sort orders keys by (DocID, NodeID): a stable LSD radix sort on the DocID,
+// one pass per significant byte, then a comparison sort of each run of keys
+// sharing a document. A range scan's keys arrive in value order, and a
+// comparison sort over all of them, paying a function call per comparison,
+// takes twice as long as the integer sort DocID lists had before they became
+// keys.
+func (l *keyList) sort(keys []candidate) []candidate {
+	var bits xml.DocID
+	for _, k := range keys {
+		bits |= k.doc
+	}
+	tmp := make([]candidate, len(keys))
+	for shift := 0; shift < 64 && bits>>shift != 0; shift += 8 {
+		var at [257]int
+		for _, k := range keys {
+			at[int(byte(k.doc>>shift))+1]++
+		}
+		for b := 1; b < len(at); b++ {
+			at[b] += at[b-1]
+		}
+		for _, k := range keys {
+			b := byte(k.doc >> shift)
+			tmp[at[b]] = k
+			at[b]++
+		}
+		keys, tmp = tmp, keys
+	}
+	l.spare = tmp
+	for i := 0; i < len(keys); {
+		j := i + 1
+		for j < len(keys) && keys[j].doc == keys[i].doc {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(keys[i:j], l.compare)
+		}
+		i = j
+	}
+	return keys
+}
+
+// intersect merges two sorted, duplicate-free key lists into their
 // intersection, reusing a's storage.
-func intersectSorted(a, b []xml.DocID) []xml.DocID {
+func (l *keyList) intersect(a, b []candidate) []candidate {
 	out := a[:0]
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
+		switch c := l.compare(a[i], b[j]); {
+		case c < 0:
 			i++
-		case a[i] > b[j]:
+		case c > 0:
 			j++
 		default:
 			out = append(out, a[i])
@@ -849,16 +873,16 @@ func intersectSorted(a, b []xml.DocID) []xml.DocID {
 	return out
 }
 
-// unionSorted merges two ascending duplicate-free lists into their union.
-func unionSorted(a, b []xml.DocID) []xml.DocID {
-	out := make([]xml.DocID, 0, len(a)+len(b))
+// union merges two sorted, duplicate-free key lists into their union.
+func (l *keyList) union(a, b []candidate) []candidate {
+	out := make([]candidate, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
+		switch c := l.compare(a[i], b[j]); {
+		case c < 0:
 			out = append(out, a[i])
 			i++
-		case a[i] > b[j]:
+		case c > 0:
 			out = append(out, b[j])
 			j++
 		default:
@@ -871,47 +895,21 @@ func unionSorted(a, b []xml.DocID) []xml.DocID {
 	return append(out, b[j:]...)
 }
 
-// prefixAtLevel returns the first n levels of a node ID.
+// prefixAtLevel returns the node ID of id's level-n ancestor (n = 0: the
+// root), without allocating: each relative ID ends at its first even byte
+// (package nodeid), so the cut is after the n-th one. ok is false when id is
+// shallower than n or malformed.
 func prefixAtLevel(id nodeid.ID, n int) (nodeid.ID, bool) {
-	rels, err := nodeid.Split(id)
-	if err != nil || len(rels) < n {
-		return nil, false
-	}
-	length := 0
-	for _, r := range rels[:n] {
-		length += len(r)
-	}
-	return id[:length], true
-}
-
-func sortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Doc != rs[j].Doc {
-			return rs[i].Doc < rs[j].Doc
+	end := 0
+	for ; n > 0 && end < len(id); end++ {
+		switch b := id[end]; {
+		case b == 0: // reserved for the implicit root
+			return nil, false
+		case b%2 == 0:
+			n--
 		}
-		return nodeid.Compare(rs[i].Node, rs[j].Node) < 0
-	})
-}
-
-// fillValues computes string values for exact node-list results, dropping
-// those whose document was deleted since the index scan listed it.
-func (c *Collection) fillValues(ctx context.Context, rs []Result) ([]Result, error) {
-	out := rs[:0]
-	for _, r := range rs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		v, err := c.NodeString(r.Doc, r.Node)
-		if err != nil {
-			if c.deletedUnder(r.Doc, err) {
-				continue
-			}
-			return nil, err
-		}
-		r.Value = v
-		out = append(out, r)
 	}
-	return out, nil
+	return id[:end], n == 0
 }
 
 // deletedUnder reports whether reading doc failed only because another
@@ -922,67 +920,4 @@ func (c *Collection) fillValues(ctx context.Context, rs []Result) ([]Result, err
 // scrub to see.
 func (c *Collection) deletedUnder(doc xml.DocID, err error) bool {
 	return errors.Is(err, ErrNotFound) && !c.Has(doc)
-}
-
-// execNodeFilter implements NodeID-list filtering (§4.3): candidate result
-// subtrees are derived from the index entries and the query is re-evaluated
-// on each subtree alone, synthesizing ancestor context from the records'
-// headers — the rest of the document is never touched.
-func (c *Collection) execNodeFilter(q *xpath.Query, plan *Plan, opts QueryOptions) ([]Result, error) {
-	ctx := opts.context()
-	pq := plan.pq
-	pc := pq.conjuncts[0]
-	anchor := pc.level
-	type key struct {
-		doc  xml.DocID
-		node string
-	}
-	seen := map[key]bool{}
-	type cand struct {
-		doc  xml.DocID
-		node nodeid.ID
-	}
-	var cands []cand
-	visited := 0
-	err := pc.ov.ix.Scan(pc.rng, func(e valueindex.Entry) bool {
-		if visited++; visited%ctxCheckEvery == 0 && ctx.Err() != nil {
-			return false
-		}
-		prefix, ok := prefixAtLevel(e.Node, anchor)
-		if !ok {
-			return true
-		}
-		k := key{e.Doc, string(prefix)}
-		if !seen[k] {
-			seen[k] = true
-			cands = append(cands, cand{doc: e.Doc, node: nodeid.Clone(prefix)})
-		}
-		return true
-	})
-	if err == nil {
-		err = ctx.Err()
-	}
-	if err != nil {
-		return nil, err
-	}
-	plan.CandidateDocs = len(seen)
-	e, err := quickxscan.Compile(q, c.db.cat, nil, quickxscan.Options{NeedValues: opts.NeedValues})
-	if err != nil {
-		return nil, err
-	}
-	var results []Result
-	for _, cd := range cands {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		matches, err := c.evalSubtree(cd.doc, cd.node, e)
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range matches {
-			results = append(results, Result{Doc: cd.doc, Node: m.ID, Value: m.Value})
-		}
-	}
-	sortResults(results)
-	return results, nil
 }

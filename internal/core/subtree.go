@@ -24,39 +24,38 @@ import (
 // and one record borrow serve both the ancestor names — the record header's
 // context path plus the in-record descent — and the walk.
 func (c *Collection) evalSubtree(doc xml.DocID, rootID nodeid.ID, e *quickxscan.Eval) ([]quickxscan.Match, error) {
-	rels, err := nodeid.Split(rootID)
-	if err != nil {
-		return nil, err
+	levels := nodeid.Level(rootID)
+	if levels < 1 {
+		return nil, fmt.Errorf("core: subtree root %s is not an element below the root", rootID)
 	}
 	r, err := c.reader(doc)
 	if err != nil {
 		return nil, err
 	}
-	ancestors := make([]xml.QName, 0, len(rels)) // root element down to rootID's parent
+	ancestors := make([]xml.QName, 0, levels) // root element down to rootID's parent
 	rec, release, node, err := r.find(rootID, &ancestors)
 	if err != nil {
 		return nil, err
 	}
-	if len(rels)-1 != len(ancestors) {
+	if levels-1 != len(ancestors) {
 		release()
 		return nil, fmt.Errorf("core: ancestor chain mismatch at %s (%d names for %d levels)",
-			rootID, len(ancestors), len(rels)-1)
+			rootID, len(ancestors), levels-1)
 	}
 	e.Reset()
 	e.StartDocument()
 	// Synthesize the ancestors with their true node IDs (prefixes of
 	// rootID), so matches report real positions.
-	length := 0 // of the innermost open ancestor's ID
 	for i, name := range ancestors {
-		length += len(rels[i])
-		e.StartElement(name, rootID[:length])
+		id, _ := prefixAtLevel(rootID, i+1)
+		e.StartElement(name, id)
 	}
 	if err := pack.WalkSubtree(rec, release, &node, r.borrow, evalVisitor{e}); err != nil {
 		return nil, err
 	}
-	for i := len(ancestors) - 1; i >= 0; i-- {
-		e.EndElement(rootID[:length])
-		length -= len(rels[i])
+	for lvl := len(ancestors); lvl > 0; lvl-- {
+		id, _ := prefixAtLevel(rootID, lvl)
+		e.EndElement(id)
 	}
 	return e.EndDocument()
 }

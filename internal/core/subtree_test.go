@@ -155,6 +155,82 @@ func TestEvalSubtreeProbesOncePerCandidate(t *testing.T) {
 	})
 }
 
+// TestFilteringLimitVisitsOneCandidate: a serial nodeid-filtering cursor with
+// Limit 1 whose first candidate subtree matches reads the index and that one
+// subtree — no record of any other candidate. Page accesses are counted as
+// in TestSkippedDocumentFetchesOnlyItsRoot: the unlimited run minus every
+// candidate's own evaluation is the index scan.
+func TestFilteringLimitVisitsOneCandidate(t *testing.T) {
+	db := newDB(t)
+	col, _ := db.CreateCollection("orders", CollectionOptions{PackThreshold: 600})
+	for d := 0; d < 4; d++ {
+		if _, err := col.Insert(bigOrderDoc(120)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := col.CreateValueIndex("ix_qty", "//qty", xml.TDouble); err != nil {
+		t.Fatal(err)
+	}
+	const expr = "/order/items/item[qty = 7]/sku"
+	// The candidate subtrees are the items the predicate holds on.
+	items, _, err := col.QueryOpts("/order/items/item[qty = 7]", QueryOptions{ForceMethod: "scan"})
+	if err != nil || len(items) < 40 {
+		t.Fatalf("%d candidates, %v", len(items), err)
+	}
+	q, _ := xpath.Parse(expr)
+	e, err := quickxscan.Compile(q, db.cat, nil, quickxscan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first, all uint64
+	for i, it := range items {
+		n := pageAccesses(db, func() {
+			if _, err := col.evalSubtree(it.Doc, it.Node, e); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if i == 0 {
+			first = n
+		}
+		all += n
+	}
+	run := func(limit int) (uint64, int) {
+		opts := QueryOptions{ForceMethod: "nodeid-filtering", Parallelism: 1, Limit: limit}
+		p, err := col.Plan(expr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := 0
+		n := pageAccesses(db, func() {
+			cur, err := col.CursorPlanned(p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for cur.Next() {
+				results++
+			}
+			if err := cur.Err(); err != nil {
+				t.Fatal(err)
+			}
+			cur.Close()
+		})
+		return n, results
+	}
+	unlimited, n := run(0)
+	if n != len(items) {
+		t.Fatalf("unlimited filtering: %d results, want %d", n, len(items))
+	}
+	index := unlimited - all
+	limited, n := run(1)
+	if n != 1 {
+		t.Fatalf("Limit 1: %d results", n)
+	}
+	if limited != index+first {
+		t.Errorf("Limit 1 cost %d page accesses, want %d (index scan %d + first candidate %d); all %d candidates cost %d",
+			limited, index+first, index, first, len(items), all)
+	}
+}
+
 func TestAncestorChain(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{PackThreshold: 300})
