@@ -85,6 +85,94 @@ type openValueIndex struct {
 	keygen *quickxscan.Eval // guarded by writeMu
 }
 
+// CreateValueIndex creates an XPath value index (§3.3) and backfills it from
+// the stored documents. The path must be a simple XPath expression without
+// predicates; typ is one of xml.TString, TDouble, TDate, TDecimal.
+func (c *Collection) CreateValueIndex(name, path string, typ xml.TypeID) error {
+	if err := c.db.checkWritable(); err != nil {
+		return err
+	}
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	for _, ov := range c.valIxs {
+		if ov.meta.Name == name {
+			return fmt.Errorf("core: index %q already exists on %s", name, c.meta.Name)
+		}
+	}
+	ix, err := valueindex.Create(c.db.pool, path, typ)
+	if err != nil {
+		return err
+	}
+	im := catalog.ValueIndexMeta{Name: name, Path: path, Type: typ, Meta: ix.MetaPage()}
+	kg, err := c.compileKeygen(ix.Path())
+	if err != nil {
+		return err
+	}
+	ov := &openValueIndex{meta: im, ix: ix, keygen: kg}
+	// Backfill from existing documents.
+	docs, err := c.DocIDs()
+	if err != nil {
+		return err
+	}
+	for _, doc := range docs {
+		r, err := c.reader(doc)
+		if err != nil {
+			return err
+		}
+		keys, err := r.eval(kg)
+		if err != nil {
+			return err
+		}
+		if err := r.putValueKeys(ix, keys); err != nil {
+			return err
+		}
+	}
+	c.ixMu.Lock()
+	c.valIxs = append(c.valIxs, ov)
+	c.ixMu.Unlock()
+	c.meta.Indexes = append(c.meta.Indexes, im)
+	// Seed the new index's statistics exactly from the backfilled entries
+	// (the backfill just wrote them; one ordered scan builds cardinality and
+	// histogram), bump the stats epoch so cached plans replan against the
+	// new index, and persist index list + statistics in one row write.
+	b := stats.NewBuilder(stats.HistogramBuckets)
+	if err := ix.Scan(valueindex.Range{}, func(e valueindex.Entry) bool {
+		b.Add(e.EncodedValue)
+		return true
+	}); err != nil {
+		return err
+	}
+	c.statsMu.Lock()
+	is := c.live.EnsureIndex(name)
+	is.Entries = b.Count()
+	is.Distinct = b.Distinct()
+	is.Hist = b.Build()
+	c.live.Epoch++
+	c.statsDirty = 0
+	snap := c.live.Clone()
+	c.statsMu.Unlock()
+	return c.db.cat.UpdateCollectionStats(c.meta, snap)
+}
+
+// ValueIndexes lists the collection's value index names.
+func (c *Collection) ValueIndexes() []string {
+	var names []string
+	for _, ov := range c.indexSnapshot() {
+		names = append(names, ov.meta.Name)
+	}
+	return names
+}
+
+// ValueIndex returns an open value index by name (stats, experiments).
+func (c *Collection) ValueIndex(name string) *valueindex.Index {
+	for _, ov := range c.indexSnapshot() {
+		if ov.meta.Name == name {
+			return ov.ix
+		}
+	}
+	return nil
+}
+
 func createCollection(db *DB, name string, opts CollectionOptions) (*Collection, error) {
 	base, err := heap.Create(db.pool)
 	if err != nil {

@@ -122,13 +122,6 @@ func (c *Collection) StatsEpoch() uint64 {
 	return c.live.Epoch
 }
 
-// bumpStatsEpoch invalidates cached plans (index DDL).
-func (c *Collection) bumpStatsEpoch() {
-	c.statsMu.Lock()
-	c.live.Epoch++
-	c.statsMu.Unlock()
-}
-
 // countStreamPaths walks a token stream and increments per-path element
 // counts in pc. Caller holds statsMu (pc is live.PathCounts) and writeMu
 // (c.pathStack is insert scratch).

@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -315,11 +317,67 @@ func differentialDocs(rng *rand.Rand) []string {
 	return docs
 }
 
-// TestPlannerDifferential is the planner oracle test: on randomized data and
-// a grid of queries, every access method the planner can produce must return
+// TestPlannerDifferential is the planner oracle test: on two fixtures and a
+// grid of queries, every access method the planner can produce must return
 // byte-identical results to the forced full scan — serial and parallel, with
-// values, under a Limit, and with one document quarantined.
+// values, under a Limit, and with one document quarantined. It is also the
+// planner's golden file: every plan (method, probe order, exactness,
+// estimates as float bits, and every priced alternative) is rendered and
+// compared with testdata/planner.golden, so any drift in a cost or a choice
+// fails here.
 func TestPlannerDifferential(t *testing.T) {
+	var golden strings.Builder
+	for _, fx := range []struct {
+		name  string
+		build func(t *testing.T) (*Collection, []string)
+	}{
+		{"orders", plannerOrdersFixture},
+		{"shapes", plannerShapesFixture},
+	} {
+		col, queries := fx.build(t)
+		for _, q := range queries {
+			for _, values := range []bool{false, true} {
+				p, err := col.Plan(q, QueryOptions{NeedValues: values})
+				if err != nil {
+					t.Fatalf("%s: plan: %v", q, err)
+				}
+				renderPlan(&golden, fx.name, q, values, p)
+			}
+			plannerDifferentialQuery(t, col, q)
+		}
+	}
+	const path = "testdata/planner.golden"
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := golden.String(); got != string(want) {
+		// Leave the rendering beside the golden file for a diff; copy it
+		// over the golden file only when the plan change is deliberate.
+		os.WriteFile(path+".got", []byte(got), 0o644)
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < min(len(gl), len(wl)); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("plans differ from %s at line %d (rendering in %s.got):\n got  %s\n want %s", path, i+1, path, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("plans differ from %s in length: %d lines, want %d (rendering in %s.got)", path, len(gl), len(wl), path)
+	}
+}
+
+// renderPlan writes one plan as golden-file lines: costs as float64 bits, so
+// the comparison is exact.
+func renderPlan(b *strings.Builder, fixture, q string, values bool, p *Plan) {
+	fmt.Fprintf(b, "%s %s values=%v\n  %s %v exact=%v est=%d cost=%x\n",
+		fixture, q, values, p.Method, p.Indexes, p.Exact, p.EstDocs, math.Float64bits(p.EstCost))
+	for _, a := range p.Alternatives {
+		fmt.Fprintf(b, "  alt %s est=%d cost=%x\n", a.Method, a.EstDocs, math.Float64bits(a.EstCost))
+	}
+}
+
+// plannerOrdersFixture is the seeded differential corpus with three indexes,
+// and queries over its orders.
+func plannerOrdersFixture(t *testing.T) (*Collection, []string) {
 	rng := rand.New(rand.NewSource(41))
 	db := newDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{PackThreshold: 512})
@@ -349,93 +407,131 @@ func TestPlannerDifferential(t *testing.T) {
 		queries = append(queries, fmt.Sprintf(`/order/hdr[cust = 'C%02d']`, rng.Intn(10)))
 		queries = append(queries, fmt.Sprintf(`/order/items/item[qty > %d]`, rng.Intn(10)))
 	}
+	return col, queries
+}
 
-	for _, q := range queries {
-		want, wantPlan, err := col.QueryOpts(q, QueryOptions{ForceMethod: "scan", Parallelism: 1, NeedValues: true})
-		if err != nil {
-			t.Fatalf("%s: scan oracle: %v", q, err)
+// plannerShapesFixture is 60 small documents of one shape, indexed so that
+// its queries reach all seven access methods, among them an attribute
+// nodeid-list and *-anding over one index twice.
+func plannerShapesFixture(t *testing.T) (*Collection, []string) {
+	db := newDB(t)
+	col, _ := db.CreateCollection("c", CollectionOptions{})
+	for i := 0; i < 60; i++ {
+		doc := fmt.Sprintf(`<r k="%d"><a>%d</a><b>%d</b><g><v>%d</v><w>%d</w></g><g><v>%d</v></g></r>`,
+			i%5, i%2, i, i%10, i%7, (i+3)%10)
+		if _, err := col.Insert([]byte(doc)); err != nil {
+			t.Fatal(err)
 		}
-		compare := func(label string, got, want []Result, values bool) {
-			t.Helper()
-			if len(got) != len(want) {
-				t.Fatalf("%s via %s: %d results, scan %d", q, label, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Doc != want[i].Doc || got[i].Node.String() != want[i].Node.String() ||
-					values && string(got[i].Value) != string(want[i].Value) {
-					t.Fatalf("%s via %s: result %d = %v, scan %v", q, label, i, got[i], want[i])
-				}
-			}
+	}
+	for _, ix := range [][2]string{{"ix_a", "/r/a"}, {"ix_b", "/r/b"}, {"ix_v", "/r/g/v"}, {"ix_k", "/r/@k"}} {
+		if err := col.CreateValueIndex(ix[0], ix[1], xml.TDouble); err != nil {
+			t.Fatal(err)
 		}
-		chosen, _, err := col.QueryOpts(q, QueryOptions{})
-		if err != nil {
-			t.Fatalf("%s: costed plan: %v", q, err)
+	}
+	if err := col.RefreshStats(nil); err != nil {
+		t.Fatal(err)
+	}
+	return col, []string{
+		`/r[a = 1 and b = 7]`,
+		`/r[a = 1 and b >= 0]`,
+		`/r[b > 3 and b < 9]`,
+		`/r/g[v = 3]`,
+		`/r/g[v = 3]/w`,
+		`/r[@k = 2]`,
+		`/r[a = 1 or b = 3]`,
+		`/r[g/v = 2]/b`,
+		`/r[b = 1 and b = 1]`,
+	}
+}
+
+// plannerDifferentialQuery checks every alternative the planner prices for q
+// against the forced scan.
+func plannerDifferentialQuery(t *testing.T, col *Collection, q string) {
+	t.Helper()
+	want, wantPlan, err := col.QueryOpts(q, QueryOptions{ForceMethod: "scan", Parallelism: 1, NeedValues: true})
+	if err != nil {
+		t.Fatalf("%s: scan oracle: %v", q, err)
+	}
+	compare := func(label string, got, want []Result, values bool) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s via %s: %d results, scan %d", q, label, len(got), len(want))
 		}
-		compare("costed:"+wantPlan.Method, chosen, want, false)
-		// Every candidate the planner priced must agree with the oracle,
-		// serial and on the worker pool, with and without values, and a
-		// Limit must stop at the oracle's first results.
-		for _, alt := range wantPlan.Alternatives {
-			for _, par := range []int{1, 4} {
-				for _, values := range []bool{false, true} {
-					label := fmt.Sprintf("%s/par=%d/values=%v", alt.Method, par, values)
-					opts := QueryOptions{ForceMethod: alt.Method, Parallelism: par, NeedValues: values}
-					got, p, err := col.QueryOpts(q, opts)
-					if err != nil {
-						t.Fatalf("%s forced %s: %v", q, label, err)
-					}
-					if p.Method != alt.Method {
-						t.Fatalf("%s forced %s ran as %s", q, alt.Method, p.Method)
-					}
-					compare(label, got, want, values)
-					opts.Limit = 3
-					if got, _, err = col.QueryOpts(q, opts); err != nil {
-						t.Fatalf("%s forced %s limit 3: %v", q, label, err)
-					}
-					compare(label+"/limit=3", got, want[:min(3, len(want))], values)
-				}
-			}
-		}
-		if len(want) == 0 {
-			continue
-		}
-		// One quarantined document — the first with results, so every
-		// method lists it — is skipped by a degraded query and fails any
-		// other with a typed error, whichever access method runs.
-		victim := want[0].Doc
-		var rest []Result
-		for _, r := range want {
-			if r.Doc != victim {
-				rest = append(rest, r)
+		for i := range got {
+			if got[i].Doc != want[i].Doc || got[i].Node.String() != want[i].Node.String() ||
+				values && string(got[i].Value) != string(want[i].Value) {
+				t.Fatalf("%s via %s: result %d = %v, scan %v", q, label, i, got[i], want[i])
 			}
 		}
-		col.db.Quarantine("c", victim, "differential", pagestore.InvalidPage)
-		for _, alt := range wantPlan.Alternatives {
-			for _, par := range []int{1, 4} {
-				label := fmt.Sprintf("%s/par=%d/degraded", alt.Method, par)
-				cur, err := col.Cursor(q, QueryOptions{ForceMethod: alt.Method, Parallelism: par, NeedValues: true, Degraded: true})
+	}
+	chosen, _, err := col.QueryOpts(q, QueryOptions{})
+	if err != nil {
+		t.Fatalf("%s: costed plan: %v", q, err)
+	}
+	compare("costed:"+wantPlan.Method, chosen, want, false)
+	// Every candidate the planner priced must agree with the oracle,
+	// serial and on the worker pool, with and without values, and a
+	// Limit must stop at the oracle's first results.
+	for _, alt := range wantPlan.Alternatives {
+		for _, par := range []int{1, 4} {
+			for _, values := range []bool{false, true} {
+				label := fmt.Sprintf("%s/par=%d/values=%v", alt.Method, par, values)
+				opts := QueryOptions{ForceMethod: alt.Method, Parallelism: par, NeedValues: values}
+				got, p, err := col.QueryOpts(q, opts)
 				if err != nil {
 					t.Fatalf("%s forced %s: %v", q, label, err)
 				}
-				var got []Result
-				for cur.Next() {
-					got = append(got, cur.Result())
+				if p.Method != alt.Method {
+					t.Fatalf("%s forced %s ran as %s", q, alt.Method, p.Method)
 				}
-				if err := cur.Err(); err != nil {
-					t.Fatalf("%s forced %s: %v", q, label, err)
+				compare(label, got, want, values)
+				opts.Limit = 3
+				if got, _, err = col.QueryOpts(q, opts); err != nil {
+					t.Fatalf("%s forced %s limit 3: %v", q, label, err)
 				}
-				compare(label, got, rest, true)
-				if cur.Skipped() != 1 {
-					t.Fatalf("%s forced %s: Skipped() = %d, want 1", q, label, cur.Skipped())
-				}
-				cur.Close()
-				var qe ErrQuarantined
-				if _, _, err := col.QueryOpts(q, QueryOptions{ForceMethod: alt.Method, Parallelism: par}); !errors.As(err, &qe) || qe.Doc != victim {
-					t.Fatalf("%s forced %s/par=%d without Degraded: err %v, want ErrQuarantined for doc %d", q, alt.Method, par, err, victim)
-				}
+				compare(label+"/limit=3", got, want[:min(3, len(want))], values)
 			}
 		}
-		col.db.ClearQuarantine("c", victim)
+	}
+	if len(want) == 0 {
+		return
+	}
+	// One quarantined document — the first with results, so every
+	// method lists it — is skipped by a degraded query and fails any
+	// other with a typed error, whichever access method runs.
+	victim := want[0].Doc
+	var rest []Result
+	for _, r := range want {
+		if r.Doc != victim {
+			rest = append(rest, r)
+		}
+	}
+	col.db.Quarantine(col.Name(), victim, "differential", pagestore.InvalidPage)
+	defer col.db.ClearQuarantine(col.Name(), victim)
+	for _, alt := range wantPlan.Alternatives {
+		for _, par := range []int{1, 4} {
+			label := fmt.Sprintf("%s/par=%d/degraded", alt.Method, par)
+			cur, err := col.Cursor(q, QueryOptions{ForceMethod: alt.Method, Parallelism: par, NeedValues: true, Degraded: true})
+			if err != nil {
+				t.Fatalf("%s forced %s: %v", q, label, err)
+			}
+			var got []Result
+			for cur.Next() {
+				got = append(got, cur.Result())
+			}
+			if err := cur.Err(); err != nil {
+				t.Fatalf("%s forced %s: %v", q, label, err)
+			}
+			compare(label, got, rest, true)
+			if cur.Skipped() != 1 {
+				t.Fatalf("%s forced %s: Skipped() = %d, want 1", q, label, cur.Skipped())
+			}
+			cur.Close()
+			var qe ErrQuarantined
+			if _, _, err := col.QueryOpts(q, QueryOptions{ForceMethod: alt.Method, Parallelism: par}); !errors.As(err, &qe) || qe.Doc != victim {
+				t.Fatalf("%s forced %s/par=%d without Degraded: err %v, want ErrQuarantined for doc %d", q, alt.Method, par, err, victim)
+			}
+		}
 	}
 }
 

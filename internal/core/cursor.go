@@ -1,8 +1,8 @@
 package core
 
 // The query executor and streaming cursor. Every §4.3 access method is one
-// recipe (query.go) whose sorted candidate keys — documents, subtrees or
-// exact result nodes — are visited in key order by candidateRun.visit, the
+// recipe (plan.go) whose sorted candidate keys (exec.go) — documents,
+// subtrees or exact result nodes — are visited by candidateRun.visit, the
 // one per-candidate step. Candidates are independent (each worker owns a
 // compiled QuickXScan evaluator and the storage read path is
 // concurrency-safe), so the list is partitioned dynamically across a worker
@@ -156,7 +156,7 @@ func (c *Collection) newCursor(plan *Plan, list *keyList, opts QueryOptions) (*C
 	if n == 0 {
 		return cu, nil
 	}
-	run := &candidateRun{col: c, list: list, exact: plan.Exact, values: opts.NeedValues,
+	run := &candidateRun{col: c, list: list, exact: plan.recipe.exact, values: opts.NeedValues,
 		degraded: opts.Degraded, skipped: &cu.skipped}
 	eopts := quickxscan.Options{NeedValues: opts.NeedValues}
 	if par <= 1 {

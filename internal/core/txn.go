@@ -227,17 +227,6 @@ func (t *Txn) Serialize(col *Collection, doc xml.DocID, w *bytes.Buffer) error {
 	return col.Serialize(doc, w)
 }
 
-// Query runs a query under an S collection lock.
-func (t *Txn) Query(col *Collection, expr string) ([]Result, *Plan, error) {
-	if t.done {
-		return nil, nil, errTxnDone
-	}
-	if err := t.lk.Lock(lock.CollectionRes(col.Name()), lock.S); err != nil {
-		return nil, nil, err
-	}
-	return col.QueryOpts(expr, QueryOptions{})
-}
-
 // Cursor opens a streaming cursor under an S collection lock. The lock is
 // held until the transaction finishes (two-phase locking), not until the
 // cursor closes, so the result set stays stable for the transaction's
