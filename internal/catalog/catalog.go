@@ -38,6 +38,11 @@ type ValueIndexMeta struct {
 	Type xml.TypeID
 	// Meta is the B+tree meta page of the index.
 	Meta pagestore.PageID
+	// SingleValued records that no stored document has ever had two or more
+	// nodes on Path: set when the index is created over such a collection,
+	// cleared for good by the first write that breaks it (before that write's
+	// entries go in), never set again. Rows written without it read as unset.
+	SingleValued bool `json:",omitempty"`
 }
 
 // Collection is the stored metadata for one collection: a base table with an
@@ -334,6 +339,19 @@ func (c *Catalog) updateLocked(col *Collection) error {
 			return err
 		}
 	}
+}
+
+// ClearSingleValued unsets the named index's SingleValued flag and rewrites
+// the collection's row.
+func (c *Catalog) ClearSingleValued(col *Collection, index string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range col.Indexes {
+		if col.Indexes[i].Name == index {
+			col.Indexes[i].SingleValued = false
+		}
+	}
+	return c.updateLocked(col)
 }
 
 // GetCollection returns a collection's metadata, or nil.

@@ -279,6 +279,10 @@ func (c *Collection) ingestLocked(ids []xml.DocID, streams [][]byte, mem *memgov
 			if err != nil {
 				return err
 			}
+			// Before any of this index's puts below.
+			if err := c.noteMatches(ov, len(matches)); err != nil {
+				return err
+			}
 			r := docReader{c, ids[i], 1} // a new document is version 1 (passes 2 and 3)
 			for _, m := range matches {
 				rid, err := r.lookup(m.ID)

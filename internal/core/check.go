@@ -26,6 +26,8 @@ import (
 //  5. Every proxy entry describes the run record it resolves to — first
 //     subtree and subtree count — and every run record has exactly one (the
 //     edit pipeline's proxy invariant, edit.go).
+//  6. An index flagged SingleValued has at most one node on its path in
+//     every document (the planner merges its conjuncts on that promise).
 func (c *Collection) CheckConsistency() error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -184,6 +186,9 @@ func (c *Collection) checkValueIndex(ov *openValueIndex, docs []xml.DocID) error
 		matches, err := c.evalStored(doc, ov.keygen)
 		if err != nil {
 			return err
+		}
+		if len(matches) > 1 && ov.single.Load() {
+			return fmt.Errorf("flagged single-valued, but doc %d has %d nodes on its path", doc, len(matches))
 		}
 		for _, m := range matches {
 			enc, err := ov.ix.EncodeValue(m.Value)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"rx/internal/arena"
 	"rx/internal/btree"
@@ -83,6 +84,28 @@ type openValueIndex struct {
 	meta   catalog.ValueIndexMeta
 	ix     *valueindex.Index
 	keygen *quickxscan.Eval // guarded by writeMu
+	// single mirrors the catalog's SingleValued flag for the planner, which
+	// reads it without writeMu; writers clear both through noteMatches.
+	single atomic.Bool
+}
+
+// noteMatches is the writers' side of the SingleValued invariant: given how
+// many nodes on ov's path a document is about to be indexed with, it clears
+// the flag the first time that is two or more. The caller has not yet put the
+// document's entries, so the catalog row is rewritten before them and its log
+// record precedes theirs: any durable prefix of the log that holds a violating
+// entry also holds the clear, and a rollback of the write leaves the flag
+// cleared. The stats epoch moves with it, so cached plans that merged
+// conjuncts on ov are planned again. Caller holds writeMu.
+func (c *Collection) noteMatches(ov *openValueIndex, matches int) error {
+	if matches < 2 || !ov.single.Load() {
+		return nil
+	}
+	ov.single.Store(false)
+	c.statsMu.Lock()
+	c.live.Epoch++
+	c.statsMu.Unlock()
+	return c.db.cat.ClearSingleValued(c.meta, ov.meta.Name)
 }
 
 // CreateValueIndex creates an XPath value index (§3.3) and backfills it from
@@ -103,17 +126,17 @@ func (c *Collection) CreateValueIndex(name, path string, typ xml.TypeID) error {
 	if err != nil {
 		return err
 	}
-	im := catalog.ValueIndexMeta{Name: name, Path: path, Type: typ, Meta: ix.MetaPage()}
 	kg, err := c.compileKeygen(ix.Path())
 	if err != nil {
 		return err
 	}
-	ov := &openValueIndex{meta: im, ix: ix, keygen: kg}
-	// Backfill from existing documents.
+	// Backfill from existing documents, noting whether any has two or more
+	// nodes on the path (the SingleValued flag the planner merges on).
 	docs, err := c.DocIDs()
 	if err != nil {
 		return err
 	}
+	single := true
 	for _, doc := range docs {
 		r, err := c.reader(doc)
 		if err != nil {
@@ -123,10 +146,14 @@ func (c *Collection) CreateValueIndex(name, path string, typ xml.TypeID) error {
 		if err != nil {
 			return err
 		}
+		single = single && len(keys) < 2
 		if err := r.putValueKeys(ix, keys); err != nil {
 			return err
 		}
 	}
+	im := catalog.ValueIndexMeta{Name: name, Path: path, Type: typ, Meta: ix.MetaPage(), SingleValued: single}
+	ov := &openValueIndex{meta: im, ix: ix, keygen: kg}
+	ov.single.Store(single)
 	c.ixMu.Lock()
 	c.valIxs = append(c.valIxs, ov)
 	c.ixMu.Unlock()
@@ -256,7 +283,9 @@ func (c *Collection) openValueIndex(im catalog.ValueIndexMeta) (*openValueIndex,
 	if err != nil {
 		return nil, err
 	}
-	return &openValueIndex{meta: im, ix: ix, keygen: kg}, nil
+	ov := &openValueIndex{meta: im, ix: ix, keygen: kg}
+	ov.single.Store(im.SingleValued)
+	return ov, nil
 }
 
 func (c *Collection) compileKeygen(q *xpath.Query) (*quickxscan.Eval, error) {

@@ -335,6 +335,7 @@ func TestPlannerDifferential(t *testing.T) {
 		{"shapes", plannerShapesFixture},
 	} {
 		col, queries := fx.build(t)
+		methods := map[string]bool{}
 		for _, q := range queries {
 			for _, values := range []bool{false, true} {
 				p, err := col.Plan(q, QueryOptions{NeedValues: values})
@@ -342,8 +343,14 @@ func TestPlannerDifferential(t *testing.T) {
 					t.Fatalf("%s: plan: %v", q, err)
 				}
 				renderPlan(&golden, fx.name, q, values, p)
+				for _, a := range p.Alternatives {
+					methods[a.Method] = true
+				}
 			}
 			plannerDifferentialQuery(t, col, q)
+		}
+		if fx.name == "shapes" && len(methods) != 7 {
+			t.Fatalf("shapes fixture reaches %d access methods, want all 7: %v", len(methods), methods)
 		}
 	}
 	const path = "testdata/planner.golden"
@@ -412,7 +419,11 @@ func plannerOrdersFixture(t *testing.T) (*Collection, []string) {
 
 // plannerShapesFixture is 60 small documents of one shape, indexed so that
 // its queries reach all seven access methods, among them an attribute
-// nodeid-list and *-anding over one index twice.
+// nodeid-list. Windows on one index are merged into one range where the path
+// is single-valued (b) or the leaf is the anchor itself (.), and stay
+// *-anding on the multi-valued /r/g/v, whose documents hold values on both
+// sides of the window (existential comparison: v = 3 and v = 6 satisfy
+// [g/v > 3 and g/v < 6]).
 func plannerShapesFixture(t *testing.T) (*Collection, []string) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{})
@@ -441,6 +452,9 @@ func plannerShapesFixture(t *testing.T) (*Collection, []string) {
 		`/r[a = 1 or b = 3]`,
 		`/r[g/v = 2]/b`,
 		`/r[b = 1 and b = 1]`,
+		`/r[a = 1 and g/v = 3]`,
+		`/r[g/v > 3 and g/v < 6]`,
+		`/r/g/v[. > 3 and . < 6]`,
 	}
 }
 

@@ -642,6 +642,9 @@ func (c *Collection) reconcileValueKeys(doc xml.DocID, before []valueKeySnapshot
 		if err != nil {
 			return err
 		}
+		if err := c.noteMatches(snap.ov, len(after)); err != nil {
+			return err
+		}
 		// Apply the diff by walking the eval-ordered slices (the maps are
 		// membership sets only): index mutations must happen in a
 		// history-determined order so fault schedules replay exactly.

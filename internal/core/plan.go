@@ -96,7 +96,10 @@ type QueryOptions struct {
 	// full candidate list. A name is available only as a priced alternative
 	// carries it: the DocID candidate is named after the indexes the greedy
 	// pruning kept, so docid-anding is unavailable when that pruning keeps
-	// one index, even if several match (that plan is docid-list).
+	// one index, even if several match (that plan is docid-list). Likewise,
+	// conjuncts the planner merges into one bounded range (same index, same
+	// anchor, mergeConjuncts) are one conjunct: their docid-anding and
+	// nodeid-anding are no longer alternatives (the plans are *-list).
 	ForceMethod string
 }
 
@@ -130,6 +133,10 @@ type planConjunct struct {
 	exact bool
 	// level is the spine level the predicate anchors at (1-based).
 	level int
+	// path is the full predicate path (spine prefix + leaf); oneNode is set
+	// when the leaf selects at most one node per anchor in any document.
+	path    *xpath.Query
+	oneNode bool
 	// est is the histogram estimate of the index entries rng covers.
 	est float64
 	// anchors counts the elements at the anchor path (per-path counts),
@@ -371,6 +378,7 @@ func (c *Collection) selectAccessPath(q *xpath.Query, valIxs []*openValueIndex, 
 	if conjuncts != 1 {
 		orParts = nil
 	}
+	matched = mergeConjuncts(matched)
 	// Eligibility of the node-level candidates (§4.3): exact lists need
 	// every conjunct exact and anchored at the result step over a pure
 	// child-axis spine; subtree filtering needs a single conjunct whose
@@ -481,10 +489,57 @@ func matchIndex(valIxs []*openValueIndex, prefix []*xpath.Step, cmp xpath.Cmp) (
 			continue
 		}
 		if best.ov == nil || exact && !best.exact {
-			best = planConjunct{ov: ov, rng: rng, exact: exact, level: len(prefix)}
+			best = planConjunct{ov: ov, rng: rng, exact: exact, level: len(prefix), path: full}
 		}
 	}
+	// The anchor itself (.) or one named attribute of it: never two nodes.
+	leaf := cmp.Path
+	best.oneNode = leaf.Next == nil && (leaf.Axis == xpath.Self || leaf.Axis == xpath.Attribute && leaf.Test == xpath.TestName)
 	return best, best.ov != nil
+}
+
+// mergeConjuncts rewrites the conjuncts that read one index at one anchor
+// level over equivalent predicate paths as one conjunct over the intersection
+// of their ranges: one bounded B+tree scan, priced on the window it reads,
+// instead of two half-ranges walked in full and intersected afterwards. XPath
+// comparisons are existential — <b>1</b><b>10</b> satisfies [b > 5 and b < 8]
+// with no b inside the window — so merging is sound only where an anchor
+// cannot hold two compared values: the leaf selects one node at most, or the
+// index is SingleValued (no document has ever had two nodes on its path).
+func mergeConjuncts(matched []planConjunct) []planConjunct {
+	out := matched[:0]
+	for _, pc := range matched {
+		i := slices.IndexFunc(out, func(o planConjunct) bool {
+			return o.ov == pc.ov && o.level == pc.level &&
+				(o.oneNode && pc.oneNode || pc.ov.single.Load()) && xpath.Equivalent(o.path, pc.path)
+		})
+		if i < 0 {
+			out = append(out, pc)
+			continue
+		}
+		out[i].rng = intersectRange(out[i].rng, pc.rng)
+	}
+	return out
+}
+
+// intersectRange narrows a to the values b also admits; an empty
+// intersection is a range whose low bound passes its high one.
+func intersectRange(a, b valueindex.Range) valueindex.Range {
+	switch {
+	case b.Lo == nil:
+	case a.Lo == nil || bytes.Compare(b.Lo, a.Lo) > 0:
+		a.Lo, a.LoStrict = b.Lo, b.LoStrict
+	case bytes.Equal(b.Lo, a.Lo):
+		a.LoStrict = a.LoStrict || b.LoStrict
+	}
+	switch {
+	case b.Hi == nil:
+	case a.Hi == nil || bytes.Compare(b.Hi, a.Hi) < 0:
+		a.Hi, a.HiStrict = b.Hi, b.HiStrict
+	case bytes.Equal(b.Hi, a.Hi):
+		a.HiStrict = a.HiStrict || b.HiStrict
+	}
+	return a
 }
 
 // typeCompatible: numeric literals need a numeric index; string literals a

@@ -4,8 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
+	"rx/internal/heap"
+	"rx/internal/pagestore"
+	"rx/internal/wal"
 	"rx/internal/xml"
 )
 
@@ -133,6 +138,233 @@ func TestPlannerDescendantSpineNotExact(t *testing.T) {
 	}
 	if len(res) != 1 {
 		t.Errorf("results = %d", len(res))
+	}
+}
+
+// TestMalformedIndexEntryFailsCursor: a value-index entry too short to hold
+// its DocID fails every index method whose range scan reaches it, instead of
+// ending the scan early and answering with the candidates before it.
+func TestMalformedIndexEntryFailsCursor(t *testing.T) {
+	db := newDB(t)
+	col, _ := db.CreateCollection("c", CollectionOptions{})
+	for i := 0; i < 10; i++ {
+		if _, err := col.Insert([]byte(fmt.Sprintf(`<r><v>%d</v></r>`, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := col.CreateValueIndex("ix", "/r/v", xml.TDouble); err != nil {
+		t.Fatal(err)
+	}
+	ix := col.ValueIndex("ix")
+	enc, err := ix.EncodeValue([]byte("5"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.PutKey(append(enc, 0, 0, 0), heap.RID{}); err != nil {
+		t.Fatal(err)
+	}
+	const q = `/r[v >= 3]`
+	p, err := col.Plan(q, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alt := range p.Alternatives {
+		if alt.Method == "scan" {
+			continue
+		}
+		if rs, _, err := col.QueryOpts(q, QueryOptions{ForceMethod: alt.Method}); err == nil {
+			t.Fatalf("%s over a malformed entry: %d results and no error", alt.Method, len(rs))
+		}
+	}
+}
+
+// TestSingleValuedLifecycle follows an index's SingleValued flag, which lets
+// the planner merge a window's two conjuncts into one range: set by
+// CreateValueIndex over documents with one <Total> each; cleared by the first
+// write that gives a document a second one — Txn.InsertBatch of a
+// two-<Total> document, Txn.InsertFragment of a second <Total> — before that
+// write's index entries, and still cleared when its transaction rolls back;
+// cleared after recovery from a crash copy and after a reopen. The clear bumps
+// the stats epoch, the key the session plan cache invalidates on, so the
+// window replans as *-anding and the existential document (totals 1 and 10,
+// none inside the window) comes back from every access method.
+func TestSingleValuedLifecycle(t *testing.T) {
+	const window = `/Order[Total >= 5 and Total < 8]`
+	for _, tc := range []struct {
+		name             string
+		fragment, commit bool
+	}{
+		{"batch/commit", false, true},
+		{"batch/rollback", false, false},
+		{"fragment/commit", true, true},
+		{"fragment/rollback", true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, dev := pagestore.NewMemStore(), &wal.MemDevice{}
+			log, err := wal.Open(dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, err := Open(store, Options{WAL: log})
+			if err != nil {
+				t.Fatal(err)
+			}
+			col, _ := db.CreateCollection("c", CollectionOptions{})
+			var docs [][]byte
+			for i := 0; i < 20; i++ {
+				docs = append(docs, []byte(fmt.Sprintf(`<Order><Total>%d</Total></Order>`, i)))
+			}
+			ids, err := col.InsertBatch(docs, BatchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := col.CreateValueIndex("by_total", "/Order/Total", xml.TDouble); err != nil {
+				t.Fatal(err)
+			}
+			flagged := func(c *Collection) bool { return c.indexSnapshot()[0].single.Load() }
+			if !flagged(col) {
+				t.Fatal("CreateValueIndex over single-valued documents left the flag unset")
+			}
+			if p, err := col.Plan(window, QueryOptions{}); err != nil || len(p.Indexes) != 1 {
+				t.Fatalf("flagged window plans %+v (%v), want one merged range", p, err)
+			}
+
+			// A planner keeps reading the flag, without writeMu, while the
+			// write below clears it.
+			epoch := col.StatsEpoch()
+			done, planned := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(planned)
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if _, err := col.Plan(window, QueryOptions{}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			var once sync.Once
+			stop := func() { once.Do(func() { close(done) }); <-planned }
+			defer stop()
+			tx := db.Begin()
+			existential := ids[1] // Total 1, given a second Total of 10
+			if tc.fragment {
+				rs, _, err := col.QueryOpts(`/Order[Total = 1]`, QueryOptions{})
+				if err != nil || len(rs) != 1 {
+					t.Fatalf("locating the order: %v, %v", rs, err)
+				}
+				_, err = tx.InsertFragment(col, existential, rs[0].Node, AsLastChild, []byte(`<Total>10</Total>`))
+				if err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				got, err := tx.InsertBatch(col, [][]byte{[]byte(`<Order><Total>1</Total><Total>10</Total></Order>`)}, BatchOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				existential = got[0]
+			}
+			stop()
+			if flagged(col) {
+				t.Fatal("a second <Total> left the flag set")
+			}
+			if col.StatsEpoch() == epoch {
+				t.Fatal("clearing the flag must bump the stats epoch")
+			}
+			if tc.commit {
+				err = tx.Commit()
+			} else {
+				err = tx.Rollback()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// check holds the flag cleared and the window unmerged, and every
+			// method's answer equal to the scan's, which holds the existential
+			// document exactly when the write committed.
+			check := func(label string, c *Collection) {
+				t.Helper()
+				if flagged(c) {
+					t.Fatalf("%s: flag set again", label)
+				}
+				if err := c.CheckConsistency(); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				p, err := c.Plan(window, QueryOptions{})
+				if err != nil || !strings.HasSuffix(p.Method, "-anding") {
+					t.Fatalf("%s: window plans %+v (%v), want *-anding", label, p, err)
+				}
+				plannerDifferentialQuery(t, c, window)
+				rs, _, err := c.QueryOpts(window, QueryOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				found := slices.ContainsFunc(rs, func(r Result) bool { return r.Doc == existential })
+				if found != tc.commit {
+					t.Fatalf("%s: existential document in the answer = %v, want %v", label, found, tc.commit)
+				}
+			}
+			check("after "+tc.name, col)
+
+			// A crash copy: the store's pages and the log as a power loss now
+			// would leave them, recovered on their own.
+			if err := log.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			crashStore, crashDev := pagestore.NewMemStore(), &wal.MemDevice{}
+			page := make([]byte, pagestore.PageSize)
+			for id := pagestore.PageID(0); id < store.NumPages(); id++ {
+				if _, err := crashStore.Allocate(); err != nil {
+					t.Fatal(err)
+				}
+				if err := store.ReadPage(id, page); err != nil {
+					t.Fatal(err)
+				}
+				if err := crashStore.WritePage(id, page); err != nil {
+					t.Fatal(err)
+				}
+			}
+			size, _ := dev.Size()
+			logBytes := make([]byte, size)
+			if _, err := dev.ReadAt(logBytes, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := crashDev.WriteAt(logBytes, 0); err != nil {
+				t.Fatal(err)
+			}
+			crashLog, err := wal.Open(crashDev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recovered, err := Recover(crashStore, crashLog, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rc, err := recovered.Collection("c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("after crash-copy recovery", rc)
+
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reopened, err := Open(store, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reopened.Close()
+			oc, err := reopened.Collection("c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("after reopen", oc)
+		})
 	}
 }
 

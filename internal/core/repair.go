@@ -521,6 +521,9 @@ func (c *Collection) rebuildValueIndex(ov *openValueIndex, throttle func()) erro
 		if err != nil {
 			continue
 		}
+		if err := c.noteMatches(ov, len(keys)); err != nil {
+			return err
+		}
 		if err := r.putValueKeys(ov.ix, keys); err != nil {
 			return err
 		}

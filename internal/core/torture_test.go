@@ -53,7 +53,7 @@ func torturePad(tag string, seq int) string {
 // tortureDoc is the oracle's view of one committed document.
 type tortureDoc struct {
 	tval  string    // current text of <t>
-	kval  string    // text of <k> (never updated; covered by a value index)
+	kvals []string  // texts of the <k>s (never updated; covered by a value index)
 	items []string  // texts of the <i> children of <l>; copied, never edited in place
 	tnode nodeid.ID // node ID of the text under <t>, for update ops
 }
@@ -63,7 +63,7 @@ func (d tortureDoc) expect() string {
 	if len(d.items) > 0 {
 		l = "<l><i>" + strings.Join(d.items, "</i><i>") + "</i></l>"
 	}
-	return fmt.Sprintf("<d><t>%s</t><k>%s</k>%s</d>", d.tval, d.kval, l)
+	return fmt.Sprintf("<d><t>%s</t><k>%s</k>%s</d>", d.tval, strings.Join(d.kvals, "</k><k>"), l)
 }
 
 // pendOp is one model mutation staged by an uncommitted transaction.
@@ -232,8 +232,15 @@ func tortureWorkload(t *testing.T, seed int64, rules []fault.Rule, checksums boo
 			pick := rng.Float64()
 			switch {
 			case pick < 0.35 || len(env.order) == 0:
-				d := tortureDoc{tval: torturePad("v", seq), kval: fmt.Sprintf("k%d", seq%7),
+				d := tortureDoc{tval: torturePad("v", seq), kvals: []string{fmt.Sprintf("k%d", seq%7)},
 					items: []string{fmt.Sprintf("a%d", seq), fmt.Sprintf("b%d", seq)}}
+				if rng.Intn(4) == 0 {
+					// A second <k>: the first such insert clears the index's
+					// SingleValued flag, which must reach the log before the
+					// entries that break it (CheckConsistency holds the flag
+					// to the stored documents after every recovery).
+					d.kvals = append(d.kvals, fmt.Sprintf("k%d", seq%5))
+				}
 				id, err := tx.Insert(col, []byte(d.expect()))
 				if err != nil {
 					if crashed("insert: %v", err) {
@@ -612,7 +619,7 @@ func TestTortureBitFlipDetection(t *testing.T) {
 	}
 	want := map[xml.DocID]string{}
 	for i := 0; i < 6; i++ {
-		d := tortureDoc{tval: torturePad("v", i), kval: fmt.Sprintf("k%d", i)}
+		d := tortureDoc{tval: torturePad("v", i), kvals: []string{fmt.Sprintf("k%d", i)}}
 		id, err := col.Insert([]byte(d.expect()))
 		if err != nil {
 			t.Fatal(err)

@@ -250,6 +250,23 @@ func e18Cases() ([]Case, error) {
 	if err != nil {
 		return nil, err
 	}
+	// range: a two-sided window on one index. On the single-valued Sku the
+	// two conjuncts merge into one bounded scan of the window (a docid-list
+	// over one index); on the multi-valued Part/Qty they must not — every
+	// Product holds Qty values on both sides of the empty window (61, 2) and
+	// none inside, and matches existentially — so that plan stays *-anding.
+	const coalesced = `/Product[Sku >= 'SKU-10' and Sku < 'SKU-11']/Sku`
+	coalescedCol, err := build(core.CollectionOptions{}, coalesced, "docid-list",
+		indexDef{"ix_sku", "/Product/Sku", xml.TString})
+	if err != nil {
+		return nil, err
+	}
+	const multivalued = `/Product[Part/Qty > 61 and Part/Qty < 2]`
+	multiCol, err := build(core.CollectionOptions{}, multivalued, "nodeid-anding",
+		indexDef{"ix_qty", "/Product/Part/Qty", xml.TDouble})
+	if err != nil {
+		return nil, err
+	}
 	gated := func(name string, col *core.Collection, expr, force string, want int) Case {
 		return Case{Name: name, Gated: true, Run: loop(queryOp(col, expr, core.QueryOptions{ForceMethod: force}, want))}
 	}
@@ -258,6 +275,8 @@ func e18Cases() ([]Case, error) {
 		gated("filter/costed", filterCol, filter, "", 12800),
 		gated("andorder/heuristic", andCol, andorder, "nodeid-anding", 1),
 		gated("andorder/costed", andCol, andorder, "", 1),
+		gated("range/coalesced", coalescedCol, coalesced, "", 11),
+		gated("range/multivalued", multiCol, multivalued, "", 200),
 	}, nil
 }
 

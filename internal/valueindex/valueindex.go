@@ -248,15 +248,19 @@ func (ix *Index) RangeForOp(op xpath.CmpOp, lit xpath.Literal) (Range, error) {
 }
 
 // Scan visits entries whose value falls in the range, in (value, doc, node)
-// order. fn returning false stops the scan.
+// order. fn returning false stops the scan. A malformed entry fails the scan:
+// stopping there quietly would hand the caller a truncated range as if it were
+// the whole one.
 func (ix *Index) Scan(r Range, fn func(e Entry) bool) error {
 	var from []byte
 	if r.Lo != nil {
 		from = r.Lo // strictness handled per entry (value prefix compare)
 	}
-	return ix.tree.Scan(from, nil, func(be btree.Entry) bool {
+	var bad error
+	err := ix.tree.Scan(from, nil, func(be btree.Entry) bool {
 		encVal, doc, id, err := ix.splitKey(be.Key)
 		if err != nil {
+			bad = err
 			return false
 		}
 		if r.Lo != nil && r.LoStrict && bytes.Equal(encVal, r.Lo) {
@@ -270,6 +274,10 @@ func (ix *Index) Scan(r Range, fn func(e Entry) bool) error {
 		}
 		return fn(Entry{Doc: doc, Node: id, RID: heap.RIDFromBytes(be.Value), EncodedValue: encVal})
 	})
+	if err == nil {
+		err = bad
+	}
+	return err
 }
 
 // splitKey separates the value prefix from (doc, node). The value encoding
@@ -305,9 +313,11 @@ func (ix *Index) splitKey(k []byte) ([]byte, xml.DocID, nodeid.ID, error) {
 // keeps index size much smaller than data size).
 func (ix *Index) DeleteDocEntries(doc xml.DocID) (int, error) {
 	var keys [][]byte
+	var bad error
 	err := ix.tree.Scan(nil, nil, func(be btree.Entry) bool {
 		_, d, _, err := ix.splitKey(be.Key)
 		if err != nil {
+			bad = err
 			return false
 		}
 		if d == doc {
@@ -315,6 +325,9 @@ func (ix *Index) DeleteDocEntries(doc xml.DocID) (int, error) {
 		}
 		return true
 	})
+	if err == nil {
+		err = bad
+	}
 	if err != nil {
 		return 0, err
 	}

@@ -144,6 +144,36 @@ func TestDeleteAndDocDelete(t *testing.T) {
 	}
 }
 
+// TestMalformedEntryFailsScan: an entry too short to hold its DocID must fail
+// the scans that reach it — Scan and DeleteDocEntries — rather than end them
+// early with a nil error and a subset of the answer.
+func TestMalformedEntryFailsScan(t *testing.T) {
+	ix := newIndex(t, "//v", xml.TDouble)
+	for i, v := range []string{"1", "5", "9"} {
+		if err := ix.Put([]byte(v), xml.DocID(i+1), nid(i), rid(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enc, err := ix.EncodeValue([]byte("5"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.PutKey(append(enc, 0, 0, 0), rid(7)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := ix.RangeForOp(xpath.GE, xpath.Literal{IsNum: true, Num: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if err := ix.Scan(r, func(Entry) bool { n++; return true }); err == nil {
+		t.Fatalf("scan over the short key returned %d entries and no error", n)
+	}
+	if _, err := ix.DeleteDocEntries(1); err == nil {
+		t.Fatal("DeleteDocEntries over the short key returned no error")
+	}
+}
+
 func TestStringTruncation(t *testing.T) {
 	ix := newIndex(t, "//s", xml.TString)
 	long := make([]byte, MaxStringKey+50)
