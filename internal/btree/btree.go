@@ -364,6 +364,15 @@ func liveFree(d []byte) int {
 	return pagestore.PageSize - hdrSize - (n+1)*slotSize - used
 }
 
+// needsSplit reports whether a node cannot take a cell of need bytes even
+// after compaction. Cells live in [freePtr, PageSize), so liveFree >=
+// freeBytes always holds: the O(1) freeBytes test settles the common case
+// exactly, and the O(cells) liveFree walk runs only on a page whose
+// contiguous free space is short.
+func needsSplit(d []byte, need int) bool {
+	return freeBytes(d) < need && liveFree(d) < need
+}
+
 // Put inserts or replaces the value under key.
 //
 // The insert is a single top-down pass with preemptive splits: any node on
@@ -391,7 +400,7 @@ func (t *Tree) Put(key, val []byte) error {
 	if isLeaf(f.Data) {
 		need = leafNeed
 	}
-	full := liveFree(f.Data) < need
+	full := needsSplit(f.Data, need)
 	f.RUnlock()
 	if full {
 		if err := t.splitRoot(f); err != nil {
@@ -437,7 +446,7 @@ func (t *Tree) Put(key, val []byte) error {
 		if isLeaf(cf.Data) {
 			need = leafNeed
 		}
-		full := liveFree(cf.Data) < need
+		full := needsSplit(cf.Data, need)
 		cf.RUnlock()
 		if full {
 			if err := t.splitChild(f, cf); err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -249,8 +250,36 @@ func TestSizeLimits(t *testing.T) {
 	}
 }
 
+// roomInvariantHolds reports whether every node of tr satisfies freeBytes
+// <= liveFree, the inequality Put's room check (needsSplit) relies on to
+// skip the liveFree walk.
+func roomInvariantHolds(t *testing.T, tr *Tree) bool {
+	pages, err := tr.Pages()
+	if err != nil {
+		t.Error(err)
+		return false
+	}
+	for _, pg := range pages[1:] { // pages[0] is the meta page
+		f, err := tr.pool.Fetch(pg)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		free, live := freeBytes(f.Data), liveFree(f.Data)
+		tr.pool.Unpin(f, false)
+		if free > live {
+			t.Errorf("page %d: freeBytes %d > liveFree %d", pg, free, live)
+			return false
+		}
+	}
+	return true
+}
+
 // Property: the tree agrees with a sorted map oracle under random interleaved
-// put/delete, and iteration order is sorted.
+// put/replace/delete, iteration order is sorted, every node keeps the room
+// invariant after every step, and no Put fails (in particular never with
+// "leaf full after preemptive split"). Values vary in length so replaces and
+// deletes leave holes that only compaction reclaims.
 func TestOracleProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -260,9 +289,10 @@ func TestOracleProperty(t *testing.T) {
 			k := fmt.Sprintf("key-%05d", rng.Intn(500))
 			switch rng.Intn(3) {
 			case 0, 1:
-				v := fmt.Sprintf("val-%d", op)
+				v := fmt.Sprintf("val-%d-%s", op, strings.Repeat("x", rng.Intn(48)))
 				oracle[k] = v
 				if err := tr.Put([]byte(k), []byte(v)); err != nil {
+					t.Errorf("seed %d op %d: Put(%s): %v", seed, op, k, err)
 					return false
 				}
 			case 2:
@@ -272,6 +302,9 @@ func TestOracleProperty(t *testing.T) {
 						return false
 					}
 				}
+			}
+			if !roomInvariantHolds(t, tr) {
+				return false
 			}
 		}
 		var want []string

@@ -20,9 +20,12 @@
 package buffer
 
 import (
+	"bytes"
 	"container/list"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -229,6 +232,11 @@ func (p *Pool) SetFlushLSN(fn func(LSN) error) { p.flushLSN = fn }
 // concurrent use. With no logger, Modify skips the before-copy and the diff.
 func (p *Pool) SetLogger(l PageLogger) { p.logger = l }
 
+// beforeImages recycles Modify's before-copies. A fresh page-sized array is
+// zeroed before the copy overwrites it, and that zeroing alone costs more
+// than diffing a sparse change.
+var beforeImages = sync.Pool{New: func() any { return new([pagestore.PageSize]byte) }}
+
 // Modify applies a mutation to the frame under its exclusive latch, logs the
 // resulting page delta to the attached logger, stamps the page LSN into
 // bytes [0,8) of the page (all page layouts in this system reserve them),
@@ -245,7 +253,8 @@ func (p *Pool) Modify(f *Frame, fn func(data []byte) error) error {
 		f.dirty.Store(true)
 		return nil
 	}
-	var before [pagestore.PageSize]byte
+	before := beforeImages.Get().(*[pagestore.PageSize]byte)
+	defer beforeImages.Put(before)
 	copy(before[:], f.Data)
 	if err := fn(f.Data); err != nil {
 		copy(f.Data, before[:]) // roll the page back; mutation failed
@@ -288,42 +297,103 @@ func PageLSN(d []byte) LSN {
 		LSN(d[4])<<24 | LSN(d[5])<<16 | LSN(d[6])<<8 | LSN(d[7])
 }
 
-// diffGapMin is the unchanged-byte stretch that splits a delta into separate
-// runs. Below it, the per-record framing overhead outweighs the bytes saved;
-// above it, logging the gap is pure write amplification. The slotted page
-// layouts make the amplification severe: an insert touches the header/slot
-// array near the page start and cell content near the free-space pointer, so
-// a single covering range drags the untouched free space in the middle —
-// frequently kilobytes — into every logged image.
+// diffGapMin bounds the unchanged-byte stretch a run absorbs: changes at
+// most diffGapMin unchanged bytes apart share one run, and a gap of
+// diffGapMin+1 or more splits them. Below it, the per-run framing overhead
+// outweighs the bytes saved; above it, logging the gap is pure write
+// amplification. The slotted page layouts make the amplification severe: an
+// insert touches the header/slot array near the page start and cell content
+// near the free-space pointer, so a single covering range drags the
+// untouched free space in the middle — frequently kilobytes — into every
+// logged image. The rule is part of the WAL's byte format: changing it
+// changes what every Modify logs.
 const diffGapMin = 64
 
 // diffRuns returns the changed regions of b against a as maximal runs
-// aliasing b, merging runs separated by fewer than diffGapMin unchanged
-// bytes. The LSN field [0,8) is excluded: it is maintained by the logging
-// machinery itself.
+// aliasing b, merging changes at most diffGapMin unchanged bytes apart. The
+// LSN field [0,8) is excluded: it is maintained by the logging machinery
+// itself.
+//
+// Cost: one pass over the page, a word or more per step. Unchanged
+// stretches between runs are skipped in vectorised blocks (nextDiff); a
+// run and the gaps inside it are walked a word at a time (extendRun). A
+// sparse mutation costs what it changes plus ≈page/512 block compares, not
+// one compare per page byte. The look-ahead that ends a run is where the
+// search for the next one resumes, so no stretch is scanned twice.
 func diffRuns(a, b []byte) []PageRun {
 	var runs []PageRun
-	i := 8
-	for {
-		for i < len(a) && a[i] == b[i] {
-			i++
-		}
-		if i == len(a) {
-			return runs
-		}
-		lo := i
-		// Extend the run, absorbing unchanged gaps shorter than diffGapMin.
-		hi := i + 1
-		for j := hi; j < len(a); j++ {
-			if a[j] != b[j] {
-				hi = j + 1
-			} else if j-hi >= diffGapMin {
-				break
-			}
-		}
-		runs = append(runs, PageRun{Off: lo, After: b[lo:hi]})
-		i = hi
+	i := nextDiff(a, b, 8)
+	for i < len(a) {
+		hi, next := extendRun(a, b, i+1)
+		runs = append(runs, PageRun{Off: i, After: b[i:hi]})
+		i = nextDiff(a, b, next)
 	}
+	return runs
+}
+
+// extendRun grows a run whose last changed byte so far is hi-1. It returns
+// the run's end (one past its last changed byte) and where the search for
+// the next run resumes: the first change more than diffGapMin unchanged
+// bytes past the end, or the point at which that many have been seen.
+// Bytes [hi, j) are unchanged throughout.
+func extendRun(a, b []byte, hi int) (end, next int) {
+	n, j := len(a), hi
+	for ; j+8 <= n; j += 8 {
+		x := binary.LittleEndian.Uint64(a[j:]) ^ binary.LittleEndian.Uint64(b[j:])
+		if x == 0 {
+			if j+8-hi > diffGapMin {
+				return hi, j + 8
+			}
+			continue
+		}
+		if first := j + bits.TrailingZeros64(x)/8; first-hi > diffGapMin {
+			return hi, first
+		}
+		hi = j + 8 - bits.LeadingZeros64(x)/8 // past the word's last change
+	}
+	for ; j < n; j++ {
+		if a[j] != b[j] {
+			if j-hi > diffGapMin {
+				return hi, j
+			}
+			hi = j + 1
+		}
+	}
+	return hi, n
+}
+
+// diffProbeWords is how many words nextDiff compares one at a time before
+// switching to block skips. Changes cluster (a slot shift, a cell and its
+// header fields), so the next difference is usually within a few words.
+const diffProbeWords = 4
+
+// nextDiff returns the first index at or after i at which a and b differ,
+// or len(a) if none does. It probes a few words with XOR, skips equal
+// 512- and 64-byte blocks with bytes.Equal (vectorised by the runtime), then
+// pinpoints the difference a word and finally a byte at a time.
+func nextDiff(a, b []byte, i int) int {
+	n := len(a)
+	for k := 0; k < diffProbeWords && i+8 <= n; k++ {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+		i += 8
+	}
+	for i+512 <= n && bytes.Equal(a[i:i+512], b[i:i+512]) {
+		i += 512
+	}
+	for i+64 <= n && bytes.Equal(a[i:i+64], b[i:i+64]) {
+		i += 64
+	}
+	for ; i+8 <= n; i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return i
 }
 
 // Fetch pins the page in the pool, reading it from the store on a miss.

@@ -1,7 +1,11 @@
 package buffer
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -146,12 +150,154 @@ func TestDiffRuns(t *testing.T) {
 		runs[1].Off != 122+diffGapMin || len(runs[1].After) != 1 || runs[1].After[0] != 3 {
 		t.Errorf("got %+v", runs)
 	}
+	// The gap rule is WAL format: exactly diffGapMin unchanged bytes merge,
+	// one more splits.
+	for gap, want := range map[int]int{diffGapMin: 1, diffGapMin + 1: 2} {
+		b = make([]byte, pagestore.PageSize)
+		b[100], b[101+gap] = 1, 2
+		if runs := diffRuns(a, b); len(runs) != want {
+			t.Errorf("gap %d: %d runs, want %d: %+v", gap, len(runs), want, runs)
+		}
+	}
 	// Changes within the LSN field are ignored.
 	b = make([]byte, pagestore.PageSize)
 	b[3] = 9
 	if runs := diffRuns(a, b); len(runs) != 0 {
 		t.Errorf("LSN-only diff: %v", runs)
 	}
+}
+
+// diffRunsRef is the byte-at-a-time definition of a page delta's runs, the
+// oracle diffRuns must reproduce exactly: the runs are the WAL's bytes.
+func diffRunsRef(a, b []byte) []PageRun {
+	var runs []PageRun
+	i := 8
+	for {
+		for i < len(a) && a[i] == b[i] {
+			i++
+		}
+		if i == len(a) {
+			return runs
+		}
+		lo := i
+		// Extend the run, absorbing gaps of up to diffGapMin unchanged bytes.
+		hi := i + 1
+		for j := hi; j < len(a); j++ {
+			if a[j] != b[j] {
+				hi = j + 1
+			} else if j-hi >= diffGapMin {
+				break
+			}
+		}
+		runs = append(runs, PageRun{Off: lo, After: b[lo:hi]})
+		i = hi
+	}
+}
+
+// checkDiffRuns fails t unless diffRuns(a, b) equals the reference runs,
+// offsets and after-image bytes.
+func checkDiffRuns(t *testing.T, name string, a, b []byte) {
+	t.Helper()
+	got, want := diffRuns(a, b), diffRunsRef(a, b)
+	same := len(got) == len(want)
+	for i := 0; same && i < len(got); i++ {
+		same = got[i].Off == want[i].Off && bytes.Equal(got[i].After, want[i].After)
+	}
+	if !same {
+		t.Fatalf("%s: diffRuns = %s, reference = %s", name, fmtRuns(got), fmtRuns(want))
+	}
+}
+
+func fmtRuns(runs []PageRun) string {
+	s := fmt.Sprintf("%d runs", len(runs))
+	for _, r := range runs {
+		s += fmt.Sprintf(" [%d,%d)", r.Off, r.Off+len(r.After))
+	}
+	return s
+}
+
+func TestDiffRunsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	base := make([]byte, pagestore.PageSize)
+	rng.Read(base)
+	page := func(edit func(b []byte)) (a, b []byte) {
+		a = bytes.Clone(base)
+		b = bytes.Clone(base)
+		edit(b)
+		return a, b
+	}
+	cases := map[string]func(b []byte){
+		"identical": func([]byte) {},
+		"lsn-only":  func(b []byte) { copy(b, "\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8") },
+		"offset-8":  func(b []byte) { b[8]++ },
+		"last-byte": func(b []byte) { b[pagestore.PageSize-1]++ },
+		// The first run's word walk starts 4 bytes short of the end, so the
+		// rest of it is compared bytewise.
+		"trailing-partial-word": func(b []byte) { b[pagestore.PageSize-5]++; b[pagestore.PageSize-1]++ },
+		"full-rewrite": func(b []byte) {
+			for i := range b {
+				b[i]++
+			}
+		},
+		// A B+tree leaf insert at slot 10 of 150: the slot array shifts two
+		// bytes right, the header's count and free pointer change, and the new
+		// cell lands below the free pointer.
+		"slot-shift": func(b []byte) {
+			const slots, at = 18, 18 + 10*2
+			copy(b[at+2:slots+151*2], b[at:slots+150*2])
+			b[at], b[at+1] = 0x1f, 0x40
+			b[11]++
+			b[13] -= 24
+			copy(b[7000:7024], "a fresh leaf cell, 24 B.")
+		},
+	}
+	for _, gap := range []int{63, 64, 65, 66} {
+		cases[fmt.Sprint("gap-", gap)] = func(b []byte) { b[500]++; b[501+gap]++; b[502+2*gap]++ }
+	}
+	for name, edit := range cases {
+		a, b := page(edit)
+		checkDiffRuns(t, name, a, b)
+	}
+	// Sparse single-byte changes land on every block and word boundary the
+	// skips in nextDiff can get wrong.
+	for k := 0; k < 2000; k++ {
+		a, b := page(func(b []byte) {
+			for e := 1 + rng.Intn(16); e > 0; e-- {
+				b[rng.Intn(len(b))]++
+			}
+		})
+		checkDiffRuns(t, fmt.Sprint("sparse-", k), a, b)
+	}
+	// Lengths that are not a multiple of the word: the tail is compared
+	// bytewise.
+	for _, n := range []int{9, 15, 71, 600, 8191} {
+		a, b := page(func(b []byte) { b[n-1]++; b[n/2]++ })
+		checkDiffRuns(t, fmt.Sprint("len-", n), a[:n], b[:n])
+	}
+}
+
+// FuzzDiffRuns: fuzz bytes drive edits to a page pair — each 4-byte group
+// is a 2-byte offset, a length and a value added to the bytes it covers —
+// and the runs must equal the reference's.
+func FuzzDiffRuns(f *testing.F) {
+	f.Add([]byte{0, 8, 1, 7})
+	f.Add([]byte{0x1f, 0xff, 1, 1, 0, 100, 1, 1, 0, 165, 1, 1, 0, 230, 1, 2})
+	f.Add([]byte{0, 0, 255, 9, 0x10, 0, 255, 3})
+	f.Fuzz(func(t *testing.T, edits []byte) {
+		a := make([]byte, pagestore.PageSize)
+		for i := range a {
+			a[i] = byte(i * 7 >> 3) // runs of equal bytes, so XOR finds zero bytes too
+		}
+		b := bytes.Clone(a)
+		for ; len(edits) >= 4; edits = edits[4:] {
+			off := int(binary.BigEndian.Uint16(edits)) % pagestore.PageSize
+			end := min(off+int(edits[2]), pagestore.PageSize)
+			for i := off; i < end; i++ {
+				b[i] += edits[3] + byte(i-off)
+			}
+		}
+		checkDiffRuns(t, "fuzz", a, b)
+	})
 }
 
 func TestConcurrentFetch(t *testing.T) {

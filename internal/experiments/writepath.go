@@ -5,6 +5,7 @@ package experiments
 // WAL group commit, and bulk loading against per-document commits.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,10 +21,54 @@ import (
 	"rx/internal/xmlgen"
 )
 
+// discardLog is a PageLogger that keeps nothing: it isolates Modify's own
+// cost (before-copy, diff, LSN stamp) from the log's.
+type discardLog struct{ lsn buffer.LSN }
+
+func (l *discardLog) LogPageDelta(pagestore.PageID, []buffer.PageRun) (buffer.LSN, error) {
+	l.lsn++
+	return l.lsn, nil
+}
+
+// modifyCase times one logged Pool.Modify per op on a resident page laid out
+// like a full B+tree leaf (150 slots over cell content); mutate makes op i's
+// change and must change at least one byte.
+func modifyCase(mutate func(d []byte, i int)) func(b *testing.B) {
+	return func(b *testing.B) {
+		pool := buffer.New(pagestore.NewMemStore(), 4)
+		pool.SetLogger(&discardLog{})
+		f, err := pool.NewPage()
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer pool.Unpin(f, false)
+		for i := 8; i < len(f.Data); i++ {
+			f.Data[i] = byte(i * 7 >> 3)
+		}
+		for s := 0; s < leafSlots; s++ {
+			binary.BigEndian.PutUint16(f.Data[leafSlot0+2*s:], uint16(pagestore.PageSize-24*(s+1)))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := pool.Modify(f, func(d []byte) error { mutate(d, i); return nil }); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// The leaf modifyCase lays out: slot array offset and slot count.
+const leafSlot0, leafSlots = 18, 150
+
 // e14Cases — page I/O cost: raw store, checksum-verified store, and a hot
 // (resident) page through the buffer pool over each. The pool pair is the
 // engine-visible number: a hot page verifies once per residency, so the
-// checksummed read must be within noise of the raw one.
+// checksummed read must be within noise of the raw one. The modify pair is
+// the cost of one logged page mutation, which every heap and B+tree write
+// pays: a sparse change (header count plus one 24-byte cell) and a leaf
+// insert at slot 10 of 150 (140 slots shift by one, and shift back on the
+// next op). Both must cost what they change, not a compare per page byte.
 func e14Cases() ([]Case, error) {
 	page := make([]byte, pagestore.PageSize)
 	for i := range page {
@@ -74,6 +119,23 @@ func e14Cases() ([]Case, error) {
 		{"store-read/checksum", true, storeRead(true)},
 		{"pool-hot/raw", true, poolHot(false)},
 		{"pool-hot/checksum", true, poolHot(true)},
+		{"modify/sparse", true, modifyCase(func(d []byte, i int) {
+			binary.BigEndian.PutUint16(d[10:], uint16(i))
+			cell := d[4000+24*(i%100):][:24]
+			binary.BigEndian.PutUint64(cell, uint64(i))
+			copy(cell[8:], cell[:8]) // a 24-byte cell, rewritten whole
+			copy(cell[16:], cell[:8])
+		})},
+		{"modify/slot-shift", true, modifyCase(func(d []byte, i int) {
+			const at = leafSlot0 + 2*10
+			slots := d[at : leafSlot0+2*leafSlots]
+			if i%2 == 0 {
+				copy(slots[2:], slots) // insert at slot 10
+			} else {
+				copy(slots, slots[2:]) // remove it again
+			}
+			binary.BigEndian.PutUint16(d[10:], uint16(i))
+		})},
 	}, nil
 }
 
