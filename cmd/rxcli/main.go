@@ -56,7 +56,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"rx"
 	"rx/client"
@@ -160,7 +159,7 @@ func main() {
 		fmt.Printf("NodeID entries:   %d\n", entries)
 		fmt.Printf("value indexes:    %s\n", strings.Join(col.ValueIndexes(), ", "))
 	case "verify":
-		os.Exit(verify(db, throttle(*rate)))
+		os.Exit(verify(rx.NewScrubber(db, rx.ScrubOptions{Rate: *rate})))
 	case "scrub":
 		s := rx.NewScrubber(db, rx.ScrubOptions{Rate: *rate})
 		rep, err := s.RunPass()
@@ -417,30 +416,11 @@ func printPlan(p *rx.Plan) {
 	}
 }
 
-// throttle builds the page-read pacing hook for verify (nil = unthrottled).
-func throttle(rate int) func() {
-	if rate <= 0 {
-		return nil
-	}
-	interval := time.Second / time.Duration(rate)
-	var next time.Time
-	return func() {
-		now := time.Now()
-		if next.Before(now) {
-			next = now
-		}
-		next = next.Add(interval)
-		if d := next.Sub(now); d > 0 {
-			time.Sleep(d)
-		}
-	}
-}
-
 // verify scans every page, prints a per-page summary of failures, and
 // returns the exit code: 0 clean, 2 corruption (checksum failures), 1 I/O
 // or any other error.
-func verify(db *rx.DB, throttle func()) int {
-	scanned, errs, err := db.ScanPages(throttle)
+func verify(s *rx.Scrubber) int {
+	scanned, errs, err := s.ScanPages()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rxcli: verify:", err)
 		return 1

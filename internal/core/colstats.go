@@ -12,7 +12,6 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rx/internal/heap"
 	"rx/internal/nodeid"
@@ -270,15 +269,10 @@ func (h *pathCountHandler) PI(target xml.NameID, value []byte, id nodeid.ID) err
 // swaps them in (carrying forward counter deltas from writes that landed
 // mid-rebuild), bumps the epoch, and persists the snapshot. It runs without
 // the write lock: a scrub-style background pass must not stall writers, so a
-// document deleted mid-walk is simply skipped.
-//
-// throttle, when non-nil, is called once per document walked and once per
-// index-entry chunk scanned, so a background sampler can rate-limit the pass.
-func (c *Collection) RefreshStats(throttle func()) error {
-	tick := throttle
-	if tick == nil {
-		tick = func() {}
-	}
+// document deleted mid-walk is simply skipped. It takes no throttle hook: the
+// index scans run their callbacks under the tree's read lock, where a pause
+// would stall every writer of that index.
+func (c *Collection) RefreshStats() error {
 	// Baseline for the delta carry-forward.
 	c.statsMu.Lock()
 	base := c.live.Clone()
@@ -315,7 +309,6 @@ func (c *Collection) RefreshStats(throttle func()) error {
 	fresh.DocCount = int64(len(docs))
 	h := &pathCountHandler{c: c, counts: fresh.PathCounts}
 	for _, doc := range docs {
-		tick()
 		if werr := c.WalkDoc(doc, h); werr != nil {
 			continue // deleted or quarantined mid-pass
 		}
@@ -324,11 +317,7 @@ func (c *Collection) RefreshStats(throttle func()) error {
 	// Per-index cardinalities and histograms: one ordered scan each.
 	for _, ov := range c.indexSnapshot() {
 		b := stats.NewBuilder(stats.HistogramBuckets)
-		seen := 0
 		err := ov.ix.Scan(valueindex.Range{}, func(e valueindex.Entry) bool {
-			if seen++; seen%ctxCheckEvery == 0 {
-				tick()
-			}
 			b.Add(e.EncodedValue)
 			return true
 		})
@@ -372,7 +361,8 @@ func (c *Collection) RefreshStats(throttle func()) error {
 	return c.db.cat.UpdateCollectionStats(c.meta, snap)
 }
 
-// RefreshStats rebuilds statistics for every collection.
+// RefreshStats rebuilds statistics for every collection. The maintenance
+// loop's statistics duty calls it every Options.StatsRefresh.
 func (db *DB) RefreshStats() error {
 	var firstErr error
 	for _, name := range db.Collections() {
@@ -383,37 +373,12 @@ func (db *DB) RefreshStats() error {
 			}
 			continue
 		}
-		if err := c.RefreshStats(nil); err != nil && firstErr == nil {
+		if err := c.RefreshStats(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	atomic.AddUint64(&db.stats.statsRefreshes, 1)
 	return firstErr
-}
-
-// StartStatsRefresh starts a scrub-style background statistics sampler: one
-// full refresh pass over every collection per interval (0 = 10 minutes).
-// The returned stop function is idempotent; RegisterCloser it so the sampler
-// dies with the database.
-func (db *DB) StartStatsRefresh(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = 10 * time.Minute
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				_ = db.RefreshStats() // advisory: a failed pass retries next tick
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
 }
 
 // NotePlanCache counts a session plan-cache lookup in the engine stats.

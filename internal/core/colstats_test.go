@@ -90,7 +90,7 @@ func TestIncrementalStats(t *testing.T) {
 
 	// Refresh rebuilds the derived statistics exactly (and fixes the stale
 	// path counts the deletes left behind).
-	if err := col.RefreshStats(nil); err != nil {
+	if err := col.RefreshStats(); err != nil {
 		t.Fatal(err)
 	}
 	s = col.StatsSnapshot()
@@ -160,7 +160,7 @@ func TestPlanFlipAfterRefresh(t *testing.T) {
 	if err := col.CreateValueIndex("ix", "/r/v", xml.TDouble); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.RefreshStats(nil); err != nil {
+	if err := col.RefreshStats(); err != nil {
 		t.Fatal(err)
 	}
 	_, p, err := col.QueryOpts(`/r[v >= 300]`, QueryOptions{})
@@ -198,7 +198,7 @@ func TestPlanFlipAfterRefresh(t *testing.T) {
 	// of 6720 entries, and walking them all costs more than evaluating the
 	// 420 documents directly.
 	epoch := col.StatsEpoch()
-	if err := col.RefreshStats(nil); err != nil {
+	if err := col.RefreshStats(); err != nil {
 		t.Fatal(err)
 	}
 	if col.StatsEpoch() == epoch {
@@ -397,7 +397,7 @@ func plannerOrdersFixture(t *testing.T) (*Collection, []string) {
 	must(col.CreateValueIndex("ix_cust", "/order/hdr/cust", xml.TString))
 	must(col.CreateValueIndex("ix_total", "/order/hdr/total", xml.TDouble))
 	must(col.CreateValueIndex("ix_qty", "//qty", xml.TDouble))
-	must(col.RefreshStats(nil))
+	must(col.RefreshStats())
 
 	queries := []string{
 		`/order/hdr[cust = 'C03']`,
@@ -439,7 +439,7 @@ func plannerShapesFixture(t *testing.T) (*Collection, []string) {
 			t.Fatal(err)
 		}
 	}
-	if err := col.RefreshStats(nil); err != nil {
+	if err := col.RefreshStats(); err != nil {
 		t.Fatal(err)
 	}
 	return col, []string{
@@ -564,7 +564,7 @@ func TestDeterministicProbeOrder(t *testing.T) {
 	}
 	col.CreateValueIndex("ix_a", "/r/a", xml.TDouble)
 	col.CreateValueIndex("ix_b", "/r/b", xml.TDouble)
-	if err := col.RefreshStats(nil); err != nil {
+	if err := col.RefreshStats(); err != nil {
 		t.Fatal(err)
 	}
 	var first *Plan
@@ -657,7 +657,7 @@ func TestRefreshStatsFitsCatalogRow(t *testing.T) {
 	if _, err := col.InsertBatch(docs, BatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.RefreshStats(nil); err != nil {
+	if err := col.RefreshStats(); err != nil {
 		t.Fatalf("RefreshStats: %v", err)
 	}
 	if err := db.Close(); err != nil {

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"rx/internal/btree"
 	"rx/internal/buffer"
@@ -44,6 +45,19 @@ type Options struct {
 	// sessions, and bulk loads, in bytes (0 = unlimited, account only).
 	// Breaches fail the offending request with rxerr.ErrOverBudget.
 	MemBudget int64
+
+	// Background maintenance (maintain.go): one goroutine runs every duty
+	// configured below; the zero value of each leaves its duty off.
+
+	// SpaceWatch configures the free-space watchdog (on when Probe is set).
+	SpaceWatch SpaceWatchOptions
+	// StatsRefresh is the interval between statistics refresh passes.
+	StatsRefresh time.Duration
+	// ScrubInterval is the interval between integrity scrub passes, each
+	// throttled to about ScrubRate page/record reads per second (0 =
+	// unthrottled) so it does not starve foreground queries.
+	ScrubInterval time.Duration
+	ScrubRate     int
 }
 
 // DB is an open database.
@@ -58,25 +72,38 @@ type DB struct {
 	mu      sync.Mutex
 	cols    map[string]*Collection
 	schemas map[string]*xmlschema.Schema
-	closers []func()
+	maint   *maintainer // nil when no maintenance duty is configured
 
 	// Degraded read-only mode (see degraded.go): set when the device fills
 	// up, cleared when the free-space watchdog recovers the engine.
 	degraded  atomic.Bool
 	degMu     sync.Mutex
 	degReason string
-	compDebt  []logicalOp  // unresolved undo work, replayed before leaving degraded mode
-	spaceFree atomic.Int64 // last watchdog probe (-1 = never probed)
-	watchLow  atomic.Int64 // watchdog low-water mark (0 = no watchdog)
-	watchHigh atomic.Int64 // watchdog high-water mark
-	retryHint atomic.Int64 // retry-after attached to shed writes (ns)
+	compDebt  []logicalOp       // unresolved undo work, replayed before leaving degraded mode
+	spaceFree atomic.Int64      // last watchdog probe (-1 = never probed)
+	watch     SpaceWatchOptions // the watchdog's configuration, fixed at open
 
 	quarantine quarantineSet
 	stats      dbStats
 }
 
-// Open opens (bootstrapping if empty) a database over the given store.
+// Open opens (bootstrapping if empty) a database over the given store and
+// starts its maintenance loop.
 func Open(store pagestore.Store, opts Options) (*DB, error) {
+	db, err := open(store, opts)
+	if err != nil {
+		return nil, err
+	}
+	db.startMaintenance(opts)
+	return db, nil
+}
+
+// open is Open without the maintenance loop, which Recover starts only
+// once recovery has finished.
+func open(store pagestore.Store, opts Options) (*DB, error) {
+	if err := opts.SpaceWatch.check(); err != nil {
+		return nil, err
+	}
 	if opts.PoolPages <= 0 {
 		opts.PoolPages = 4096
 	}
@@ -106,9 +133,9 @@ func Open(store pagestore.Store, opts Options) (*DB, error) {
 		log:   opts.WAL,
 		mem:   memgov.New("server", opts.MemBudget),
 		cols:  map[string]*Collection{},
+		watch: opts.SpaceWatch,
 	}
 	db.spaceFree.Store(-1)
-	db.retryHint.Store(int64(defaultRetryAfter))
 	return db, nil
 }
 
@@ -146,24 +173,16 @@ func (db *DB) VerifyPages() error {
 	return fmt.Errorf("core: verify page %d of %d: %w", errs[0].Page, n, errs[0].Err)
 }
 
-// RegisterCloser adds fn to the set run at the start of Close, in reverse
-// registration order. Background services attached to the DB (the scrubber)
-// register their shutdown here so Close never races a running pass.
-func (db *DB) RegisterCloser(fn func()) {
-	db.mu.Lock()
-	db.closers = append(db.closers, fn)
-	db.mu.Unlock()
-}
-
-// Close stops registered background services, flushes, and closes the
-// underlying store.
+// Close stops the maintenance loop, flushes, and closes the underlying
+// store.
 func (db *DB) Close() error {
 	db.mu.Lock()
-	closers := db.closers
-	db.closers = nil
+	m := db.maint
+	db.maint = nil
 	db.mu.Unlock()
-	for i := len(closers) - 1; i >= 0; i-- {
-		closers[i]()
+	if m != nil {
+		close(m.stop)
+		<-m.done // the duty in flight
 	}
 	// Checkpoint any statistics accumulated since the last periodic persist
 	// (best-effort: a read-only or full-device close still closes).

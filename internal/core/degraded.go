@@ -4,11 +4,12 @@ package core
 // the WAL or the page file fills up, the failing transaction rolls back
 // cleanly (see Txn.Commit) and the engine flips read-only: reads, queries,
 // and the scrubber keep serving, every write entry point sheds with the
-// typed rxerr.ErrNoSpace plus a retry-after hint. A scrub-style background
-// watchdog probes free space on an interval and, once it clears the
-// high-water mark, replays the WAL tail and flushes the pool; if both land,
-// the engine recovers to read-write on its own — no restart, mirroring how
-// the scrubber detects and repairs corruption without operator intervention.
+// typed rxerr.ErrNoSpace plus a retry-after hint. The free-space watchdog, a
+// duty of the maintenance loop (maintain.go), probes free space on an
+// interval and, once it clears the high-water mark, replays the WAL tail and
+// flushes the pool; if both land, the engine recovers to read-write on its
+// own — no restart, mirroring how the scrubber detects and repairs
+// corruption without operator intervention.
 //
 // The watermark state machine is deliberately hysteretic: entry at LowWater,
 // exit at HighWater > LowWater, so a device hovering at the edge does not
@@ -17,16 +18,11 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"rx/internal/rxerr"
 )
-
-// defaultRetryAfter is the retry-after hint attached to shed writes when no
-// watchdog has declared its probe interval.
-const defaultRetryAfter = time.Second
 
 // checkWritable gates a write entry point: nil in read-write mode, the typed
 // no-space error (with the watchdog's probe interval as the retry hint) in
@@ -41,7 +37,7 @@ func (db *DB) checkWritable() error {
 	db.degMu.Unlock()
 	return rxerr.NoSpaceError{
 		Reason:     "engine is read-only (degraded): " + reason,
-		RetryAfter: time.Duration(db.retryHint.Load()),
+		RetryAfter: db.watch.Interval,
 	}
 }
 
@@ -153,11 +149,12 @@ func (db *DB) TryRecoverWritable() error {
 	return nil
 }
 
-// SpaceWatchOptions configure the free-space watchdog.
+// SpaceWatchOptions configure the free-space watchdog, a duty of the
+// maintenance loop (Options.SpaceWatch).
 type SpaceWatchOptions struct {
-	// Probe returns the device's free bytes. Required. Production uses a
-	// filesystem statfs probe (DiskFreeProbe); exhaustion tests use
-	// fault.DiskBudget.Free.
+	// Probe returns the device's free bytes; nil leaves the watchdog off.
+	// Production uses a filesystem statfs probe (DiskFreeProbe); exhaustion
+	// tests use fault.DiskBudget.Free.
 	Probe func() (int64, error)
 	// LowWater enters degraded mode when free space drops below it.
 	LowWater int64
@@ -165,63 +162,37 @@ type SpaceWatchOptions struct {
 	// reaches it. Defaults to 2*LowWater.
 	HighWater int64
 	// Interval is the probe period (default 1s). It doubles as the
-	// retry-after hint attached to shed writes.
+	// retry-after hint attached to shed writes, watchdog or not.
 	Interval time.Duration
 }
 
-// StartSpaceWatch starts the free-space watchdog and returns its stop
-// function (also registered with RegisterCloser, so Close stops it; calling
-// stop twice is safe).
-func (db *DB) StartSpaceWatch(o SpaceWatchOptions) (func(), error) {
+// check validates the watchdog configuration and fills in its defaults. A
+// nil Probe leaves the watchdog off.
+func (o *SpaceWatchOptions) check() error {
+	if o.Interval <= 0 {
+		o.Interval = time.Second
+	}
 	if o.Probe == nil {
-		return nil, errors.New("core: space watch needs a probe")
+		return nil
 	}
 	if o.LowWater <= 0 {
-		return nil, errors.New("core: space watch needs a positive low-water mark")
+		return errors.New("core: space watch needs a positive low-water mark")
 	}
 	if o.HighWater <= 0 {
 		o.HighWater = 2 * o.LowWater
 	}
 	if o.HighWater < o.LowWater {
-		return nil, fmt.Errorf("core: space watch high water %d below low water %d", o.HighWater, o.LowWater)
+		return fmt.Errorf("core: space watch high water %d below low water %d", o.HighWater, o.LowWater)
 	}
-	if o.Interval <= 0 {
-		o.Interval = time.Second
-	}
-	db.watchLow.Store(o.LowWater)
-	db.watchHigh.Store(o.HighWater)
-	db.retryHint.Store(int64(o.Interval))
-
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		tick := time.NewTicker(o.Interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				db.probeSpace(o)
-			}
-		}
-	}()
-
-	var once sync.Once
-	stop := func() {
-		once.Do(func() {
-			close(done)
-			<-finished
-		})
-	}
-	db.RegisterCloser(stop)
-	return stop, nil
+	return nil
 }
 
 // probeSpace runs one watchdog tick: read free space, apply the watermark
-// state machine.
-func (db *DB) probeSpace(o SpaceWatchOptions) {
+// state machine. Without mayRecover only the enter leg runs: the maintenance
+// loop's pacing hook probes from inside a scrub pass, where replaying
+// compensation is unsafe (maintain.go).
+func (db *DB) probeSpace(mayRecover bool) {
+	o := db.watch
 	free, err := o.Probe()
 	if err != nil {
 		return // a failing probe changes nothing; the next tick retries
@@ -230,7 +201,7 @@ func (db *DB) probeSpace(o SpaceWatchOptions) {
 	switch {
 	case free < o.LowWater:
 		db.enterDegraded(fmt.Sprintf("free space %d bytes below low water %d", free, o.LowWater))
-	case free >= o.HighWater && db.degraded.Load():
+	case mayRecover && free >= o.HighWater && db.degraded.Load():
 		// Space came back: recovery only counts if the deferred bytes
 		// actually land. A failed attempt stays degraded for the next tick.
 		_ = db.TryRecoverWritable()

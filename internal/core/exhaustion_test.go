@@ -67,6 +67,14 @@ type exhaustionEnv struct {
 // scheduled level with SetCapacity.
 func exhaustionOpen(t *testing.T, groupCommit bool, refills ...fault.Refill) *exhaustionEnv {
 	t.Helper()
+	return exhaustionOpenWith(t, groupCommit, nil, refills...)
+}
+
+// exhaustionOpenWith is exhaustionOpen with tune, when non-nil, adjusting
+// the engine options before Open — the maintenance duties whose probes read
+// the env's budget.
+func exhaustionOpenWith(t *testing.T, groupCommit bool, tune func(*exhaustionEnv, *Options), refills ...fault.Refill) *exhaustionEnv {
+	t.Helper()
 	env := &exhaustionEnv{
 		mem:    pagestore.NewMemStore(),
 		dev:    &wal.MemDevice{},
@@ -85,9 +93,11 @@ func exhaustionOpen(t *testing.T, groupCommit bool, refills ...fault.Refill) *ex
 	if err != nil {
 		t.Fatalf("wal open: %v", err)
 	}
-	env.db, err = Open(fault.NewBudgetStore(env.mem, env.budget), Options{
-		WAL: log, PoolPages: torturePool, LockTimeoutMillis: 500,
-	})
+	opts := Options{WAL: log, PoolPages: torturePool, LockTimeoutMillis: 500}
+	if tune != nil {
+		tune(env, &opts)
+	}
+	env.db, err = Open(fault.NewBudgetStore(env.mem, env.budget), opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -617,28 +627,27 @@ func TestExhaustionDegradedModeSheds(t *testing.T) {
 // TestSpaceWatchdog drives the hysteretic watermark state machine end to
 // end against the budget's own free-space probe: dipping under the
 // low-water mark flips the engine read-only, climbing back over the
-// high-water mark flips it back, all from the background goroutine.
+// high-water mark flips it back, all from the maintenance loop. A second
+// engine then runs the same watchdog beside a scrub pass throttled to a few
+// pages a second: the pass must not blind it.
 func TestSpaceWatchdog(t *testing.T) {
 	leakcheck.Check(t)
-	env := exhaustionOpen(t, false)
+	watch := func(env *exhaustionEnv, o *Options) {
+		o.SpaceWatch = SpaceWatchOptions{
+			Probe:     func() (int64, error) { return env.budget.Free(), nil },
+			LowWater:  1 << 20,
+			HighWater: 4 << 20,
+			Interval:  2 * time.Millisecond,
+		}
+	}
+	env := exhaustionOpenWith(t, false, watch)
 	defer env.db.Close()
 
-	stop, err := env.db.StartSpaceWatch(SpaceWatchOptions{
-		Probe:     func() (int64, error) { return env.budget.Free(), nil },
-		LowWater:  1 << 20,
-		HighWater: 4 << 20,
-		Interval:  2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("start watch: %v", err)
-	}
-	defer stop()
-
-	waitFor := func(want bool, what string) {
+	waitFor := func(db *DB, want bool, what string) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			if deg, _ := env.db.Degraded(); deg == want {
+			if deg, _ := db.Degraded(); deg == want {
 				return
 			}
 			if time.Now().After(deadline) {
@@ -650,9 +659,9 @@ func TestSpaceWatchdog(t *testing.T) {
 
 	// Proactive entry: free space dips below low water with no write failing.
 	env.budget.SetCapacity(env.budget.Used() + (1 << 19))
-	waitFor(true, "low water")
+	waitFor(env.db, true, "low water")
 	tx := env.db.Begin()
-	_, err = tx.Insert(env.col, []byte(exhaustionDoc(1)))
+	_, err := tx.Insert(env.col, []byte(exhaustionDoc(1)))
 	if !errors.Is(err, rxerr.ErrNoSpace) {
 		t.Fatalf("write under low water = %v, want ErrNoSpace", err)
 	}
@@ -674,13 +683,47 @@ func TestSpaceWatchdog(t *testing.T) {
 
 	// Above high water: the watchdog recovers on its own.
 	env.budget.SetCapacity(env.budget.Used() + (8 << 20))
-	waitFor(false, "high water recovery")
+	waitFor(env.db, false, "high water recovery")
 	tx = env.db.Begin()
 	if _, err := tx.Insert(env.col, []byte(exhaustionDoc(2))); err != nil {
 		t.Fatalf("post-recovery insert: %v", err)
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("post-recovery commit: %v", err)
+	}
+
+	// A throttled scrub pass in flight: the pacing hook still runs the
+	// enter leg, so the engine degrades within a few probe intervals, long
+	// before the pass ends; recovery runs only between duties, after it.
+	const scrubRate = 8 // page/record reads per second
+	senv := exhaustionOpenWith(t, false, func(env *exhaustionEnv, o *Options) {
+		watch(env, o)
+		o.ScrubInterval = time.Millisecond
+		o.ScrubRate = scrubRate
+	})
+	defer senv.db.Close()
+	pass := time.Duration(senv.mem.NumPages()) * time.Second / scrubRate
+	if pass < time.Second {
+		t.Fatalf("scrub pass over %d pages lasts %v, too short to observe", senv.mem.NumPages(), pass)
+	}
+	time.Sleep(50 * time.Millisecond) // the pass is due 1ms after Open
+	dropped := time.Now()
+	senv.budget.SetCapacity(senv.budget.Used() + (1 << 19))
+	waitFor(senv.db, true, "low water during a scrub pass")
+	if took := time.Since(dropped); took > pass/4 {
+		t.Fatalf("degraded %v after the drop, with a %v pass in flight", took, pass)
+	}
+	if n := senv.db.Stats().ScrubPasses; n != 0 {
+		t.Fatalf("scrub pass ended (%d passes) before the watchdog fired; the pass was not in flight", n)
+	}
+	senv.budget.SetCapacity(senv.budget.Used() + (8 << 20))
+	time.Sleep(20 * time.Millisecond)
+	if deg, _ := senv.db.Degraded(); !deg && senv.db.Stats().ScrubPasses == 0 {
+		t.Fatal("recovered inside the scrub pass")
+	}
+	waitFor(senv.db, false, "high water recovery after the scrub pass")
+	if n := senv.db.Stats().ScrubPasses; n == 0 {
+		t.Fatal("recovered before the scrub pass ended")
 	}
 }
 

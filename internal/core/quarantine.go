@@ -280,8 +280,9 @@ func (db *DB) Stats() Stats {
 	s.DegradedExits = atomic.LoadUint64(&db.stats.degradedExits)
 	s.PendingUndo = db.pendingUndo()
 	s.SpaceFree = db.spaceFree.Load()
-	s.SpaceLowWater = db.watchLow.Load()
-	s.SpaceHighWater = db.watchHigh.Load()
+	if db.watch.Probe != nil {
+		s.SpaceLowWater, s.SpaceHighWater = db.watch.LowWater, db.watch.HighWater
+	}
 	s.MemLimit = db.mem.Limit()
 	s.MemUsed = db.mem.Used()
 	s.MemHighWater = db.mem.HighWater()

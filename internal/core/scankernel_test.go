@@ -237,7 +237,7 @@ func TestWalkerIDLifetime(t *testing.T) {
 	if err := col.SerializeNode(wantHits[0].doc, target, &wantNode); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.RefreshStats(nil); err != nil {
+	if err := col.RefreshStats(); err != nil {
 		t.Fatal(err)
 	}
 	wantPaths := col.StatsSnapshot().PathCounts
@@ -270,7 +270,7 @@ func TestWalkerIDLifetime(t *testing.T) {
 	if err := col.WalkDocAt(docs[0], 0, &vsax.TokenSink{W: w}); err != nil || !bytes.Equal(w.Bytes(), wantStream) {
 		t.Fatalf("WalkDocAt under ID poisoning differs from DocStream (err %v)", err)
 	}
-	if err := col.RefreshStats(nil); err != nil {
+	if err := col.RefreshStats(); err != nil {
 		t.Fatal(err)
 	}
 	gotPaths := col.StatsSnapshot().PathCounts

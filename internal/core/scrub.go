@@ -127,6 +127,49 @@ func (db *DB) ScrubPass(throttle func()) (*ScrubReport, error) {
 	return rep, nil
 }
 
+// ScrubOptions configure a Scrubber.
+type ScrubOptions struct {
+	// Rate bounds a pass to about this many page/record reads per second;
+	// 0 means unthrottled.
+	Rate int
+}
+
+// Scrubber runs one-shot scrub and repair passes under a rate limit. The
+// periodic scrub is a duty of the maintenance loop (Options.ScrubInterval).
+type Scrubber struct {
+	db   *DB
+	opts ScrubOptions
+}
+
+// NewScrubber builds a scrubber over db.
+func NewScrubber(db *DB, opts ScrubOptions) *Scrubber {
+	return &Scrubber{db: db, opts: opts}
+}
+
+// throttle returns a fresh rate-limit hook for one pass (nil when
+// unthrottled).
+func (s *Scrubber) throttle() func() {
+	if l := newLimiter(s.opts.Rate); l != nil {
+		return l.wait
+	}
+	return nil
+}
+
+// RunPass runs one scrub pass synchronously under the rate limit.
+func (s *Scrubber) RunPass() (*ScrubReport, error) {
+	return s.db.ScrubPass(s.throttle())
+}
+
+// ScanPages runs DB.ScanPages under the rate limit.
+func (s *Scrubber) ScanPages() (int, []PageError, error) {
+	return s.db.ScanPages(s.throttle())
+}
+
+// Repair runs DB.Repair under the rate limit.
+func (s *Scrubber) Repair() (*RepairReport, error) {
+	return s.db.Repair(s.throttle())
+}
+
 // scrubCollection attributes page damage to the collection's structures and
 // cross-checks every document's index entries against its heap records.
 func (db *DB) scrubCollection(c *Collection, bad map[pagestore.PageID]bool, rep *ScrubReport, throttle func()) {

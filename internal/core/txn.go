@@ -424,14 +424,15 @@ func (db *DB) Checkpoint() error {
 
 // Recover performs crash recovery: physical redo of the WAL against the
 // store, then logical compensation of loser transactions, then a fresh
-// checkpoint. It returns the opened database.
+// checkpoint. It returns the opened database, its maintenance loop started
+// only after all of that.
 func Recover(store pagestore.Store, log *wal.Log, opts Options) (*DB, error) {
 	res, err := wal.Recover(log, store)
 	if err != nil {
 		return nil, err
 	}
 	opts.WAL = log
-	db, err := Open(store, opts)
+	db, err := open(store, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -453,5 +454,6 @@ func Recover(store pagestore.Store, log *wal.Log, opts Options) (*DB, error) {
 	if err := db.Checkpoint(); err != nil {
 		return nil, err
 	}
+	db.startMaintenance(opts)
 	return db, nil
 }

@@ -1,6 +1,6 @@
 package heap
 
-// Repair support: the scrub/repair subsystem (internal/core, internal/scrub)
+// Repair support: the scrub/repair subsystem (internal/core)
 // reformats heap pages that failed checksum verification and relinks the
 // page chain around them. The helpers here expose just enough of the page
 // format for that, without letting repair code re-implement the layout.

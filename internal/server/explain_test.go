@@ -42,7 +42,7 @@ func TestExplainLocalEqualsRemote(t *testing.T) {
 	if err := col.CreateValueIndex("ix_qty", "/item/qty", xml.TDouble); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.RefreshStats(nil); err != nil {
+	if err := col.RefreshStats(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -85,7 +85,7 @@ func TestPlanCacheHitsAndEpochInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RefreshStats(nil); err != nil {
+	if err := c.RefreshStats(); err != nil {
 		t.Fatal(err)
 	}
 	hBefore, mBefore := counters()

@@ -36,7 +36,6 @@ import (
 	"rx/internal/nodeid"
 	"rx/internal/pagestore"
 	"rx/internal/rxerr"
-	"rx/internal/scrub"
 	"rx/internal/session"
 	"rx/internal/wal"
 	"rx/internal/xml"
@@ -92,10 +91,10 @@ type (
 	ScrubReport = core.ScrubReport
 	// RepairReport summarizes a repair run.
 	RepairReport = core.RepairReport
-	// Scrubber is the background integrity scrubber service.
-	Scrubber = scrub.Scrubber
-	// ScrubOptions configure the background scrubber.
-	ScrubOptions = scrub.Options
+	// Scrubber runs one-shot integrity scrub and repair passes.
+	Scrubber = core.Scrubber
+	// ScrubOptions configure a Scrubber.
+	ScrubOptions = core.ScrubOptions
 )
 
 // Session layer, re-exported. A Session sits between a caller and the engine
@@ -255,13 +254,11 @@ const (
 type Option func(*openConfig)
 
 type openConfig struct {
-	core         core.Options
-	walPath      string
-	groupDelay   time.Duration
-	checksums    bool
-	scrub        *scrub.Options
-	spaceWatch   *core.SpaceWatchOptions
-	statsRefresh time.Duration
+	core       core.Options
+	walPath    string
+	groupDelay time.Duration
+	checksums  bool
+	spaceWatch bool // the probe needs the database's path
 }
 
 // WithWAL enables write-ahead logging with the log at path; Open then runs
@@ -309,55 +306,60 @@ func WithMemoryBudget(n int64) Option {
 	return func(c *openConfig) { c.core.MemBudget = n }
 }
 
-// WithSpaceWatch starts a free-space watchdog on a file-backed database: the
-// filesystem holding the database is probed every interval (0 = 1s), and
-// when free space falls below low bytes the engine enters read-only degraded
-// mode — writes fail fast with ErrNoSpace, reads and queries keep serving —
-// recovering automatically once free space climbs back above high (0 =
-// 2*low, hysteresis so the engine doesn't flap at the threshold). Ignored
-// for in-memory databases. The engine also enters degraded mode reactively
+// WithSpaceWatch runs a free-space watchdog on a file-backed database, a duty
+// of the engine's maintenance loop: the filesystem holding the database is
+// probed every interval (0 = 1s), and when free space falls below low bytes
+// the engine enters read-only degraded mode — writes fail fast with
+// ErrNoSpace, reads and queries keep serving — recovering automatically once
+// free space climbs back above high (0 = 2*low, hysteresis so the engine
+// doesn't flap at the threshold). Ignored for in-memory databases. The engine also enters degraded mode reactively
 // when a WAL or page write hits the full device, whether or not a watchdog
 // is running; the watchdog's job is flipping it back.
 func WithSpaceWatch(low, high int64, interval time.Duration) Option {
 	return func(c *openConfig) {
-		c.spaceWatch = &core.SpaceWatchOptions{LowWater: low, HighWater: high, Interval: interval}
+		c.core.SpaceWatch = core.SpaceWatchOptions{LowWater: low, HighWater: high, Interval: interval}
+		c.spaceWatch = true
 	}
 }
 
-// WithScrub starts a background integrity scrubber on the opened database:
-// one full scrub pass (every page plus a structural cross-check of every
-// document) per interval, throttled to about rate page/record reads per
-// second (0 = unthrottled). Damaged documents are quarantined rather than
-// failing queries wholesale; pass results land in the engine counters
-// (DB.Stats) and the scrubber's LastReport. The scrubber stops automatically
-// when the DB is closed. Use NewScrubber for manual control (one-shot
-// passes, auto-repair).
+// WithScrub runs a background integrity scrub, a duty of the engine's
+// maintenance loop: one full scrub pass (every page plus a structural
+// cross-check of every document) per interval (0 = 10 min), throttled to
+// about rate page/record reads per second (0 = unthrottled). Damaged
+// documents are quarantined rather than failing queries wholesale; pass
+// results land in the engine counters (DB.Stats). The loop stops when the DB
+// is closed. Use NewScrubber for one-shot passes and repairs.
 func WithScrub(interval time.Duration, rate int) Option {
-	return func(c *openConfig) { c.scrub = &scrub.Options{Interval: interval, Rate: rate} }
+	return func(c *openConfig) {
+		if interval <= 0 {
+			interval = 10 * time.Minute
+		}
+		c.core.ScrubInterval, c.core.ScrubRate = interval, rate
+	}
 }
 
-// WithStatsRefresh starts a background statistics refresher: every interval
-// (0 = 10 min) each collection's planner statistics — per-path element
-// counts, value-index cardinalities and histograms — are recomputed from the
-// stored data and persisted through the catalog, like a scrub pass for the
-// optimizer. Between passes the scalar counters (document/record counts,
+// WithStatsRefresh runs a background statistics refresh, a duty of the
+// engine's maintenance loop: every interval (0 = 10 min) each collection's
+// planner statistics — per-path element counts, value-index cardinalities
+// and histograms — are recomputed from the stored data and persisted through
+// the catalog, like a scrub pass for the optimizer. Between passes the scalar counters (document/record counts,
 // sizes) stay exact incrementally; the refresh repairs the drift in the
 // distribution statistics that inserts and deletes cannot maintain cheaply.
-// The refresher stops automatically when the DB is closed; DB.RefreshStats
-// runs one synchronous pass on demand.
+// The loop stops when the DB is closed; DB.RefreshStats runs one
+// synchronous pass on demand.
 func WithStatsRefresh(interval time.Duration) Option {
 	return func(c *openConfig) {
 		if interval <= 0 {
 			interval = 10 * time.Minute
 		}
-		c.statsRefresh = interval
+		c.core.StatsRefresh = interval
 	}
 }
 
-// NewScrubber builds a scrubber service over an open database without
-// starting it: call RunPass for a synchronous pass, Repair for a throttled
-// repair, or Start/Stop for the background loop.
-func NewScrubber(db *DB, opts ScrubOptions) *Scrubber { return scrub.New(db.DB, opts) }
+// NewScrubber builds a scrubber over an open database: RunPass runs a
+// synchronous scrub pass, ScanPages a page-only scan, Repair a repair, each
+// throttled to opts.Rate.
+func NewScrubber(db *DB, opts ScrubOptions) *Scrubber { return core.NewScrubber(db.DB, opts) }
 
 // RederiveChecksums rebuilds the sidecar checksum pages of a checksummed,
 // file-backed database from the data pages themselves — the recovery path
@@ -408,6 +410,9 @@ func Open(path string, opts ...Option) (*DB, error) {
 	if cfg.checksums {
 		store = pagestore.NewChecksumStore(store)
 	}
+	if cfg.spaceWatch && path != "" {
+		cfg.core.SpaceWatch.Probe = core.DiskFreeProbe(path)
+	}
 	var cdb *core.DB
 	var err error
 	if cfg.walPath == "" {
@@ -431,23 +436,8 @@ func Open(path string, opts ...Option) (*DB, error) {
 		cdb, err = core.Recover(store, log, cfg.core)
 	}
 	if err != nil {
+		store.Close()
 		return nil, err
-	}
-	if cfg.scrub != nil {
-		s := scrub.New(cdb, *cfg.scrub)
-		s.Start()
-		cdb.RegisterCloser(s.Stop)
-	}
-	if cfg.statsRefresh > 0 {
-		cdb.RegisterCloser(cdb.StartStatsRefresh(cfg.statsRefresh))
-	}
-	if cfg.spaceWatch != nil && path != "" {
-		w := *cfg.spaceWatch
-		w.Probe = core.DiskFreeProbe(path)
-		if _, err := cdb.StartSpaceWatch(w); err != nil {
-			cdb.Close()
-			return nil, err
-		}
 	}
 	return &DB{DB: cdb, sess: session.New(cdb)}, nil
 }

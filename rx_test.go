@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"rx/internal/leakcheck"
 )
 
 // TestPublicAPIRoundTrip exercises the facade end to end on a file-backed,
@@ -348,5 +351,121 @@ func TestChecksumsDetectCorruption(t *testing.T) {
 			t.Fatal("raw open of a checksummed database succeeded")
 		}
 		db3.Close()
+	}
+}
+
+// TestStatsRefreshStopsAtClose closes a database while a statistics refresh
+// pass is in flight: Close must wait for it, so no pass starts or finishes
+// after Close returns.
+func TestStatsRefreshStopsAtClose(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.rxdb")
+	db, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := db.CreateCollection("c", CollectionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := col.CreateValueIndex("by_v", "/d/v", TypeDouble); err != nil {
+		t.Fatal(err)
+	}
+	docs := make([][]byte, 3000)
+	for i := range docs {
+		docs[i] = []byte(fmt.Sprintf("<d><v>%d</v>%s</d>", i, strings.Repeat("<a><b>1</b><c/><e>x</e></a>", 20)))
+	}
+	if _, err := col.InsertBatch(docs, BatchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := db.RefreshStats(); err != nil {
+		t.Fatal(err)
+	}
+	pass := time.Since(start)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(path, WithStatsRefresh(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Passes run back to back, 1ms apart: once one ends, close a quarter of
+	// the way into the next.
+	first := db.Stats().StatsRefreshPasses
+	deadline := time.Now().Add(10 * time.Second)
+	for db.Stats().StatsRefreshPasses == first {
+		if time.Now().After(deadline) {
+			t.Fatal("no refresh pass completed")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(time.Millisecond + pass/4)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Stats().StatsRefreshPasses
+	time.Sleep(2 * pass)
+	if after := db.Stats().StatsRefreshPasses; after != before {
+		t.Fatalf("refresh passes went %d -> %d after Close returned (pass takes %v)", before, after, pass)
+	}
+}
+
+// TestMaintenanceLifecycle runs every maintenance duty at millisecond
+// intervals on a file database, then closes it with no goroutine left
+// behind and reopens it consistent.
+func TestMaintenanceLifecycle(t *testing.T) {
+	leakcheck.Check(t)
+	path := filepath.Join(t.TempDir(), "m.rxdb")
+	db, err := Open(path, WithSpaceWatch(1, 0, time.Millisecond),
+		WithScrub(time.Millisecond, 0), WithStatsRefresh(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := db.CreateCollection("c", CollectionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := col.CreateValueIndex("by_v", "/d/v", TypeDouble); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := col.Insert([]byte(fmt.Sprintf("<d><v>%d</v></d>", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s := db.Stats()
+		if s.ScrubPasses > 0 && s.StatsRefreshPasses > 0 && s.SpaceFree >= 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("duties never ran: scrub passes %d, refresh passes %d, free %d",
+				s.ScrubPasses, s.StatsRefreshPasses, s.SpaceFree)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if q := db.Quarantined(); len(q) != 0 {
+		t.Fatalf("scrub quarantined healthy documents: %v", q)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	col, err = db.Collection("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := col.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := col.Count(); err != nil || n != 50 {
+		t.Fatalf("reopened count = %d, %v; want 50", n, err)
 	}
 }
