@@ -55,12 +55,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Load validated catalogs.
+	// Load validated catalogs, one transaction each.
 	validated := rx.BatchOptions{Schema: "catalog"}
 	rng := rand.New(rand.NewSource(7))
 	for d := 0; d < 200; d++ {
 		doc := genCatalog(rng, 5)
-		if _, err := col.InsertBatch([][]byte{doc}, validated); err != nil {
+		err := db.RunTxn(func(t *rx.Txn) error { _, err := t.InsertBatch(col, [][]byte{doc}, validated); return err })
+		if err != nil {
 			log.Fatalf("doc %d: %v", d, err)
 		}
 	}
@@ -68,8 +69,9 @@ func main() {
 	fmt.Printf("loaded %d validated catalog documents\n", n)
 
 	// A document that violates the schema is rejected.
-	if _, err := col.InsertBatch([][]byte{
-		[]byte(`<Catalog><Categories><Product pid="1"><RegPrice>5</RegPrice></Product></Categories></Catalog>`)}, validated); err != nil {
+	invalid := []byte(`<Catalog><Categories><Product pid="1"><RegPrice>5</RegPrice></Product></Categories></Catalog>`)
+	err = db.RunTxn(func(t *rx.Txn) error { _, err := t.InsertBatch(col, [][]byte{invalid}, validated); return err })
+	if err != nil {
 		fmt.Printf("invalid document rejected: %v\n", err)
 	}
 

@@ -26,8 +26,11 @@ func main() {
 		`<book year="2000"><title>XML Handbook</title><price>55.00</price></book>`,
 		`<book year="2005"><title>Native XML Databases</title><price>25.50</price></book>`,
 	}
+	// Every document write is a transaction: a session write outside an
+	// explicit Begin commits on its own.
+	ctx := context.Background()
 	for _, d := range docs {
-		if _, err := col.Insert([]byte(d)); err != nil {
+		if _, err := db.Session().Insert(ctx, "books", []byte(d)); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -41,7 +44,7 @@ func main() {
 	// Query through the session API: context-first, streamed through a
 	// cursor; the planner picks the exact-match NodeID-list access method.
 	// The same code runs against a remote rxserver via client.Dial.
-	cur, err := db.Session().Query(context.Background(),
+	cur, err := db.Session().Query(ctx,
 		"books", "/book[price < 40]/title", rx.WithValues())
 	if err != nil {
 		log.Fatal(err)
@@ -72,7 +75,8 @@ func main() {
 	if err != nil || len(tRes) != 1 {
 		log.Fatalf("price text: %v %v", tRes, err)
 	}
-	if err := col.UpdateText(tRes[0].Doc, tRes[0].Node, []byte("19.99")); err != nil {
+	err = db.RunTxn(func(t *rx.Txn) error { return t.UpdateText(col, tRes[0].Doc, tRes[0].Node, []byte("19.99")) })
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print("after price update: ")

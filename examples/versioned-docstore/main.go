@@ -33,7 +33,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	id, err := col.Insert([]byte(`<page><title>XML Databases</title><body>Version one.</body></page>`))
+	var id rx.DocID
+	err = db.RunTxn(func(t *rx.Txn) (err error) {
+		id, err = t.Insert(col, []byte(`<page><title>XML Databases</title><body>Version one.</body></page>`))
+		return err
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +62,7 @@ func main() {
 	bodies, _, _ := col.QueryOpts("/page/body/text()", rx.QueryOptions{})
 	for i := 2; i <= 4; i++ {
 		text := fmt.Sprintf("Version %d, edited in place.", i)
-		if err := col.UpdateText(id, bodies[0].Node, []byte(text)); err != nil {
+		if err := db.RunTxn(func(t *rx.Txn) error { return t.UpdateText(col, id, bodies[0].Node, []byte(text)) }); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -14,10 +14,7 @@ func TestBackupRestore(t *testing.T) {
 	col.CreateValueIndex("ix", "//v", xml.TDouble)
 	var ids []xml.DocID
 	for i := 0; i < 20; i++ {
-		id, err := col.Insert([]byte(`<r><v>` + itoa(i) + `</v></r>`))
-		if err != nil {
-			t.Fatal(err)
-		}
+		id := mustInsert(t, col, []byte(`<r><v>`+itoa(i)+`</v></r>`))
 		ids = append(ids, id)
 	}
 
@@ -53,9 +50,7 @@ func TestBackupRestore(t *testing.T) {
 		t.Fatalf("restored consistency: %v", err)
 	}
 	// Restored databases accept new writes.
-	if _, err := col2.Insert([]byte(`<r><v>999</v></r>`)); err != nil {
-		t.Fatal(err)
-	}
+	mustInsert(t, col2, []byte(`<r><v>999</v></r>`))
 }
 
 func TestRestoreErrors(t *testing.T) {

@@ -65,22 +65,13 @@ func setupBatchCol(t *testing.T, db *DB, versioned bool) *Collection {
 	return col
 }
 
-// ingestEntryPoints are the four ways documents reach the one ingest
-// pipeline. The first is the reference the others are compared against.
+// ingestEntryPoints are the ways documents reach the one ingest pipeline: a
+// transaction per document or one for the whole batch. The first is the
+// reference the other is compared against.
 var ingestEntryPoints = []struct {
 	name   string
 	insert func(db *DB, col *Collection, docs [][]byte) ([]xml.DocID, error)
 }{
-	{"Collection.Insert", func(_ *DB, col *Collection, docs [][]byte) ([]xml.DocID, error) {
-		ids := make([]xml.DocID, len(docs))
-		for i, d := range docs {
-			var err error
-			if ids[i], err = col.Insert(d); err != nil {
-				return nil, err
-			}
-		}
-		return ids, nil
-	}},
 	{"Txn.Insert", func(db *DB, col *Collection, docs [][]byte) ([]xml.DocID, error) {
 		ids := make([]xml.DocID, len(docs))
 		for i, d := range docs {
@@ -94,21 +85,22 @@ var ingestEntryPoints = []struct {
 		}
 		return ids, nil
 	}},
-	{"Txn.InsertBatch", func(db *DB, col *Collection, docs [][]byte) (ids []xml.DocID, err error) {
-		err = db.RunTxn(func(t *Txn) (err error) {
-			ids, err = t.InsertBatch(col, docs, BatchOptions{})
-			return err
-		})
-		return ids, err
-	}},
-	{"Collection.InsertBatch", func(_ *DB, col *Collection, docs [][]byte) ([]xml.DocID, error) {
-		return col.InsertBatch(docs, BatchOptions{})
+	{"Txn.InsertBatch", func(_ *DB, col *Collection, docs [][]byte) ([]xml.DocID, error) {
+		return txnInsertBatch(col, docs)
 	}},
 }
 
+// txnInsertBatch stores docs as one batch in a transaction of its own.
+func txnInsertBatch(col *Collection, docs [][]byte) (ids []xml.DocID, err error) {
+	err = col.db.RunTxn(func(t *Txn) (err error) {
+		ids, err = t.InsertBatch(col, docs, BatchOptions{})
+		return err
+	})
+	return ids, err
+}
+
 // TestInsertBatchMatchesSequentialInserts is the ingest correctness anchor:
-// every entry point — one document at a time or a whole batch, transacted or
-// not — must leave byte-identical logical index contents (DocID index,
+// every entry point — one document at a time or a whole batch — must leave byte-identical logical index contents (DocID index,
 // NodeID index, every value index) for the same documents, and each database
 // must pass full physical and structural verification.
 func TestInsertBatchMatchesSequentialInserts(t *testing.T) {
@@ -214,7 +206,7 @@ func TestInsertBatchSingleCommit(t *testing.T) {
 		docs[i] = batchDoc(i)
 	}
 	before := log.CommitCount()
-	ids, err := col.InsertBatch(docs, BatchOptions{})
+	ids, err := txnInsertBatch(col, docs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +243,7 @@ func TestInsertBatchRejectsBadDocument(t *testing.T) {
 	col := setupBatchCol(t, db, false)
 
 	docs := [][]byte{batchDoc(0), []byte(`<broken><unclosed>`), batchDoc(2)}
-	if _, err := col.InsertBatch(docs, BatchOptions{}); err == nil {
+	if _, err := txnInsertBatch(col, docs); err == nil {
 		t.Fatal("batch with malformed document succeeded")
 	} else if !strings.Contains(err.Error(), "batch document 1") {
 		t.Errorf("error should name the offending document: %v", err)
@@ -263,7 +255,7 @@ func TestInsertBatchRejectsBadDocument(t *testing.T) {
 		t.Fatalf("failed batch left %d node index entries", cnt)
 	}
 
-	ids, err := col.InsertBatch([][]byte{batchDoc(0), batchDoc(1)}, BatchOptions{})
+	ids, err := txnInsertBatch(col, [][]byte{batchDoc(0), batchDoc(1)})
 	if err != nil {
 		t.Fatalf("clean batch after failed batch: %v", err)
 	}
@@ -279,7 +271,7 @@ func TestInsertBatchRejectsBadDocument(t *testing.T) {
 func TestInsertBatchEmpty(t *testing.T) {
 	db := newDB(t)
 	col := setupBatchCol(t, db, false)
-	ids, err := col.InsertBatch(nil, BatchOptions{})
+	ids, err := txnInsertBatch(col, nil)
 	if err != nil || ids != nil {
 		t.Fatalf("empty batch: ids=%v err=%v", ids, err)
 	}

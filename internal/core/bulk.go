@@ -1,8 +1,7 @@
 package core
 
 // Document ingest: the one insert pipeline of §3.2 / Figure 4. Every entry
-// point — Txn.InsertBatch and, through it, Txn.Insert, Collection.InsertBatch
-// and the session layer; the untransacted Collection.Insert / InsertStream;
+// point — Txn.InsertBatch and, through it, Txn.Insert and the session layer;
 // compensation's restoreDoc — runs the same two stages:
 //
 //   - tokenize: parse (or schema-validate) every document into a buffered
@@ -120,47 +119,6 @@ func (c *Collection) tokenize(docs [][]byte, opts BatchOptions) (tokenized, erro
 		}
 	}
 	return tk, nil
-}
-
-// Insert parses and stores an XML document, maintaining all indexes, and
-// returns its DocID. It is the untransacted engine primitive: no document
-// lock, no undo record.
-func (c *Collection) Insert(doc []byte) (xml.DocID, error) {
-	tk, err := c.tokenize([][]byte{doc}, BatchOptions{})
-	if err != nil {
-		return 0, err
-	}
-	defer tk.release()
-	return c.InsertStream(tk.streams[0])
-}
-
-// InsertStream stores a document given as a buffered token stream (the
-// Figure-4 pipeline joins here after parsing or validation).
-func (c *Collection) InsertStream(stream []byte) (xml.DocID, error) {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	docID, err := c.db.cat.AllocDocID(c.meta)
-	if err != nil {
-		return 0, err
-	}
-	if err := c.ingestLocked([]xml.DocID{docID}, [][]byte{stream}, nil); err != nil {
-		return 0, err
-	}
-	return docID, nil
-}
-
-// InsertBatch stores many documents as one atomic batch — one transaction,
-// one commit — and returns their DocIDs in input order.
-func (c *Collection) InsertBatch(docs [][]byte, opts BatchOptions) ([]xml.DocID, error) {
-	var ids []xml.DocID
-	err := c.db.RunTxn(func(t *Txn) (err error) {
-		ids, err = t.InsertBatch(c, docs, opts)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ids, nil
 }
 
 // nodeEntry is one deferred NodeID-index insertion.

@@ -25,10 +25,7 @@ func TestConsistencyAfterChurn(t *testing.T) {
 			fmt.Fprintf(&sb, `<item><sku>S%03d</sku><qty>%d</qty><pad>%030d</pad></item>`, i, i%9, i)
 		}
 		sb.WriteString("</items></order>")
-		id, err := col.Insert([]byte(sb.String()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		id := mustInsert(t, col, []byte(sb.String()))
 		ids = append(ids, id)
 	}
 	if err := col.CheckConsistency(); err != nil {
@@ -40,7 +37,7 @@ func TestConsistencyAfterChurn(t *testing.T) {
 		res, _, _ := col.QueryOpts(`//item[sku = 'S005']/qty/text()`, QueryOptions{})
 		for _, r := range res {
 			if r.Doc == id {
-				if err := col.UpdateText(id, r.Node, []byte("99")); err != nil {
+				if err := db.RunTxn(func(tx *Txn) error { return tx.UpdateText(col, id, r.Node, []byte("99")) }); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -51,7 +48,7 @@ func TestConsistencyAfterChurn(t *testing.T) {
 		res, _, _ := col.QueryOpts(`//item[sku = 'S010']`, QueryOptions{})
 		for _, r := range res {
 			if r.Doc == id {
-				if err := col.DeleteSubtree(id, r.Node); err != nil {
+				if err := db.RunTxn(func(tx *Txn) error { return tx.DeleteSubtree(col, id, r.Node) }); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -62,8 +59,11 @@ func TestConsistencyAfterChurn(t *testing.T) {
 		root, _, _ := col.QueryOpts("/order/items", QueryOptions{})
 		for _, r := range root {
 			if r.Doc == id {
-				if _, err := col.InsertFragment(id, r.Node, AsLastChild,
-					[]byte(`<item><sku>SNEW</sku><qty>7</qty></item>`)); err != nil {
+				err := db.RunTxn(func(tx *Txn) error {
+					_, err := tx.InsertFragment(col, id, r.Node, AsLastChild, []byte(`<item><sku>SNEW</sku><qty>7</qty></item>`))
+					return err
+				})
+				if err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -71,7 +71,7 @@ func TestConsistencyAfterChurn(t *testing.T) {
 	}
 	// Document deletions.
 	for _, id := range ids[8:10] {
-		if err := col.Delete(id); err != nil {
+		if err := db.RunTxn(func(tx *Txn) error { return tx.Delete(col, id) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,13 +92,13 @@ func TestConsistencyVersioned(t *testing.T) {
 		fmt.Fprintf(&sb, "<e><v>%d</v><pad>%030d</pad></e>", i, i)
 	}
 	sb.WriteString("</r>")
-	id, _ := col.Insert([]byte(sb.String()))
+	id := mustInsert(t, col, []byte(sb.String()))
 	for round := 0; round < 4; round++ {
 		res, _, _ := col.QueryOpts(`//e[v = 25]/v/text()`, QueryOptions{})
 		if len(res) == 0 {
 			res, _, _ = col.QueryOpts(`//e[v = 2525]/v/text()`, QueryOptions{})
 		}
-		if err := col.UpdateText(id, res[0].Node, []byte("2525")); err != nil {
+		if err := db.RunTxn(func(tx *Txn) error { return tx.UpdateText(col, id, res[0].Node, []byte("2525")) }); err != nil {
 			t.Fatal(err)
 		}
 		if err := col.CheckConsistency(); err != nil {

@@ -111,7 +111,8 @@ func (c *Collection) noteMatches(ov *openValueIndex, matches int) error {
 // CreateValueIndex creates an XPath value index (§3.3) and backfills it from
 // the stored documents. The path must be a simple XPath expression without
 // predicates; typ is one of xml.TString, TDouble, TDate, TDecimal.
-func (c *Collection) CreateValueIndex(name, path string, typ xml.TypeID) error {
+func (c *Collection) CreateValueIndex(name, path string, typ xml.TypeID) (err error) {
+	defer func() { c.db.noteWriteErr(err) }()
 	if err := c.db.checkWritable(); err != nil {
 		return err
 	}
@@ -578,13 +579,8 @@ func (c *Collection) Serialize(doc xml.DocID, w io.Writer) error {
 	return r.serialize(w)
 }
 
-// Delete removes a document and all of its index entries.
-func (c *Collection) Delete(doc xml.DocID) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	return c.deleteLocked(doc)
-}
-
+// deleteLocked removes a document and all of its index entries. Caller holds
+// writeMu.
 func (c *Collection) deleteLocked(doc xml.DocID) error {
 	if c.meta.Versioned {
 		return c.deleteVersionedDoc(doc)
@@ -647,7 +643,7 @@ func (c *Collection) docRecordRIDs(doc xml.DocID) ([]heap.RID, error) {
 
 // wipeDoc removes whatever exists of a document — records, NodeID entries,
 // base row, DocID entry, value keys — tolerating partial state. Rollback and
-// recovery compensation use it instead of Delete: after a crash the document
+// recovery compensation use it instead of deleteLocked: after a crash the document
 // may be half-inserted or half-deleted, which the strict path refuses to
 // touch. Wiping an absent document is a no-op.
 func (c *Collection) wipeDoc(doc xml.DocID) error {

@@ -28,10 +28,7 @@ func TestIncrementalStats(t *testing.T) {
 	}
 	var ids []xml.DocID
 	for i := 0; i < 10; i++ {
-		id, err := col.Insert(doc(i))
-		if err != nil {
-			t.Fatal(err)
-		}
+		id := mustInsert(t, col, doc(i))
 		ids = append(ids, id)
 	}
 	s := col.StatsSnapshot()
@@ -50,7 +47,7 @@ func TestIncrementalStats(t *testing.T) {
 
 	// Deletes decrement.
 	for _, id := range ids[:4] {
-		if err := col.Delete(id); err != nil {
+		if err := col.db.RunTxn(func(tx *Txn) error { return tx.Delete(col, id) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,7 +61,7 @@ func TestIncrementalStats(t *testing.T) {
 	for i := 100; i < 120; i++ {
 		batch = append(batch, doc(i))
 	}
-	if _, err := col.InsertBatch(batch, BatchOptions{}); err != nil {
+	if _, err := txnInsertBatch(col, batch); err != nil {
 		t.Fatal(err)
 	}
 	s = col.StatsSnapshot()
@@ -153,9 +150,7 @@ func TestPlanFlipAfterRefresh(t *testing.T) {
 		for j := range vals {
 			vals[j] = i*16 + j
 		}
-		if _, err := col.Insert(flipDoc(vals)); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, col, flipDoc(vals))
 	}
 	if err := col.CreateValueIndex("ix", "/r/v", xml.TDouble); err != nil {
 		t.Fatal(err)
@@ -183,7 +178,7 @@ func TestPlanFlipAfterRefresh(t *testing.T) {
 		}
 		batch = append(batch, flipDoc(vals))
 	}
-	if _, err := col.InsertBatch(batch, BatchOptions{}); err != nil {
+	if _, err := txnInsertBatch(col, batch); err != nil {
 		t.Fatal(err)
 	}
 	_, p, err = col.QueryOpts(`/r[v >= 300]`, QueryOptions{})
@@ -221,7 +216,7 @@ func TestForceMethodValidation(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{})
 	for i := 0; i < 5; i++ {
-		col.Insert([]byte(fmt.Sprintf(`<r><v>%d</v></r>`, i)))
+		mustInsert(t, col, []byte(fmt.Sprintf(`<r><v>%d</v></r>`, i)))
 	}
 	col.CreateValueIndex("ix", "/r/v", xml.TDouble)
 
@@ -252,10 +247,7 @@ func differentialCorpus(t *testing.T, rng *rand.Rand, col *Collection) []xml.Doc
 	t.Helper()
 	var ids []xml.DocID
 	for _, doc := range differentialDocs(rng) {
-		id, err := col.Insert([]byte(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
+		id := mustInsert(t, col, []byte(doc))
 		ids = append(ids, id)
 	}
 	return ids
@@ -430,9 +422,7 @@ func plannerShapesFixture(t *testing.T) (*Collection, []string) {
 	for i := 0; i < 60; i++ {
 		doc := fmt.Sprintf(`<r k="%d"><a>%d</a><b>%d</b><g><v>%d</v><w>%d</w></g><g><v>%d</v></g></r>`,
 			i%5, i%2, i, i%10, i%7, (i+3)%10)
-		if _, err := col.Insert([]byte(doc)); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, col, []byte(doc))
 	}
 	for _, ix := range [][2]string{{"ix_a", "/r/a"}, {"ix_b", "/r/b"}, {"ix_v", "/r/g/v"}, {"ix_k", "/r/@k"}} {
 		if err := col.CreateValueIndex(ix[0], ix[1], xml.TDouble); err != nil {
@@ -558,9 +548,7 @@ func TestDeterministicProbeOrder(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		// a: 2 distinct values (unselective); b: 40 distinct (selective).
 		doc := fmt.Sprintf(`<r><a>%d</a><b>%d</b></r>`, i%2, i)
-		if _, err := col.Insert([]byte(doc)); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, col, []byte(doc))
 	}
 	col.CreateValueIndex("ix_a", "/r/a", xml.TDouble)
 	col.CreateValueIndex("ix_b", "/r/b", xml.TDouble)
@@ -596,7 +584,7 @@ func TestExplainEstimates(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{})
 	for i := 0; i < 30; i++ {
-		col.Insert([]byte(fmt.Sprintf(`<r><v>%d</v></r>`, i)))
+		mustInsert(t, col, []byte(fmt.Sprintf(`<r><v>%d</v></r>`, i)))
 	}
 	col.CreateValueIndex("ix", "/r/v", xml.TDouble)
 	p, err := col.Plan(`/r[v = 7]`, QueryOptions{})
@@ -654,7 +642,7 @@ func TestRefreshStatsFitsCatalogRow(t *testing.T) {
 	for i := range docs {
 		docs[i] = []byte(fmt.Sprintf(`<order><cust>customer-%06d</cust><total>%d</total></order>`, i, i))
 	}
-	if _, err := col.InsertBatch(docs, BatchOptions{}); err != nil {
+	if _, err := txnInsertBatch(col, docs); err != nil {
 		t.Fatal(err)
 	}
 	if err := col.RefreshStats(); err != nil {

@@ -21,6 +21,17 @@ func newDB(t testing.TB) *DB {
 	return db
 }
 
+// mustInsert stores doc in a transaction of its own, failing the test on
+// error.
+func mustInsert(t testing.TB, col *Collection, doc []byte) xml.DocID {
+	t.Helper()
+	var id xml.DocID
+	if err := col.db.RunTxn(func(tx *Txn) (err error) { id, err = tx.Insert(col, doc); return err }); err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
 func catalogDoc(id int, price, discount float64, name string) string {
 	return fmt.Sprintf(
 		`<Catalog><Categories><Product pid="%d"><ProductName>%s</ProductName>`+
@@ -35,10 +46,7 @@ func TestInsertSerializeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := `<a x="1"><b>hello <i>world</i></b><!--c--><c/></a>`
-	id, err := col.Insert([]byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := mustInsert(t, col, []byte(doc))
 	if !col.Has(id) {
 		t.Fatal("document not found after insert")
 	}
@@ -63,10 +71,7 @@ func TestMultiRecordDocument(t *testing.T) {
 		fmt.Fprintf(&sb, "<item n=\"%d\">value number %d padded</item>", i, i)
 	}
 	sb.WriteString("</r>")
-	id, err := col.Insert([]byte(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := mustInsert(t, col, []byte(sb.String()))
 	pages, _ := col.XMLTable().Pages()
 	if pages < 2 {
 		t.Errorf("expected multiple XML pages, got %d", pages)
@@ -88,9 +93,7 @@ func TestQueryScan(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("cat", CollectionOptions{})
 	for i := 0; i < 20; i++ {
-		if _, err := col.Insert([]byte(catalogDoc(i, float64(50+i*10), 0.05*float64(i%4), fmt.Sprintf("P%02d", i)))); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, col, []byte(catalogDoc(i, float64(50+i*10), 0.05*float64(i%4), fmt.Sprintf("P%02d", i))))
 	}
 	results, plan, err := col.QueryOpts("/Catalog/Categories/Product[RegPrice > 100]", QueryOptions{})
 	if err != nil {
@@ -109,9 +112,7 @@ func TestTable2AccessMethods(t *testing.T) {
 	col, _ := db.CreateCollection("cat", CollectionOptions{})
 	for i := 0; i < 30; i++ {
 		doc := catalogDoc(i, float64(50+i*10), 0.05*float64(i%4), fmt.Sprintf("P%02d", i))
-		if _, err := col.Insert([]byte(doc)); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, col, []byte(doc))
 	}
 	// Table 2, index (1): exact path.
 	if err := col.CreateValueIndex("ix_regprice", "/Catalog/Categories/Product/RegPrice", xml.TDouble); err != nil {
@@ -226,7 +227,7 @@ func TestTable2AccessMethods(t *testing.T) {
 func TestQueryValues(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{})
-	col.Insert([]byte(`<r><p><name>anvil</name><price>10</price></p><p><name>rocket</name><price>99</price></p></r>`))
+	mustInsert(t, col, []byte(`<r><p><name>anvil</name><price>10</price></p><p><name>rocket</name><price>99</price></p></r>`))
 	res, _, err := col.QueryOpts("/r/p[price > 50]/name", QueryOptions{NeedValues: true})
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +241,7 @@ func TestNodeStringAndSerializeNode(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{})
 	doc := `<r xmlns:p="urn:x"><item id="7">hello <b>nested</b></item></r>`
-	id, _ := col.Insert([]byte(doc))
+	id := mustInsert(t, col, []byte(doc))
 	res, _, err := col.QueryOpts("/r/item", QueryOptions{})
 	if err != nil || len(res) != 1 {
 		t.Fatalf("res=%v err=%v", res, err)
@@ -268,19 +269,16 @@ func TestDelete(t *testing.T) {
 	col.CreateValueIndex("ix", "//price", xml.TDouble)
 	var ids []xml.DocID
 	for i := 0; i < 10; i++ {
-		id, err := col.Insert([]byte(fmt.Sprintf(`<r><price>%d</price></r>`, i*10)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		id := mustInsert(t, col, []byte(fmt.Sprintf(`<r><price>%d</price></r>`, i*10)))
 		ids = append(ids, id)
 	}
-	if err := col.Delete(ids[3]); err != nil {
+	if err := db.RunTxn(func(tx *Txn) error { return tx.Delete(col, ids[3]) }); err != nil {
 		t.Fatal(err)
 	}
 	if col.Has(ids[3]) {
 		t.Error("deleted doc still present")
 	}
-	if err := col.Delete(ids[3]); err == nil {
+	if err := db.RunTxn(func(tx *Txn) error { return tx.Delete(col, ids[3]) }); err == nil {
 		t.Error("double delete should fail")
 	}
 	n, _ := col.Count()
@@ -312,7 +310,7 @@ func TestIndexBackfill(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{})
 	for i := 0; i < 5; i++ {
-		col.Insert([]byte(fmt.Sprintf(`<r><v>%d</v></r>`, i)))
+		mustInsert(t, col, []byte(fmt.Sprintf(`<r><v>%d</v></r>`, i)))
 	}
 	if err := col.CreateValueIndex("ix", "/r/v", xml.TDouble); err != nil {
 		t.Fatal(err)
@@ -341,7 +339,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 	col, _ := db.CreateCollection("c", CollectionOptions{})
 	col.CreateValueIndex("ix", "//price", xml.TDouble)
-	id, _ := col.Insert([]byte(`<r><price>42</price></r>`))
+	id := mustInsert(t, col, []byte(`<r><price>42</price></r>`))
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -369,10 +367,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Errorf("reopened query: %d results, plan %s", len(res), plan.Method)
 	}
 	// New inserts keep working with fresh DocIDs.
-	id2, err := col2.Insert([]byte(`<r><price>1</price></r>`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	id2 := mustInsert(t, col2, []byte(`<r><price>1</price></r>`))
 	if id2 == id {
 		t.Error("DocID reused after reopen")
 	}
@@ -389,10 +384,7 @@ func TestFileBackedDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	col, _ := db.CreateCollection("c", CollectionOptions{})
-	id, err := col.Insert([]byte(`<doc><x>1</x></doc>`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := mustInsert(t, col, []byte(`<doc><x>1</x></doc>`))
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -423,10 +415,7 @@ func TestNamespacedDocuments(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{})
 	doc := `<p:r xmlns:p="urn:one"><p:x>7</p:x></p:r>`
-	id, err := col.Insert([]byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := mustInsert(t, col, []byte(doc))
 	var buf bytes.Buffer
 	if err := col.Serialize(id, &buf); err != nil {
 		t.Fatal(err)
@@ -442,9 +431,7 @@ func TestManyDocuments(t *testing.T) {
 	col.CreateValueIndex("ix", "//n", xml.TDouble)
 	const N = 500
 	for i := 0; i < N; i++ {
-		if _, err := col.Insert([]byte(fmt.Sprintf(`<d><n>%d</n><pad>%060d</pad></d>`, i, i))); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, col, []byte(fmt.Sprintf(`<d><n>%d</n><pad>%060d</pad></d>`, i, i)))
 	}
 	n, _ := col.Count()
 	if n != N {
@@ -472,10 +459,7 @@ func TestCreateValueIndexBackfillRIDs(t *testing.T) {
 			fmt.Fprintf(&sb, "<item><sku>S%03d</sku><note>%040d</note></item>", i, i)
 		}
 		sb.WriteString("</r>")
-		doc, err := col.Insert([]byte(sb.String()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		doc := mustInsert(t, col, []byte(sb.String()))
 		if err := col.CreateValueIndex("by_sku", "/r/item/sku", xml.TString); err != nil {
 			t.Fatal(err)
 		}

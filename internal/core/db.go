@@ -218,7 +218,8 @@ type CollectionOptions struct {
 
 // CreateCollection creates a collection: base table, internal XML table,
 // DocID index and NodeID index (Figure 2).
-func (db *DB) CreateCollection(name string, opts CollectionOptions) (*Collection, error) {
+func (db *DB) CreateCollection(name string, opts CollectionOptions) (_ *Collection, err error) {
+	defer func() { db.noteWriteErr(err) }()
 	if err := db.checkWritable(); err != nil {
 		return nil, err
 	}
@@ -274,7 +275,11 @@ func lookupErr(err error, what string) error {
 
 // RegisterSchema compiles an XML schema document to the binary format and
 // stores it in the catalog under name (Figure 4's registration path).
-func (db *DB) RegisterSchema(name string, schemaDoc []byte) error {
+func (db *DB) RegisterSchema(name string, schemaDoc []byte) (err error) {
+	defer func() { db.noteWriteErr(err) }()
+	if err := db.checkWritable(); err != nil {
+		return err
+	}
 	sch, err := xmlschema.Compile(schemaDoc)
 	if err != nil {
 		return err

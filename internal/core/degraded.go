@@ -43,10 +43,11 @@ func (db *DB) checkWritable() error {
 
 // noteWriteErr funnels write-path failures into the degraded-mode decision:
 // a typed no-space error flips the engine read-only. Any other error passes
-// without effect. Call sites are the transactional write methods and the
-// points that acknowledge durability (commit, abort, checkpoint, bulk load):
-// ENOSPC from a heap extension mid-operation proves the device is full just
-// as surely as a failed WAL flush does.
+// without effect. Call sites are every write entry point — the Txn writes,
+// CreateCollection, CreateValueIndex, RegisterSchema, Vacuum — and the points
+// that acknowledge durability (commit, abort, checkpoint): ENOSPC from a heap
+// extension mid-operation proves the device is full just as surely as a
+// failed WAL flush does.
 func (db *DB) noteWriteErr(err error) {
 	if err == nil || !errors.Is(err, rxerr.ErrNoSpace) {
 		return

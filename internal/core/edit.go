@@ -23,9 +23,9 @@ import (
 // index entries for untouched nodes stay valid. The paper's LOB comparison
 // is exactly this capability: a LOB column would rewrite the whole document.
 //
-// UpdateText, InsertFragment and DeleteSubtree — transactional or not, on a
-// plain or a versioned collection, requested or run as the inverse of one
-// another by compensation — are one pipeline, Collection.edit:
+// Txn.UpdateText, InsertFragment and DeleteSubtree — on a plain or a
+// versioned collection, requested or run as the inverse of one another by
+// compensation — are one pipeline, Collection.edit:
 //
 //	plan   read-only, under writeMu: resolve the record holding the target
 //	       (or the anchor's sibling list) at the current version, once;
@@ -61,25 +61,6 @@ const (
 	// AfterNode inserts as the anchor's following sibling.
 	AfterNode
 )
-
-// UpdateText replaces the value of a text or attribute node in place.
-func (c *Collection) UpdateText(doc xml.DocID, id nodeid.ID, newValue []byte) error {
-	_, err := c.edit(editReq{kind: editUpdateText, doc: doc, id: id, data: newValue}, nil)
-	return err
-}
-
-// InsertFragment parses an XML fragment (one element) and inserts it at the
-// given position relative to the anchor node.
-func (c *Collection) InsertFragment(doc xml.DocID, anchor nodeid.ID, pos Position, fragment []byte) (nodeid.ID, error) {
-	return c.edit(editReq{kind: editInsert, doc: doc, id: anchor, pos: pos, data: fragment}, nil)
-}
-
-// DeleteSubtree removes a node and its entire subtree. The document root
-// element cannot be deleted (drop the document instead).
-func (c *Collection) DeleteSubtree(doc xml.DocID, id nodeid.ID) error {
-	_, err := c.edit(editReq{kind: editDelete, doc: doc, id: id}, nil)
-	return err
-}
 
 type editKind uint8
 
@@ -339,9 +320,9 @@ func (p *editPlan) planInsert() error {
 	return nil
 }
 
-// edit runs one edit through the pipeline. logUndo, when set, receives the
-// edit's logical undo record after planning and before the first page
-// effect.
+// edit runs one edit through the pipeline. logUndo, when set (a Txn's write;
+// compensation passes nil), receives the edit's logical undo record after
+// planning and before the first page effect.
 func (c *Collection) edit(req editReq, logUndo func(logicalOp) error) (nodeid.ID, error) {
 	if req.kind == editInsert && !req.tokenized {
 		// Like ingest's tokenize, parsing needs no lock.

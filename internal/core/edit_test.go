@@ -50,13 +50,13 @@ func bothModes(t *testing.T, opts CollectionOptions, fn func(t *testing.T, col *
 func TestUpdateText(t *testing.T) {
 	bothModes(t, CollectionOptions{}, func(t *testing.T, col *Collection) {
 		col.CreateValueIndex("ix", "//price", xml.TDouble)
-		id, _ := col.Insert([]byte(`<r><p a="old"><price>10</price></p></r>`))
+		id := mustInsert(t, col, []byte(`<r><p a="old"><price>10</price></p></r>`))
 
 		res, _, _ := col.QueryOpts("//price/text()", QueryOptions{})
 		if len(res) != 1 {
 			t.Fatal("text node not found")
 		}
-		if err := col.UpdateText(id, res[0].Node, []byte("99")); err != nil {
+		if err := col.db.RunTxn(func(tx *Txn) error { return tx.UpdateText(col, id, res[0].Node, []byte("99")) }); err != nil {
 			t.Fatal(err)
 		}
 		if got := serializeStr(t, col, id); got != `<r><p a="old"><price>99</price></p></r>` {
@@ -74,20 +74,17 @@ func TestUpdateText(t *testing.T) {
 
 		// Attribute update.
 		ares, _, _ := col.QueryOpts("//p/@a", QueryOptions{})
-		if err := col.UpdateText(id, ares[0].Node, []byte("new")); err != nil {
+		if err := col.db.RunTxn(func(tx *Txn) error { return tx.UpdateText(col, id, ares[0].Node, []byte("new")) }); err != nil {
 			t.Fatal(err)
 		}
 		if got := serializeStr(t, col, id); !strings.Contains(got, `a="new"`) {
 			t.Errorf("after attr update: %s", got)
 		}
-		// Element target is rejected, transactionally too, and logs nothing.
+		// Element target is rejected and logs nothing.
 		eres, _, _ := col.QueryOpts("//p", QueryOptions{})
-		if err := col.UpdateText(id, eres[0].Node, []byte("x")); err == nil {
-			t.Error("UpdateText on an element should fail")
-		}
 		tx := col.db.Begin()
 		if err := tx.UpdateText(col, id, eres[0].Node, []byte("x")); err == nil {
-			t.Error("Txn.UpdateText on an element should fail")
+			t.Error("UpdateText on an element should fail")
 		}
 		if len(tx.undo) != 0 {
 			t.Errorf("rejected edit logged %d undo records", len(tx.undo))
@@ -99,10 +96,10 @@ func TestUpdateText(t *testing.T) {
 func TestDeleteSubtreeSimple(t *testing.T) {
 	bothModes(t, CollectionOptions{}, func(t *testing.T, col *Collection) {
 		col.CreateValueIndex("ix", "//v", xml.TDouble)
-		id, _ := col.Insert([]byte(`<r><a><v>1</v></a><b><v>2</v></b><c><v>3</v></c></r>`))
+		id := mustInsert(t, col, []byte(`<r><a><v>1</v></a><b><v>2</v></b><c><v>3</v></c></r>`))
 
 		res, _, _ := col.QueryOpts("/r/b", QueryOptions{})
-		if err := col.DeleteSubtree(id, res[0].Node); err != nil {
+		if err := col.db.RunTxn(func(tx *Txn) error { return tx.DeleteSubtree(col, id, res[0].Node) }); err != nil {
 			t.Fatal(err)
 		}
 		if got := serializeStr(t, col, id); got != `<r><a><v>1</v></a><c><v>3</v></c></r>` {
@@ -116,16 +113,11 @@ func TestDeleteSubtreeSimple(t *testing.T) {
 		if len(hits) != 1 {
 			t.Errorf("sibling lost: %v", hits)
 		}
-		// Root deletion is rejected on both entries.
+		// Root deletion is rejected.
 		root, _, _ := col.QueryOpts("/r", QueryOptions{})
-		if err := col.DeleteSubtree(id, root[0].Node); err == nil {
+		if err := col.db.RunTxn(func(tx *Txn) error { return tx.DeleteSubtree(col, id, root[0].Node) }); err == nil {
 			t.Error("root deletion should be rejected")
 		}
-		tx := col.db.Begin()
-		if err := tx.DeleteSubtree(col, id, root[0].Node); err == nil {
-			t.Error("transactional root deletion should be rejected")
-		}
-		tx.Rollback()
 	})
 }
 
@@ -138,14 +130,14 @@ func TestDeleteSubtreeMultiRecord(t *testing.T) {
 			fmt.Fprintf(&sb, "<e>%040d</e>", i)
 		}
 		sb.WriteString("</big><tail/></r>")
-		id, _ := col.Insert([]byte(sb.String()))
+		id := mustInsert(t, col, []byte(sb.String()))
 
 		rows0 := col.XMLTable().Count()
 		res, _, _ := col.QueryOpts("/r/big", QueryOptions{})
 		if len(res) != 1 {
 			t.Fatal("big not found")
 		}
-		if err := col.DeleteSubtree(id, res[0].Node); err != nil {
+		if err := col.db.RunTxn(func(tx *Txn) error { return tx.DeleteSubtree(col, id, res[0].Node) }); err != nil {
 			t.Fatal(err)
 		}
 		if got := serializeStr(t, col, id); got != `<r><head/><tail/></r>` {
@@ -172,10 +164,13 @@ func TestDeleteSubtreeMultiRecord(t *testing.T) {
 
 func TestInsertFragmentPositions(t *testing.T) {
 	bothModes(t, CollectionOptions{}, func(t *testing.T, col *Collection) {
-		id, _ := col.Insert([]byte(`<r><a/><c/></r>`))
+		id := mustInsert(t, col, []byte(`<r><a/><c/></r>`))
 
 		cRes, _, _ := col.QueryOpts("/r/c", QueryOptions{})
-		if _, err := col.InsertFragment(id, cRes[0].Node, BeforeNode, []byte(`<b>mid</b>`)); err != nil {
+		if err := col.db.RunTxn(func(tx *Txn) error {
+			_, err := tx.InsertFragment(col, id, cRes[0].Node, BeforeNode, []byte(`<b>mid</b>`))
+			return err
+		}); err != nil {
 			t.Fatal(err)
 		}
 		if got := serializeStr(t, col, id); got != `<r><a/><b>mid</b><c/></r>` {
@@ -183,7 +178,10 @@ func TestInsertFragmentPositions(t *testing.T) {
 		}
 
 		aRes, _, _ := col.QueryOpts("/r/a", QueryOptions{})
-		if _, err := col.InsertFragment(id, aRes[0].Node, BeforeNode, []byte(`<first/>`)); err != nil {
+		if err := col.db.RunTxn(func(tx *Txn) error {
+			_, err := tx.InsertFragment(col, id, aRes[0].Node, BeforeNode, []byte(`<first/>`))
+			return err
+		}); err != nil {
 			t.Fatal(err)
 		}
 		if got := serializeStr(t, col, id); got != `<r><first/><a/><b>mid</b><c/></r>` {
@@ -191,7 +189,10 @@ func TestInsertFragmentPositions(t *testing.T) {
 		}
 
 		cRes, _, _ = col.QueryOpts("/r/c", QueryOptions{})
-		if _, err := col.InsertFragment(id, cRes[0].Node, AfterNode, []byte(`<last x="1"/>`)); err != nil {
+		if err := col.db.RunTxn(func(tx *Txn) error {
+			_, err := tx.InsertFragment(col, id, cRes[0].Node, AfterNode, []byte(`<last x="1"/>`))
+			return err
+		}); err != nil {
 			t.Fatal(err)
 		}
 		if got := serializeStr(t, col, id); got != `<r><first/><a/><b>mid</b><c/><last x="1"/></r>` {
@@ -200,7 +201,11 @@ func TestInsertFragmentPositions(t *testing.T) {
 
 		// AsLastChild under an inner element.
 		bRes, _, _ := col.QueryOpts("/r/b", QueryOptions{})
-		newID, err := col.InsertFragment(id, bRes[0].Node, AsLastChild, []byte(`<sub>deep</sub>`))
+		var newID nodeid.ID
+		err := col.db.RunTxn(func(tx *Txn) (err error) {
+			newID, err = tx.InsertFragment(col, id, bRes[0].Node, AsLastChild, []byte(`<sub>deep</sub>`))
+			return err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,17 +220,29 @@ func TestInsertFragmentPositions(t *testing.T) {
 		// Siblings of the root, children of a text node, a malformed fragment
 		// and an unknown position are rejected.
 		root, _, _ := col.QueryOpts("/r", QueryOptions{})
-		if _, err := col.InsertFragment(id, root[0].Node, AfterNode, []byte(`<x/>`)); err == nil {
+		if err := col.db.RunTxn(func(tx *Txn) error {
+			_, err := tx.InsertFragment(col, id, root[0].Node, AfterNode, []byte(`<x/>`))
+			return err
+		}); err == nil {
 			t.Error("sibling of the root accepted")
 		}
 		txt, _, _ := col.QueryOpts("/r/b/text()", QueryOptions{})
-		if _, err := col.InsertFragment(id, txt[0].Node, AsLastChild, []byte(`<x/>`)); err == nil {
+		if err := col.db.RunTxn(func(tx *Txn) error {
+			_, err := tx.InsertFragment(col, id, txt[0].Node, AsLastChild, []byte(`<x/>`))
+			return err
+		}); err == nil {
 			t.Error("child of a text node accepted")
 		}
-		if _, err := col.InsertFragment(id, bRes[0].Node, AsLastChild, []byte(`not xml`)); err == nil {
+		if err := col.db.RunTxn(func(tx *Txn) error {
+			_, err := tx.InsertFragment(col, id, bRes[0].Node, AsLastChild, []byte(`not xml`))
+			return err
+		}); err == nil {
 			t.Error("malformed fragment accepted")
 		}
-		if _, err := col.InsertFragment(id, bRes[0].Node, Position(9), []byte(`<x/>`)); err == nil {
+		if err := col.db.RunTxn(func(tx *Txn) error {
+			_, err := tx.InsertFragment(col, id, bRes[0].Node, Position(9), []byte(`<x/>`))
+			return err
+		}); err == nil {
 			t.Error("unknown position accepted")
 		}
 	})
@@ -234,10 +251,13 @@ func TestInsertFragmentPositions(t *testing.T) {
 func TestInsertFragmentMaintainsIndexes(t *testing.T) {
 	bothModes(t, CollectionOptions{}, func(t *testing.T, col *Collection) {
 		col.CreateValueIndex("ix", "/r/item/price", xml.TDouble)
-		id, _ := col.Insert([]byte(`<r><item><price>10</price></item></r>`))
+		id := mustInsert(t, col, []byte(`<r><item><price>10</price></item></r>`))
 
 		root, _, _ := col.QueryOpts("/r", QueryOptions{})
-		if _, err := col.InsertFragment(id, root[0].Node, AsLastChild, []byte(`<item><price>55</price></item>`)); err != nil {
+		if err := col.db.RunTxn(func(tx *Txn) error {
+			_, err := tx.InsertFragment(col, id, root[0].Node, AsLastChild, []byte(`<item><price>55</price></item>`))
+			return err
+		}); err != nil {
 			t.Fatal(err)
 		}
 		hits, plan, err := col.QueryOpts("/r/item[price = 55]", QueryOptions{})
@@ -257,11 +277,14 @@ func TestManySiblingInsertions(t *testing.T) {
 	// Repeated insertion at the same position exercises Between-based ID
 	// assignment: IDs must stay ordered and unique with no relabeling.
 	bothModes(t, CollectionOptions{}, func(t *testing.T, col *Collection) {
-		id, _ := col.Insert([]byte(`<r><a/><z/></r>`))
+		id := mustInsert(t, col, []byte(`<r><a/><z/></r>`))
 		aRes, _, _ := col.QueryOpts("/r/a", QueryOptions{})
 		anchor := aRes[0].Node
 		for i := 0; i < 40; i++ {
-			if _, err := col.InsertFragment(id, anchor, AfterNode, []byte(fmt.Sprintf("<m i=\"%d\"/>", i))); err != nil {
+			if err := col.db.RunTxn(func(tx *Txn) error {
+				_, err := tx.InsertFragment(col, id, anchor, AfterNode, []byte(fmt.Sprintf("<m i=\"%d\"/>", i)))
+				return err
+			}); err != nil {
 				t.Fatalf("insert %d: %v", i, err)
 			}
 		}
@@ -289,14 +312,14 @@ func TestUpdateOnMultiRecordDocument(t *testing.T) {
 			fmt.Fprintf(&sb, "<e k=\"%d\">%030d</e>", i, i)
 		}
 		sb.WriteString("</r>")
-		id, _ := col.Insert([]byte(sb.String()))
+		id := mustInsert(t, col, []byte(sb.String()))
 
 		// Update a text deep in some middle record.
 		res, _, _ := col.QueryOpts(`//e[@k = '40']/text()`, QueryOptions{})
 		if len(res) != 1 {
 			t.Fatalf("text not found: %v", res)
 		}
-		if err := col.UpdateText(id, res[0].Node, []byte("CHANGED")); err != nil {
+		if err := col.db.RunTxn(func(tx *Txn) error { return tx.UpdateText(col, id, res[0].Node, []byte("CHANGED")) }); err != nil {
 			t.Fatal(err)
 		}
 		got := serializeStr(t, col, id)
@@ -305,7 +328,10 @@ func TestUpdateOnMultiRecordDocument(t *testing.T) {
 		}
 		// Insert a sibling in the middle.
 		eRes, _, _ := col.QueryOpts(`//e[@k = '40']`, QueryOptions{})
-		if _, err := col.InsertFragment(id, eRes[0].Node, AfterNode, []byte(`<inserted/>`)); err != nil {
+		if err := col.db.RunTxn(func(tx *Txn) error {
+			_, err := tx.InsertFragment(col, id, eRes[0].Node, AfterNode, []byte(`<inserted/>`))
+			return err
+		}); err != nil {
 			t.Fatal(err)
 		}
 		got = serializeStr(t, col, id)
@@ -324,10 +350,7 @@ func TestUpdateOnMultiRecordDocument(t *testing.T) {
 // (editdiff_test.go) and returns it with its items' text.
 func editItems(t *testing.T, col *Collection) (xml.DocID, []string) {
 	t.Helper()
-	doc, err := col.Insert([]byte(editDoc()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := mustInsert(t, col, []byte(editDoc()))
 	var items []string
 	for i := 1; i <= 12; i++ {
 		items = append(items, editItem(i, fmt.Sprint(10*i)))
@@ -399,7 +422,7 @@ func TestRunProxyBookkeeping(t *testing.T) {
 				doc, items := editItems(t, col)
 				// Delete from the run's front until well into the next run.
 				for n := 0; n < 4 && start < len(items); n++ {
-					if err := col.DeleteSubtree(doc, itemAt(t, col, start)); err != nil {
+					if err := col.db.RunTxn(func(tx *Txn) error { return tx.DeleteSubtree(col, doc, itemAt(t, col, start)) }); err != nil {
 						t.Fatal(err)
 					}
 					items = append(items[:start:start], items[start+1:]...)
@@ -411,7 +434,7 @@ func TestRunProxyBookkeeping(t *testing.T) {
 			bothModes(t, CollectionOptions{PackThreshold: editThreshold}, func(t *testing.T, col *Collection) {
 				col.CreateValueIndex("price", "/r/item/price", xml.TDouble)
 				doc, items := editItems(t, col)
-				if err := col.DeleteSubtree(doc, itemAt(t, col, start)); err != nil {
+				if err := col.db.RunTxn(func(tx *Txn) error { return tx.DeleteSubtree(col, doc, itemAt(t, col, start)) }); err != nil {
 					t.Fatal(err)
 				}
 				items = append(items[:start:start], items[start+1:]...)
@@ -419,7 +442,10 @@ func TestRunProxyBookkeeping(t *testing.T) {
 					return // a one-item run at the end: nothing left to insert before
 				}
 				ins := editItem(99, "99")
-				if _, err := col.InsertFragment(doc, itemAt(t, col, start), BeforeNode, []byte(ins)); err != nil {
+				if err := col.db.RunTxn(func(tx *Txn) error {
+					_, err := tx.InsertFragment(col, doc, itemAt(t, col, start), BeforeNode, []byte(ins))
+					return err
+				}); err != nil {
 					t.Fatal(err)
 				}
 				items = append(items[:start:start], append([]string{ins}, items[start:]...)...)
@@ -437,10 +463,7 @@ func TestRollbackLeafDelete(t *testing.T) {
 	for _, q := range []string{"/r/@a", "/r/@b", "/r/t/text()", "/r/t/comment()", "/r/u/text()", "/r/t"} {
 		t.Run(q, func(t *testing.T) {
 			bothModes(t, CollectionOptions{}, func(t *testing.T, col *Collection) {
-				doc, err := col.Insert([]byte(text))
-				if err != nil {
-					t.Fatal(err)
-				}
+				doc := mustInsert(t, col, []byte(text))
 				res, _, err := col.QueryOpts(q, QueryOptions{})
 				if err != nil || len(res) == 0 {
 					t.Fatalf("%s: %v, %d results", q, err, len(res))
@@ -473,10 +496,7 @@ func TestRewriteRecordSurfacesCorruptRecord(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{})
 	const text = `<r><a>1</a><b>2</b></r>`
-	doc, err := col.Insert([]byte(text))
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := mustInsert(t, col, []byte(text))
 	rd, err := col.reader(doc)
 	if err != nil {
 		t.Fatal(err)
@@ -522,7 +542,7 @@ func TestEditReadFaultsSurface(t *testing.T) {
 	res, _, _ := col.QueryOpts("/r/item", QueryOptions{})
 	// Leave one item in the second run.
 	for _, i := range []int{4, 3} {
-		if err := col.DeleteSubtree(doc, res[i].Node); err != nil {
+		if err := col.db.RunTxn(func(tx *Txn) error { return tx.DeleteSubtree(col, doc, res[i].Node) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -544,7 +564,7 @@ func TestEditReadFaultsSurface(t *testing.T) {
 			return 0, 0, err
 		}
 		_, _, r0 = inj.Counts()
-		err = c.DeleteSubtree(doc, victim)
+		err = c.db.RunTxn(func(tx *Txn) error { return tx.DeleteSubtree(c, doc, victim) })
 		_, _, r1 = inj.Counts()
 		if err == nil {
 			var buf bytes.Buffer

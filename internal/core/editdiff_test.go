@@ -211,22 +211,20 @@ func (e *editDiff) draw() editStep {
 	}
 }
 
-// run applies a step to the stored document: untransacted when tx is nil.
+// run applies a step to the stored document inside tx, or in a transaction
+// of its own (RunTxn) when tx is nil.
 func (e *editDiff) run(tx *Txn, s editStep) error {
+	if tx == nil {
+		return e.db.RunTxn(func(tx *Txn) error { return e.run(tx, s) })
+	}
 	_, ids := e.nodes()
 	id := ids[s.at]
 	var err error
-	switch {
-	case s.kind == editUpdateText && tx == nil:
-		err = e.col.UpdateText(e.doc, id, []byte(s.data))
-	case s.kind == editUpdateText:
+	switch s.kind {
+	case editUpdateText:
 		err = tx.UpdateText(e.col, e.doc, id, []byte(s.data))
-	case s.kind == editInsert && tx == nil:
-		_, err = e.col.InsertFragment(e.doc, id, s.pos, []byte(s.data))
-	case s.kind == editInsert:
+	case editInsert:
 		_, err = tx.InsertFragment(e.col, e.doc, id, s.pos, []byte(s.data))
-	case tx == nil:
-		err = e.col.DeleteSubtree(e.doc, id)
 	default:
 		err = tx.DeleteSubtree(e.col, e.doc, id)
 	}
@@ -308,17 +306,14 @@ func (e *editDiff) check(label string) {
 		t.Fatalf("%s: %v", label, err)
 	}
 	// Every index holds what a fresh load of the same text derives.
-	fid, err := e.fresh.Insert([]byte(want))
-	if err != nil {
-		t.Fatalf("%s: fresh load: %v", label, err)
-	}
+	fid := mustInsert(t, e.fresh, []byte(want))
 	for _, ix := range editIndexes {
 		got, ref := indexValues(t, e.col, ix.name, e.doc), indexValues(t, e.fresh, ix.name, fid)
 		if fmt.Sprintf("%x", got) != fmt.Sprintf("%x", ref) {
 			t.Fatalf("%s: index %s holds %d entries %x, a fresh load %d entries %x", label, ix.name, len(got), got, len(ref), ref)
 		}
 	}
-	if err := e.fresh.Delete(fid); err != nil {
+	if err := e.fresh.db.RunTxn(func(tx *Txn) error { return tx.Delete(e.fresh, fid) }); err != nil {
 		t.Fatal(err)
 	}
 	// Index-served and scan-served answers agree.
@@ -352,7 +347,7 @@ func TestEditDifferential(t *testing.T) {
 		seeds = 4
 	}
 	for _, versioned := range []bool{false, true} {
-		for _, entry := range []string{"collection", "commit", "rollback"} {
+		for _, entry := range []string{"runtxn", "commit", "rollback"} {
 			name := fmt.Sprintf("plain/%s", entry)
 			if versioned {
 				name = fmt.Sprintf("versioned/%s", entry)
@@ -364,10 +359,7 @@ func TestEditDifferential(t *testing.T) {
 					db, _, _ := newLoggedDB(t)
 					e := &editDiff{t: t, rng: rand.New(rand.NewSource(int64(seed))), db: db, fresh: fresh}
 					e.col = editCollection(t, db, "c", versioned)
-					var err error
-					if e.doc, err = e.col.Insert([]byte(editDoc())); err != nil {
-						t.Fatal(err)
-					}
+					e.doc = mustInsert(t, e.col, []byte(editDoc()))
 					e.model = e.parse(editDoc())
 					e.check(fmt.Sprintf("seed %d load", seed))
 					for i := 0; i < steps; i++ {
@@ -384,7 +376,7 @@ func TestEditDifferential(t *testing.T) {
 							e.check(label + " rolled back")
 						}
 						var tx *Txn
-						if entry != "collection" {
+						if entry != "runtxn" {
 							tx = db.Begin()
 						}
 						if err := e.run(tx, s); err != nil {

@@ -164,7 +164,7 @@ func (env *exhaustionEnv) exhaustionWorkload(t *testing.T, seed int64) {
 				contents[i] = exhaustionDoc(seq)
 				docs[i] = []byte(contents[i])
 			}
-			ids, err := env.col.InsertBatch(docs, BatchOptions{})
+			ids, err := txnInsertBatch(env.col, docs)
 			if err != nil {
 				env.noteErr(t, "bulk", err)
 				continue
@@ -544,12 +544,30 @@ func TestExhaustionDegradedModeSheds(t *testing.T) {
 	leakcheck.Check(t)
 	env := exhaustionOpen(t, false)
 
-	// Commit a baseline document with room to spare.
-	tx := env.db.Begin()
-	id, err := tx.Insert(env.col, []byte(exhaustionDoc(1)))
-	if err != nil || tx.Commit() != nil {
-		t.Fatalf("baseline insert: %v", err)
+	// Commit a baseline document with room to spare, and a versioned one
+	// with two versions for Vacuum to reclaim.
+	id := mustInsert(t, env.col, []byte(exhaustionDoc(1)))
+	vcol, err := env.db.CreateCollection("v", CollectionOptions{Versioned: true})
+	if err != nil {
+		t.Fatal(err)
 	}
+	vid := mustInsert(t, vcol, []byte(exhaustionDoc(2)))
+	vtext, _, err := vcol.QueryOpts("/d/k/text()", QueryOptions{})
+	if err != nil || len(vtext) != 1 {
+		t.Fatalf("versioned text: %v, %v", vtext, err)
+	}
+	if err := env.db.RunTxn(func(tx *Txn) error { return tx.UpdateText(vcol, vid, vtext[0].Node, []byte("v2")) }); err != nil {
+		t.Fatal(err)
+	}
+	node := func(expr string) nodeid.ID {
+		t.Helper()
+		res, _, err := env.col.QueryOpts(expr, QueryOptions{})
+		if err != nil || len(res) == 0 || res[0].Doc != id {
+			t.Fatalf("%s: %v, %v", expr, res, err)
+		}
+		return res[0].Node
+	}
+	root, text, leaf := node("/d"), node("/d/t/text()"), node("/d/k")
 
 	// Exhaust the device and write until something gives.
 	env.budget.SetCapacity(env.budget.Used())
@@ -570,26 +588,45 @@ func TestExhaustionDegradedModeSheds(t *testing.T) {
 		t.Fatalf("engine not degraded after ENOSPC (deg=%v reason=%q)", deg, reason)
 	}
 
-	// Every write entry point sheds typed; the detail type carries a hint.
-	if _, err := env.db.CreateCollection("c2", CollectionOptions{}); !errors.Is(err, rxerr.ErrNoSpace) {
-		t.Fatalf("CreateCollection = %v, want ErrNoSpace", err)
+	// Every write entry point sheds typed, counted, and with a retry hint.
+	inTxn := func(fn func(*Txn) error) func() error {
+		return func() error { return env.db.RunTxn(fn) }
 	}
-	if _, err := env.col.InsertBatch([][]byte{[]byte(exhaustionDoc(900))}, BatchOptions{}); !errors.Is(err, rxerr.ErrNoSpace) {
-		t.Fatalf("InsertBatch = %v, want ErrNoSpace", err)
+	for _, w := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Txn.Insert", inTxn(func(tx *Txn) error { _, err := tx.Insert(env.col, []byte(exhaustionDoc(900))); return err })},
+		{"Txn.InsertBatch", inTxn(func(tx *Txn) error {
+			_, err := tx.InsertBatch(env.col, [][]byte{[]byte(exhaustionDoc(901))}, BatchOptions{})
+			return err
+		})},
+		{"Txn.Delete", inTxn(func(tx *Txn) error { return tx.Delete(env.col, id) })},
+		{"Txn.UpdateText", inTxn(func(tx *Txn) error { return tx.UpdateText(env.col, id, text, []byte("u")) })},
+		{"Txn.InsertFragment", inTxn(func(tx *Txn) error {
+			_, err := tx.InsertFragment(env.col, id, root, AsLastChild, []byte("<k>k9</k>"))
+			return err
+		})},
+		{"Txn.DeleteSubtree", inTxn(func(tx *Txn) error { return tx.DeleteSubtree(env.col, id, leaf) })},
+		{"CreateCollection", func() error { _, err := env.db.CreateCollection("c2", CollectionOptions{}); return err }},
+		{"CreateValueIndex", func() error { return env.col.CreateValueIndex("tix", "/d/t", xml.TString) }},
+		{"RegisterSchema", func() error {
+			return env.db.RegisterSchema("d", []byte(`<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema"><xs:element name="d" type="xs:string"/></xs:schema>`))
+		}},
+		{"Vacuum", func() error { return vcol.Vacuum(vid, 2) }},
+	} {
+		shed := env.db.Stats().WritesShed
+		err := w.run()
+		var ns rxerr.NoSpaceError
+		if !errors.Is(err, rxerr.ErrNoSpace) || !errors.As(err, &ns) || ns.RetryAfter <= 0 {
+			t.Errorf("%s = %v, want ErrNoSpace with a retry hint", w.name, err)
+		} else if hint := rxerr.RetryAfter(err); hint != ns.RetryAfter {
+			t.Errorf("%s: RetryAfter() = %v, want %v", w.name, hint, ns.RetryAfter)
+		}
+		if env.db.Stats().WritesShed == shed {
+			t.Errorf("%s did not count as a shed write", w.name)
+		}
 	}
-	tx = env.db.Begin()
-	_, err = tx.Insert(env.col, []byte(exhaustionDoc(901)))
-	if !errors.Is(err, rxerr.ErrNoSpace) {
-		t.Fatalf("Insert = %v, want ErrNoSpace", err)
-	}
-	var ns rxerr.NoSpaceError
-	if !errors.As(err, &ns) || ns.RetryAfter <= 0 {
-		t.Fatalf("shed error carries no retry hint: %v", err)
-	}
-	if hint := rxerr.RetryAfter(err); hint != ns.RetryAfter {
-		t.Fatalf("RetryAfter() = %v, want %v", hint, ns.RetryAfter)
-	}
-	_ = tx.Rollback()
 
 	// Reads and stats keep serving.
 	var buf bytes.Buffer
@@ -609,12 +646,8 @@ func TestExhaustionDegradedModeSheds(t *testing.T) {
 	if deg, _ := env.db.Degraded(); deg {
 		t.Fatal("still degraded after recovery")
 	}
-	tx = env.db.Begin()
-	if _, err := tx.Insert(env.col, []byte(exhaustionDoc(950))); err != nil {
+	if err := env.db.RunTxn(func(tx *Txn) error { _, err := tx.Insert(env.col, []byte(exhaustionDoc(950))); return err }); err != nil {
 		t.Fatalf("post-recovery insert: %v", err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatalf("post-recovery commit: %v", err)
 	}
 	if s := env.db.Stats(); s.DegradedExits != 1 {
 		t.Fatalf("DegradedExits = %d, want 1", s.DegradedExits)
@@ -740,7 +773,7 @@ func TestInsertBatchMidBatchDeviceFailure(t *testing.T) {
 	base := [][]byte{
 		[]byte(exhaustionDoc(1)), []byte(exhaustionDoc(2)), []byte(exhaustionDoc(3)),
 	}
-	baseIDs, err := env.col.InsertBatch(base, BatchOptions{})
+	baseIDs, err := txnInsertBatch(env.col, base)
 	if err != nil {
 		t.Fatalf("baseline batch: %v", err)
 	}
@@ -763,7 +796,7 @@ func TestInsertBatchMidBatchDeviceFailure(t *testing.T) {
 	for i := 10; i < 30; i++ {
 		big = append(big, []byte(exhaustionDoc(i)))
 	}
-	if _, err := env.col.InsertBatch(big, BatchOptions{}); err == nil {
+	if _, err := txnInsertBatch(env.col, big); err == nil {
 		t.Fatal("batch on a choked device reported success")
 	} else if !errors.Is(err, rxerr.ErrNoSpace) {
 		t.Fatalf("mid-batch failure = %v, want ErrNoSpace", err)
@@ -802,7 +835,7 @@ func TestInsertBatchMidBatchDeviceFailure(t *testing.T) {
 	}
 
 	// The engine is fully usable: the same batch lands once space is back.
-	ids, err := env.col.InsertBatch(big, BatchOptions{})
+	ids, err := txnInsertBatch(env.col, big)
 	if err != nil {
 		t.Fatalf("batch after recovery: %v", err)
 	}

@@ -73,10 +73,7 @@ func FuzzStoredRead(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			doc, err := col.Insert(text)
-			if err != nil {
-				t.Fatal(err)
-			}
+			doc := mustInsert(t, col, text)
 			fuzzStoredRead(t, db, col, doc, text)
 			if pinned := db.pool.Stats().Pinned; pinned != 0 {
 				t.Fatalf("versioned=%v: %d frames still pinned", versioned, pinned)

@@ -29,9 +29,7 @@ func scrubberDB(t testing.TB, ndocs int, opts Options) (*DB, *Collection) {
 	}
 	pad := strings.Repeat("x", 2000)
 	for i := 0; i < ndocs; i++ {
-		if _, err := col.Insert([]byte(fmt.Sprintf("<doc><k>k%d</k><body>%s</body></doc>", i, pad))); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, col, []byte(fmt.Sprintf("<doc><k>k%d</k><body>%s</body></doc>", i, pad)))
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
@@ -89,7 +87,8 @@ func TestBackgroundScrubConcurrentWithCursors(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; time.Now().Before(deadline); i++ {
-			if _, err := col.Insert([]byte(fmt.Sprintf("<doc><k>w%d</k></doc>", i))); err != nil {
+			doc := []byte(fmt.Sprintf("<doc><k>w%d</k></doc>", i))
+			if err := db.RunTxn(func(tx *Txn) error { _, err := tx.Insert(col, doc); return err }); err != nil {
 				errCh <- err
 				return
 			}

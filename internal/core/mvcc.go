@@ -229,7 +229,11 @@ func (c *Collection) deleteVersionedDoc(doc xml.DocID) error {
 // Vacuum discards versions older than keep, reclaiming rows no remaining
 // version references. Callers must ensure no reader still uses versions
 // below keep.
-func (c *Collection) Vacuum(doc xml.DocID, keep uint64) error {
+func (c *Collection) Vacuum(doc xml.DocID, keep uint64) (err error) {
+	defer func() { c.db.noteWriteErr(err) }()
+	if err := c.db.checkWritable(); err != nil {
+		return err
+	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	if !c.meta.Versioned {

@@ -19,10 +19,7 @@ func TestVersionedSnapshotReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := col.Insert([]byte(`<doc><status>draft</status></doc>`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := mustInsert(t, col, []byte(`<doc><status>draft</status></doc>`))
 	v1, err := col.SnapshotVersion(id)
 	if err != nil || v1 != 1 {
 		t.Fatalf("initial version = %d, %v", v1, err)
@@ -30,7 +27,7 @@ func TestVersionedSnapshotReads(t *testing.T) {
 
 	// Update the text: version 2.
 	res, _, _ := col.QueryOpts("//status/text()", QueryOptions{})
-	if err := col.UpdateText(id, res[0].Node, []byte("published")); err != nil {
+	if err := db.RunTxn(func(tx *Txn) error { return tx.UpdateText(col, id, res[0].Node, []byte("published")) }); err != nil {
 		t.Fatal(err)
 	}
 	v2, _ := col.SnapshotVersion(id)
@@ -64,15 +61,18 @@ func TestVersionedSnapshotReads(t *testing.T) {
 func TestVersionedSubtreeOps(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("v", CollectionOptions{Versioned: true})
-	id, _ := col.Insert([]byte(`<r><a/><b/></r>`))
+	id := mustInsert(t, col, []byte(`<r><a/><b/></r>`))
 	v1, _ := col.SnapshotVersion(id)
 
 	aRes, _, _ := col.QueryOpts("/r/a", QueryOptions{})
-	if _, err := col.InsertFragment(id, aRes[0].Node, AfterNode, []byte(`<mid>x</mid>`)); err != nil {
+	if err := db.RunTxn(func(tx *Txn) error {
+		_, err := tx.InsertFragment(col, id, aRes[0].Node, AfterNode, []byte(`<mid>x</mid>`))
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	bRes, _, _ := col.QueryOpts("/r/b", QueryOptions{})
-	if err := col.DeleteSubtree(id, bRes[0].Node); err != nil {
+	if err := db.RunTxn(func(tx *Txn) error { return tx.DeleteSubtree(col, id, bRes[0].Node) }); err != nil {
 		t.Fatal(err)
 	}
 	v3, _ := col.SnapshotVersion(id)
@@ -107,11 +107,11 @@ func TestVersionedCOWSharesRecords(t *testing.T) {
 		fmt.Fprintf(&sb, "<e k=\"%d\">%030d</e>", i, i)
 	}
 	sb.WriteString("</r>")
-	id, _ := col.Insert([]byte(sb.String()))
+	id := mustInsert(t, col, []byte(sb.String()))
 	rows1 := col.XMLTable().Count()
 
 	res, _, _ := col.QueryOpts(`//e[@k = '30']/text()`, QueryOptions{})
-	if err := col.UpdateText(id, res[0].Node, []byte("NEW")); err != nil {
+	if err := db.RunTxn(func(tx *Txn) error { return tx.UpdateText(col, id, res[0].Node, []byte("NEW")) }); err != nil {
 		t.Fatal(err)
 	}
 	rows2 := col.XMLTable().Count()
@@ -130,10 +130,10 @@ func TestVacuum(t *testing.T) {
 		fmt.Fprintf(&sb, "<e k=\"%d\">%030d</e>", i, i)
 	}
 	sb.WriteString("</r>")
-	id, _ := col.Insert([]byte(sb.String()))
+	id := mustInsert(t, col, []byte(sb.String()))
 	for v := 0; v < 5; v++ {
 		res, _, _ := col.QueryOpts(`//e[@k = '10']/text()`, QueryOptions{})
-		if err := col.UpdateText(id, res[0].Node, []byte(fmt.Sprintf("v%d", v))); err != nil {
+		if err := db.RunTxn(func(tx *Txn) error { return tx.UpdateText(col, id, res[0].Node, []byte(fmt.Sprintf("v%d", v))) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,10 +162,10 @@ func TestVacuum(t *testing.T) {
 func TestVersionedDelete(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("v", CollectionOptions{Versioned: true})
-	id, _ := col.Insert([]byte(`<a>x</a>`))
+	id := mustInsert(t, col, []byte(`<a>x</a>`))
 	res, _, _ := col.QueryOpts("/a/text()", QueryOptions{})
-	col.UpdateText(id, res[0].Node, []byte("y"))
-	if err := col.Delete(id); err != nil {
+	db.RunTxn(func(tx *Txn) error { return tx.UpdateText(col, id, res[0].Node, []byte("y")) })
+	if err := db.RunTxn(func(tx *Txn) error { return tx.Delete(col, id) }); err != nil {
 		t.Fatal(err)
 	}
 	if col.Has(id) {
@@ -182,7 +182,7 @@ func TestVersionedDelete(t *testing.T) {
 func TestReadersNeverBlockWriter(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("v", CollectionOptions{Versioned: true})
-	id, _ := col.Insert([]byte(`<doc><counter>0</counter></doc>`))
+	id := mustInsert(t, col, []byte(`<doc><counter>0</counter></doc>`))
 	res, _, _ := col.QueryOpts("//counter/text()", QueryOptions{})
 	textID := res[0].Node
 
@@ -198,7 +198,7 @@ func TestReadersNeverBlockWriter(t *testing.T) {
 				return
 			default:
 			}
-			if err := col.UpdateText(id, textID, []byte(fmt.Sprint(i))); err != nil {
+			if err := db.RunTxn(func(tx *Txn) error { return tx.UpdateText(col, id, textID, []byte(fmt.Sprint(i))) }); err != nil {
 				t.Error(err)
 				return
 			}
@@ -244,7 +244,7 @@ func TestReadersNeverBlockWriter(t *testing.T) {
 func TestUnversionedSnapshotRejected(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{})
-	id, _ := col.Insert([]byte(`<a/>`))
+	id := mustInsert(t, col, []byte(`<a/>`))
 	if _, err := col.SnapshotVersion(id); err == nil {
 		t.Error("SnapshotVersion on unversioned collection should fail")
 	}
@@ -298,10 +298,7 @@ func TestVersionedReadSeesOneVersion(t *testing.T) {
 				fmt.Fprintf(&sb, "<item><n>%d</n><v>value %d</v></item>", i, i)
 			}
 			sb.WriteString("</r>")
-			doc, err := col.Insert([]byte(sb.String()))
-			if err != nil {
-				t.Fatal(err)
-			}
+			doc := mustInsert(t, col, []byte(sb.String()))
 			before := serializeStr(t, col, doc)
 			if before != sb.String() {
 				t.Fatal("the stored document does not round-trip")
@@ -311,9 +308,13 @@ func TestVersionedReadSeesOneVersion(t *testing.T) {
 				t.Fatalf("%d items, %v", len(items), err)
 			}
 			texts, _, _ := col.QueryOpts("/r/item/v/text()", QueryOptions{})
-			commit := func() error { return col.UpdateText(doc, texts[590].Node, []byte("CHANGED")) }
+			commit := func() error {
+				return db.RunTxn(func(tx *Txn) error { return tx.UpdateText(col, doc, texts[590].Node, []byte("CHANGED")) })
+			}
 			if edit == "delete-subtree" {
-				commit = func() error { return col.DeleteSubtree(doc, items[590].Node) }
+				commit = func() error {
+					return db.RunTxn(func(tx *Txn) error { return tx.DeleteSubtree(col, doc, items[590].Node) })
+				}
 			}
 			var buf bytes.Buffer
 			h := &commitOnThirdText{Serializer: serialize.New(&buf, db.cat), t: t, commit: commit}

@@ -43,10 +43,7 @@ func TestQueryOracleAfterChurn(t *testing.T) {
 				fmt.Fprintf(&sb, `<item><sku>S%03d</sku><qty>%d</qty></item>`, rng.Intn(200), rng.Intn(9))
 			}
 			sb.WriteString("</items></order>")
-			id, err := col.Insert(sb.Bytes())
-			if err != nil {
-				t.Fatal(err)
-			}
+			id := mustInsert(t, col, sb.Bytes())
 			live[id] = true
 			ids = append(ids, id)
 		}
@@ -72,7 +69,7 @@ func TestQueryOracleAfterChurn(t *testing.T) {
 					res, _, _ := col.QueryOpts("//qty/text()", QueryOptions{})
 					for _, r := range res {
 						if r.Doc == id {
-							if err := col.UpdateText(id, r.Node, []byte(fmt.Sprint(rng.Intn(9)))); err != nil {
+							if err := db.RunTxn(func(tx *Txn) error { return tx.UpdateText(col, id, r.Node, []byte(fmt.Sprint(rng.Intn(9)))) }); err != nil {
 								t.Fatal(err)
 							}
 							break
@@ -84,8 +81,9 @@ func TestQueryOracleAfterChurn(t *testing.T) {
 					root, _, _ := col.QueryOpts("/order/items", QueryOptions{})
 					for _, r := range root {
 						if r.Doc == id {
-							if _, err := col.InsertFragment(id, r.Node, AsLastChild,
-								[]byte(fmt.Sprintf(`<item><sku>SNEW</sku><qty>%d</qty></item>`, rng.Intn(9)))); err != nil {
+							frag := []byte(fmt.Sprintf(`<item><sku>SNEW</sku><qty>%d</qty></item>`, rng.Intn(9)))
+							err := db.RunTxn(func(tx *Txn) error { _, err := tx.InsertFragment(col, id, r.Node, AsLastChild, frag); return err })
+							if err != nil {
 								t.Fatal(err)
 							}
 							break
@@ -97,7 +95,7 @@ func TestQueryOracleAfterChurn(t *testing.T) {
 					res, _, _ := col.QueryOpts("//item", QueryOptions{})
 					for _, r := range res {
 						if r.Doc == id {
-							if err := col.DeleteSubtree(id, r.Node); err != nil {
+							if err := db.RunTxn(func(tx *Txn) error { return tx.DeleteSubtree(col, id, r.Node) }); err != nil {
 								t.Fatal(err)
 							}
 							break
@@ -107,7 +105,7 @@ func TestQueryOracleAfterChurn(t *testing.T) {
 			case 4: // delete a whole document (keep at least 2)
 				if len(liveCount(live)) > 2 {
 					if id, ok := pickLive(); ok {
-						if err := col.Delete(id); err != nil {
+						if err := db.RunTxn(func(tx *Txn) error { return tx.Delete(col, id) }); err != nil {
 							t.Fatal(err)
 						}
 						live[id] = false

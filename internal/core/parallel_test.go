@@ -14,9 +14,7 @@ func seedCatalog(t testing.TB, col *Collection, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		doc := catalogDoc(i, float64(100+i*10), 0.1, fmt.Sprintf("Widget %03d", i))
-		if _, err := col.Insert([]byte(doc)); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, col, []byte(doc))
 	}
 }
 
@@ -136,9 +134,7 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 	}
 	for i := 10; i < 60; i++ {
 		doc := catalogDoc(i, float64(100+i*10), 0.1, fmt.Sprintf("Widget %03d", i))
-		if _, err := col.Insert([]byte(doc)); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, col, []byte(doc))
 	}
 	close(stop)
 	wg.Wait()

@@ -40,9 +40,7 @@ func TestCursorValueHeldAcrossNextUnderEviction(t *testing.T) {
 	}
 	const docs = 200
 	for i := 0; i < docs; i++ {
-		if _, err := col.Insert(pinDoc(i)); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, col, pinDoc(i))
 	}
 
 	cur, err := col.Cursor("/doc/v", QueryOptions{NeedValues: true})
@@ -88,9 +86,7 @@ func TestNodeStringCopiesOutOfFrame(t *testing.T) {
 	}
 	const docs = 100
 	for i := 0; i < docs; i++ {
-		if _, err := col.Insert(pinDoc(i)); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, col, pinDoc(i))
 	}
 	// Take the string value of doc 0's <v>, then churn the pool by querying
 	// everything else, then re-check the retained bytes.
@@ -132,10 +128,7 @@ func TestConcurrentReadersUnderEviction(t *testing.T) {
 	const docs = 64
 	ids := make([]xml.DocID, 0, docs)
 	for i := 0; i < docs; i++ {
-		id, err := col.Insert(pinDoc(i))
-		if err != nil {
-			t.Fatal(err)
-		}
+		id := mustInsert(t, col, pinDoc(i))
 		ids = append(ids, id)
 	}
 	var wg sync.WaitGroup
@@ -223,10 +216,7 @@ func TestSnapshotCheckAndSalvageLeaveNoPins(t *testing.T) {
 			fmt.Fprintf(&sb, `<item><k>key-%03d-%03d</k><v>%030d</v></item>`, i, j, j)
 		}
 		sb.WriteString(`</doc>`)
-		id, err := col.Insert([]byte(sb.String()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		id := mustInsert(t, col, []byte(sb.String()))
 		ids, v1 = append(ids, id), append(v1, sb.String())
 	}
 	keys, _, err := col.QueryOpts("/doc/item/k/text()", QueryOptions{})
@@ -234,7 +224,7 @@ func TestSnapshotCheckAndSalvageLeaveNoPins(t *testing.T) {
 		t.Fatalf("%d keys, %v", len(keys), err)
 	}
 	for i, id := range ids {
-		if err := col.UpdateText(id, keys[i*60+30].Node, []byte("EDITED")); err != nil {
+		if err := col.db.RunTxn(func(tx *Txn) error { return tx.UpdateText(col, id, keys[i*60+30].Node, []byte("EDITED")) }); err != nil {
 			t.Fatal(err)
 		}
 		noPins("UpdateText")

@@ -22,9 +22,7 @@ func plannerDB(t *testing.T) *Collection {
 		doc := fmt.Sprintf(
 			`<emp><name>Emp %02d</name><hire>%d-0%d-15</hire><salary>%d.50</salary></emp>`,
 			i, 1990+i, i%9+1, 30000+i*1000)
-		if _, err := col.Insert([]byte(doc)); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, col, []byte(doc))
 	}
 	must := func(err error) {
 		if err != nil {
@@ -148,9 +146,7 @@ func TestMalformedIndexEntryFailsCursor(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{})
 	for i := 0; i < 10; i++ {
-		if _, err := col.Insert([]byte(fmt.Sprintf(`<r><v>%d</v></r>`, i))); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, col, []byte(fmt.Sprintf(`<r><v>%d</v></r>`, i)))
 	}
 	if err := col.CreateValueIndex("ix", "/r/v", xml.TDouble); err != nil {
 		t.Fatal(err)
@@ -214,7 +210,7 @@ func TestSingleValuedLifecycle(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				docs = append(docs, []byte(fmt.Sprintf(`<Order><Total>%d</Total></Order>`, i)))
 			}
-			ids, err := col.InsertBatch(docs, BatchOptions{})
+			ids, err := txnInsertBatch(col, docs)
 			if err != nil {
 				t.Fatal(err)
 			}

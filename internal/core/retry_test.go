@@ -52,8 +52,8 @@ func TestRunTxnDeadlockRetryBothCommit(t *testing.T) {
 	// eventually commit.
 	db, _, _ := newLoggedDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{})
-	idA, _ := col.Insert([]byte(`<a>0</a>`))
-	idB, _ := col.Insert([]byte(`<a>0</a>`))
+	idA := mustInsert(t, col, []byte(`<a>0</a>`))
+	idB := mustInsert(t, col, []byte(`<a>0</a>`))
 	nodeA := mustTextNode2(t, col, idA)
 	nodeB := mustTextNode2(t, col, idB)
 
@@ -89,7 +89,7 @@ func TestRunTxnDeadlockRetryBothCommit(t *testing.T) {
 func TestRunTxnNoRetryWithoutOption(t *testing.T) {
 	db, _, _ := newLoggedDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{})
-	id, _ := col.Insert([]byte(`<a>0</a>`))
+	id := mustInsert(t, col, []byte(`<a>0</a>`))
 	node := mustTextNode2(t, col, id)
 
 	// A holds the X lock; RunTxn without the retry option fails fast.

@@ -182,10 +182,7 @@ func TestWalkerIDLifetime(t *testing.T) {
 			fmt.Fprintf(&sb, `<Item n="%d"><Part>p%d</Part><Qty>%d</Qty><Desc>item %d of order %d</Desc></Item>`, j, j%7, j%10, j, i)
 		}
 		fmt.Fprintf(&sb, `</Items><Total>%d</Total></Order>`, 100+i)
-		id, err := col.Insert([]byte(sb.String()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		id := mustInsert(t, col, []byte(sb.String()))
 		docs = append(docs, id)
 		texts = append(texts, sb.String())
 	}
@@ -331,14 +328,8 @@ func commentGroups(groups int) []byte {
 func TestEvalStoredAllocsIndependentOfDocumentSize(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{})
-	small, err := col.Insert(commentGroups(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := col.Insert(commentGroups(20))
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := mustInsert(t, col, commentGroups(2))
+	large := mustInsert(t, col, commentGroups(20))
 	if n := col.StatsSnapshot().RecordCount; n != 2 {
 		t.Fatalf("%d records for 2 documents: the tripwire wants single-record documents", n)
 	}
@@ -393,10 +384,7 @@ func TestSkippedDocumentFetchesOnlyItsRoot(t *testing.T) {
 		fmt.Fprintf(&sb, `<Item><Part>p%d</Part><Qty>%d</Qty><Desc>%s</Desc></Item>`, j, j%10, strings.Repeat("x", 40))
 	}
 	sb.WriteString(`</Items></Order>`)
-	doc, err := col.Insert([]byte(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := mustInsert(t, col, []byte(sb.String()))
 	records := col.StatsSnapshot().RecordCount
 	if records < 10 {
 		t.Fatalf("document packed into %d records; the test wants many", records)

@@ -56,10 +56,7 @@ func scrubTestDB(t testing.TB, ndocs int) (*DB, *Collection, *pagestore.MemStore
 	var contents []string
 	for i := 0; i < ndocs; i++ {
 		src := scrubDocXML(i)
-		id, err := col.Insert([]byte(src))
-		if err != nil {
-			t.Fatal(err)
-		}
+		id := mustInsert(t, col, []byte(src))
 		ids = append(ids, id)
 		contents = append(contents, src)
 	}

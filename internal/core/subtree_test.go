@@ -26,9 +26,7 @@ func TestNodeIDFilteringOnLargeDocs(t *testing.T) {
 	col, _ := db.CreateCollection("orders", CollectionOptions{PackThreshold: 600})
 	const docs, items = 8, 120
 	for d := 0; d < docs; d++ {
-		if _, err := col.Insert(bigOrderDoc(items)); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, col, bigOrderDoc(items))
 	}
 	// A containment-path (covering, not exact) index.
 	if err := col.CreateValueIndex("ix_qty", "//qty", xml.TDouble); err != nil {
@@ -84,9 +82,7 @@ func TestNodeIDFilteringRejectsNonMatchingPaths(t *testing.T) {
 	// qty under a different spine: must not appear in results.
 	sb.WriteString("</items><summary><qty>7</qty></summary></order>")
 	for d := 0; d < 6; d++ {
-		if _, err := col.Insert([]byte(sb.String())); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, col, []byte(sb.String()))
 	}
 	if err := col.CreateValueIndex("ix", "//qty", xml.TDouble); err != nil {
 		t.Fatal(err)
@@ -114,10 +110,7 @@ func TestNodeIDFilteringRejectsNonMatchingPaths(t *testing.T) {
 func TestEvalSubtreeProbesOncePerCandidate(t *testing.T) {
 	bothModes(t, CollectionOptions{PackThreshold: 300}, func(t *testing.T, col *Collection) {
 		db := col.db
-		doc, err := col.Insert(bigOrderDoc(80))
-		if err != nil {
-			t.Fatal(err)
-		}
+		doc := mustInsert(t, col, bigOrderDoc(80))
 		cands, _, err := col.QueryOpts("/order/items/item", QueryOptions{})
 		if err != nil || len(cands) != 80 {
 			t.Fatalf("%d candidates, %v", len(cands), err)
@@ -164,9 +157,7 @@ func TestFilteringLimitVisitsOneCandidate(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("orders", CollectionOptions{PackThreshold: 600})
 	for d := 0; d < 4; d++ {
-		if _, err := col.Insert(bigOrderDoc(120)); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, col, bigOrderDoc(120))
 	}
 	if err := col.CreateValueIndex("ix_qty", "//qty", xml.TDouble); err != nil {
 		t.Fatal(err)
@@ -234,7 +225,7 @@ func TestFilteringLimitVisitsOneCandidate(t *testing.T) {
 func TestAncestorChain(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{PackThreshold: 300})
-	id, _ := col.Insert(bigOrderDoc(80))
+	id := mustInsert(t, col, bigOrderDoc(80))
 	res, _, err := col.QueryOpts("//sku", QueryOptions{})
 	if err != nil || len(res) == 0 {
 		t.Fatalf("%v %v", res, err)

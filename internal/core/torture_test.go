@@ -620,10 +620,7 @@ func TestTortureBitFlipDetection(t *testing.T) {
 	want := map[xml.DocID]string{}
 	for i := 0; i < 6; i++ {
 		d := tortureDoc{tval: torturePad("v", i), kvals: []string{fmt.Sprintf("k%d", i)}}
-		id, err := col.Insert([]byte(d.expect()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		id := mustInsert(t, col, []byte(d.expect()))
 		want[id] = d.expect()
 	}
 	if err := build.Flush(); err != nil {

@@ -175,7 +175,9 @@ func (t *Txn) deleteDoc(col *Collection, doc xml.DocID) error {
 	if err := t.record(logicalOp{Kind: "delete", Col: col.Name(), Doc: doc, Data: stream}); err != nil {
 		return err
 	}
-	return col.Delete(doc)
+	col.writeMu.Lock()
+	defer col.writeMu.Unlock()
+	return col.deleteLocked(doc)
 }
 
 // UpdateText updates a text or attribute node under an X document lock.

@@ -62,7 +62,7 @@ func TestTxnRollbackDeleteAndUpdates(t *testing.T) {
 	db, _, _ := newLoggedDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{})
 	col.CreateValueIndex("ix", "//v", xml.TDouble)
-	id, _ := col.Insert([]byte(`<r><p><v>1</v></p><q><v>2</v></q></r>`))
+	id := mustInsert(t, col, []byte(`<r><p><v>1</v></p><q><v>2</v></q></r>`))
 
 	tx := db.Begin()
 	if err := tx.Delete(col, id); err != nil {
@@ -166,7 +166,7 @@ func TestCrashRecoveryUncommittedUpdateUndone(t *testing.T) {
 	log, _ := wal.Open(&wal.MemDevice{})
 	db, _ := Open(store, Options{WAL: log})
 	col, _ := db.CreateCollection("c", CollectionOptions{})
-	id, _ := col.Insert([]byte(`<r><v>old</v></r>`))
+	id := mustInsert(t, col, []byte(`<r><v>old</v></r>`))
 	db.Checkpoint()
 
 	tRes, _, _ := col.QueryOpts("//v/text()", QueryOptions{})
@@ -191,7 +191,7 @@ func TestCrashRecoveryUncommittedUpdateUndone(t *testing.T) {
 func TestDocLockConflict(t *testing.T) {
 	db, _, _ := newLoggedDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{})
-	id, _ := col.Insert([]byte(`<a>1</a>`))
+	id := mustInsert(t, col, []byte(`<a>1</a>`))
 
 	tx1 := db.Begin()
 	if err := tx1.UpdateText(col, id, mustTextNode(t, col, id), []byte("x")); err != nil {
@@ -225,7 +225,7 @@ func mustTextNode(t *testing.T, col *Collection, id xml.DocID) []byte {
 func TestConcurrentReaders(t *testing.T) {
 	db, _, _ := newLoggedDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{})
-	id, _ := col.Insert([]byte(`<a><b>x</b></a>`))
+	id := mustInsert(t, col, []byte(`<a><b>x</b></a>`))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

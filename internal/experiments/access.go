@@ -17,11 +17,11 @@ import (
 
 // stored inserts docs, one batch, into a fresh in-memory collection.
 func stored(opts core.CollectionOptions, docs [][]byte) (*core.Collection, error) {
-	_, col, err := memCollection(opts)
+	db, col, err := memCollection(opts)
 	if err != nil {
 		return nil, err
 	}
-	_, err = col.InsertBatch(docs, core.BatchOptions{})
+	err = db.RunTxn(func(t *core.Txn) error { _, err := t.InsertBatch(col, docs, core.BatchOptions{}); return err })
 	return col, err
 }
 

@@ -45,8 +45,8 @@ func pageStores() ([]pageStore, error) {
 		if err != nil {
 			return nil, 0, nil, err
 		}
-		id, err := col.Insert(doc)
-		if err != nil {
+		var id xml.DocID
+		if err := db.RunTxn(func(t *core.Txn) (err error) { id, err = t.Insert(col, doc); return err }); err != nil {
 			return nil, 0, nil, err
 		}
 		text, err := oneNode(col, "/page/body/text()")
@@ -77,12 +77,7 @@ func pageStores() ([]pageStore, error) {
 			return tx.Commit()
 		},
 		write: func(i int) error {
-			tx := ldb.Begin()
-			if err := tx.UpdateText(lcol, lid, ltext, body(i)); err != nil {
-				tx.Rollback()
-				return err
-			}
-			return tx.Commit()
+			return ldb.RunTxn(func(t *core.Txn) error { return t.UpdateText(lcol, lid, ltext, body(i)) })
 		},
 	}
 
@@ -103,15 +98,10 @@ func pageStores() ([]pageStore, error) {
 			}
 			return vcol.SerializeAt(vid, ver, io.Discard)
 		},
+		// No Vacuum inside the window: a reader may still hold any
+		// version it took, and the window's few hundred versions are small.
 		write: func(i int) error {
-			if err := vcol.UpdateText(vid, vtext, body(i)); err != nil {
-				return err
-			}
-			if i%256 == 255 {
-				cur, _ := vcol.SnapshotVersion(vid)
-				vcol.Vacuum(vid, cur-1)
-			}
-			return nil
+			return vdb.RunTxn(func(t *core.Txn) error { return t.UpdateText(vcol, vid, vtext, body(i)) })
 		},
 	}
 	return []pageStore{locking, mvcc}, nil
@@ -194,7 +184,11 @@ func e11b(m *Meter) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	id, err := col.Insert([]byte(`<r><left><x/></left><right><y/></right></r>`))
+	var id xml.DocID
+	err = db.RunTxn(func(t *core.Txn) (err error) {
+		id, err = t.Insert(col, []byte(`<r><left><x/></left><right><y/></right></r>`))
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

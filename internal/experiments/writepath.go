@@ -273,9 +273,10 @@ func e16(m *Meter) (*Table, error) {
 			}
 			return nil
 		}},
-		{fmt.Sprintf("InsertBatch(%d)", batchSize), func(_ *core.DB, col *core.Collection) error {
+		{fmt.Sprintf("InsertBatch(%d)", batchSize), func(db *core.DB, col *core.Collection) error {
 			for off := 0; off < len(payloads); off += batchSize {
-				if _, err := col.InsertBatch(payloads[off:min(off+batchSize, len(payloads))], core.BatchOptions{}); err != nil {
+				batch := payloads[off:min(off+batchSize, len(payloads))]
+				if err := db.RunTxn(func(t *core.Txn) error { _, err := t.InsertBatch(col, batch, core.BatchOptions{}); return err }); err != nil {
 					return err
 				}
 			}
@@ -322,7 +323,7 @@ func e16Cases() ([]Case, error) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := col.InsertBatch(docs, core.BatchOptions{}); err != nil {
+			if err := db.RunTxn(func(t *core.Txn) error { _, err := t.InsertBatch(col, docs, core.BatchOptions{}); return err }); err != nil {
 				b.Fatal(err)
 			}
 		}

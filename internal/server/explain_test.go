@@ -32,7 +32,7 @@ func TestExplainLocalEqualsRemote(t *testing.T) {
 	}
 	for i := 0; i < 30; i++ {
 		doc := fmt.Sprintf(`<item><sku>S%02d</sku><qty>%d</qty></item>`, i, i%5)
-		if _, err := col.Insert([]byte(doc)); err != nil {
+		if err := db.RunTxn(func(tx *core.Txn) error { _, err := tx.Insert(col, []byte(doc)); return err }); err != nil {
 			t.Fatal(err)
 		}
 	}

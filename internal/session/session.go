@@ -264,7 +264,12 @@ func (s *Session) InsertBatch(ctx context.Context, col string, docs [][]byte) ([
 	if txn != nil {
 		return txn.InsertBatch(c, docs, opts)
 	}
-	return c.InsertBatch(docs, opts)
+	var ids []xml.DocID
+	err = s.db.RunTxn(func(t *core.Txn) (err error) {
+		ids, err = t.InsertBatch(c, docs, opts)
+		return err
+	})
+	return ids, err
 }
 
 // Delete removes a document.

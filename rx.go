@@ -14,11 +14,13 @@
 // write-ahead logging with crash recovery, document locking and
 // document-level multiversioning complete the engine.
 //
-// Quick start:
+// Quick start (every document write is a transaction: DB.RunTxn, or a
+// Session write, which commits on its own outside Begin):
 //
+//	ctx := context.Background()
 //	db, _ := rx.Open("")          // in-memory; rx.Open("data.rxdb", ...) for a file
 //	col, _ := db.CreateCollection("catalog", rx.CollectionOptions{})
-//	id, _ := col.Insert([]byte(`<product><price>9.99</price></product>`))
+//	id, _ := db.Session().Insert(ctx, "catalog", []byte(`<product><price>9.99</price></product>`))
 //	col.CreateValueIndex("by_price", "/product/price", rx.TypeDouble)
 //	cur, _ := col.Cursor("/product[price < 10]", rx.QueryOptions{})
 //	defer cur.Close()
@@ -70,7 +72,7 @@ type (
 	NodeID = nodeid.ID
 	// TxnOption configures DB.RunTxn.
 	TxnOption = core.TxnOption
-	// BatchOptions configure Collection.InsertBatch bulk loading.
+	// BatchOptions configure Txn.InsertBatch bulk loading.
 	BatchOptions = core.BatchOptions
 	// PageChecksumError reports a stored page whose contents fail CRC
 	// verification (torn write or silent corruption); retrieve the page ID

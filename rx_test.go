@@ -100,10 +100,13 @@ func TestVersionedFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	col, _ := db.CreateCollection("v", CollectionOptions{Versioned: true})
-	id, _ := col.Insert([]byte(`<d><v>1</v></d>`))
+	id, err := db.Session().Insert(context.Background(), "v", []byte(`<d><v>1</v></d>`))
+	if err != nil {
+		t.Fatal(err)
+	}
 	v1, _ := col.SnapshotVersion(id)
 	res, _, _ := col.QueryOpts("/d/v/text()", QueryOptions{})
-	if err := col.UpdateText(id, res[0].Node, []byte("2")); err != nil {
+	if err := db.RunTxn(func(tx *Txn) error { return tx.UpdateText(col, id, res[0].Node, []byte("2")) }); err != nil {
 		t.Fatal(err)
 	}
 	var old, cur bytes.Buffer
@@ -120,12 +123,19 @@ func TestVersionedFacade(t *testing.T) {
 func TestFragmentPositions(t *testing.T) {
 	db, _ := Open("")
 	col, _ := db.CreateCollection("c", CollectionOptions{})
-	id, _ := col.Insert([]byte(`<r><a/></r>`))
-	aRes, _, _ := col.QueryOpts("/r/a", QueryOptions{})
-	if _, err := col.InsertFragment(id, aRes[0].Node, AfterNode, []byte(`<b/>`)); err != nil {
+	id, err := db.Session().Insert(context.Background(), "c", []byte(`<r><a/></r>`))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := col.InsertFragment(id, aRes[0].Node, BeforeNode, []byte(`<z/>`)); err != nil {
+	aRes, _, _ := col.QueryOpts("/r/a", QueryOptions{})
+	err = db.RunTxn(func(tx *Txn) error {
+		if _, err := tx.InsertFragment(col, id, aRes[0].Node, AfterNode, []byte(`<b/>`)); err != nil {
+			return err
+		}
+		_, err := tx.InsertFragment(col, id, aRes[0].Node, BeforeNode, []byte(`<z/>`))
+		return err
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -148,7 +158,7 @@ func TestOpenVariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := col.Insert([]byte(`<a><b>x</b></a>`)); err != nil {
+		if _, err := db.Session().Insert(context.Background(), "m", []byte(`<a><b>x</b></a>`)); err != nil {
 			t.Fatal(err)
 		}
 		rs, _, err := col.QueryOpts("/a/b", QueryOptions{})
@@ -163,11 +173,10 @@ func TestOpenVariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		col, err := db.CreateCollection("f", CollectionOptions{})
-		if err != nil {
+		if _, err := db.CreateCollection("f", CollectionOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		id, err := col.Insert([]byte(`<doc>persisted</doc>`))
+		id, err := db.Session().Insert(context.Background(), "f", []byte(`<doc>persisted</doc>`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +256,7 @@ func TestFacadeCursor(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		doc := []byte(`<item><name>thing</name></item>`)
-		if _, err := col.Insert(doc); err != nil {
+		if _, err := db.Session().Insert(context.Background(), "c", doc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,13 +289,12 @@ func TestChecksumsDetectCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := db.CreateCollection("c", CollectionOptions{})
-	if err != nil {
+	if _, err := db.CreateCollection("c", CollectionOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var ids []DocID
 	for i := 0; i < 8; i++ {
-		id, err := col.Insert([]byte("<d><v>" + strings.Repeat("x", 900+i) + "</v></d>"))
+		id, err := db.Session().Insert(context.Background(), "c", []byte("<d><v>"+strings.Repeat("x", 900+i)+"</v></d>"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +382,7 @@ func TestStatsRefreshStopsAtClose(t *testing.T) {
 	for i := range docs {
 		docs[i] = []byte(fmt.Sprintf("<d><v>%d</v>%s</d>", i, strings.Repeat("<a><b>1</b><c/><e>x</e></a>", 20)))
 	}
-	if _, err := col.InsertBatch(docs, BatchOptions{}); err != nil {
+	if _, err := db.Session().InsertBatch(context.Background(), "c", docs); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
@@ -430,7 +438,7 @@ func TestMaintenanceLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if _, err := col.Insert([]byte(fmt.Sprintf("<d><v>%d</v></d>", i))); err != nil {
+		if _, err := db.Session().Insert(context.Background(), "c", []byte(fmt.Sprintf("<d><v>%d</v></d>", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
