@@ -25,6 +25,11 @@
 // All page mutations go through buffer.Pool.Modify so the WAL sees them when
 // attached; a failed mutation rolls the page back, and a split that fails
 // midway leaves at worst an orphan page, never a broken tree.
+//
+// Inserts have one path, PutSorted: a strictly ascending run enters the tree
+// one leaf visit at a time — one descent, one Modify and so one WAL record
+// for every key the leaf takes — and Put is a one-entry PutSorted. The tree
+// lock is taken per leaf visit, so readers interleave with a long run.
 package btree
 
 import (
@@ -70,6 +75,9 @@ type Tree struct {
 	mu   sync.RWMutex
 	meta pagestore.PageID
 	root pagestore.PageID
+	// fence is PutSorted's copy of a leaf visit's upper bound (guarded by mu,
+	// reused so a visit does not allocate).
+	fence []byte
 }
 
 // Create allocates a new empty tree (a meta page plus an empty leaf root).
@@ -201,17 +209,19 @@ func search(d []byte, key []byte) (int, bool) {
 	return lo, false
 }
 
-// childFor returns the child to descend into for key in an internal node:
-// the child of the last cell whose key is <= key, or the leftmost child.
-func childFor(d []byte, key []byte) pagestore.PageID {
+// route returns the child to descend into for key in an internal node — the
+// child of the last cell whose key is <= key, or the leftmost child — and the
+// index of the cell after that one, whose key (if it exists) bounds the
+// child's keys from above.
+func route(d []byte, key []byte) (pagestore.PageID, int) {
 	i, exact := search(d, key)
 	if exact {
-		return childAt(d, i)
+		return childAt(d, i), i + 1
 	}
 	if i == 0 {
-		return link(d) // leftmost child
+		return link(d), 0 // leftmost child
 	}
-	return childAt(d, i-1)
+	return childAt(d, i-1), i
 }
 
 // freeBytes returns free bytes available for one more cell (incl. its slot).
@@ -224,26 +234,35 @@ func freeBytes(d []byte) int {
 	return freePtr - hdrSize - n*slotSize - slotSize
 }
 
-// insertCell places a cell at index i, shifting slots. Returns false when
-// the page is full even after compaction.
-func insertCell(d []byte, i int, cell []byte) bool {
-	if freeBytes(d) < len(cell) {
-		if !compactNode(d) || freeBytes(d) < len(cell) {
-			return false
+// allocCell reserves size bytes of cell space and slot i for a new cell,
+// shifting later slots, and returns the cell's offset for the caller to
+// fill. It returns false when the page is full even after compaction.
+func allocCell(d []byte, i, size int) (int, bool) {
+	if freeBytes(d) < size {
+		if !compactNode(d) || freeBytes(d) < size {
+			return 0, false
 		}
 	}
 	freePtr := int(binary.BigEndian.Uint16(d[hdrFreePtr:]))
 	if freePtr == 0 {
 		freePtr = pagestore.PageSize
 	}
-	off := freePtr - len(cell)
-	copy(d[off:], cell)
+	off := freePtr - size
 	binary.BigEndian.PutUint16(d[hdrFreePtr:], uint16(off))
 	n := nKeys(d)
 	copy(d[hdrSize+(i+1)*slotSize:hdrSize+(n+1)*slotSize], d[hdrSize+i*slotSize:hdrSize+n*slotSize])
 	setCellOff(d, i, off)
 	binary.BigEndian.PutUint16(d[hdrNKeys:], uint16(n+1))
-	return true
+	return off, true
+}
+
+// insertCell places a prebuilt cell at index i (see allocCell).
+func insertCell(d []byte, i int, cell []byte) bool {
+	off, ok := allocCell(d, i, len(cell))
+	if ok {
+		copy(d[off:], cell)
+	}
+	return ok
 }
 
 // removeCell deletes cell i (slot shift only; bytes reclaimed on compaction).
@@ -290,13 +309,12 @@ func compactNode(d []byte) bool {
 	return true
 }
 
-func leafCell(key, val []byte) []byte {
-	cell := make([]byte, 2+len(key)+2+len(val))
-	binary.BigEndian.PutUint16(cell, uint16(len(key)))
-	copy(cell[2:], key)
-	binary.BigEndian.PutUint16(cell[2+len(key):], uint16(len(val)))
-	copy(cell[4+len(key):], val)
-	return cell
+// putLeafCell writes a leaf cell for key and val at the start of dst.
+func putLeafCell(dst, key, val []byte) {
+	binary.BigEndian.PutUint16(dst, uint16(len(key)))
+	copy(dst[2:], key)
+	binary.BigEndian.PutUint16(dst[2+len(key):], uint16(len(val)))
+	copy(dst[4+len(key):], val)
 }
 
 func internalCell(key []byte, child pagestore.PageID) []byte {
@@ -341,7 +359,7 @@ func (t *Tree) descend(key []byte) (*buffer.Frame, error) {
 			f.RUnlock()
 			return f, nil
 		}
-		next := childFor(f.Data, key)
+		next, _ := route(f.Data, key)
 		f.RUnlock()
 		t.pool.Unpin(f, false)
 		pg = next
@@ -373,73 +391,134 @@ func needsSplit(d []byte, need int) bool {
 	return freeBytes(d) < need && liveFree(d) < need
 }
 
-// Put inserts or replaces the value under key.
+// Put inserts or replaces the value under key: a one-entry PutSorted.
+func (t *Tree) Put(key, val []byte) error {
+	one := [1]Entry{{Key: key, Value: val}}
+	return t.PutSorted(one[:])
+}
+
+// PutSorted inserts or replaces entries whose keys ascend strictly. A bad
+// entry (out of order, or over the size limits) fails the call before the
+// tree is touched.
 //
-// The insert is a single top-down pass with preemptive splits: any node on
+// Each leaf visit is one top-down pass with preemptive splits: any node on
 // the path that could not absorb its worst-case insertion is split BEFORE
 // the descent continues, so each split only ever touches a parent that is
 // guaranteed to have room. The page for a split is allocated before the
-// first byte of the tree is modified at that level, which makes Put atomic
-// under allocation failure: on a full device it returns the typed no-space
-// error with the tree exactly as it was, instead of leaving a child split
-// whose separator no ancestor could be given.
-func (t *Tree) Put(key, val []byte) error {
-	if len(key) > MaxKey || len(val) > MaxValue {
-		return fmt.Errorf("%w: key %d, value %d", ErrKeyTooLarge, len(key), len(val))
+// first byte of the tree is modified at that level, which makes a visit
+// atomic under allocation failure: on a full device it returns the typed
+// no-space error with the tree exactly as the previous visit left it,
+// instead of leaving a child split whose separator no ancestor could be
+// given.
+//
+// The leaf then takes the visit's first entry and, inside the same Modify
+// (one diff, one WAL record), every following entry that routes below the
+// path's next separator and passes the leaf's room check. A visit that split
+// nothing left every node above the leaf as that check found it, so the
+// later entries face exactly the checks and routes a sequential Put of each
+// would: the tree comes out byte-identical apart from page LSNs. A visit
+// that split stops after its first entry, and the next visit re-checks from
+// the root. t.mu is held per visit, not per call, so readers interleave with
+// a long run.
+func (t *Tree) PutSorted(entries []Entry) error {
+	for i, e := range entries {
+		if len(e.Key) > MaxKey || len(e.Value) > MaxValue {
+			return fmt.Errorf("%w: key %d, value %d", ErrKeyTooLarge, len(e.Key), len(e.Value))
+		}
+		if i > 0 && bytes.Compare(entries[i-1].Key, e.Key) >= 0 {
+			return fmt.Errorf("btree: PutSorted entry %d does not ascend", i)
+		}
 	}
-	leafNeed := 2 + len(key) + 2 + len(val)
+	for len(entries) > 0 {
+		n, err := t.putVisit(entries)
+		if err != nil {
+			return err
+		}
+		entries = entries[n:]
+	}
+	return nil
+}
+
+// putVisit is one leaf visit of PutSorted: it descends for run[0], stores
+// what the leaf may take, and reports how many entries that was (at least
+// one, unless it fails).
+func (t *Tree) putVisit(run []Entry) (int, error) {
+	key := run[0].Key
+	leafNeed := 2 + len(key) + 2 + len(run[0].Value)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
 	f, err := t.pool.Fetch(t.root)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	f.RLock()
 	need := maxInternalCell
 	if isLeaf(f.Data) {
 		need = leafNeed
 	}
-	full := needsSplit(f.Data, need)
+	split := needsSplit(f.Data, need)
 	f.RUnlock()
-	if full {
+	if split {
 		if err := t.splitRoot(f); err != nil {
 			t.pool.Unpin(f, false)
-			return err
+			return 0, err
 		}
 		t.pool.Unpin(f, false)
 		if f, err = t.pool.Fetch(t.root); err != nil {
-			return err
+			return 0, err
 		}
 	}
 
 	// Invariant from here: f has room for whatever this pass inserts into it.
+	// t.fence holds the leaf's exclusive upper bound (none while hasFence is
+	// false): the separator after the chosen child at the deepest level that
+	// has one, since a subtree's separators lie below its parent's.
+	hasFence := false
 	for {
 		f.RLock()
 		leaf := isLeaf(f.Data)
 		var child pagestore.PageID
 		if !leaf {
-			child = childFor(f.Data, key)
+			var next int
+			child, next = route(f.Data, key)
+			if next < nKeys(f.Data) {
+				t.fence = append(t.fence[:0], cellKey(f.Data, next)...)
+				hasFence = true
+			}
 		}
 		f.RUnlock()
 		if leaf {
+			n := 0
 			err = t.pool.Modify(f, func(d []byte) error {
-				i, exact := search(d, key)
-				if exact {
-					removeCell(d, i)
-				}
-				if !insertCell(d, i, leafCell(key, val)) {
-					return errors.New("btree: leaf full after preemptive split")
+				for n = 0; n < len(run); n++ {
+					e := run[n]
+					if n > 0 && (split || hasFence && bytes.Compare(e.Key, t.fence) >= 0 ||
+						needsSplit(d, 2+len(e.Key)+2+len(e.Value))) {
+						break
+					}
+					i, exact := search(d, e.Key)
+					if exact {
+						removeCell(d, i)
+					}
+					off, ok := allocCell(d, i, 2+len(e.Key)+2+len(e.Value))
+					if !ok {
+						return errors.New("btree: leaf full after preemptive split")
+					}
+					putLeafCell(d[off:], e.Key, e.Value)
 				}
 				return nil
 			})
 			t.pool.Unpin(f, false)
-			return err
+			if err != nil {
+				return 0, err
+			}
+			return n, nil
 		}
 		cf, err := t.pool.Fetch(child)
 		if err != nil {
 			t.pool.Unpin(f, false)
-			return err
+			return 0, err
 		}
 		cf.RLock()
 		need := maxInternalCell
@@ -452,17 +531,18 @@ func (t *Tree) Put(key, val []byte) error {
 			if err := t.splitChild(f, cf); err != nil {
 				t.pool.Unpin(cf, false)
 				t.pool.Unpin(f, false)
-				return err
+				return 0, err
 			}
+			split = true
 			// The separator may route key into the new right sibling.
 			f.RLock()
-			next := childFor(f.Data, key)
+			next, _ := route(f.Data, key)
 			f.RUnlock()
 			if next != cf.ID {
 				t.pool.Unpin(cf, false)
 				if cf, err = t.pool.Fetch(next); err != nil {
 					t.pool.Unpin(f, false)
-					return err
+					return 0, err
 				}
 			}
 		}

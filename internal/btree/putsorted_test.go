@@ -1,0 +1,286 @@
+package btree
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"rx/internal/buffer"
+	"rx/internal/pagestore"
+)
+
+// countLog is a PageLogger that keeps only a record count. Its LSNs make the
+// page LSNs of two trees differ, which is why the comparison skips [0,8).
+type countLog struct{ n buffer.LSN }
+
+func (l *countLog) LogPageDelta(pagestore.PageID, []buffer.PageRun) (buffer.LSN, error) {
+	l.n++
+	return l.n, nil
+}
+
+// sortedCase is one generated PutSorted workload: entries to pre-fill in
+// insertion order, keys to delete after that (holes that only compaction
+// reclaims), then strictly ascending runs that reuse some live and some
+// deleted keys under new values (exact-key replacements).
+type sortedCase struct {
+	prefill []Entry
+	deletes [][]byte
+	runs    [][]Entry
+}
+
+// genSortedCase draws a case over nKeys distinct keys whose lengths reach
+// maxKey and whose values reach maxVal.
+func genSortedCase(rng *rand.Rand, nKeys, maxKey, maxVal int) sortedCase {
+	size := func(limit int) int {
+		if rng.Intn(8) == 0 {
+			return limit - rng.Intn(limit/8+1) // near the limit
+		}
+		return rng.Intn(min(limit, 48) + 1)
+	}
+	seen := map[string]bool{}
+	var keys [][]byte
+	for len(keys) < nKeys {
+		k := make([]byte, max(1, size(maxKey)))
+		rng.Read(k)
+		if !seen[string(k)] {
+			seen[string(k)] = true
+			keys = append(keys, k)
+		}
+	}
+	val := func() []byte {
+		v := make([]byte, size(maxVal))
+		rng.Read(v)
+		return v
+	}
+	var c sortedCase
+	for _, i := range rng.Perm(nKeys)[:rng.Intn(nKeys+1)] {
+		c.prefill = append(c.prefill, Entry{Key: keys[i], Value: val()})
+	}
+	for _, e := range c.prefill {
+		if rng.Intn(3) == 0 {
+			c.deletes = append(c.deletes, e.Key)
+		}
+	}
+	for r := 1 + rng.Intn(3); r > 0; r-- {
+		var run []Entry
+		for _, i := range rng.Perm(nKeys)[:1+rng.Intn(nKeys)] {
+			run = append(run, Entry{Key: keys[i], Value: val()})
+		}
+		slices.SortFunc(run, func(x, y Entry) int { return bytes.Compare(x.Key, y.Key) })
+		c.runs = append(c.runs, run)
+	}
+	return c
+}
+
+// checkPutSortedMatchesPut applies c to two logged trees on 8-frame pools —
+// small enough that frames are evicted in the middle of a run — one taking
+// each run as sequential Puts, the other as one PutSorted. Every page must
+// be byte-identical outside the LSN field. It returns the page-delta
+// records each tree logged for the runs.
+func checkPutSortedMatchesPut(t *testing.T, c sortedCase) (seqRecs, batRecs buffer.LSN) {
+	t.Helper()
+	var trees [2]*Tree
+	var logs [2]*countLog
+	for i := range trees {
+		pool := buffer.New(pagestore.NewMemStore(), 8)
+		logs[i] = &countLog{}
+		pool.SetLogger(logs[i])
+		tr, err := Create(pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range c.prefill {
+			if err := tr.Put(e.Key, e.Value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range c.deletes {
+			if err := tr.Delete(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		trees[i] = tr
+	}
+	seq, bat := trees[0], trees[1]
+	seq0, bat0 := logs[0].n, logs[1].n
+	for _, run := range c.runs {
+		for _, e := range run {
+			if err := seq.Put(e.Key, e.Value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bat.PutSorted(run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seqPages, err := seq.Pages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	batPages, err := bat.Pages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(seqPages, batPages) {
+		t.Fatalf("tree pages differ:\nPut       %v\nPutSorted %v", seqPages, batPages)
+	}
+	if n, m := seq.pool.Store().NumPages(), bat.pool.Store().NumPages(); n != m {
+		t.Fatalf("store pages: Put %d, PutSorted %d", n, m)
+	}
+	for _, pg := range seqPages {
+		sf, err := seq.pool.Fetch(pg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bf, err := bat.pool.Fetch(pg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := bytes.Equal(sf.Data[8:], bf.Data[8:])
+		seq.pool.Unpin(sf, false)
+		bat.pool.Unpin(bf, false)
+		if !same {
+			t.Fatalf("page %d differs between Put and PutSorted", pg)
+		}
+	}
+	return logs[0].n - seq0, logs[1].n - bat0
+}
+
+// PutSorted is an optimisation of sequential Put, not a different tree:
+// over runs from empty trees (root splits), pre-filled and holed trees
+// (compaction), exact-key replacements, and keys and values up to the size
+// limits, every page comes out as sequential Put leaves it. A run of many
+// keys costs fewer page-delta records.
+func TestPutSortedMatchesPut(t *testing.T) {
+	shapes := []struct {
+		name           string
+		keys, key, val int
+	}{
+		{"small", 3000, 24, 16},
+		{"max-size", 300, MaxKey, MaxValue},
+		{"mixed", 1500, MaxKey, MaxValue},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			var seqRecs, batRecs buffer.LSN
+			for seed := int64(1); seed <= 8; seed++ {
+				s, b := checkPutSortedMatchesPut(t, genSortedCase(rand.New(rand.NewSource(seed)), sh.keys, sh.key, sh.val))
+				seqRecs += s
+				batRecs += b
+			}
+			if batRecs >= seqRecs {
+				t.Errorf("PutSorted logged %d page-delta records, sequential Put %d", batRecs, seqRecs)
+			}
+		})
+	}
+}
+
+func FuzzPutSorted(f *testing.F) {
+	f.Add(int64(1), uint16(200), uint16(32), uint16(16))
+	f.Add(int64(2), uint16(120), uint16(MaxKey), uint16(MaxValue))
+	f.Fuzz(func(t *testing.T, seed int64, keys, maxKey, maxVal uint16) {
+		c := genSortedCase(rand.New(rand.NewSource(seed)),
+			1+int(keys)%600, 1+int(maxKey)%MaxKey, int(maxVal)%(MaxValue+1))
+		checkPutSortedMatchesPut(t, c)
+	})
+}
+
+func TestPutSortedRejectsBadRuns(t *testing.T) {
+	tr := newTree(t, 64)
+	for name, run := range map[string][]Entry{
+		"descending": {{Key: key(2)}, {Key: key(1)}},
+		"duplicate":  {{Key: key(1)}, {Key: key(1)}},
+		"too large":  {{Key: key(1)}, {Key: make([]byte, MaxKey+1)}},
+	} {
+		if err := tr.PutSorted(run); err == nil {
+			t.Errorf("%s: PutSorted accepted %d entries", name, len(run))
+		}
+	}
+	if n, _ := tr.Count(); n != 0 {
+		t.Errorf("rejected runs left %d entries", n)
+	}
+}
+
+// Readers run beside a long PutSorted: every scan comes back sorted and
+// duplicate-free, every pre-filled key stays readable, and some scan sees the
+// batch part-way in — which a lock held for the whole call would never allow.
+func TestPutSortedReadersInterleave(t *testing.T) {
+	tr := newTree(t, 1024)
+	const pre, batch = 1000, 20000
+	ikey := func(i int) []byte { // batch keys are even, pre-filled keys odd
+		k := make([]byte, 16)
+		binary.BigEndian.PutUint64(k, uint64(i))
+		return k
+	}
+	for i := 0; i < pre; i++ {
+		if err := tr.Put(ikey(2*i+1), []byte("pre")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var partial atomic.Int64
+	for round := 0; round < 10 && partial.Load() == 0; round++ {
+		run := make([]Entry, batch)
+		base := 2 * (pre + round*batch) // disjoint from the odd keys and earlier rounds
+		for i := range run {
+			run[i] = Entry{Key: ikey(base + 2*i), Value: bytes.Repeat([]byte{byte(i)}, 32)}
+		}
+		lo, hi := run[0].Key, ikey(base+2*batch)
+		var done atomic.Bool
+		var wg sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(r)))
+				for !done.Load() {
+					k := ikey(2*rng.Intn(pre) + 1)
+					if v, err := tr.Get(k); err != nil || string(v) != "pre" {
+						t.Errorf("Get(%x) = %q, %v", k, v, err)
+						return
+					}
+					if e, err := tr.Ceiling(k); err != nil || !bytes.Equal(e.Key, k) {
+						t.Errorf("Ceiling(%x) = %x, %v", k, e.Key, err)
+						return
+					}
+					var prev []byte
+					n := 0
+					err := tr.Scan(lo, hi, func(e Entry) bool {
+						if prev != nil && bytes.Compare(prev, e.Key) >= 0 {
+							t.Errorf("scan key %x after %x", e.Key, prev)
+							return false
+						}
+						prev = e.Key
+						n++
+						return true
+					})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if n > 0 && n < batch {
+						partial.Add(1)
+					}
+				}
+			}(r)
+		}
+		err := tr.PutSorted(run)
+		done.Store(true)
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if t.Failed() {
+			return
+		}
+	}
+	if partial.Load() == 0 {
+		t.Error("no reader saw a batch part-way in: PutSorted held the tree lock for the whole call")
+	}
+	if n, _ := tr.Count(); n < pre+batch {
+		t.Errorf("count = %d", n)
+	}
+}

@@ -95,7 +95,8 @@ type PageLogger interface {
 	// and recovery must never reconstruct a page that is halfway through a
 	// Modify (say, a B+tree header counting a cell whose bytes never made
 	// the log). One record is atomic under the log's checksum framing — it
-	// is either entirely durable or entirely discarded.
+	// is either entirely durable or entirely discarded. runs and the bytes
+	// they alias are valid only during the call.
 	LogPageDelta(id pagestore.PageID, runs []PageRun) (LSN, error)
 }
 
@@ -232,10 +233,16 @@ func (p *Pool) SetFlushLSN(fn func(LSN) error) { p.flushLSN = fn }
 // concurrent use. With no logger, Modify skips the before-copy and the diff.
 func (p *Pool) SetLogger(l PageLogger) { p.logger = l }
 
-// beforeImages recycles Modify's before-copies. A fresh page-sized array is
-// zeroed before the copy overwrites it, and that zeroing alone costs more
-// than diffing a sparse change.
-var beforeImages = sync.Pool{New: func() any { return new([pagestore.PageSize]byte) }}
+// modifyScratch is what Modify recycles between calls: the before-copy (a
+// fresh page-sized array is zeroed before the copy overwrites it, and that
+// zeroing alone costs more than diffing a sparse change) and the run list
+// the diff appends to.
+type modifyScratch struct {
+	before [pagestore.PageSize]byte
+	runs   []PageRun
+}
+
+var modifyScratches = sync.Pool{New: func() any { return new(modifyScratch) }}
 
 // Modify applies a mutation to the frame under its exclusive latch, logs the
 // resulting page delta to the attached logger, stamps the page LSN into
@@ -253,14 +260,15 @@ func (p *Pool) Modify(f *Frame, fn func(data []byte) error) error {
 		f.dirty.Store(true)
 		return nil
 	}
-	before := beforeImages.Get().(*[pagestore.PageSize]byte)
-	defer beforeImages.Put(before)
-	copy(before[:], f.Data)
+	sc := modifyScratches.Get().(*modifyScratch)
+	defer modifyScratches.Put(sc)
+	copy(sc.before[:], f.Data)
 	if err := fn(f.Data); err != nil {
-		copy(f.Data, before[:]) // roll the page back; mutation failed
+		copy(f.Data, sc.before[:]) // roll the page back; mutation failed
 		return err
 	}
-	runs := diffRuns(before[:], f.Data)
+	sc.runs = diffRuns(sc.runs[:0], sc.before[:], f.Data)
+	runs := sc.runs
 	if len(runs) == 0 {
 		return nil // no change
 	}
@@ -309,9 +317,9 @@ func PageLSN(d []byte) LSN {
 // changes what every Modify logs.
 const diffGapMin = 64
 
-// diffRuns returns the changed regions of b against a as maximal runs
-// aliasing b, merging changes at most diffGapMin unchanged bytes apart. The
-// LSN field [0,8) is excluded: it is maintained by the logging machinery
+// diffRuns appends the changed regions of b against a to runs as maximal
+// runs aliasing b, merging changes at most diffGapMin unchanged bytes apart.
+// The LSN field [0,8) is excluded: it is maintained by the logging machinery
 // itself.
 //
 // Cost: one pass over the page, a word or more per step. Unchanged
@@ -320,8 +328,7 @@ const diffGapMin = 64
 // sparse mutation costs what it changes plus ≈page/512 block compares, not
 // one compare per page byte. The look-ahead that ends a run is where the
 // search for the next one resumes, so no stretch is scanned twice.
-func diffRuns(a, b []byte) []PageRun {
-	var runs []PageRun
+func diffRuns(runs []PageRun, a, b []byte) []PageRun {
 	i := nextDiff(a, b, 8)
 	for i < len(a) {
 		hi, next := extendRun(a, b, i+1)

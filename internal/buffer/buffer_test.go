@@ -139,13 +139,13 @@ func (errSentinel) Error() string { return "sentinel" }
 func TestDiffRuns(t *testing.T) {
 	a := make([]byte, pagestore.PageSize)
 	b := make([]byte, pagestore.PageSize)
-	if runs := diffRuns(a, b); len(runs) != 0 {
+	if runs := diffRuns(nil, a, b); len(runs) != 0 {
 		t.Errorf("identical: %v", runs)
 	}
 	// Two changes a short gap apart merge; one beyond diffGapMin splits off.
 	b[100], b[120] = 1, 2
 	b[122+diffGapMin] = 3
-	runs := diffRuns(a, b)
+	runs := diffRuns(nil, a, b)
 	if len(runs) != 2 || runs[0].Off != 100 || len(runs[0].After) != 21 ||
 		runs[1].Off != 122+diffGapMin || len(runs[1].After) != 1 || runs[1].After[0] != 3 {
 		t.Errorf("got %+v", runs)
@@ -155,14 +155,14 @@ func TestDiffRuns(t *testing.T) {
 	for gap, want := range map[int]int{diffGapMin: 1, diffGapMin + 1: 2} {
 		b = make([]byte, pagestore.PageSize)
 		b[100], b[101+gap] = 1, 2
-		if runs := diffRuns(a, b); len(runs) != want {
+		if runs := diffRuns(nil, a, b); len(runs) != want {
 			t.Errorf("gap %d: %d runs, want %d: %+v", gap, len(runs), want, runs)
 		}
 	}
 	// Changes within the LSN field are ignored.
 	b = make([]byte, pagestore.PageSize)
 	b[3] = 9
-	if runs := diffRuns(a, b); len(runs) != 0 {
+	if runs := diffRuns(nil, a, b); len(runs) != 0 {
 		t.Errorf("LSN-only diff: %v", runs)
 	}
 }
@@ -198,7 +198,7 @@ func diffRunsRef(a, b []byte) []PageRun {
 // offsets and after-image bytes.
 func checkDiffRuns(t *testing.T, name string, a, b []byte) {
 	t.Helper()
-	got, want := diffRuns(a, b), diffRunsRef(a, b)
+	got, want := diffRuns(nil, a, b), diffRunsRef(a, b)
 	same := len(got) == len(want)
 	for i := 0; same && i < len(got); i++ {
 		same = got[i].Off == want[i].Off && bytes.Equal(got[i].After, want[i].After)

@@ -11,7 +11,10 @@ package core
 //     packed heap records, accumulating the NodeID-index entries they
 //     produce; (2) insert those entries in key order; (3) base rows and the
 //     DocID index; (4) per value index, one streaming key-generation pass per
-//     document, keys sorted, inserted in order. B+trees see monotone inserts
+//     document, each match's RID taken from pass 1's sorted intervals (no
+//     NodeID-index probe), keys sorted, inserted in order. Every pass hands
+//     its sorted run to btree's PutSorted, which writes a leaf at a time: one
+//     descent, one page diff and one WAL record per leaf visit, not per key,
 //     whether the call carries one document or ten thousand.
 //
 // Atomicity is the transaction's, not the pipeline's: Txn.InsertBatch logs
@@ -30,9 +33,11 @@ import (
 	"sync"
 
 	"rx/internal/arena"
+	"rx/internal/btree"
 	"rx/internal/heap"
 	"rx/internal/memgov"
 	"rx/internal/nodeid"
+	"rx/internal/nodeindex"
 	"rx/internal/pack"
 	"rx/internal/quickxscan"
 	"rx/internal/valueindex"
@@ -128,10 +133,12 @@ type nodeEntry struct {
 	rid   heap.RID
 }
 
-// valEntry is one deferred value-index insertion, key pre-assembled.
-type valEntry struct {
-	key []byte
-	rid heap.RID
+// docIntervals returns doc's entries of ns, which is sorted by (doc, upper).
+func docIntervals(ns []nodeEntry, doc xml.DocID) []nodeEntry {
+	byDoc := func(e nodeEntry, d xml.DocID) int { return cmp.Compare(e.doc, d) }
+	lo, _ := slices.BinarySearchFunc(ns, doc, byDoc)
+	hi, _ := slices.BinarySearchFunc(ns[lo:], doc+1, byDoc)
+	return ns[lo : lo+hi]
 }
 
 // ingestLocked stores token streams under their pre-allocated DocIDs (ids
@@ -141,10 +148,11 @@ type valEntry struct {
 func (c *Collection) ingestLocked(ids []xml.DocID, streams [][]byte, mem *memgov.Budget) error {
 	// Packing and key scratch for the whole call comes from the ingest arena,
 	// reset once at the end: the interval endpoints accumulated in nodeScratch
-	// (pass 2) and the assembled value keys (pass 4) stay valid until then,
-	// by which time pages and index entries own their own copies. The arena
-	// is the call's other staging ground beside the parse arena; its growth
-	// is charged against the budget at the pass boundaries where it grows.
+	// (pass 1) and the index entries assembled in passes 2–4 stay valid until
+	// then, by which time pages and index entries own their own copies. The
+	// arena is the call's other staging ground beside the parse arena; its
+	// growth is charged against the budget at the pass boundaries where it
+	// grows.
 	a := c.ingestArena()
 	defer a.Reset()
 	foot := int64(a.Footprint())
@@ -192,46 +200,53 @@ func (c *Collection) ingestLocked(ids []xml.DocID, streams [][]byte, mem *memgov
 	}
 
 	// Pass 2 — NodeID index, in key order: (DocID, NodeID) sorts exactly
-	// like the tree's composite keys, so the B+tree sees monotone inserts.
+	// like the tree's composite keys, so the run enters the B+tree a leaf at
+	// a time. The sorted list also serves pass 4's RID lookups.
 	slices.SortFunc(c.nodeScratch, func(x, y nodeEntry) int {
 		if x.doc != y.doc {
 			return cmp.Compare(x.doc, y.doc)
 		}
 		return bytes.Compare(x.upper, y.upper)
 	})
+	ents := c.entScratch[:0]
+	defer func() { c.entScratch = ents[:0] }()
 	for _, e := range c.nodeScratch {
-		var err error
+		var key []byte
 		if c.meta.Versioned {
-			err = c.nodeIx.PutV(e.doc, 1, e.upper, e.rid)
+			key = nodeindex.AppendVKey(a.Make(16+len(e.upper)), e.doc, 1, e.upper)
 		} else {
-			err = c.nodeIx.Put(e.doc, e.upper, e.rid)
+			key = nodeindex.AppendKey(a.Make(8+len(e.upper)), e.doc, e.upper)
 		}
-		if err != nil {
-			return err
-		}
+		ents = append(ents, btree.Entry{Key: key, Value: e.rid.Append(a.Make(6))})
+	}
+	if err := c.nodeIx.Tree().PutSorted(ents); err != nil {
+		return err
 	}
 
 	// Pass 3 — base rows (the implicit DocID column, plus the current version
-	// for versioned collections) and the DocID index; IDs ascend, so these
-	// puts are in key order already.
+	// for versioned collections), then the DocID index; IDs ascend, so its
+	// entries are in key order already.
+	ents = ents[:0]
 	for _, id := range ids {
 		baseRID, err := c.base.Insert(c.baseRow(id, 1))
 		if err != nil {
 			return err
 		}
-		var d [8]byte
-		binary.BigEndian.PutUint64(d[:], uint64(id))
-		if err := c.docIx.Put(d[:], baseRID.Bytes()); err != nil {
-			return err
-		}
+		key := binary.BigEndian.AppendUint64(a.Make(8), uint64(id))
+		ents = append(ents, btree.Entry{Key: key, Value: baseRID.Append(a.Make(6))})
+	}
+	if err := c.docIx.PutSorted(ents); err != nil {
+		return err
 	}
 
 	// Pass 4 — value indexes (§3.3): one streaming key-generation pass per
-	// document per index, keys sorted, inserted in order. Needs the NodeID
-	// index populated (pass 2) to resolve match nodes to record RIDs.
+	// document per index, keys sorted, inserted a leaf at a time. A match's
+	// RID comes from the document's slice of the sorted interval list — the
+	// successor search a NodeID-index lookup would make (§3.4), without the
+	// probe.
 	var ixEntries map[string]int64
 	for _, ov := range c.valIxs {
-		entries := c.valScratch[:0]
+		ents = ents[:0]
 		for i, stream := range streams {
 			matches, err := quickxscan.EvalTokens(ov.keygen, stream)
 			if err != nil {
@@ -241,11 +256,13 @@ func (c *Collection) ingestLocked(ids []xml.DocID, streams [][]byte, mem *memgov
 			if err := c.noteMatches(ov, len(matches)); err != nil {
 				return err
 			}
-			r := docReader{c, ids[i], 1} // a new document is version 1 (passes 2 and 3)
+			ivs := docIntervals(c.nodeScratch, ids[i])
 			for _, m := range matches {
-				rid, err := r.lookup(m.ID)
-				if err != nil {
-					return err
+				j, _ := slices.BinarySearchFunc(ivs, m.ID, func(e nodeEntry, id nodeid.ID) int {
+					return bytes.Compare(e.upper, id)
+				})
+				if j == len(ivs) {
+					return fmt.Errorf("%w: doc %d node %s", nodeindex.ErrNotFound, ids[i], m.ID)
 				}
 				enc, err := valueindex.EncodeTypedInto(a.Make(2*len(m.Value)+18), ov.ix.Type(), m.Value)
 				if err != nil {
@@ -255,22 +272,19 @@ func (c *Collection) ingestLocked(ids []xml.DocID, streams [][]byte, mem *memgov
 					return err
 				}
 				key := valueindex.AppendEntryKey(a.Make(len(enc)+8+len(m.ID)), enc, ids[i], m.ID)
-				entries = append(entries, valEntry{key: key, rid: rid})
+				ents = append(ents, btree.Entry{Key: key, Value: ivs[j].rid.Append(a.Make(6))})
 			}
 		}
-		slices.SortFunc(entries, func(x, y valEntry) int { return bytes.Compare(x.key, y.key) })
-		for _, e := range entries {
-			if err := ov.ix.PutKey(e.key, e.rid); err != nil {
-				return err
-			}
+		slices.SortFunc(ents, func(x, y btree.Entry) int { return bytes.Compare(x.Key, y.Key) })
+		if err := ov.ix.Tree().PutSorted(ents); err != nil {
+			return err
 		}
-		if len(entries) > 0 {
+		if len(ents) > 0 {
 			if ixEntries == nil {
 				ixEntries = map[string]int64{}
 			}
-			ixEntries[ov.meta.Name] += int64(len(entries))
+			ixEntries[ov.meta.Name] += int64(len(ents))
 		}
-		c.valScratch = entries
 	}
 	if err := chargeIngest(); err != nil {
 		return err

@@ -45,11 +45,12 @@ type Collection struct {
 	// ing is the ingest arena: scratch for packing and key generation, reset
 	// per ingestLocked call. Guarded by writeMu; lazily created. Its
 	// footprint stays bounded by the largest batch inserted through this
-	// collection. nodeScratch and valScratch are ingestLocked's deferred
-	// index entries, recycled the same way.
+	// collection. nodeScratch (pass 1's intervals) and entScratch (each
+	// pass's sorted run) are ingestLocked's deferred index entries, recycled
+	// the same way.
 	ing         *arena.Arena
 	nodeScratch []nodeEntry
-	valScratch  []valEntry
+	entScratch  []btree.Entry
 
 	// statsMu guards the live optimizer statistics; planner reads take a
 	// snapshot under it. Ordered after writeMu (writers note mutations while

@@ -446,46 +446,74 @@ func TestManyDocuments(t *testing.T) {
 	}
 }
 
-// TestCreateValueIndexBackfillRIDs: every entry CreateValueIndex backfills
-// carries the RID of the record that holds its node at the document's current
-// version — the same RID ingest and edits would have stored. (On a versioned
-// collection a plain-layout NodeID lookup lands on the newest version's first
-// entry, the root record.)
+// TestCreateValueIndexBackfillRIDs: every value-index entry carries the RID
+// of the record that holds its node at the document's current version —
+// reader.lookup's answer — whether CreateValueIndex backfilled it or ingest
+// wrote it. Ingest takes the RID from its own shred pass rather than a
+// NodeID-index probe, so the batch mixes small orders with a document large
+// enough to pack into several records. (On a versioned collection a
+// plain-layout NodeID lookup lands on the newest version's first entry, the
+// root record.)
 func TestCreateValueIndexBackfillRIDs(t *testing.T) {
 	bothModes(t, CollectionOptions{PackThreshold: 400}, func(t *testing.T, col *Collection) {
-		var sb strings.Builder
-		sb.WriteString("<r>")
-		for i := 0; i < 60; i++ {
-			fmt.Fprintf(&sb, "<item><sku>S%03d</sku><note>%040d</note></item>", i, i)
+		big := func(prefix string) []byte {
+			var sb strings.Builder
+			sb.WriteString("<r>")
+			for i := 0; i < 60; i++ {
+				fmt.Fprintf(&sb, "<item><sku>%s%03d</sku><note>%040d</note></item>", prefix, i, i)
+			}
+			sb.WriteString("</r>")
+			return []byte(sb.String())
 		}
-		sb.WriteString("</r>")
-		doc := mustInsert(t, col, []byte(sb.String()))
+		backfilled := mustInsert(t, col, big("S"))
 		if err := col.CreateValueIndex("by_sku", "/r/item/sku", xml.TString); err != nil {
 			t.Fatal(err)
 		}
-		r, err := col.reader(doc)
+		batch := [][]byte{
+			[]byte("<r><item><sku>A1</sku></item></r>"),
+			big("B"),
+			[]byte("<r><item><sku>C1</sku></item><item><sku>C2</sku></item></r>"),
+			[]byte("<r><note>no sku</note></r>"),
+		}
+		ids, err := txnInsertBatch(col, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries, rids := 0, map[heap.RID]bool{}
+		readers := map[xml.DocID]docReader{}
+		rids := map[xml.DocID]map[heap.RID]bool{}
+		entries := 0
 		err = col.ValueIndex("by_sku").Scan(valueindex.Range{}, func(e valueindex.Entry) bool {
 			entries++
-			rids[e.RID] = true
+			r, ok := readers[e.Doc]
+			if !ok {
+				var err error
+				if r, err = col.reader(e.Doc); err != nil {
+					t.Error(err)
+					return false
+				}
+				readers[e.Doc], rids[e.Doc] = r, map[heap.RID]bool{}
+			}
+			rids[e.Doc][e.RID] = true
 			want, err := r.lookup(e.Node)
 			if err != nil {
 				t.Error(err)
 				return false
 			}
 			if e.RID != want {
-				t.Errorf("entry for node %s carries RID %s, its record is %s", e.Node, e.RID, want)
+				t.Errorf("doc %d: entry for node %s carries RID %s, its record is %s", e.Doc, e.Node, e.RID, want)
 			}
 			return true
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if entries != 60 || len(rids) < 2 {
-			t.Fatalf("%d entries over %d records: the document must span records", entries, len(rids))
+		if entries != 60+1+60+2 {
+			t.Fatalf("%d entries, want %d", entries, 60+1+60+2)
+		}
+		for _, doc := range []xml.DocID{backfilled, ids[1]} {
+			if len(rids[doc]) < 2 {
+				t.Fatalf("doc %d: entries over %d records: the document must span records", doc, len(rids[doc]))
+			}
 		}
 	})
 }

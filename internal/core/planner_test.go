@@ -156,7 +156,7 @@ func TestMalformedIndexEntryFailsCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.PutKey(append(enc, 0, 0, 0), heap.RID{}); err != nil {
+	if err := ix.Tree().Put(append(enc, 0, 0, 0), heap.RID{}.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	const q = `/r[v >= 3]`

@@ -50,11 +50,11 @@ var InvalidRID = RID{Page: pagestore.InvalidPage}
 func (r RID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
 
 // Bytes encodes the RID into 6 bytes.
-func (r RID) Bytes() []byte {
-	var b [6]byte
-	binary.BigEndian.PutUint32(b[0:4], uint32(r.Page))
-	binary.BigEndian.PutUint16(b[4:6], r.Slot)
-	return b[:]
+func (r RID) Bytes() []byte { return r.Append(make([]byte, 0, 6)) }
+
+// Append appends the RID's 6-byte encoding to dst.
+func (r RID) Append(dst []byte) []byte {
+	return binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint32(dst, uint32(r.Page)), r.Slot)
 }
 
 // RIDFromBytes decodes a RID encoded by Bytes.

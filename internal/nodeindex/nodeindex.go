@@ -52,14 +52,18 @@ func Open(pool *buffer.Pool, meta pagestore.PageID) (*Index, error) {
 // MetaPage returns the index's durable identity.
 func (ix *Index) MetaPage() pagestore.PageID { return ix.tree.MetaPage() }
 
-// Tree exposes the underlying B+tree (for stats).
+// Tree exposes the underlying B+tree (for stats, and for the bulk loader's
+// sorted runs of AppendKey / AppendVKey entries).
 func (ix *Index) Tree() *btree.Tree { return ix.tree }
 
 // Key builds the composite (DocID, NodeID) key.
 func Key(doc xml.DocID, id nodeid.ID) []byte {
-	k := make([]byte, 8, 8+len(id))
-	binary.BigEndian.PutUint64(k, uint64(doc))
-	return append(k, id...)
+	return AppendKey(make([]byte, 0, 8+len(id)), doc, id)
+}
+
+// AppendKey appends the composite (DocID, NodeID) key to dst.
+func AppendKey(dst []byte, doc xml.DocID, id nodeid.ID) []byte {
+	return append(binary.BigEndian.AppendUint64(dst, uint64(doc)), id...)
 }
 
 // SplitKey decomposes a composite key.

@@ -24,10 +24,13 @@ import (
 
 // VKey builds the composite (DocID, ^ver, NodeID) key.
 func VKey(doc xml.DocID, ver uint64, id nodeid.ID) []byte {
-	k := make([]byte, 16, 16+len(id))
-	binary.BigEndian.PutUint64(k, uint64(doc))
-	binary.BigEndian.PutUint64(k[8:], ^ver)
-	return append(k, id...)
+	return AppendVKey(make([]byte, 0, 16+len(id)), doc, ver, id)
+}
+
+// AppendVKey appends the composite (DocID, ^ver, NodeID) key to dst.
+func AppendVKey(dst []byte, doc xml.DocID, ver uint64, id nodeid.ID) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(doc))
+	return append(binary.BigEndian.AppendUint64(dst, ^ver), id...)
 }
 
 // SplitVKey decomposes a versioned key.

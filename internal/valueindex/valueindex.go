@@ -105,7 +105,8 @@ func (ix *Index) Path() *xpath.Query { return ix.path }
 // Type returns the key type.
 func (ix *Index) Type() xml.TypeID { return ix.typ }
 
-// Tree exposes the underlying B+tree (stats, tests).
+// Tree exposes the underlying B+tree (stats, tests, and the bulk loader's
+// sorted runs of AppendEntryKey entries).
 func (ix *Index) Tree() *btree.Tree { return ix.tree }
 
 // EncodeValue converts a node's string value to an order-preserving key
@@ -167,19 +168,13 @@ func entryKey(encVal []byte, doc xml.DocID, id nodeid.ID) []byte {
 
 // AppendEntryKey assembles the full (encoded value, DocID, NodeID) entry key,
 // appending into dst (arena scratch friendly). Exported for the bulk loader,
-// which sorts assembled keys before insertion so B+tree puts run in key
-// order.
+// which sorts assembled keys and hands them to the tree's PutSorted.
 func AppendEntryKey(dst []byte, encVal []byte, doc xml.DocID, id nodeid.ID) []byte {
 	k := append(dst, encVal...)
 	var d [8]byte
 	binary.BigEndian.PutUint64(d[:], uint64(doc))
 	k = append(k, d[:]...)
 	return append(k, id...)
-}
-
-// PutKey inserts a pre-assembled entry key (see AppendEntryKey).
-func (ix *Index) PutKey(key []byte, rid heap.RID) error {
-	return ix.tree.Put(key, rid.Bytes())
 }
 
 // Put inserts an entry for a node's value. Unconvertible values return

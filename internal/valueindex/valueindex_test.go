@@ -158,7 +158,7 @@ func TestMalformedEntryFailsScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.PutKey(append(enc, 0, 0, 0), rid(7)); err != nil {
+	if err := ix.Tree().Put(append(enc, 0, 0, 0), rid(7).Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	r, err := ix.RangeForOp(xpath.GE, xpath.Literal{IsNum: true, Num: 3})

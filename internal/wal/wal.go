@@ -28,6 +28,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -174,6 +175,7 @@ type Log struct {
 
 	commits atomic.Uint64 // Commit calls
 	syncs   atomic.Uint64 // dev.Sync calls issued by Flush
+	deltas  atomic.Uint64 // LogPageDelta records
 
 	mu      sync.Mutex
 	tail    int64  // next append offset
@@ -271,35 +273,54 @@ func validFrameAt(dev Device, off, size int64) bool {
 }
 
 func (l *Log) appendLocked(kind Kind, payload []byte) buffer.LSN {
-	lsn := buffer.LSN(l.tail + int64(len(l.pending)) + 1)
-	frame := make([]byte, 8, 8+1+len(payload))
-	frame = append(frame, byte(kind))
-	frame = append(frame, payload...)
-	binary.BigEndian.PutUint32(frame[0:4], uint32(1+len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(frame[8:]))
-	l.pending = append(l.pending, frame...)
+	lsn, start := l.beginLocked(kind, len(payload))
+	l.pending = append(l.pending, payload...)
+	l.endLocked(start)
 	return lsn
+}
+
+// beginLocked opens a frame for a record of kind with n payload bytes at
+// the end of pending — header space, kind byte, room for the payload — and
+// returns the record's LSN and the frame's offset in pending. The caller
+// appends exactly n payload bytes, then calls endLocked.
+func (l *Log) beginLocked(kind Kind, n int) (buffer.LSN, int) {
+	start := len(l.pending)
+	l.pending = append(slices.Grow(l.pending, 8+1+n), 0, 0, 0, 0, 0, 0, 0, 0, byte(kind))
+	return buffer.LSN(l.tail + int64(start) + 1), start
+}
+
+// endLocked stamps the length and checksum of the frame beginLocked opened
+// at start.
+func (l *Log) endLocked(start int) {
+	frame := l.pending[start:]
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(frame)-8))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(frame[8:]))
 }
 
 // LogPageDelta implements buffer.PageLogger: one record for every changed
 // run of a single page mutation. See KindPageDelta for why the runs must
-// share a record.
+// share a record. The record is encoded straight into the pending buffer, so
+// each run's bytes are copied once and nothing is allocated beyond that
+// buffer's amortized growth.
 func (l *Log) LogPageDelta(id pagestore.PageID, runs []buffer.PageRun) (buffer.LSN, error) {
 	size := 8
 	for _, r := range runs {
 		size += 8 + len(r.After)
 	}
-	payload := make([]byte, 0, size)
-	payload = binary.BigEndian.AppendUint32(payload, uint32(id))
-	payload = binary.BigEndian.AppendUint32(payload, uint32(len(runs)))
-	for _, r := range runs {
-		payload = binary.BigEndian.AppendUint32(payload, uint32(r.Off))
-		payload = binary.BigEndian.AppendUint32(payload, uint32(len(r.After)))
-		payload = append(payload, r.After...)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendLocked(KindPageDelta, payload), nil
+	lsn, start := l.beginLocked(KindPageDelta, size)
+	b := binary.BigEndian.AppendUint32(l.pending, uint32(id))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(runs)))
+	for _, r := range runs {
+		b = binary.BigEndian.AppendUint32(b, uint32(r.Off))
+		b = binary.BigEndian.AppendUint32(b, uint32(len(r.After)))
+		b = append(b, r.After...)
+	}
+	l.pending = b
+	l.endLocked(start)
+	l.deltas.Add(1)
+	return lsn, nil
 }
 
 // Begin logs a transaction start.
@@ -328,6 +349,10 @@ func (l *Log) CommitCount() uint64 { return l.commits.Load() }
 
 // SyncCount reports how many device syncs Flush has issued.
 func (l *Log) SyncCount() uint64 { return l.syncs.Load() }
+
+// PageDeltaCount reports how many page-delta records have been logged: one
+// per logged Pool.Modify, so it counts page mutations, not keys or rows.
+func (l *Log) PageDeltaCount() uint64 { return l.deltas.Load() }
 
 // Abort logs a transaction abort (after its compensations).
 func (l *Log) Abort(txn uint64) (buffer.LSN, error) {
