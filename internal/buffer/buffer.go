@@ -526,7 +526,14 @@ func (p *Pool) frameFor(s *shard, id pagestore.PageID) (*Frame, bool, error) {
 			return nil, false, err
 		}
 		if !stole {
-			return nil, false, fmt.Errorf("%w (capacity %d)", ErrPoolFull, p.capacity)
+			// The sweep visits each shard once, so a frame unpinned behind it
+			// (or in s, whose lock was dropped) is missed. The pool is full
+			// only if it is at capacity with every resident frame pinned;
+			// otherwise a victim or a free slot exists, and the loop retries.
+			if res := p.resident.Load(); res >= int64(p.capacity) && p.pinned.Load() >= res {
+				return nil, false, fmt.Errorf("%w (capacity %d)", ErrPoolFull, p.capacity)
+			}
+			runtime.Gosched()
 		}
 		s.mu.Lock()
 	}

@@ -19,7 +19,7 @@ package core
 //
 // Atomicity is the transaction's, not the pipeline's: Txn.InsertBatch logs
 // each document's logical undo record before ingestLocked touches a page, so
-// a crash mid-ingest makes the transaction a loser that recovery wipes, and
+// a crash mid-ingest makes the transaction a loser that recovery removes, and
 // an in-process error is undone by Txn.Rollback the same way. One commit —
 // one device sync — covers the whole call.
 
@@ -55,7 +55,7 @@ type BatchOptions struct {
 	// Mem, when non-nil, charges the batch's staging memory (parse arena,
 	// ingest arena) against a budget; a breach fails the batch with
 	// rxerr.ErrOverBudget before any page effects (parse) or after some
-	// (ingest), which the transaction's rollback then wipes.
+	// (ingest), which the transaction's rollback then removes.
 	Mem *memgov.Budget
 }
 
@@ -144,7 +144,7 @@ func docIntervals(ns []nodeEntry, doc xml.DocID) []nodeEntry {
 // ingestLocked stores token streams under their pre-allocated DocIDs (ids
 // ascend), charging ingest staging against mem (nil = ungoverned). Caller
 // holds writeMu and owns atomicity: an error may leave the documents
-// partially stored, for Txn.Rollback / recovery (wipeDoc) to clear.
+// partially stored, for Txn.Rollback / recovery (removeDoc) to clear.
 func (c *Collection) ingestLocked(ids []xml.DocID, streams [][]byte, mem *memgov.Budget) error {
 	// Packing and key scratch for the whole call comes from the ingest arena,
 	// reset once at the end: the interval endpoints accumulated in nodeScratch

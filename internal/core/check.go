@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"rx/internal/heap"
 	"rx/internal/nodeid"
@@ -28,6 +29,8 @@ import (
 //     edit pipeline's proxy invariant, edit.go).
 //  6. An index flagged SingleValued has at most one node on its path in
 //     every document (the planner merges its conjuncts on that promise).
+//  7. Every DocID in the NodeID index has a DocID-index entry: no removal
+//     or rolled-back insert leaves records behind.
 func (c *Collection) CheckConsistency() error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -38,6 +41,15 @@ func (c *Collection) CheckConsistency() error {
 	for _, doc := range docs {
 		if err := c.checkDoc(doc); err != nil {
 			return fmt.Errorf("doc %d: %w", doc, err)
+		}
+	}
+	ixDocs, err := c.nodeIxDocs()
+	if err != nil {
+		return err
+	}
+	for _, doc := range ixDocs {
+		if _, ok := slices.BinarySearch(docs, doc); !ok {
+			return fmt.Errorf("doc %d: NodeID-index entries, but no DocID-index entry", doc)
 		}
 	}
 	for _, ov := range c.indexSnapshot() {

@@ -1,10 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
 
+	"rx/internal/btree"
+	"rx/internal/heap"
+	"rx/internal/nodeid"
+	"rx/internal/nodeindex"
 	"rx/internal/xml"
 )
 
@@ -111,5 +117,199 @@ func TestConsistencyVersioned(t *testing.T) {
 	}
 	if err := col.CheckConsistency(); err != nil {
 		t.Fatalf("after vacuum: %v", err)
+	}
+}
+
+// versionedFixture is a versioned collection holding two multi-record
+// documents, the first edited once (two versions), with a value index when
+// indexed is set. It returns the collection, the edited document and its
+// serialization.
+func versionedFixture(t *testing.T, indexed bool) (*DB, *Collection, xml.DocID, string) {
+	t.Helper()
+	db := newDB(t)
+	col, err := db.CreateCollection("v", CollectionOptions{Versioned: true, PackThreshold: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if indexed {
+		if err := col.CreateValueIndex("ix", "//v", xml.TDouble); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ids []xml.DocID
+	for d := 0; d < 2; d++ {
+		var sb strings.Builder
+		sb.WriteString("<r>")
+		for i := 0; i < 40; i++ {
+			fmt.Fprintf(&sb, "<e><v>%d</v><pad>%030d</pad></e>", d*100+i, i)
+		}
+		sb.WriteString("</r>")
+		ids = append(ids, mustInsert(t, col, []byte(sb.String())))
+	}
+	id := ids[0]
+	res, _, err := col.QueryOpts("//e[v = 7]/v/text()", QueryOptions{})
+	if err != nil || len(res) != 1 {
+		t.Fatalf("edit target: %v, %v", res, err)
+	}
+	if err := db.RunTxn(func(tx *Txn) error { return tx.UpdateText(col, id, res[0].Node, []byte("77")) }); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := col.Serialize(id, &buf); err != nil {
+		t.Fatal(err)
+	}
+	return db, col, id, buf.String()
+}
+
+// nodeEntriesOf counts a document's NodeID-index entries, every version.
+func nodeEntriesOf(t *testing.T, col *Collection, doc xml.DocID) int {
+	t.Helper()
+	n := 0
+	err := col.nodeIx.Tree().Scan(nodeindex.Key(doc, nodeid.Root), nodeindex.Key(doc+1, nodeid.Root), func(btree.Entry) bool {
+		n++
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestInsertCompensationVersionedHalfInserted: a crash after ingest's pass 2
+// leaves a versioned document's rows and NodeID entries with no base row and
+// no DocID entry. Compensating the insert must remove them; CheckConsistency
+// (invariant 7) must see them until it does.
+func TestInsertCompensationVersionedHalfInserted(t *testing.T) {
+	db, col, id, _ := versionedFixture(t, false)
+	rowsBefore := col.XMLTable().Count()
+	var d [8]byte
+	binary.BigEndian.PutUint64(d[:], uint64(id))
+	baseRID, err := col.docIx.Get(d[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := col.base.Delete(heap.RIDFromBytes(baseRID)); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.docIx.Delete(d[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.CheckConsistency(); err == nil {
+		t.Fatal("CheckConsistency passes with NodeID entries of a document the DocID index lacks")
+	}
+	if err := db.compensate(logicalOp{Kind: "insert", Col: col.Name(), Doc: id}); err != nil {
+		t.Fatalf("insert compensation: %v", err)
+	}
+	if n := nodeEntriesOf(t, col, id); n != 0 {
+		t.Errorf("%d NodeID entries survive the compensation", n)
+	}
+	other, err := col.DocIDs()
+	if err != nil || len(other) != 1 {
+		t.Fatalf("documents left: %v, %v", other, err)
+	}
+	if rows := col.XMLTable().Count(); rows >= rowsBefore || rows == 0 {
+		t.Errorf("rows %d -> %d: the half-inserted document's rows survive", rowsBefore, rows)
+	}
+	if err := col.CheckConsistency(); err != nil {
+		t.Fatalf("after compensation: %v", err)
+	}
+}
+
+// TestRestoreVersionedHalfDeleted: a crash in the middle of removing an
+// indexed versioned document leaves its value keys gone and one of its rows
+// freed, so its tree no longer walks. Restoring it from its captured stream
+// (delete compensation) must not need that walk.
+func TestRestoreVersionedHalfDeleted(t *testing.T) {
+	_, col, id, want := versionedFixture(t, true)
+	stream, err := col.DocStream(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := col.evalStored(id, col.valIxs[0].keygen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range keys {
+		if err := col.valIxs[0].ix.Delete(m.Value, id, m.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := col.reader(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last heap.RID
+	if err := r.entries(func(_ nodeid.ID, rid heap.RID) bool { last = rid; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.xmlTbl.Delete(last); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.restoreDoc(id, stream); err != nil {
+		t.Fatalf("restore of a half-deleted document: %v", err)
+	}
+	if err := col.CheckConsistency(); err != nil {
+		t.Fatalf("after restore: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := col.Serialize(id, &buf); err != nil || buf.String() != want {
+		t.Fatalf("restored document differs (%v)", err)
+	}
+}
+
+// TestRemoveDocSkipsReusedRows: a crash inside a removal can free a
+// document's rows and base row while its index entries survive, and a later
+// insert can reuse those slots before compensation removes the document
+// (recovery replays a rolled-back transaction's restores before its insert
+// compensations). The removal must leave the new owner's rows alone.
+func TestRemoveDocSkipsReusedRows(t *testing.T) {
+	db, col, id, _ := versionedFixture(t, false)
+	var d [8]byte
+	binary.BigEndian.PutUint64(d[:], uint64(id))
+	baseBytes, err := col.docIx.Get(d[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseRID := heap.RIDFromBytes(baseBytes)
+	rows := map[heap.RID]bool{}
+	err = col.nodeIx.Tree().Scan(nodeindex.Key(id, nodeid.Root), nodeindex.Key(id+1, nodeid.Root), func(e btree.Entry) bool {
+		rows[heap.RIDFromBytes(e.Value)] = true
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rid := range rows {
+		if err := col.xmlTbl.Delete(rid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := col.base.Delete(baseRID); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	sb.WriteString("<r>")
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&sb, "<e><v>%d</v><pad>%030d</pad></e>", 500+i, i)
+	}
+	sb.WriteString("</r>")
+	want := sb.String()
+	other := mustInsert(t, col, []byte(want))
+	binary.BigEndian.PutUint64(d[:], uint64(other))
+	if b, err := col.docIx.Get(d[:]); err != nil || heap.RIDFromBytes(b) != baseRID {
+		t.Fatalf("new document's base row is not in the freed slot %s (%x, %v)", baseRID, b, err)
+	}
+	if err := db.compensate(logicalOp{Kind: "insert", Col: col.Name(), Doc: id}); err != nil {
+		t.Fatalf("insert compensation: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := col.Serialize(other, &buf); err != nil || buf.String() != want {
+		t.Fatalf("document in the reused slots damaged by the removal (%v)", err)
+	}
+	if col.Has(id) {
+		t.Error("removed document still present")
+	}
+	if err := col.CheckConsistency(); err != nil {
+		t.Fatalf("after removal: %v", err)
 	}
 }

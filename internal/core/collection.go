@@ -139,19 +139,12 @@ func (c *Collection) CreateValueIndex(name, path string, typ xml.TypeID) (err er
 		return err
 	}
 	single := true
-	for _, doc := range docs {
-		r, err := c.reader(doc)
-		if err != nil {
-			return err
-		}
-		keys, err := r.eval(kg)
-		if err != nil {
-			return err
-		}
-		single = single && len(keys) < 2
-		if err := r.putValueKeys(ix, keys); err != nil {
-			return err
-		}
+	note := func(matches int) error {
+		single = single && matches < 2
+		return nil
+	}
+	if err := c.fillValueIndex(ix, kg, docs, note, nil); err != nil {
+		return err
 	}
 	im := catalog.ValueIndexMeta{Name: name, Path: path, Type: typ, Meta: ix.MetaPage(), SingleValued: single}
 	ov := &openValueIndex{meta: im, ix: ix, keygen: kg}
@@ -181,6 +174,39 @@ func (c *Collection) CreateValueIndex(name, path string, typ xml.TypeID) (err er
 	snap := c.live.Clone()
 	c.statsMu.Unlock()
 	return c.db.cat.UpdateCollectionStats(c.meta, snap)
+}
+
+// fillValueIndex is the one value-index fill — CreateValueIndex's backfill
+// and repair's rebuild: documents in order, each one's keys evaluated from
+// its stored tree and put one at a time (putValueKeys). note sees a
+// document's match count before its puts (noteMatches' ordering). A document
+// that does not walk (vanished) contributes nothing: it is damaged, and
+// repair's restore of it puts its keys back. throttle, when non-nil, runs
+// before each document. Caller holds writeMu.
+func (c *Collection) fillValueIndex(ix *valueindex.Index, kg *quickxscan.Eval, docs []xml.DocID, note func(matches int) error, throttle func()) error {
+	for _, doc := range docs {
+		if throttle != nil {
+			throttle()
+		}
+		r, err := c.reader(doc)
+		var keys []quickxscan.Match
+		if err == nil {
+			keys, err = r.eval(kg)
+		}
+		if vanished(err) {
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		if err := note(len(keys)); err != nil {
+			return err
+		}
+		if err := r.putValueKeys(ix, keys); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ValueIndexes lists the collection's value index names.
@@ -325,12 +351,12 @@ func xmlRow(doc xml.DocID, minID nodeid.ID, payload []byte) []byte {
 // splitXMLRow decodes an internal XML table row.
 func splitXMLRow(row []byte) (xml.DocID, nodeid.ID, []byte, error) {
 	if len(row) < 9 {
-		return 0, nil, nil, errors.New("core: short XML row")
+		return 0, nil, nil, fmt.Errorf("%w: short XML row", pack.ErrCorrupt)
 	}
 	doc := xml.DocID(binary.BigEndian.Uint64(row))
 	l, n := binary.Uvarint(row[8:])
 	if n <= 0 || 8+n+int(l) > len(row) {
-		return 0, nil, nil, errors.New("core: corrupt XML row")
+		return 0, nil, nil, fmt.Errorf("%w: XML row header", pack.ErrCorrupt)
 	}
 	minID := nodeid.ID(row[8+n : 8+n+int(l)])
 	return doc, minID, row[8+n+int(l):], nil
@@ -580,161 +606,140 @@ func (c *Collection) Serialize(doc xml.DocID, w io.Writer) error {
 	return r.serialize(w)
 }
 
-// deleteLocked removes a document and all of its index entries. Caller holds
-// writeMu.
-func (c *Collection) deleteLocked(doc xml.DocID) error {
-	if c.meta.Versioned {
-		return c.deleteVersionedDoc(doc)
-	}
-	var d [8]byte
-	binary.BigEndian.PutUint64(d[:], uint64(doc))
-	baseRIDBytes, err := c.docIx.Get(d[:])
-	if err != nil {
-		return lookupErr(err, fmt.Sprintf("document %d", doc))
-	}
-	// Value index entries: regenerate keys from the stored document and
-	// delete them exactly (cheaper than scanning whole indexes).
+// removeDoc is the one document removal: Txn.Delete, compensation of an
+// insert, and restoreDoc (compensation of a delete or a plain-collection edit,
+// repair's restore) all run it. It removes whatever exists of the document,
+// every version of it, from any partial state a crash or a failed operation
+// can leave, in three steps:
+//
+//  1. Value keys. They are regenerated from the stored document at its
+//     current version, when it walks, and from prior — the pre-operation
+//     token stream an undo record carries, or nil.
+//  2. Records, then NodeID entries, both found by one index scan; records go
+//     in scan order, so page effects replay deterministically.
+//  3. The base row and the DocID entry; the statistics note the delete only
+//     if that entry existed (a half-inserted document was never counted).
+//
+// A record or base row goes only while it still holds this document
+// (deleteOwnRow).
+//
+// The regeneration is exact because the write paths keep one ordering:
+// ingest puts value keys last, an edit reconciles its keys only after its
+// record effects, and removal drops keys first. So the index holds only keys
+// of the stored tree, when that walks, or of prior. A walk that fails on a
+// missing or malformed structure (vanished) finds a document whose keys are
+// all gone already, and contributes nothing; a failing device fails the
+// removal. A token stream carries no node IDs — they are renumbered as the
+// packer assigns them, which an edited document's are not — so prior's keys
+// are removed by value and DocID. Removing an absent document is a no-op.
+// Caller holds writeMu.
+func (c *Collection) removeDoc(doc xml.DocID, prior []byte) error {
 	ixEntries := map[string]int64{}
+	r, walkErr := c.reader(doc)
 	for _, ov := range c.valIxs {
-		n, err := c.dropValueKeys(ov, doc)
+		var keys []quickxscan.Match
+		if walkErr == nil {
+			keys, walkErr = r.eval(ov.keygen)
+		}
+		if walkErr != nil && !vanished(walkErr) {
+			return walkErr
+		}
+		n, err := dropKeys(ov, doc, keys, prior)
 		if err != nil {
 			return err
 		}
 		ixEntries[ov.meta.Name] += int64(n)
 	}
-	// XML records: collect distinct RIDs from the NodeID index entries, in
-	// scan order — page mutations must happen in a deterministic sequence or
-	// a fault schedule's operation indices would not reproduce.
-	rids, err := c.docRecordRIDs(doc)
+	var records int64
+	if _, err := c.nodeIx.DeleteDoc(doc, func(rid heap.RID) error {
+		records++
+		return deleteOwnRow(c.xmlTbl, rid, doc)
+	}); err != nil {
+		return err
+	}
+	var d [8]byte
+	binary.BigEndian.PutUint64(d[:], uint64(doc))
+	baseRID, err := c.docIx.Get(d[:])
+	if errors.Is(err, btree.ErrNotFound) {
+		return nil
+	}
 	if err != nil {
+		// A full device blocking an eviction, say: reporting success here
+		// would leave a ghost document visible in the DocID index.
 		return err
 	}
-	for _, rid := range rids {
-		if err := c.xmlTbl.Delete(rid); err != nil {
-			return err
-		}
-	}
-	if _, err := c.nodeIx.DeleteDoc(doc); err != nil {
-		return err
-	}
-	if err := c.base.Delete(heap.RIDFromBytes(baseRIDBytes)); err != nil {
+	if err := deleteOwnRow(c.base, heap.RIDFromBytes(baseRID), doc); err != nil {
 		return err
 	}
 	if err := c.docIx.Delete(d[:]); err != nil {
 		return err
 	}
-	c.noteDelete(int64(len(rids)), ixEntries)
+	c.noteDelete(records, ixEntries)
 	return nil
 }
 
-// docRecordRIDs returns the distinct record RIDs the NodeID index references
-// for a document, in first-appearance scan order (deterministic).
-func (c *Collection) docRecordRIDs(doc xml.DocID) ([]heap.RID, error) {
-	var rids []heap.RID
-	seen := map[heap.RID]bool{}
-	err := c.nodeIx.ScanDoc(doc, func(upper nodeid.ID, rid heap.RID) bool {
-		if !seen[rid] {
-			seen[rid] = true
-			rids = append(rids, rid)
-		}
-		return true
-	})
-	return rids, err
-}
-
-// wipeDoc removes whatever exists of a document — records, NodeID entries,
-// base row, DocID entry, value keys — tolerating partial state. Rollback and
-// recovery compensation use it instead of deleteLocked: after a crash the document
-// may be half-inserted or half-deleted, which the strict path refuses to
-// touch. Wiping an absent document is a no-op.
-func (c *Collection) wipeDoc(doc xml.DocID) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	return c.wipeDocLocked(doc)
-}
-
-// wipeDocLocked is wipeDoc for callers already holding writeMu.
-func (c *Collection) wipeDocLocked(doc xml.DocID) error {
-	if c.meta.Versioned {
-		// Versioned collections switch whole document versions; compensation
-		// goes through the regular path, tolerating an absent document.
-		err := c.deleteLocked(doc)
-		if errors.Is(err, ErrNotFound) {
-			return nil
-		}
-		return err
+// deleteOwnRow deletes the row at rid if it still belongs to doc: base rows
+// and XML rows both start with their DocID. An index entry can outlive its
+// row — a crash inside an earlier removal freed the row but not the entry —
+// and the slot may since hold another document's row, which is not this
+// removal's to delete. A row already gone counts as deleted.
+func deleteOwnRow(t *heap.Table, rid heap.RID, doc xml.DocID) error {
+	row, release, err := t.FetchBorrowed(rid)
+	if errors.Is(err, heap.ErrNotFound) {
+		return nil
 	}
-	// Value keys cannot be re-derived from the tree here: a half-applied
-	// update may leave the stored document walking but stale against the
-	// index (or not walking at all while pre-update keys survive). Scan the
-	// indexes for the document's entries instead — exact regardless of the
-	// tree's state.
-	ixEntries := map[string]int64{}
-	for _, ov := range c.valIxs {
-		n, err := ov.ix.DeleteDocEntries(doc)
-		if err != nil {
-			return err
-		}
-		ixEntries[ov.meta.Name] += int64(n)
-	}
-	rids, err := c.docRecordRIDs(doc)
 	if err != nil {
 		return err
 	}
-	for _, rid := range rids {
-		// A half-applied delete may have freed the row while its index
-		// entries survive; treat the missing row as already wiped.
-		if err := c.xmlTbl.Delete(rid); err != nil && !errors.Is(err, heap.ErrNotFound) {
-			return err
-		}
+	own := len(row) >= 8 && xml.DocID(binary.BigEndian.Uint64(row)) == doc
+	release()
+	if !own {
+		return nil
 	}
-	if _, err := c.nodeIx.DeleteDoc(doc); err != nil {
-		return err
-	}
-	var d [8]byte
-	binary.BigEndian.PutUint64(d[:], uint64(doc))
-	baseRIDBytes, err := c.docIx.Get(d[:])
-	if err != nil {
-		if errors.Is(err, btree.ErrNotFound) {
-			return nil // no DocID entry: nothing (left) to wipe
-		}
-		// Any other failure (a full device blocking an eviction, say) must
-		// surface: reporting success here would leave a ghost document
-		// visible in the DocID index.
-		return err
-	}
-	if err := c.base.Delete(heap.RIDFromBytes(baseRIDBytes)); err != nil && !errors.Is(err, heap.ErrNotFound) {
-		return err
-	}
-	if err := c.docIx.Delete(d[:]); err != nil && !errors.Is(err, btree.ErrNotFound) {
-		return err
-	}
-	// The DocID entry existed, so the document was counted (a fully-applied
-	// insert); half-inserted wipes return above without an entry to delete
-	// and were never noted in the first place.
-	c.noteDelete(int64(len(rids)), ixEntries)
-	return nil
+	return t.Delete(rid)
 }
 
-// dropValueKeys removes one index's entries for a document by re-deriving
-// them from the stored data, returning how many entries it dropped.
-func (c *Collection) dropValueKeys(ov *openValueIndex, doc xml.DocID) (int, error) {
-	matches, err := c.evalStored(doc, ov.keygen)
-	if err != nil {
-		return 0, err
-	}
+// dropKeys deletes one index's keys for a document — keys exactly, in eval
+// order, then prior's by value — and returns how many entries went.
+func dropKeys(ov *openValueIndex, doc xml.DocID, keys []quickxscan.Match, prior []byte) (int, error) {
 	dropped := 0
-	for _, m := range matches {
+	for _, m := range keys {
 		err := ov.ix.Delete(m.Value, doc, m.ID)
-		if err != nil {
-			if !errors.Is(err, valueindex.ErrNotIndexable) && !errors.Is(err, btree.ErrNotFound) {
-				return dropped, err
-			}
-			continue
+		if err == nil {
+			dropped++
+		} else if !errors.Is(err, valueindex.ErrNotIndexable) && !errors.Is(err, btree.ErrNotFound) {
+			return dropped, err
 		}
-		dropped++
+	}
+	if prior == nil {
+		return dropped, nil
+	}
+	ms, err := quickxscan.EvalTokens(ov.keygen, prior)
+	if err != nil {
+		return dropped, err
+	}
+	for _, m := range ms {
+		n, err := ov.ix.DeleteValue(m.Value, doc)
+		if err != nil && !errors.Is(err, valueindex.ErrNotIndexable) {
+			return dropped, err
+		}
+		dropped += n
 	}
 	return dropped, nil
+}
+
+// vanished reports whether a read failed on a missing or malformed structure
+// — a record, an index entry, a node — which is what a partly written or
+// partly removed document presents, as opposed to a failing device (I/O,
+// checksum, no space).
+func vanished(err error) bool {
+	for _, target := range []error{ErrNotFound, heap.ErrNotFound, btree.ErrNotFound,
+		nodeindex.ErrNotFound, pack.ErrCorrupt, pack.ErrNoSuchNode} {
+		if errors.Is(err, target) {
+			return true
+		}
+	}
+	return false
 }
 
 // evalVisitor feeds the pack walker's nodes straight to a QuickXScan

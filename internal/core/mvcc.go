@@ -7,10 +7,8 @@ import (
 	"io"
 	"sort"
 
-	"rx/internal/btree"
 	"rx/internal/heap"
 	"rx/internal/nodeid"
-	"rx/internal/nodeindex"
 	"rx/internal/vsax"
 	"rx/internal/xml"
 )
@@ -175,55 +173,6 @@ func (ve *verEdit) commit() error {
 		}
 	}
 	return c.setVersion(ve.doc, newVer)
-}
-
-// deleteVersionedDoc removes every version of a document.
-func (c *Collection) deleteVersionedDoc(doc xml.DocID) error {
-	var d [8]byte
-	binary.BigEndian.PutUint64(d[:], uint64(doc))
-	baseRIDBytes, err := c.docIx.Get(d[:])
-	if err != nil {
-		return lookupErr(err, fmt.Sprintf("document %d", doc))
-	}
-	ixEntries := map[string]int64{}
-	for _, ov := range c.valIxs {
-		n, err := c.dropValueKeys(ov, doc)
-		if err != nil {
-			return err
-		}
-		ixEntries[ov.meta.Name] += int64(n)
-	}
-	// All entries across all versions.
-	rids := map[heap.RID]bool{}
-	var keys [][]byte
-	lo := nodeindex.VKey(doc, ^uint64(0), nodeid.Root)
-	hi := nodeindex.VKey(doc+1, ^uint64(0), nodeid.Root)
-	err = c.nodeIx.Tree().Scan(lo, hi, func(e btree.Entry) bool {
-		rids[heap.RIDFromBytes(e.Value)] = true
-		keys = append(keys, e.Key)
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	for rid := range rids {
-		if err := c.xmlTbl.Delete(rid); err != nil && !errors.Is(err, heap.ErrNotFound) {
-			return err
-		}
-	}
-	for _, k := range keys {
-		if err := c.nodeIx.Tree().Delete(k); err != nil {
-			return err
-		}
-	}
-	if err := c.base.Delete(heap.RIDFromBytes(baseRIDBytes)); err != nil {
-		return err
-	}
-	if err := c.docIx.Delete(d[:]); err != nil {
-		return err
-	}
-	c.noteDelete(int64(len(rids)), ixEntries)
-	return nil
 }
 
 // Vacuum discards versions older than keep, reclaiming rows no remaining

@@ -341,14 +341,12 @@ func (db *DB) healCollection(c *Collection, bad, owned map[pagestore.PageID]bool
 			if !ok {
 				continue
 			}
-			if err := c.rebuildValueIndex(ov, throttle); err != nil {
+			if err := db.rebuildValueIndex(c, ov, rep, throttle); err != nil {
 				return err
 			}
 			if err := zeroPages(db, dpages, rep); err != nil {
 				return err
 			}
-			rep.IndexesRebuilt = append(rep.IndexesRebuilt, name+"/value-index("+ov.meta.Name+")")
-			atomic.AddUint64(&db.stats.indexesRebuilt, 1)
 			progress = true
 		}
 		return nil
@@ -369,6 +367,7 @@ func (db *DB) healCollection(c *Collection, bad, owned map[pagestore.PageID]bool
 		order = append(order, doc)
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	lossy := false
 	for _, doc := range order {
 		if throttle != nil {
 			throttle()
@@ -401,9 +400,23 @@ func (db *DB) healCollection(c *Collection, bad, owned map[pagestore.PageID]bool
 			}
 			db.markLossy(name, doc, n)
 			rd.Lossy, rd.LostSubtrees = true, n
+			lossy = true
 		}
 		rep.DocsRepaired = append(rep.DocsRepaired, rd)
 		progress = true
+	}
+	if !lossy {
+		return progress, nil
+	}
+	// A lossy stream cannot regenerate the keys of what it lost, and the
+	// damaged tree no longer walks, so restoreDoc's removal may have left
+	// value keys of the lost content behind: rebuild the indexes once.
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	for _, ov := range c.indexSnapshot() {
+		if err := db.rebuildValueIndex(c, ov, rep, throttle); err != nil {
+			return progress, err
+		}
 	}
 	return progress, nil
 }
@@ -479,7 +492,11 @@ func (c *Collection) rebuildBaseAndDocIndex() error {
 	if err := c.docIx.Reset(); err != nil {
 		return err
 	}
-	for _, doc := range c.nodeIxDocs() {
+	docs, err := c.nodeIxDocs()
+	if err != nil {
+		return err
+	}
+	for _, doc := range docs {
 		bi, ok := have[doc]
 		if !ok {
 			ver := uint64(1)
@@ -502,32 +519,22 @@ func (c *Collection) rebuildBaseAndDocIndex() error {
 }
 
 // rebuildValueIndex rebuilds one value index in place by re-evaluating its
-// path over every document. Documents that cannot be walked (still damaged;
-// they are restored later, which re-adds their keys) contribute nothing.
-// Caller holds writeMu.
-func (c *Collection) rebuildValueIndex(ov *openValueIndex, throttle func()) error {
+// path over every document the NodeID index knows, and reports it. Caller
+// holds writeMu.
+func (db *DB) rebuildValueIndex(c *Collection, ov *openValueIndex, rep *RepairReport, throttle func()) error {
 	if err := ov.ix.Tree().Reset(); err != nil {
 		return err
 	}
-	for _, doc := range c.nodeIxDocs() {
-		if throttle != nil {
-			throttle()
-		}
-		r, err := c.reader(doc)
-		if err != nil {
-			continue
-		}
-		keys, err := r.eval(ov.keygen)
-		if err != nil {
-			continue
-		}
-		if err := c.noteMatches(ov, len(keys)); err != nil {
-			return err
-		}
-		if err := r.putValueKeys(ov.ix, keys); err != nil {
-			return err
-		}
+	docs, err := c.nodeIxDocs()
+	if err != nil {
+		return err
 	}
+	note := func(matches int) error { return c.noteMatches(ov, matches) }
+	if err := c.fillValueIndex(ov.ix, ov.keygen, docs, note, throttle); err != nil {
+		return err
+	}
+	rep.IndexesRebuilt = append(rep.IndexesRebuilt, c.meta.Name+"/value-index("+ov.meta.Name+")")
+	atomic.AddUint64(&db.stats.indexesRebuilt, 1)
 	return nil
 }
 
@@ -537,22 +544,19 @@ func placeholderStream(c *Collection) ([]byte, error) {
 	return xmlparse.Parse([]byte("<lost-document/>"), c.db.cat, xmlparse.Options{})
 }
 
-// nodeIxDocs enumerates documents straight from the NodeID index keys
-// (first 8 bytes of both plain and versioned keys are the DocID), sorted.
-func (c *Collection) nodeIxDocs() []xml.DocID {
-	set := map[xml.DocID]bool{}
-	_ = c.nodeIx.Tree().Scan(nil, nil, func(e btree.Entry) bool {
+// nodeIxDocs enumerates documents straight from the NodeID index keys (first
+// 8 bytes of both plain and versioned keys are the DocID), in order.
+func (c *Collection) nodeIxDocs() ([]xml.DocID, error) {
+	var out []xml.DocID
+	err := c.nodeIx.Tree().Scan(nil, nil, func(e btree.Entry) bool {
 		if len(e.Key) >= 8 {
-			set[xml.DocID(binary.BigEndian.Uint64(e.Key))] = true
+			if d := xml.DocID(binary.BigEndian.Uint64(e.Key)); len(out) == 0 || out[len(out)-1] != d {
+				out = append(out, d)
+			}
 		}
 		return true
 	})
-	out := make([]xml.DocID, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return out, err
 }
 
 // maxVersionFromIndex recovers a versioned document's newest version from

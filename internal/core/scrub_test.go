@@ -635,7 +635,7 @@ func TestTortureSidecarWALCrashRecovery(t *testing.T) {
 	}
 	schedules := 0
 	for _, seed := range seeds {
-		profile := tortureWorkload(t, seed, nil, true)
+		profile := tortureWorkload(t, seed, nil, true, false)
 		profile.inj.Crash()
 		if err := tortureVerifyErr(profile); err != nil {
 			t.Fatalf("seed %d (clean): %v", seed, err)
@@ -649,7 +649,7 @@ func TestTortureSidecarWALCrashRecovery(t *testing.T) {
 		}
 		for _, rule := range rules {
 			label := fmt.Sprintf("seed %d %s", seed, rule)
-			env := tortureWorkload(t, seed, []fault.Rule{rule}, true)
+			env := tortureWorkload(t, seed, []fault.Rule{rule}, true, false)
 			if !env.inj.Crashed() {
 				t.Fatalf("%s: schedule never fired (profile drift)", label)
 			}

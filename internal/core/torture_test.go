@@ -126,8 +126,11 @@ func (e *tortureEnv) applyCommitted(pend []pendOp) {
 
 // tortureWorkload drives the seeded workload until it completes or the
 // injector crashes. Any non-crash failure is a test failure: the schedules
-// only arm crash-stop faults, so every other error is an engine bug.
-func tortureWorkload(t *testing.T, seed int64, rules []fault.Rule, checksums bool) *tortureEnv {
+// only arm crash-stop faults, so every other error is an engine bug. With
+// versioned set the collection is multiversioned and the workload draws
+// inserts and deletes only: a versioned edit's compensation is a targeted
+// inverse, which a torn log tail can defeat (no whole-document snapshot).
+func tortureWorkload(t *testing.T, seed int64, rules []fault.Rule, checksums, versioned bool) *tortureEnv {
 	t.Helper()
 	env := &tortureEnv{
 		mem:       pagestore.NewMemStore(),
@@ -158,7 +161,7 @@ func tortureWorkload(t *testing.T, seed int64, rules []fault.Rule, checksums boo
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	col, err := db.CreateCollection("c", CollectionOptions{})
+	col, err := db.CreateCollection("c", CollectionOptions{Versioned: versioned})
 	if err != nil {
 		t.Fatalf("create collection: %v", err)
 	}
@@ -230,6 +233,9 @@ func tortureWorkload(t *testing.T, seed int64, rules []fault.Rule, checksums boo
 		for o := 0; o < nops; o++ {
 			seq++
 			pick := rng.Float64()
+			if versioned && pick >= 0.35 {
+				pick = max(pick, 0.85) // a delete in place of an edit
+			}
 			switch {
 			case pick < 0.35 || len(env.order) == 0:
 				d := tortureDoc{tval: torturePad("v", seq), kvals: []string{fmt.Sprintf("k%d", seq%7)},
@@ -502,12 +508,19 @@ func tortureSeeds() []int64 {
 	return seeds
 }
 
-func TestCrashRecoveryTorture(t *testing.T) {
+func TestCrashRecoveryTorture(t *testing.T) { crashTorture(t, false) }
+
+// TestCrashRecoveryTortureVersioned runs the crash schedules over a
+// versioned collection: every rolled-back or loser insert and delete is
+// compensated by removeDoc on the versioned key layout.
+func TestCrashRecoveryTortureVersioned(t *testing.T) { crashTorture(t, true) }
+
+func crashTorture(t *testing.T, versioned bool) {
 	total := 0
 	for _, seed := range tortureSeeds() {
 		// Profile run: no faults; also verifies recovery from a crash that
 		// falls after the final operation.
-		profile := tortureWorkload(t, seed, nil, false)
+		profile := tortureWorkload(t, seed, nil, false, versioned)
 		if profile.endS <= profile.setupS {
 			t.Fatalf("seed %d: workload performed no syncs", seed)
 		}
@@ -531,7 +544,7 @@ func TestCrashRecoveryTorture(t *testing.T) {
 		for _, rule := range rules {
 			total++
 			label := fmt.Sprintf("seed %d %s", seed, rule)
-			env := tortureWorkload(t, seed, []fault.Rule{rule}, false)
+			env := tortureWorkload(t, seed, []fault.Rule{rule}, false, versioned)
 			if !env.inj.Crashed() {
 				t.Fatalf("%s: schedule never fired (profile drift)", label)
 			}
@@ -576,7 +589,7 @@ func TestTortureTornPageDetection(t *testing.T) {
 	}
 	clean, detected := 0, 0
 	for _, seed := range seeds {
-		profile := tortureWorkload(t, seed, nil, true)
+		profile := tortureWorkload(t, seed, nil, true, false)
 		profile.inj.Crash()
 		if err := tortureVerifyErr(profile); err != nil {
 			t.Fatalf("seed %d (clean, checksummed): %v", seed, err)
@@ -584,7 +597,7 @@ func TestTortureTornPageDetection(t *testing.T) {
 		for n := profile.setupW + 1; n <= profile.endW; n += 2 {
 			rule := fault.TearWrite(n, pagestore.PageSize/2)
 			label := fmt.Sprintf("seed %d %s", seed, rule)
-			env := tortureWorkload(t, seed, []fault.Rule{rule}, true)
+			env := tortureWorkload(t, seed, []fault.Rule{rule}, true, false)
 			if !env.inj.Crashed() {
 				t.Fatalf("%s: tear never fired (profile drift)", label)
 			}

@@ -177,7 +177,7 @@ func (t *Txn) deleteDoc(col *Collection, doc xml.DocID) error {
 	}
 	col.writeMu.Lock()
 	defer col.writeMu.Unlock()
-	return col.deleteLocked(doc)
+	return col.removeDoc(doc, nil)
 }
 
 // UpdateText updates a text or attribute node under an X document lock.
@@ -318,9 +318,11 @@ func (db *DB) compensate(op logicalOp) error {
 	}
 	switch op.Kind {
 	case "insert":
-		// The insert may have applied fully, partially, or not at all; wipe
-		// whatever of the document exists.
-		return col.wipeDoc(op.Doc)
+		// The insert may have applied fully, partially, or not at all;
+		// remove whatever of the document exists.
+		col.writeMu.Lock()
+		defer col.writeMu.Unlock()
+		return col.removeDoc(op.Doc, nil)
 	case "delete":
 		// Clear any partial remains of the delete first, then restore the
 		// captured content under the same DocID.
@@ -373,8 +375,9 @@ func (c *Collection) undoSnapshot(doc xml.DocID) ([]byte, error) {
 	return c.DocStream(doc)
 }
 
-// restoreDoc rebuilds a document from a captured token stream, first wiping
-// whatever of it exists. Unlike a targeted inverse it is safe against any
+// restoreDoc rebuilds a document from a captured token stream: removeDoc,
+// with the stream as the prior state whose value keys may linger, then ingest
+// under the same DocID. Unlike a targeted inverse it is safe against any
 // partially-applied state: redo of a log whose tail was torn mid-operation
 // can replay an arbitrary record-boundary prefix of the operation's page
 // deltas, leaving cross-structure links (NodeID index, value keys, record
@@ -382,7 +385,7 @@ func (c *Collection) undoSnapshot(doc xml.DocID) ([]byte, error) {
 func (c *Collection) restoreDoc(doc xml.DocID, stream []byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	if err := c.wipeDocLocked(doc); err != nil {
+	if err := c.removeDoc(doc, stream); err != nil {
 		return err
 	}
 	return c.ingestLocked([]xml.DocID{doc}, [][]byte{stream}, nil)

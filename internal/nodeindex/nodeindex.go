@@ -111,18 +111,32 @@ func (ix *Index) RootRID(doc xml.DocID) (heap.RID, error) {
 	return ix.Lookup(doc, nodeid.Root)
 }
 
-// DeleteDoc removes every entry for the document, returning how many were
-// removed.
-func (ix *Index) DeleteDoc(doc xml.DocID) (int, error) {
+// DeleteDoc removes every entry for the document — every version, in either
+// key layout: nodeid.Root is empty, so the key range [doc, doc+1) holds them
+// all — and returns how many it removed. One scan finds them; before the
+// first goes, each distinct RID they reference is passed to row, in scan
+// order, so a caller can drop the records while the index still finds them.
+func (ix *Index) DeleteDoc(doc xml.DocID, row func(heap.RID) error) (int, error) {
 	var keys [][]byte
+	var rids []heap.RID
+	seen := map[heap.RID]bool{}
 	lo := Key(doc, nodeid.Root)
 	hi := Key(doc+1, nodeid.Root)
 	err := ix.tree.Scan(lo, hi, func(e btree.Entry) bool {
 		keys = append(keys, e.Key)
+		if rid := heap.RIDFromBytes(e.Value); !seen[rid] {
+			seen[rid] = true
+			rids = append(rids, rid)
+		}
 		return true
 	})
 	if err != nil {
 		return 0, err
+	}
+	for _, rid := range rids {
+		if err := row(rid); err != nil {
+			return 0, err
+		}
 	}
 	for _, k := range keys {
 		if err := ix.tree.Delete(k); err != nil {

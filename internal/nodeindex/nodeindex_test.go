@@ -95,9 +95,13 @@ func TestDeleteDocIsolation(t *testing.T) {
 			ix.Put(d, nodeid.Append(nodeid.Root, nodeid.RelAt(i)), rid(uint32(d), uint16(i)))
 		}
 	}
-	n, err := ix.DeleteDoc(2)
+	var rows []heap.RID
+	n, err := ix.DeleteDoc(2, func(r heap.RID) error { rows = append(rows, r); return nil })
 	if err != nil || n != 10 {
 		t.Fatalf("DeleteDoc = %d, %v", n, err)
+	}
+	if len(rows) != 10 || rows[0] != rid(2, 0) || rows[9] != rid(2, 9) {
+		t.Errorf("DeleteDoc passed rows %v", rows)
 	}
 	if _, err := ix.Lookup(2, nodeid.Root); err == nil {
 		t.Error("doc 2 entries remain")

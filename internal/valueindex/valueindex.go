@@ -303,26 +303,20 @@ func (ix *Index) splitKey(k []byte) ([]byte, xml.DocID, nodeid.ID, error) {
 	return k[:valLen], doc, id, nil
 }
 
-// DeleteDocEntries removes every entry of the given document (used by
-// document deletion; requires a full index scan, which is why the paper
-// keeps index size much smaller than data size).
-func (ix *Index) DeleteDocEntries(doc xml.DocID) (int, error) {
+// DeleteValue removes every entry of the document whose node has the value
+// raw, whatever the node's ID, and returns how many it removed: one bounded
+// scan of the (value, DocID) key prefix, for callers that know a document's
+// values but not the IDs its nodes are stored under.
+func (ix *Index) DeleteValue(raw []byte, doc xml.DocID) (int, error) {
+	enc, err := ix.EncodeValue(raw)
+	if err != nil {
+		return 0, err
+	}
 	var keys [][]byte
-	var bad error
-	err := ix.tree.Scan(nil, nil, func(be btree.Entry) bool {
-		_, d, _, err := ix.splitKey(be.Key)
-		if err != nil {
-			bad = err
-			return false
-		}
-		if d == doc {
-			keys = append(keys, be.Key)
-		}
+	err = ix.tree.Scan(entryKey(enc, doc, nil), entryKey(enc, doc+1, nil), func(be btree.Entry) bool {
+		keys = append(keys, be.Key)
 		return true
 	})
-	if err == nil {
-		err = bad
-	}
 	if err != nil {
 		return 0, err
 	}

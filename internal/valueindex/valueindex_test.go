@@ -1,6 +1,7 @@
 package valueindex
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -134,19 +135,29 @@ func TestDeleteAndDocDelete(t *testing.T) {
 	if err := ix.Delete([]byte("4"), 1, nid(4)); err != nil {
 		t.Fatal(err)
 	}
-	n, err := ix.DeleteDocEntries(2)
-	if err != nil || n != 5 {
-		t.Fatalf("DeleteDocEntries = %d, %v", n, err)
+	// DeleteValue takes every node of one document holding the value, and
+	// nothing of its neighbours in key order.
+	for i := 20; i < 23; i++ {
+		for doc := xml.DocID(1); doc <= 3; doc++ {
+			ix.Put([]byte("70"), doc, nid(i), rid(i))
+		}
+	}
+	n, err := ix.DeleteValue([]byte("70"), 2)
+	if err != nil || n != 3 {
+		t.Fatalf("DeleteValue = %d, %v", n, err)
 	}
 	total, _ := ix.Count()
-	if total != 4 {
+	if total != 9+6 {
 		t.Errorf("Count = %d", total)
+	}
+	if _, err := ix.DeleteValue([]byte("x"), 2); !errors.Is(err, ErrNotIndexable) {
+		t.Errorf("DeleteValue of an unconvertible value: %v", err)
 	}
 }
 
 // TestMalformedEntryFailsScan: an entry too short to hold its DocID must fail
-// the scans that reach it — Scan and DeleteDocEntries — rather than end them
-// early with a nil error and a subset of the answer.
+// the scan that reaches it rather than end it early with a nil error and a
+// subset of the answer.
 func TestMalformedEntryFailsScan(t *testing.T) {
 	ix := newIndex(t, "//v", xml.TDouble)
 	for i, v := range []string{"1", "5", "9"} {
@@ -168,9 +179,6 @@ func TestMalformedEntryFailsScan(t *testing.T) {
 	n := 0
 	if err := ix.Scan(r, func(Entry) bool { n++; return true }); err == nil {
 		t.Fatalf("scan over the short key returned %d entries and no error", n)
-	}
-	if _, err := ix.DeleteDocEntries(1); err == nil {
-		t.Fatal("DeleteDocEntries over the short key returned no error")
 	}
 }
 
