@@ -464,12 +464,7 @@ func printDBStats(db *rx.DB) int {
 	fmt.Printf("deadlock re-runs:    %d\n", s.DeadlockReruns)
 	fmt.Printf("pool hits/misses:    %d/%d (evictions: %d, write-backs: %d)\n",
 		s.PoolHits, s.PoolMisses, s.PoolEvictions, s.PoolWriteBacks)
-	occ := make([]string, len(s.PoolShardOccupancy))
-	for i, n := range s.PoolShardOccupancy {
-		occ[i] = strconv.Itoa(n)
-	}
-	fmt.Printf("pool residency:      %d frames over %d shards [%s]\n",
-		s.PoolResident, s.PoolShards, strings.Join(occ, " "))
+	fmt.Printf("pool residency:      %d frames\n", s.PoolResident)
 	fmt.Printf("WAL commits/syncs:   %d/%d\n", s.WALCommits, s.WALSyncs)
 	mode := "read-write"
 	if s.DegradedReadOnly {

@@ -95,7 +95,7 @@ func Create(pool *buffer.Pool) (*Tree, error) {
 		initNode(d, true)
 		return nil
 	})
-	rootID := rf.ID
+	rootID := rf.ID()
 	pool.Unpin(rf, false)
 	if err != nil {
 		pool.Unpin(mf, false)
@@ -105,7 +105,7 @@ func Create(pool *buffer.Pool) (*Tree, error) {
 		binary.BigEndian.PutUint32(d[8:12], uint32(rootID))
 		return nil
 	})
-	metaID := mf.ID
+	metaID := mf.ID()
 	pool.Unpin(mf, false)
 	if err != nil {
 		return nil, err
@@ -538,7 +538,7 @@ func (t *Tree) putVisit(run []Entry) (int, error) {
 			f.RLock()
 			next, _ := route(f.Data, key)
 			f.RUnlock()
-			if next != cf.ID {
+			if next != cf.ID() {
 				t.pool.Unpin(cf, false)
 				if cf, err = t.pool.Fetch(next); err != nil {
 					t.pool.Unpin(f, false)
@@ -624,7 +624,7 @@ func (t *Tree) splitChild(pf, cf *buffer.Frame) error {
 	if err != nil {
 		return fmt.Errorf("btree: split: %w", err)
 	}
-	rightID := rf.ID
+	rightID := rf.ID()
 	err = t.pool.Modify(rf, plan.fillRight)
 	t.pool.Unpin(rf, false)
 	if err != nil {
@@ -671,7 +671,7 @@ func (t *Tree) splitRoot(rootf *buffer.Frame) error {
 		t.pool.Unpin(mf, false)
 		return fmt.Errorf("btree: root split: %w", err)
 	}
-	rightID, newRootID, oldRootID := rf.ID, nrf.ID, rootf.ID
+	rightID, newRootID, oldRootID := rf.ID(), nrf.ID(), rootf.ID()
 
 	err = t.pool.Modify(rf, plan.fillRight)
 	t.pool.Unpin(rf, false)

@@ -94,7 +94,7 @@ func (t *Tree) Reset() error {
 		initNode(d, true)
 		return nil
 	})
-	rootID := rf.ID
+	rootID := rf.ID()
 	t.pool.Unpin(rf, false)
 	if err != nil {
 		return err

@@ -1,5 +1,5 @@
 // Package buffer implements the buffer manager: a fixed-capacity pool of
-// page frames over a pagestore.Store with pinning, LRU replacement and
+// page frames over a pagestore.Store with pinning, clock replacement and
 // write-back of dirty pages. It is part of the relational data-management
 // infrastructure the XML engine reuses unchanged (Figure 1 of the paper):
 // packed XML records live on the same buffered pages as relational rows.
@@ -8,20 +8,25 @@
 // evicted or flushed, the pool asks the log to be durable up to the page's
 // LSN.
 //
-// Concurrency: the pool is safe for concurrent readers and writers. The
-// frame table and LRU are partitioned into shards keyed by PageID; each
-// shard's mutex guards its frame table, pin counts and LRU list, and each
-// frame carries its own latch guarding Data. Lock order is one shard mutex
-// → frame latch (never the reverse, and never two shard mutexes): a miss
-// fills the frame under its exclusive latch so concurrent fetchers of the
-// same page block until the read completes, and write-back latches the
-// frame in shared mode so a concurrent Modify can never tear the page
-// image being written out.
+// Frames are allocated on first use, up to the capacity, and then reused.
+// Replacement is one clock over that frame array: Unpin sets a frame's
+// reference bit; a miss advances the hand past pinned frames, clears and
+// passes referenced ones, and takes the first frame with neither. A frame
+// is valid only while pinned: after Unpin it may hold another page at once.
+//
+// Concurrency: the page table is partitioned into shards keyed by PageID,
+// each under its own mutex, which a hit takes once. Pin counts and
+// reference bits are atomic, so Unpin takes no lock; the clock mutex guards
+// the frame array and the hand. Lock order is clock → one shard mutex →
+// frame latch, never two shard mutexes. A victim is written back and
+// unmapped under its old page's shard mutex, then installed under the new
+// page's and filled under its exclusive latch, so concurrent fetchers of
+// either page wait instead of reading a wrong image. Write-back latches the
+// frame in shared mode so a concurrent Modify cannot tear the image.
 package buffer
 
 import (
 	"bytes"
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -41,19 +46,25 @@ type LSN uint64
 
 // Frame is a pinned page in the pool. Callers read and write Data under the
 // frame latch and must Unpin when done, marking the frame dirty if modified.
+// Frames are reused: once unpinned, a frame may be given another page.
 type Frame struct {
-	ID pagestore.PageID
 	// Data is the page contents; valid while the frame is pinned.
 	Data []byte
 
+	// page is the page the frame holds or last held. It changes only in
+	// victim, under the old page's shard mutex, but the hand reads it before
+	// taking that mutex, hence atomic.
+	page    atomic.Uint32
 	mu      sync.RWMutex
 	loadErr error // set under mu by the filling Fetch; nil once loaded
 	dirty   atomic.Bool
+	ref     atomic.Bool // set by Unpin, cleared by the passing hand
 	pageLSN atomic.Uint64
-	// pins and lruElem are guarded by the pool mutex.
-	pins    int
-	lruElem *list.Element
+	pins    atomic.Int32
 }
+
+// ID is the page the frame holds; stable while the caller holds a pin.
+func (f *Frame) ID() pagestore.PageID { return pagestore.PageID(f.page.Load()) }
 
 // Lock acquires the frame's exclusive latch (for writers).
 func (f *Frame) Lock() { f.mu.Lock() }
@@ -100,13 +111,11 @@ type PageLogger interface {
 	LogPageDelta(id pagestore.PageID, runs []PageRun) (LSN, error)
 }
 
-// Pool is a buffer pool of page frames, partitioned into shards so that
-// concurrent fetchers of unrelated pages do not serialize on one mutex. A
-// page's shard is fixed by its PageID; each shard owns a frame table and an
-// LRU list under its own mutex. Capacity is global: a shard that has no
-// local victim steals one from another shard (never holding two shard
-// mutexes at once), so ErrPoolFull means every frame in the whole pool is
-// pinned, exactly as with the unsharded pool.
+// Pool is a buffer pool of page frames. Its page table is partitioned into
+// shards so that concurrent fetchers of unrelated pages do not serialize on
+// one mutex; a page's shard is fixed by its PageID. Replacement is global:
+// one clock hand sweeps one frame array, so ErrPoolFull means every frame
+// in the pool is pinned.
 type Pool struct {
 	store  pagestore.Store
 	logger PageLogger
@@ -121,8 +130,15 @@ type Pool struct {
 
 	capacity int
 	shards   []*shard
-	mask     uint32       // len(shards)-1; shard count is a power of two
-	resident atomic.Int64 // frames currently installed, across all shards
+	mask     uint32 // len(shards)-1; shard count is a power of two
+
+	// clock guards frames, appended on first use up to capacity, and hand,
+	// the index of the next frame the sweep examines.
+	clock  sync.Mutex
+	frames []*Frame
+	hand   int
+
+	resident atomic.Int64 // frames mapped in a shard's table
 
 	// pinned counts frames with at least one pin; pinnedHW is its high-water
 	// mark since the pool was created. Zero-copy reads hold pins for the
@@ -131,7 +147,7 @@ type Pool struct {
 	pinned   atomic.Int64
 	pinnedHW atomic.Int64
 
-	writeRetries atomic.Uint64
+	hits, misses, evictions, writeBacks, writeRetries atomic.Uint64
 }
 
 // notePinned records a frame's 0→1 pin transition and advances the
@@ -146,63 +162,40 @@ func (p *Pool) notePinned() {
 	}
 }
 
-// shard is one partition of the pool: a frame table plus the LRU list of
-// its unpinned frames, under a dedicated mutex.
+// shard is one partition of the page table, under a dedicated mutex.
 type shard struct {
 	mu     sync.Mutex
 	frames map[pagestore.PageID]*Frame
-	lru    *list.List // unpinned frames, front = least recently used
-
-	// statistics, guarded by mu
-	hits, misses, evictions, writeBacks uint64
 }
 
 // ErrPoolFull reports that every frame is pinned and no page can be evicted.
 var ErrPoolFull = errors.New("buffer: all frames pinned")
 
-// New creates a pool of the given capacity (in pages) over store, with the
-// default shard count: 2*GOMAXPROCS rounded up to a power of two, capped at
-// 64 and never exceeding the capacity.
+// New creates a pool of the given capacity (in pages) over store. Frames
+// are allocated as the pool fills. The page table has 2*GOMAXPROCS shards
+// rounded up to a power of two, capped at 64 and never exceeding the
+// capacity.
 func New(store pagestore.Store, capacity int) *Pool {
-	return NewSharded(store, capacity, 0)
-}
-
-// NewSharded creates a pool with an explicit shard count (rounded up to a
-// power of two; 0 selects the default).
-func NewSharded(store pagestore.Store, capacity, shards int) *Pool {
-	if capacity < 1 {
-		capacity = 1
-	}
-	if shards <= 0 {
-		shards = 2 * runtime.GOMAXPROCS(0)
-		if shards > 64 {
-			shards = 64
-		}
-	}
+	capacity = max(capacity, 1)
 	n := 1
-	for n < shards {
+	for n < min(2*runtime.GOMAXPROCS(0), 64) {
 		n <<= 1
 	}
 	for n > capacity {
 		n >>= 1
-	}
-	if n < 1 {
-		n = 1
 	}
 	p := &Pool{
 		store:         store,
 		capacity:      capacity,
 		shards:        make([]*shard, n),
 		mask:          uint32(n - 1),
+		frames:        make([]*Frame, 0, capacity),
 		retryAttempts: 2,
 		retryBase:     200 * time.Microsecond,
 	}
 	per := capacity/n + 1
 	for i := range p.shards {
-		p.shards[i] = &shard{
-			frames: make(map[pagestore.PageID]*Frame, per),
-			lru:    list.New(),
-		}
+		p.shards[i] = &shard{frames: make(map[pagestore.PageID]*Frame, per)}
 	}
 	return p
 }
@@ -213,9 +206,6 @@ func NewSharded(store pagestore.Store, capacity, shards int) *Pool {
 func (p *Pool) shardOf(id pagestore.PageID) *shard {
 	return p.shards[uint32(id)&p.mask]
 }
-
-// ShardCount reports how many shards the pool was built with.
-func (p *Pool) ShardCount() int { return len(p.shards) }
 
 // SetWriteRetry tunes write-back retries: up to attempts extra tries after
 // a store write error, sleeping base, 2*base, ... between them. attempts 0
@@ -277,7 +267,7 @@ func (p *Pool) Modify(f *Frame, fn func(data []byte) error) error {
 	// page recovered from the log is always at a Modify boundary, never
 	// halfway through one. The before-copy is not logged: recovery is
 	// redo-only and rollback is logical.
-	lsn, err := p.logger.LogPageDelta(f.ID, runs)
+	lsn, err := p.logger.LogPageDelta(f.ID(), runs)
 	if err != nil {
 		return err
 	}
@@ -413,8 +403,8 @@ func (p *Pool) Fetch(id pagestore.PageID) (*Frame, error) {
 		return nil, err
 	}
 	if hit {
-		s.hits++
 		s.mu.Unlock()
+		p.hits.Add(1)
 		// Wait out a concurrent loader: the filling Fetch holds the
 		// exclusive latch until the store read completes.
 		f.mu.RLock()
@@ -426,7 +416,7 @@ func (p *Pool) Fetch(id pagestore.PageID) (*Frame, error) {
 		}
 		return f, nil
 	}
-	s.misses++
+	p.misses.Add(1)
 	// Latch before publishing the release of s.mu: the frame is already in
 	// the map, but no other goroutine can have reached it yet, so this
 	// cannot block. Concurrent fetchers will queue on the latch above.
@@ -436,16 +426,13 @@ func (p *Pool) Fetch(id pagestore.PageID) (*Frame, error) {
 	f.loadErr = err
 	f.mu.Unlock()
 	if err != nil {
+		// Unmap the frame so the next Fetch retries the read. Unmapped, it
+		// is free for the hand once the fetchers queued on it unpin.
 		s.mu.Lock()
-		if s.frames[id] == f {
-			delete(s.frames, id)
-			p.resident.Add(-1)
-		}
-		f.pins--
-		if f.pins == 0 {
-			p.pinned.Add(-1)
-		}
+		delete(s.frames, id)
+		p.resident.Add(-1)
 		s.mu.Unlock()
+		p.Unpin(f, false)
 		return nil, err
 	}
 	return f, nil
@@ -465,16 +452,14 @@ func (p *Pool) FetchZeroed(id pagestore.PageID) (*Frame, error) {
 	if hit {
 		s.mu.Unlock()
 		f.mu.Lock()
-		for i := range f.Data {
-			f.Data[i] = 0
-		}
+		clear(f.Data)
 		f.loadErr = nil
 		f.mu.Unlock()
-		f.dirty.Store(true)
-		return f, nil
+	} else {
+		clear(f.Data) // a reused frame: clear it before s.mu publishes it
+		s.mu.Unlock()
 	}
 	f.dirty.Store(true)
-	s.mu.Unlock()
 	return f, nil
 }
 
@@ -485,124 +470,122 @@ func (p *Pool) NewPage() (*Frame, error) {
 		return nil, err
 	}
 	s := p.shardOf(id)
-	f, _, err := p.frameFor(s, id)
+	f, hit, err := p.frameFor(s, id)
 	if err != nil {
 		return nil, err
+	}
+	if !hit {
+		clear(f.Data)
 	}
 	s.mu.Unlock()
 	return f, nil
 }
 
-// frameFor returns a pinned frame for id in its shard: either the existing
-// one (hit=true, possibly still being filled by a concurrent Fetch) or a
-// freshly installed, not-yet-filled one (hit=false). On success s.mu is
-// HELD on return — the caller publishes the release. Capacity is enforced
-// globally: the shard evicts its own LRU victim first and steals one from
-// a sibling shard when it has none, temporarily dropping s.mu (so the
-// frame-table lookup is re-run after every steal).
+// frameFor returns a pinned frame for id: the one already in s's table
+// (hit=true, possibly still being filled by a concurrent Fetch) or a victim
+// newly installed for id and not yet filled (hit=false). On success s.mu is
+// HELD on return — the caller publishes the release. s.mu is dropped while
+// the clock finds the victim, so the table is looked up again after.
 func (p *Pool) frameFor(s *shard, id pagestore.PageID) (*Frame, bool, error) {
 	s.mu.Lock()
-	for {
-		if f, ok := s.frames[id]; ok {
-			p.pinLocked(s, f)
-			return f, true, nil
-		}
-		if int(p.resident.Load()) < p.capacity {
-			break
-		}
-		if s.lru.Len() > 0 {
-			if err := p.evictLocked(s); err != nil {
-				s.mu.Unlock()
-				return nil, false, err
-			}
-			continue
-		}
-		// No local victim. Steal one from a sibling shard — never holding
-		// two shard mutexes at once (the uniform lock order "one shard at a
-		// time" is what makes cross-shard eviction deadlock-free).
-		s.mu.Unlock()
-		stole, err := p.evictOther(s)
-		if err != nil {
-			return nil, false, err
-		}
-		if !stole {
-			// The sweep visits each shard once, so a frame unpinned behind it
-			// (or in s, whose lock was dropped) is missed. The pool is full
-			// only if it is at capacity with every resident frame pinned;
-			// otherwise a victim or a free slot exists, and the loop retries.
-			if res := p.resident.Load(); res >= int64(p.capacity) && p.pinned.Load() >= res {
-				return nil, false, fmt.Errorf("%w (capacity %d)", ErrPoolFull, p.capacity)
-			}
-			runtime.Gosched()
-		}
-		s.mu.Lock()
+	if f, ok := s.frames[id]; ok {
+		p.pin(f)
+		return f, true, nil
 	}
-	f := &Frame{ID: id, Data: make([]byte, pagestore.PageSize), pins: 1}
-	p.notePinned()
-	s.frames[id] = f
+	s.mu.Unlock()
+	v, err := p.victim(id)
+	if err != nil {
+		return nil, false, err
+	}
+	s.mu.Lock()
+	if f, ok := s.frames[id]; ok {
+		// A racing miss installed id first. The victim, labelled id but
+		// mapped nowhere, is free for the hand.
+		p.Unpin(v, false)
+		p.pin(f)
+		return f, true, nil
+	}
+	s.frames[id] = v
 	p.resident.Add(1)
-	return f, false, nil
+	return v, false, nil
 }
 
-// pinLocked pins an existing frame, removing it from the shard's LRU list.
-func (p *Pool) pinLocked(s *shard, f *Frame) {
-	f.pins++
-	if f.pins == 1 {
+// pin adds a pin to a frame found in a shard's table, whose mutex the
+// caller holds.
+func (p *Pool) pin(f *Frame) {
+	if f.pins.Add(1) == 1 {
 		p.notePinned()
 	}
-	if f.lruElem != nil {
-		s.lru.Remove(f.lruElem)
-		f.lruElem = nil
-	}
 }
 
-// evictLocked writes back and removes the shard's least recently used
-// unpinned frame. Called with s.mu held.
-func (p *Pool) evictLocked(s *shard) error {
-	e := s.lru.Front()
-	if e == nil {
-		return fmt.Errorf("%w (capacity %d)", ErrPoolFull, p.capacity)
+// victim returns a clean frame labelled id, pinned once and mapped in no
+// table: a new frame while the pool is below capacity, otherwise the
+// clock's choice. The hand skips pinned frames, clears the reference bit of
+// referenced ones and claims the first frame with neither, under its page's
+// shard mutex; a frame still mapped there is written back if dirty and
+// unmapped, one already unmapped (a failed load, a lost install race) is
+// simply taken. A full circle of pinned frames is ErrPoolFull.
+//
+// A frame's label changes only here, under the old page's shard mutex, so
+// once the hand holds that mutex and sees the label it read, the label is
+// stable and no fetch can pin the frame behind the claim.
+func (p *Pool) victim(id pagestore.PageID) (*Frame, error) {
+	p.clock.Lock()
+	if len(p.frames) < p.capacity {
+		f := &Frame{Data: make([]byte, pagestore.PageSize)}
+		f.page.Store(uint32(id))
+		f.pins.Store(1)
+		p.frames = append(p.frames, f)
+		p.clock.Unlock()
+		p.notePinned()
+		return f, nil
 	}
-	f := e.Value.(*Frame)
-	if f.dirty.Load() {
-		if err := p.writeBack(f); err != nil {
-			return err
-		}
-		s.writeBacks++
-	}
-	s.lru.Remove(e)
-	f.lruElem = nil
-	// A failed load may have replaced this ID's map entry with a newer
-	// frame; only remove the entry (and release its capacity slot) if it is
-	// still ours.
-	if s.frames[f.ID] == f {
-		delete(s.frames, f.ID)
-		p.resident.Add(-1)
-	}
-	s.evictions++
-	return nil
-}
-
-// evictOther evicts one frame from any sibling shard with an unpinned
-// victim, in deterministic shard order. Returns false if no sibling has one.
-func (p *Pool) evictOther(exclude *shard) (bool, error) {
-	for _, t := range p.shards {
-		if t == exclude {
+	for run := 0; ; {
+		f := p.frames[p.hand]
+		p.hand = (p.hand + 1) % len(p.frames)
+		if f.pins.Load() > 0 {
+			// The pinned counter confirms the circle: a frame the hand
+			// passed pinned may have been unpinned since.
+			if run++; run >= len(p.frames) && p.pinned.Load() >= int64(len(p.frames)) {
+				p.clock.Unlock()
+				return nil, fmt.Errorf("%w (capacity %d)", ErrPoolFull, p.capacity)
+			}
 			continue
 		}
-		t.mu.Lock()
-		if t.lru.Len() == 0 {
-			t.mu.Unlock()
+		run = 0
+		if f.ref.CompareAndSwap(true, false) {
 			continue
 		}
-		err := p.evictLocked(t)
-		t.mu.Unlock()
-		if err != nil {
-			return false, err
+		old := f.ID()
+		s := p.shardOf(old)
+		s.mu.Lock()
+		if f.ID() != old || !f.pins.CompareAndSwap(0, 1) {
+			s.mu.Unlock()
+			continue
 		}
-		return true, nil
+		p.clock.Unlock()
+		p.notePinned()
+		if s.frames[old] == f {
+			if f.dirty.Load() {
+				if err := p.writeBack(f); err != nil {
+					s.mu.Unlock()
+					p.Unpin(f, false)
+					return nil, err
+				}
+				p.writeBacks.Add(1)
+			}
+			delete(s.frames, old)
+			p.resident.Add(-1)
+			p.evictions.Add(1)
+		}
+		f.page.Store(uint32(id))
+		f.loadErr = nil
+		f.dirty.Store(false)
+		f.ref.Store(false)
+		f.pageLSN.Store(0)
+		s.mu.Unlock()
+		return f, nil
 	}
-	return false, nil
 }
 
 // writeBack flushes f's contents to the store, honoring WAL ordering.
@@ -621,7 +604,7 @@ func (p *Pool) writeBack(f *Frame) error {
 			return err
 		}
 	}
-	err := p.store.WritePage(f.ID, f.Data)
+	err := p.store.WritePage(f.ID(), f.Data)
 	// Bounded retry with backoff: transient write-back errors (a busy or
 	// briefly failing device) should not fail an eviction or checkpoint.
 	// Page-range and no-space errors are persistent (a full disk does not
@@ -632,7 +615,7 @@ func (p *Pool) writeBack(f *Frame) error {
 		!errors.Is(err, rxerr.ErrNoSpace); attempt++ {
 		time.Sleep(p.retryBase << attempt)
 		p.writeRetries.Add(1)
-		err = p.store.WritePage(f.ID, f.Data)
+		err = p.store.WritePage(f.ID(), f.Data)
 	}
 	f.mu.RUnlock()
 	if err != nil {
@@ -642,23 +625,20 @@ func (p *Pool) writeBack(f *Frame) error {
 	return nil
 }
 
-// Unpin releases one pin on the frame; dirty marks the page modified.
+// Unpin releases one pin on the frame; dirty marks the page modified. It
+// takes no lock: it sets the frame's reference bit and drops the atomic pin
+// count. The frame must not be touched after: it may be reused for another
+// page at once.
 func (p *Pool) Unpin(f *Frame, dirty bool) {
 	if dirty {
 		f.dirty.Store(true)
 	}
-	s := p.shardOf(f.ID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f.pins--
-	if f.pins < 0 {
-		panic("buffer: unpin of unpinned frame")
-	}
-	if f.pins == 0 {
+	f.ref.Store(true)
+	switch n := f.pins.Add(-1); {
+	case n == 0:
 		p.pinned.Add(-1)
-		if f.lruElem == nil {
-			f.lruElem = s.lru.PushBack(f)
-		}
+	case n < 0:
+		panic("buffer: unpin of unpinned frame")
 	}
 }
 
@@ -685,7 +665,7 @@ func (p *Pool) FlushAll() error {
 				s.mu.Unlock()
 				return err
 			}
-			s.writeBacks++
+			p.writeBacks.Add(1)
 		}
 		s.mu.Unlock()
 	}
@@ -697,42 +677,26 @@ type Stats struct {
 	Hits, Misses, Evictions uint64
 	WriteBacks              uint64 // dirty pages written to the store
 	WriteRetries            uint64 // write-back attempts retried after errors
-	Shards                  int
 	Capacity                int
-	Resident                int   // frames currently installed
-	Pinned                  int   // frames with at least one pin right now
-	PinnedHighWater         int   // peak simultaneously pinned frames
-	ShardOccupancy          []int // resident frames per shard
+	Resident                int // frames currently mapped to a page
+	Pinned                  int // frames with at least one pin right now
+	PinnedHighWater         int // peak simultaneously pinned frames
 }
 
-// Stats reports the pool's counters, summed across shards, plus per-shard
-// occupancy.
+// Stats reports the pool's counters. Each is read atomically; the set is
+// not cross-counter atomic.
 func (p *Pool) Stats() Stats {
-	st := Stats{
-		Shards:          len(p.shards),
-		Capacity:        p.capacity,
+	return Stats{
+		Hits:            p.hits.Load(),
+		Misses:          p.misses.Load(),
+		Evictions:       p.evictions.Load(),
+		WriteBacks:      p.writeBacks.Load(),
 		WriteRetries:    p.writeRetries.Load(),
+		Capacity:        p.capacity,
+		Resident:        int(p.resident.Load()),
 		Pinned:          int(p.pinned.Load()),
 		PinnedHighWater: int(p.pinnedHW.Load()),
-		ShardOccupancy:  make([]int, len(p.shards)),
 	}
-	for i, s := range p.shards {
-		s.mu.Lock()
-		st.Hits += s.hits
-		st.Misses += s.misses
-		st.Evictions += s.evictions
-		st.WriteBacks += s.writeBacks
-		st.ShardOccupancy[i] = len(s.frames)
-		st.Resident += len(s.frames)
-		s.mu.Unlock()
-	}
-	return st
-}
-
-// WriteRetries reports how many write-back attempts were retried after a
-// transient store error.
-func (p *Pool) WriteRetries() uint64 {
-	return p.writeRetries.Load()
 }
 
 // Store exposes the underlying page store (for allocation-size queries).

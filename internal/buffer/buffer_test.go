@@ -48,7 +48,7 @@ func TestEvictionWritesDirty(t *testing.T) {
 	if err := p.Modify(f, func(d []byte) error { d[10] = 9; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	id := f.ID
+	id := f.ID()
 	p.Unpin(f, false)
 	// Fill the pool to force eviction of the dirty page.
 	for i := 0; i < 4; i++ {
@@ -306,7 +306,7 @@ func TestConcurrentFetch(t *testing.T) {
 	var ids []pagestore.PageID
 	for i := 0; i < 8; i++ {
 		f, _ := p.NewPage()
-		ids = append(ids, f.ID)
+		ids = append(ids, f.ID())
 		p.Unpin(f, false)
 	}
 	var wg sync.WaitGroup
@@ -348,7 +348,7 @@ func TestConcurrentFetchModifyEvict(t *testing.T) {
 		if err := p.Modify(f, func(d []byte) error { d[0] = byte(i); return nil }); err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, f.ID)
+		ids = append(ids, f.ID())
 		p.Unpin(f, false)
 	}
 	var wg sync.WaitGroup
@@ -405,68 +405,195 @@ func TestConcurrentFetchModifyEvict(t *testing.T) {
 	}
 }
 
-// TestCrossShardSteal: a shard whose frames are all pinned must claim a
-// capacity slot by evicting a victim from a sibling shard instead of
-// reporting the pool full.
-func TestCrossShardSteal(t *testing.T) {
+// fillPool returns a pool of the given capacity over a store of n pages,
+// with pages [0, capacity) resident, in order, and unpinned.
+func fillPool(t *testing.T, capacity, n int) *Pool {
+	t.Helper()
 	store := pagestore.NewMemStore()
-	p := NewSharded(store, 4, 4)
-	if p.ShardCount() != 4 {
-		t.Fatalf("shards = %d, want 4", p.ShardCount())
+	for i := 0; i < n; i++ {
+		if _, err := store.Allocate(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	frames := make([]*Frame, 4)
-	for i := range frames {
-		f, err := p.NewPage() // pages 0..3 land in shards 0..3
+	p := New(store, capacity)
+	for id := 0; id < capacity; id++ {
+		f, err := p.Fetch(pagestore.PageID(id))
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames[i] = f
-	}
-	for _, f := range frames[1:] {
 		p.Unpin(f, false)
 	}
-	// Page 4 maps to shard 0, whose only frame (page 0) is pinned; the pool
-	// is at capacity, so the slot must come from a sibling shard's LRU.
-	f4, err := p.NewPage()
-	if err != nil {
-		t.Fatalf("new page with cross-shard victims available: %v", err)
-	}
-	if f4.ID != 4 {
-		t.Fatalf("allocated page %d, want 4", f4.ID)
-	}
-	st := p.Stats()
-	if st.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1", st.Evictions)
-	}
-	if st.Resident != 4 || st.ShardOccupancy[0] != 2 {
-		t.Errorf("resident = %d, shard occupancy = %v", st.Resident, st.ShardOccupancy)
-	}
-	// With every frame pinned again, the pool really is full.
-	p.Unpin(frames[0], false)
-	f0, err := p.Fetch(0)
+	return p
+}
+
+// mapped reports whether page id is in the pool's page table.
+func mapped(p *Pool, id pagestore.PageID) bool {
+	s := p.shardOf(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.frames[id]
+	return ok
+}
+
+// TestClockSecondChance: a frame referenced since the hand last passed
+// survives one sweep, and an unreferenced one is evicted first.
+func TestClockSecondChance(t *testing.T) {
+	p := fillPool(t, 4, 8)
+	// Every frame is referenced: the hand clears all four bits, comes round
+	// to frame 0 and evicts page 0.
+	f, err := p.Fetch(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []pagestore.PageID{1, 2} {
+	p.Unpin(f, false)
+	if mapped(p, 0) {
+		t.Fatal("page 0 survived a sweep that cleared every reference bit")
+	}
+	// Reference page 1 again; pages 2 and 3 stay unreferenced. The hand
+	// spares page 1 once and evicts page 2.
+	f, _ = p.Fetch(1)
+	p.Unpin(f, false)
+	f, _ = p.Fetch(5)
+	p.Unpin(f, false)
+	for id, want := range map[pagestore.PageID]bool{1: true, 2: false, 3: true, 4: true, 5: true} {
+		if got := mapped(p, id); got != want {
+			t.Errorf("page %d resident = %v, want %v", id, got, want)
+		}
+	}
+	if st := p.Stats(); st.Evictions != 2 || st.Resident != 4 {
+		t.Errorf("evictions = %d, resident = %d; want 2, 4", st.Evictions, st.Resident)
+	}
+}
+
+// TestClockSkipsPinned: a pinned frame is never a victim, however many
+// sweeps pass it.
+func TestClockSkipsPinned(t *testing.T) {
+	p := fillPool(t, 4, 64)
+	pinned, err := p.Fetch(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := pagestore.PageID(4); id < 64; id++ {
 		f, err := p.Fetch(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.Unpin(f, false)
+		p.Unpin(f, false)
+		if !mapped(p, 2) {
+			t.Fatalf("pinned page 2 evicted by the miss on page %d", id)
+		}
 	}
-	if _, err := p.NewPage(); !errors.Is(err, ErrPoolFull) {
-		t.Errorf("err = %v, want ErrPoolFull", err)
-	}
-	p.Unpin(f0, false)
-	p.Unpin(f4, false)
+	p.Unpin(pinned, false)
 }
 
-// TestShardedChurnStats drives heavy concurrent churn across many shards
+// TestClockPinnedShardStillGetsFrame: a page whose shard holds only pinned
+// frames still gets a frame while any frame elsewhere is unpinned —
+// capacity and replacement are global — and residency stays at capacity.
+func TestClockPinnedShardStillGetsFrame(t *testing.T) {
+	p := fillPool(t, 4, 8)
+	home := p.shardOf(0)
+	if p.shardOf(4) != home {
+		t.Fatal("page 4 not in page 0's shard") // 2 or 4 shards at capacity 4
+	}
+	var held []*Frame
+	for id := pagestore.PageID(0); id < 4; id++ {
+		if p.shardOf(id) == home {
+			f, err := p.Fetch(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, f)
+		}
+	}
+	f4, err := p.Fetch(4)
+	if err != nil {
+		t.Fatalf("fetch with unpinned frames in other shards: %v", err)
+	}
+	if st := p.Stats(); st.Evictions != 1 || st.Resident != 4 {
+		t.Errorf("evictions = %d, resident = %d; want 1, 4", st.Evictions, st.Resident)
+	}
+	for _, f := range append(held, f4) {
+		p.Unpin(f, false)
+	}
+}
+
+// TestClockPoolFullExactly: ErrPoolFull comes back exactly when every frame
+// is pinned; a hit still succeeds then, and the last unpin of any frame
+// clears it.
+func TestClockPoolFullExactly(t *testing.T) {
+	p := fillPool(t, 4, 8)
+	fetch := func(id pagestore.PageID) *Frame {
+		t.Helper()
+		f, err := p.Fetch(id)
+		if err != nil {
+			t.Fatalf("fetch %d: %v", id, err)
+		}
+		return f
+	}
+	full := func(id pagestore.PageID) {
+		t.Helper()
+		if _, err := p.Fetch(id); !errors.Is(err, ErrPoolFull) {
+			t.Fatalf("fetch %d with every frame pinned: err = %v, want ErrPoolFull", id, err)
+		}
+	}
+	f0, f1, f2 := fetch(0), fetch(1), fetch(2)
+	f4 := fetch(4) // takes page 3's frame, the last unpinned one
+	full(5)
+	again := fetch(0) // a hit needs no frame
+	p.Unpin(f0, false)
+	full(5) // page 0 is still pinned once
+	p.Unpin(f1, false)
+	f5 := fetch(5)
+	full(6)
+	for _, f := range []*Frame{again, f2, f4, f5} {
+		p.Unpin(f, false)
+	}
+	if st := p.Stats(); st.Pinned != 0 || st.Resident != 4 {
+		t.Errorf("pinned = %d, resident = %d; want 0, 4", st.Pinned, st.Resident)
+	}
+}
+
+// TestPoolAllocs is the allocation tripwire: a hot Fetch+Unpin and a
+// steady-state miss that evicts a clean frame allocate nothing, because
+// frames are reused and the clock keeps no per-pin bookkeeping.
+func TestPoolAllocs(t *testing.T) {
+	p := fillPool(t, 4, 8)
+	cycle := func(id pagestore.PageID) {
+		f, err := p.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(f, false)
+	}
+	const runs = 1000
+	before := p.Stats()
+	hot := testing.AllocsPerRun(runs, func() { cycle(1) })
+	mid := p.Stats()
+	// Eight pages round-robin through four frames, starting past the
+	// resident ones: every fetch misses and evicts.
+	next := 4
+	miss := testing.AllocsPerRun(runs, func() {
+		cycle(pagestore.PageID(next % 8))
+		next++
+	})
+	after := p.Stats()
+	if hits := mid.Hits - before.Hits; hits != runs+1 {
+		t.Fatalf("hot loop: %d hits, want %d", hits, runs+1)
+	}
+	if misses := after.Misses - mid.Misses; misses != runs+1 {
+		t.Fatalf("miss loop: %d misses, want %d", misses, runs+1)
+	}
+	if hot != 0 || miss != 0 {
+		t.Errorf("allocations per hot Fetch+Unpin = %v, per miss cycle = %v; want 0, 0", hot, miss)
+	}
+}
+
+// TestShardedChurnStats drives heavy concurrent churn across the shards
 // (run under -race) and then checks the Stats snapshot is coherent: counters
-// flowing, occupancy summing to residency, residency within capacity.
+// flowing, residency within capacity, nothing left pinned.
 func TestShardedChurnStats(t *testing.T) {
 	store := pagestore.NewMemStore()
-	p := NewSharded(store, 16, 8)
+	p := New(store, 16)
 	var ids []pagestore.PageID
 	for i := 0; i < 64; i++ {
 		f, err := p.NewPage()
@@ -476,7 +603,7 @@ func TestShardedChurnStats(t *testing.T) {
 		if err := p.Modify(f, func(d []byte) error { d[0] = byte(i); return nil }); err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, f.ID)
+		ids = append(ids, f.ID())
 		p.Unpin(f, false)
 	}
 	var wg sync.WaitGroup
@@ -512,21 +639,14 @@ func TestShardedChurnStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := p.Stats()
-	if st.Shards != 8 || len(st.ShardOccupancy) != 8 {
-		t.Fatalf("shards = %d, occupancy = %v", st.Shards, st.ShardOccupancy)
-	}
 	if st.Misses == 0 || st.Evictions == 0 || st.WriteBacks == 0 {
 		t.Errorf("expected churn: %+v", st)
 	}
 	if st.Resident > st.Capacity {
 		t.Errorf("resident %d exceeds capacity %d at quiescence", st.Resident, st.Capacity)
 	}
-	sum := 0
-	for _, n := range st.ShardOccupancy {
-		sum += n
-	}
-	if sum != st.Resident {
-		t.Errorf("occupancy sum %d != resident %d", sum, st.Resident)
+	if st.Pinned != 0 {
+		t.Errorf("pinned = %d at quiescence, want 0", st.Pinned)
 	}
 	// Data integrity after the churn.
 	buf := make([]byte, pagestore.PageSize)
@@ -569,11 +689,11 @@ func TestWriteBackRetriesTransientErrors(t *testing.T) {
 	if err := p.FlushAll(); err != nil {
 		t.Fatalf("flush with 2 transient failures: %v", err)
 	}
-	if p.WriteRetries() != 2 {
-		t.Errorf("writeRetries = %d, want 2", p.WriteRetries())
+	if n := p.Stats().WriteRetries; n != 2 {
+		t.Errorf("writeRetries = %d, want 2", n)
 	}
 	buf := make([]byte, pagestore.PageSize)
-	fs.Store.ReadPage(f.ID, buf)
+	fs.Store.ReadPage(f.ID(), buf)
 	if buf[100] != 9 {
 		t.Error("retried write-back lost data")
 	}

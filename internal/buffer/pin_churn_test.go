@@ -12,7 +12,7 @@ import (
 // TestConcurrentPinEvictChurn hammers a small pool from many goroutines —
 // fetch, read-verify under the shared latch, occasionally modify, unpin —
 // with far more pages than frames, so every iteration contends with
-// evictions and frame reuse across shards. Run under -race this checks that
+// evictions and frame reuse. Run under -race this checks that
 // pinned frames are never stolen and that the pin accounting converges.
 func TestConcurrentPinEvictChurn(t *testing.T) {
 	const (

@@ -110,9 +110,9 @@ func Bootstrap(pool *buffer.Pool) (*Catalog, error) {
 	if err != nil {
 		return nil, err
 	}
-	if metaFrame.ID != 0 {
+	if id := metaFrame.ID(); id != 0 {
 		pool.Unpin(metaFrame, false)
-		return nil, fmt.Errorf("catalog: meta page allocated as %d, want 0", metaFrame.ID)
+		return nil, fmt.Errorf("catalog: meta page allocated as %d, want 0", id)
 	}
 	names, err := heap.Create(pool)
 	if err != nil {

@@ -552,10 +552,10 @@ func TestEditReadFaultsSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// run reopens the database cold over the injector, with a pool small
-	// enough that the edit's second visit to a page is a read again.
+	// run reopens the database cold over the injector, with a one-frame
+	// pool, so the edit's second visit to a page is a read again.
 	run := func(inj *fault.Injector) (r0, r1 uint64, err error) {
-		db, err := Open(pagestore.NewChecksumStore(fault.NewStore(mem, inj)), Options{PoolPages: 3})
+		db, err := Open(pagestore.NewChecksumStore(fault.NewStore(mem, inj)), Options{PoolPages: 1})
 		if err != nil {
 			return 0, 0, err
 		}

@@ -114,7 +114,7 @@ func TestNodeStringCopiesOutOfFrame(t *testing.T) {
 
 // TestConcurrentReadersUnderEviction runs parallel borrowed-read traffic
 // (serialization, node reads, queries) on a tiny pool so pins, evictions and
-// frame reuse race across shards; meaningful mainly under -race.
+// frame reuse race; meaningful mainly under -race.
 func TestConcurrentReadersUnderEviction(t *testing.T) {
 	db, err := Open(pagestore.NewMemStore(), Options{PoolPages: 8})
 	if err != nil {

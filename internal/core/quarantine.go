@@ -193,15 +193,13 @@ type Stats struct {
 	DeadlockReruns   uint64 // transactions re-run after a deadlock abort
 
 	// Buffer pool.
-	PoolHits           uint64
-	PoolMisses         uint64
-	PoolEvictions      uint64
-	PoolWriteBacks     uint64
-	PoolShards         int
-	PoolResident       int
-	PoolPinned         int // frames pinned right now (borrowed reads, cursors)
-	PoolPinnedHW       int // peak simultaneously pinned frames
-	PoolShardOccupancy []int
+	PoolHits       uint64
+	PoolMisses     uint64
+	PoolEvictions  uint64
+	PoolWriteBacks uint64
+	PoolResident   int
+	PoolPinned     int // frames pinned right now (borrowed reads, cursors)
+	PoolPinnedHW   int // peak simultaneously pinned frames
 
 	// WAL (zero when the database runs without a log).
 	WALCommits uint64 // transactions committed
@@ -251,24 +249,22 @@ type dbStats struct {
 func (db *DB) Stats() Stats {
 	ps := db.pool.Stats()
 	s := Stats{
-		ScrubPasses:        atomic.LoadUint64(&db.stats.scrubPasses),
-		PagesVerified:      atomic.LoadUint64(&db.stats.pagesVerified),
-		CorruptionsFound:   atomic.LoadUint64(&db.stats.corruptions),
-		DocsQuarantined:    atomic.LoadUint64(&db.stats.docsQuarantined),
-		DocsRepaired:       atomic.LoadUint64(&db.stats.docsRepaired),
-		DocsLossy:          atomic.LoadUint64(&db.stats.docsLossy),
-		IndexesRebuilt:     atomic.LoadUint64(&db.stats.indexesRebuilt),
-		WriteBackRetries:   ps.WriteRetries,
-		DeadlockReruns:     atomic.LoadUint64(&db.stats.deadlockReruns),
-		PoolHits:           ps.Hits,
-		PoolMisses:         ps.Misses,
-		PoolEvictions:      ps.Evictions,
-		PoolWriteBacks:     ps.WriteBacks,
-		PoolShards:         ps.Shards,
-		PoolResident:       ps.Resident,
-		PoolPinned:         ps.Pinned,
-		PoolPinnedHW:       ps.PinnedHighWater,
-		PoolShardOccupancy: ps.ShardOccupancy,
+		ScrubPasses:      atomic.LoadUint64(&db.stats.scrubPasses),
+		PagesVerified:    atomic.LoadUint64(&db.stats.pagesVerified),
+		CorruptionsFound: atomic.LoadUint64(&db.stats.corruptions),
+		DocsQuarantined:  atomic.LoadUint64(&db.stats.docsQuarantined),
+		DocsRepaired:     atomic.LoadUint64(&db.stats.docsRepaired),
+		DocsLossy:        atomic.LoadUint64(&db.stats.docsLossy),
+		IndexesRebuilt:   atomic.LoadUint64(&db.stats.indexesRebuilt),
+		WriteBackRetries: ps.WriteRetries,
+		DeadlockReruns:   atomic.LoadUint64(&db.stats.deadlockReruns),
+		PoolHits:         ps.Hits,
+		PoolMisses:       ps.Misses,
+		PoolEvictions:    ps.Evictions,
+		PoolWriteBacks:   ps.WriteBacks,
+		PoolResident:     ps.Resident,
+		PoolPinned:       ps.Pinned,
+		PoolPinnedHW:     ps.PinnedHighWater,
 	}
 	if db.log != nil {
 		s.WALCommits = db.log.CommitCount()

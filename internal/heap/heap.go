@@ -110,7 +110,7 @@ func Create(pool *buffer.Pool) (*Table, error) {
 		initPage(d)
 		return nil
 	})
-	id := f.ID
+	id := f.ID()
 	pool.Unpin(f, false)
 	if err != nil {
 		return nil, err
@@ -343,7 +343,7 @@ func (t *Table) insert(flag byte, payload []byte, countIt bool) (RID, error) {
 		slot = insertInPage(d, flag, payload)
 		return nil
 	})
-	newID := nf.ID
+	newID := nf.ID()
 	t.pool.Unpin(nf, false)
 	if err != nil {
 		return InvalidRID, err
