@@ -111,7 +111,8 @@ func compareBench(baseDir string, suites map[string][]benchResult) error {
 				failures = append(failures, fmt.Sprintf("%s/%s: ns/op %.0f > baseline %.0f +%d%%",
 					id, r.Name, r.NsPerOp, b.NsPerOp, int(nsGate*100)))
 			}
-			if b.AllocsPerOp > 0 && float64(r.AllocsPerOp) > float64(b.AllocsPerOp)*(1+allocsGate) {
+			// A zero allocs/op baseline holds the case to zero.
+			if float64(r.AllocsPerOp) > float64(b.AllocsPerOp)*(1+allocsGate) {
 				failures = append(failures, fmt.Sprintf("%s/%s: allocs/op %d > baseline %d +%d%%",
 					id, r.Name, r.AllocsPerOp, b.AllocsPerOp, int(allocsGate*100)))
 			}

@@ -31,6 +31,8 @@ import (
 //     every document (the planner merges its conjuncts on that promise).
 //  7. Every DocID in the NodeID index has a DocID-index entry: no removal
 //     or rolled-back insert leaves records behind.
+//  8. Every document's root signature covers every element name its walk
+//     sees (pack.Record.Sig: it may hold more, never less).
 func (c *Collection) CheckConsistency() error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -172,14 +174,33 @@ func (c *Collection) checkDoc(doc xml.DocID) error {
 	if h.nodes == 0 {
 		return errors.New("document walks to zero nodes")
 	}
+	// Invariant 8: the root signature covers the elements walked.
+	root, release, err := r.borrow(nodeid.Root)
+	if err != nil {
+		return err
+	}
+	sig := root.Sig
+	release()
+	if missing := h.sig &^ sig; missing != 0 {
+		return fmt.Errorf("root signature %#x misses element-name bits %#x", sig, missing)
+	}
 	return nil
 }
 
-type nodeCountHandler struct{ nodes int }
+// nodeCountHandler counts a walk's nodes and gathers its elements'
+// signature.
+type nodeCountHandler struct {
+	nodes int
+	sig   uint64
+}
 
-func (h *nodeCountHandler) StartDocument() error                           { return nil }
-func (h *nodeCountHandler) EndDocument() error                             { return nil }
-func (h *nodeCountHandler) StartElement(xml.QName, nodeid.ID) error        { h.nodes++; return nil }
+func (h *nodeCountHandler) StartDocument() error { return nil }
+func (h *nodeCountHandler) EndDocument() error   { return nil }
+func (h *nodeCountHandler) StartElement(name xml.QName, _ nodeid.ID) error {
+	h.nodes++
+	h.sig |= xml.SigBit(name.Local)
+	return nil
+}
 func (h *nodeCountHandler) EndElement(nodeid.ID) error                     { return nil }
 func (h *nodeCountHandler) NSDecl(xml.NameID, xml.NameID, nodeid.ID) error { h.nodes++; return nil }
 func (h *nodeCountHandler) Attribute(xml.QName, []byte, xml.TypeID, nodeid.ID) error {

@@ -313,3 +313,37 @@ func TestRemoveDocSkipsReusedRows(t *testing.T) {
 		t.Fatalf("after removal: %v", err)
 	}
 }
+
+// TestConsistencyCatchesNarrowSignature: a root record whose signature
+// misses an element the document holds fails invariant 8 — the one state
+// in which ruling a document out would lose matches. A wider signature
+// (the trace of a deleted element) passes.
+func TestConsistencyCatchesNarrowSignature(t *testing.T) {
+	db := newDB(t)
+	col, _ := db.CreateCollection("c", CollectionOptions{PackThreshold: 512})
+	doc := mustInsert(t, col, archiveDoc(40))
+	setSig := func(sig func(uint64) uint64) {
+		t.Helper()
+		r, err := col.reader(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := r.openRec(nodeid.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.rec.Sig = sig(root.rec.Sig)
+		if err := col.rewriteRecord(doc, root.rid, root.rec, root.tops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	who, _ := db.cat.Intern("who")
+	setSig(func(s uint64) uint64 { return s | 1<<63 })
+	if err := col.CheckConsistency(); err != nil {
+		t.Fatalf("a superset signature fails the check: %v", err)
+	}
+	setSig(func(s uint64) uint64 { return s &^ xml.SigBit(who) })
+	if err := col.CheckConsistency(); err == nil || !strings.Contains(err.Error(), "signature") {
+		t.Fatalf("a signature missing <who> (stored in run records) passes the check: %v", err)
+	}
+}

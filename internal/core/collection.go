@@ -782,10 +782,24 @@ func (c *Collection) evalStored(doc xml.DocID, e *quickxscan.Eval) ([]quickxscan
 	return r.eval(e)
 }
 
+// eval is the one whole-document evaluation: query scans, value-key
+// generation on insert and removal, the edit's key bracket and the
+// consistency check all run it. A document whose root signature lacks a
+// name the query needs (Eval.Need) is ruled out after the root fetch, before
+// any body decode or proxy fetch. The signature never misses an element the
+// document holds, so a ruled-out document has no matches.
 func (r docReader) eval(e *quickxscan.Eval) ([]quickxscan.Match, error) {
 	e.Reset()
+	root, release, err := r.borrow(nodeid.Root)
+	if err != nil {
+		return nil, err
+	}
+	if e.Need()&^root.Sig != 0 {
+		release()
+		return nil, nil
+	}
 	e.StartDocument()
-	if err := r.walk(evalVisitor{e}, nil); err != nil {
+	if err := pack.Walk(root, release, r.borrow, evalVisitor{e}); err != nil {
 		return nil, err
 	}
 	return e.EndDocument()

@@ -414,6 +414,9 @@ func (c *Collection) applyEdit(p *editPlan) error {
 	case editUpdateText:
 		(*p.list)[p.idx].Value = append([]byte(nil), p.req.data...)
 	case editInsert:
+		if err := p.widen(sink); err != nil {
+			return err
+		}
 		*p.list = insertOrdered(*p.list, p.sub)
 	case editDelete:
 		if err := sink.dropInside(p.req.id, p.tgt.rid); err != nil {
@@ -448,6 +451,61 @@ func (c *Collection) applyEdit(p *editPlan) error {
 	return c.reconcileValueKeys(p.req.doc, before)
 }
 
+// widen adds the inserted subtree's element names to the root record's
+// signature (pack.Record.Sig) before the edit's first record effect: when
+// the edit rewrites the root record itself, as part of that rewrite;
+// otherwise as a rewrite of the root record of its own, first. Any prefix of
+// the edit's page effects that holds a new element therefore holds the
+// wider signature too, and a reader never sees an element its document's
+// signature misses.
+func (p *editPlan) widen(sink recordSink) error {
+	var bits uint64
+	var add func(m *pack.MutNode)
+	add = func(m *pack.MutNode) {
+		if m.Kind == xml.Element {
+			bits |= xml.SigBit(m.Name.Local)
+			for _, c := range m.Children {
+				add(c)
+			}
+		}
+	}
+	add(p.sub)
+	if bits == 0 {
+		return nil
+	}
+	// When the edit rewrites the root record, as its target or as the
+	// holder of the target's proxy, that rewrite must carry the widened
+	// header too.
+	root := p.tgt
+	if len(root.rec.ContextID) != 0 {
+		root = p.holder
+	}
+	if root == nil || len(root.rec.ContextID) != 0 {
+		// The edit leaves the root record alone: read its signature
+		// before decoding it for a rewrite.
+		rec, release, err := p.r.borrow(nodeid.Root)
+		if err != nil {
+			return err
+		}
+		covered := bits&^rec.Sig == 0
+		release()
+		if covered {
+			return nil
+		}
+		if root, err = p.r.openRec(nodeid.Root); err != nil {
+			return err
+		}
+	}
+	if bits&^root.rec.Sig == 0 {
+		return nil
+	}
+	root.rec.Sig |= bits
+	if root == p.tgt {
+		return nil
+	}
+	return sink.rewrite(root)
+}
+
 // insertOrdered places sub in list, keeping sibling order by relative ID.
 func insertOrdered(list []*pack.MutNode, sub *pack.MutNode) []*pack.MutNode {
 	at := len(list)
@@ -466,7 +524,9 @@ func insertOrdered(list []*pack.MutNode, sub *pack.MutNode) []*pack.MutNode {
 // recordSink receives an edit's record effects: the one fork between plain
 // and versioned collections.
 type recordSink interface {
-	// rewrite stores r's edited subtrees in place of its stored content.
+	// rewrite stores r's edited subtrees in place of its stored content. An
+	// edit may rewrite one record twice: the root record widened first, then
+	// with its own edit.
 	rewrite(r *openRec) error
 	// drop removes r, whose last subtree the edit deleted.
 	drop(r *openRec) error

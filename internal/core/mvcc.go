@@ -105,22 +105,31 @@ type verEdit struct {
 }
 
 type verNewRec struct {
+	from   *openRec
 	rid    heap.RID
 	uppers []nodeid.ID
 }
 
-// rewrite stores the edited record as a new row.
+// rewrite stores the edited record as a new row. A record rewritten a second
+// time in the same edit overwrites the row its first rewrite made: that row
+// belongs to the new version alone.
 func (ve *verEdit) rewrite(r *openRec) error {
 	row, uppers, err := encodeRecord(ve.doc, r.rec, r.tops)
 	if err != nil {
 		return err
+	}
+	for i := range ve.added {
+		if nr := &ve.added[i]; nr.from == r {
+			nr.uppers = uppers
+			return ve.c.xmlTbl.Update(nr.rid, row)
+		}
 	}
 	rid, err := ve.c.xmlTbl.Insert(row)
 	if err != nil {
 		return err
 	}
 	ve.gone[r.rid] = true
-	ve.added = append(ve.added, verNewRec{rid: rid, uppers: uppers})
+	ve.added = append(ve.added, verNewRec{from: r, rid: rid, uppers: uppers})
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"rx/internal/heap"
 	"rx/internal/nodeid"
 	"rx/internal/pack"
 	"rx/internal/pagestore"
@@ -105,59 +106,288 @@ var differentialQueries = []string{
 	`/Catalog/Categories/Product[RegPrice > 100 and not(Discount = 0)]/@pid`,
 	`/arch[head/title = 'archive 1']/entries/entry[who = 'C02' or qty > 8]/body`,
 	`/arch/entries[entry/qty = 9]/entry/who`, `/a[b]/a[not(b)]//b`, `/order/items[item]/item[. = 'x']`,
+	// names some documents lack, required or not: under or and not they
+	// must not rule a document out
+	`//nosuch`, `//entry//qty`, `/order[hdr/nosuch or items]/hdr/cust`, `//item[not(nosuch)]/sku`,
+	`//a[nosuch and b]`, `//*[b or nosuch]/@pid`,
+}
+
+// ruledOut reports whether eval rules doc out by its root signature.
+func ruledOut(t *testing.T, r docReader, e *quickxscan.Eval) bool {
+	t.Helper()
+	root, release, err := r.borrow(nodeid.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	return e.Need()&^root.Sig != 0
+}
+
+// checkAgainstFullWalk evaluates e over doc with evalStored — skipping
+// subtrees, and ruling the document out by its signature — and with WalkDoc
+// for the same evaluator behind the skip hook, and holds both to the plain
+// handler that is shown every node. It returns the matches.
+func checkAgainstFullWalk(t *testing.T, col *Collection, doc xml.DocID, e *quickxscan.Eval, what string) (ms []quickxscan.Match, skipped int) {
+	t.Helper()
+	ref := &plainEvalHandler{e: e}
+	if err := col.WalkDoc(doc, ref); err != nil {
+		t.Fatal(err)
+	}
+	got, err := col.evalStored(doc, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameMatches(got, ref.matches) {
+		t.Fatalf("%s doc %d: evalStored (skipping) returned %d matches %v, the full walk %d %v",
+			what, doc, len(got), got, len(ref.matches), ref.matches)
+	}
+	hooked := &skippingEvalHandler{plainEvalHandler: plainEvalHandler{e: e}}
+	if err := col.WalkDoc(doc, hooked); err != nil {
+		t.Fatal(err)
+	}
+	if !sameMatches(hooked.matches, ref.matches) {
+		t.Fatalf("%s doc %d: WalkDoc with the skip hook returned %v, the full walk %v",
+			what, doc, hooked.matches, ref.matches)
+	}
+	return got, hooked.skipped
+}
+
+// compileExpr compiles a query for stored evaluation, failing the test on
+// error.
+func compileExpr(t *testing.T, db *DB, expr string, needValues bool) *quickxscan.Eval {
+	t.Helper()
+	q, err := xpath.Parse(expr)
+	if err != nil {
+		t.Fatalf("%s: %v", expr, err)
+	}
+	e, err := quickxscan.Compile(q, db.cat, nil, quickxscan.Options{NeedValues: needValues})
+	if err != nil {
+		t.Fatalf("%s: %v", expr, err)
+	}
+	return e
 }
 
 // TestSkipDifferential is the skip oracle: over the differential corpus
 // (orders, catalogs, the recursive a/b shape, multi-record archives behind
 // proxies) and a query set covering child-only and mixed /–// spines,
-// attributes, text(), element results whose string value is collected, and
-// and/or/not predicates, the subtree-skipping scan (evalStored, and WalkDoc
-// for a handler with the vsax hook) returns byte-identical matches to the
-// same evaluator shown every node.
+// attributes, text(), element results whose string value is collected,
+// and/or/not predicates and names absent from a document, the scan that
+// skips subtrees and rules documents out by their root signature
+// (evalStored, and WalkDoc for a handler with the vsax hook) returns
+// byte-identical matches to the same evaluator shown every node — on plain
+// and versioned collections, and after InsertFragment brings a name new to
+// the document into a record other than the root record, and after that
+// insert is rolled back.
 func TestSkipDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	db := newDB(t)
-	col, _ := db.CreateCollection("c", CollectionOptions{PackThreshold: 512})
-	docs := differentialCorpus(t, rng, col)
-
-	skipped := 0
-	for _, expr := range differentialQueries {
-		q, err := xpath.Parse(expr)
-		if err != nil {
-			t.Fatalf("%s: %v", expr, err)
-		}
-		for _, needValues := range []bool{false, true} {
-			e, err := quickxscan.Compile(q, db.cat, nil, quickxscan.Options{NeedValues: needValues})
-			if err != nil {
-				t.Fatalf("%s: %v", expr, err)
+	bothModes(t, CollectionOptions{PackThreshold: 512}, func(t *testing.T, col *Collection) {
+		db := col.db
+		rng := rand.New(rand.NewSource(41))
+		docs := differentialCorpus(t, rng, col)
+		skipped, ruled := 0, 0
+		for _, expr := range differentialQueries {
+			for _, needValues := range []bool{false, true} {
+				e := compileExpr(t, db, expr, needValues)
+				for _, doc := range docs {
+					r, err := col.reader(doc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ruledOut(t, r, e) {
+						ruled++
+					}
+					_, n := checkAgainstFullWalk(t, col, doc, e, fmt.Sprintf("%s values=%v", expr, needValues))
+					skipped += n
+				}
 			}
-			for _, doc := range docs {
-				ref := &plainEvalHandler{e: e}
-				if err := col.WalkDoc(doc, ref); err != nil {
-					t.Fatal(err)
-				}
-				got, err := col.evalStored(doc, e)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameMatches(got, ref.matches) {
-					t.Fatalf("%s values=%v doc %d: evalStored (skipping) returned %d matches %v, the full walk %d %v",
-						expr, needValues, doc, len(got), got, len(ref.matches), ref.matches)
-				}
-				hooked := &skippingEvalHandler{plainEvalHandler: plainEvalHandler{e: e}}
-				if err := col.WalkDoc(doc, hooked); err != nil {
-					t.Fatal(err)
-				}
-				if !sameMatches(hooked.matches, ref.matches) {
-					t.Fatalf("%s values=%v doc %d: WalkDoc with the skip hook returned %v, the full walk %v",
-						expr, needValues, doc, hooked.matches, ref.matches)
-				}
-				skipped += hooked.skipped
+		}
+		if skipped == 0 {
+			t.Fatal("nothing was ever skipped: the oracle compared the full walk with itself")
+		}
+		if ruled == 0 {
+			t.Fatal("no document was ever ruled out by its signature")
+		}
+		insertNewNamesThenRollBack(t, col)
+	})
+}
+
+// archiveDoc is a document of n entries that packs into many records at
+// PackThreshold 512: the root record holds arch, head and entries, and the
+// entries sit in run records behind proxies.
+func archiveDoc(n int) []byte {
+	var sb strings.Builder
+	sb.WriteString(`<arch><head><title>t</title></head><entries>`)
+	for j := 0; j < n; j++ {
+		fmt.Fprintf(&sb, `<entry n="%d"><who>C%02d</who><body>%s</body></entry>`, j, j%8, strings.Repeat("lorem ", 8))
+	}
+	sb.WriteString(`</entries></arch>`)
+	return []byte(sb.String())
+}
+
+// inRunRecord returns a node selected by expr in doc that is stored in a
+// record other than the root record.
+func inRunRecord(t *testing.T, col *Collection, doc xml.DocID, expr string) nodeid.ID {
+	t.Helper()
+	r, err := col.reader(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootRID, err := r.lookup(nodeid.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := compileExpr(t, col.db, expr, false)
+	ms, err := r.eval(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range ms {
+		if rid, err := r.lookup(m.ID); err == nil && rid != rootRID {
+			return nodeid.Clone(m.ID)
+		}
+	}
+	t.Fatalf("doc %d: no %s outside the root record", doc, expr)
+	return nil
+}
+
+// insertNewNamesThenRollBack inserts, in one transaction, elements of names
+// the document has never held into run records — AsLastChild under an entry
+// (the root record is widened by a rewrite of its own) and BeforeNode an
+// entry at a run's top level (the root record holds the run's proxy, so it
+// is widened first and rewritten again for the proxy) — and checks the scan
+// against the full walk before and after the rollback.
+func insertNewNamesThenRollBack(t *testing.T, col *Collection) {
+	t.Helper()
+	db := col.db
+	doc := mustInsert(t, col, archiveDoc(60))
+	exprs := []string{`//zz`, `//zz/yy`, `//entry[zz]/who`, `/arch/entries/xx`, `//xx/@k`, `//entry[who = 'C03']/body`}
+	scan := func(when string, want []int) {
+		t.Helper()
+		for i, expr := range exprs {
+			ms, _ := checkAgainstFullWalk(t, col, doc, compileExpr(t, db, expr, true), expr+" "+when)
+			if len(ms) != want[i] {
+				t.Fatalf("%s %s: %d matches, want %d", expr, when, len(ms), want[i])
 			}
 		}
 	}
-	if skipped == 0 {
-		t.Fatal("nothing was ever skipped: the oracle compared the full walk with itself")
+	r, err := col.reader(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, release, err := r.borrow(nodeid.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig := root.Sig
+	release()
+	for _, name := range []string{"zz", "yy", "xx"} {
+		id, _ := db.cat.Intern(name)
+		if sig&xml.SigBit(id) != 0 {
+			t.Fatalf("the signature already has %s's bit: the test cannot see a widening", name)
+		}
+	}
+	scan("before the insert", []int{0, 0, 0, 0, 0, 8})
+	entry := inRunRecord(t, col, doc, `/arch/entries/entry`)
+	tx := db.Begin()
+	if _, err := tx.InsertFragment(col, doc, entry, AsLastChild, []byte(`<zz><yy>new</yy></zz>`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.InsertFragment(col, doc, entry, BeforeNode, []byte(`<xx k="1"/>`)); err != nil {
+		t.Fatal(err)
+	}
+	scan("after the insert", []int{1, 1, 1, 1, 1, 8})
+	if err := col.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	scan("after the rollback", []int{0, 0, 0, 0, 0, 8})
+	if err := col.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVersionedRootSignature: an insert of a new element name into a run
+// record of a versioned document widens the new version's root record only
+// — the snapshot taken before it keeps the narrower signature and still
+// rules the document out — and the new version is ruled in and matches. A
+// second insert, whose edit rewrites the root record twice (widened, then
+// its proxy updated), leaves the new version one root row: once the old
+// versions are vacuumed, every row left is one the current version uses.
+func TestVersionedRootSignature(t *testing.T) {
+	db := newDB(t)
+	col, err := db.CreateCollection("c", CollectionOptions{PackThreshold: 512, Versioned: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := mustInsert(t, col, archiveDoc(60))
+	old, err := col.SnapshotVersion(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := inRunRecord(t, col, doc, `/arch/entries/entry`)
+	if err := db.RunTxn(func(tx *Txn) error {
+		_, err := tx.InsertFragment(col, doc, entry, AsLastChild, []byte(`<zz>new</zz>`))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := col.SnapshotVersion(doc)
+	if err != nil || cur == old {
+		t.Fatalf("no new version (%d → %d, err %v)", old, cur, err)
+	}
+	zz, _ := db.cat.Intern("zz")
+	e := compileExpr(t, db, `//entry/zz`, true)
+	for _, v := range []struct {
+		ver     uint64
+		has     bool
+		matches int
+	}{{old, false, 0}, {cur, true, 1}} {
+		r := docReader{col, doc, v.ver}
+		root, release, err := r.borrow(nodeid.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		has := root.Sig&xml.SigBit(zz) != 0
+		release()
+		if has != v.has {
+			t.Errorf("version %d: root signature has zz = %v, want %v", v.ver, has, v.has)
+		}
+		if ruledOut(t, r, e) == v.has {
+			t.Errorf("version %d: ruled out = %v", v.ver, !v.has)
+		}
+		ms, err := r.eval(e)
+		if err != nil || len(ms) != v.matches {
+			t.Errorf("version %d: %d matches (err %v), want %d", v.ver, len(ms), err, v.matches)
+		}
+	}
+	if err := db.RunTxn(func(tx *Txn) error {
+		_, err := tx.InsertFragment(col, doc, entry, BeforeNode, []byte(`<xx/>`))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ms, err := col.evalStored(doc, compileExpr(t, db, `//xx`, false)); err != nil || len(ms) != 1 {
+		t.Fatalf("//xx: %d matches (err %v), want 1", len(ms), err)
+	}
+	if cur, err = col.SnapshotVersion(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.Vacuum(doc, cur); err != nil {
+		t.Fatal(err)
+	}
+	used := map[heap.RID]bool{}
+	if err := (docReader{col, doc, cur}).entries(func(_ nodeid.ID, rid heap.RID) bool {
+		used[rid] = true
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := col.xmlTbl.Count(); n != uint64(len(used)) {
+		t.Errorf("%d XML rows after vacuum, the current version uses %d", n, len(used))
+	}
+	if err := col.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -374,7 +604,9 @@ func pageAccesses(db *DB, fn func()) uint64 {
 // TestSkippedDocumentFetchesOnlyItsRoot: a rooted child-axis query over a
 // multi-record document whose root element already rules it out reads the
 // root record and nothing else — the skipped body costs neither decode nor
-// page reads, because the proxies inside it are never resolved.
+// page reads, because the proxies inside it are never resolved. So does a
+// descendant query naming an element the document lacks: its root record's
+// signature rules it out before the walk.
 func TestSkippedDocumentFetchesOnlyItsRoot(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{PackThreshold: 512})
@@ -418,7 +650,95 @@ func TestSkippedDocumentFetchesOnlyItsRoot(t *testing.T) {
 	if skipping != rootOnly {
 		t.Errorf("the ruled-out document cost %d page accesses, fetching its root record alone costs %d", skipping, rootOnly)
 	}
+	for _, expr := range []string{`//Product[Discount = 0.25]/ProductName`, `//a//a//b`, `//Item[Qty > 8]/Serial`} {
+		if n := accesses(eval(expr)); n != rootOnly {
+			t.Errorf("%s names an element the document lacks, yet cost %d page accesses; its root record alone costs %d", expr, n, rootOnly)
+		}
+	}
 	if full < rootOnly+uint64(records)-1 {
 		t.Errorf("the full scan cost %d page accesses for %d records: the counter does not see record fetches", full, records)
+	}
+}
+
+// TestSignatureWideningBesideSnapshotReaders: readers borrow a versioned
+// document's root record, at the snapshot they pinned, while a writer's
+// inserts of new element names into run records widen the new versions'
+// root signatures. Every snapshot evaluation equals the full walk of the
+// same snapshot.
+func TestSignatureWideningBesideSnapshotReaders(t *testing.T) {
+	db := newDB(t)
+	col, err := db.CreateCollection("c", CollectionOptions{PackThreshold: 512, Versioned: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := mustInsert(t, col, archiveDoc(60))
+	const names = 8
+	entry := inRunRecord(t, col, doc, `/arch/entries/entry`)
+	compileAll := func() []*quickxscan.Eval {
+		evals := make([]*quickxscan.Eval, 0, names)
+		for k := 0; k < names; k++ {
+			evals = append(evals, compileExpr(t, db, fmt.Sprintf(`//entry/zz%d`, k), true))
+		}
+		return evals
+	}
+	evals := compileAll()
+	done := make(chan struct{})
+	errs := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		// Each reader owns its evaluators: an Eval is single-threaded.
+		go func(g int, own []*quickxscan.Eval) {
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					errs <- nil
+					return
+				default:
+				}
+				ver, err := col.SnapshotVersion(doc)
+				if err != nil {
+					errs <- err
+					return
+				}
+				e := own[(g+i)%names]
+				got, err := docReader{col, doc, ver}.eval(e)
+				if err != nil {
+					errs <- err
+					return
+				}
+				ref := &plainEvalHandler{e: e}
+				if err := col.WalkDocAt(doc, ver, ref); err != nil {
+					errs <- err
+					return
+				}
+				if !sameMatches(got, ref.matches) {
+					errs <- fmt.Errorf("version %d: eval %v, full walk %v", ver, got, ref.matches)
+					return
+				}
+			}
+		}(g, compileAll())
+	}
+	var insertErr error
+	for k := 0; k < names && insertErr == nil; k++ {
+		insertErr = db.RunTxn(func(tx *Txn) error {
+			_, err := tx.InsertFragment(col, doc, entry, AsLastChild, []byte(fmt.Sprintf(`<zz%d>v</zz%d>`, k, k)))
+			return err
+		})
+	}
+	close(done) // the readers stop, and report, whatever the writer met
+	for g := 0; g < 2; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if insertErr != nil || t.Failed() {
+		t.Fatalf("insert: %v", insertErr)
+	}
+	for k, e := range evals {
+		if ms, err := col.evalStored(doc, e); err != nil || len(ms) != 1 {
+			t.Fatalf("zz%d: %d matches (err %v) after the inserts, want 1", k, len(ms), err)
+		}
+	}
+	if err := col.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }

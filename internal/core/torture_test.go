@@ -54,7 +54,7 @@ func torturePad(tag string, seq int) string {
 type tortureDoc struct {
 	tval  string    // current text of <t>
 	kvals []string  // texts of the <k>s (never updated; covered by a value index)
-	items []string  // texts of the <i> children of <l>; copied, never edited in place
+	items []string  // contents of the <i> children of <l>; copied, never edited in place
 	tnode nodeid.ID // node ID of the text under <t>, for update ops
 }
 
@@ -276,6 +276,11 @@ func tortureWorkload(t *testing.T, seed int64, rules []fault.Rule, checksums, ve
 					return env
 				}
 				item := fmt.Sprintf("i%d", seq)
+				if rng.Intn(3) == 0 {
+					// An element name new to the document: the edit widens
+					// the root record's signature before its record effect.
+					item = fmt.Sprintf("<m>%s</m>", item)
+				}
 				if _, err := tx.InsertFragment(col, id, l[0], AsLastChild, []byte("<i>"+item+"</i>")); err != nil {
 					if crashed("insert fragment %d: %v", id, err) {
 						return env

@@ -313,5 +313,9 @@ func e19Cases() ([]Case, error) {
 		// Child axes let the evaluator rule subtrees out: the 16 Part
 		// subtrees of a document are stepped over by their byte length.
 		scan("stored-scan/child-axis", `/Product[Price > 1000]/Name`),
+		// A descendant query whose result step names an element no Product
+		// has: each document is ruled out by its root record's name
+		// signature after the one fetch, with no node decoded.
+		scan("stored-scan/ruled-out", `//Part[Qty > 1000]/Serial`),
 	}, nil
 }

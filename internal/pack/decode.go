@@ -22,6 +22,12 @@ type Record struct {
 	// ContextID is the absolute node ID of the common parent of the
 	// record's top-level subtrees (empty = the document node).
 	ContextID nodeid.ID
+	// Sig is the root record's element-name signature: xml.SigBit of the
+	// local name of every element in the document, OR-ed — a superset,
+	// since an edit that deletes elements leaves their bits set, but never
+	// missing one. A query that needs a bit Sig lacks cannot match the
+	// document. Zero in every other record.
+	Sig uint64
 	// Path holds the element names from the root element to the context
 	// node, one per level (empty for the root record).
 	Path []xml.QName
@@ -92,16 +98,36 @@ func (r *Record) decode(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if d.pos+int(ctxLen) > len(payload) {
+	if !d.fits(ctxLen) {
 		return ErrCorrupt
 	}
 	r.ContextID = nodeid.ID(payload[d.pos : d.pos+int(ctxLen)])
 	d.pos += int(ctxLen)
+	r.Sig, r.Path, r.NS = 0, r.Path[:0], r.NS[:0]
+	if ctxLen == 0 {
+		// The root record: a signature where other records keep the
+		// context's path and namespaces.
+		if r.Sig, err = d.uvarint(); err != nil {
+			return err
+		}
+	} else if err := r.decodeContext(&d); err != nil {
+		return err
+	}
+	cnt, err := d.uvarint()
+	if err != nil {
+		return err
+	}
+	r.SubtreeCount = int(cnt)
+	r.body = payload[d.pos:]
+	return nil
+}
+
+// decodeContext reads a run record's context path and in-scope namespaces.
+func (r *Record) decodeContext(d *decoder) error {
 	pathLen, err := d.uvarint()
 	if err != nil {
 		return err
 	}
-	r.Path = r.Path[:0]
 	for i := 0; i < int(pathLen); i++ {
 		uri, err := d.uvarint()
 		if err != nil {
@@ -117,7 +143,6 @@ func (r *Record) decode(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	r.NS = r.NS[:0]
 	for i := 0; i < int(nsLen); i++ {
 		p, err := d.uvarint()
 		if err != nil {
@@ -129,12 +154,6 @@ func (r *Record) decode(payload []byte) error {
 		}
 		r.NS = append(r.NS, NSBinding{Prefix: xml.NameID(p), URI: xml.NameID(u)})
 	}
-	cnt, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	r.SubtreeCount = int(cnt)
-	r.body = payload[d.pos:]
 	return nil
 }
 
@@ -143,7 +162,23 @@ type decoder struct {
 	pos int
 }
 
+// byte1 reads a one-byte uvarint — most fields are: name and type IDs,
+// counts, short lengths. It is small enough to inline; ok is false when the
+// field is longer or the buffer ends, and the caller falls back to uvarint.
+func (d *decoder) byte1() (uint64, bool) {
+	if p := d.pos; p < len(d.buf) && d.buf[p] < 0x80 {
+		d.pos++
+		return uint64(d.buf[p]), true
+	}
+	return 0, false
+}
+
+// uvarint reads one uvarint of any length; a truncated or overlong one is
+// ErrCorrupt.
 func (d *decoder) uvarint() (uint64, error) {
+	if v, ok := d.byte1(); ok {
+		return v, nil
+	}
 	v, n := binary.Uvarint(d.buf[d.pos:])
 	if n <= 0 {
 		return 0, ErrCorrupt
@@ -151,6 +186,11 @@ func (d *decoder) uvarint() (uint64, error) {
 	d.pos += n
 	return v, nil
 }
+
+// fits reports whether n bytes remain after the read position. The
+// comparison is unsigned: a length that would overflow int is too long, not
+// negative.
+func (d *decoder) fits(n uint64) bool { return n <= uint64(len(d.buf)-d.pos) }
 
 // relID scans a self-terminating relative node ID.
 func (d *decoder) relID() (nodeid.Rel, error) {
@@ -210,47 +250,37 @@ func (r *Record) decodeNodeAt(n *Node, off int) error {
 	n.bodyStart = 0
 	switch kind {
 	case xml.Element:
-		uri, err := d.uvarint()
-		if err != nil {
+		var uri, local, typ, ec uint64
+		if h := d.buf[d.pos:]; len(h) >= 4 && (h[0]|h[1]|h[2]|h[3])&0x80 == 0 {
+			// The usual header: name, type and entry count one byte each,
+			// checked at once. The body length is often longer.
+			uri, local, typ, ec = uint64(h[0]), uint64(h[1]), uint64(h[2]), uint64(h[3])
+			d.pos += 4
+		} else if err := d.fields(&uri, &local, &typ, &ec); err != nil {
 			return err
 		}
-		local, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		typ, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		ec, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		bl, err := d.uvarint()
-		if err != nil {
-			return err
+		bl, ok := d.byte1()
+		if !ok {
+			if bl, err = d.uvarint(); err != nil {
+				return err
+			}
 		}
 		n.Name = xml.QName{URI: xml.NameID(uri), Local: xml.NameID(local)}
 		n.Type = xml.TypeID(typ)
 		n.EntryCount = int(ec)
 		n.BodyLen = int(bl)
-		n.bodyStart = d.pos
-		n.end = d.pos + int(bl)
-		if n.end > len(r.body) {
+		if !d.fits(bl) {
 			return ErrCorrupt
 		}
+		n.bodyStart = d.pos
+		n.end = d.pos + int(bl)
 		return nil
 	case xml.Attribute:
-		uri, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		local, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		typ, err := d.uvarint()
-		if err != nil {
+		var uri, local, typ uint64
+		if h := d.buf[d.pos:]; len(h) >= 3 && (h[0]|h[1]|h[2])&0x80 == 0 {
+			uri, local, typ = uint64(h[0]), uint64(h[1]), uint64(h[2])
+			d.pos += 3
+		} else if err := d.fields(&uri, &local, &typ); err != nil {
 			return err
 		}
 		n.Name = xml.QName{URI: xml.NameID(uri), Local: xml.NameID(local)}
@@ -259,9 +289,11 @@ func (r *Record) decodeNodeAt(n *Node, off int) error {
 			return err
 		}
 	case xml.Text:
-		typ, err := d.uvarint()
-		if err != nil {
-			return err
+		typ, ok := d.byte1()
+		if !ok {
+			if typ, err = d.uvarint(); err != nil {
+				return err
+			}
 		}
 		n.Type = xml.TypeID(typ)
 		if n.Value, err = d.value(); err != nil {
@@ -303,12 +335,29 @@ func (r *Record) decodeNodeAt(n *Node, off int) error {
 	return nil
 }
 
-func (d *decoder) value() ([]byte, error) {
-	l, err := d.uvarint()
-	if err != nil {
-		return nil, err
+// fields reads consecutive uvarints one by one: the path for an element or
+// attribute header with a multi-byte field or too few bytes left.
+func (d *decoder) fields(vs ...*uint64) error {
+	for _, v := range vs {
+		x, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		*v = x
 	}
-	if d.pos+int(l) > len(d.buf) {
+	return nil
+}
+
+// value reads a length-prefixed value, aliased into the buffer.
+func (d *decoder) value() ([]byte, error) {
+	l, ok := d.byte1()
+	if !ok {
+		var err error
+		if l, err = d.uvarint(); err != nil {
+			return nil, err
+		}
+	}
+	if !d.fits(l) {
 		return nil, ErrCorrupt
 	}
 	v := d.buf[d.pos : d.pos+int(l)]

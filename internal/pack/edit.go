@@ -113,7 +113,7 @@ func encodeMut(m *MutNode) []byte {
 // original header fields.
 func (r *Record) Encode(tops []*MutNode) []byte {
 	var payload []byte
-	payload = appendHeader(payload, r.ContextID, r.Path, r.NS, len(tops))
+	payload = appendHeader(payload, r.ContextID, r.Sig, r.Path, r.NS, len(tops))
 	for _, m := range tops {
 		payload = append(payload, encodeMut(m)...)
 	}

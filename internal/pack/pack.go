@@ -13,8 +13,12 @@
 //	header:
 //	  context node absolute ID (len + bytes) — the common parent of the
 //	      record's top-level subtrees ("context node", §3.1)
-//	  context path: count, then (uri, local) name IDs from root to context
-//	  in-scope namespaces at context: count, then (prefix, uri) ID pairs
+//	  root record (empty context ID, the document node):
+//	    the document's element-name signature (xml.SigBit of every
+//	        element's local name, OR-ed)
+//	  every other record:
+//	    context path: count, then (uri, local) name IDs from root to context
+//	    in-scope namespaces at context: count, then (prefix, uri) ID pairs
 //	  top-level subtree entry count
 //	body: node encodings, recursively nested
 //
@@ -85,8 +89,11 @@ type Packer struct {
 	free []*openElem
 	// rec and sc are finishRecord's scratch — the emitted record decoded
 	// back for its node-ID interval pass — reused across records.
-	rec  Record
-	sc   intervalScratch
+	rec Record
+	sc  intervalScratch
+	// sig accumulates the document's element-name signature; the root
+	// record, emitted last, carries it.
+	sig  uint64
 	err  error
 	done bool
 }
@@ -188,6 +195,7 @@ func (p *Packer) Feed(t *tokens.Token) error {
 		root := p.newElem()
 		root.abs = nodeid.Root
 		p.stack = append(p.stack, root)
+		p.sig = 0
 	case tokens.EndDocument:
 		if len(p.stack) != 1 {
 			return p.fail(errors.New("pack: EndDocument with open elements"))
@@ -207,6 +215,7 @@ func (p *Packer) Feed(t *tokens.Token) error {
 		parent.next++
 		e := p.newElem()
 		e.name = t.Name
+		p.sig |= xml.SigBit(t.Name.Local)
 		e.rel = rel
 		e.abs = appendID(p.a, parent.abs, rel)
 		p.stack = append(p.stack, e)
@@ -392,7 +401,7 @@ func (p *Packer) flushRun(e *openElem, run []segment) error {
 		size += len(s.bytes)
 	}
 	payload := p.a.Make(4*maxVar + len(e.abs) + 2*maxVar*(len(path)+len(ns)) + size)
-	payload = appendHeader(payload, e.abs, path, ns, len(run))
+	payload = appendHeader(payload, e.abs, 0, path, ns, len(run))
 	for _, s := range run {
 		payload = append(payload, s.bytes...)
 	}
@@ -403,14 +412,15 @@ func (p *Packer) flushRun(e *openElem, run []segment) error {
 	return p.emit(rec)
 }
 
-// emitRecord emits the root record: context is the document node.
+// emitRecord emits the root record: context is the document node, and the
+// header carries the signature of every element the packer has seen.
 func (p *Packer) emitRecord(root *openElem, entries []segment) error {
 	size := 0
 	for _, s := range entries {
 		size += len(s.bytes)
 	}
-	payload := p.a.Make(4*maxVar + size)
-	payload = appendHeader(payload, nodeid.Root, nil, nil, len(entries))
+	payload := p.a.Make(3*maxVar + size)
+	payload = appendHeader(payload, nodeid.Root, p.sig, nil, nil, len(entries))
 	for _, s := range entries {
 		payload = append(payload, s.bytes...)
 	}
@@ -483,8 +493,15 @@ func appendUvarint(b []byte, v uint64) []byte {
 	return append(b, tmp[:n]...)
 }
 
-func appendHeader(b []byte, ctx nodeid.ID, path []xml.QName, ns []NSBinding, count int) []byte {
+// appendHeader encodes a record header. The root record's context is the
+// document node, with no path and no namespaces in scope: its header holds
+// sig in their place. Other records ignore sig.
+func appendHeader(b []byte, ctx nodeid.ID, sig uint64, path []xml.QName, ns []NSBinding, count int) []byte {
 	b = appendUvarint(b, uint64(len(ctx)))
+	if len(ctx) == 0 {
+		b = appendUvarint(b, sig)
+		return appendUvarint(b, uint64(count))
+	}
 	b = append(b, ctx...)
 	b = appendUvarint(b, uint64(len(path)))
 	for _, q := range path {

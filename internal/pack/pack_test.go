@@ -479,3 +479,54 @@ func randomDoc(rng *rand.Rand, depth, maxDepth int) string {
 	sb.WriteString("</" + name + ">")
 	return sb.String()
 }
+
+// TestRootSignature: the root record's header carries the signature of every
+// element in the document, whichever record the element was packed into;
+// run records carry none; re-encoding an edited record keeps it.
+func TestRootSignature(t *testing.T) {
+	multi := 0
+	for seed := int64(0); seed < 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		doc := randomDoc(rng, 0, 4)
+		recs, dict := packDoc(t, doc, 100+rng.Intn(600))
+		if len(recs) > 1 {
+			multi++
+		}
+		want := uint64(0)
+		stream, err := xmlparse.Parse([]byte(doc), dict, xmlparse.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := tokens.NewReader(stream); r.More(); {
+			tok, err := r.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tok.Kind == tokens.StartElement {
+				want |= xml.SigBit(tok.Name.Local)
+			}
+		}
+		for i, er := range recs {
+			r, err := Decode(er.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if root := i == len(recs)-1; root && r.Sig != want {
+				t.Fatalf("seed %d: root signature %x, the document's elements make %x", seed, r.Sig, want)
+			} else if !root && r.Sig != 0 {
+				t.Fatalf("seed %d: run record %d carries signature %x", seed, i, r.Sig)
+			}
+			tops, err := r.Mutable()
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := Decode(r.Encode(tops))
+			if err != nil || again.Sig != r.Sig || !nodeid.Equal(again.ContextID, r.ContextID) || len(again.Path) != len(r.Path) {
+				t.Fatalf("seed %d record %d: re-encoding changed the header (err %v)", seed, i, err)
+			}
+		}
+	}
+	if multi == 0 {
+		t.Fatal("every document packed into one record: no run record was checked")
+	}
+}

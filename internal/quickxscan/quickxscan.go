@@ -153,6 +153,18 @@ type Eval struct {
 	doc   *qnode
 	nodes []*qnode // topological order (parents before children)
 
+	// Dispatch tables, built by Compile: the query nodes each event kind
+	// can match, in nodes order. An element node tests a name, * or
+	// node(). elemNames holds the xml.SigBit of every name an element node
+	// tests; anyElem is set when one tests * or node(), which every element
+	// passes.
+	elemNodes, attrNodes, leafNodes []*qnode
+	elemNames                       uint64
+	anyElem                         bool
+	// need is the element-name signature a document must cover to match:
+	// the names on the result spine and in predicate paths under and only.
+	need uint64
+
 	depth int
 	// openElems holds, per open element (and the document), where its
 	// matching instances start in pushed; pushed is the flat stack of every
@@ -187,7 +199,7 @@ func Compile(q *xpath.Query, names xml.Names, nsMap map[string]string, opts Opti
 	e := &Eval{opts: opts}
 	e.doc = &qnode{id: 0, test: xpath.TestNode}
 	e.nodes = append(e.nodes, e.doc)
-	last, err := e.compileChain(q.Steps, e.doc, names, nsMap, false, 0, nil)
+	last, err := e.compileChain(q.Steps, e.doc, names, nsMap, false, 0, nil, true)
 	if err != nil {
 		return nil, err
 	}
@@ -196,12 +208,37 @@ func Compile(q *xpath.Query, names xml.Names, nsMap map[string]string, opts Opti
 		last.needValue = true
 	}
 	e.stats.QueryNodes = len(e.nodes)
+	for _, q := range e.nodes[1:] {
+		switch {
+		case q.axis == xpath.Attribute:
+			e.attrNodes = append(e.attrNodes, q)
+		case q.test == xpath.TestName:
+			e.elemNodes = append(e.elemNodes, q)
+			e.elemNames |= xml.SigBit(q.name.Local)
+		case q.test == xpath.TestStar || q.test == xpath.TestNode:
+			e.elemNodes = append(e.elemNodes, q)
+			e.anyElem = true
+		}
+		if q.axis != xpath.Attribute && q.axis != xpath.Self &&
+			(q.test == xpath.TestText || q.test == xpath.TestComment || q.test == xpath.TestNode) {
+			e.leafNodes = append(e.leafNodes, q)
+		}
+	}
 	return e, nil
 }
 
+// Need returns the element-name signature (xml.SigBit per name) a document
+// must cover for the query to match anything in it: the element name tests
+// on the result spine and in the predicate paths that every result needs —
+// those joined by and only; a name under or or not is not required, and
+// neither is *, node() or an attribute step. A document whose signature
+// lacks one of these bits has no matches.
+func (e *Eval) Need() uint64 { return e.need }
+
 // compileChain compiles a linear chain of steps under parent, returning the
-// terminal qnode.
-func (e *Eval) compileChain(s *xpath.Step, parent *qnode, names xml.Names, nsMap map[string]string, inPred bool, slot int, anchor *qnode) (*qnode, error) {
+// terminal qnode. required is set when every match of the whole query needs
+// the chain to match (see Need).
+func (e *Eval) compileChain(s *xpath.Step, parent *qnode, names xml.Names, nsMap map[string]string, inPred bool, slot int, anchor *qnode, required bool) (*qnode, error) {
 	cur := parent
 	for ; s != nil; s = s.Next {
 		q := &qnode{
@@ -240,11 +277,14 @@ func (e *Eval) compileChain(s *xpath.Step, parent *qnode, names xml.Names, nsMap
 				return nil, err
 			}
 			q.name = xml.QName{URI: uriID, Local: localID}
+			if required && s.Axis != xpath.Attribute {
+				e.need |= xml.SigBit(localID)
+			}
 		}
 		e.nodes = append(e.nodes, q)
 		// Compile this step's predicates.
 		for _, pe := range s.Preds {
-			compiled, err := e.compilePred(pe, q, names, nsMap)
+			compiled, err := e.compilePred(pe, q, names, nsMap, required)
 			if err != nil {
 				return nil, err
 			}
@@ -255,30 +295,30 @@ func (e *Eval) compileChain(s *xpath.Step, parent *qnode, names xml.Names, nsMap
 	return cur, nil
 }
 
-func (e *Eval) compilePred(pe xpath.Expr, anchor *qnode, names xml.Names, nsMap map[string]string) (predExpr, error) {
+func (e *Eval) compilePred(pe xpath.Expr, anchor *qnode, names xml.Names, nsMap map[string]string, required bool) (predExpr, error) {
 	switch x := pe.(type) {
 	case xpath.And:
-		l, err := e.compilePred(x.L, anchor, names, nsMap)
+		l, err := e.compilePred(x.L, anchor, names, nsMap, required)
 		if err != nil {
 			return nil, err
 		}
-		r, err := e.compilePred(x.R, anchor, names, nsMap)
+		r, err := e.compilePred(x.R, anchor, names, nsMap, required)
 		if err != nil {
 			return nil, err
 		}
 		return peAnd{l, r}, nil
 	case xpath.Or:
-		l, err := e.compilePred(x.L, anchor, names, nsMap)
+		l, err := e.compilePred(x.L, anchor, names, nsMap, false)
 		if err != nil {
 			return nil, err
 		}
-		r, err := e.compilePred(x.R, anchor, names, nsMap)
+		r, err := e.compilePred(x.R, anchor, names, nsMap, false)
 		if err != nil {
 			return nil, err
 		}
 		return peOr{l, r}, nil
 	case xpath.Not:
-		inner, err := e.compilePred(x.E, anchor, names, nsMap)
+		inner, err := e.compilePred(x.E, anchor, names, nsMap, false)
 		if err != nil {
 			return nil, err
 		}
@@ -286,7 +326,7 @@ func (e *Eval) compilePred(pe xpath.Expr, anchor *qnode, names xml.Names, nsMap 
 	case xpath.Exists:
 		slot := anchor.numLeaves
 		anchor.numLeaves++
-		term, err := e.compileChain(x.Path, anchor, names, nsMap, true, slot, anchor)
+		term, err := e.compileChain(x.Path, anchor, names, nsMap, true, slot, anchor, required)
 		if err != nil {
 			return nil, err
 		}
@@ -299,7 +339,7 @@ func (e *Eval) compilePred(pe xpath.Expr, anchor *qnode, names xml.Names, nsMap 
 	case xpath.Cmp:
 		slot := anchor.numLeaves
 		anchor.numLeaves++
-		term, err := e.compileChain(x.Path, anchor, names, nsMap, true, slot, anchor)
+		term, err := e.compileChain(x.Path, anchor, names, nsMap, true, slot, anchor, required)
 		if err != nil {
 			return nil, err
 		}
@@ -438,20 +478,6 @@ func findUpTarget(q *qnode, depth int) *instance {
 	return nil
 }
 
-// matchElement reports whether q's test accepts an element with this name.
-func (q *qnode) matchElement(name xml.QName) bool {
-	if q.axis == xpath.Attribute {
-		return false
-	}
-	switch q.test {
-	case xpath.TestName:
-		return q.name == name
-	case xpath.TestStar, xpath.TestNode:
-		return true
-	}
-	return false
-}
-
 // StartElement processes an element start. id is the node's ID (assigned by
 // the caller: the packer's IDs for stored data, or stream-synthesized ones).
 func (e *Eval) StartElement(name xml.QName, id nodeid.ID) {
@@ -460,10 +486,13 @@ func (e *Eval) StartElement(name xml.QName, id nodeid.ID) {
 	}
 	e.depth++
 	e.openElems = append(e.openElems, len(e.pushed))
+	if !e.anyElem && e.elemNames&xml.SigBit(name.Local) == 0 {
+		return // no query node tests this name
+	}
 	// Parents precede children in e.nodes, so self-axis chains see their
 	// parent's instance pushed within this same event.
-	for _, q := range e.nodes[1:] {
-		if !q.matchElement(name) {
+	for _, q := range e.elemNodes {
+		if q.test == xpath.TestName && q.name != name {
 			continue
 		}
 		tp := findUpTarget(q, e.depth)
@@ -524,10 +553,7 @@ func (e *Eval) Attribute(name xml.QName, value []byte, id nodeid.ID) {
 	if !e.inDoc {
 		return
 	}
-	for _, q := range e.nodes[1:] {
-		if q.axis != xpath.Attribute {
-			continue
-		}
+	for _, q := range e.attrNodes {
 		switch q.test {
 		case xpath.TestName:
 			if q.name != name {
@@ -573,10 +599,7 @@ func (e *Eval) Comment(value []byte, id nodeid.ID) {
 // instantLeaf matches leaf document nodes (text, comments) that live for a
 // single event; kind is the node test that selects them besides node().
 func (e *Eval) instantLeaf(value []byte, id nodeid.ID, kind xpath.TestKind) {
-	for _, q := range e.nodes[1:] {
-		if q.axis == xpath.Attribute || q.axis == xpath.Self {
-			continue
-		}
+	for _, q := range e.leafNodes {
 		if q.test != kind && q.test != xpath.TestNode {
 			continue
 		}
@@ -607,6 +630,12 @@ func (e *Eval) EndElement(id nodeid.ID) {
 	}
 	start := e.openElems[len(e.openElems)-1]
 	e.openElems = e.openElems[:len(e.openElems)-1]
+	if start == len(e.pushed) {
+		// Nothing was pushed for the element, so nothing closes: no
+		// instance to finalize and no string value that ends here.
+		e.depth--
+		return
+	}
 	for i := len(e.pushed) - 1; i >= start; i-- {
 		mi := e.pushed[i]
 		e.finalize(mi, id)

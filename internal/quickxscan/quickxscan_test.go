@@ -553,3 +553,94 @@ func TestEvalAllocsIndependentOfDocumentSize(t *testing.T) {
 		}
 	}
 }
+
+// TestNeed: the required signature holds the names of the result spine and
+// of predicate paths joined by and only.
+func TestNeed(t *testing.T) {
+	dict := xml.NewDict()
+	bits := func(names ...string) uint64 {
+		var b uint64
+		for _, n := range names {
+			id, _ := dict.Intern(n)
+			b |= xml.SigBit(id)
+		}
+		return b
+	}
+	for _, c := range []struct {
+		query string
+		need  uint64
+	}{
+		{`/a/b`, bits("a", "b")},
+		{`//a//a//b`, bits("a", "b")},
+		{`/a/b[c and d/e]/f`, bits("a", "b", "c", "d", "e", "f")},
+		{`/a[b or c]`, bits("a")},
+		{`/a[b and (c or d)]`, bits("a", "b")},
+		{`//a[not(b)]`, bits("a")},
+		{`/a/*/@x`, bits("a")},
+		{`/a/node()`, bits("a")},
+		{`/a[b[c or d] and e = 1]`, bits("a", "b", "e")},
+		{`/a[@x = 1]/text()`, bits("a")},
+		{`/a[. = 'v']`, bits("a")},
+		{`//*`, 0},
+	} {
+		q, err := xpath.Parse(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := Compile(q, dict, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Need() != c.need {
+			t.Errorf("%s: Need %x, want %x", c.query, e.Need(), c.need)
+		}
+	}
+}
+
+// TestNeedRulesOutOnlyEmptyResults: over random documents, a query whose
+// required signature the document's element names do not cover has no
+// matches there.
+func TestNeedRulesOutOnlyEmptyResults(t *testing.T) {
+	queries := []string{
+		"//e1", "//e1/e2", "/e0/e1[e2]/e3", "/e0[e1 and e2]/e3", "/e0[e1 or e9]/e2",
+		"/e0[not(e9)]/e2", "//e1[e2 and .//e3]", "//e9", "/e0//e9", "//e1[e9 = 't1']",
+		"//e4//e4//e5", "//*[e5]/@a0", "//e2//text()", "/e0/e1[e2/e5 = 't2']",
+	}
+	ruledOut := 0
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		doc := randomDoc(rng, 0, 5)
+		dict := xml.NewDict()
+		stream, err := xmlparse.Parse([]byte(doc), dict, xmlparse.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sig uint64
+		for r := tokens.NewReader(stream); r.More(); {
+			tok, err := r.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tok.Kind == tokens.StartElement {
+				sig |= xml.SigBit(tok.Name.Local)
+			}
+		}
+		for _, query := range queries {
+			q, _ := xpath.Parse(query)
+			e, err := Compile(q, dict, nil, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Need()&^sig == 0 {
+				continue
+			}
+			ruledOut++
+			if ms, err := EvalTokens(e, stream); err != nil || len(ms) != 0 {
+				t.Fatalf("seed %d %s: ruled out by the signature, but %d matches (err %v)\n doc %s", seed, query, len(ms), err, doc)
+			}
+		}
+	}
+	if ruledOut == 0 {
+		t.Fatal("no document was ever ruled out: the test exercises nothing")
+	}
+}

@@ -50,6 +50,11 @@ type NameID uint32
 // NoName is the NameID used for unnamed nodes (text, comment, document).
 const NoName NameID = 0
 
+// SigBit is local's bit in an element-name signature: a 64-bit summary of a
+// set of element names with bit local%64 set for each. A document whose
+// signature lacks a bit holds no element of that local name.
+func SigBit(local NameID) uint64 { return 1 << (local % 64) }
+
 // QName is a fully resolved qualified name: a namespace URI ID plus a local
 // name ID. The prefix is not part of node identity (prefixes are resolved at
 // parse time, per §3.2).
