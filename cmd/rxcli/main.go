@@ -31,10 +31,11 @@
 //
 // With -wal <path>, the database runs with write-ahead logging and performs
 // crash recovery on open; -group-commit <dur> additionally batches
-// concurrent commits into shared log syncs (each commit may wait up to that
-// long for company). With -checksums, every page carries a CRC32 verified on
-// read (torn-page detection); a database must be used with the same
-// -checksums setting it was created with.
+// concurrent commits into shared log syncs (a commit waits at most that long
+// for company, and only once commits have been arriving together). With
+// -checksums, every page carries a CRC32 verified on read (torn-page
+// detection); a database must be used with the same -checksums setting it
+// was created with.
 //
 // load is the bulk path: files are ingested in batches of -batch documents,
 // each batch stored with sorted index insertion and one WAL commit. insert
@@ -66,7 +67,7 @@ func main() {
 	dbPath := flag.String("db", "rx.rxdb", "database file")
 	remote := flag.String("remote", "", "rxserver address (host:port); session commands run over the wire")
 	walPath := flag.String("wal", "", "write-ahead log file (enables logging + recovery)")
-	groupCommit := flag.Duration("group-commit", 0, "WAL group-commit window (0 = sync per commit; needs -wal)")
+	groupCommit := flag.Duration("group-commit", 0, "WAL group-commit bound: the longest a commit waits for company (0 = sync per commit; needs -wal)")
 	batch := flag.Int("batch", 1000, "documents per load batch")
 	checksums := flag.Bool("checksums", false, "page checksums (torn-page detection; fixed at creation)")
 	jobs := flag.Int("j", 0, "query parallelism (0 = one worker per CPU)")

@@ -30,7 +30,7 @@ func main() {
 		walPath      = flag.String("wal", "", "write-ahead log file (enables transactions + crash recovery)")
 		poolPages    = flag.Int("pool", 0, "buffer pool pages (0 = default)")
 		checksums    = flag.Bool("checksums", false, "enable torn-page detection (CRC per page)")
-		groupCommit  = flag.Duration("group-commit", 0, "WAL group-commit window (0 = off)")
+		groupCommit  = flag.Duration("group-commit", 0, "WAL group-commit bound: the longest a commit waits for company (0 = off)")
 		lockTimeout  = flag.Duration("lock-timeout", 0, "lock wait timeout (0 = default)")
 		maxConns     = flag.Int("max-conns", 64, "connection limit; beyond it clients get a busy error")
 		maxWaiters   = flag.Int("max-lock-waiters", 128, "shed writes while this many lock requests wait")

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"rx/internal/buffer"
 	"rx/internal/fault"
 )
 
@@ -102,6 +104,294 @@ func TestGroupCommitSingleWriterBoundedWait(t *testing.T) {
 	}
 	if c, s := log.CommitCount(), log.SyncCount(); c != n || s == 0 || s > c {
 		t.Errorf("commits=%d syncs=%d", c, s)
+	}
+}
+
+// TestGroupCommitLoneCommitterSyncsAtOnce: a committer that has never seen
+// company does not wait at all — 50 sequential commits finish inside one
+// 40ms window, where a quarter-window slice each would take 500ms.
+func TestGroupCommitLoneCommitterSyncsAtOnce(t *testing.T) {
+	const window = 40 * time.Millisecond
+	log, err := Open(&MemDevice{}, WithGroupCommit(window))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 50
+	start := time.Now()
+	for i := 1; i <= n; i++ {
+		log.Begin(uint64(i))
+		if _, err := log.Commit(uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if el := time.Since(start); el >= window {
+		t.Errorf("%d lone commits took %v, want < one %v window", n, el, window)
+	}
+	if w, s := log.WaitCount(), log.SyncCount(); w != 0 || s != n {
+		t.Errorf("waits=%d syncs=%d, want 0 waits and %d syncs", w, s, n)
+	}
+}
+
+// TestGroupCommitOnlyCommitsWait: after a flush that carried two commits, a
+// commit's flush waits — but Abort, Checkpoint, FlushAll and the buffer
+// pool's write-ahead Flush return without sleeping a slice.
+func TestGroupCommitOnlyCommitsWait(t *testing.T) {
+	const window = 400 * time.Millisecond
+	const slice = window / 4
+	dev := newGateDevice()
+	log, err := Open(dev, WithGroupCommit(window))
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitGroup(t, log, dev, 1, 2, 3)
+	log.Begin(4)
+	log.Begin(5)
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Abort", func() error { _, err := log.Abort(5); return err }},
+		{"Checkpoint", func() error { _, err := log.Checkpoint(); return err }},
+		{"FlushAll", func() error { log.Logical(4, []byte("op")); return log.FlushAll() }},
+		{"Flush", func() error {
+			lsn, err := log.LogPageDelta(7, []buffer.PageRun{{Off: 16, After: []byte{1, 2}}})
+			if err != nil {
+				return err
+			}
+			return log.Flush(lsn)
+		}},
+	} {
+		start := time.Now()
+		if err := c.run(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if el := time.Since(start); el >= slice {
+			t.Errorf("%s took %v, want < one %v slice", c.name, el, slice)
+		}
+	}
+	if w := log.WaitCount(); w != 0 {
+		t.Errorf("waits after abort, checkpoint and flushes = %d, want 0", w)
+	}
+	// The control: a commit in the same state does wait.
+	log.Begin(6)
+	if _, err := log.Commit(6); err != nil {
+		t.Fatal(err)
+	}
+	if w := log.WaitCount(); w != 1 {
+		t.Errorf("waits after a commit that had company = %d, want 1", w)
+	}
+}
+
+// TestGroupCommitCoveredFlushReturnsAtSync: a flush whose record a
+// leader's sync covered returns when that sync ends, even when the next
+// leader took over first and is waiting for its own group.
+func TestGroupCommitCoveredFlushReturnsAtSync(t *testing.T) {
+	const window = 400 * time.Millisecond
+	const slice = window / 4
+	dev := newGateDevice()
+	log, err := Open(dev, WithGroupCommit(window))
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitGroup(t, log, dev, 1, 2, 3)
+	for txn := uint64(4); txn <= 6; txn++ {
+		log.Begin(txn)
+	}
+	c0 := log.CommitCount()
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	commit := func(txn uint64) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := log.Commit(txn); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	// An operation of 6, then the commits of 4 and 5: one leader flushes
+	// them all together and parks in its sync.
+	lsn := log.Logical(6, []byte("op"))
+	dev.hold.Store(true)
+	commit(4)
+	commit(5)
+	<-dev.entered
+	w0 := log.WaitCount()
+	// 6 commits behind the parked sync and becomes the next leader; it
+	// waits, since the parked flush carries two commits. The flush of the
+	// operation, which the parked sync covers, queues after it. The sleeps
+	// set that order; nothing outside the log marks a flush as waiting. The
+	// outcome does not depend on it: the order only matters to a design
+	// that queues flushes behind the leader, which this test rules out.
+	commit(6)
+	awaitCommits(t, log, c0+3)
+	time.Sleep(10 * time.Millisecond)
+	covered := make(chan error, 1)
+	go func() { covered <- log.Flush(lsn) }()
+	time.Sleep(10 * time.Millisecond)
+	released := time.Now()
+	dev.release <- nil
+	if err := <-covered; err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(released); el >= slice {
+		t.Errorf("covered flush returned %v after its sync ended, want < one %v slice", el, slice)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if w := log.WaitCount() - w0; w != 1 {
+		t.Errorf("waits after the parked sync = %d, want 1: the leader for 6", w)
+	}
+}
+
+// TestGroupCommitWaitEndsWhenGroupReforms: a leader waiting for company
+// syncs as soon as as many commits are pending as the last flush carried,
+// not at the end of a slice; one sync covers both commits.
+func TestGroupCommitWaitEndsWhenGroupReforms(t *testing.T) {
+	const window = 4 * time.Second
+	dev := newGateDevice()
+	log, err := Open(dev, WithGroupCommit(window))
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitGroup(t, log, dev, 1, 2, 3) // the last flush carries 2 and 3
+	log.Begin(4)
+	log.Begin(5)
+	s0 := log.SyncCount()
+	start := time.Now()
+	first := make(chan error, 1)
+	go func() { _, err := log.Commit(4); first <- err }()
+	for deadline := time.Now().Add(5 * time.Second); log.WaitCount() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the leader for 4 never waited")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := log.Commit(5); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el >= window/4 {
+		t.Errorf("two commits took %v, want < one %v slice", el, window/4)
+	}
+	if s := log.SyncCount() - s0; s != 1 {
+		t.Errorf("syncs = %d, want 1", s)
+	}
+}
+
+// TestGroupCommitFailedSyncHandsOver: when a leader's sync fails, the flush
+// waiting behind it wakes, takes over, and rewrites and syncs both commit
+// records; only the failed leader's commit reports the error.
+func TestGroupCommitFailedSyncHandsOver(t *testing.T) {
+	errSync := errors.New("sync failed")
+	dev := newGateDevice()
+	log, err := Open(dev, WithGroupCommit(40*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Begin(1)
+	log.Begin(2)
+	dev.hold.Store(true)
+	first, second := make(chan error, 1), make(chan error, 1)
+	go func() { _, err := log.Commit(1); first <- err }()
+	<-dev.entered
+	go func() { _, err := log.Commit(2); second <- err }()
+	awaitCommits(t, log, 2)
+	dev.release <- errSync
+	if err := <-first; !errors.Is(err, errSync) {
+		t.Fatalf("leader's commit: err = %v, want the sync error", err)
+	}
+	if err := <-second; err != nil {
+		t.Fatalf("commit behind the failed sync: %v", err)
+	}
+	recs, err := log.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[uint64]bool{}
+	for _, r := range recs {
+		if r.Kind == KindCommit {
+			got[r.Txn] = true
+		}
+	}
+	if !got[1] || !got[2] {
+		t.Fatalf("durable commits = %v, want 1 and 2", got)
+	}
+}
+
+// awaitCommits waits until n commits have been logged.
+func awaitCommits(t *testing.T, log *Log, n uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); log.CommitCount() < n; {
+		if time.Now().After(deadline) {
+			t.Fatal("committers never buffered their records")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// gateDevice is a MemDevice whose Sync, once held, parks until released
+// with its result: a test can keep a flush leader inside its sync while
+// other committers buffer their records behind it.
+type gateDevice struct {
+	MemDevice
+	hold    atomic.Bool
+	entered chan struct{}
+	release chan error
+}
+
+func newGateDevice() *gateDevice {
+	return &gateDevice{entered: make(chan struct{}), release: make(chan error)}
+}
+
+func (d *gateDevice) Sync() error {
+	if d.hold.CompareAndSwap(true, false) {
+		d.entered <- struct{}{}
+		return <-d.release
+	}
+	return nil
+}
+
+// commitGroup commits first alone, parked in its sync, while the rest
+// buffer their commit records behind it, so the next flush carries them
+// all: afterwards the log has seen company. Nothing waits on the way.
+func commitGroup(t *testing.T, log *Log, dev *gateDevice, first uint64, rest ...uint64) {
+	t.Helper()
+	for _, txn := range append([]uint64{first}, rest...) {
+		log.Begin(txn)
+	}
+	c0 := log.CommitCount()
+	var wg sync.WaitGroup
+	errs := make(chan error, 1+len(rest))
+	commit := func(txn uint64) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := log.Commit(txn); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	dev.hold.Store(true)
+	commit(first)
+	<-dev.entered
+	for _, txn := range rest {
+		commit(txn)
+	}
+	awaitCommits(t, log, c0+1+uint64(len(rest)))
+	dev.release <- nil
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if w := log.WaitCount(); w != 0 {
+		t.Fatalf("building a group took %d waits, want 0", w)
 	}
 }
 

@@ -161,36 +161,47 @@ func (d *MemDevice) Close() error { return nil }
 type Log struct {
 	dev Device
 
-	// flushMu serializes Flush so the durable watermark never runs ahead of
-	// an in-flight write. Under group commit it doubles as leader election:
-	// the first committer to take it syncs on behalf of everyone whose
-	// record is buffered by the time the device write starts; the rest find
-	// their LSN already durable and return without touching the device.
-	flushMu sync.Mutex
-
-	// groupDelay > 0 enables group commit: the flush leader waits up to this
-	// long (adaptively, in quarter-delay slices) for more committers to
-	// buffer their records before issuing the single Sync.
+	// groupDelay > 0 enables group commit: the leader of a commit's flush
+	// may wait up to this long for more committers to buffer their records
+	// before issuing the single Sync (see awaitGroup).
 	groupDelay time.Duration
 
 	commits atomic.Uint64 // Commit calls
 	syncs   atomic.Uint64 // dev.Sync calls issued by Flush
+	waits   atomic.Uint64 // group-commit waits taken by flush leaders
 	deltas  atomic.Uint64 // LogPageDelta records
 
 	mu      sync.Mutex
 	tail    int64  // next append offset
 	pending []byte // buffered, unflushed bytes starting at tail
 	flushed int64  // device bytes durable through this offset
+
+	// flushing is set while one flush leader writes and syncs; it keeps the
+	// durable watermark from running ahead of an in-flight write. Other
+	// flushes wait on durable, which is broadcast when the leader finishes:
+	// those its sync covered return at once, free to commit again and join
+	// the next group, and one of the rest becomes the next leader.
+	flushing bool
+	durable  sync.Cond
+
+	// pendingCommits counts the commit records in pending; lastGroup is how
+	// many the last commit-carrying flush made durable. While a leader waits
+	// for a group, regrouped is non-nil, and the commit that brings
+	// pendingCommits up to lastGroup closes it: the last group has re-formed.
+	pendingCommits int
+	lastGroup      int
+	regrouped      chan struct{}
 }
 
 // Option configures a Log at Open.
 type Option func(*Log)
 
 // WithGroupCommit enables group commit: a committer that becomes the flush
-// leader waits up to maxDelay for other committers to buffer their records,
-// then makes them all durable with one device sync. The wait is adaptive —
-// it ends early as soon as a quarter-delay slice passes with no new log
-// traffic — so a lone writer pays at most one slice, not the full window.
+// leader may wait for other committers to buffer their records, then makes
+// them all durable with one device sync. maxDelay bounds the wait; it is not
+// a price every commit pays. The leader waits only after a flush has carried
+// more than one commit, and stops early when a quarter-delay slice brings no
+// new log traffic — so a lone writer syncs at once.
 func WithGroupCommit(maxDelay time.Duration) Option {
 	return func(l *Log) { l.groupDelay = maxDelay }
 }
@@ -217,6 +228,7 @@ func Open(dev Device, opts ...Option) (*Log, error) {
 	for _, o := range opts {
 		o(l)
 	}
+	l.durable.L = &l.mu
 	return l, nil
 }
 
@@ -333,13 +345,19 @@ func (l *Log) Begin(txn uint64) buffer.LSN {
 // Commit logs and makes durable a transaction commit (force at commit).
 // With group commit enabled, the sync that makes this record durable may be
 // issued by another committer; either way Commit does not return success
-// until the record is on stable storage.
+// until the record is on stable storage. A commit's flush is the only one
+// that may wait for a group.
 func (l *Log) Commit(txn uint64) (buffer.LSN, error) {
 	l.mu.Lock()
 	lsn := l.appendLocked(KindCommit, binary.BigEndian.AppendUint64(nil, txn))
+	l.pendingCommits++
+	if l.regrouped != nil && l.pendingCommits >= l.lastGroup {
+		close(l.regrouped)
+		l.regrouped = nil
+	}
 	l.mu.Unlock()
 	l.commits.Add(1)
-	return lsn, l.Flush(lsn)
+	return lsn, l.flush(lsn, l.groupDelay > 0)
 }
 
 // CommitCount reports how many commits have been logged. Together with
@@ -349,6 +367,11 @@ func (l *Log) CommitCount() uint64 { return l.commits.Load() }
 
 // SyncCount reports how many device syncs Flush has issued.
 func (l *Log) SyncCount() uint64 { return l.syncs.Load() }
+
+// WaitCount reports how many times a commit's flush leader waited for a
+// group before syncing. It stays 0 without group commit, and under it while
+// every flush carries a single commit.
+func (l *Log) WaitCount() uint64 { return l.waits.Load() }
 
 // PageDeltaCount reports how many page-delta records have been logged: one
 // per logged Pool.Modify, so it counts page mutations, not keys or rows.
@@ -380,95 +403,111 @@ func (l *Log) Checkpoint() (buffer.LSN, error) {
 	return lsn, l.Flush(lsn)
 }
 
-// Flush makes the log durable at least through lsn.
-func (l *Log) Flush(lsn buffer.LSN) error {
+// Flush makes the log durable at least through lsn. It never waits for a
+// group: only a commit's flush does.
+func (l *Log) Flush(lsn buffer.LSN) error { return l.flush(lsn, false) }
+
+// flush is Flush; a leader with commit set may first wait for a group.
+func (l *Log) flush(lsn buffer.LSN, commit bool) error {
 	l.mu.Lock()
-	done := int64(lsn) <= l.flushed
-	l.mu.Unlock()
-	if done {
-		return nil
+	for int64(lsn) > l.flushed && l.flushing {
+		l.durable.Wait()
 	}
-	l.flushMu.Lock()
-	defer l.flushMu.Unlock()
-	l.mu.Lock()
 	if int64(lsn) <= l.flushed {
-		// A leader synced while we queued on flushMu; our record rode along.
+		// A leader's sync covered our record.
 		l.mu.Unlock()
 		return nil
 	}
+	l.flushing = true
 	l.mu.Unlock()
-	if l.groupDelay > 0 {
+	if commit {
 		l.awaitGroup()
 	}
 	l.mu.Lock()
-	data := l.pending
+	data, carried := l.pending, l.pendingCommits
 	at := l.tail
-	l.pending = nil
+	l.pending, l.pendingCommits = nil, 0
 	l.tail += int64(len(data))
 	l.mu.Unlock()
+	err := l.writeOut(data, at)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.flushing = false
+	l.durable.Broadcast()
+	if err != nil {
+		// The write failed (possibly after persisting a prefix), or the
+		// sync did and the device may have dropped the bytes. Put them back
+		// at the front of pending and roll tail back to their offset, so a
+		// retry rewrites and re-syncs them at the same place: advancing tail
+		// would leave a hole that recovery reads as corruption, and a later
+		// successful flush would set the durable watermark over bytes whose
+		// sync failed. Record LSNs are offsets, so anything appended
+		// meanwhile keeps its position after data. The commits data carried
+		// count as pending again.
+		l.pending = append(append(make([]byte, 0, len(data)+len(l.pending)), data...), l.pending...)
+		l.tail = at
+		l.pendingCommits += carried
+		return err
+	}
+	l.flushed = l.tail
+	if carried > 0 {
+		l.lastGroup = carried
+	}
+	return nil
+}
+
+// writeOut writes data at offset at and syncs the device.
+func (l *Log) writeOut(data []byte, at int64) error {
 	if len(data) > 0 {
 		if _, err := l.dev.WriteAt(data, at); err != nil {
-			// The write failed (possibly after persisting a prefix). Restore
-			// the un-written bytes at the front of the pending buffer so a
-			// retry rewrites them at the same offset — advancing tail here
-			// would leave a hole that recovery reads as corruption.
-			l.restoreUnflushed(data, at)
 			return err
 		}
 	}
 	l.syncs.Add(1)
-	if err := l.dev.Sync(); err != nil {
-		// A failed sync means the bytes written above may or may not have
-		// reached stable storage — the device is allowed to have dropped
-		// them. Put them back in pending (tail rolled back to the same
-		// offset) so a retry rewrites and re-syncs them; if instead we left
-		// tail advanced, a later successful Flush of unrelated records would
-		// set flushed = tail and the durable watermark would cover bytes
-		// whose sync failed.
-		l.restoreUnflushed(data, at)
-		return err
-	}
-	l.mu.Lock()
-	if l.tail > l.flushed {
-		l.flushed = l.tail
-	}
-	l.mu.Unlock()
-	return nil
+	return l.dev.Sync()
 }
 
-// restoreUnflushed puts a swapped-out-but-not-durable byte run back at the
-// front of pending and rolls tail back to its offset. Record LSNs are
-// offsets, so anything appended concurrently keeps its position: it sits
-// after data in pending, exactly where its LSN says.
-func (l *Log) restoreUnflushed(data []byte, at int64) {
-	l.mu.Lock()
-	l.pending = append(append(make([]byte, 0, len(data)+len(l.pending)), data...), l.pending...)
-	l.tail = at
-	l.mu.Unlock()
-}
-
-// awaitGroup is the group-commit wait window: the flush leader gives other
-// committers up to groupDelay to buffer their records, checking in
-// quarter-delay slices and ending the wait as soon as a slice passes with
-// no new appends.
+// awaitGroup is the group-commit wait of a commit's flush leader: it gives
+// other committers time to buffer their records, but only when a wait can
+// pay. It waits only after company has been seen — the last flush that
+// carried commits carried more than one — so a lone committer syncs at once,
+// and not at all when as many commits as last time are already pending. The
+// wait ends the moment the last group has re-formed, after a quarter-delay
+// slice that brought no new appends, or when groupDelay has passed.
 func (l *Log) awaitGroup() {
+	l.mu.Lock()
+	if l.lastGroup <= 1 || l.pendingCommits >= l.lastGroup {
+		l.mu.Unlock()
+		return
+	}
+	regrouped := make(chan struct{})
+	l.regrouped = regrouped
+	last := len(l.pending)
+	l.mu.Unlock()
+	l.waits.Add(1)
 	slice := l.groupDelay / 4
 	if slice <= 0 {
 		slice = l.groupDelay
 	}
 	deadline := time.Now().Add(l.groupDelay)
-	l.mu.Lock()
-	last := len(l.pending)
-	l.mu.Unlock()
+	timer := time.NewTimer(slice)
+	defer timer.Stop()
 	for {
-		time.Sleep(slice)
+		select {
+		case <-regrouped:
+			return
+		case <-timer.C:
+		}
 		l.mu.Lock()
 		n := len(l.pending)
-		l.mu.Unlock()
 		if n == last || !time.Now().Before(deadline) {
+			l.regrouped = nil
+			l.mu.Unlock()
 			return
 		}
+		l.mu.Unlock()
 		last = n
+		timer.Reset(slice)
 	}
 }
 

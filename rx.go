@@ -270,10 +270,12 @@ func WithWAL(path string) Option {
 }
 
 // WithGroupCommit enables WAL group commit: a committing transaction that
-// finds the log device busy (or peers still arriving) waits up to maxDelay
-// for company, then one sync makes the whole group durable. Cuts fsyncs per
-// commit well below 1 under concurrent writers at the cost of up to maxDelay
-// extra commit latency. Only meaningful together with WithWAL.
+// finds the log device busy, or peers still arriving, may wait for company,
+// then one sync makes the whole group durable. maxDelay bounds that wait; it
+// is not a price every commit pays. A commit waits only after a log flush
+// has carried more than one commit, and stops once the log stops growing, so
+// a lone writer syncs at once. Cuts fsyncs per commit below 1 under
+// concurrent writers. Only meaningful together with WithWAL.
 func WithGroupCommit(maxDelay time.Duration) Option {
 	return func(c *openConfig) { c.groupDelay = maxDelay }
 }
