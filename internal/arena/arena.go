@@ -109,6 +109,20 @@ func (a *Arena) Reset() {
 	a.off = 0
 }
 
+// InUse reports the bytes of the chunks handed out since the last Reset, the
+// current one included: what the arena's user holds, where Footprint also
+// counts the recycled chunks kept for reuse. A nil arena reports 0.
+func (a *Arena) InUse() int {
+	if a == nil {
+		return 0
+	}
+	n := len(a.cur)
+	for _, c := range a.full {
+		n += len(c)
+	}
+	return n
+}
+
 // Footprint reports the total bytes currently held by the arena's chunks
 // (stats, tests).
 func (a *Arena) Footprint() int {

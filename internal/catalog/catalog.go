@@ -252,6 +252,14 @@ func Open(pool *buffer.Pool) (*Catalog, error) {
 	return c, nil
 }
 
+// Known returns name's ID if the dictionary holds it, without interning it.
+func (c *Catalog) Known(name string) (xml.NameID, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	id, ok := c.byStr[name]
+	return id, ok
+}
+
 // Intern implements xml.Names, persisting new names.
 func (c *Catalog) Intern(name string) (xml.NameID, error) {
 	c.mu.RLock()

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"rx/internal/arena"
 	"rx/internal/btree"
 	"rx/internal/catalog"
 	"rx/internal/heap"
@@ -42,34 +41,12 @@ type Collection struct {
 	ixMu   sync.RWMutex
 	valIxs []*openValueIndex
 
-	// ing is the ingest arena: scratch for packing and key generation, reset
-	// per ingestLocked call. Guarded by writeMu; lazily created. Its
-	// footprint stays bounded by the largest batch inserted through this
-	// collection. nodeScratch (pass 1's intervals) and entScratch (each
-	// pass's sorted run) are ingestLocked's deferred index entries, recycled
-	// the same way.
-	ing         *arena.Arena
-	nodeScratch []nodeEntry
-	entScratch  []btree.Entry
-
 	// statsMu guards the live optimizer statistics; planner reads take a
 	// snapshot under it. Ordered after writeMu (writers note mutations while
 	// holding writeMu), never the other way around.
 	statsMu    sync.Mutex
 	live       *stats.CollectionStats
 	statsDirty int // doc mutations since last catalog persist
-	// pathTab interns element paths for PathCounts (own internal mutex);
-	// pathStack is insert-path scratch guarded by writeMu.
-	pathTab   pathTable
-	pathStack []int32
-}
-
-// ingestArena returns the collection's ingest arena (caller holds writeMu).
-func (c *Collection) ingestArena() *arena.Arena {
-	if c.ing == nil {
-		c.ing = arena.New()
-	}
-	return c.ing
 }
 
 // indexSnapshot returns the current value-index list for read-only use by

@@ -10,7 +10,8 @@ package core
 // never blocks a write.
 
 import (
-	"sync"
+	"cmp"
+	"slices"
 	"sync/atomic"
 
 	"rx/internal/heap"
@@ -31,16 +32,12 @@ const (
 	maxPathDepth = 6
 	// maxPaths bounds the number of distinct paths tracked.
 	maxPaths = 512
+	// maxCountedPaths bounds a pathCounter's table. foldPaths keeps
+	// PathCounts within maxPaths; this cap only bounds memory, far enough
+	// above it that which paths a batch counts does not depend on how its
+	// documents fell to the workers.
+	maxCountedPaths = 64 * maxPaths
 )
-
-// pathTable interns rooted element paths as small integers so the hot insert
-// path counts elements without building path strings. Safe for concurrent
-// use (inserts under writeMu race with background refresh).
-type pathTable struct {
-	mu   sync.Mutex
-	ids  map[pathStep]int32
-	strs []string
-}
 
 type pathStep struct {
 	parent int32 // index of the parent path, -1 for a root element
@@ -50,38 +47,137 @@ type pathStep struct {
 // pathSkipped marks elements beyond the depth or cardinality caps.
 const pathSkipped int32 = -2
 
-func (pt *pathTable) intern(parent int32, name xml.NameID, names xml.Names) int32 {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	if pt.ids == nil {
-		pt.ids = map[pathStep]int32{}
+// pathCounter counts elements per rooted element path (PathCounts) on one
+// goroutine. Paths are interned locally as small integers, so a count walk
+// takes no lock and builds no string per element; foldPaths adds the counts
+// to a PathCounts map once. The table outlives a reset while the dictionary
+// stays the same and it holds fewer than maxPaths paths, so a pooled counter
+// builds each path string once.
+type pathCounter struct {
+	names  xml.Names
+	ids    map[pathStep]int32
+	steps  []pathStep // by path ID; a parent's ID is below its children's
+	strs   []string   // by path ID, built by resolve; "" for an unresolvable name
+	counts []int64    // by path ID, since the last reset
+	stack  []int32
+}
+
+// reset zeroes the counts and readies the counter for names.
+func (pc *pathCounter) reset(names xml.Names) {
+	if names != pc.names || len(pc.steps) >= maxPaths {
+		pc.names = names
+		clear(pc.ids)
+		pc.steps, pc.strs, pc.counts = pc.steps[:0], pc.strs[:0], pc.counts[:0]
 	}
-	k := pathStep{parent: parent, name: name}
-	if id, ok := pt.ids[k]; ok {
+	clear(pc.counts)
+	pc.stack = pc.stack[:0]
+}
+
+// start counts an element opening inside the current one.
+func (pc *pathCounter) start(name xml.NameID) {
+	parent := int32(-1)
+	if n := len(pc.stack); n > 0 {
+		parent = pc.stack[n-1]
+	}
+	id := pathSkipped
+	if parent != pathSkipped && len(pc.stack) < maxPathDepth {
+		id = pc.intern(pathStep{parent: parent, name: name})
+	}
+	if id >= 0 {
+		pc.counts[id]++
+	}
+	pc.stack = append(pc.stack, id)
+}
+
+// end closes the current element.
+func (pc *pathCounter) end() {
+	if n := len(pc.stack); n > 0 {
+		pc.stack = pc.stack[:n-1]
+	}
+}
+
+func (pc *pathCounter) intern(k pathStep) int32 {
+	if id, ok := pc.ids[k]; ok {
 		return id
 	}
-	if len(pt.strs) >= maxPaths {
+	if len(pc.steps) >= maxCountedPaths {
 		return pathSkipped
 	}
-	local, err := names.Lookup(name)
-	if err != nil {
-		return pathSkipped
+	if pc.ids == nil {
+		pc.ids = map[pathStep]int32{}
 	}
-	prefix := ""
-	if parent >= 0 {
-		prefix = pt.strs[parent]
-	}
-	id := int32(len(pt.strs))
-	pt.strs = append(pt.strs, prefix+"/"+local)
-	pt.ids[k] = id
+	id := int32(len(pc.steps))
+	pc.steps = append(pc.steps, k)
+	pc.counts = append(pc.counts, 0)
+	pc.ids[k] = id
 	return id
 }
 
-// str returns the interned path string.
-func (pt *pathTable) str(id int32) string {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	return pt.strs[id]
+// stream counts the elements of a token stream. Stats are advisory: a
+// corrupt stream ends the count, it never fails a write.
+func (pc *pathCounter) stream(stream []byte) {
+	pc.stack = pc.stack[:0]
+	r := tokens.NewReader(stream)
+	for r.More() {
+		t, err := r.Next()
+		if err != nil {
+			return
+		}
+		switch t.Kind {
+		case tokens.StartElement:
+			pc.start(t.Name.Local)
+		case tokens.EndElement:
+			pc.end()
+		}
+	}
+}
+
+// resolve builds the path strings of the paths interned since the last call.
+func (pc *pathCounter) resolve() {
+	for id := len(pc.strs); id < len(pc.steps); id++ {
+		st, s := pc.steps[id], ""
+		if local, err := pc.names.Lookup(st.name); err == nil {
+			switch {
+			case st.parent < 0:
+				s = "/" + local
+			case pc.strs[st.parent] != "":
+				s = pc.strs[st.parent] + "/" + local
+			}
+		}
+		pc.strs = append(pc.strs, s)
+	}
+}
+
+// foldPaths adds the counters' counts to dst, a PathCounts map. dst takes a
+// new path only while it holds fewer than maxPaths, and takes new paths in
+// string order, so what it holds does not depend on how the documents fell
+// to the counters. Caller holds whatever guards dst.
+func foldPaths(dst map[string]int64, pcs []*pathCounter) {
+	type count struct {
+		path string
+		n    int64
+	}
+	var fresh []count
+	for _, pc := range pcs {
+		pc.resolve()
+		for id, n := range pc.counts {
+			s := pc.strs[id]
+			if n == 0 || s == "" {
+				continue
+			}
+			if _, ok := dst[s]; ok {
+				dst[s] += n
+			} else {
+				fresh = append(fresh, count{s, n})
+			}
+		}
+	}
+	slices.SortFunc(fresh, func(x, y count) int { return cmp.Compare(x.path, y.path) })
+	for _, f := range fresh {
+		if _, ok := dst[f.path]; ok || len(dst) < maxPaths {
+			dst[f.path] += f.n
+		}
+	}
 }
 
 // initStats seeds the collection's live statistics at open/create time
@@ -121,46 +217,18 @@ func (c *Collection) StatsEpoch() uint64 {
 	return c.live.Epoch
 }
 
-// countStreamPaths walks a token stream and increments per-path element
-// counts in pc. Caller holds statsMu (pc is live.PathCounts) and writeMu
-// (c.pathStack is insert scratch).
-func (c *Collection) countStreamPaths(pc map[string]int64, stream []byte) {
-	r := tokens.NewReader(stream)
-	stack := c.pathStack[:0]
-	for r.More() {
-		t, err := r.Next()
-		if err != nil {
-			break // stats are advisory; never fail a write over them
-		}
-		switch t.Kind {
-		case tokens.StartElement:
-			parent := int32(-1)
-			if len(stack) > 0 {
-				parent = stack[len(stack)-1]
-			}
-			id := pathSkipped
-			if parent != pathSkipped && len(stack) < maxPathDepth {
-				id = c.pathTab.intern(parent, t.Name.Local, c.db.cat)
-			}
-			if id >= 0 {
-				pc[c.pathTab.str(id)]++
-			}
-			stack = append(stack, id)
-		case tokens.EndElement:
-			if len(stack) > 0 {
-				stack = stack[:len(stack)-1]
-			}
-		}
+// noteIngest records one ingestLocked call: st's documents, its workers'
+// path counts, and ixEntries, index name to the number of value keys added.
+// Caller holds writeMu.
+func (c *Collection) noteIngest(st *staged, ixEntries map[string]int64) {
+	var totalBytes, maxBytes, records int64
+	for _, d := range st.docs {
+		totalBytes += d.bytes
+		maxBytes = max(maxBytes, d.bytes)
+		records += int64(len(d.recs))
 	}
-	c.pathStack = stack[:0]
-}
-
-// noteIngest records one ingestLocked call: len(streams) documents of
-// totalBytes packed bytes (the largest maxBytes) in records records. ixEntries
-// maps index name to the number of value keys added. Caller holds writeMu.
-func (c *Collection) noteIngest(totalBytes, maxBytes, records int64, streams [][]byte, ixEntries map[string]int64) {
 	c.statsMu.Lock()
-	c.live.DocCount += int64(len(streams))
+	c.live.DocCount += int64(len(st.docs))
 	c.live.RecordCount += records
 	c.live.TotalDocBytes += totalBytes
 	if maxBytes > c.live.MaxDocBytes {
@@ -169,13 +237,11 @@ func (c *Collection) noteIngest(totalBytes, maxBytes, records int64, streams [][
 	if c.live.PathCounts == nil {
 		c.live.PathCounts = map[string]int64{}
 	}
-	for _, stream := range streams {
-		c.countStreamPaths(c.live.PathCounts, stream)
-	}
+	foldPaths(c.live.PathCounts, st.paths())
 	for name, n := range ixEntries {
 		c.live.EnsureIndex(name).Entries += n
 	}
-	c.statsDirty += len(streams)
+	c.statsDirty += len(st.docs)
 	dirty := c.statsDirty
 	c.statsMu.Unlock()
 	if dirty >= statsPersistEvery {
@@ -226,33 +292,16 @@ func (c *Collection) persistStats() {
 
 // pathCountHandler counts elements per path from stored-document walks
 // (vsax events) during RefreshStats.
-type pathCountHandler struct {
-	c      *Collection
-	counts map[string]int64
-	stack  []int32
-}
+type pathCountHandler struct{ pc pathCounter }
 
-func (h *pathCountHandler) StartDocument() error { h.stack = h.stack[:0]; return nil }
+func (h *pathCountHandler) StartDocument() error { h.pc.stack = h.pc.stack[:0]; return nil }
 func (h *pathCountHandler) EndDocument() error   { return nil }
 func (h *pathCountHandler) StartElement(name xml.QName, id nodeid.ID) error {
-	parent := int32(-1)
-	if len(h.stack) > 0 {
-		parent = h.stack[len(h.stack)-1]
-	}
-	pid := pathSkipped
-	if parent != pathSkipped && len(h.stack) < maxPathDepth {
-		pid = h.c.pathTab.intern(parent, name.Local, h.c.db.cat)
-	}
-	if pid >= 0 {
-		h.counts[h.c.pathTab.str(pid)]++
-	}
-	h.stack = append(h.stack, pid)
+	h.pc.start(name.Local)
 	return nil
 }
 func (h *pathCountHandler) EndElement(id nodeid.ID) error {
-	if len(h.stack) > 0 {
-		h.stack = h.stack[:len(h.stack)-1]
-	}
+	h.pc.end()
 	return nil
 }
 func (h *pathCountHandler) NSDecl(prefix, uri xml.NameID, id nodeid.ID) error { return nil }
@@ -307,12 +356,14 @@ func (c *Collection) RefreshStats() error {
 		return err
 	}
 	fresh.DocCount = int64(len(docs))
-	h := &pathCountHandler{c: c, counts: fresh.PathCounts}
+	h := &pathCountHandler{}
+	h.pc.reset(c.db.cat)
 	for _, doc := range docs {
 		if werr := c.WalkDoc(doc, h); werr != nil {
 			continue // deleted or quarantined mid-pass
 		}
 	}
+	foldPaths(fresh.PathCounts, []*pathCounter{&h.pc})
 
 	// Per-index cardinalities and histograms: one ordered scan each.
 	for _, ov := range c.indexSnapshot() {

@@ -325,7 +325,7 @@ func (p *editPlan) planInsert() error {
 // planning and before the first page effect.
 func (c *Collection) edit(req editReq, logUndo func(logicalOp) error) (nodeid.ID, error) {
 	if req.kind == editInsert && !req.tokenized {
-		// Like ingest's tokenize, parsing needs no lock.
+		// Like ingest's stage, parsing needs no lock.
 		stream, err := xmlparse.Parse(req.data, c.db.cat, xmlparse.Options{})
 		if err != nil {
 			return nil, err

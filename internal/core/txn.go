@@ -115,12 +115,12 @@ func (t *Txn) insertBatch(col *Collection, docs [][]byte, opts BatchOptions) ([]
 	if err := t.db.checkWritable(); err != nil {
 		return nil, err
 	}
-	// Tokenize first: a malformed document must not burn an ID or log anything.
-	tk, err := col.tokenize(docs, opts)
+	// Stage first: a malformed document must not burn an ID or log anything.
+	st, err := col.stage(docs, opts, false)
 	if err != nil {
 		return nil, err
 	}
-	defer tk.release()
+	defer st.release()
 	// The collection intention lock can wait on a transactional query's S
 	// lock, so it is taken before writeMu; the document locks below are on
 	// IDs nobody else has seen yet.
@@ -144,7 +144,7 @@ func (t *Txn) insertBatch(col *Collection, docs [][]byte, opts BatchOptions) ([]
 			return nil, err
 		}
 	}
-	if err := col.ingestLocked(ids, tk.streams, opts.Mem); err != nil {
+	if err := col.ingestLocked(ids, st); err != nil {
 		return nil, err
 	}
 	return ids, nil
@@ -383,12 +383,17 @@ func (c *Collection) undoSnapshot(doc xml.DocID) ([]byte, error) {
 // deltas, leaving cross-structure links (NodeID index, value keys, record
 // chains) out of step with each other.
 func (c *Collection) restoreDoc(doc xml.DocID, stream []byte) error {
+	st, err := c.stage([][]byte{stream}, BatchOptions{}, true)
+	if err != nil {
+		return err
+	}
+	defer st.release()
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	if err := c.removeDoc(doc, stream); err != nil {
 		return err
 	}
-	return c.ingestLocked([]xml.DocID{doc}, [][]byte{stream}, nil)
+	return c.ingestLocked([]xml.DocID{doc}, st)
 }
 
 // DocStream re-encodes a stored document as a buffered token stream (used

@@ -203,7 +203,7 @@ func e9(m *Meter) (*Table, error) {
 			return nil
 		}},
 		{"parse + schema validation (typed stream)", func() error {
-			_, err := xmlschema.Validate(doc, sch, dict)
+			_, err := xmlschema.Validate(doc, sch, dict, nil)
 			return err
 		}},
 		{"insert: one Txn (parse + pack + store + NodeID index)", func() error {

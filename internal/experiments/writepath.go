@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -301,14 +302,12 @@ func e16(m *Meter) (*Table, error) {
 			}
 			return nil
 		}},
+		{fmt.Sprintf("InsertBatch(%d), GOMAXPROCS 1", batchSize), func(db *core.DB, col *core.Collection) error {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			return loadBatches(db, col, payloads, batchSize)
+		}},
 		{fmt.Sprintf("InsertBatch(%d)", batchSize), func(db *core.DB, col *core.Collection) error {
-			for off := 0; off < len(payloads); off += batchSize {
-				batch := payloads[off:min(off+batchSize, len(payloads))]
-				if err := db.RunTxn(func(t *core.Txn) error { _, err := t.InsertBatch(col, batch, core.BatchOptions{}); return err }); err != nil {
-					return err
-				}
-			}
-			return nil
+			return loadBatches(db, col, payloads, batchSize)
 		}},
 	} {
 		db, col, log, err := fileLogged(dir, fmt.Sprint("e16-", i), 0,
@@ -335,8 +334,21 @@ func e16(m *Meter) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"the batch path stores the same documents with identical logical index contents (see TestInsertBatchMatchesSequentialInserts); the win is one sorted insertion pass per index and one log sync per batch",
+		"a batch parses, packs and generates keys on min(GOMAXPROCS, documents) workers and writes pages on one; the GOMAXPROCS 1 row is the same loop on one worker, and stores the same pages (TestIngestPageIdentity)",
 		"page-delta records are logged page mutations: a sorted run enters a B+tree one leaf visit — one Modify, one record — at a time")
 	return t, nil
+}
+
+// loadBatches stores docs in InsertBatch calls of size documents, one
+// transaction each.
+func loadBatches(db *core.DB, col *core.Collection, docs [][]byte, size int) error {
+	for off := 0; off < len(docs); off += size {
+		batch := docs[off:min(off+size, len(docs))]
+		if err := db.RunTxn(func(t *core.Txn) error { _, err := t.InsertBatch(col, batch, core.BatchOptions{}); return err }); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // e16Cases — gated: the full parse→pack→index ingest path through

@@ -65,7 +65,7 @@ func validate(t *testing.T, doc string) ([]byte, error) {
 	t.Helper()
 	s := compileCatalog(t)
 	dict := xml.NewDict()
-	return Validate([]byte(doc), s, dict)
+	return Validate([]byte(doc), s, dict, nil)
 }
 
 func TestValidDocuments(t *testing.T) {
@@ -156,7 +156,7 @@ func TestChoiceContent(t *testing.T) {
 		`<msg><to>a</to><text>hi</text></msg>`,
 		`<msg><to>a</to><binary>0101</binary></msg>`,
 	} {
-		if _, err := Validate([]byte(good), s, dict); err != nil {
+		if _, err := Validate([]byte(good), s, dict, nil); err != nil {
 			t.Errorf("%s: %v", good, err)
 		}
 	}
@@ -164,7 +164,7 @@ func TestChoiceContent(t *testing.T) {
 		`<msg><to>a</to></msg>`,
 		`<msg><to>a</to><text>x</text><binary>y</binary></msg>`,
 	} {
-		if _, err := Validate([]byte(bad), s, dict); err == nil {
+		if _, err := Validate([]byte(bad), s, dict, nil); err == nil {
 			t.Errorf("%s: should fail", bad)
 		}
 	}

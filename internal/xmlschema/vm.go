@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"rx/internal/arena"
 	"rx/internal/keycodec"
 	"rx/internal/tokens"
 	"rx/internal/xml"
@@ -22,19 +23,16 @@ func (e *ValidationError) Error() string {
 }
 
 // Validate parses a document and validates it against the schema, producing
-// a type-annotated token stream (Figure 4's validation runtime output).
-func Validate(doc []byte, s *Schema, names xml.Names) ([]byte, error) {
-	stream, err := xmlparse.Parse(doc, names, xmlparse.Options{})
+// a type-annotated token stream (Figure 4's validation runtime output). The
+// parsed and the typed stream are both allocated from a (nil: the Go heap),
+// so the result is valid until the arena's next Reset.
+func Validate(doc []byte, s *Schema, names xml.Names, a *arena.Arena) ([]byte, error) {
+	stream, err := xmlparse.Parse(doc, names, xmlparse.Options{Arena: a})
 	if err != nil {
 		return nil, err
 	}
-	return ValidateStream(stream, s, names)
-}
-
-// ValidateStream validates an already-parsed token stream, returning a new
-// stream whose Text and Attr tokens carry type annotations.
-func ValidateStream(stream []byte, s *Schema, names xml.Names) ([]byte, error) {
-	vm := &machine{s: s, names: names, out: tokens.NewWriter(len(stream) + len(stream)/8)}
+	// The typed stream: Text and Attr tokens carry type annotations.
+	vm := &machine{s: s, names: names, out: tokens.NewWriterBuf(a.Make(len(stream) + len(stream)/8))}
 	r := tokens.NewReader(stream)
 	for r.More() {
 		t, err := r.Next()
