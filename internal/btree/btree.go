@@ -834,6 +834,165 @@ func (t *Tree) leftmostLeaf() (*buffer.Frame, error) {
 	}
 }
 
+// exactLeaves is how many leaf links EstimateRange follows to count a range
+// exactly: a range whose ends lie at most this many leaves apart is counted,
+// a wider one estimated.
+const exactLeaves = 4
+
+// EstimateRange estimates how many entries have keys in [from, to) (nil ends
+// unbounded) from a descent to each end, under the tree's read lock: InnoDB's
+// "index dives" (records_in_range); compare Olken & Rotem, "Random Sampling
+// from B+ Trees", VLDB 1989. The two paths share pages down to the level
+// where they part. A range inside one leaf is counted there; one whose ends
+// lie at most exactLeaves leaves apart is counted by walking the leaf links.
+// Otherwise the estimate is the child slots between the two paths where they
+// part, plus the slots beside each path below that level, each slot weighted
+// by the entries a subtree of its height holds: the average leaf fill of the
+// two end leaves times the average fanout of the inner pages visited below
+// the parting level. An empty or inverted range is 0.
+func (t *Tree) EstimateRange(from, to []byte) (float64, error) {
+	if from != nil && to != nil && bytes.Compare(from, to) >= 0 {
+		return 0, nil
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	// The shared descent, down to the page whose child slots part the ends.
+	lo, hi := t.root, t.root
+	gap, inLeaf := 0, -1
+	for lo == hi && inLeaf < 0 {
+		err := t.read(lo, func(d []byte) {
+			if isLeaf(d) {
+				inLeaf = max(leafPos(d, to, true)-leafPos(d, from, false), 0)
+				return
+			}
+			a, b := childSlot(d, from, false), childSlot(d, to, true)
+			gap, lo, hi = b-a-1, slotChild(d, a), slotChild(d, b)
+		})
+		if err != nil {
+			return 0, err
+		}
+	}
+	if inLeaf >= 0 {
+		return float64(inLeaf), nil
+	}
+	// Both paths on down, a level at a time (the tree is balanced). side[k]
+	// counts the slots beside the paths on the k-th level below the parting
+	// one, slots all of them; fan and inner sum the fanout of the inner pages
+	// on the way.
+	var sideBuf [16]int
+	side := sideBuf[:0]
+	slots, fan, inner, fill, ends := gap, 0, 0, 0, 0
+	next := pagestore.InvalidPage // the left end leaf's right sibling
+	for leaf := false; !leaf; {
+		beside := 0
+		err := t.read(lo, func(d []byte) {
+			if leaf = isLeaf(d); leaf {
+				fill, ends, next = nKeys(d), nKeys(d)-leafPos(d, from, false), link(d)
+				return
+			}
+			a := childSlot(d, from, false)
+			beside, fan, lo = nKeys(d)-a, fan+nKeys(d)+1, slotChild(d, a)
+		})
+		if err == nil {
+			err = t.read(hi, func(d []byte) {
+				if leaf {
+					fill, ends = fill+nKeys(d), ends+leafPos(d, to, true)
+					return
+				}
+				b := childSlot(d, to, true)
+				beside, fan, hi = beside+b, fan+nKeys(d)+1, slotChild(d, b)
+			})
+		}
+		if err != nil {
+			return 0, err
+		}
+		if !leaf {
+			side = append(side, beside)
+			slots += beside
+			inner += 2
+		}
+	}
+	// Every slot holds at least one leaf, so only when that few fit the
+	// window can the ends be close enough to walk the leaves between.
+	if slots <= exactLeaves {
+		n := ends
+		for hops := 0; next != pagestore.InvalidPage; hops++ {
+			if next == hi {
+				return float64(n), nil
+			}
+			if hops == exactLeaves {
+				break
+			}
+			if err := t.read(next, func(d []byte) { n, next = n+nKeys(d), link(d) }); err != nil {
+				return 0, err
+			}
+		}
+	}
+	// subtree is what one slot holds, deepest level first: the end leaves'
+	// average fill, times the inner pages' average fanout per level up.
+	subtree, avgFan := float64(fill)/2, 0.0
+	if inner > 0 {
+		avgFan = float64(fan) / float64(inner)
+	}
+	est := float64(ends)
+	for k := len(side) - 1; k >= 0; k-- {
+		est += float64(side[k]) * subtree
+		subtree *= avgFan
+	}
+	return est + float64(gap)*subtree, nil
+}
+
+// read runs fn on page pg's bytes under the page's read latch.
+func (t *Tree) read(pg pagestore.PageID, fn func(d []byte)) error {
+	f, err := t.pool.Fetch(pg)
+	if err != nil {
+		return err
+	}
+	f.RLock()
+	fn(f.Data)
+	f.RUnlock()
+	t.pool.Unpin(f, false)
+	return nil
+}
+
+// childSlot returns the child slot of inner page d that key routes to (0 is
+// the leftmost child, i+1 cell i's); a nil key is the first slot, or the
+// last when it ends a range.
+func childSlot(d, key []byte, end bool) int {
+	if key == nil {
+		if end {
+			return nKeys(d)
+		}
+		return 0
+	}
+	i, exact := search(d, key)
+	if exact {
+		return i + 1
+	}
+	return i
+}
+
+// slotChild returns the child page at slot s of inner page d.
+func slotChild(d []byte, s int) pagestore.PageID {
+	if s == 0 {
+		return link(d)
+	}
+	return childAt(d, s-1)
+}
+
+// leafPos returns the index of leaf d's first entry at or above key; a nil
+// key is the first entry, or past the last when it ends a range.
+func leafPos(d, key []byte, end bool) int {
+	if key == nil {
+		if end {
+			return nKeys(d)
+		}
+		return 0
+	}
+	i, _ := search(d, key)
+	return i
+}
+
 // Count returns the number of entries (full scan; for stats and tests).
 func (t *Tree) Count() (int, error) {
 	n := 0

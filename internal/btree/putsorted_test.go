@@ -206,8 +206,9 @@ func TestPutSortedRejectsBadRuns(t *testing.T) {
 }
 
 // Readers run beside a long PutSorted: every scan comes back sorted and
-// duplicate-free, every pre-filled key stays readable, and some scan sees the
-// batch part-way in — which a lock held for the whole call would never allow.
+// duplicate-free, every pre-filled key stays readable, range estimates stay
+// within the batch, and some scan sees the batch part-way in — which a lock
+// held for the whole call would never allow.
 func TestPutSortedReadersInterleave(t *testing.T) {
 	tr := newTree(t, 1024)
 	const pre, batch = 1000, 20000
@@ -263,6 +264,10 @@ func TestPutSortedReadersInterleave(t *testing.T) {
 					}
 					if n > 0 && n < batch {
 						partial.Add(1)
+					}
+					if est, err := tr.EstimateRange(lo, hi); err != nil || est < 0 || est > 2*batch {
+						t.Errorf("EstimateRange = %v, %v over a batch of %d", est, err, batch)
+						return
 					}
 				}
 			}(r)

@@ -139,8 +139,11 @@ func TestInsertBatchMatchesSequentialInserts(t *testing.T) {
 				if err != nil || len(hits) != 1 || hits[0].Doc != ids[7] {
 					t.Fatalf("indexed query: hits=%v plan=%v err=%v", hits, plan, err)
 				}
-				if got := col.StatsSnapshot(); got.DocCount != n || got.Index("ix_qty").Entries != n {
-					t.Fatalf("stats: %d docs, %d ix_qty entries, want %d each", got.DocCount, got.Index("ix_qty").Entries, n)
+				if got := col.StatsSnapshot(); got.DocCount != n {
+					t.Fatalf("stats: %d docs, want %d", got.DocCount, n)
+				}
+				if got, err := col.ValueIndex("ix_qty").Count(); err != nil || got != n {
+					t.Fatalf("ix_qty: %d entries, %v; want %d", got, err, n)
 				}
 
 				// Physical + structural cross-check.

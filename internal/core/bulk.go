@@ -433,7 +433,6 @@ func (c *Collection) ingestLocked(ids []xml.DocID, st *staged) error {
 	}
 
 	// Pass 4 — value indexes (§3.3).
-	var ixEntries map[string]int64
 	if len(c.valIxs) > 0 {
 		if err := c.valueKeys(ids, st, nodes); err != nil {
 			return err
@@ -453,15 +452,9 @@ func (c *Collection) ingestLocked(ids []xml.DocID, st *staged) error {
 			if err := ov.ix.Tree().PutSorted(ents); err != nil {
 				return err
 			}
-			if len(ents) > 0 {
-				if ixEntries == nil {
-					ixEntries = map[string]int64{}
-				}
-				ixEntries[ov.meta.Name] += int64(len(ents))
-			}
 		}
 	}
-	c.noteIngest(st, ixEntries)
+	c.noteIngest(st)
 	return nil
 }
 

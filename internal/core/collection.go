@@ -130,22 +130,9 @@ func (c *Collection) CreateValueIndex(name, path string, typ xml.TypeID) (err er
 	c.valIxs = append(c.valIxs, ov)
 	c.ixMu.Unlock()
 	c.meta.Indexes = append(c.meta.Indexes, im)
-	// Seed the new index's statistics exactly from the backfilled entries
-	// (the backfill just wrote them; one ordered scan builds cardinality and
-	// histogram), bump the stats epoch so cached plans replan against the
-	// new index, and persist index list + statistics in one row write.
-	b := stats.NewBuilder(stats.HistogramBuckets)
-	if err := ix.Scan(valueindex.Range{}, func(e valueindex.Entry) bool {
-		b.Add(e.EncodedValue)
-		return true
-	}); err != nil {
-		return err
-	}
+	// Bump the stats epoch so cached plans replan against the new index, and
+	// persist the index list and statistics in one row write.
 	c.statsMu.Lock()
-	is := c.live.EnsureIndex(name)
-	is.Entries = b.Count()
-	is.Distinct = b.Distinct()
-	is.Hist = b.Build()
 	c.live.Epoch++
 	c.statsDirty = 0
 	snap := c.live.Clone()
@@ -611,7 +598,6 @@ func (c *Collection) Serialize(doc xml.DocID, w io.Writer) error {
 // are removed by value and DocID. Removing an absent document is a no-op.
 // Caller holds writeMu.
 func (c *Collection) removeDoc(doc xml.DocID, prior []byte) error {
-	ixEntries := map[string]int64{}
 	r, walkErr := c.reader(doc)
 	for _, ov := range c.valIxs {
 		var keys []quickxscan.Match
@@ -621,11 +607,9 @@ func (c *Collection) removeDoc(doc xml.DocID, prior []byte) error {
 		if walkErr != nil && !vanished(walkErr) {
 			return walkErr
 		}
-		n, err := dropKeys(ov, doc, keys, prior)
-		if err != nil {
+		if err := dropKeys(ov, doc, keys, prior); err != nil {
 			return err
 		}
-		ixEntries[ov.meta.Name] += int64(n)
 	}
 	var records int64
 	if _, err := c.nodeIx.DeleteDoc(doc, func(rid heap.RID) error {
@@ -651,7 +635,7 @@ func (c *Collection) removeDoc(doc xml.DocID, prior []byte) error {
 	if err := c.docIx.Delete(d[:]); err != nil {
 		return err
 	}
-	c.noteDelete(records, ixEntries)
+	c.noteDelete(records)
 	return nil
 }
 
@@ -677,32 +661,27 @@ func deleteOwnRow(t *heap.Table, rid heap.RID, doc xml.DocID) error {
 }
 
 // dropKeys deletes one index's keys for a document — keys exactly, in eval
-// order, then prior's by value — and returns how many entries went.
-func dropKeys(ov *openValueIndex, doc xml.DocID, keys []quickxscan.Match, prior []byte) (int, error) {
-	dropped := 0
+// order, then prior's by value.
+func dropKeys(ov *openValueIndex, doc xml.DocID, keys []quickxscan.Match, prior []byte) error {
 	for _, m := range keys {
 		err := ov.ix.Delete(m.Value, doc, m.ID)
-		if err == nil {
-			dropped++
-		} else if !errors.Is(err, valueindex.ErrNotIndexable) && !errors.Is(err, btree.ErrNotFound) {
-			return dropped, err
+		if err != nil && !errors.Is(err, valueindex.ErrNotIndexable) && !errors.Is(err, btree.ErrNotFound) {
+			return err
 		}
 	}
 	if prior == nil {
-		return dropped, nil
+		return nil
 	}
 	ms, err := quickxscan.EvalTokens(ov.keygen, prior)
 	if err != nil {
-		return dropped, err
+		return err
 	}
 	for _, m := range ms {
-		n, err := ov.ix.DeleteValue(m.Value, doc)
-		if err != nil && !errors.Is(err, valueindex.ErrNotIndexable) {
-			return dropped, err
+		if _, err := ov.ix.DeleteValue(m.Value, doc); err != nil && !errors.Is(err, valueindex.ErrNotIndexable) {
+			return err
 		}
-		dropped += n
 	}
-	return dropped, nil
+	return nil
 }
 
 // vanished reports whether a read failed on a missing or malformed structure

@@ -1,13 +1,13 @@
 package core
 
 // Per-collection optimizer statistics (internal/stats): incremental
-// maintenance on the write paths, a scrub-style full refresh, catalog
-// persistence, and the snapshot view the cost-based planner prices plans
-// with. The contract mirrors a relational optimizer's: scalar counters
-// (documents, records, bytes, index entries) track every mutation exactly;
-// distinct counts, histograms, and path counts are rebuilt only by
-// RefreshStats and go stale in between — estimation degrades gracefully, it
-// never blocks a write.
+// maintenance on the write paths, a recount that corrects their drift,
+// catalog persistence, and the snapshot view the cost-based planner prices
+// plans with. Documents, records and path counts are noted on every insert;
+// a delete subtracts its records and the average document size and leaves
+// path counts alone, and RefreshStats recounts all of them. What a conjunct
+// matches is not kept here at all: the planner dives into the value index
+// itself (valueindex.Index.Estimate).
 
 import (
 	"cmp"
@@ -18,7 +18,6 @@ import (
 	"rx/internal/nodeid"
 	"rx/internal/stats"
 	"rx/internal/tokens"
-	"rx/internal/valueindex"
 	"rx/internal/xml"
 )
 
@@ -217,10 +216,9 @@ func (c *Collection) StatsEpoch() uint64 {
 	return c.live.Epoch
 }
 
-// noteIngest records one ingestLocked call: st's documents, its workers'
-// path counts, and ixEntries, index name to the number of value keys added.
-// Caller holds writeMu.
-func (c *Collection) noteIngest(st *staged, ixEntries map[string]int64) {
+// noteIngest records one ingestLocked call: st's documents and its workers'
+// path counts. Caller holds writeMu.
+func (c *Collection) noteIngest(st *staged) {
 	var totalBytes, maxBytes, records int64
 	for _, d := range st.docs {
 		totalBytes += d.bytes
@@ -238,9 +236,6 @@ func (c *Collection) noteIngest(st *staged, ixEntries map[string]int64) {
 		c.live.PathCounts = map[string]int64{}
 	}
 	foldPaths(c.live.PathCounts, st.paths())
-	for name, n := range ixEntries {
-		c.live.EnsureIndex(name).Entries += n
-	}
 	c.statsDirty += len(st.docs)
 	dirty := c.statsDirty
 	c.statsMu.Unlock()
@@ -251,7 +246,7 @@ func (c *Collection) noteIngest(st *staged, ixEntries map[string]int64) {
 
 // noteDelete records one deleted document. Document bytes are unknown at
 // delete time, so the average is subtracted (refresh corrects the drift).
-func (c *Collection) noteDelete(records int64, ixEntries map[string]int64) {
+func (c *Collection) noteDelete(records int64) {
 	c.statsMu.Lock()
 	c.live.TotalDocBytes -= c.live.AvgDocBytes()
 	if c.live.TotalDocBytes < 0 {
@@ -263,13 +258,6 @@ func (c *Collection) noteDelete(records int64, ixEntries map[string]int64) {
 	c.live.RecordCount -= records
 	if c.live.RecordCount < 0 {
 		c.live.RecordCount = 0
-	}
-	for name, n := range ixEntries {
-		if is := c.live.Index(name); is != nil {
-			if is.Entries -= n; is.Entries < 0 {
-				is.Entries = 0
-			}
-		}
 	}
 	c.statsDirty++
 	dirty := c.statsDirty
@@ -312,15 +300,12 @@ func (h *pathCountHandler) Text(value []byte, typ xml.TypeID, id nodeid.ID) erro
 func (h *pathCountHandler) Comment(value []byte, id nodeid.ID) error               { return nil }
 func (h *pathCountHandler) PI(target xml.NameID, value []byte, id nodeid.ID) error { return nil }
 
-// RefreshStats rebuilds the collection's statistics exactly from the stored
-// data — sizes and counts from a heap scan, path counts from document walks,
-// per-index cardinalities and equi-depth histograms from index scans — then
+// RefreshStats recounts the collection's statistics from the stored data —
+// sizes and counts from a heap scan, path counts from document walks — then
 // swaps them in (carrying forward counter deltas from writes that landed
-// mid-rebuild), bumps the epoch, and persists the snapshot. It runs without
-// the write lock: a scrub-style background pass must not stall writers, so a
-// document deleted mid-walk is simply skipped. It takes no throttle hook: the
-// index scans run their callbacks under the tree's read lock, where a pause
-// would stall every writer of that index.
+// mid-recount), bumps the epoch, and persists the snapshot. It runs without
+// the write lock, so it does not stall writers; a document deleted mid-walk
+// is simply skipped.
 func (c *Collection) RefreshStats() error {
 	// Baseline for the delta carry-forward.
 	c.statsMu.Lock()
@@ -365,25 +350,8 @@ func (c *Collection) RefreshStats() error {
 	}
 	foldPaths(fresh.PathCounts, []*pathCounter{&h.pc})
 
-	// Per-index cardinalities and histograms: one ordered scan each.
-	for _, ov := range c.indexSnapshot() {
-		b := stats.NewBuilder(stats.HistogramBuckets)
-		err := ov.ix.Scan(valueindex.Range{}, func(e valueindex.Entry) bool {
-			b.Add(e.EncodedValue)
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		fresh.Indexes[ov.meta.Name] = &stats.IndexStats{
-			Entries:  b.Count(),
-			Distinct: b.Distinct(),
-			Hist:     b.Build(),
-		}
-	}
-
 	// Swap in, carrying forward whatever the incremental counters accumulated
-	// while the rebuild ran (rebuild reads raced writers by design).
+	// while the recount ran (its reads race writers by design).
 	c.statsMu.Lock()
 	fresh.DocCount += c.live.DocCount - base.DocCount
 	fresh.RecordCount += c.live.RecordCount - base.RecordCount
@@ -397,13 +365,6 @@ func (c *Collection) RefreshStats() error {
 	if fresh.TotalDocBytes < 0 {
 		fresh.TotalDocBytes = 0
 	}
-	for name, is := range fresh.Indexes {
-		if liveIs, baseIs := c.live.Index(name), base.Index(name); liveIs != nil && baseIs != nil {
-			if is.Entries += liveIs.Entries - baseIs.Entries; is.Entries < 0 {
-				is.Entries = 0
-			}
-		}
-	}
 	fresh.Epoch = c.live.Epoch + 1
 	c.live = fresh
 	c.statsDirty = 0
@@ -412,8 +373,9 @@ func (c *Collection) RefreshStats() error {
 	return c.db.cat.UpdateCollectionStats(c.meta, snap)
 }
 
-// RefreshStats rebuilds statistics for every collection. The maintenance
-// loop's statistics duty calls it every Options.StatsRefresh.
+// RefreshStats recounts statistics for every collection. Plans need no
+// refresh (conjuncts are estimated from the value indexes); it corrects the
+// drift deletes leave in the byte counters and path counts.
 func (db *DB) RefreshStats() error {
 	var firstErr error
 	for _, name := range db.Collections() {

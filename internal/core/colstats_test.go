@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -9,6 +11,8 @@ import (
 	"strings"
 	"testing"
 
+	"rx/internal/buffer"
+	"rx/internal/heap"
 	"rx/internal/pagestore"
 	"rx/internal/xml"
 )
@@ -72,7 +76,7 @@ func TestIncrementalStats(t *testing.T) {
 		t.Fatalf("PathCounts[/r/v] = %d, want 30", s.PathCounts["/r/v"])
 	}
 
-	// Index creation seeds index statistics and bumps the epoch.
+	// Index creation bumps the epoch.
 	epoch := col.StatsEpoch()
 	if err := col.CreateValueIndex("ix_v", "/r/v", xml.TDouble); err != nil {
 		t.Fatal(err)
@@ -80,22 +84,15 @@ func TestIncrementalStats(t *testing.T) {
 	if col.StatsEpoch() == epoch {
 		t.Fatal("index DDL must bump the stats epoch")
 	}
-	s = col.StatsSnapshot()
-	if is := s.Index("ix_v"); is == nil || is.Entries != 26 || is.Distinct != 26 {
-		t.Fatalf("index stats after DDL = %+v", s.Index("ix_v"))
-	}
 
-	// Refresh rebuilds the derived statistics exactly (and fixes the stale
-	// path counts the deletes left behind).
+	// Refresh recounts the statistics exactly (and fixes the stale path
+	// counts the deletes left behind).
 	if err := col.RefreshStats(); err != nil {
 		t.Fatal(err)
 	}
 	s = col.StatsSnapshot()
 	if s.DocCount != 26 || s.PathCounts["/r/v"] != 26 {
 		t.Fatalf("after refresh: docs=%d paths=%d, want 26/26", s.DocCount, s.PathCounts["/r/v"])
-	}
-	if is := s.Index("ix_v"); is == nil || is.Entries != 26 || len(is.Hist.Buckets) == 0 {
-		t.Fatalf("index stats after refresh = %+v", s.Index("ix_v"))
 	}
 
 	// Reopen: persisted statistics come back; counts are reconciled with the
@@ -116,9 +113,6 @@ func TestIncrementalStats(t *testing.T) {
 	if s.DocCount != 26 {
 		t.Fatalf("DocCount after reopen = %d", s.DocCount)
 	}
-	if is := s.Index("ix_v"); is == nil || is.Entries != 26 || len(is.Hist.Buckets) == 0 {
-		t.Fatalf("index stats lost across reopen: %+v", s.Index("ix_v"))
-	}
 	if s.PathCounts["/r/v"] != 26 {
 		t.Fatalf("path counts lost across reopen: %d", s.PathCounts["/r/v"])
 	}
@@ -135,15 +129,16 @@ func flipDoc(vals [16]int) []byte {
 	return []byte(doc + `</r>`)
 }
 
-// TestPlanFlipAfterRefresh pins the headline planner behavior: while the
-// statistics still describe the old (selective) data the planner keeps the
-// index, and the refresh that reveals the predicate matches nearly every
-// entry flips the same query to a scan.
-func TestPlanFlipAfterRefresh(t *testing.T) {
+// TestPlanFlipWithoutRefresh pins the headline planner behavior with no
+// statistics refresh at all: while the predicate selects a sliver of the
+// index the planner uses it, and once skewed inserts make the predicate match
+// nearly every entry, the next plan of the same query is a scan. The
+// estimate is a dive into the index as it stands, so nothing has to notice
+// the skew first.
+func TestPlanFlipWithoutRefresh(t *testing.T) {
 	db := newDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{})
-	// Seed phase: 20 docs x 16 distinct values 0..319, then a refresh so the
-	// histogram describes this uniform population, under which `v >= 300`
+	// Seed phase: 20 docs x 16 distinct values 0..319, under which `v >= 300`
 	// matches only the top ~6% of entries.
 	for i := 0; i < 20; i++ {
 		var vals [16]int
@@ -155,9 +150,6 @@ func TestPlanFlipAfterRefresh(t *testing.T) {
 	if err := col.CreateValueIndex("ix", "/r/v", xml.TDouble); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.RefreshStats(); err != nil {
-		t.Fatal(err)
-	}
 	_, p, err := col.QueryOpts(`/r[v >= 300]`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -167,9 +159,9 @@ func TestPlanFlipAfterRefresh(t *testing.T) {
 	}
 
 	// Skew phase: bury the collection in documents whose every entry lands in
-	// the formerly sparse tail. The incremental entry counter grows, but the
-	// histogram still describes the uniform seed data, so the (drift-scaled)
-	// estimate stays modest and the planner keeps the index...
+	// the formerly sparse tail. v >= 300 now matches ~6400 of 6720 entries,
+	// and walking them all costs more than evaluating the 420 documents
+	// directly.
 	var batch [][]byte
 	for i := 0; i < 400; i++ {
 		var vals [16]int
@@ -181,33 +173,19 @@ func TestPlanFlipAfterRefresh(t *testing.T) {
 	if _, err := txnInsertBatch(col, batch); err != nil {
 		t.Fatal(err)
 	}
-	_, p, err = col.QueryOpts(`/r[v >= 300]`, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Method == "scan" {
-		t.Fatalf("pre-refresh estimate should still favor the index, got %+v", p)
-	}
-
-	// ...until the refresh rebuilds the histogram: v >= 300 now matches ~6400
-	// of 6720 entries, and walking them all costs more than evaluating the
-	// 420 documents directly.
 	epoch := col.StatsEpoch()
-	if err := col.RefreshStats(); err != nil {
-		t.Fatal(err)
-	}
-	if col.StatsEpoch() == epoch {
-		t.Fatal("refresh must bump the stats epoch")
-	}
 	res, p, err := col.QueryOpts(`/r[v >= 300]`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Method != "scan" {
-		t.Fatalf("after refresh the planner should know v>=300 matches ~everything and scan, got %+v", p)
+		t.Fatalf("with v>=300 matching ~every entry the planner should scan, got %+v", p)
 	}
 	if len(res) != 402 { // seed docs 18 and 19 (values 288..319) + the 400 skew docs
 		t.Fatalf("results = %d, want 402", len(res))
+	}
+	if col.StatsEpoch() != epoch {
+		t.Fatal("the flip must not need a stats epoch change")
 	}
 }
 
@@ -620,10 +598,10 @@ func TestExplainEstimates(t *testing.T) {
 	}
 }
 
-// TestRefreshStatsFitsCatalogRow: two full-resolution histograms over
-// thousands of distinct keys serialize past what one catalog row can hold.
-// The refresh must degrade the persisted snapshot's resolution rather than
-// fail and leave the planner on stale statistics.
+// TestRefreshStatsFitsCatalogRow: path counts over hundreds of long element
+// paths serialize past what one catalog row can hold. The refresh must
+// degrade the persisted snapshot's resolution rather than fail, and the
+// reopened collection still plans its indexed query.
 func TestRefreshStatsFitsCatalogRow(t *testing.T) {
 	store := pagestore.NewMemStore()
 	db, err := Open(store, Options{})
@@ -634,19 +612,20 @@ func TestRefreshStatsFitsCatalogRow(t *testing.T) {
 	if err := col.CreateValueIndex("ix_total", "/order/total", xml.TDouble); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.CreateValueIndex("ix_cust", "/order/cust", xml.TString); err != nil {
-		t.Fatal(err)
-	}
-	const n = 4000
+	const n = 400
 	docs := make([][]byte, n)
+	long := strings.Repeat("x", 40)
 	for i := range docs {
-		docs[i] = []byte(fmt.Sprintf(`<order><cust>customer-%06d</cust><total>%d</total></order>`, i, i))
+		docs[i] = []byte(fmt.Sprintf(`<order><total>%d</total><%s%03d>1</%s%03d></order>`, i, long, i, long, i))
 	}
 	if _, err := txnInsertBatch(col, docs); err != nil {
 		t.Fatal(err)
 	}
 	if err := col.RefreshStats(); err != nil {
 		t.Fatalf("RefreshStats: %v", err)
+	}
+	if got := len(col.StatsSnapshot().PathCounts); got < n {
+		t.Fatalf("live path counts = %d, want at least %d", got, n)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -662,17 +641,124 @@ func TestRefreshStatsFitsCatalogRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := col2.StatsSnapshot()
-	for _, name := range []string{"ix_total", "ix_cust"} {
-		is := s.Index(name)
-		if is == nil || is.Distinct != n || len(is.Hist.Buckets) == 0 || is.Hist.Total != n {
-			t.Fatalf("reopened %s stats = %+v, want a histogram over %d distinct entries", name, is, n)
-		}
+	if s.DocCount != n || len(s.PathCounts) == 0 || len(s.PathCounts) >= n || s.PathCounts["/order/total"] != n {
+		t.Fatalf("reopened stats: %d docs, %d paths (/order/total %d); want %d docs and a coarsened path table",
+			s.DocCount, len(s.PathCounts), s.PathCounts["/order/total"], n)
 	}
-	res, p, err := col2.QueryOpts(`/order[total = 1234]`, QueryOptions{})
+	res, p, err := col2.QueryOpts(`/order[total = 123]`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 1 || p.Method == "scan" {
 		t.Fatalf("indexed query after reopen: %d results via %+v", len(res), p)
+	}
+}
+
+// collectionRow finds the named collection's catalog row in a closed store
+// and returns its JSON and a function that overwrites it.
+func collectionRow(t *testing.T, store pagestore.Store, name string) ([]byte, func([]byte)) {
+	t.Helper()
+	pool := buffer.New(store, 64)
+	f, err := pool.Fetch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols, err := heap.Open(pool, pagestore.PageID(binary.BigEndian.Uint32(f.Data[16:20])))
+	pool.Unpin(f, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var row []byte
+	var at heap.RID
+	err = cols.Scan(func(rid heap.RID, payload []byte) error {
+		var c struct{ Name string }
+		if json.Unmarshal(payload, &c) == nil && c.Name == name {
+			row, at = append([]byte(nil), payload...), rid
+		}
+		return nil
+	})
+	if err != nil || row == nil {
+		t.Fatalf("catalog row of %s: %v", name, err)
+	}
+	return row, func(payload []byte) {
+		t.Helper()
+		if err := cols.Update(at, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLegacyStatsRowOpens: a collection row whose statistics still carry the
+// per-index entry counts, distinct counts and histograms older databases
+// persisted opens, plans, passes CheckConsistency, and loses those fields on
+// its next persist.
+func TestLegacyStatsRowOpens(t *testing.T) {
+	store := pagestore.NewMemStore()
+	db, err := Open(store, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, _ := db.CreateCollection("c", CollectionOptions{})
+	if err := col.CreateValueIndex("ix_v", "/r/v", xml.TDouble); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		mustInsert(t, col, []byte(fmt.Sprintf(`<r><v>%d</v></r>`, i)))
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	row, update := collectionRow(t, store, "c")
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(row, &fields); err != nil {
+		t.Fatal(err)
+	}
+	var st map[string]json.RawMessage
+	if err := json.Unmarshal(fields["Stats"], &st); err != nil {
+		t.Fatal(err)
+	}
+	st["indexes"] = json.RawMessage(`{"ix_v":{"entries":40,"distinct":40,` +
+		`"hist":{"buckets":[{"ub":"wEQAAAAAAAA=","n":40,"d":40}],"total":40}}}`)
+	if fields["Stats"], err = json.Marshal(st); err != nil {
+		t.Fatal(err)
+	}
+	if row, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	update(row)
+	if row, _ = collectionRow(t, store, "c"); !strings.Contains(string(row), `"hist"`) {
+		t.Fatalf("legacy row not written: %s", row)
+	}
+
+	db, err = Open(store, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err = db.Collection("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, p, err := col.QueryOpts(`/r[v = 7]`, QueryOptions{})
+	if err != nil || len(res) != 1 || p.Method == "scan" {
+		t.Fatalf("query on the legacy row: %d results via %+v, %v", len(res), p, err)
+	}
+	if err := col.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.RefreshStats(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	row, _ = collectionRow(t, store, "c")
+	for _, field := range []string{`"indexes"`, `"hist"`, `"distinct"`} {
+		if strings.Contains(string(row), field) {
+			t.Fatalf("persisted row still carries %s: %s", field, row)
+		}
 	}
 }

@@ -340,6 +340,11 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	col, _ := db.CreateCollection("c", CollectionOptions{})
 	col.CreateValueIndex("ix", "//price", xml.TDouble)
 	id := mustInsert(t, col, []byte(`<r><price>42</price></r>`))
+	// Enough other documents that the index beats a scan: one document
+	// scans cheaper than an index probe.
+	for i := 0; i < 20; i++ {
+		mustInsert(t, col, []byte(fmt.Sprintf(`<r><price>%d</price></r>`, 100+i)))
+	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -51,8 +51,6 @@ type Options struct {
 
 	// SpaceWatch configures the free-space watchdog (on when Probe is set).
 	SpaceWatch SpaceWatchOptions
-	// StatsRefresh is the interval between statistics refresh passes.
-	StatsRefresh time.Duration
 	// ScrubInterval is the interval between integrity scrub passes, each
 	// throttled to about ScrubRate page/record reads per second (0 =
 	// unthrottled) so it does not starve foreground queries.

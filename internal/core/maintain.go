@@ -1,12 +1,11 @@
 package core
 
 // The maintenance loop: the engine's one background goroutine. The
-// free-space watchdog, the statistics refresh and the integrity scrub are
-// duties on its fixed list, each due on its own interval; the loop runs
-// whichever falls due first. Open and Recover start it once recovery has
-// finished, Close stops it and waits for the duty in flight. DESIGN.md "The
-// maintenance loop" states the two constraints one goroutine adds; pace and
-// RefreshStats keep them.
+// free-space watchdog and the integrity scrub are duties on its fixed list,
+// each due on its own interval; the loop runs whichever falls due first.
+// Open and Recover start it once recovery has finished, Close stops it and
+// waits for the duty in flight. DESIGN.md "The maintenance loop" states the
+// constraint one goroutine adds; pace keeps it.
 
 import "time"
 
@@ -47,11 +46,6 @@ func (db *DB) startMaintenance(o Options) {
 	}
 	if db.watch.Probe != nil {
 		m.space = add(db.watch.Interval, func() { db.probeSpace(true) })
-	}
-	if o.StatsRefresh > 0 {
-		// Unpaced (see RefreshStats). Advisory: a failed pass retries next
-		// interval.
-		add(o.StatsRefresh, func() { _ = db.RefreshStats() })
 	}
 	if o.ScrubInterval > 0 {
 		// A failed pass (transient I/O) retries next interval.

@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"rx/internal/memgov"
-	"rx/internal/stats"
 	"rx/internal/valueindex"
 	"rx/internal/xml"
 	"rx/internal/xpath"
@@ -137,7 +136,7 @@ type planConjunct struct {
 	// when the leaf selects at most one node per anchor in any document.
 	path    *xpath.Query
 	oneNode bool
-	// est is the histogram estimate of the index entries rng covers.
+	// est is the index's estimate of the entries rng covers (a dive).
 	est float64
 	// anchors counts the elements at the anchor path (per-path counts),
 	// read only when the conjunct can drive NodeID filtering; 0 if unknown.
@@ -387,19 +386,23 @@ func (c *Collection) selectAccessPath(q *xpath.Query, valIxs []*openValueIndex, 
 	nodeListOK := len(matched) > 0 && exactAtResult && unindexed == 0 && pureChildSpine(spine)
 	filterOK := len(matched) == 1 && unindexed == 0 && pureChildSpine(spine[:matched[0].level])
 
-	// Statistics snapshot: everything price reads, taken under one short
-	// critical section (histogram probes are pure functions of immutable
-	// buckets).
+	// Each conjunct's entries come from a dive into its index, outside
+	// statsMu: a page fetch may wait on I/O. The collection-wide numbers are
+	// read in one short critical section.
+	for _, pcs := range [][]planConjunct{matched, orParts} {
+		for i := range pcs {
+			est, err := pcs[i].ov.ix.Estimate(pcs[i].rng)
+			if err != nil {
+				return nil, err
+			}
+			pcs[i].est = est
+		}
+	}
 	ps := planStats{values: opts.NeedValues}
 	c.statsMu.Lock()
 	ps.docs = float64(c.live.DocCount)
 	ps.recordsPerDoc = c.live.RecordsPerDoc()
 	ps.avgKB = float64(c.live.AvgDocBytes()) / 1024
-	for _, pcs := range [][]planConjunct{matched, orParts} {
-		for i := range pcs {
-			pcs[i].est = estimateConjunct(c.live.Index(pcs[i].ov.meta.Name), pcs[i].rng)
-		}
-	}
 	if filterOK {
 		matched[0].anchors = float64(c.live.PathCounts[spinePath(spine[:matched[0].level])])
 	}
@@ -444,15 +447,6 @@ func (c *Collection) selectAccessPath(q *xpath.Query, valIxs []*openValueIndex, 
 	chosen.Alternatives = alts
 	chosen.q = q
 	return chosen, nil
-}
-
-// estimateConjunct estimates how many index entries a conjunct's range scan
-// will visit. Caller holds statsMu.
-func estimateConjunct(is *stats.IndexStats, rng valueindex.Range) float64 {
-	if rng.Lo != nil && rng.Hi != nil && !rng.LoStrict && !rng.HiStrict && bytes.Equal(rng.Lo, rng.Hi) {
-		return is.EstimateEq(rng.Lo)
-	}
-	return is.EstimateRange(rng.Lo, rng.Hi, rng.LoStrict, rng.HiStrict)
 }
 
 // spinePath renders a pure child-axis spine prefix as a PathCounts key.

@@ -390,3 +390,60 @@ func TestKeyListSort(t *testing.T) {
 		}
 	}
 }
+
+// TestOrderItemPlanWithoutRefresh is the read-back shape of an order-entry
+// load that never refreshes statistics: many distinct Price values, nine Qty
+// values, both indexes created before the load. The estimate of each
+// conjunct is a dive into its index, so Qty = y is known to match about a
+// ninth of the items and the plan probes Price alone, instead of walking
+// every Qty = y entry to intersect them.
+func TestOrderItemPlanWithoutRefresh(t *testing.T) {
+	db := newDB(t)
+	col, err := db.CreateCollection("orders", CollectionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range [][2]string{{"by_price", "/Order/Items/Item/Price"}, {"by_qty", "/Order/Items/Item/Qty"}} {
+		if err := col.CreateValueIndex(ix[0], ix[1], xml.TDouble); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	var docs [][]byte
+	var queries []string
+	for i := 0; i < 1200; i++ {
+		var b strings.Builder
+		fmt.Fprintf(&b, `<Order id="%d"><Customer>C%03d</Customer><Items>`, i, rng.Intn(500))
+		for line := 1; line <= 8+(i*7)%9; line++ {
+			price, qty := 500+rng.Intn(9500), 1+rng.Intn(9)
+			fmt.Fprintf(&b, `<Item line="%d"><Part>P%05d</Part><Qty>%d</Qty><Price>%d.%02d</Price></Item>`,
+				line, rng.Intn(100000), qty, price/100, price%100)
+			if i%97 == 0 && line == 1 {
+				queries = append(queries, fmt.Sprintf(`/Order/Items/Item[Price = %d.%02d and Qty = %d]/Part`, price/100, price%100, qty))
+			}
+		}
+		b.WriteString(`</Items></Order>`)
+		docs = append(docs, []byte(b.String()))
+	}
+	for off := 0; off < len(docs); off += 256 {
+		if _, err := txnInsertBatch(col, docs[off:min(off+256, len(docs))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range queries {
+		res, p, err := col.QueryOpts(q, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Method != "docid-list" || !slices.Equal(p.Indexes, []string{"by_price"}) {
+			t.Fatalf("%s: plan %s %v (alternatives %+v), want docid-list [by_price]", q, p.Method, p.Indexes, p.Alternatives)
+		}
+		want, _, err := col.QueryOpts(q, QueryOptions{ForceMethod: "scan"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) == 0 || len(res) != len(want) {
+			t.Fatalf("%s: %d results, scan %d", q, len(res), len(want))
+		}
+	}
+}

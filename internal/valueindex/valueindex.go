@@ -12,7 +12,6 @@
 package valueindex
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -242,30 +241,49 @@ func (ix *Index) RangeForOp(op xpath.CmpOp, lit xpath.Literal) (Range, error) {
 	}
 }
 
+// keyBounds converts the range to the [from, to) bounds of its entries'
+// keys, for Scan and Estimate alike. Value encodings are prefix-free, so an
+// entry's key lies in [v, succ(v)) exactly when its value is v, succ being
+// the prefix successor: a strict Lo starts at succ(Lo), an inclusive Hi ends
+// there.
+func (r Range) keyBounds() (from, to []byte) {
+	from, to = r.Lo, r.Hi
+	if r.Lo != nil && r.LoStrict {
+		if from = prefixSuccessor(r.Lo); from == nil {
+			return r.Lo, r.Lo // no key passes an all-0xFF Lo
+		}
+	}
+	if r.Hi != nil && !r.HiStrict {
+		to = prefixSuccessor(r.Hi) // nil, unbounded, for an all-0xFF Hi
+	}
+	return from, to
+}
+
+// prefixSuccessor returns the least key above every key that starts with p,
+// or nil when there is none (p is all 0xFF).
+func prefixSuccessor(p []byte) []byte {
+	for i := len(p) - 1; i >= 0; i-- {
+		if p[i] != 0xFF {
+			s := append([]byte(nil), p[:i+1]...)
+			s[i]++
+			return s
+		}
+	}
+	return nil
+}
+
 // Scan visits entries whose value falls in the range, in (value, doc, node)
 // order. fn returning false stops the scan. A malformed entry fails the scan:
 // stopping there quietly would hand the caller a truncated range as if it were
 // the whole one.
 func (ix *Index) Scan(r Range, fn func(e Entry) bool) error {
-	var from []byte
-	if r.Lo != nil {
-		from = r.Lo // strictness handled per entry (value prefix compare)
-	}
+	from, to := r.keyBounds()
 	var bad error
-	err := ix.tree.Scan(from, nil, func(be btree.Entry) bool {
+	err := ix.tree.Scan(from, to, func(be btree.Entry) bool {
 		encVal, doc, id, err := ix.splitKey(be.Key)
 		if err != nil {
 			bad = err
 			return false
-		}
-		if r.Lo != nil && r.LoStrict && bytes.Equal(encVal, r.Lo) {
-			return true // skip the excluded bound
-		}
-		if r.Hi != nil {
-			c := bytes.Compare(encVal, r.Hi)
-			if c > 0 || (c == 0 && r.HiStrict) {
-				return false
-			}
 		}
 		return fn(Entry{Doc: doc, Node: id, RID: heap.RIDFromBytes(be.Value), EncodedValue: encVal})
 	})
@@ -273,6 +291,13 @@ func (ix *Index) Scan(r Range, fn func(e Entry) bool) error {
 		err = bad
 	}
 	return err
+}
+
+// Estimate estimates how many entries Scan(r) visits, from a dive to each
+// end of the range in the B+tree (btree.Tree.EstimateRange).
+func (ix *Index) Estimate(r Range) (float64, error) {
+	from, to := r.keyBounds()
+	return ix.tree.EstimateRange(from, to)
 }
 
 // splitKey separates the value prefix from (doc, node). The value encoding

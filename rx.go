@@ -342,24 +342,6 @@ func WithScrub(interval time.Duration, rate int) Option {
 	}
 }
 
-// WithStatsRefresh runs a background statistics refresh, a duty of the
-// engine's maintenance loop: every interval (0 = 10 min) each collection's
-// planner statistics — per-path element counts, value-index cardinalities
-// and histograms — are recomputed from the stored data and persisted through
-// the catalog, like a scrub pass for the optimizer. Between passes the scalar counters (document/record counts,
-// sizes) stay exact incrementally; the refresh repairs the drift in the
-// distribution statistics that inserts and deletes cannot maintain cheaply.
-// The loop stops when the DB is closed; DB.RefreshStats runs one
-// synchronous pass on demand.
-func WithStatsRefresh(interval time.Duration) Option {
-	return func(c *openConfig) {
-		if interval <= 0 {
-			interval = 10 * time.Minute
-		}
-		c.core.StatsRefresh = interval
-	}
-}
-
 // NewScrubber builds a scrubber over an open database: RunPass runs a
 // synchronous scrub pass, ScanPages a page-only scan, Repair a repair, each
 // throttled to opts.Rate.

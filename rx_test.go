@@ -362,10 +362,9 @@ func TestChecksumsDetectCorruption(t *testing.T) {
 	}
 }
 
-// TestStatsRefreshStopsAtClose closes a database while a statistics refresh
-// pass is in flight: Close must wait for it, so no pass starts or finishes
-// after Close returns.
-func TestStatsRefreshStopsAtClose(t *testing.T) {
+// TestScrubStopsAtClose closes a database while a scrub pass is in flight:
+// Close must wait for it, so no pass starts or finishes after Close returns.
+func TestScrubStopsAtClose(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.rxdb")
 	db, err := Open(path)
 	if err != nil {
@@ -386,7 +385,7 @@ func TestStatsRefreshStopsAtClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := db.RefreshStats(); err != nil {
+	if _, err := NewScrubber(db, ScrubOptions{}).RunPass(); err != nil {
 		t.Fatal(err)
 	}
 	pass := time.Since(start)
@@ -394,17 +393,17 @@ func TestStatsRefreshStopsAtClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db, err = Open(path, WithStatsRefresh(time.Millisecond))
+	db, err = Open(path, WithScrub(time.Millisecond, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Passes run back to back, 1ms apart: once one ends, close a quarter of
 	// the way into the next.
-	first := db.Stats().StatsRefreshPasses
+	first := db.Stats().ScrubPasses
 	deadline := time.Now().Add(10 * time.Second)
-	for db.Stats().StatsRefreshPasses == first {
+	for db.Stats().ScrubPasses == first {
 		if time.Now().After(deadline) {
-			t.Fatal("no refresh pass completed")
+			t.Fatal("no scrub pass completed")
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -412,10 +411,10 @@ func TestStatsRefreshStopsAtClose(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before := db.Stats().StatsRefreshPasses
+	before := db.Stats().ScrubPasses
 	time.Sleep(2 * pass)
-	if after := db.Stats().StatsRefreshPasses; after != before {
-		t.Fatalf("refresh passes went %d -> %d after Close returned (pass takes %v)", before, after, pass)
+	if after := db.Stats().ScrubPasses; after != before {
+		t.Fatalf("scrub passes went %d -> %d after Close returned (pass takes %v)", before, after, pass)
 	}
 }
 
@@ -425,8 +424,7 @@ func TestStatsRefreshStopsAtClose(t *testing.T) {
 func TestMaintenanceLifecycle(t *testing.T) {
 	leakcheck.Check(t)
 	path := filepath.Join(t.TempDir(), "m.rxdb")
-	db, err := Open(path, WithSpaceWatch(1, 0, time.Millisecond),
-		WithScrub(time.Millisecond, 0), WithStatsRefresh(time.Millisecond))
+	db, err := Open(path, WithSpaceWatch(1, 0, time.Millisecond), WithScrub(time.Millisecond, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,12 +443,11 @@ func TestMaintenanceLifecycle(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		s := db.Stats()
-		if s.ScrubPasses > 0 && s.StatsRefreshPasses > 0 && s.SpaceFree >= 0 {
+		if s.ScrubPasses > 0 && s.SpaceFree >= 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("duties never ran: scrub passes %d, refresh passes %d, free %d",
-				s.ScrubPasses, s.StatsRefreshPasses, s.SpaceFree)
+			t.Fatalf("duties never ran: scrub passes %d, free %d", s.ScrubPasses, s.SpaceFree)
 		}
 		time.Sleep(time.Millisecond)
 	}
