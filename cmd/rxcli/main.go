@@ -70,7 +70,7 @@ func main() {
 	groupCommit := flag.Duration("group-commit", 0, "WAL group-commit bound: the longest a commit waits for company (0 = sync per commit; needs -wal)")
 	batch := flag.Int("batch", 1000, "documents per load batch")
 	checksums := flag.Bool("checksums", false, "page checksums (torn-page detection; fixed at creation)")
-	jobs := flag.Int("j", 0, "query parallelism (0 = one worker per CPU)")
+	jobs := flag.Int("j", 0, "query workers (0 = the engine decides from the candidates' priced work, at most GOMAXPROCS)")
 	limit := flag.Int("limit", 0, "stop after this many query results (0 = all)")
 	rate := flag.Int("rate", 0, "scrub/repair/verify page reads per second (0 = unthrottled)")
 	degraded := flag.Bool("degraded", false, "queries skip quarantined documents instead of failing")

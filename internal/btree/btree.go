@@ -798,21 +798,39 @@ func (t *Tree) Scan(from, to []byte, fn func(e Entry) bool) error {
 // Ceiling returns the smallest entry with key >= from, or ErrNotFound.
 // This is the NodeID-index primitive: the paper finds a node's record by
 // searching for the successor entry among interval upper endpoints (§3.4).
+// It is one descent and a search in the leaf, following right links past
+// leaves with nothing at or above from (the entry is in a later leaf, or
+// deletes emptied this one); the entry's key and value share one
+// allocation.
 func (t *Tree) Ceiling(from []byte) (Entry, error) {
-	var out Entry
-	found := false
-	err := t.Scan(from, nil, func(e Entry) bool {
-		out = e
-		found = true
-		return false
-	})
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	f, err := t.descend(from)
 	if err != nil {
 		return Entry{}, err
 	}
-	if !found {
-		return Entry{}, fmt.Errorf("%w: no key >= %x", ErrNotFound, from)
+	f.RLock()
+	i, _ := search(f.Data, from)
+	for i == nKeys(f.Data) {
+		next := link(f.Data)
+		f.RUnlock()
+		t.pool.Unpin(f, false)
+		if next == pagestore.InvalidPage {
+			return Entry{}, fmt.Errorf("%w: no key >= %x", ErrNotFound, from)
+		}
+		if f, err = t.pool.Fetch(next); err != nil {
+			return Entry{}, err
+		}
+		f.RLock()
+		i = 0
 	}
-	return out, nil
+	k, v := cellKey(f.Data, i), leafValue(f.Data, i)
+	buf := make([]byte, len(k)+len(v))
+	copy(buf, k)
+	copy(buf[len(k):], v)
+	f.RUnlock()
+	t.pool.Unpin(f, false)
+	return Entry{Key: buf[:len(k):len(k)], Value: buf[len(k):]}, nil
 }
 
 func (t *Tree) leftmostLeaf() (*buffer.Frame, error) {

@@ -14,6 +14,37 @@ func padKey(i, n int) []byte {
 	return append(key(i), bytes.Repeat([]byte{'k'}, n-8)...)
 }
 
+// randomTree builds trial's tree of 0 to 3000 entries: keys padKey(2i,
+// keyLen) for a random keyLen, inserted by Put in random order on even
+// trials and by PutSorted in random-length runs on odd ones.
+func randomTree(t *testing.T, rng *rand.Rand, trial int, val func(i int) []byte) (n, keyLen int, tr *Tree) {
+	t.Helper()
+	n = []int{0, 1 + rng.Intn(20), 200 + rng.Intn(300), 1500 + rng.Intn(1500)}[trial%4]
+	keyLen = 8 + rng.Intn(200)
+	tr = newTree(t, 4096)
+	perm := rng.Perm(n)
+	if trial%2 == 0 {
+		for _, i := range perm {
+			if err := tr.Put(padKey(2*i, keyLen), val(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return n, keyLen, tr
+	}
+	ents := make([]Entry, n)
+	for i := range ents {
+		ents[i] = Entry{Key: padKey(2*i, keyLen), Value: val(i)}
+	}
+	for len(ents) > 0 {
+		m := min(len(ents), 1+rng.Intn(400))
+		if err := tr.PutSorted(ents[:m]); err != nil {
+			t.Fatal(err)
+		}
+		ents = ents[m:]
+	}
+	return n, keyLen, tr
+}
+
 // leafFor returns the leaf a range end routes to (nil: the first leaf as a
 // from, the last as a to).
 func leafFor(t *testing.T, tr *Tree, k []byte, end bool) pagestore.PageID {
@@ -65,29 +96,7 @@ func TestEstimateRangeMatchesScan(t *testing.T) {
 	heights := map[int]bool{}
 	var exact, estimated int
 	for trial := 0; trial < 24; trial++ {
-		n := []int{0, 1 + rng.Intn(20), 200 + rng.Intn(300), 1500 + rng.Intn(1500)}[trial%4]
-		keyLen := 8 + rng.Intn(200)
-		tr := newTree(t, 4096)
-		perm := rng.Perm(n)
-		if trial%2 == 0 {
-			for _, i := range perm {
-				if err := tr.Put(padKey(2*i, keyLen), []byte("v")); err != nil {
-					t.Fatal(err)
-				}
-			}
-		} else {
-			ents := make([]Entry, n)
-			for i := range ents {
-				ents[i] = Entry{Key: padKey(2*i, keyLen), Value: []byte("v")}
-			}
-			for len(ents) > 0 {
-				m := min(len(ents), 1+rng.Intn(400))
-				if err := tr.PutSorted(ents[:m]); err != nil {
-					t.Fatal(err)
-				}
-				ents = ents[m:]
-			}
-		}
+		n, keyLen, tr := randomTree(t, rng, trial, func(int) []byte { return []byte("v") })
 		h, err := tr.Height()
 		if err != nil {
 			t.Fatal(err)

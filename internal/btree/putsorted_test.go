@@ -206,7 +206,8 @@ func TestPutSortedRejectsBadRuns(t *testing.T) {
 }
 
 // Readers run beside a long PutSorted: every scan comes back sorted and
-// duplicate-free, every pre-filled key stays readable, range estimates stay
+// duplicate-free, every pre-filled key stays readable by Get and Ceiling
+// (from the key itself and from the gap below it), range estimates stay
 // within the batch, and some scan sees the batch part-way in — which a lock
 // held for the whole call would never allow.
 func TestPutSortedReadersInterleave(t *testing.T) {
@@ -238,13 +239,20 @@ func TestPutSortedReadersInterleave(t *testing.T) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(r)))
 				for !done.Load() {
-					k := ikey(2*rng.Intn(pre) + 1)
+					j := rng.Intn(pre)
+					k := ikey(2*j + 1)
 					if v, err := tr.Get(k); err != nil || string(v) != "pre" {
 						t.Errorf("Get(%x) = %q, %v", k, v, err)
 						return
 					}
 					if e, err := tr.Ceiling(k); err != nil || !bytes.Equal(e.Key, k) {
 						t.Errorf("Ceiling(%x) = %x, %v", k, e.Key, err)
+						return
+					}
+					// No even key lies below the batches, so the one before
+					// k has k as its successor.
+					if e, err := tr.Ceiling(ikey(2 * j)); err != nil || !bytes.Equal(e.Key, k) || string(e.Value) != "pre" {
+						t.Errorf("Ceiling(%x) = %x/%q, %v, want %x", ikey(2*j), e.Key, e.Value, err, k)
 						return
 					}
 					var prev []byte

@@ -5,15 +5,16 @@ package core
 // subtrees or exact result nodes — are visited by candidateRun.visit, the
 // one per-candidate step. Candidates are independent (each worker owns a
 // compiled QuickXScan evaluator and the storage read path is
-// concurrency-safe), so the list is partitioned dynamically across a worker
-// pool and per-candidate result batches are merged back into key order,
-// which is (DocID, NodeID) result order; a serial cursor visits lazily on
-// the caller's goroutine instead.
+// concurrency-safe), so the caller's goroutine and any helpers claim them
+// dynamically from one counter, and per-candidate result batches are merged
+// back into key order, which is (DocID, NodeID) result order. Helpers start
+// only when the plan's priced work for the candidates pays for them.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -27,8 +28,8 @@ import (
 // resultsBytes estimates the working-set bytes a result batch pins: the
 // slice headers plus node-ID and value payloads. This is the quantity
 // charged against QueryOptions.Mem while the batch sits buffered (parked in
-// a parallel source or handed to the cursor) — the real allocation the
-// memory budget governs.
+// the source or handed to the cursor) — the real allocation the memory
+// budget governs.
 func resultsBytes(res []Result) int64 {
 	n := int64(0)
 	for i := range res {
@@ -50,7 +51,7 @@ func resultsBytes(res []Result) int64 {
 //	if err := cur.Err(); err != nil { ... }
 //
 // A Cursor is not safe for concurrent use. Close is idempotent, stops any
-// background workers, and must be called even after Next returned false.
+// helper goroutines, and must be called even after Next returned false.
 type Cursor struct {
 	plan   *Plan
 	limit  int
@@ -59,17 +60,10 @@ type Cursor struct {
 	err    error
 	closed bool
 
-	src     batcher
+	src     *source
 	batch   []Result
 	bpos    int
 	skipped int
-}
-
-// batcher yields per-candidate result batches in key order. ok=false
-// with a nil error means the source is exhausted.
-type batcher interface {
-	nextBatch() (batch []Result, ok bool, err error)
-	close()
 }
 
 // Next advances to the next result, returning false at the end of the
@@ -122,8 +116,8 @@ func (cu *Cursor) Plan() *Plan { return cu.plan }
 // so far. Always 0 without QueryOptions.Degraded.
 func (cu *Cursor) Skipped() int { return cu.skipped }
 
-// Close releases the cursor, cancelling and waiting out any background
-// workers. It is safe to call multiple times.
+// Close releases the cursor, cancelling and waiting out any helper
+// goroutines. It is safe to call multiple times.
 func (cu *Cursor) Close() error {
 	cu.stop()
 	return nil
@@ -141,79 +135,54 @@ func (cu *Cursor) stop() {
 	}
 }
 
-// newCursor builds the cursor that visits a plan's candidate keys, either
-// lazily on the caller's goroutine (serial) or via a worker pool.
-func (c *Collection) newCursor(plan *Plan, list *keyList, opts QueryOptions) (*Cursor, error) {
-	par := opts.Parallelism
+// fanOutCost is the priced work, in the planner's cost units, that pays for
+// one helper goroutine. Waking a second core, compiling an evaluator and
+// handing results back cost about 20 µs on a 2-core x86 container, several
+// small candidates' worth. E13's rows set it there: 2 workers beat 1 by
+// about a quarter on the gated scan-query, 16 documents priced at 292, and
+// lose by 60 % on docid-list over 4 (75), so a lookup-sized query, ten 1 KiB
+// documents at about 160, stays on the caller's goroutine. The model prices
+// a document by its size, not by how much of it the query decodes: the
+// docid-list rows, which step over most of each document, still lose 18 %
+// on 2 workers at 16 documents (306), tie at 64 (1216) and win from 256.
+const fanOutCost = 250
+
+// workers is how many goroutines visit n candidates, the caller's included:
+// par when the caller fixes it, otherwise one more for every fanOutCost of
+// the plan's priced work, at most GOMAXPROCS; never more than n.
+func (p *Plan) workers(n, par int) int {
 	if par <= 0 {
-		par = runtime.NumCPU()
+		helpers := float64(n) * p.perCandidate / fanOutCost
+		par = 1 + int(math.Min(helpers, float64(runtime.GOMAXPROCS(0)-1)))
 	}
+	return min(par, n)
+}
+
+// newCursor builds the cursor that visits a plan's candidate keys: on the
+// caller's goroutine, with helpers when the plan's workers say so.
+func (c *Collection) newCursor(plan *Plan, list *keyList, opts QueryOptions) (*Cursor, error) {
 	n := len(list.keys)
-	if par > n {
-		par = n
-	}
 	cu := &Cursor{plan: plan, limit: opts.Limit}
 	if n == 0 {
 		return cu, nil
 	}
-	run := &candidateRun{col: c, list: list, exact: plan.recipe.exact, values: opts.NeedValues,
-		degraded: opts.Degraded, skipped: &cu.skipped}
-	eopts := quickxscan.Options{NeedValues: opts.NeedValues}
-	if par <= 1 {
-		e, err := quickxscan.Compile(plan.q, c.db.cat, nil, eopts)
-		if err != nil {
-			return nil, err
-		}
-		cu.src = &serialSource{run: run, eval: e, ctx: opts.context(), mem: opts.Mem}
-		return cu, nil
-	}
-	plan.Parallelism = par
-	evals := make([]*quickxscan.Eval, par)
+	plan.Parallelism = plan.workers(n, opts.Parallelism)
+	evals := make([]*quickxscan.Eval, plan.Parallelism)
 	for i := range evals {
-		e, err := quickxscan.Compile(plan.q, c.db.cat, nil, eopts)
+		e, err := quickxscan.Compile(plan.q, c.db.cat, nil, quickxscan.Options{NeedValues: opts.NeedValues})
 		if err != nil {
 			return nil, err
 		}
 		evals[i] = e
 	}
-	ctx, cancel := context.WithCancel(opts.context())
-	s := &parallelSource{
-		run:    run,
-		ctx:    ctx,
-		cancel: cancel,
-		// Buffered to the candidate count so workers never block on send:
-		// an early Close only has to cancel and wait, never drain.
-		ch:      make(chan keyBatch, n),
-		pending: make(map[int]keyBatch),
-		mem:     opts.Mem,
+	s := &source{
+		run: &candidateRun{col: c, list: list, exact: plan.recipe.exact, values: opts.NeedValues,
+			degraded: opts.Degraded, skipped: &cu.skipped},
+		eval: evals[0],
+		ctx:  opts.context(),
+		mem:  opts.Mem,
 	}
-	var next atomic.Int64
-	s.wg.Add(par)
-	for _, e := range evals {
-		go func(e *quickxscan.Eval) {
-			defer s.wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || s.ctx.Err() != nil {
-					return
-				}
-				res, skip, err := run.visit(i, e)
-				// The channel buffer is where results accumulate ahead of the
-				// consumer, so this is where the memory budget is charged; the
-				// reservation travels with the batch and is released when the
-				// consumer hands it on (or the source closes).
-				var n int64
-				if err == nil {
-					if n = resultsBytes(res); n > 0 {
-						if rerr := opts.Mem.Reserve(n); rerr != nil {
-							res, err, n = nil, rerr, 0
-						}
-					}
-				}
-				s.ch <- keyBatch{idx: i, res: res, skip: skip, err: err, bytes: n}
-			}
-		}(e)
-	}
+	s.startHelpers(evals[1:])
 	cu.src = s
 	return cu, nil
 }
@@ -303,54 +272,6 @@ func (q QuarantineEntry) err() error {
 	return fmt.Errorf("%w", ErrQuarantined{Col: q.Col, Doc: q.Doc, Reason: q.Reason})
 }
 
-// serialSource visits one candidate per nextBatch call on the caller's
-// goroutine — fully lazy, no background work.
-type serialSource struct {
-	run  *candidateRun
-	eval *quickxscan.Eval
-	pos  int
-	ctx  context.Context
-	mem  *memgov.Budget
-	held int64 // bytes reserved for the batch currently out with the cursor
-}
-
-func (s *serialSource) nextBatch() ([]Result, bool, error) {
-	// The previous batch has been fully consumed by the cursor.
-	s.mem.Release(s.held)
-	s.held = 0
-	for s.pos < len(s.run.list.keys) {
-		if err := s.ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		i := s.pos
-		s.pos++
-		rs, skip, err := s.run.visit(i, s.eval)
-		if err != nil {
-			return nil, false, err
-		}
-		if skip {
-			s.run.noteSkip(i)
-			continue
-		}
-		if len(rs) == 0 {
-			continue
-		}
-		if n := resultsBytes(rs); n > 0 {
-			if err := s.mem.Reserve(n); err != nil {
-				return nil, false, err
-			}
-			s.held = n
-		}
-		return rs, true, nil
-	}
-	return nil, false, nil
-}
-
-func (s *serialSource) close() {
-	s.mem.Release(s.held)
-	s.held = 0
-}
-
 // keyBatch is one candidate's results, tagged with its position in the
 // candidate order and the budget bytes reserved for it.
 type keyBatch struct {
@@ -361,46 +282,95 @@ type keyBatch struct {
 	bytes int64
 }
 
-// parallelSource merges worker output back into key order: batches
-// arriving early are parked in pending until their turn. Budget
-// reservations travel with the batches — made by the producing worker,
-// released when the consumer hands the batch to the cursor's successor call
-// or when the source closes.
-type parallelSource struct {
+// source visits a cursor's candidates and hands their result batches to the
+// cursor in key order, which is result order. The caller's goroutine is
+// worker 0: it claims positions from the counter its helpers share, returns
+// the batch the cursor needs next, and parks any other in pending beside the
+// batches helpers deliver early. With no helpers it claims exactly the
+// position the cursor needs next, so it visits lazily: no goroutine, no
+// channel, nothing beyond what Next asks for. Budget reservations travel with
+// the batches: made when a batch is produced, released when the cursor asks
+// for its successor or the source closes.
+type source struct {
 	run     *candidateRun
+	eval    *quickxscan.Eval // the caller's
 	ctx     context.Context
-	cancel  context.CancelFunc
-	ch      chan keyBatch
-	wg      sync.WaitGroup
-	next    int
-	pending map[int]keyBatch
 	mem     *memgov.Budget
+	claimed atomic.Int64 // positions handed out, to the caller or a helper
+	next    int          // the position the cursor needs next
+	pending map[int]keyBatch
 	held    int64 // bytes reserved for the batch currently out with the cursor
+
+	// Set only when helpers run.
+	cancel context.CancelFunc
+	ch     chan keyBatch
+	wg     sync.WaitGroup
 }
 
-func (s *parallelSource) nextBatch() ([]Result, bool, error) {
+// startHelpers starts one helper goroutine per evaluator.
+func (s *source) startHelpers(evals []*quickxscan.Eval) {
+	if len(evals) == 0 {
+		return
+	}
+	s.ctx, s.cancel = context.WithCancel(s.ctx)
+	// Buffered to the candidate count so helpers never block on send: an
+	// early Close only has to cancel and wait, never drain.
+	s.ch = make(chan keyBatch, len(s.run.list.keys))
+	s.pending = make(map[int]keyBatch)
+	s.wg.Add(len(evals))
+	for _, e := range evals {
+		go func() {
+			defer s.wg.Done()
+			for s.ctx.Err() == nil {
+				i, ok := s.claim()
+				if !ok {
+					return
+				}
+				s.ch <- s.produce(i, e)
+			}
+		}()
+	}
+	// A new goroutine waits in its creator's run-next slot, which an idle
+	// processor steals only after a back-off of tens of microseconds, the
+	// cost of several candidates. Yielding runs the first helper here at
+	// once and leaves the caller on the global queue, where the woken
+	// processor takes it without one.
+	runtime.Gosched()
+}
+
+// claim hands out the next unvisited candidate position.
+func (s *source) claim() (int, bool) {
+	i := int(s.claimed.Add(1)) - 1
+	return i, i < len(s.run.list.keys)
+}
+
+// produce visits candidate i and reserves its results against the memory
+// budget; a breach fails the batch.
+func (s *source) produce(i int, e *quickxscan.Eval) keyBatch {
+	res, skip, err := s.run.visit(i, e)
+	var n int64
+	if err == nil {
+		if n = resultsBytes(res); n > 0 {
+			if rerr := s.mem.Reserve(n); rerr != nil {
+				res, err, n = nil, rerr, 0
+			}
+		}
+	}
+	return keyBatch{idx: i, res: res, skip: skip, err: err, bytes: n}
+}
+
+func (s *source) nextBatch() ([]Result, bool, error) {
 	// The previous batch has been fully consumed by the cursor.
 	s.mem.Release(s.held)
 	s.held = 0
-	for {
-		if s.next >= len(s.run.list.keys) {
-			return nil, false, nil
+	for ; s.next < len(s.run.list.keys); s.next++ {
+		if err := s.ctx.Err(); err != nil {
+			return nil, false, err
 		}
-		b, ok := s.pending[s.next]
-		if ok {
-			delete(s.pending, s.next)
-		} else {
-			select {
-			case b = <-s.ch:
-			case <-s.ctx.Done():
-				return nil, false, s.ctx.Err()
-			}
-			if b.idx != s.next {
-				s.pending[b.idx] = b
-				continue
-			}
+		b, err := s.await()
+		if err != nil {
+			return nil, false, err
 		}
-		s.next++
 		if b.err != nil {
 			return nil, false, b.err
 		}
@@ -411,25 +381,53 @@ func (s *parallelSource) nextBatch() ([]Result, bool, error) {
 		if len(b.res) == 0 {
 			continue
 		}
+		s.next++
 		s.held = b.bytes
 		return b.res, true, nil
 	}
+	return nil, false, nil
 }
 
-func (s *parallelSource) close() {
-	s.cancel()
-	s.wg.Wait()
-	// Workers are gone; return every reservation still travelling with an
-	// unconsumed batch (channel buffer, parked in pending, or out with the
-	// cursor).
+// await returns the batch at position next: parked, delivered by a helper,
+// or visited here. While that position is still with a helper, the caller
+// visits unclaimed positions rather than wait; it blocks only when none is
+// left.
+func (s *source) await() (keyBatch, error) {
 	for {
-		select {
-		case b := <-s.ch:
-			s.mem.Release(b.bytes)
-			continue
-		default:
+		b, ok := s.pending[s.next]
+		if ok {
+			delete(s.pending, s.next)
+			return b, nil
 		}
-		break
+		select {
+		case b = <-s.ch: // without helpers ch is nil: never ready
+		default:
+			if i, ok := s.claim(); ok {
+				b = s.produce(i, s.eval)
+			} else {
+				select {
+				case b = <-s.ch:
+				case <-s.ctx.Done():
+					return keyBatch{}, s.ctx.Err()
+				}
+			}
+		}
+		if b.idx == s.next {
+			return b, nil
+		}
+		s.pending[b.idx] = b
+	}
+}
+
+func (s *source) close() {
+	if s.cancel != nil {
+		s.cancel()
+		s.wg.Wait()
+		// Helpers are gone: return the reservations of the batches they
+		// delivered and nobody took.
+		for len(s.ch) > 0 {
+			s.mem.Release((<-s.ch).bytes)
+		}
 	}
 	for _, b := range s.pending {
 		s.mem.Release(b.bytes)

@@ -39,9 +39,11 @@ func (c *Collection) QueryOpts(expr string, opts QueryOptions) ([]Result, *Plan,
 }
 
 // Cursor plans the query and returns a streaming cursor over its results in
-// (DocID, NodeID) order. Every access method visits its candidates lazily —
-// in parallel when opts.Parallelism allows — so callers iterate without
-// materializing the full result set. The caller must Close the cursor.
+// (DocID, NodeID) order. Every access method visits its candidates on the
+// caller's goroutine as Next asks for them — with helper goroutines when
+// the plan's priced work pays for them, or opts.Parallelism asks — so
+// callers iterate without materializing the full result set. The caller
+// must Close the cursor.
 func (c *Collection) Cursor(expr string, opts QueryOptions) (*Cursor, error) {
 	p, err := c.Plan(expr, opts)
 	if err != nil {

@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
+	"rx/internal/leakcheck"
+	"rx/internal/memgov"
 	"rx/internal/nodeid"
 	"rx/internal/xml"
 )
@@ -201,30 +204,37 @@ func TestQueryCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, m := range methodsOf(t, col, pricedProducts) {
-		for _, par := range []int{1, 4} {
+		for _, par := range cursorParallelism {
 			_, _, err := col.QueryOpts(pricedProducts, QueryOptions{Ctx: ctx, Parallelism: par, ForceMethod: m})
 			if err != context.Canceled {
 				t.Errorf("%s, parallelism %d: expected context.Canceled, got %v", m, par, err)
 			}
 		}
-		// A serial cursor checks the context before each candidate.
-		ctx, cancel := context.WithCancel(context.Background())
-		cur, err := col.Cursor(pricedProducts, QueryOptions{Ctx: ctx, Parallelism: 1, ForceMethod: m})
-		if err != nil {
-			t.Fatal(err)
+		// The caller's goroutine checks the context before each candidate
+		// it hands on, whoever visited it.
+		for _, par := range cursorParallelism {
+			ctx, cancel := context.WithCancel(context.Background())
+			cur, err := col.Cursor(pricedProducts, QueryOptions{Ctx: ctx, Parallelism: par, ForceMethod: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cur.Next() {
+				t.Fatalf("%s: no first result: %v", m, cur.Err())
+			}
+			cancel()
+			for cur.Next() {
+			}
+			if err := cur.Err(); err != context.Canceled {
+				t.Errorf("%s, parallelism %d: cancelled mid-stream, Err = %v, want context.Canceled", m, par, err)
+			}
+			cur.Close()
 		}
-		if !cur.Next() {
-			t.Fatalf("%s: no first result: %v", m, cur.Err())
-		}
-		cancel()
-		for cur.Next() {
-		}
-		if err := cur.Err(); err != context.Canceled {
-			t.Errorf("%s: cancelled mid-stream, Err = %v, want context.Canceled", m, err)
-		}
-		cur.Close()
 	}
 }
+
+// cursorParallelism is what the cursor tests run every method at: the
+// engine's choice (0), serial, the caller with one helper, and with three.
+var cursorParallelism = []int{0, 1, 2, 4}
 
 // TestCursorSemantics exercises the streaming contract on every access
 // method: empty results, early Close, exhaustion, and Limit.
@@ -234,24 +244,28 @@ func TestCursorSemantics(t *testing.T) {
 
 	t.Run("empty", func(t *testing.T) {
 		for _, m := range methods {
-			cur, err := col.Cursor(cheapProducts, QueryOptions{ForceMethod: m})
-			if err != nil {
-				t.Fatal(err)
+			for _, par := range cursorParallelism {
+				cur, err := col.Cursor(cheapProducts, QueryOptions{Parallelism: par, ForceMethod: m})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cur.Next() {
+					t.Fatalf("%s: Next returned true on empty result set", m)
+				}
+				if cur.Err() != nil {
+					t.Fatalf("%s: Err after exhaustion: %v", m, cur.Err())
+				}
+				cur.Close()
 			}
-			if cur.Next() {
-				t.Fatalf("%s: Next returned true on empty result set", m)
-			}
-			if cur.Err() != nil {
-				t.Fatalf("%s: Err after exhaustion: %v", m, cur.Err())
-			}
-			cur.Close()
 		}
 	})
 
 	t.Run("early close", func(t *testing.T) {
+		leakcheck.Check(t)
 		for _, m := range methods {
-			for _, par := range []int{1, 4} {
-				cur, err := col.Cursor(pricedProducts, QueryOptions{Parallelism: par, ForceMethod: m})
+			for _, par := range cursorParallelism {
+				mem := memgov.New("test", 0)
+				cur, err := col.Cursor(pricedProducts, QueryOptions{Parallelism: par, ForceMethod: m, Mem: mem})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -270,40 +284,49 @@ func TestCursorSemantics(t *testing.T) {
 				if err := cur.Close(); err != nil {
 					t.Fatal("second Close errored:", err)
 				}
+				if u := mem.Used(); u != 0 {
+					t.Fatalf("%s, parallelism %d: %d budget bytes still charged after Close", m, par, u)
+				}
 			}
 		}
 	})
 
 	t.Run("exhaustion", func(t *testing.T) {
 		for _, m := range methods {
-			cur, err := col.Cursor(pricedProducts, QueryOptions{Parallelism: 2, ForceMethod: m})
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := 0
-			for cur.Next() {
-				if len(cur.Result().Node) == 0 {
-					t.Fatalf("%s: result with empty node ID", m)
+			for _, par := range cursorParallelism {
+				cur, err := col.Cursor(pricedProducts, QueryOptions{Parallelism: par, ForceMethod: m})
+				if err != nil {
+					t.Fatal(err)
 				}
-				n++
+				n := 0
+				for cur.Next() {
+					if len(cur.Result().Node) == 0 {
+						t.Fatalf("%s: result with empty node ID", m)
+					}
+					n++
+				}
+				if n != 12 {
+					t.Fatalf("%s: expected 12 results, got %d", m, n)
+				}
+				if cur.Next() {
+					t.Fatalf("%s: Next returned true after exhaustion", m)
+				}
+				if cur.Err() != nil {
+					t.Fatalf("%s: Err after exhaustion: %v", m, cur.Err())
+				}
+				cur.Close()
 			}
-			if n != 12 {
-				t.Fatalf("%s: expected 12 results, got %d", m, n)
-			}
-			if cur.Next() {
-				t.Fatalf("%s: Next returned true after exhaustion", m)
-			}
-			if cur.Err() != nil {
-				t.Fatalf("%s: Err after exhaustion: %v", m, cur.Err())
-			}
-			cur.Close()
 		}
 	})
 
+	// A Limit closes the cursor early: no helper may outlive it (the
+	// leak check runs when the subtest ends) and no budget charge either.
 	t.Run("limit", func(t *testing.T) {
+		leakcheck.Check(t)
 		for _, m := range methods {
-			for _, par := range []int{1, 4} {
-				cur, err := col.Cursor(pricedProducts, QueryOptions{Parallelism: par, Limit: 5, ForceMethod: m})
+			for _, par := range cursorParallelism {
+				mem := memgov.New("test", 0)
+				cur, err := col.Cursor(pricedProducts, QueryOptions{Parallelism: par, Limit: 5, ForceMethod: m, Mem: mem})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -318,7 +341,87 @@ func TestCursorSemantics(t *testing.T) {
 					t.Fatalf("%s: Err after limit: %v", m, cur.Err())
 				}
 				cur.Close()
+				if u := mem.Used(); u != 0 {
+					t.Fatalf("%s, parallelism %d: %d budget bytes still charged after Close", m, par, u)
+				}
 			}
 		}
 	})
+}
+
+// TestDefaultParallelismFollowsWork: with Parallelism 0 the cursor starts
+// helpers only when the plan's priced work for its candidates exceeds
+// fanOutCost, and never more workers than GOMAXPROCS. A docid-list query
+// over a handful of small documents runs on the caller's goroutine alone; a
+// scan over a hundred runs on every processor there is, up to two. Both
+// return exactly the serial results.
+func TestDefaultParallelismFollowsWork(t *testing.T) {
+	col := indexedCatalog(t, 100)
+	serialResults := func(expr string) []Result {
+		t.Helper()
+		rs, _, err := col.QueryOpts(expr, QueryOptions{Parallelism: 1, NeedValues: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	same := func(expr string, got []Result) {
+		t.Helper()
+		want := serialResults(expr)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d results, serial %d", expr, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Doc != want[i].Doc || nodeid.Compare(got[i].Node, want[i].Node) != 0 ||
+				string(got[i].Value) != string(want[i].Value) {
+				t.Fatalf("%s: result %d is %v, serial %v", expr, i, got[i], want[i])
+			}
+		}
+	}
+
+	// Five candidates priced far below one helper's cost.
+	const few = "/Catalog/Categories/Product[RegPrice < 150]/ProductName"
+	before := runtime.NumGoroutine()
+	cur, err := col.Cursor(few, QueryOptions{NeedValues: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := cur.Plan()
+	if p.Method != "docid-list" || p.CandidateDocs != 5 {
+		t.Fatalf("%s planned %s over %d candidates, want docid-list over 5", few, p.Method, p.CandidateDocs)
+	}
+	if w := float64(p.CandidateDocs) * p.perCandidate; w >= fanOutCost {
+		t.Fatalf("%s: priced work %.1f is not below fanOutCost %d", few, w, fanOutCost)
+	}
+	var got []Result
+	for cur.Next() {
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("%s: %d goroutines while iterating, %d before", few, n, before)
+		}
+		got = append(got, cur.Result())
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
+	cur.Close()
+	if p.Parallelism != 1 {
+		t.Fatalf("%s: parallelism %d, want 1", few, p.Parallelism)
+	}
+	same(few, got)
+
+	// A hundred candidates (Discount is not indexed): priced past
+	// fanOutCost.
+	const all = "/Catalog/Categories/Product[Discount > 0]/ProductName"
+	rs, p, err := col.QueryOpts(all, QueryOptions{NeedValues: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Method != "scan" || float64(p.CandidateDocs)*p.perCandidate < fanOutCost {
+		t.Fatalf("%s planned %s over %d candidates at %.1f each: not priced past fanOutCost %d",
+			all, p.Method, p.CandidateDocs, p.perCandidate, fanOutCost)
+	}
+	if want := min(runtime.GOMAXPROCS(0), 2); p.Parallelism != want {
+		t.Fatalf("%s: parallelism %d with GOMAXPROCS %d, want %d", all, p.Parallelism, runtime.GOMAXPROCS(0), want)
+	}
+	same(all, rs)
 }

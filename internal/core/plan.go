@@ -35,8 +35,8 @@ type Plan struct {
 	// or subtrees for nodeid-filtering (0 for exact node-level access; the
 	// collection size for a scan).
 	CandidateDocs int
-	// Parallelism is the number of workers that visited the candidates (1
-	// for serial execution).
+	// Parallelism is the number of workers that visited the candidates,
+	// the caller's goroutine included (1 for serial execution).
 	Parallelism int
 	// EstDocs is the planner's cardinality estimate: documents (or, for
 	// node-level plans, subtrees/result nodes) the plan expects to touch.
@@ -50,6 +50,9 @@ type Plan struct {
 
 	q      *xpath.Query
 	recipe recipe
+	// perCandidate is the priced cost of visiting one candidate key: what
+	// the cursor weighs against fanOutCost to decide its workers.
+	perCandidate float64
 }
 
 // PlanAlt is one candidate access path the planner considered.
@@ -61,10 +64,11 @@ type PlanAlt struct {
 
 // QueryOptions tune one query execution.
 type QueryOptions struct {
-	// Parallelism caps the worker goroutines that visit the plan's
-	// candidates — documents, subtrees or exact result nodes, whichever the
-	// access method lists: 0 picks runtime.NumCPU(), 1 forces serial
-	// execution.
+	// Parallelism is the number of workers, the caller's goroutine
+	// included, that visit the plan's candidates — documents, subtrees or
+	// exact result nodes, whichever the access method lists: 0 = the engine
+	// decides from the candidates' priced work, at most GOMAXPROCS; 1
+	// forces serial execution.
 	Parallelism int
 	// Limit stops the query after this many results (0 = unlimited).
 	Limit int
@@ -213,8 +217,9 @@ type planStats struct {
 }
 
 // price estimates what a recipe touches — documents, or for node-level
-// recipes subtrees or result nodes — and what it costs. The formula is
-// chosen by the recipe's shape:
+// recipes subtrees or result nodes — what it costs, and what visiting one of
+// its candidate keys costs (per: perDoc, perSub, or an exact key's value).
+// The formula is chosen by the recipe's shape:
 //
 //	scan:              docs·perDoc
 //	OR (level 0):      Σprobe + Σest·entry + min(docs, Σest)·perDoc
@@ -224,19 +229,19 @@ type planStats struct {
 //
 // perDoc, evaluating one document, is a fetch per packed record plus a pass
 // over its content, so it grows with document size however it is packed.
-func (ps planStats) price(rc recipe) (docs, cost float64) {
+func (ps planStats) price(rc recipe) (docs, cost, per float64) {
 	n := ps.docs
 	perDoc := ps.recordsPerDoc*costFetchRecord + costEvalRecord + costEvalPerKB*ps.avgKB
 	switch {
 	case len(rc.conjuncts) == 0:
-		return n, n * perDoc
+		return n, n * perDoc, perDoc
 	case rc.or:
 		e := 0.0
 		for _, pc := range rc.conjuncts {
 			e += pc.est
 		}
 		d := math.Min(n, e)
-		return d, float64(len(rc.conjuncts))*costIndexProbe + e*costIndexEntry + d*perDoc
+		return d, float64(len(rc.conjuncts))*costIndexProbe + e*costIndexEntry + d*perDoc, perDoc
 	}
 	// AND: every conjunct's range is probed and walked; node-level recipes
 	// also derive and deduplicate a node-ID prefix per entry.
@@ -257,7 +262,7 @@ func (ps planStats) price(rc recipe) (docs, cost float64) {
 				d *= math.Min(n, pc.est) / n
 			}
 		}
-		return d, cost + d*perDoc
+		return d, cost + d*perDoc, perDoc
 	case rc.exact:
 		// Exact node-level access: no document is re-evaluated.
 		res := math.Inf(1)
@@ -270,9 +275,9 @@ func (ps planStats) price(rc recipe) (docs, cost float64) {
 			}
 		}
 		if ps.values {
-			cost += res * costResultValue
+			per = costResultValue
 		}
-		return res, cost
+		return res, cost + res*per, per
 	}
 	// NodeID filtering: re-evaluate only the anchor subtrees. A subtree is
 	// priced as the anchor's share of a document (per-path element counts
@@ -284,19 +289,20 @@ func (ps planStats) price(rc recipe) (docs, cost float64) {
 		subtrees = math.Min(subtrees, pc.anchors)
 		perSub = costSubtreeBase + perDoc/(pc.anchors/n)
 	}
-	return subtrees, cost + subtrees*perSub
+	return subtrees, cost + subtrees*perSub, perSub
 }
 
 // plan prices a recipe and labels it: the one place a Plan is built.
 func (ps planStats) plan(rc recipe) *Plan {
-	docs, cost := ps.price(rc)
+	docs, cost, per := ps.price(rc)
 	return &Plan{
-		Method:  rc.method(),
-		Indexes: rc.indexes(),
-		Exact:   rc.exact,
-		EstDocs: int(math.Round(docs)),
-		EstCost: cost,
-		recipe:  rc,
+		Method:       rc.method(),
+		Indexes:      rc.indexes(),
+		Exact:        rc.exact,
+		EstDocs:      int(math.Round(docs)),
+		EstCost:      cost,
+		recipe:       rc,
+		perCandidate: per,
 	}
 }
 
@@ -316,10 +322,10 @@ func (ps planStats) docIDRecipe(matched []planConjunct) recipe {
 	})
 	// A rejected conjunct's slot is overwritten by the next one tried.
 	rc := recipe{conjuncts: order[:1:len(order)]}
-	_, cost := ps.price(rc)
+	_, cost, _ := ps.price(rc)
 	for _, pc := range order[1:] {
 		with := recipe{conjuncts: append(rc.conjuncts, pc)}
-		if _, c := ps.price(with); c < cost {
+		if _, c, _ := ps.price(with); c < cost {
 			rc, cost = with, c
 		}
 	}

@@ -168,9 +168,12 @@ func e7b(m *Meter) (*Table, error) {
 	return t, nil
 }
 
-// e13Cases: the scan-shaped query of the gate, and the parallel executor
+// e13Cases: the scan-shaped query of the gate; the parallel executor
 // against the same scan run serially — 64 catalog documents, a predicate
-// scan that re-evaluates every one, 1 to 8 workers.
+// scan that re-evaluates every one, 1 to 8 workers; and the break-even rows
+// the cursor's fan-out rule is read from — a docid-list query over n of 256
+// ≈1.5 KiB Product documents at 1 worker, 2 workers and the engine's choice
+// (0).
 func e13Cases() ([]Case, error) {
 	out := []Case{{Name: "scan-query", Gated: true, Run: func(b *testing.B) {
 		col, err := stored(core.CollectionOptions{}, generate(16, xmlgen.Product))
@@ -201,6 +204,20 @@ func e13Cases() ([]Case, error) {
 	for _, par := range []int{1, 2, 4, 8} {
 		out = append(out, Case{Name: fmt.Sprintf("workers=%d", par),
 			Run: loop(queryOp(col, query, core.QueryOptions{Parallelism: par}, len(serial)))})
+	}
+	products, err := stored(core.CollectionOptions{}, generate(256, xmlgen.Product))
+	if err != nil {
+		return nil, err
+	}
+	if err := createIndexes(products, indexDef{"ix_pid", "/Product/@pid", xml.TDouble}); err != nil {
+		return nil, err
+	}
+	for _, n := range []int{4, 16, 64, 256} {
+		expr := fmt.Sprintf("/Product[@pid < %d]/Name", n)
+		for _, par := range []int{1, 2, 0} {
+			out = append(out, Case{Name: fmt.Sprintf("docid-list/n=%d/workers=%d", n, par),
+				Run: loop(queryOp(products, expr, core.QueryOptions{Parallelism: par, ForceMethod: "docid-list"}, n))})
+		}
 	}
 	return out, nil
 }

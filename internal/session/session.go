@@ -88,8 +88,9 @@ func Limit(n int) QueryOption {
 	return func(o *core.QueryOptions) { o.Limit = n }
 }
 
-// Parallelism caps the worker goroutines re-evaluating candidate documents
-// (0 picks runtime.NumCPU(), 1 forces serial execution).
+// Parallelism sets the workers visiting a query's candidates, the caller's
+// goroutine included (0 = the engine decides from the candidates' priced
+// work, at most GOMAXPROCS; 1 forces serial execution).
 func Parallelism(n int) QueryOption {
 	return func(o *core.QueryOptions) { o.Parallelism = n }
 }

@@ -9,8 +9,10 @@
 // node values to (DocID, NodeID, RID) positions; queries run either as
 // QuickXScan streaming scans over stored documents or through the §4.3
 // index access methods (DocID/NodeID lists, filtering, ANDing/ORing).
-// Scan-shaped queries evaluate candidate documents on a parallel worker
-// pool and can stream results through a cursor. Subdocument updates,
+// Every query visits its candidates — documents, subtrees or result nodes —
+// on the caller's goroutine, adding helper goroutines only when the planner's
+// price for those candidates pays for them, and can stream results through
+// a cursor. Subdocument updates,
 // write-ahead logging with crash recovery, document locking and
 // document-level multiversioning complete the engine.
 //
@@ -172,8 +174,9 @@ func RetryAfter(err error) time.Duration { return rxerr.RetryAfter(err) }
 // WithLimit stops a session query after n results.
 func WithLimit(n int) QueryOption { return session.Limit(n) }
 
-// WithParallelism caps a session query's worker goroutines (0 = one per
-// CPU, 1 = serial).
+// WithParallelism sets a session query's workers, the caller's goroutine
+// included (0 = the engine decides from the candidates' priced work, at
+// most GOMAXPROCS; 1 = serial).
 func WithParallelism(n int) QueryOption { return session.Parallelism(n) }
 
 // WithValues includes each result node's string value.
