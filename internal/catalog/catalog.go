@@ -335,10 +335,15 @@ func (c *Catalog) UpdateCollectionStats(col *Collection, s *stats.CollectionStat
 
 // updateLocked rewrites the collection's row. A row must fit one page; when
 // the statistics snapshot pushes it past that, the snapshot's resolution is
-// degraded until it fits rather than failing the write.
+// degraded until it fits rather than failing the write. Whichever write it
+// is, the row carries the DocID chunk ceiling, never the last DocID handed
+// out: a row rewritten mid-chunk (a statistics persist, an index flag) must
+// not lower the high-water mark below IDs that a crash may leave durable.
 func (c *Catalog) updateLocked(col *Collection) error {
+	row := *col
+	row.NextDocID = (col.NextDocID + docIDChunk - 1) / docIDChunk * docIDChunk
 	for {
-		payload, err := json.Marshal(col)
+		payload, err := json.Marshal(&row)
 		if err != nil {
 			return err
 		}
@@ -404,18 +409,13 @@ func (c *Catalog) AllocDocID(col *Collection) (xml.DocID, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	col.NextDocID++
-	id := col.NextDocID
-	if id%docIDChunk == 1 {
-		saved := col.NextDocID
-		col.NextDocID = saved + docIDChunk - 1 // persist the chunk ceiling
-		err := c.updateLocked(col)
-		col.NextDocID = saved
-		if err != nil {
-			col.NextDocID = saved - 1
+	if col.NextDocID%docIDChunk == 1 {
+		if err := c.updateLocked(col); err != nil { // persists the chunk ceiling
+			col.NextDocID--
 			return 0, err
 		}
 	}
-	return xml.DocID(id), nil
+	return xml.DocID(col.NextDocID), nil
 }
 
 // RegisterSchema stores a compiled schema under name (Figure 4).

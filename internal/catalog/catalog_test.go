@@ -118,6 +118,39 @@ func TestAllocDocID(t *testing.T) {
 	}
 }
 
+// TestRowRewriteKeepsDocIDCeiling: a collection row rewritten mid-chunk (here
+// an index flag; a statistics persist is the same write) still carries the
+// chunk ceiling, so a reopen never hands out an ID allocated before it.
+func TestRowRewriteKeepsDocIDCeiling(t *testing.T) {
+	c, pool := newCatalog(t)
+	col := &Collection{Name: "c", Indexes: []ValueIndexMeta{{Name: "ix", SingleValued: true}}}
+	if err := c.AddCollection(col); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 7; i++ {
+		if _, err := c.AllocDocID(col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.ClearSingleValued(col, "ix"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AllocDocID(col); err != nil { // 8: no catalog write
+		t.Fatal(err)
+	}
+	c2, err := Open(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := c2.AllocDocID(c2.GetCollection("c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id <= 8 {
+		t.Errorf("DocID %d reused after a mid-chunk row rewrite and a reopen", id)
+	}
+}
+
 func TestSchemas(t *testing.T) {
 	c, pool := newCatalog(t)
 	bin := []byte{1, 2, 3, 4}

@@ -1,6 +1,14 @@
 package core
 
+// The consistency check — CHECK INDEX for the XML structures, the
+// "utilities" box of the paper's Figure 1. checkDoc is the one
+// per-document check: the scrubber quarantines on it, CheckConsistency
+// reports it beside the collection-level invariants, and repair's damage
+// assessment decides from it what to rebuild and restore. It costs about
+// one document walk.
+
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -8,6 +16,7 @@ import (
 	"rx/internal/heap"
 	"rx/internal/nodeid"
 	"rx/internal/pack"
+	"rx/internal/pagestore"
 	"rx/internal/valueindex"
 	"rx/internal/xml"
 )
@@ -20,19 +29,24 @@ import (
 //     entry, keyed by the interval's upper endpoint and pointing at the
 //     record's RID (current version for versioned collections).
 //  2. Every NodeID-index entry resolves back to a record that contains the
-//     endpoint node.
+//     endpoint node. (It follows from 1: an interval's upper endpoint is a
+//     node of its record.)
 //  3. Every XPath value index holds exactly the keys re-derived by
 //     evaluating its path over the stored documents.
-//  4. Every document in the DocID index serializes without error.
-//  5. Every proxy entry describes the run record it resolves to — first
-//     subtree and subtree count — and every run record has exactly one (the
-//     edit pipeline's proxy invariant, edit.go).
+//  4. Every document in the DocID index walks end to end from its root.
+//  5. Every proxy entry describes the run record it resolves to — context
+//     and subtree count — and every run record is reached by exactly one
+//     proxy (the edit pipeline's proxy invariant, edit.go).
 //  6. An index flagged SingleValued has at most one node on its path in
 //     every document (the planner merges its conjuncts on that promise).
 //  7. Every DocID in the NodeID index has a DocID-index entry: no removal
 //     or rolled-back insert leaves records behind.
 //  8. Every document's root signature covers every element name its walk
 //     sees (pack.Record.Sig: it may hold more, never less).
+//
+// Invariants 1, 2, 4, 5 and 8 are checkDoc's, the per-document check the
+// scrubber and repair run too; 3, 6 and 7 span the collection. The check
+// holds writeMu throughout and reports every violation it finds.
 func (c *Collection) CheckConsistency() error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -40,176 +54,196 @@ func (c *Collection) CheckConsistency() error {
 	if err != nil {
 		return err
 	}
+	var errs []error
 	for _, doc := range docs {
-		if err := c.checkDoc(doc); err != nil {
-			return fmt.Errorf("doc %d: %w", doc, err)
+		if f := c.checkDoc(doc, nil); f.reason != "" {
+			errs = append(errs, fmt.Errorf("doc %d: %s", doc, f.reason))
 		}
 	}
 	ixDocs, err := c.nodeIxDocs()
 	if err != nil {
-		return err
+		return errors.Join(append(errs, err)...)
 	}
 	for _, doc := range ixDocs {
 		if _, ok := slices.BinarySearch(docs, doc); !ok {
-			return fmt.Errorf("doc %d: NodeID-index entries, but no DocID-index entry", doc)
+			errs = append(errs, fmt.Errorf("doc %d: NodeID-index entries, but no DocID-index entry", doc))
 		}
 	}
 	for _, ov := range c.indexSnapshot() {
 		if err := c.checkValueIndex(ov, docs); err != nil {
-			return fmt.Errorf("index %q: %w", ov.meta.Name, err)
+			errs = append(errs, fmt.Errorf("index %q: %w", ov.meta.Name, err))
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
-func (c *Collection) checkDoc(doc xml.DocID) error {
-	// Gather the document's entries (current version).
-	r, err := c.reader(doc)
-	if err != nil {
-		return err
+// docFault is checkDoc's verdict on one document; the zero value is sound.
+type docFault struct {
+	reason string
+	// page is the damaged page, pagestore.InvalidPage when the damage is
+	// logical.
+	page pagestore.PageID
+	// nodeIx is set when the NodeID index, not the records, is at fault:
+	// an entry that is not its record's interval end, or a node that
+	// resolves to the wrong record. Only an index rebuilt from the heap
+	// leads a walk to the stored document again.
+	nodeIx bool
+}
+
+func logicalFault(nodeIx bool, format string, args ...any) docFault {
+	return docFault{fmt.Sprintf(format, args...), pagestore.InvalidPage, nodeIx}
+}
+
+// docEntry is one NodeID-index entry of a document being checked: the index
+// of its record among the document's records, and where its upper endpoint
+// lies in the check's ID buffer.
+type docEntry struct {
+	rec        int
+	start, end int
+}
+
+// checkDoc is the one per-document check: the scrubber quarantines on its
+// verdict, CheckConsistency reports it and repair decides from it what to
+// rebuild and restore. bad holds pages known to fail verification (nil:
+// none). It costs about one document walk — one scan of the document's
+// NodeID entries, one Intervals per record, one walk from the root — and
+// reads the document as it stands, so the caller keeps writers out of it
+// (a document S lock, or writeMu).
+func (c *Collection) checkDoc(doc xml.DocID, bad map[pagestore.PageID]bool) docFault {
+	// One entry scan groups the entries by record, in first-appearance
+	// order.
+	var (
+		ids     []byte // the entries' upper endpoints, back to back
+		entries []docEntry
+		rids    []heap.RID
+		recOf   = map[heap.RID]int{}
+	)
+	r, serr := c.reader(doc)
+	if serr == nil {
+		serr = r.entries(func(upper nodeid.ID, rid heap.RID) bool {
+			g, ok := recOf[rid]
+			if !ok {
+				g = len(rids)
+				recOf[rid] = g
+				rids = append(rids, rid)
+			}
+			entries = append(entries, docEntry{g, len(ids), len(ids) + len(upper)})
+			ids = append(ids, upper...)
+			return true
+		})
 	}
-	type entry struct {
-		upper nodeid.ID
-		rid   heap.RID
-	}
-	var entries []entry
-	err = r.entries(func(upper nodeid.ID, rid heap.RID) bool {
-		entries = append(entries, entry{nodeid.Clone(upper), rid})
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if len(entries) == 0 {
-		return errors.New("no NodeID entries")
-	}
-	// Invariant 2 + derive per-record intervals for invariant 1.
-	perRID := map[heap.RID][]string{}
-	for _, e := range entries {
-		rec, release, err := c.borrowRecord(e.rid)
-		if err != nil {
-			return fmt.Errorf("entry %s → %s: %w", e.upper, e.rid, err)
+	// Physical damage first, so its reason and page do not depend on what
+	// else is wrong: every record the entries name must fetch and decode.
+	// Each record's intervals are computed on the way.
+	uppers := make([][]nodeid.ID, len(rids))
+	var logical docFault
+	for g, rid := range rids {
+		if bad[rid.Page] {
+			return docFault{fmt.Sprintf("record page %d failed verification", rid.Page), rid.Page, false}
 		}
-		n, found, err := rec.Find(e.upper, nil)
+		rec, release, err := c.borrowRecord(rid)
+		if err != nil {
+			var pe pagestore.ErrPageChecksum
+			if errors.As(err, &pe) {
+				return docFault{fmt.Sprintf("record page %d failed checksum", pe.PageID), pe.PageID, false}
+			}
+			return docFault{fmt.Sprintf("record %s unreadable: %v", rid, err), rid.Page, false}
+		}
+		uppers[g], _, err = rec.Intervals()
 		release()
+		if err != nil && logical.reason == "" {
+			logical = docFault{fmt.Sprintf("record %s undecodable: %v", rid, err), rid.Page, false}
+		}
+	}
+	if serr != nil {
+		var pe pagestore.ErrPageChecksum
+		if errors.As(serr, &pe) {
+			return docFault{fmt.Sprintf("NodeID index entries unreadable (page %d)", pe.PageID), pe.PageID, false}
+		}
+		return logicalFault(false, "NodeID index entries unreadable: %v", serr)
+	}
+	if len(rids) == 0 {
+		return logicalFault(false, "document has no readable records")
+	}
+	if logical.reason != "" {
+		return logical
+	}
+	// Invariant 1 (and so 2): each record's entries, in node-ID order, are
+	// its intervals' upper endpoints.
+	seen := make([]int, len(rids))
+	for _, e := range entries {
+		upper, u := nodeid.ID(ids[e.start:e.end]), uppers[e.rec]
+		if seen[e.rec] == len(u) || !bytes.Equal(u[seen[e.rec]], upper) {
+			return logicalFault(true, "record %s: entry %s is not one of its interval ends", rids[e.rec], upper)
+		}
+		seen[e.rec]++
+	}
+	for g, n := range seen {
+		if n != len(uppers[g]) {
+			return logicalFault(true, "record %s: %d entries for %d intervals", rids[g], n, len(uppers[g]))
+		}
+	}
+	// Invariants 4, 5 and 8: one walk from the root, whose resolver counts
+	// the records it reaches. The walker holds each proxy to its run's
+	// context and subtree count.
+	clear(seen)
+	misresolved := false
+	fetch := func(id nodeid.ID) (*pack.Record, func(), error) {
+		rid, err := r.lookup(id)
 		if err != nil {
-			return err
+			misresolved = true
+			return nil, nil, lookupErr(err, fmt.Sprintf("node %s", id))
 		}
-		if !found || n.IsProxy() {
-			return fmt.Errorf("entry %s → %s: endpoint not in record", e.upper, e.rid)
+		g, ok := recOf[rid]
+		if !ok || seen[g] > 0 {
+			misresolved = true
+			return nil, nil, fmt.Errorf("%w: node %s resolves to record %s out of turn", pack.ErrCorrupt, id, rid)
 		}
-		perRID[e.rid] = append(perRID[e.rid], e.upper.String())
+		seen[g]++
+		return c.borrowRecord(rid)
 	}
-	// Invariant 1: the entry set per record equals the record's intervals.
-	// Invariant 5 on the way: count the proxies that resolve to each record.
-	proxies := map[heap.RID]int{}
-	var checkProxies func(parentID nodeid.ID, list []*pack.MutNode) error
-	checkProxies = func(parentID nodeid.ID, list []*pack.MutNode) error {
-		for _, m := range list {
-			switch m.Kind {
-			case xml.Proxy:
-				run, err := r.openRun(parentID, m)
-				if err != nil {
-					return err
-				}
-				if len(run.tops) != m.ProxyCount {
-					return fmt.Errorf("proxy %s counts %d subtrees, its run holds %d",
-						nodeid.Append(parentID, m.Rel), m.ProxyCount, len(run.tops))
-				}
-				proxies[run.rid]++
-			case xml.Element:
-				if err := checkProxies(nodeid.Append(parentID, m.Rel), m.Children); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	runs := 0
-	for rid, got := range perRID {
-		rec, err := detached(c.borrowRecord(rid))
-		if err != nil {
-			return err
-		}
-		tops, err := rec.Mutable()
-		if err != nil {
-			return err
-		}
-		if err := checkProxies(rec.ContextID, tops); err != nil {
-			return err
-		}
-		if len(rec.ContextID) > 0 {
-			runs++
-		}
-		uppers, _, err := rec.Intervals()
-		if err != nil {
-			return err
-		}
-		if len(uppers) != len(got) {
-			return fmt.Errorf("record %s: %d entries for %d intervals", rid, len(got), len(uppers))
-		}
-		want := map[string]bool{}
-		for _, u := range uppers {
-			want[u.String()] = true
-		}
-		for _, g := range got {
-			if !want[g] {
-				return fmt.Errorf("record %s: stray entry %s", rid, g)
-			}
-		}
-	}
-	for rid, n := range proxies {
-		if n != 1 {
-			return fmt.Errorf("record %s: %d proxies resolve to it", rid, n)
-		}
-	}
-	if len(proxies) != runs {
-		return fmt.Errorf("%d run records for %d proxies", runs, len(proxies))
-	}
-	// Invariant 4: the document walks end to end.
-	h := &nodeCountHandler{}
-	if err := r.walkDoc(h, nil); err != nil {
-		return fmt.Errorf("walk: %w", err)
-	}
-	if h.nodes == 0 {
-		return errors.New("document walks to zero nodes")
-	}
-	// Invariant 8: the root signature covers the elements walked.
-	root, release, err := r.borrow(nodeid.Root)
+	root, release, err := fetch(nodeid.Root)
 	if err != nil {
-		return err
+		return logicalFault(misresolved, "root: %v", err)
+	}
+	if len(root.ContextID) != 0 {
+		release()
+		return logicalFault(true, "the root resolves to a run record of context %s", root.ContextID)
 	}
 	sig := root.Sig
-	release()
-	if missing := h.sig &^ sig; missing != 0 {
-		return fmt.Errorf("root signature %#x misses element-name bits %#x", sig, missing)
+	var v sigCounter
+	if err := pack.Walk(root, release, fetch, &v); err != nil {
+		return logicalFault(misresolved, "walk: %v", err)
 	}
-	return nil
+	for g, n := range seen {
+		if n == 0 {
+			return logicalFault(false, "record %s: no proxy reaches it", rids[g])
+		}
+	}
+	if v.nodes == 0 {
+		return logicalFault(false, "document walks to zero nodes")
+	}
+	if missing := v.sig &^ sig; missing != 0 {
+		return logicalFault(false, "root signature %#x misses element-name bits %#x", sig, missing)
+	}
+	return docFault{}
 }
 
-// nodeCountHandler counts a walk's nodes and gathers its elements'
-// signature.
-type nodeCountHandler struct {
+// sigCounter counts a walk's nodes and ORs its elements' signature bits.
+type sigCounter struct {
 	nodes int
 	sig   uint64
 }
 
-func (h *nodeCountHandler) StartDocument() error { return nil }
-func (h *nodeCountHandler) EndDocument() error   { return nil }
-func (h *nodeCountHandler) StartElement(name xml.QName, _ nodeid.ID) error {
-	h.nodes++
-	h.sig |= xml.SigBit(name.Local)
-	return nil
+func (v *sigCounter) Enter(n *pack.Node) (bool, error) {
+	v.nodes++
+	if n.Kind == xml.Element {
+		v.sig |= xml.SigBit(n.Name.Local)
+	}
+	return true, nil
 }
-func (h *nodeCountHandler) EndElement(nodeid.ID) error                     { return nil }
-func (h *nodeCountHandler) NSDecl(xml.NameID, xml.NameID, nodeid.ID) error { h.nodes++; return nil }
-func (h *nodeCountHandler) Attribute(xml.QName, []byte, xml.TypeID, nodeid.ID) error {
-	h.nodes++
-	return nil
-}
-func (h *nodeCountHandler) Text([]byte, xml.TypeID, nodeid.ID) error { h.nodes++; return nil }
-func (h *nodeCountHandler) Comment([]byte, nodeid.ID) error          { h.nodes++; return nil }
-func (h *nodeCountHandler) PI(xml.NameID, []byte, nodeid.ID) error   { h.nodes++; return nil }
+
+func (v *sigCounter) Leave(*pack.Node) (bool, error) { return true, nil }
 
 // checkValueIndex re-derives every document's keys and compares them
 // (positions and encoded values) against the index contents.

@@ -347,3 +347,41 @@ func TestConsistencyCatchesNarrowSignature(t *testing.T) {
 		t.Fatalf("a signature missing <who> (stored in run records) passes the check: %v", err)
 	}
 }
+
+// TestConsistencyReportsEveryDamagedDocument: the check does not stop at the
+// first violation — two damaged documents are both named.
+func TestConsistencyReportsEveryDamagedDocument(t *testing.T) {
+	db := newDB(t)
+	col, _ := db.CreateCollection("c", CollectionOptions{PackThreshold: 512})
+	var ids []xml.DocID
+	for i := 0; i < 3; i++ {
+		ids = append(ids, mustInsert(t, col, archiveDoc(40)))
+	}
+	who, _ := db.cat.Intern("who")
+	for _, doc := range []xml.DocID{ids[0], ids[2]} {
+		r, err := col.reader(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := r.openRec(nodeid.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.rec.Sig &^= xml.SigBit(who)
+		if err := col.rewriteRecord(doc, root.rid, root.rec, root.tops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := col.CheckConsistency()
+	if err == nil {
+		t.Fatal("two documents with narrowed signatures pass the check")
+	}
+	for _, doc := range []xml.DocID{ids[0], ids[2]} {
+		if !strings.Contains(err.Error(), fmt.Sprintf("doc %d: ", doc)) {
+			t.Errorf("the check's error does not name doc %d: %v", doc, err)
+		}
+	}
+	if strings.Contains(err.Error(), fmt.Sprintf("doc %d: ", ids[1])) {
+		t.Errorf("the check's error names the sound doc %d: %v", ids[1], err)
+	}
+}

@@ -579,10 +579,13 @@ func (c *Collection) Serialize(doc xml.DocID, w io.Writer) error {
 //  1. Value keys. They are regenerated from the stored document at its
 //     current version, when it walks, and from prior — the pre-operation
 //     token stream an undo record carries, or nil.
-//  2. Records, then NodeID entries, both found by one index scan; records go
-//     in scan order, so page effects replay deterministically.
-//  3. The base row and the DocID entry; the statistics note the delete only
-//     if that entry existed (a half-inserted document was never counted).
+//  2. The base row and the DocID entry. From here on the document is gone
+//     for a reader that takes no lock: one that finds its records missing
+//     next (deletedUnder) sees a deleted document, not a damaged one.
+//  3. Records, then NodeID entries, both found by one index scan; records go
+//     in scan order, so page effects replay deterministically. The
+//     statistics note the delete only if the DocID entry existed (a
+//     half-inserted document was never counted).
 //
 // A record or base row goes only while it still holds this document
 // (deleteOwnRow).
@@ -611,6 +614,23 @@ func (c *Collection) removeDoc(doc xml.DocID, prior []byte) error {
 			return err
 		}
 	}
+	var d [8]byte
+	binary.BigEndian.PutUint64(d[:], uint64(doc))
+	baseRID, err := c.docIx.Get(d[:])
+	listed := err == nil
+	if err != nil && !errors.Is(err, btree.ErrNotFound) {
+		// A full device blocking an eviction, say: reporting success here
+		// would leave a ghost document visible in the DocID index.
+		return err
+	}
+	if listed {
+		if err := deleteOwnRow(c.base, heap.RIDFromBytes(baseRID), doc); err != nil {
+			return err
+		}
+		if err := c.docIx.Delete(d[:]); err != nil {
+			return err
+		}
+	}
 	var records int64
 	if _, err := c.nodeIx.DeleteDoc(doc, func(rid heap.RID) error {
 		records++
@@ -618,24 +638,9 @@ func (c *Collection) removeDoc(doc xml.DocID, prior []byte) error {
 	}); err != nil {
 		return err
 	}
-	var d [8]byte
-	binary.BigEndian.PutUint64(d[:], uint64(doc))
-	baseRID, err := c.docIx.Get(d[:])
-	if errors.Is(err, btree.ErrNotFound) {
-		return nil
+	if listed {
+		c.noteDelete(records)
 	}
-	if err != nil {
-		// A full device blocking an eviction, say: reporting success here
-		// would leave a ghost document visible in the DocID index.
-		return err
-	}
-	if err := deleteOwnRow(c.base, heap.RIDFromBytes(baseRID), doc); err != nil {
-		return err
-	}
-	if err := c.docIx.Delete(d[:]); err != nil {
-		return err
-	}
-	c.noteDelete(records)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"rx/internal/btree"
 	"rx/internal/heap"
@@ -613,7 +614,9 @@ func encodeRecord(doc xml.DocID, rec *pack.Record, tops []*pack.MutNode) ([]byte
 }
 
 // rewriteRecord re-encodes an edited record, updates its heap row, and
-// refreshes its NodeID-index interval entries.
+// refreshes its NodeID-index interval entries: the new ones first, then the
+// old ones that are gone, so a reader that takes no lock always finds the
+// record through its entries.
 func (c *Collection) rewriteRecord(doc xml.DocID, rid heap.RID, rec *pack.Record, tops []*pack.MutNode) error {
 	oldUppers, _, err := rec.Intervals()
 	if err != nil {
@@ -626,15 +629,15 @@ func (c *Collection) rewriteRecord(doc xml.DocID, rid heap.RID, rec *pack.Record
 	if err := c.xmlTbl.Update(rid, row); err != nil {
 		return err
 	}
-	if err := c.deleteUppers(doc, oldUppers); err != nil {
-		return err
-	}
 	for _, u := range newUppers {
 		if err := c.nodeIx.Put(doc, u, rid); err != nil {
 			return err
 		}
 	}
-	return nil
+	stale := slices.DeleteFunc(oldUppers, func(u nodeid.ID) bool {
+		return slices.ContainsFunc(newUppers, func(n nodeid.ID) bool { return nodeid.Equal(n, u) })
+	})
+	return c.deleteUppers(doc, stale)
 }
 
 // deleteUppers removes NodeID-index interval entries, tolerating ones already

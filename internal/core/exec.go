@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"slices"
 
 	"rx/internal/nodeid"
@@ -296,9 +295,10 @@ func prefixAtLevel(id nodeid.ID, n int) (nodeid.ID, bool) {
 // deletedUnder reports whether reading doc failed only because another
 // connection deleted it after it was listed as a candidate. Outside a
 // transaction such a document is simply no longer in the result
-// (read-committed at document granularity). The DocID index is re-checked: a
-// live document with a missing record is damage, and stays an error for
-// scrub to see.
+// (read-committed at document granularity). A removal drops the DocID entry
+// before the records (removeDoc), so the DocID index is re-checked: a live
+// document with a missing record is damage, and stays an error for scrub to
+// see.
 func (c *Collection) deletedUnder(doc xml.DocID, err error) bool {
-	return errors.Is(err, ErrNotFound) && !c.Has(doc)
+	return vanished(err) && !c.Has(doc)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"rx/internal/nodeid"
 	"rx/internal/pagestore"
 	"rx/internal/xml"
 )
@@ -55,7 +56,9 @@ func TestRunPassCleanDB(t *testing.T) {
 
 // TestBackgroundScrubConcurrentWithCursors runs the maintenance loop's scrub
 // duty at a tight interval while parallel cursors stream results and a
-// writer keeps inserting — the race detector referees.
+// writer keeps inserting, editing and deleting — the race detector
+// referees, and the scrub, which checks each document under its S lock,
+// must never take a write in flight for damage.
 func TestBackgroundScrubConcurrentWithCursors(t *testing.T) {
 	db, col := scrubberDB(t, 8, Options{ScrubInterval: time.Millisecond})
 
@@ -86,9 +89,43 @@ func TestBackgroundScrubConcurrentWithCursors(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		// Each cycle of five steps inserts a document, edits it three ways
+		// and deletes it.
+		var doc xml.DocID
+		var body nodeid.ID
+		node := func(expr string) (nodeid.ID, error) {
+			res, _, err := col.QueryOpts(expr, QueryOptions{})
+			for _, r := range res {
+				if r.Doc == doc {
+					return r.Node, err
+				}
+			}
+			return nil, fmt.Errorf("%s: no node in doc %d (%v)", expr, doc, err)
+		}
 		for i := 0; time.Now().Before(deadline); i++ {
-			doc := []byte(fmt.Sprintf("<doc><k>w%d</k></doc>", i))
-			if err := db.RunTxn(func(tx *Txn) error { _, err := tx.Insert(col, doc); return err }); err != nil {
+			err := db.RunTxn(func(tx *Txn) (err error) {
+				switch i % 5 {
+				case 0:
+					doc, err = tx.Insert(col, []byte(fmt.Sprintf("<doc><k>w%d</k></doc>", i)))
+				case 1:
+					var k nodeid.ID
+					if k, err = node("/doc/k/text()"); err == nil {
+						err = tx.UpdateText(col, doc, k, []byte(fmt.Sprintf("u%d", i)))
+					}
+				case 2:
+					var root nodeid.ID
+					if root, err = node("/doc"); err == nil {
+						body, err = tx.InsertFragment(col, doc, root, AsLastChild,
+							[]byte("<body>"+strings.Repeat("y", 3000)+"</body>"))
+					}
+				case 3:
+					err = tx.DeleteSubtree(col, doc, body)
+				case 4:
+					err = tx.Delete(col, doc)
+				}
+				return err
+			})
+			if err != nil {
 				errCh <- err
 				return
 			}

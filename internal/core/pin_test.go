@@ -171,6 +171,27 @@ func TestConcurrentReadersUnderEviction(t *testing.T) {
 	}
 }
 
+// nodeCountHandler counts a walk's nodes.
+type nodeCountHandler struct {
+	nodes int
+}
+
+func (h *nodeCountHandler) StartDocument() error { return nil }
+func (h *nodeCountHandler) EndDocument() error   { return nil }
+func (h *nodeCountHandler) StartElement(xml.QName, nodeid.ID) error {
+	h.nodes++
+	return nil
+}
+func (h *nodeCountHandler) EndElement(nodeid.ID) error                     { return nil }
+func (h *nodeCountHandler) NSDecl(xml.NameID, xml.NameID, nodeid.ID) error { h.nodes++; return nil }
+func (h *nodeCountHandler) Attribute(xml.QName, []byte, xml.TypeID, nodeid.ID) error {
+	h.nodes++
+	return nil
+}
+func (h *nodeCountHandler) Text([]byte, xml.TypeID, nodeid.ID) error { h.nodes++; return nil }
+func (h *nodeCountHandler) Comment([]byte, nodeid.ID) error          { h.nodes++; return nil }
+func (h *nodeCountHandler) PI(xml.NameID, []byte, nodeid.ID) error   { h.nodes++; return nil }
+
 // failAfter is a handler that errors on its n-th text node, to end a walk
 // while the walker holds a borrowed record.
 type failAfter struct {

@@ -24,6 +24,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -233,27 +234,43 @@ func (db *DB) healCollection(c *Collection, bad, owned map[pagestore.PageID]bool
 		return false, nil
 	}
 
-	// Damage assessment before any mutation: which documents reference a
-	// damaged page (through the index state as it still is), plus whatever
-	// the registry already holds.
+	// Damage assessment before any mutation: checkDoc over every document
+	// the indexes still list and every one the registry holds, each under
+	// its S lock (a document a writer holds keeps its registry state until
+	// the next pass). A document found damaged is restored below; a
+	// quarantined one deleted since is only cleared. A NodeID-index fault
+	// rebuilds the index first, so the restore walks the stored document —
+	// except on a versioned collection, whose document stays quarantined.
 	affected := map[xml.DocID]bool{}
+	docs := c.scrubDocList()
 	for _, qe := range db.Quarantined() {
 		if qe.Col == name {
 			affected[qe.Doc] = true
+			docs = append(docs, qe.Doc)
 		}
 	}
-	docs := c.scrubDocList()
+	slices.Sort(docs)
+	docs = slices.Compact(docs)
+	rebuildNodeIx := len(damagedNodeIx) > 0
+	lk := db.locks.Begin()
 	for _, doc := range docs {
-		rids, serr := c.scanDocRIDsTolerant(doc)
-		if serr != nil {
+		if !shareDoc(lk, name, doc) {
+			lk.ReleaseAll()
+			continue
+		}
+		switch f := c.checkDoc(doc, bad); {
+		case f.reason == "":
+		case c.gone(doc):
+			db.ClearQuarantine(name, doc)
+			delete(affected, doc)
+		case f.nodeIx && c.meta.Versioned:
+			db.Quarantine(name, doc, f.reason, f.page)
+			delete(affected, doc)
+		default:
 			affected[doc] = true
+			rebuildNodeIx = rebuildNodeIx || f.nodeIx
 		}
-		for _, rid := range rids {
-			if bad[rid.Page] {
-				affected[doc] = true
-				break
-			}
-		}
+		lk.ReleaseAll()
 	}
 
 	progress := false
@@ -314,7 +331,7 @@ func (db *DB) healCollection(c *Collection, bad, owned map[pagestore.PageID]bool
 		}
 
 		// Index rebuilds. The NodeID index first: the others derive from it.
-		if len(damagedNodeIx) > 0 {
+		if rebuildNodeIx {
 			if err := c.rebuildNodeIndex(throttle); err != nil {
 				return err
 			}

@@ -1,16 +1,18 @@
 package core
 
 // The online integrity scrubber: a background-safe pass that reads every
-// page of the store (catching checksum failures and I/O errors), then
-// cross-checks the logical structures — does every NodeID index entry for a
-// document resolve to a decodable heap record? — and quarantines exactly
-// the documents whose data is damaged. Structural damage (an index whose own
-// pages fail) is reported per structure so repair knows what to rebuild.
+// page of the store (catching checksum failures and I/O errors), then runs
+// checkDoc — the one per-document consistency check, check.go — over every
+// document, and quarantines exactly the documents it finds damaged,
+// physically or logically. Structural damage (an index whose own pages
+// fail) is reported per structure so repair knows what to rebuild.
 //
 // A pass holds no long-lived locks: it reads through the same store/pool
-// paths queries use, so it runs concurrently with readers and writers. The
+// paths queries use, so it runs concurrently with readers and writers. Each
+// document is checked under its S lock, taken without waiting and released
+// right after; a document a writer holds is left for the next pass. The
 // caller-supplied throttle hook is invoked once per page read and once per
-// document cross-checked, which is where a rate limiter plugs in.
+// document checked, which is where a rate limiter plugs in.
 
 import (
 	"encoding/binary"
@@ -21,7 +23,8 @@ import (
 
 	"rx/internal/btree"
 	"rx/internal/heap"
-	"rx/internal/nodeid"
+	"rx/internal/lock"
+	"rx/internal/nodeindex"
 	"rx/internal/pagestore"
 	"rx/internal/xml"
 )
@@ -171,7 +174,7 @@ func (s *Scrubber) Repair() (*RepairReport, error) {
 }
 
 // scrubCollection attributes page damage to the collection's structures and
-// cross-checks every document's index entries against its heap records.
+// runs checkDoc over every document.
 func (db *DB) scrubCollection(c *Collection, bad map[pagestore.PageID]bool, rep *ScrubReport, throttle func()) {
 	name := c.meta.Name
 	sets := c.structurePages()
@@ -200,6 +203,7 @@ func (db *DB) scrubCollection(c *Collection, bad map[pagestore.PageID]bool, rep 
 		}
 	}
 
+	lk := db.locks.Begin()
 	for _, doc := range c.scrubDocList() {
 		if throttle != nil {
 			throttle()
@@ -207,48 +211,34 @@ func (db *DB) scrubCollection(c *Collection, bad map[pagestore.PageID]bool, rep 
 		if _, ok := db.quarantined(name, doc); ok {
 			continue
 		}
-		reason, page := c.scrubDoc(doc, bad)
-		if reason == "" {
+		if !shareDoc(lk, name, doc) {
+			lk.ReleaseAll()
 			continue
 		}
-		if db.Quarantine(name, doc, reason, page) {
+		if f := c.checkDoc(doc, bad); f.reason != "" && !c.gone(doc) && db.Quarantine(name, doc, f.reason, f.page) {
 			e, _ := db.quarantined(name, doc)
 			rep.NewQuarantined = append(rep.NewQuarantined, e)
 		}
+		lk.ReleaseAll()
 	}
 }
 
-// scrubDoc cross-checks one document: every distinct record RID its NodeID
-// index entries reference must fetch and decode. Returns a non-empty reason
-// (and the damaged page, when physical) if the document should be
-// quarantined.
-func (c *Collection) scrubDoc(doc xml.DocID, bad map[pagestore.PageID]bool) (string, pagestore.PageID) {
-	rids, serr := c.scanDocRIDsTolerant(doc)
-	for _, rid := range rids {
-		if bad[rid.Page] {
-			return fmt.Sprintf("record page %d failed verification", rid.Page), rid.Page
-		}
-		_, release, ferr := c.borrowRecord(rid)
-		if ferr != nil {
-			var pe pagestore.ErrPageChecksum
-			if errors.As(ferr, &pe) {
-				return fmt.Sprintf("record page %d failed checksum", pe.PageID), pe.PageID
-			}
-			return fmt.Sprintf("record %s unreadable: %v", rid, ferr), rid.Page
-		}
-		release()
+// shareDoc takes doc's S lock, and the collection's IS lock, for lk without
+// waiting: it reports false when a writer holds either.
+func shareDoc(lk *lock.Txn, col string, doc xml.DocID) bool {
+	return lk.TryLock(lock.CollectionRes(col), lock.IS) && lk.TryLock(lock.DocRes(col, doc), lock.S)
+}
+
+// gone reports whether doc is in neither the DocID nor the NodeID index:
+// deleted after a pass listed it, it has nothing left to judge.
+func (c *Collection) gone(doc xml.DocID) bool {
+	var d [8]byte
+	binary.BigEndian.PutUint64(d[:], uint64(doc))
+	if _, err := c.docIx.Get(d[:]); !errors.Is(err, btree.ErrNotFound) {
+		return false
 	}
-	if serr != nil {
-		var pe pagestore.ErrPageChecksum
-		if errors.As(serr, &pe) {
-			return fmt.Sprintf("NodeID index entries unreadable (page %d)", pe.PageID), pe.PageID
-		}
-		return fmt.Sprintf("NodeID index entries unreadable: %v", serr), pagestore.InvalidPage
-	}
-	if len(rids) == 0 {
-		return "document has no readable records", pagestore.InvalidPage
-	}
-	return "", pagestore.InvalidPage
+	_, err := c.nodeIx.RootRID(doc)
+	return errors.Is(err, nodeindex.ErrNotFound)
 }
 
 // colPageSets is the page-ownership map of one collection's structures,
@@ -335,25 +325,4 @@ func (c *Collection) scrubDocList() []xml.DocID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// scanDocRIDsTolerant returns the distinct record RIDs the NodeID index
-// references for a document, in first-appearance order. For versioned
-// collections only the current version's entries are checked. An index read
-// error ends the scan early; the partial list is still returned.
-func (c *Collection) scanDocRIDsTolerant(doc xml.DocID) ([]heap.RID, error) {
-	var rids []heap.RID
-	seen := map[heap.RID]bool{}
-	fn := func(upper nodeid.ID, rid heap.RID) bool {
-		if !seen[rid] {
-			seen[rid] = true
-			rids = append(rids, rid)
-		}
-		return true
-	}
-	r, err := c.reader(doc)
-	if err == nil {
-		err = r.entries(fn)
-	}
-	return rids, err
 }

@@ -18,6 +18,9 @@ import (
 	"testing"
 
 	"rx/internal/fault"
+	"rx/internal/heap"
+	"rx/internal/nodeid"
+	"rx/internal/pack"
 	"rx/internal/pagestore"
 	"rx/internal/wal"
 	"rx/internal/xml"
@@ -94,6 +97,28 @@ func corruptPhysical(t *testing.T, mem *pagestore.MemStore, logical pagestore.Pa
 	}
 }
 
+// docRIDs lists the distinct record RIDs of doc's NodeID-index entries, in
+// first-appearance order.
+func docRIDs(t *testing.T, c *Collection, doc xml.DocID) []heap.RID {
+	t.Helper()
+	var rids []heap.RID
+	seen := map[heap.RID]bool{}
+	r, err := c.reader(doc)
+	if err == nil {
+		err = r.entries(func(_ nodeid.ID, rid heap.RID) bool {
+			if !seen[rid] {
+				seen[rid] = true
+				rids = append(rids, rid)
+			}
+			return true
+		})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rids
+}
+
 // exclusiveRecordPage finds a heap page holding records of victim and of no
 // other document (so quarantine attribution is exact), excluding avoid.
 func exclusiveRecordPage(t *testing.T, c *Collection, victim xml.DocID, avoid map[pagestore.PageID]bool) pagestore.PageID {
@@ -103,19 +128,11 @@ func exclusiveRecordPage(t *testing.T, c *Collection, victim xml.DocID, avoid ma
 		if doc == victim {
 			continue
 		}
-		rids, err := c.scanDocRIDsTolerant(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rid := range rids {
+		for _, rid := range docRIDs(t, c, doc) {
 			others[rid.Page] = true
 		}
 	}
-	rids, err := c.scanDocRIDsTolerant(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rid := range rids {
+	for _, rid := range docRIDs(t, c, victim) {
 		if !others[rid.Page] && !avoid[rid.Page] {
 			return rid.Page
 		}
@@ -124,27 +141,108 @@ func exclusiveRecordPage(t *testing.T, c *Collection, victim xml.DocID, avoid ma
 	return pagestore.InvalidPage
 }
 
+// corruptLogical damages the victim's stored structures through the engine,
+// so every checksum stays valid: only a check of what the records say can
+// tell.
+func corruptLogical(t *testing.T, c *Collection, victim xml.DocID, mode string) {
+	t.Helper()
+	r, err := c.reader(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := r.openRec(nodeid.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch mode {
+	case "signature":
+		// The root signature loses a bit of an element the document holds.
+		item, err := c.db.cat.Intern("item")
+		if err != nil || root.rec.Sig&xml.SigBit(item) == 0 {
+			t.Fatal("the root signature has no <item> bit to clear")
+		}
+		root.rec.Sig &^= xml.SigBit(item)
+	case "proxy-count":
+		// A proxy claims one subtree more than its run holds.
+		var bump func(list []*pack.MutNode) bool
+		bump = func(list []*pack.MutNode) bool {
+			for _, m := range list {
+				if m.Kind == xml.Proxy {
+					m.ProxyCount++
+					return true
+				}
+				if bump(m.Children) {
+					return true
+				}
+			}
+			return false
+		}
+		if !bump(root.tops) {
+			t.Fatal("the root record holds no proxy")
+		}
+	case "dropped-entry":
+		// The root record's first interval loses its NodeID-index entry.
+		uppers, _, err := root.rec.Intervals()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(uppers) != 2 {
+			t.Fatalf("the root record has %d intervals, want 2", len(uppers))
+		}
+		if err := c.nodeIx.Delete(victim, uppers[0]); err != nil {
+			t.Fatal(err)
+		}
+		return
+	default:
+		t.Fatalf("unknown corruption mode %q", mode)
+	}
+	if err := c.rewriteRecord(victim, root.rid, root.rec, root.tops); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScrubQuarantineRepairCorruptionClasses walks every corruption class
+// through scrub, degraded reads and repair. The physical classes damage a
+// page the victim owns alone: the scrub sees page errors, and repair loses
+// that page's records. The logical classes keep every checksum valid: only
+// the consistency check finds them, and repair restores the document
+// exactly.
 func TestScrubQuarantineRepairCorruptionClasses(t *testing.T) {
-	for _, mode := range []string{"bitflip", "torn", "zero"} {
-		t.Run(mode, func(t *testing.T) {
+	for _, tc := range []struct {
+		mode       string
+		pageErrors bool // the scrub's page scan fails pages
+		lossy      bool // repair loses content and flags the victim
+	}{
+		{"bitflip", true, true},
+		{"torn", true, true},
+		{"zero", true, true},
+		{"signature", false, false},
+		{"proxy-count", false, false},
+		{"dropped-entry", false, false},
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
 			db, col, mem, ids, contents := scrubTestDB(t, 6)
 			defer db.Close()
 			victim := ids[2]
-			rootRID, err := col.nodeIx.RootRID(victim)
-			if err != nil {
-				t.Fatal(err)
+			if tc.pageErrors {
+				rootRID, err := col.nodeIx.RootRID(victim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				page := exclusiveRecordPage(t, col, victim,
+					map[pagestore.PageID]bool{rootRID.Page: true})
+				corruptPhysical(t, mem, page, tc.mode)
+			} else {
+				corruptLogical(t, col, victim, tc.mode)
 			}
-			page := exclusiveRecordPage(t, col, victim,
-				map[pagestore.PageID]bool{rootRID.Page: true})
-			corruptPhysical(t, mem, page, mode)
 
 			// Scrub detects and quarantines exactly the victim.
 			rep, err := db.ScrubPass(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rep.PageErrors) == 0 {
-				t.Fatal("scrub found no page errors on a corrupted store")
+			if got := len(rep.PageErrors) > 0; got != tc.pageErrors {
+				t.Fatalf("scrub found page errors: %v, want %v (%v)", got, tc.pageErrors, rep.PageErrors)
 			}
 			if _, ok := db.quarantined("c", victim); !ok {
 				t.Fatal("victim document not quarantined")
@@ -216,7 +314,8 @@ func TestScrubQuarantineRepairCorruptionClasses(t *testing.T) {
 				t.Fatalf("registry not empty after repair: %v", q)
 			}
 
-			// The victim survives — lossy, never dropped.
+			// The victim survives: lossy when records were lost, never
+			// dropped; exact when they were not.
 			buf.Reset()
 			if err := col.Serialize(victim, &buf); err != nil {
 				t.Fatalf("repaired doc unreadable: %v", err)
@@ -228,15 +327,18 @@ func TestScrubQuarantineRepairCorruptionClasses(t *testing.T) {
 					found = true
 				}
 			}
-			if !found {
-				t.Fatalf("victim lost records but is not flagged lossy: %v", lossy)
+			if found != tc.lossy {
+				t.Fatalf("victim flagged lossy: %v, want %v (%v)", found, tc.lossy, lossy)
+			}
+			if !tc.lossy && buf.String() != contents[2] {
+				t.Fatalf("repaired victim differs from the original (%d bytes, want %d)", buf.Len(), len(contents[2]))
 			}
 
 			// Counters moved.
 			s := db.Stats()
-			if s.ScrubPasses == 0 || s.PagesVerified == 0 || s.CorruptionsFound == 0 ||
-				s.DocsQuarantined == 0 || s.DocsRepaired == 0 || s.DocsLossy == 0 {
-				t.Fatalf("stats counters did not move: %+v", s)
+			if s.ScrubPasses == 0 || s.PagesVerified == 0 || s.DocsQuarantined == 0 || s.DocsRepaired == 0 ||
+				(s.CorruptionsFound > 0) != tc.pageErrors || (s.DocsLossy > 0) != tc.lossy {
+				t.Fatalf("stats counters: %+v", s)
 			}
 			if s.QuarantinedNow != 0 {
 				t.Fatalf("QuarantinedNow = %d after repair", s.QuarantinedNow)
@@ -251,6 +353,54 @@ func TestScrubQuarantineRepairCorruptionClasses(t *testing.T) {
 				t.Fatalf("post-repair scrub not clean: %+v", rep2)
 			}
 		})
+	}
+}
+
+// TestScrubSkipsDocDeletedMidPass: a document deleted after the pass listed
+// it is in neither index once the pass takes its lock. The pass skips it —
+// it is not damage — and repair has nothing to bring back; nor does it for
+// a quarantined document deleted before the repair.
+func TestScrubSkipsDocDeletedMidPass(t *testing.T) {
+	db, col, _, ids, _ := scrubTestDB(t, 4)
+	defer db.Close()
+	victim, quarantined := ids[1], ids[3]
+	firstDoc := int(db.store.NumPages()) + 1 // the page scan calls the hook once per page
+	calls := 0
+	rep, err := db.ScrubPass(func() {
+		if calls++; calls == firstDoc {
+			if err := db.RunTxn(func(tx *Txn) error { return tx.Delete(col, victim) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if col.Has(victim) {
+		t.Fatalf("the hook never deleted the victim (%d calls)", calls)
+	}
+	if len(rep.NewQuarantined) != 0 || len(db.Quarantined()) != 0 {
+		t.Fatalf("a document deleted mid-pass was quarantined: %v", db.Quarantined())
+	}
+	db.Quarantine("c", quarantined, "test", pagestore.InvalidPage)
+	if err := db.RunTxn(func(tx *Txn) error { return tx.Delete(col, quarantined) }); err != nil {
+		t.Fatal(err)
+	}
+	rrep, err := db.Repair(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rrep.Remaining) != 0 {
+		t.Fatalf("still quarantined after repair: %v", rrep.Remaining)
+	}
+	for _, doc := range []xml.DocID{victim, quarantined} {
+		if col.Has(doc) {
+			t.Fatalf("repair brought deleted doc %d back", doc)
+		}
+		var buf bytes.Buffer
+		if err := col.Serialize(doc, &buf); err == nil {
+			t.Fatalf("deleted doc %d serializes: %q", doc, buf.String())
+		}
 	}
 }
 
@@ -479,11 +629,7 @@ func TestSidecarLossRepairRederives(t *testing.T) {
 	// database — while it is still open.
 	recPages := map[pagestore.PageID]bool{}
 	for _, doc := range col.scrubDocList() {
-		rids, err := col.scanDocRIDsTolerant(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rid := range rids {
+		for _, rid := range docRIDs(t, col, doc) {
 			if pagestore.SidecarPage(rid.Page) == pagestore.SidecarPage(0) {
 				recPages[rid.Page] = true
 			}
@@ -686,4 +832,34 @@ func TestTortureSidecarWALCrashRecovery(t *testing.T) {
 		}
 	}
 	t.Logf("sidecar crash schedules verified clean: %d", schedules)
+}
+
+// BenchmarkCheckDoc times the one per-document check — the scrubber's,
+// CheckConsistency's and repair's — over a 100-document collection of
+// multi-record documents (about 11.6 KB and 4 records each).
+func BenchmarkCheckDoc(b *testing.B) {
+	db, col, _, ids, _ := scrubTestDB(b, 100)
+	defer db.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if f := col.checkDoc(ids[i%len(ids)], nil); f.reason != "" {
+			b.Fatal(f.reason)
+		}
+	}
+}
+
+// BenchmarkScrubPass times an unthrottled scrub pass over 400 such
+// documents: the page scan, then checkDoc under each document's S lock.
+func BenchmarkScrubPass(b *testing.B) {
+	db, _, _, _, _ := scrubTestDB(b, 400)
+	defer db.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := db.ScrubPass(nil)
+		if err != nil || !rep.Clean() {
+			b.Fatalf("scrub pass: %+v, %v", rep, err)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package pack
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -528,5 +529,61 @@ func TestRootSignature(t *testing.T) {
 	}
 	if multi == 0 {
 		t.Fatal("every document packed into one record: no run record was checked")
+	}
+}
+
+// TestWalkProxyCountMismatch: a proxy that claims one subtree more than its
+// run holds fails Walk with ErrCorrupt, while WalkPartial — salvage — walks
+// the run by its own count and loses nothing.
+func TestWalkProxyCountMismatch(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("<catalog>")
+	for i := 0; i < 60; i++ {
+		fmt.Fprintf(&sb, `<product id="%d"><name>Item %d with some padding text</name></product>`, i, i)
+	}
+	sb.WriteString("</catalog>")
+	recs, dict := packDoc(t, sb.String(), 600)
+	want, _ := walkTrace(t, recs, dict)
+
+	last := len(recs) - 1
+	root, err := Decode(recs[last].Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tops, err := root.Mutable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bump func(list []*MutNode) bool
+	bump = func(list []*MutNode) bool {
+		for _, m := range list {
+			if m.Kind == xml.Proxy {
+				m.ProxyCount++
+				return true
+			}
+			if bump(m.Children) {
+				return true
+			}
+		}
+		return false
+	}
+	if !bump(tops) {
+		t.Fatal("the root record holds no proxy")
+	}
+	recs[last].Payload = root.Encode(tops)
+	if root, err = Decode(recs[last].Payload); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := Walk(root, nil, fetcher(t, recs), &collector{dict: dict}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Walk over a proxy counting one subtree too many: %v, want ErrCorrupt", err)
+	}
+	c := &collector{dict: dict}
+	lost, err := WalkPartial(root, nil, fetcher(t, recs), c)
+	if err != nil || lost != 0 {
+		t.Fatalf("WalkPartial: lost %d, %v; want 0, nil", lost, err)
+	}
+	if got := c.sb.String(); got != want {
+		t.Fatal("WalkPartial did not walk the whole document")
 	}
 }

@@ -113,7 +113,9 @@ func run(rec *Record, release func(), off, entries int, parent nodeid.ID, fetch 
 // buffer-pool frame, released by calling release (nil if rec is owned). Proxy
 // records are fetched through fetch and their frames released as soon as each
 // subtree completes, so the walk holds at most one frame pin at any instant
-// regardless of document size.
+// regardless of document size. A proxy that resolves to a record of another
+// context, or of another subtree count than the proxy's, fails the walk with
+// ErrCorrupt.
 func Walk(rec *Record, release func(), fetch FetchBorrow, v Visitor) error {
 	return run(rec, release, 0, rec.SubtreeCount, rec.ContextID, fetch, v, nil)
 }
@@ -122,7 +124,8 @@ func Walk(rec *Record, release func(), fetch FetchBorrow, v Visitor) error {
 // skipped (its whole subtree is omitted from the traversal) instead of
 // failing the walk. It returns the number of subtrees lost this way. This is
 // the best-effort salvage traversal: when a heap page is gone, everything
-// still reachable is recovered and the loss is reported, never silent.
+// still reachable is recovered and the loss is reported, never silent. A
+// run is walked by its own subtree count, whatever its proxy says.
 func WalkPartial(rec *Record, release func(), fetch FetchBorrow, v Visitor) (lost int, err error) {
 	err = run(rec, release, 0, rec.SubtreeCount, rec.ContextID, fetch, v, &lost)
 	return lost, err
@@ -194,12 +197,16 @@ func (w *walker) walkEntries(rec *Record, off, entries, depth int) (bool, error)
 				}
 				return false, fmt.Errorf("pack: resolving proxy %s: %w", n.Abs, err)
 			}
-			if !nodeid.Equal(child.ContextID, w.ids.Parent()) {
+			// The run must be the proxy's: same context and, unless this is
+			// salvage (which walks whatever the run holds), as many
+			// subtrees as the proxy stands for.
+			if !nodeid.Equal(child.ContextID, w.ids.Parent()) ||
+				(w.lost == nil && n.ProxyCount != child.SubtreeCount) {
 				if childRelease != nil {
 					childRelease()
 				}
-				return false, fmt.Errorf("%w: proxy under %s resolved to a record with context %s",
-					ErrCorrupt, w.ids.Parent(), child.ContextID)
+				return false, fmt.Errorf("%w: proxy for %d subtrees under %s resolved to a record of %d with context %s",
+					ErrCorrupt, n.ProxyCount, w.ids.Parent(), child.SubtreeCount, child.ContextID)
 			}
 			// The packed-away subtrees are siblings of the proxy: same
 			// parent on the ID stack, same depth.
