@@ -19,7 +19,6 @@ import (
 	"rx/internal/buffer"
 	"rx/internal/heap"
 	"rx/internal/pagestore"
-	"rx/internal/stats"
 	"rx/internal/xml"
 )
 
@@ -69,10 +68,6 @@ type Collection struct {
 	NextDocID uint64
 	// Indexes are the collection's XPath value indexes.
 	Indexes []ValueIndexMeta
-	// Stats are the collection's optimizer statistics as of the last persist
-	// (stats refresh, index DDL, or a periodic checkpoint piggybacked on the
-	// row rewrite). Advisory: absent on old databases, rebuilt by refresh.
-	Stats *stats.CollectionStats `json:",omitempty"`
 
 	rid heap.RID // catalog row, for updates
 }
@@ -322,36 +317,19 @@ func (c *Catalog) UpdateCollection(col *Collection) error {
 	return c.updateLocked(col)
 }
 
-// UpdateCollectionStats installs a statistics snapshot on the collection and
-// rewrites its row. The snapshot pointer is assigned under the catalog lock —
-// the same lock every row marshal holds — so a caller may pass a freshly
-// cloned snapshot without coordinating with concurrent AllocDocID rewrites.
-func (c *Catalog) UpdateCollectionStats(col *Collection, s *stats.CollectionStats) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	col.Stats = s
-	return c.updateLocked(col)
-}
-
-// updateLocked rewrites the collection's row. A row must fit one page; when
-// the statistics snapshot pushes it past that, the snapshot's resolution is
-// degraded until it fits rather than failing the write. Whichever write it
-// is, the row carries the DocID chunk ceiling, never the last DocID handed
-// out: a row rewritten mid-chunk (a statistics persist, an index flag) must
-// not lower the high-water mark below IDs that a crash may leave durable.
+// updateLocked rewrites the collection's row. Whichever write it is, the row
+// carries the DocID chunk ceiling, never the last DocID handed out: a row
+// rewritten mid-chunk (index DDL, an index flag) must not lower the
+// high-water mark below IDs that a crash may leave durable. Fields of older
+// rows that Collection no longer has (a statistics object) are dropped here.
 func (c *Catalog) updateLocked(col *Collection) error {
 	row := *col
 	row.NextDocID = (col.NextDocID + docIDChunk - 1) / docIDChunk * docIDChunk
-	for {
-		payload, err := json.Marshal(&row)
-		if err != nil {
-			return err
-		}
-		err = c.cols.Update(col.rid, payload)
-		if !errors.Is(err, heap.ErrTooLarge) || !col.Stats.Coarsen() {
-			return err
-		}
+	payload, err := json.Marshal(&row)
+	if err != nil {
+		return err
 	}
+	return c.cols.Update(col.rid, payload)
 }
 
 // ClearSingleValued unsets the named index's SingleValued flag and rewrites

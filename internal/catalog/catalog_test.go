@@ -119,8 +119,8 @@ func TestAllocDocID(t *testing.T) {
 }
 
 // TestRowRewriteKeepsDocIDCeiling: a collection row rewritten mid-chunk (here
-// an index flag; a statistics persist is the same write) still carries the
-// chunk ceiling, so a reopen never hands out an ID allocated before it.
+// an index flag; index DDL is the same write) still carries the chunk
+// ceiling, so a reopen never hands out an ID allocated before it.
 func TestRowRewriteKeepsDocIDCeiling(t *testing.T) {
 	c, pool := newCatalog(t)
 	col := &Collection{Name: "c", Indexes: []ValueIndexMeta{{Name: "ix", SingleValued: true}}}

@@ -5,12 +5,12 @@ package core
 // compensation's restoreDoc — runs the same two stages:
 //
 //   - stage, before any lock, DocID or log record: every document is parsed
-//     (or schema-validated) into a buffered token stream, packed into heap
-//     records and its element paths counted. Packing needs no DocID (the
-//     row adds it at insert time), so the documents are independent and
-//     min(GOMAXPROCS, documents) workers share them. A bad document, or a
-//     batch too big for its memory budget, rejects the call here without
-//     burning a DocID or logging anything.
+//     (or schema-validated) into a buffered token stream and packed into
+//     heap records. Packing needs no DocID (the row adds it at insert
+//     time), so the documents are independent and min(GOMAXPROCS,
+//     documents) workers share them. A bad document, or a batch too big for
+//     its memory budget, rejects the call here without burning a DocID or
+//     logging anything.
 //   - ingestLocked, under writeMu, four passes: (1) the packed records enter
 //     the heap in document order and emit order (the packer emits them
 //     bottom-up, §3.2), accumulating the NodeID-index entries they produce;
@@ -97,7 +97,6 @@ type ingestWorker struct {
 	recs       []pack.EncodedRecord // this worker's documents' records
 	emit       func(pack.EncodedRecord) error
 	names      docNames
-	paths      pathCounter
 
 	// Pass 4, per value index: the worker's evaluator (worker 0 uses the
 	// index's own), its keys, and the most matches one document had.
@@ -142,22 +141,12 @@ func (w *ingestWorker) charge() error {
 type stagedDoc struct {
 	stream []byte
 	recs   []pack.EncodedRecord // in emit order
-	bytes  int64                // packed payload bytes
 }
 
 // staged is stage's result, held until release.
 type staged struct {
 	docs    []stagedDoc
 	workers []*ingestWorker
-}
-
-// paths returns the workers' path counters.
-func (st *staged) paths() []*pathCounter {
-	pcs := make([]*pathCounter, len(st.workers))
-	for k, w := range st.workers {
-		pcs[k] = &w.paths
-	}
-	return pcs
 }
 
 // release returns the workers' budget charges and recycles them, which
@@ -302,7 +291,6 @@ func (c *Collection) stage(docs [][]byte, opts BatchOptions, tokenized bool) (*s
 	for k := range st.workers {
 		w := ingestWorkers.Get().(*ingestWorker)
 		w.mem, w.names.order = opts.Mem, order
-		w.paths.reset(c.db.cat)
 		st.workers[k] = w
 	}
 	threshold := c.packThreshold()
@@ -328,17 +316,10 @@ func (c *Collection) stage(docs [][]byte, opts BatchOptions, tokenized bool) (*s
 		if err == nil {
 			err = w.charge()
 		}
-		if err != nil {
-			if len(docs) > 1 {
-				err = fmt.Errorf("core: batch document %d: %w", i, err)
-			}
-			return err
+		if err != nil && len(docs) > 1 {
+			err = fmt.Errorf("core: batch document %d: %w", i, err)
 		}
-		for _, rec := range d.recs {
-			d.bytes += int64(len(rec.Payload))
-		}
-		w.paths.stream(d.stream)
-		return nil
+		return err
 	})
 	if err != nil {
 		st.release()
@@ -454,7 +435,6 @@ func (c *Collection) ingestLocked(ids []xml.DocID, st *staged) error {
 			}
 		}
 	}
-	c.noteIngest(st)
 	return nil
 }
 

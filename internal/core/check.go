@@ -43,9 +43,12 @@ import (
 //     or rolled-back insert leaves records behind.
 //  8. Every document's root signature covers every element name its walk
 //     sees (pack.Record.Sig: it may hold more, never less).
+//  9. The heap tables' live counts — the planner's statistics — are what
+//     they hold: the base table counts one row per DocID-index entry, and
+//     the XML table's Count and Bytes equal its scan.
 //
 // Invariants 1, 2, 4, 5 and 8 are checkDoc's, the per-document check the
-// scrubber and repair run too; 3, 6 and 7 span the collection. The check
+// scrubber and repair run too; 3, 6, 7 and 9 span the collection. The check
 // holds writeMu throughout and reports every violation it finds.
 func (c *Collection) CheckConsistency() error {
 	c.writeMu.Lock()
@@ -73,6 +76,18 @@ func (c *Collection) CheckConsistency() error {
 		if err := c.checkValueIndex(ov, docs); err != nil {
 			errs = append(errs, fmt.Errorf("index %q: %w", ov.meta.Name, err))
 		}
+	}
+	if n := c.base.Count(); n != uint64(len(docs)) {
+		errs = append(errs, fmt.Errorf("base table counts %d rows, DocID index lists %d documents", n, len(docs)))
+	}
+	var rows, size uint64
+	if err := c.xmlTbl.Scan(func(_ heap.RID, row []byte) error {
+		rows, size = rows+1, size+uint64(len(row))
+		return nil
+	}); err != nil {
+		errs = append(errs, err)
+	} else if n, b := c.xmlTbl.Count(), c.xmlTbl.Bytes(); n != rows || b != size {
+		errs = append(errs, fmt.Errorf("XML table counts %d rows of %d bytes, its scan %d of %d", n, b, rows, size))
 	}
 	return errors.Join(errs...)
 }

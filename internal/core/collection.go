@@ -16,7 +16,6 @@ import (
 	"rx/internal/pack"
 	"rx/internal/quickxscan"
 	"rx/internal/serialize"
-	"rx/internal/stats"
 	"rx/internal/valueindex"
 	"rx/internal/vsax"
 	"rx/internal/xml"
@@ -41,12 +40,9 @@ type Collection struct {
 	ixMu   sync.RWMutex
 	valIxs []*openValueIndex
 
-	// statsMu guards the live optimizer statistics; planner reads take a
-	// snapshot under it. Ordered after writeMu (writers note mutations while
-	// holding writeMu), never the other way around.
-	statsMu    sync.Mutex
-	live       *stats.CollectionStats
-	statsDirty int // doc mutations since last catalog persist
+	// epoch is the plan-cache epoch (CollectionStats.Epoch). No plan cache
+	// outlives the DB, so it lives in memory only.
+	epoch atomic.Uint64
 }
 
 // indexSnapshot returns the current value-index list for read-only use by
@@ -73,16 +69,14 @@ type openValueIndex struct {
 // document's entries, so the catalog row is rewritten before them and its log
 // record precedes theirs: any durable prefix of the log that holds a violating
 // entry also holds the clear, and a rollback of the write leaves the flag
-// cleared. The stats epoch moves with it, so cached plans that merged
+// cleared. The plan-cache epoch moves with it, so cached plans that merged
 // conjuncts on ov are planned again. Caller holds writeMu.
 func (c *Collection) noteMatches(ov *openValueIndex, matches int) error {
 	if matches < 2 || !ov.single.Load() {
 		return nil
 	}
 	ov.single.Store(false)
-	c.statsMu.Lock()
-	c.live.Epoch++
-	c.statsMu.Unlock()
+	c.epoch.Add(1)
 	return c.db.cat.ClearSingleValued(c.meta, ov.meta.Name)
 }
 
@@ -130,14 +124,9 @@ func (c *Collection) CreateValueIndex(name, path string, typ xml.TypeID) (err er
 	c.valIxs = append(c.valIxs, ov)
 	c.ixMu.Unlock()
 	c.meta.Indexes = append(c.meta.Indexes, im)
-	// Bump the stats epoch so cached plans replan against the new index, and
-	// persist the index list and statistics in one row write.
-	c.statsMu.Lock()
-	c.live.Epoch++
-	c.statsDirty = 0
-	snap := c.live.Clone()
-	c.statsMu.Unlock()
-	return c.db.cat.UpdateCollectionStats(c.meta, snap)
+	// Move the epoch so cached plans replan against the new index.
+	c.epoch.Add(1)
+	return c.db.cat.UpdateCollection(c.meta)
 }
 
 // fillValueIndex is the one value-index fill — CreateValueIndex's backfill
@@ -221,16 +210,14 @@ func createCollection(db *DB, name string, opts CollectionOptions) (*Collection,
 	if err := db.cat.AddCollection(meta); err != nil {
 		return nil, err
 	}
-	c := &Collection{
+	return &Collection{
 		db:     db,
 		meta:   meta,
 		base:   base,
 		xmlTbl: xmlTbl,
 		docIx:  docIx,
 		nodeIx: nodeIx,
-	}
-	c.initStats()
-	return c, nil
+	}, nil
 }
 
 func openCollection(db *DB, meta *catalog.Collection) (*Collection, error) {
@@ -262,7 +249,6 @@ func openCollection(db *DB, meta *catalog.Collection) (*Collection, error) {
 		}
 		c.valIxs = append(c.valIxs, ov)
 	}
-	c.initStats()
 	return c, nil
 }
 
@@ -581,11 +567,13 @@ func (c *Collection) Serialize(doc xml.DocID, w io.Writer) error {
 //     token stream an undo record carries, or nil.
 //  2. The base row and the DocID entry. From here on the document is gone
 //     for a reader that takes no lock: one that finds its records missing
-//     next (deletedUnder) sees a deleted document, not a damaged one.
+//     next (deletedUnder) sees a deleted document, not a damaged one. An
+//     insert that stopped inside its base-row pass (ingestLocked's pass 3)
+//     leaves base rows no DocID entry points at; they are found by a scan
+//     of the base table, which only a document with no DocID entry but
+//     NodeID entries (pass 2 finished) can need.
 //  3. Records, then NodeID entries, both found by one index scan; records go
-//     in scan order, so page effects replay deterministically. The
-//     statistics note the delete only if the DocID entry existed (a
-//     half-inserted document was never counted).
+//     in scan order, so page effects replay deterministically.
 //
 // A record or base row goes only while it still holds this document
 // (deleteOwnRow).
@@ -617,29 +605,50 @@ func (c *Collection) removeDoc(doc xml.DocID, prior []byte) error {
 	var d [8]byte
 	binary.BigEndian.PutUint64(d[:], uint64(doc))
 	baseRID, err := c.docIx.Get(d[:])
-	listed := err == nil
 	if err != nil && !errors.Is(err, btree.ErrNotFound) {
 		// A full device blocking an eviction, say: reporting success here
 		// would leave a ghost document visible in the DocID index.
 		return err
 	}
-	if listed {
+	if err == nil {
 		if err := deleteOwnRow(c.base, heap.RIDFromBytes(baseRID), doc); err != nil {
 			return err
 		}
 		if err := c.docIx.Delete(d[:]); err != nil {
 			return err
 		}
+	} else if err := c.deleteUnlistedBaseRows(doc); err != nil {
+		return err
 	}
-	var records int64
-	if _, err := c.nodeIx.DeleteDoc(doc, func(rid heap.RID) error {
-		records++
+	_, err = c.nodeIx.DeleteDoc(doc, func(rid heap.RID) error {
 		return deleteOwnRow(c.xmlTbl, rid, doc)
+	})
+	return err
+}
+
+// deleteUnlistedBaseRows deletes the base rows of a document that has no
+// DocID entry, if it has NodeID entries (removeDoc, step 2).
+func (c *Collection) deleteUnlistedBaseRows(doc xml.DocID) error {
+	indexed := false
+	if err := c.nodeIx.ScanDoc(doc, func(nodeid.ID, heap.RID) bool {
+		indexed = true
+		return false
+	}); err != nil || !indexed {
+		return err
+	}
+	var rids []heap.RID
+	if err := c.base.Scan(func(rid heap.RID, row []byte) error {
+		if len(row) >= 8 && xml.DocID(binary.BigEndian.Uint64(row)) == doc {
+			rids = append(rids, rid)
+		}
+		return nil
 	}); err != nil {
 		return err
 	}
-	if listed {
-		c.noteDelete(records)
+	for _, rid := range rids {
+		if err := c.base.Delete(rid); err != nil {
+			return err
+		}
 	}
 	return nil
 }

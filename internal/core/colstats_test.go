@@ -8,113 +8,127 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"rx/internal/buffer"
 	"rx/internal/heap"
+	"rx/internal/nodeid"
 	"rx/internal/pagestore"
 	"rx/internal/xml"
 )
 
-// TestIncrementalStats checks the scalar statistics across every write path:
-// insert, delete, bulk load, and reopen.
+// TestIncrementalStats holds the statistics to a recount after every write
+// path — inserts, deletes, the three edits, a bulk load, index DDL — and
+// across Close/Open, on a plain and a versioned collection whose documents
+// span records: documents against the DocID index, records and bytes
+// against a scan of the XML table.
 func TestIncrementalStats(t *testing.T) {
 	store := pagestore.NewMemStore()
 	db, err := Open(store, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, _ := db.CreateCollection("c", CollectionOptions{})
-
 	doc := func(i int) []byte {
-		return []byte(fmt.Sprintf(`<r><v>%d</v><pad>%030d</pad></r>`, i, i))
+		return []byte(fmt.Sprintf(`<r><v>%d</v><pad>%0*d</pad><g><w>%d</w><w>x</w></g></r>`, i, 40+i*17, i, i))
 	}
-	var ids []xml.DocID
-	for i := 0; i < 10; i++ {
-		id := mustInsert(t, col, doc(i))
-		ids = append(ids, id)
-	}
-	s := col.StatsSnapshot()
-	if s.DocCount != 10 {
-		t.Fatalf("DocCount = %d after 10 inserts", s.DocCount)
-	}
-	if s.RecordCount < 10 {
-		t.Fatalf("RecordCount = %d", s.RecordCount)
-	}
-	if s.TotalDocBytes <= 0 || s.MaxDocBytes <= 0 {
-		t.Fatalf("byte counters: total=%d max=%d", s.TotalDocBytes, s.MaxDocBytes)
-	}
-	if s.PathCounts["/r/v"] != 10 {
-		t.Fatalf("PathCounts[/r/v] = %d, want 10", s.PathCounts["/r/v"])
-	}
-
-	// Deletes decrement.
-	for _, id := range ids[:4] {
-		if err := col.db.RunTxn(func(tx *Txn) error { return tx.Delete(col, id) }); err != nil {
+	check := func(step string, col *Collection) {
+		t.Helper()
+		docs, err := col.DocIDs()
+		if err != nil {
 			t.Fatal(err)
 		}
+		var records, bytes int64
+		if err := col.xmlTbl.Scan(func(_ heap.RID, row []byte) error {
+			records++
+			bytes += int64(len(row))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		s := col.StatsSnapshot()
+		if s.DocCount != int64(len(docs)) || s.RecordCount != records || s.TotalDocBytes != bytes {
+			t.Fatalf("%s %s: stats %d docs, %d records, %d bytes; recount %d, %d, %d",
+				col.Name(), step, s.DocCount, s.RecordCount, s.TotalDocBytes, len(docs), records, bytes)
+		}
 	}
-	s = col.StatsSnapshot()
-	if s.DocCount != 6 {
-		t.Fatalf("DocCount = %d after 4 deletes", s.DocCount)
+	node := func(col *Collection, q string) (xml.DocID, nodeid.ID) {
+		t.Helper()
+		res, _, err := col.QueryOpts(q, QueryOptions{})
+		if err != nil || len(res) == 0 {
+			t.Fatalf("%s: %d results, %v", q, len(res), err)
+		}
+		return res[0].Doc, res[0].Node
 	}
-
-	// Bulk load adds in one batch.
-	var batch [][]byte
-	for i := 100; i < 120; i++ {
-		batch = append(batch, doc(i))
+	for _, versioned := range []bool{false, true} {
+		col, err := db.CreateCollection(fmt.Sprint("c-", versioned), CollectionOptions{PackThreshold: 128, Versioned: versioned})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("empty", col)
+		var ids []xml.DocID
+		for i := 0; i < 10; i++ {
+			ids = append(ids, mustInsert(t, col, doc(i)))
+		}
+		check("inserts", col)
+		for _, id := range ids[:4] {
+			if err := db.RunTxn(func(tx *Txn) error { return tx.Delete(col, id) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("deletes", col)
+		d, text := node(col, `/r[v = 7]/pad/text()`)
+		if err := db.RunTxn(func(tx *Txn) error {
+			return tx.UpdateText(col, d, text, []byte(strings.Repeat("grown ", 80)))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		check("UpdateText", col)
+		d, g := node(col, `/r[v = 8]/g`)
+		if err := db.RunTxn(func(tx *Txn) error {
+			_, err := tx.InsertFragment(col, d, g, AsLastChild, []byte(`<w>`+strings.Repeat("y", 300)+`</w>`))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		check("InsertFragment", col)
+		d, pad := node(col, `/r[v = 9]/pad`)
+		if err := db.RunTxn(func(tx *Txn) error { return tx.DeleteSubtree(col, d, pad) }); err != nil {
+			t.Fatal(err)
+		}
+		check("DeleteSubtree", col)
+		var batch [][]byte
+		for i := 100; i < 120; i++ {
+			batch = append(batch, doc(i))
+		}
+		if _, err := txnInsertBatch(col, batch); err != nil {
+			t.Fatal(err)
+		}
+		check("bulk load", col)
+		epoch := col.StatsEpoch()
+		if err := col.CreateValueIndex("ix_v", "/r/v", xml.TDouble); err != nil {
+			t.Fatal(err)
+		}
+		if col.StatsEpoch() == epoch {
+			t.Fatal("index DDL must move the epoch")
+		}
+		check("index DDL", col)
 	}
-	if _, err := txnInsertBatch(col, batch); err != nil {
-		t.Fatal(err)
-	}
-	s = col.StatsSnapshot()
-	if s.DocCount != 26 {
-		t.Fatalf("DocCount = %d after bulk load", s.DocCount)
-	}
-	if s.PathCounts["/r/v"] != 30 { // 10 inserts + 20 bulk (deletes leave paths stale)
-		t.Fatalf("PathCounts[/r/v] = %d, want 30", s.PathCounts["/r/v"])
-	}
-
-	// Index creation bumps the epoch.
-	epoch := col.StatsEpoch()
-	if err := col.CreateValueIndex("ix_v", "/r/v", xml.TDouble); err != nil {
-		t.Fatal(err)
-	}
-	if col.StatsEpoch() == epoch {
-		t.Fatal("index DDL must bump the stats epoch")
-	}
-
-	// Refresh recounts the statistics exactly (and fixes the stale path
-	// counts the deletes left behind).
-	if err := col.RefreshStats(); err != nil {
-		t.Fatal(err)
-	}
-	s = col.StatsSnapshot()
-	if s.DocCount != 26 || s.PathCounts["/r/v"] != 26 {
-		t.Fatalf("after refresh: docs=%d paths=%d, want 26/26", s.DocCount, s.PathCounts["/r/v"])
-	}
-
-	// Reopen: persisted statistics come back; counts are reconciled with the
-	// actual table contents either way.
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(store, Options{})
+	db, err = Open(store, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db2.Close()
-	col2, err := db2.Collection("c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s = col2.StatsSnapshot()
-	if s.DocCount != 26 {
-		t.Fatalf("DocCount after reopen = %d", s.DocCount)
-	}
-	if s.PathCounts["/r/v"] != 26 {
-		t.Fatalf("path counts lost across reopen: %d", s.PathCounts["/r/v"])
+	defer db.Close()
+	for _, versioned := range []bool{false, true} {
+		col, err := db.Collection(fmt.Sprint("c-", versioned))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("reopen", col)
 	}
 }
 
@@ -186,6 +200,64 @@ func TestPlanFlipWithoutRefresh(t *testing.T) {
 	}
 	if col.StatsEpoch() != epoch {
 		t.Fatal("the flip must not need a stats epoch change")
+	}
+
+	// Deletes, with no refresh either: once three quarters of a Parts
+	// collection are gone, every priced alternative — documents, record and
+	// byte counts, the conjunct's entries and the filtering plan's anchors —
+	// is the one a collection loaded with the survivors alone prices. The
+	// index stays within one leaf, where every dive counts exactly.
+	partsDoc := func(i int) []byte {
+		doc := `<Order>`
+		for j := 0; j <= i%4; j++ {
+			doc += fmt.Sprintf(`<Part><Qty>%d</Qty><Note>%s</Note></Part>`, (i+j)%5, strings.Repeat("n", 10*i))
+		}
+		return []byte(doc + `</Order>`)
+	}
+	parts := func(name string, keep func(i int) bool) *Collection {
+		col, err := db.CreateCollection(name, CollectionOptions{PackThreshold: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := col.CreateValueIndex("ix_qty", "/Order/Part/Qty", xml.TDouble); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			if keep(i) {
+				mustInsert(t, col, partsDoc(i))
+			}
+		}
+		return col
+	}
+	survives := func(i int) bool { return i%4 == 1 }
+	all := parts("parts", func(int) bool { return true })
+	docs, err := all.DocIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range docs {
+		if !survives(i) {
+			if err := db.RunTxn(func(tx *Txn) error { return tx.Delete(all, id) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fresh := parts("parts-fresh", survives)
+	for _, q := range []string{`/Order/Part[Qty = 3]`, `/Order/Part[Qty >= 1]/Note`, `/Order[Part/Qty = 2]`} {
+		got, err := all.Plan(q, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Plan(q, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Alternatives, want.Alternatives) {
+			t.Fatalf("%s after deletes: alternatives %+v, a fresh load of the survivors %+v", q, got.Alternatives, want.Alternatives)
+		}
+		if !slices.ContainsFunc(got.Alternatives, func(a PlanAlt) bool { return a.Method == "nodeid-filtering" }) {
+			t.Fatalf("%s prices no nodeid-filtering plan: %+v", q, got.Alternatives)
+		}
 	}
 }
 
@@ -598,37 +670,43 @@ func TestExplainEstimates(t *testing.T) {
 	}
 }
 
-// TestRefreshStatsFitsCatalogRow: path counts over hundreds of long element
-// paths serialize past what one catalog row can hold. The refresh must
-// degrade the persisted snapshot's resolution rather than fail, and the
-// reopened collection still plans its indexed query.
+// TestRefreshStatsFitsCatalogRow: a collection of hundreds of long,
+// distinct element paths refreshes, reopens and plans its indexed query, and
+// its catalog row is the row of a collection with one path shape: nothing
+// the row holds grows with the documents' paths.
 func TestRefreshStatsFitsCatalogRow(t *testing.T) {
-	store := pagestore.NewMemStore()
-	db, err := Open(store, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, _ := db.CreateCollection("orders", CollectionOptions{})
-	if err := col.CreateValueIndex("ix_total", "/order/total", xml.TDouble); err != nil {
-		t.Fatal(err)
-	}
 	const n = 400
-	docs := make([][]byte, n)
 	long := strings.Repeat("x", 40)
-	for i := range docs {
-		docs[i] = []byte(fmt.Sprintf(`<order><total>%d</total><%s%03d>1</%s%03d></order>`, i, long, i, long, i))
+	load := func(name func(i int) string) pagestore.Store {
+		store := pagestore.NewMemStore()
+		db, err := Open(store, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, _ := db.CreateCollection("orders", CollectionOptions{})
+		if err := col.CreateValueIndex("ix_total", "/order/total", xml.TDouble); err != nil {
+			t.Fatal(err)
+		}
+		docs := make([][]byte, n)
+		for i := range docs {
+			docs[i] = []byte(fmt.Sprintf(`<order><total>%d</total><%s>1</%s></order>`, i, name(i), name(i)))
+		}
+		if _, err := txnInsertBatch(col, docs); err != nil {
+			t.Fatal(err)
+		}
+		if err := col.RefreshStats(); err != nil {
+			t.Fatalf("RefreshStats: %v", err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return store
 	}
-	if _, err := txnInsertBatch(col, docs); err != nil {
-		t.Fatal(err)
-	}
-	if err := col.RefreshStats(); err != nil {
-		t.Fatalf("RefreshStats: %v", err)
-	}
-	if got := len(col.StatsSnapshot().PathCounts); got < n {
-		t.Fatalf("live path counts = %d, want at least %d", got, n)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
+	store := load(func(i int) string { return fmt.Sprintf("%s%03d", long, i) })
+	uniform := load(func(int) string { return long + "000" })
+	row, _ := collectionRow(t, store, "orders")
+	if want, _ := collectionRow(t, uniform, "orders"); string(row) != string(want) {
+		t.Fatalf("catalog row depends on path variety:\n %s\nwith one path shape:\n %s", row, want)
 	}
 
 	db2, err := Open(store, Options{})
@@ -640,10 +718,8 @@ func TestRefreshStatsFitsCatalogRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := col2.StatsSnapshot()
-	if s.DocCount != n || len(s.PathCounts) == 0 || len(s.PathCounts) >= n || s.PathCounts["/order/total"] != n {
-		t.Fatalf("reopened stats: %d docs, %d paths (/order/total %d); want %d docs and a coarsened path table",
-			s.DocCount, len(s.PathCounts), s.PathCounts["/order/total"], n)
+	if s := col2.StatsSnapshot(); s.DocCount != n {
+		t.Fatalf("reopened stats: %d docs, want %d", s.DocCount, n)
 	}
 	res, p, err := col2.QueryOpts(`/order[total = 123]`, QueryOptions{})
 	if err != nil {
@@ -691,10 +767,12 @@ func collectionRow(t *testing.T, store pagestore.Store, name string) ([]byte, fu
 	}
 }
 
-// TestLegacyStatsRowOpens: a collection row whose statistics still carry the
-// per-index entry counts, distinct counts and histograms older databases
-// persisted opens, plans, passes CheckConsistency, and loses those fields on
-// its next persist.
+// TestLegacyStatsRowOpens: a collection row that still carries the
+// statistics object older databases persisted — document, record and byte
+// counters and path counts, next to the per-index entry counts, distinct
+// counts and histograms of still older ones — opens, plans, passes
+// CheckConsistency, reads none of it (its counts are wrong on purpose), and
+// loses it on its next row rewrite.
 func TestLegacyStatsRowOpens(t *testing.T) {
 	store := pagestore.NewMemStore()
 	db, err := Open(store, Options{})
@@ -717,20 +795,15 @@ func TestLegacyStatsRowOpens(t *testing.T) {
 	if err := json.Unmarshal(row, &fields); err != nil {
 		t.Fatal(err)
 	}
-	var st map[string]json.RawMessage
-	if err := json.Unmarshal(fields["Stats"], &st); err != nil {
-		t.Fatal(err)
-	}
-	st["indexes"] = json.RawMessage(`{"ix_v":{"entries":40,"distinct":40,` +
-		`"hist":{"buckets":[{"ub":"wEQAAAAAAAA=","n":40,"d":40}],"total":40}}}`)
-	if fields["Stats"], err = json.Marshal(st); err != nil {
-		t.Fatal(err)
-	}
+	fields["Stats"] = json.RawMessage(`{"epoch":9,"docs":7,"records":7,"bytes":700,"maxBytes":100,` +
+		`"paths":{"/r":7,"/r/v":7},` +
+		`"indexes":{"ix_v":{"entries":40,"distinct":40,` +
+		`"hist":{"buckets":[{"ub":"wEQAAAAAAAA=","n":40,"d":40}],"total":40}}}}`)
 	if row, err = json.Marshal(fields); err != nil {
 		t.Fatal(err)
 	}
 	update(row)
-	if row, _ = collectionRow(t, store, "c"); !strings.Contains(string(row), `"hist"`) {
+	if row, _ = collectionRow(t, store, "c"); !strings.Contains(string(row), `"hist"`) || !strings.Contains(string(row), `"paths"`) {
 		t.Fatalf("legacy row not written: %s", row)
 	}
 
@@ -742,6 +815,9 @@ func TestLegacyStatsRowOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if s := col.StatsSnapshot(); s.DocCount != 40 || s.RecordCount != 40 || s.Epoch != 0 {
+		t.Fatalf("stats read from the legacy row: %+v", s)
+	}
 	res, p, err := col.QueryOpts(`/r[v = 7]`, QueryOptions{})
 	if err != nil || len(res) != 1 || p.Method == "scan" {
 		t.Fatalf("query on the legacy row: %d results via %+v, %v", len(res), p, err)
@@ -749,16 +825,16 @@ func TestLegacyStatsRowOpens(t *testing.T) {
 	if err := col.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.RefreshStats(); err != nil {
+	if err := col.CreateValueIndex("ix_v2", "/r/v", xml.TString); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 	row, _ = collectionRow(t, store, "c")
-	for _, field := range []string{`"indexes"`, `"hist"`, `"distinct"`} {
+	for _, field := range []string{`"Stats"`, `"paths"`, `"indexes"`, `"hist"`, `"distinct"`} {
 		if strings.Contains(string(row), field) {
-			t.Fatalf("persisted row still carries %s: %s", field, row)
+			t.Fatalf("rewritten row still carries %s: %s", field, row)
 		}
 	}
 }

@@ -182,22 +182,6 @@ func (db *DB) Close() error {
 		close(m.stop)
 		<-m.done // the duty in flight
 	}
-	// Checkpoint any statistics accumulated since the last periodic persist
-	// (best-effort: a read-only or full-device close still closes).
-	db.mu.Lock()
-	cols := make([]*Collection, 0, len(db.cols))
-	for _, c := range db.cols {
-		cols = append(cols, c)
-	}
-	db.mu.Unlock()
-	for _, c := range cols {
-		c.statsMu.Lock()
-		dirty := c.statsDirty > 0
-		c.statsMu.Unlock()
-		if dirty {
-			c.persistStats()
-		}
-	}
 	if err := db.pool.FlushAll(); err != nil {
 		return err
 	}

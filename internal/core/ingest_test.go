@@ -105,8 +105,8 @@ func ingestRun(t *testing.T, docs [][]byte) ingestImage {
 			t.Fatalf("versioned=%v: CheckConsistency: %v", versioned, err)
 		}
 		st := col.StatsSnapshot()
-		img.stats = append(img.stats, fmt.Sprintf("versioned=%v docs=%d records=%d bytes=%d paths=%v",
-			versioned, st.DocCount, st.RecordCount, st.TotalDocBytes, st.PathCounts))
+		img.stats = append(img.stats, fmt.Sprintf("versioned=%v docs=%d records=%d bytes=%d",
+			versioned, st.DocCount, st.RecordCount, st.TotalDocBytes))
 	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)

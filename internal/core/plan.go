@@ -12,7 +12,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 
 	"rx/internal/memgov"
 	"rx/internal/valueindex"
@@ -142,8 +141,9 @@ type planConjunct struct {
 	oneNode bool
 	// est is the index's estimate of the entries rng covers (a dive).
 	est float64
-	// anchors counts the elements at the anchor path (per-path counts),
-	// read only when the conjunct can drive NodeID filtering; 0 if unknown.
+	// anchors estimates the subtrees NodeID filtering could re-evaluate, read
+	// only when the conjunct can drive it: a whole-range dive into the same
+	// index, one per entry (selectAccessPath states the rule); 0 if unknown.
 	anchors float64
 }
 
@@ -280,8 +280,8 @@ func (ps planStats) price(rc recipe) (docs, cost, per float64) {
 		return res, cost + res*per, per
 	}
 	// NodeID filtering: re-evaluate only the anchor subtrees. A subtree is
-	// priced as the anchor's share of a document (per-path element counts
-	// give anchors-per-document) plus a fixed seek cost.
+	// priced as the anchor's share of a document (anchors per document) plus
+	// a fixed seek cost.
 	pc := rc.conjuncts[0]
 	subtrees := pc.est
 	perSub := costSubtreeBase + perDoc
@@ -392,9 +392,18 @@ func (c *Collection) selectAccessPath(q *xpath.Query, valIxs []*openValueIndex, 
 	nodeListOK := len(matched) > 0 && exactAtResult && unindexed == 0 && pureChildSpine(spine)
 	filterOK := len(matched) == 1 && unindexed == 0 && pureChildSpine(spine[:matched[0].level])
 
-	// Each conjunct's entries come from a dive into its index, outside
-	// statsMu: a page fetch may wait on I/O. The collection-wide numbers are
-	// read in one short critical section.
+	// The collection-wide numbers are the heap tables' own counts, read
+	// without a lock (heap.Table.Count). Each conjunct's entries come from a
+	// dive into its index. So do a filtering conjunct's anchors: the whole
+	// index, one anchor per entry. An anchor with no indexed leaf is not
+	// counted, one with two is counted twice, and entries an index path
+	// covers off the predicate's path count too. A level-1 anchor is the
+	// document element, so there are at most as many as documents.
+	ps := planStats{values: opts.NeedValues, docs: float64(c.base.Count()), recordsPerDoc: 1}
+	if ps.docs > 0 {
+		ps.recordsPerDoc = max(1, float64(c.xmlTbl.Count())/ps.docs)
+		ps.avgKB = float64(c.xmlTbl.Bytes()) / ps.docs / 1024
+	}
 	for _, pcs := range [][]planConjunct{matched, orParts} {
 		for i := range pcs {
 			est, err := pcs[i].ov.ix.Estimate(pcs[i].rng)
@@ -404,15 +413,16 @@ func (c *Collection) selectAccessPath(q *xpath.Query, valIxs []*openValueIndex, 
 			pcs[i].est = est
 		}
 	}
-	ps := planStats{values: opts.NeedValues}
-	c.statsMu.Lock()
-	ps.docs = float64(c.live.DocCount)
-	ps.recordsPerDoc = c.live.RecordsPerDoc()
-	ps.avgKB = float64(c.live.AvgDocBytes()) / 1024
 	if filterOK {
-		matched[0].anchors = float64(c.live.PathCounts[spinePath(spine[:matched[0].level])])
+		anchors, err := matched[0].ov.ix.Estimate(valueindex.Range{})
+		if err != nil {
+			return nil, err
+		}
+		if matched[0].level == 1 {
+			anchors = min(anchors, ps.docs)
+		}
+		matched[0].anchors = anchors
 	}
-	c.statsMu.Unlock()
 
 	// Parallel full scan: always a candidate (and the differential oracle).
 	cands := []*Plan{ps.plan(recipe{})}
@@ -453,16 +463,6 @@ func (c *Collection) selectAccessPath(q *xpath.Query, valIxs []*openValueIndex, 
 	chosen.Alternatives = alts
 	chosen.q = q
 	return chosen, nil
-}
-
-// spinePath renders a pure child-axis spine prefix as a PathCounts key.
-func spinePath(spine []*xpath.Step) string {
-	var b strings.Builder
-	for _, s := range spine {
-		b.WriteByte('/')
-		b.WriteString(s.Local)
-	}
-	return b.String()
 }
 
 // matchIndex finds an index usable for the comparison predicate anchored at

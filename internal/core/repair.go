@@ -139,6 +139,26 @@ func (db *DB) maybeRederiveSidecars(rep *RepairReport, errs []PageError, throttl
 		return errs, err
 	}
 	rep.SidecarsRederived = true
+	// A heap table opened over the failing pages stopped its chain walk at
+	// the first of them (heap.OpenTolerant): its last page and live counts
+	// cover a prefix. Now that the pages verify, walk the chains again.
+	db.mu.Lock()
+	cols := make([]*Collection, 0, len(db.cols))
+	for _, c := range db.cols {
+		cols = append(cols, c)
+	}
+	db.mu.Unlock()
+	for _, c := range cols {
+		c.writeMu.Lock()
+		err := c.base.Reattach()
+		if err == nil {
+			err = c.xmlTbl.Reattach()
+		}
+		c.writeMu.Unlock()
+		if err != nil {
+			return errs, err
+		}
+	}
 	_, errs, err := db.ScanPages(throttle)
 	return errs, err
 }

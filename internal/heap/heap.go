@@ -20,6 +20,13 @@
 // invalidated by record growth (§3.1: "maximum flexibility of record
 // placement").
 //
+// A table counts its live records and their payload bytes exactly —
+// forwarding stubs excluded, so the counts are what Scan visits. Every slot
+// mutation moves them by what it did to the slot, and opening a table counts
+// them in the chain walk it already makes. Count and Bytes read them without
+// the table lock, which insert holds across page fetches: the planner, which
+// prices plans with them, never queues behind a writer's I/O.
+//
 // All page mutations go through buffer.Pool.Modify, which feeds the WAL when
 // one is attached; the heap itself contains no logging code, mirroring how
 // the paper's XML storage inherits logging from the relational data manager.
@@ -32,6 +39,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"rx/internal/buffer"
 	"rx/internal/pagestore"
@@ -90,10 +98,13 @@ var ErrTooLarge = errors.New("heap: record too large")
 type Table struct {
 	pool *buffer.Pool
 
+	// count and bytes are the live records and their payload bytes,
+	// forwarding stubs excluded (liveLen).
+	count, bytes atomic.Int64
+
 	mu        sync.Mutex
 	firstPage pagestore.PageID
 	lastPage  pagestore.PageID
-	count     uint64 // records (approximate under concurrency)
 	// freeCache maps pages believed to have free space to the free byte
 	// count observed; consulted before extending the table.
 	freeCache map[pagestore.PageID]int
@@ -124,44 +135,99 @@ func Create(pool *buffer.Pool) (*Table, error) {
 }
 
 // Open attaches to an existing table by its first page ID, walking the chain
-// to find the last page.
+// to find the last page and count the live records.
 func Open(pool *buffer.Pool, first pagestore.PageID) (*Table, error) {
-	t := &Table{
-		pool:      pool,
-		firstPage: first,
-		lastPage:  first,
-		freeCache: make(map[pagestore.PageID]int),
+	t := &Table{pool: pool, firstPage: first}
+	if err := t.attach(false); err != nil {
+		return nil, err
 	}
-	pg := first
-	for pg != pagestore.InvalidPage {
-		f, err := pool.Fetch(pg)
+	return t, nil
+}
+
+// attach derives the table's in-memory state — last page, free cache, live
+// counts — from its page chain. A page that fails to load fails the walk,
+// or, when tolerant, ends it with lastPage at that page. Caller holds t.mu or
+// owns t.
+func (t *Table) attach(tolerant bool) error {
+	t.freeCache = make(map[pagestore.PageID]int)
+	t.lastPage = t.firstPage
+	var count, bytes int64
+	seen := map[pagestore.PageID]bool{}
+	pg := t.firstPage
+	for pg != pagestore.InvalidPage && !seen[pg] {
+		seen[pg] = true
+		f, err := t.pool.Fetch(pg)
 		if err != nil {
-			return nil, err
+			if !tolerant {
+				return err
+			}
+			t.lastPage = pg
+			break
 		}
 		f.RLock()
 		next := pageNext(f.Data)
 		free := pageFree(f.Data)
-		slots := int(binary.BigEndian.Uint16(f.Data[hdrSlots:]))
+		n, b := pageLive(f.Data)
 		f.RUnlock()
-		pool.Unpin(f, false)
+		t.pool.Unpin(f, false)
 		if free > 64 {
 			t.freeCache[pg] = free
 		}
-		t.count += uint64(slots) // approximation; dead slots over-count
+		count += n
+		bytes += b
 		t.lastPage = pg
 		pg = next
 	}
-	return t, nil
+	t.count.Store(count)
+	t.bytes.Store(bytes)
+	return nil
 }
 
 // FirstPage returns the table's identifying first page.
 func (t *Table) FirstPage() pagestore.PageID { return t.firstPage }
 
-// Count returns the approximate number of live records.
-func (t *Table) Count() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
+// Count returns the number of live records, forwarding stubs excluded.
+func (t *Table) Count() uint64 { return uint64(t.count.Load()) }
+
+// Bytes returns the live records' payload bytes, forwarding stubs excluded.
+func (t *Table) Bytes() uint64 { return uint64(t.bytes.Load()) }
+
+// liveLen returns the payload length of the record in slot i, or -1 when the
+// slot is dead or holds a forwarding stub: what Count and Bytes count.
+func liveLen(d []byte, i int) int {
+	off, length := slotAt(d, i)
+	if off == 0 || d[off] == recForward {
+		return -1
+	}
+	return length - 1
+}
+
+// pageLive counts a page image's live records and payload bytes. Slots are
+// bounds-checked, so a garbage page counts what it can and never panics.
+func pageLive(d []byte) (n, bytes int64) {
+	slots := int(binary.BigEndian.Uint16(d[hdrSlots:]))
+	for i := 0; i < min(slots, (pagestore.PageSize-hdrSize)/slotSize); i++ {
+		off, length := slotAt(d, i)
+		if off < hdrSize || length < 1 || off+length > pagestore.PageSize || d[off] == recForward {
+			continue
+		}
+		n++
+		bytes += int64(length - 1)
+	}
+	return n, bytes
+}
+
+// account moves the live counts from a slot's state before a mutation to its
+// state after, both as liveLen reports them.
+func (t *Table) account(before, after int) {
+	if before >= 0 {
+		t.count.Add(-1)
+		t.bytes.Add(int64(-before))
+	}
+	if after >= 0 {
+		t.count.Add(1)
+		t.bytes.Add(int64(after))
+	}
 }
 
 func initPage(d []byte) {
@@ -296,10 +362,10 @@ func compact(d []byte) bool {
 
 // Insert appends a record and returns its RID.
 func (t *Table) Insert(payload []byte) (RID, error) {
-	return t.insert(recNormal, payload, true)
+	return t.insert(recNormal, payload)
 }
 
-func (t *Table) insert(flag byte, payload []byte, countIt bool) (RID, error) {
+func (t *Table) insert(flag byte, payload []byte) (RID, error) {
 	if len(payload) > MaxRecord {
 		return InvalidRID, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
 	}
@@ -317,14 +383,14 @@ func (t *Table) insert(flag byte, payload []byte, countIt bool) (RID, error) {
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
 	for _, pg := range cands {
-		if rid, ok, err := t.tryInsert(pg, flag, payload, countIt); err != nil {
+		if rid, ok, err := t.tryInsert(pg, flag, payload); err != nil {
 			return InvalidRID, err
 		} else if ok {
 			return rid, nil
 		}
 		delete(t.freeCache, pg)
 	}
-	if rid, ok, err := t.tryInsert(t.lastPage, flag, payload, countIt); err != nil {
+	if rid, ok, err := t.tryInsert(t.lastPage, flag, payload); err != nil {
 		return InvalidRID, err
 	} else if ok {
 		return rid, nil
@@ -340,7 +406,9 @@ func (t *Table) insert(flag byte, payload []byte, countIt bool) (RID, error) {
 	slot := -1
 	err = t.pool.Modify(nf, func(d []byte) error {
 		initPage(d)
-		slot = insertInPage(d, flag, payload)
+		if slot = insertInPage(d, flag, payload); slot >= 0 {
+			t.account(-1, liveLen(d, slot))
+		}
 		return nil
 	})
 	newID := nf.ID()
@@ -365,22 +433,21 @@ func (t *Table) insert(flag byte, payload []byte, countIt bool) (RID, error) {
 		return InvalidRID, err
 	}
 	t.lastPage = newID
-	if countIt {
-		t.count++
-	}
 	return RID{Page: newID, Slot: uint16(slot)}, nil
 }
 
 // tryInsert attempts an insert into page pg, updating the free cache.
 // Called with t.mu held.
-func (t *Table) tryInsert(pg pagestore.PageID, flag byte, payload []byte, countIt bool) (RID, bool, error) {
+func (t *Table) tryInsert(pg pagestore.PageID, flag byte, payload []byte) (RID, bool, error) {
 	f, err := t.pool.Fetch(pg)
 	if err != nil {
 		return InvalidRID, false, err
 	}
 	slot, free := -1, 0
 	err = t.pool.Modify(f, func(d []byte) error {
-		slot = insertInPage(d, flag, payload)
+		if slot = insertInPage(d, flag, payload); slot >= 0 {
+			t.account(-1, liveLen(d, slot))
+		}
 		free = pageFree(d)
 		return nil
 	})
@@ -396,9 +463,6 @@ func (t *Table) tryInsert(pg pagestore.PageID, flag byte, payload []byte, countI
 		t.freeCache[pg] = free
 	} else {
 		delete(t.freeCache, pg)
-	}
-	if countIt {
-		t.count++
 	}
 	return RID{Page: pg, Slot: uint16(slot)}, true, nil
 }
@@ -493,9 +557,6 @@ func (t *Table) Delete(rid RID) error {
 			return err
 		}
 	}
-	t.mu.Lock()
-	t.count--
-	t.mu.Unlock()
 	return nil
 }
 
@@ -522,6 +583,7 @@ func (t *Table) deleteAt(rid RID) (RID, error) {
 		if d[off] == recForward {
 			fwd = RIDFromBytes(d[off+1 : off+length])
 		}
+		t.account(liveLen(d, int(rid.Slot)), -1)
 		setSlot(d, int(rid.Slot), 0, 0)
 		return nil
 	})
@@ -573,30 +635,13 @@ func (t *Table) Update(rid RID, payload []byte) error {
 			target = RIDFromBytes(d[off+1 : off+length])
 			return nil
 		}
-		// In place if the new payload fits the current slot.
-		if len(payload)+1 <= length {
-			copy(d[off+1:], payload)
-			setSlot(d, int(rid.Slot), off, len(payload)+1)
+		// In place if the new payload fits the current slot, or on the home
+		// page if it has room once the old copy is freed.
+		if len(payload)+1 > length && pageFree(d)+length < len(payload)+1 {
+			outcome = outcomeMove
 			return nil
 		}
-		// The record can stay on its home page if, after freeing its old
-		// copy, the page has room (compaction reclaims holes).
-		if pageFree(d)+length >= len(payload)+1 {
-			setSlot(d, int(rid.Slot), 0, 0)
-			s := insertInPage(d, flag, payload)
-			if s < 0 {
-				return fmt.Errorf("heap: free-space accounting error at %s", rid)
-			}
-			// Force the record into our slot number so the RID is unchanged.
-			if s != int(rid.Slot) {
-				o2, l2 := slotAt(d, s)
-				setSlot(d, int(rid.Slot), o2, l2)
-				setSlot(d, s, 0, 0)
-			}
-			return nil
-		}
-		outcome = outcomeMove
-		return nil
+		return t.rewriteSlot(d, rid, flag, payload)
 	})
 	t.pool.Unpin(f, false)
 	if err != nil {
@@ -616,7 +661,7 @@ func (t *Table) Update(rid RID, payload []byte) error {
 		if _, err := t.deleteAt(target); err != nil {
 			return err
 		}
-		newRID, err := t.insert(recHome, payload, false)
+		newRID, err := t.insert(recHome, payload)
 		if err != nil {
 			return err
 		}
@@ -625,7 +670,7 @@ func (t *Table) Update(rid RID, payload []byte) error {
 		// Move the record elsewhere and leave a stub at home. The stub (7
 		// bytes) replaces the old record, which is at least as large in all
 		// but degenerate cases; updateDirect compacts if needed.
-		newRID, err := t.insert(recHome, payload, false)
+		newRID, err := t.insert(recHome, payload)
 		if err != nil {
 			return err
 		}
@@ -648,33 +693,44 @@ func (t *Table) updateDirect(rid RID, flag byte, payload []byte) error {
 			opErr = fmt.Errorf("%w: %s", ErrNotFound, rid)
 			return nil
 		}
-		if len(payload)+1 <= length {
-			d[off] = flag
-			copy(d[off+1:], payload)
-			setSlot(d, int(rid.Slot), off, len(payload)+1)
-			return nil
-		}
-		if pageFree(d)+length < len(payload)+1 {
+		if len(payload)+1 > length && pageFree(d)+length < len(payload)+1 {
 			opErr = fmt.Errorf("heap: no room for direct update at %s", rid)
 			return nil
 		}
-		setSlot(d, int(rid.Slot), 0, 0)
-		s := insertInPage(d, flag, payload)
-		if s < 0 {
-			return fmt.Errorf("heap: free-space accounting error at %s", rid)
-		}
-		if s != int(rid.Slot) {
-			o2, l2 := slotAt(d, s)
-			setSlot(d, int(rid.Slot), o2, l2)
-			setSlot(d, s, 0, 0)
-		}
-		return nil
+		return t.rewriteSlot(d, rid, flag, payload)
 	})
 	t.pool.Unpin(f, false)
 	if err != nil {
 		return err
 	}
 	return opErr
+}
+
+// rewriteSlot replaces the live record at rid on page image d: in place when
+// the payload fits its slot, otherwise elsewhere on the page, which the
+// caller has checked has room once the old copy is freed (compaction
+// reclaims holes). The slot number is kept, so the RID is unchanged.
+func (t *Table) rewriteSlot(d []byte, rid RID, flag byte, payload []byte) error {
+	slot := int(rid.Slot)
+	before := liveLen(d, slot)
+	if off, length := slotAt(d, slot); len(payload)+1 <= length {
+		d[off] = flag
+		copy(d[off+1:], payload)
+		setSlot(d, slot, off, len(payload)+1)
+	} else {
+		setSlot(d, slot, 0, 0)
+		s := insertInPage(d, flag, payload)
+		if s < 0 {
+			return fmt.Errorf("heap: free-space accounting error at %s", rid)
+		}
+		if s != slot {
+			o2, l2 := slotAt(d, s)
+			setSlot(d, slot, o2, l2)
+			setSlot(d, s, 0, 0)
+		}
+	}
+	t.account(before, liveLen(d, slot))
+	return nil
 }
 
 // Scan calls fn for every live record in the table, in physical order,

@@ -186,6 +186,81 @@ func TestUpdateForwarding(t *testing.T) {
 	}
 }
 
+// TestExactCounts holds Count and Bytes to a Scan recount after every kind
+// of slot mutation — insert, an in-place update, an update that moves the
+// record behind a forwarding stub, updates of the moved record, a delete
+// through the stub — and after reopening the table, which counts the chain
+// afresh and must skip dead slots and stubs.
+func TestExactCounts(t *testing.T) {
+	pool := buffer.New(pagestore.NewMemStore(), 64)
+	tbl, err := Create(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, tbl *Table) {
+		t.Helper()
+		var n, b uint64
+		if err := tbl.Scan(func(_ RID, payload []byte) error {
+			n++
+			b += uint64(len(payload))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if tbl.Count() != n || tbl.Bytes() != b {
+			t.Fatalf("%s: Count %d Bytes %d, Scan recounts %d records of %d bytes", step, tbl.Count(), tbl.Bytes(), n, b)
+		}
+	}
+	var rids []RID
+	for i := 0; i < 3; i++ {
+		rid, err := tbl.Insert(bytes.Repeat([]byte{byte('a' + i)}, 2500))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	check("insert", tbl)
+	if err := tbl.Update(rids[0], []byte("shrunk in place")); err != nil {
+		t.Fatal(err)
+	}
+	check("in-place update", tbl)
+	if err := tbl.Update(rids[1], make([]byte, 7000)); err != nil {
+		t.Fatal(err)
+	}
+	if fwd, err := tbl.ForwardTargets(); err != nil || len(fwd) != 1 {
+		t.Fatalf("update did not forward: targets %v, %v", fwd, err)
+	}
+	check("forwarding update", tbl)
+	if err := tbl.Update(rids[1], []byte("moved, then shrunk")); err != nil {
+		t.Fatal(err)
+	}
+	check("update of the moved record", tbl)
+	if err := tbl.Update(rids[1], make([]byte, 8000)); err != nil {
+		t.Fatal(err)
+	}
+	check("update that moves the moved record again", tbl)
+	if err := tbl.Delete(rids[2]); err != nil {
+		t.Fatal(err)
+	}
+	check("delete", tbl)
+	if err := tbl.Delete(rids[1]); err != nil {
+		t.Fatal(err)
+	}
+	check("delete through a forwarding stub", tbl)
+	reopened, err := Open(pool, tbl.FirstPage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reopen", reopened)
+	if reopened.Count() != 1 {
+		t.Fatalf("reopened Count = %d, want 1", reopened.Count())
+	}
+	if err := reopened.Reattach(); err != nil {
+		t.Fatal(err)
+	}
+	check("reattach", reopened)
+}
+
 func TestScan(t *testing.T) {
 	tbl := newTable(t, 64)
 	want := map[string]bool{}
@@ -340,7 +415,7 @@ func TestFetchBorrowedFollowsForwarding(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		if _, _, err := tbl.tryInsert(rid.Page, recNormal, make([]byte, 512), true); err != nil {
+		if _, _, err := tbl.tryInsert(rid.Page, recNormal, make([]byte, 512)); err != nil {
 			t.Fatal(err)
 		} else {
 			f, _ := pool.Fetch(rid.Page)

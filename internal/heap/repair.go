@@ -47,34 +47,8 @@ func ForwardTargetsInPage(d []byte) []RID {
 // is never mutated). After repair reformats and relinks the chain,
 // Reattach re-derives the full insertion state.
 func OpenTolerant(pool *buffer.Pool, first pagestore.PageID) *Table {
-	t := &Table{
-		pool:      pool,
-		firstPage: first,
-		lastPage:  first,
-		freeCache: make(map[pagestore.PageID]int),
-	}
-	seen := map[pagestore.PageID]bool{}
-	pg := first
-	for pg != pagestore.InvalidPage && !seen[pg] {
-		seen[pg] = true
-		f, err := pool.Fetch(pg)
-		if err != nil {
-			t.lastPage = pg
-			return t
-		}
-		f.RLock()
-		next := pageNext(f.Data)
-		free := pageFree(f.Data)
-		slots := int(binary.BigEndian.Uint16(f.Data[hdrSlots:]))
-		f.RUnlock()
-		pool.Unpin(f, false)
-		if free > 64 {
-			t.freeCache[pg] = free
-		}
-		t.count += uint64(slots)
-		t.lastPage = pg
-		pg = next
-	}
+	t := &Table{pool: pool, firstPage: first}
+	_ = t.attach(true) // tolerant: never fails
 	return t
 }
 
@@ -156,33 +130,11 @@ func (t *Table) Relink(pages []pagestore.PageID) error {
 	return t.Reattach()
 }
 
-// Reattach re-derives the table's in-memory insertion state (last page, free
-// cache, record count) by re-walking the chain, exactly as Open does. Called
-// after repair has changed the chain underneath an open Table.
+// Reattach re-derives the table's in-memory state (last page, free cache,
+// live counts) by re-walking the chain, exactly as Open does. Called after
+// repair has changed the chain underneath an open Table.
 func (t *Table) Reattach() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.freeCache = make(map[pagestore.PageID]int)
-	t.count = 0
-	t.lastPage = t.firstPage
-	pg := t.firstPage
-	for pg != pagestore.InvalidPage {
-		f, err := t.pool.Fetch(pg)
-		if err != nil {
-			return err
-		}
-		f.RLock()
-		next := pageNext(f.Data)
-		free := pageFree(f.Data)
-		slots := int(binary.BigEndian.Uint16(f.Data[hdrSlots:]))
-		f.RUnlock()
-		t.pool.Unpin(f, false)
-		if free > 64 {
-			t.freeCache[pg] = free
-		}
-		t.count += uint64(slots)
-		t.lastPage = pg
-		pg = next
-	}
-	return nil
+	return t.attach(false)
 }
