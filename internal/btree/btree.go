@@ -26,6 +26,14 @@
 // attached; a failed mutation rolls the page back, and a split that fails
 // midway leaves at worst an orphan page, never a broken tree.
 //
+// A leaf splits at the insertion point when the insert extends a run the
+// leaf holds from its first cell, other pages at their middle (splitAt):
+// DocIDs only grow and a value index over few values is that many ascending
+// runs, so an even split would leave a half-full page behind each run's
+// edge. The cut reads only the page, the key and the leaf's fence, so Put
+// and PutSorted build identical pages, and it is part of the plan read
+// before any mutation, so the atomicity above holds unchanged.
+//
 // Inserts have one path, PutSorted: a strictly ascending run enters the tree
 // one leaf visit at a time — one descent, one Modify and so one WAL record
 // for every key the leaf takes — and Put is a one-entry PutSorted. The tree
@@ -460,7 +468,7 @@ func (t *Tree) putVisit(run []Entry) (int, error) {
 	split := needsSplit(f.Data, need)
 	f.RUnlock()
 	if split {
-		if err := t.splitRoot(f); err != nil {
+		if err := t.splitRoot(f, key, need); err != nil {
 			t.pool.Unpin(f, false)
 			return 0, err
 		}
@@ -471,10 +479,11 @@ func (t *Tree) putVisit(run []Entry) (int, error) {
 	}
 
 	// Invariant from here: f has room for whatever this pass inserts into it.
-	// t.fence holds the leaf's exclusive upper bound (none while hasFence is
-	// false): the separator after the chosen child at the deepest level that
-	// has one, since a subtree's separators lie below its parent's.
-	hasFence := false
+	// fence is the child's exclusive upper bound, nil while there is none
+	// (separators are never empty), kept in t.fence's buffer: the separator
+	// after the chosen child at the deepest level that has one, since a
+	// subtree's separators lie below its parent's.
+	var fence []byte
 	for {
 		f.RLock()
 		leaf := isLeaf(f.Data)
@@ -484,7 +493,7 @@ func (t *Tree) putVisit(run []Entry) (int, error) {
 			child, next = route(f.Data, key)
 			if next < nKeys(f.Data) {
 				t.fence = append(t.fence[:0], cellKey(f.Data, next)...)
-				hasFence = true
+				fence = t.fence
 			}
 		}
 		f.RUnlock()
@@ -493,7 +502,7 @@ func (t *Tree) putVisit(run []Entry) (int, error) {
 			err = t.pool.Modify(f, func(d []byte) error {
 				for n = 0; n < len(run); n++ {
 					e := run[n]
-					if n > 0 && (split || hasFence && bytes.Compare(e.Key, t.fence) >= 0 ||
+					if n > 0 && (split || fence != nil && bytes.Compare(e.Key, fence) >= 0 ||
 						needsSplit(d, 2+len(e.Key)+2+len(e.Value))) {
 						break
 					}
@@ -528,15 +537,20 @@ func (t *Tree) putVisit(run []Entry) (int, error) {
 		full := needsSplit(cf.Data, need)
 		cf.RUnlock()
 		if full {
-			if err := t.splitChild(f, cf); err != nil {
+			if err := t.splitChild(f, cf, key, fence, need); err != nil {
 				t.pool.Unpin(cf, false)
 				t.pool.Unpin(f, false)
 				return 0, err
 			}
 			split = true
-			// The separator may route key into the new right sibling.
+			// The separator may route key into the new right sibling, or
+			// become the fence of the left one.
 			f.RLock()
-			next, _ := route(f.Data, key)
+			next, nx := route(f.Data, key)
+			if nx < nKeys(f.Data) {
+				t.fence = append(t.fence[:0], cellKey(f.Data, nx)...)
+				fence = t.fence
+			}
 			f.RUnlock()
 			if next != cf.ID() {
 				t.pool.Unpin(cf, false)
@@ -565,12 +579,14 @@ type splitPlan struct {
 	cells    [][]byte // copies of the cells that move right
 }
 
-func planSplit(d []byte) (*splitPlan, error) {
+// planSplit plans the split of page d for an insert of key, whose cell needs
+// need bytes, below fence (nil: none), at the cell splitAt picks.
+func planSplit(d, key, fence []byte, need int) (*splitPlan, error) {
 	n := nKeys(d)
 	if n < 2 {
 		return nil, errors.New("btree: cannot split page with fewer than 2 cells")
 	}
-	p := &splitPlan{leaf: isLeaf(d), mid: n / 2, oldLink: link(d)}
+	p := &splitPlan{leaf: isLeaf(d), mid: splitAt(d, key, fence, need), oldLink: link(d)}
 	p.sep = append([]byte(nil), cellKey(d, p.mid)...)
 	first := p.mid
 	if !p.leaf {
@@ -583,6 +599,72 @@ func planSplit(d []byte) (*splitPlan, error) {
 		p.cells = append(p.cells, append([]byte(nil), d[off:off+sz]...))
 	}
 	return p, nil
+}
+
+// splitAt returns the cell at which the full page d splits for an insert of
+// key: a leaf's first cell to move right, an inner page's promoted cell.
+// When key extends a run a leaf holds from its first cell — key shares more
+// leading bytes with cell 0 than with the key to its right, the cell at
+// key's insertion point i or else the fence, and with neither it always
+// does — the leaf is cut at i, so the run's cells stay on a full page the
+// run will not revisit: at the leaf's end only the last cell moves right
+// and key follows it, inside it cells [i, n) move right if i is at least
+// n/2, so the left page is never emptier than after an even split (a value
+// repeated a few times in a random-order index is no run to wait for), and
+// keeps room for need bytes. Every other split is at n/2, unless skewed cell
+// sizes leave the page key routes to short of room; then the cut goes
+// beside i, where one side always has room.
+func splitAt(d, key, fence []byte, need int) int {
+	n := nKeys(d)
+	i, _ := search(d, key)
+	if isLeaf(d) {
+		right := fence
+		if i < n {
+			right = cellKey(d, i)
+		}
+		if right == nil || lcp(key, cellKey(d, 0)) > lcp(key, right) {
+			if i == n {
+				return n - 1
+			}
+			if i >= n/2 && cutFits(d, key, i, need) {
+				return i
+			}
+		}
+	}
+	for _, m := range [...]int{n / 2, max(i, 1), i - 1} {
+		if m >= 1 && m < n && cutFits(d, key, m, need) {
+			return m
+		}
+	}
+	return n / 2
+}
+
+// cutFits reports whether, once page d is cut at cell m, the page key routes
+// to has room for a cell of need bytes.
+func cutFits(d, key []byte, m, need int) bool {
+	lo, hi := 0, m
+	if bytes.Compare(key, cellKey(d, m)) >= 0 {
+		lo, hi = m, nKeys(d)
+		if !isLeaf(d) {
+			lo = m + 1 // the promoted cell moves up
+		}
+	}
+	room := pagestore.PageSize - hdrSize - (hi-lo+1)*slotSize
+	for j := lo; j < hi; j++ {
+		room -= cellSize(d, j)
+	}
+	return room >= need
+}
+
+// lcp returns the length of the longest common prefix of a and b.
+func lcp(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
 }
 
 func (p *splitPlan) fillRight(rd []byte) error {
@@ -608,14 +690,16 @@ func (p *splitPlan) truncateLeft(d []byte, rightID pagestore.PageID) {
 	}
 }
 
-// splitChild splits the full child cf and installs the separator in its
-// parent pf, which the preemptive invariant guarantees has room. The right
-// page is allocated before any mutation; a failed allocation aborts with
-// the tree untouched. The mutations that follow are pure in-page edits —
-// no fetches, no allocations — so they cannot fail halfway.
-func (t *Tree) splitChild(pf, cf *buffer.Frame) error {
+// splitChild splits the full child cf, whose keys lie below fence (nil:
+// none), for an insert of key needing need bytes, and installs the
+// separator in its parent pf, which the preemptive invariant guarantees has
+// room. The right page is allocated before any mutation; a failed
+// allocation aborts with the tree untouched. The mutations that follow are
+// pure in-page edits — no fetches, no allocations — so they cannot fail
+// halfway.
+func (t *Tree) splitChild(pf, cf *buffer.Frame, key, fence []byte, need int) error {
 	cf.RLock()
-	plan, err := planSplit(cf.Data)
+	plan, err := planSplit(cf.Data, key, fence, need)
 	cf.RUnlock()
 	if err != nil {
 		return err
@@ -645,13 +729,13 @@ func (t *Tree) splitChild(pf, cf *buffer.Frame) error {
 	})
 }
 
-// splitRoot splits the full root rootf under a brand-new internal root and
-// repoints the meta page. Both pages (right sibling, new root) and the meta
-// frame are acquired before any mutation, for the same atomicity as
-// splitChild.
-func (t *Tree) splitRoot(rootf *buffer.Frame) error {
+// splitRoot splits the full root rootf, which has no fence, for an insert of
+// key needing need bytes, under a brand-new internal root and repoints the
+// meta page. Both pages (right sibling, new root) and the meta frame are
+// acquired before any mutation, for the same atomicity as splitChild.
+func (t *Tree) splitRoot(rootf *buffer.Frame, key []byte, need int) error {
 	rootf.RLock()
-	plan, err := planSplit(rootf.Data)
+	plan, err := planSplit(rootf.Data, key, nil, need)
 	rootf.RUnlock()
 	if err != nil {
 		return err
@@ -852,22 +936,26 @@ func (t *Tree) leftmostLeaf() (*buffer.Frame, error) {
 	}
 }
 
-// exactLeaves is how many leaf links EstimateRange follows to count a range
-// exactly: a range whose ends lie at most this many leaves apart is counted,
-// a wider one estimated.
+// exactLeaves is how many leaf links EstimateRange follows from the left
+// end: a range whose ends lie at most this many leaves apart is counted
+// exactly, a wider one estimated from the leaves walked.
 const exactLeaves = 4
 
 // EstimateRange estimates how many entries have keys in [from, to) (nil ends
 // unbounded) from a descent to each end, under the tree's read lock: InnoDB's
 // "index dives" (records_in_range); compare Olken & Rotem, "Random Sampling
 // from B+ Trees", VLDB 1989. The two paths share pages down to the level
-// where they part. A range inside one leaf is counted there; one whose ends
-// lie at most exactLeaves leaves apart is counted by walking the leaf links.
-// Otherwise the estimate is the child slots between the two paths where they
-// part, plus the slots beside each path below that level, each slot weighted
-// by the entries a subtree of its height holds: the average leaf fill of the
-// two end leaves times the average fanout of the inner pages visited below
-// the parting level. An empty or inverted range is 0.
+// where they part. A range inside one leaf is counted there. Otherwise the
+// walk follows up to exactLeaves leaf links right from the left end leaf: a
+// range whose ends lie at most exactLeaves leaves apart is counted that way.
+// A wider one is estimated as the child slots between the two paths where
+// they part, plus the slots beside each path below that level, each slot
+// weighted by the entries a subtree of its height holds: the mean fill of
+// the leaves sampled inside the range — the walked ones and the right end
+// leaf's left sibling, empty ones skipped and the smallest dropped, since
+// the leaf where a run grows holds a cell or two (see splitAt) — times the
+// average fanout of the inner pages visited below the parting level; with
+// every sample empty, only the ends count. An empty or inverted range is 0.
 func (t *Tree) EstimateRange(from, to []byte) (float64, error) {
 	if from != nil && to != nil && bytes.Compare(from, to) >= 0 {
 		return 0, nil
@@ -875,7 +963,9 @@ func (t *Tree) EstimateRange(from, to []byte) (float64, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	// The shared descent, down to the page whose child slots part the ends.
-	lo, hi := t.root, t.root
+	// prev ends as the right end leaf's left sibling, or the leaf itself
+	// when it is its parent's first child.
+	lo, hi, prev := t.root, t.root, t.root
 	gap, inLeaf := 0, -1
 	for lo == hi && inLeaf < 0 {
 		err := t.read(lo, func(d []byte) {
@@ -884,7 +974,7 @@ func (t *Tree) EstimateRange(from, to []byte) (float64, error) {
 				return
 			}
 			a, b := childSlot(d, from, false), childSlot(d, to, true)
-			gap, lo, hi = b-a-1, slotChild(d, a), slotChild(d, b)
+			gap, lo, hi, prev = b-a-1, slotChild(d, a), slotChild(d, b), slotChild(d, max(b-1, a))
 		})
 		if err != nil {
 			return 0, err
@@ -895,17 +985,16 @@ func (t *Tree) EstimateRange(from, to []byte) (float64, error) {
 	}
 	// Both paths on down, a level at a time (the tree is balanced). side[k]
 	// counts the slots beside the paths on the k-th level below the parting
-	// one, slots all of them; fan and inner sum the fanout of the inner pages
-	// on the way.
+	// one; fan and inner sum the fanout of the inner pages on the way.
 	var sideBuf [16]int
 	side := sideBuf[:0]
-	slots, fan, inner, fill, ends := gap, 0, 0, 0, 0
+	fan, inner, ends := 0, 0, 0
 	next := pagestore.InvalidPage // the left end leaf's right sibling
 	for leaf := false; !leaf; {
 		beside := 0
 		err := t.read(lo, func(d []byte) {
 			if leaf = isLeaf(d); leaf {
-				fill, ends, next = nKeys(d), nKeys(d)-leafPos(d, from, false), link(d)
+				ends, next = nKeys(d)-leafPos(d, from, false), link(d)
 				return
 			}
 			a := childSlot(d, from, false)
@@ -914,11 +1003,11 @@ func (t *Tree) EstimateRange(from, to []byte) (float64, error) {
 		if err == nil {
 			err = t.read(hi, func(d []byte) {
 				if leaf {
-					fill, ends = fill+nKeys(d), ends+leafPos(d, to, true)
+					ends += leafPos(d, to, true)
 					return
 				}
 				b := childSlot(d, to, true)
-				beside, fan, hi = beside+b, fan+nKeys(d)+1, slotChild(d, b)
+				beside, fan, hi, prev = beside+b, fan+nKeys(d)+1, slotChild(d, b), slotChild(d, max(b-1, 0))
 			})
 		}
 		if err != nil {
@@ -926,29 +1015,38 @@ func (t *Tree) EstimateRange(from, to []byte) (float64, error) {
 		}
 		if !leaf {
 			side = append(side, beside)
-			slots += beside
 			inner += 2
 		}
 	}
-	// Every slot holds at least one leaf, so only when that few fit the
-	// window can the ends be close enough to walk the leaves between.
-	if slots <= exactLeaves {
-		n := ends
-		for hops := 0; next != pagestore.InvalidPage; hops++ {
-			if next == hi {
-				return float64(n), nil
-			}
-			if hops == exactLeaves {
-				break
-			}
-			if err := t.read(next, func(d []byte) { n, next = n+nKeys(d), link(d) }); err != nil {
-				return 0, err
-			}
+	// Walk the leaves between the ends: reaching the right end leaf counts
+	// the range exactly. Otherwise the walked leaves and prev sample the
+	// fill; an empty leaf, which deletes leave linked, is no sample.
+	n, k, sum, low := 0, 0, 0, pagestore.PageSize
+	sample := func(d []byte) {
+		if c := nKeys(d); c > 0 {
+			k, sum, low = k+1, sum+c, min(low, c)
 		}
 	}
-	// subtree is what one slot holds, deepest level first: the end leaves'
-	// average fill, times the inner pages' average fanout per level up.
-	subtree, avgFan := float64(fill)/2, 0.0
+	for hops := 0; next != pagestore.InvalidPage; hops++ {
+		if next == hi {
+			return float64(ends + n), nil
+		}
+		if hops == exactLeaves {
+			break
+		}
+		if err := t.read(next, func(d []byte) { n, next = n+nKeys(d), link(d); sample(d) }); err != nil {
+			return 0, err
+		}
+	}
+	if err := t.read(prev, sample); err != nil {
+		return 0, err
+	}
+	if k > 1 { // the smallest sample may be the leaf where a run grows
+		k, sum = k-1, sum-low
+	}
+	// subtree is what one slot holds, deepest level first: the samples'
+	// mean fill times the inner pages' average fanout per level up.
+	subtree, avgFan := float64(sum)/float64(max(k, 1)), 0.0
 	if inner > 0 {
 		avgFan = float64(fan) / float64(inner)
 	}

@@ -33,8 +33,12 @@ type sortedCase struct {
 }
 
 // genSortedCase draws a case over nKeys distinct keys whose lengths reach
-// maxKey and whose values reach maxVal.
+// maxKey and whose values reach maxVal (at most 256 keys when maxKey is 1:
+// there are no more one-byte keys).
 func genSortedCase(rng *rand.Rand, nKeys, maxKey, maxVal int) sortedCase {
+	if maxKey == 1 {
+		nKeys = min(nKeys, 256)
+	}
 	size := func(limit int) int {
 		if rng.Intn(8) == 0 {
 			return limit - rng.Intn(limit/8+1) // near the limit
@@ -72,6 +76,53 @@ func genSortedCase(rng *rand.Rand, nKeys, maxKey, maxVal int) sortedCase {
 		}
 		slices.SortFunc(run, func(x, y Entry) int { return bytes.Compare(x.Key, y.Key) })
 		c.runs = append(c.runs, run)
+	}
+	return c
+}
+
+// genRunCase draws a case shaped like an index fed in key order: 2 to 9
+// ascending runs, each key a shared stem of up to maxStem bytes, the run's
+// tag byte and the run's next counter value, interleaved into the pre-fill
+// and then continued by sorted batches, so that leaves split where runs
+// grow, also mid-tree. One value in eight is near maxVal, so a cut at a
+// run's edge sometimes leaves the left page short of room and falls back
+// to an even split.
+func genRunCase(rng *rand.Rand, nKeys, maxStem, maxVal int) sortedCase {
+	stem := make([]byte, rng.Intn(maxStem+1))
+	rng.Read(stem)
+	next := make([]uint32, 2+rng.Intn(8))
+	keys := make([][]byte, nKeys)
+	for i := range keys {
+		r := rng.Intn(len(next))
+		next[r]++
+		keys[i] = binary.BigEndian.AppendUint32(append(slices.Clip(stem), byte(r)), next[r])
+	}
+	val := func() []byte {
+		n := rng.Intn(min(maxVal, 48) + 1)
+		if rng.Intn(8) == 0 {
+			n = maxVal - rng.Intn(maxVal/8+1)
+		}
+		v := make([]byte, n)
+		rng.Read(v)
+		return v
+	}
+	var c sortedCase
+	cut := rng.Intn(nKeys + 1)
+	for _, k := range keys[:cut] {
+		c.prefill = append(c.prefill, Entry{Key: k, Value: val()})
+		if rng.Intn(8) == 0 {
+			c.deletes = append(c.deletes, k)
+		}
+	}
+	for rest := keys[cut:]; len(rest) > 0; {
+		m := 1 + rng.Intn(len(rest))
+		var run []Entry
+		for _, k := range rest[:m] {
+			run = append(run, Entry{Key: k, Value: val()})
+		}
+		slices.SortFunc(run, func(x, y Entry) int { return bytes.Compare(x.Key, y.Key) })
+		c.runs = append(c.runs, run)
+		rest = rest[m:]
 	}
 	return c
 }
@@ -150,25 +201,38 @@ func checkPutSortedMatchesPut(t *testing.T, c sortedCase) (seqRecs, batRecs buff
 	return logs[0].n - seq0, logs[1].n - bat0
 }
 
+// genCase draws a random-key case, or with runs set a run-shaped one (its
+// stems reach maxKey less the tag and counter).
+func genCase(rng *rand.Rand, runs bool, nKeys, maxKey, maxVal int) sortedCase {
+	if runs {
+		return genRunCase(rng, nKeys, max(maxKey-5, 0), maxVal)
+	}
+	return genSortedCase(rng, nKeys, maxKey, maxVal)
+}
+
 // PutSorted is an optimisation of sequential Put, not a different tree:
 // over runs from empty trees (root splits), pre-filled and holed trees
-// (compaction), exact-key replacements, and keys and values up to the size
-// limits, every page comes out as sequential Put leaves it. A run of many
-// keys costs fewer page-delta records.
+// (compaction), exact-key replacements, keys and values up to the size
+// limits, and ascending runs that split leaves where they grow, every page
+// comes out as sequential Put leaves it. A run of many keys costs fewer
+// page-delta records.
 func TestPutSortedMatchesPut(t *testing.T) {
 	shapes := []struct {
 		name           string
+		runs           bool
 		keys, key, val int
 	}{
-		{"small", 3000, 24, 16},
-		{"max-size", 300, MaxKey, MaxValue},
-		{"mixed", 1500, MaxKey, MaxValue},
+		{"small", false, 3000, 24, 16},
+		{"max-size", false, 300, MaxKey, MaxValue},
+		{"mixed", false, 1500, MaxKey, MaxValue},
+		{"runs", true, 3000, 16, MaxValue},
+		{"runs-long", true, 600, MaxKey, MaxValue},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			var seqRecs, batRecs buffer.LSN
 			for seed := int64(1); seed <= 8; seed++ {
-				s, b := checkPutSortedMatchesPut(t, genSortedCase(rand.New(rand.NewSource(seed)), sh.keys, sh.key, sh.val))
+				s, b := checkPutSortedMatchesPut(t, genCase(rand.New(rand.NewSource(seed)), sh.runs, sh.keys, sh.key, sh.val))
 				seqRecs += s
 				batRecs += b
 			}
@@ -180,10 +244,19 @@ func TestPutSortedMatchesPut(t *testing.T) {
 }
 
 func FuzzPutSorted(f *testing.F) {
-	f.Add(int64(1), uint16(200), uint16(32), uint16(16))
-	f.Add(int64(2), uint16(120), uint16(MaxKey), uint16(MaxValue))
-	f.Fuzz(func(t *testing.T, seed int64, keys, maxKey, maxVal uint16) {
-		c := genSortedCase(rand.New(rand.NewSource(seed)),
+	f.Add(int64(1), false, uint16(200), uint16(32), uint16(16))
+	f.Add(int64(2), false, uint16(120), uint16(MaxKey), uint16(MaxValue))
+	// One-byte keys, more asked for than exist.
+	f.Add(int64(1), false, uint16(579), uint16(0), uint16(432))
+	// Keys near MaxKey beside short ones: an even split by count leaves the
+	// page the key routes to without room for it.
+	f.Add(int64(145), false, uint16(265), uint16(1009), uint16(MaxValue))
+	// Run-shaped cases whose leaves split where runs grow, at both seeds
+	// also behind the room-guard fallback to an even split.
+	f.Add(int64(1), true, uint16(599), uint16(16), uint16(MaxValue))
+	f.Add(int64(11), true, uint16(599), uint16(MaxKey-1), uint16(MaxValue))
+	f.Fuzz(func(t *testing.T, seed int64, runs bool, keys, maxKey, maxVal uint16) {
+		c := genCase(rand.New(rand.NewSource(seed)), runs,
 			1+int(keys)%600, 1+int(maxKey)%MaxKey, int(maxVal)%(MaxValue+1))
 		checkPutSortedMatchesPut(t, c)
 	})
@@ -207,9 +280,11 @@ func TestPutSortedRejectsBadRuns(t *testing.T) {
 
 // Readers run beside a long PutSorted: every scan comes back sorted and
 // duplicate-free, every pre-filled key stays readable by Get and Ceiling
-// (from the key itself and from the gap below it), range estimates stay
-// within the batch, and some scan sees the batch part-way in — which a lock
-// held for the whole call would never allow.
+// (from the key itself and from the gap below it), range estimates over the
+// batch, the tail from its middle and the whole tree, whose walks follow
+// the leaf links the appends' splits add, stay within what the tree can
+// hold, and some scan sees the batch part-way in — which a lock held for the
+// whole call would never allow.
 func TestPutSortedReadersInterleave(t *testing.T) {
 	tr := newTree(t, 1024)
 	const pre, batch = 1000, 20000
@@ -230,7 +305,8 @@ func TestPutSortedReadersInterleave(t *testing.T) {
 		for i := range run {
 			run[i] = Entry{Key: ikey(base + 2*i), Value: bytes.Repeat([]byte{byte(i)}, 32)}
 		}
-		lo, hi := run[0].Key, ikey(base+2*batch)
+		lo, hi, mid := run[0].Key, ikey(base+2*batch), run[batch/2].Key
+		total := float64(pre + (round+1)*batch)
 		var done atomic.Bool
 		var wg sync.WaitGroup
 		for r := 0; r < 2; r++ {
@@ -273,9 +349,22 @@ func TestPutSortedReadersInterleave(t *testing.T) {
 					if n > 0 && n < batch {
 						partial.Add(1)
 					}
+					// The appends split the leaf at the right end of each of
+					// these ranges, and each estimate walks leaf links right
+					// from its left end while they do. [lo, hi) never holds
+					// more than the batch; the tree never holds fewer than
+					// the pre-filled keys nor more than total.
 					if est, err := tr.EstimateRange(lo, hi); err != nil || est < 0 || est > 2*batch {
 						t.Errorf("EstimateRange = %v, %v over a batch of %d", est, err, batch)
 						return
+					}
+					for _, r := range [][2][]byte{{mid, nil}, {nil, nil}} {
+						est, err := tr.EstimateRange(r[0], r[1])
+						if err != nil || est < 0 || est > 2*total || r[0] == nil && est < pre/2 {
+							t.Errorf("EstimateRange(%x, %x) = %v, %v with %d pre-filled keys and at most %v in all",
+								r[0], r[1], est, err, pre, total)
+							return
+						}
 					}
 				}
 			}(r)
