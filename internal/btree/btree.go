@@ -34,6 +34,13 @@
 // and PutSorted build identical pages, and it is part of the plan read
 // before any mutation, so the atomicity above holds unchanged.
 //
+// Reads have one path, walk: one descent (descend, which a nil key takes to
+// the leftmost leaf) and then the leaf links. Scan, Ceiling, Get and Count
+// are its callers; Height is the descent's depth. A read lends its entries:
+// key and value alias the read-latched leaf until the callback returns, and
+// a caller that keeps one copies it (Get copies its value). EstimateRange is
+// the one reader with its own descents, two of them, to both ends of a range.
+//
 // Inserts have one path, PutSorted: a strictly ascending run enters the tree
 // one leaf visit at a time — one descent, one Modify and so one WAL record
 // for every key the leaf takes — and Put is a one-entry PutSorted. The tree
@@ -166,20 +173,22 @@ func setCellOff(d []byte, i, off int) {
 	binary.BigEndian.PutUint16(d[hdrSize+i*slotSize:], uint16(off))
 }
 
-// cellKey returns the key of cell i (aliasing the page buffer).
+// cellKey returns the key of cell i, aliasing the page buffer; its capacity
+// ends with it, so an append by a borrower copies instead of writing into
+// the page.
 func cellKey(d []byte, i int) []byte {
 	off := cellOff(d, i)
-	kl := int(binary.BigEndian.Uint16(d[off:]))
-	return d[off+2 : off+2+kl]
+	end := off + 2 + int(binary.BigEndian.Uint16(d[off:]))
+	return d[off+2 : end : end]
 }
 
-// leafValue returns the value of leaf cell i (aliasing the page buffer).
+// leafValue returns the value of leaf cell i, aliasing the page buffer like
+// cellKey.
 func leafValue(d []byte, i int) []byte {
 	off := cellOff(d, i)
-	kl := int(binary.BigEndian.Uint16(d[off:]))
-	vo := off + 2 + kl
-	vl := int(binary.BigEndian.Uint16(d[vo:]))
-	return d[vo+2 : vo+2+vl]
+	vo := off + 2 + int(binary.BigEndian.Uint16(d[off:]))
+	end := vo + 2 + int(binary.BigEndian.Uint16(d[vo:]))
+	return d[vo+2 : end : end]
 }
 
 // childAt returns the child pointer of internal cell i.
@@ -333,39 +342,36 @@ func internalCell(key []byte, child pagestore.PageID) []byte {
 	return cell
 }
 
-// Get returns a copy of the value stored under key.
+// Get returns a copy of the value stored under key: the first entry at or
+// above key, if its key is key.
 func (t *Tree) Get(key []byte) ([]byte, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	f, err := t.descend(key)
-	if err != nil {
-		return nil, err
+	var out []byte
+	found := false
+	err := t.Ceiling(key, func(k, v []byte) {
+		if found = bytes.Equal(k, key); found {
+			out = bytes.Clone(v)
+		}
+	})
+	if err == nil && !found {
+		err = fmt.Errorf("%w: %x", ErrNotFound, bytes.Clone(key))
 	}
-	defer t.pool.Unpin(f, false)
-	f.RLock()
-	defer f.RUnlock()
-	i, exact := search(f.Data, key)
-	if !exact {
-		return nil, fmt.Errorf("%w: %x", ErrNotFound, key)
-	}
-	v := leafValue(f.Data, i)
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out, nil
+	return out, err
 }
 
-// descend walks from the root to the leaf for key, returning the pinned leaf.
-func (t *Tree) descend(key []byte) (*buffer.Frame, error) {
+// descend walks from the root to the leaf for key — the leftmost leaf for a
+// nil key, since separators are never empty — and returns the pinned leaf
+// and its depth (a leaf root is 1).
+func (t *Tree) descend(key []byte) (*buffer.Frame, int, error) {
 	pg := t.root
-	for {
+	for depth := 1; ; depth++ {
 		f, err := t.pool.Fetch(pg)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		f.RLock()
 		if isLeaf(f.Data) {
 			f.RUnlock()
-			return f, nil
+			return f, depth, nil
 		}
 		next, _ := route(f.Data, key)
 		f.RUnlock()
@@ -795,7 +801,7 @@ func (t *Tree) splitRoot(rootf *buffer.Frame, key []byte, need int) error {
 func (t *Tree) Delete(key []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	f, err := t.descend(key)
+	f, _, err := t.descend(key)
 	if err != nil {
 		return err
 	}
@@ -819,47 +825,33 @@ func (t *Tree) Delete(key []byte) error {
 	return nil
 }
 
-// Entry is one key/value pair returned by a scan.
+// Entry is one key/value pair: an entry PutSorted stores, or one Scan lends.
 type Entry struct {
 	Key   []byte
 	Value []byte
 }
 
-// Scan visits entries with key in [from, to) in ascending order (nil from =
-// from the start; nil to = to the end) and calls fn for each. fn returning
-// false stops the scan. The tree is read-locked for the duration; fn must
-// not call writers on the same tree.
-func (t *Tree) Scan(from, to []byte, fn func(e Entry) bool) error {
+// walk calls fn with the entries whose keys lie in [from, to), in ascending
+// order (nil from: from the first entry; nil to: to the last), until fn
+// returns false. It is the tree's one leaf walk: one descent, then right
+// links, which also carry it past leaves that deletes emptied. The tree is
+// read-locked throughout and each leaf read-latched while fn sees its
+// entries, so k and v alias the latched leaf and are valid only until fn
+// returns: a caller that keeps one copies it. fn must not call writers on
+// the same tree.
+func (t *Tree) walk(from, to []byte, fn func(k, v []byte) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var f *buffer.Frame
-	var err error
-	if from == nil {
-		f, err = t.leftmostLeaf()
-	} else {
-		f, err = t.descend(from)
-	}
+	f, _, err := t.descend(from)
 	if err != nil {
 		return err
 	}
-	i := 0
-	if from != nil {
-		f.RLock()
-		i, _ = search(f.Data, from)
-		f.RUnlock()
-	}
+	f.RLock()
+	i, _ := search(f.Data, from)
 	for {
-		f.RLock()
-		n := nKeys(f.Data)
-		for ; i < n; i++ {
+		for n := nKeys(f.Data); i < n; i++ {
 			k := cellKey(f.Data, i)
-			if to != nil && bytes.Compare(k, to) >= 0 {
-				f.RUnlock()
-				t.pool.Unpin(f, false)
-				return nil
-			}
-			e := Entry{Key: append([]byte(nil), k...), Value: append([]byte(nil), leafValue(f.Data, i)...)}
-			if !fn(e) {
+			if to != nil && bytes.Compare(k, to) >= 0 || !fn(k, leafValue(f.Data, i)) {
 				f.RUnlock()
 				t.pool.Unpin(f, false)
 				return nil
@@ -871,69 +863,40 @@ func (t *Tree) Scan(from, to []byte, fn func(e Entry) bool) error {
 		if next == pagestore.InvalidPage {
 			return nil
 		}
-		f, err = t.pool.Fetch(next)
-		if err != nil {
+		if f, err = t.pool.Fetch(next); err != nil {
 			return err
 		}
+		f.RLock()
 		i = 0
 	}
 }
 
-// Ceiling returns the smallest entry with key >= from, or ErrNotFound.
-// This is the NodeID-index primitive: the paper finds a node's record by
-// searching for the successor entry among interval upper endpoints (§3.4).
-// It is one descent and a search in the leaf, following right links past
-// leaves with nothing at or above from (the entry is in a later leaf, or
-// deletes emptied this one); the entry's key and value share one
-// allocation.
-func (t *Tree) Ceiling(from []byte) (Entry, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	f, err := t.descend(from)
-	if err != nil {
-		return Entry{}, err
-	}
-	f.RLock()
-	i, _ := search(f.Data, from)
-	for i == nKeys(f.Data) {
-		next := link(f.Data)
-		f.RUnlock()
-		t.pool.Unpin(f, false)
-		if next == pagestore.InvalidPage {
-			return Entry{}, fmt.Errorf("%w: no key >= %x", ErrNotFound, from)
-		}
-		if f, err = t.pool.Fetch(next); err != nil {
-			return Entry{}, err
-		}
-		f.RLock()
-		i = 0
-	}
-	k, v := cellKey(f.Data, i), leafValue(f.Data, i)
-	buf := make([]byte, len(k)+len(v))
-	copy(buf, k)
-	copy(buf[len(k):], v)
-	f.RUnlock()
-	t.pool.Unpin(f, false)
-	return Entry{Key: buf[:len(k):len(k)], Value: buf[len(k):]}, nil
+// Scan visits entries with key in [from, to) in ascending order (nil from =
+// from the start; nil to = to the end) and calls fn for each. fn returning
+// false stops the scan. The entry is borrowed: its Key and Value alias the
+// read-latched leaf and are valid only until fn returns, so fn copies what
+// it keeps. The tree is read-locked for the duration; fn must not call
+// writers on the same tree.
+func (t *Tree) Scan(from, to []byte, fn func(e Entry) bool) error {
+	return t.walk(from, to, func(k, v []byte) bool { return fn(Entry{Key: k, Value: v}) })
 }
 
-func (t *Tree) leftmostLeaf() (*buffer.Frame, error) {
-	pg := t.root
-	for {
-		f, err := t.pool.Fetch(pg)
-		if err != nil {
-			return nil, err
-		}
-		f.RLock()
-		if isLeaf(f.Data) {
-			f.RUnlock()
-			return f, nil
-		}
-		next := link(f.Data)
-		f.RUnlock()
-		t.pool.Unpin(f, false)
-		pg = next
+// Ceiling calls fn with the smallest entry whose key is >= from, or returns
+// ErrNotFound. This is the NodeID-index primitive: the paper finds a node's
+// record by searching for the successor entry among interval upper
+// endpoints (§3.4). It is the leaf walk's first entry, borrowed like Scan's:
+// k and v alias the read-latched leaf until fn returns.
+func (t *Tree) Ceiling(from []byte, fn func(k, v []byte)) error {
+	found := false
+	err := t.walk(from, nil, func(k, v []byte) bool {
+		fn(k, v)
+		found = true
+		return false
+	})
+	if err == nil && !found {
+		err = fmt.Errorf("%w: no key >= %x", ErrNotFound, bytes.Clone(from))
 	}
+	return err
 }
 
 // exactLeaves is how many leaf links EstimateRange follows from the left
@@ -1109,33 +1072,21 @@ func leafPos(d, key []byte, end bool) int {
 	return i
 }
 
-// Count returns the number of entries (full scan; for stats and tests).
+// Count returns the number of entries (a full leaf walk).
 func (t *Tree) Count() (int, error) {
 	n := 0
-	err := t.Scan(nil, nil, func(Entry) bool { n++; return true })
+	err := t.walk(nil, nil, func(k, v []byte) bool { n++; return true })
 	return n, err
 }
 
-// Height returns the tree height (leaf = 1).
+// Height returns the tree height (leaf = 1): the depth of the leftmost leaf.
 func (t *Tree) Height() (int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	h := 1
-	pg := t.root
-	for {
-		f, err := t.pool.Fetch(pg)
-		if err != nil {
-			return 0, err
-		}
-		f.RLock()
-		leaf := isLeaf(f.Data)
-		next := link(f.Data)
-		f.RUnlock()
-		t.pool.Unpin(f, false)
-		if leaf {
-			return h, nil
-		}
-		h++
-		pg = next
+	f, h, err := t.descend(nil)
+	if err != nil {
+		return 0, err
 	}
+	t.pool.Unpin(f, false)
+	return h, nil
 }

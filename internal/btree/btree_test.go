@@ -170,20 +170,27 @@ func TestCeiling(t *testing.T) {
 	for i := 0; i < 1000; i += 10 {
 		tr.Put(key(i), []byte(fmt.Sprint(i)))
 	}
-	e, err := tr.Ceiling(key(95))
+	e, err := ceiling(tr, key(95))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := binary.BigEndian.Uint64(e.Key); got != 100 {
 		t.Errorf("Ceiling(95) = %d, want 100", got)
 	}
-	e, err = tr.Ceiling(key(100))
+	e, err = ceiling(tr, key(100))
 	if err != nil || binary.BigEndian.Uint64(e.Key) != 100 {
 		t.Errorf("Ceiling(100) = %v, %v", e, err)
 	}
-	if _, err := tr.Ceiling(key(991)); err == nil {
+	if _, err := ceiling(tr, key(991)); err == nil {
 		t.Error("Ceiling past end should fail")
 	}
+}
+
+// ceiling returns a copy of Ceiling's borrowed entry.
+func ceiling(tr *Tree, from []byte) (Entry, error) {
+	var e Entry
+	err := tr.Ceiling(from, func(k, v []byte) { e = Entry{bytes.Clone(k), bytes.Clone(v)} })
+	return e, err
 }
 
 func TestDelete(t *testing.T) {

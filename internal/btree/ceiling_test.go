@@ -13,7 +13,7 @@ import (
 // leafKeys returns each leaf's keys, leaves in link order.
 func leafKeys(t *testing.T, tr *Tree) [][][]byte {
 	t.Helper()
-	f, err := tr.leftmostLeaf()
+	f, _, err := tr.descend(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +77,13 @@ func TestCeilingMatchesScan(t *testing.T) {
 		}
 		for _, p := range probes {
 			var want *Entry
-			if err := tr.Scan(p, nil, func(e Entry) bool { want = &e; return false }); err != nil {
+			if err := tr.Scan(p, nil, func(e Entry) bool {
+				want = &Entry{bytes.Clone(e.Key), bytes.Clone(e.Value)}
+				return false
+			}); err != nil {
 				t.Fatal(err)
 			}
-			got, err := tr.Ceiling(p)
+			got, err := ceiling(tr, p)
 			if want == nil {
 				if !errors.Is(err, ErrNotFound) {
 					t.Fatalf("trial %d (height %d): Ceiling(%x) = %x, %v; Scan is empty", trial, h, p, got.Key, err)
@@ -93,7 +96,7 @@ func TestCeilingMatchesScan(t *testing.T) {
 			}
 		}
 		for _, p := range emptied {
-			if _, err := tr.Ceiling(p); err == nil {
+			if _, err := ceiling(tr, p); err == nil {
 				crossed++
 			}
 		}

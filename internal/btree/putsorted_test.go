@@ -321,13 +321,13 @@ func TestPutSortedReadersInterleave(t *testing.T) {
 						t.Errorf("Get(%x) = %q, %v", k, v, err)
 						return
 					}
-					if e, err := tr.Ceiling(k); err != nil || !bytes.Equal(e.Key, k) {
+					if e, err := ceiling(tr, k); err != nil || !bytes.Equal(e.Key, k) {
 						t.Errorf("Ceiling(%x) = %x, %v", k, e.Key, err)
 						return
 					}
 					// No even key lies below the batches, so the one before
 					// k has k as its successor.
-					if e, err := tr.Ceiling(ikey(2 * j)); err != nil || !bytes.Equal(e.Key, k) || string(e.Value) != "pre" {
+					if e, err := ceiling(tr, ikey(2*j)); err != nil || !bytes.Equal(e.Key, k) || string(e.Value) != "pre" {
 						t.Errorf("Ceiling(%x) = %x/%q, %v, want %x", ikey(2*j), e.Key, e.Value, err, k)
 						return
 					}
@@ -338,7 +338,7 @@ func TestPutSortedReadersInterleave(t *testing.T) {
 							t.Errorf("scan key %x after %x", e.Key, prev)
 							return false
 						}
-						prev = e.Key
+						prev = append(prev[:0], e.Key...)
 						n++
 						return true
 					})

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -146,7 +147,7 @@ func TestEstimateRangeShapes(t *testing.T) {
 				var old [][]byte
 				if err := tr.Scan(nil, nil, func(e Entry) bool {
 					if binary.BigEndian.Uint64(e.Key[8:16]) < 1000 { // the key's DocID
-						old = append(old, e.Key)
+						old = append(old, bytes.Clone(e.Key))
 					}
 					return true
 				}); err != nil {

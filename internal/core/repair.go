@@ -601,10 +601,11 @@ func (c *Collection) nodeIxDocs() ([]xml.DocID, error) {
 func (c *Collection) maxVersionFromIndex(doc xml.DocID) uint64 {
 	var from [8]byte
 	binary.BigEndian.PutUint64(from[:], uint64(doc))
-	e, err := c.nodeIx.Tree().Ceiling(from[:])
-	if err == nil && len(e.Key) >= 16 &&
-		binary.BigEndian.Uint64(e.Key[:8]) == uint64(doc) {
-		return ^binary.BigEndian.Uint64(e.Key[8:16])
-	}
-	return 1
+	ver := uint64(1)
+	_ = c.nodeIx.Tree().Ceiling(from[:], func(k, _ []byte) {
+		if len(k) >= 16 && binary.BigEndian.Uint64(k[:8]) == uint64(doc) {
+			ver = ^binary.BigEndian.Uint64(k[8:16])
+		}
+	})
+	return ver
 }

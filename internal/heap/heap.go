@@ -152,35 +152,55 @@ func (t *Table) attach(tolerant bool) error {
 	t.freeCache = make(map[pagestore.PageID]int)
 	t.lastPage = t.firstPage
 	var count, bytes int64
-	seen := map[pagestore.PageID]bool{}
-	pg := t.firstPage
-	for pg != pagestore.InvalidPage && !seen[pg] {
-		seen[pg] = true
-		f, err := t.pool.Fetch(pg)
-		if err != nil {
-			if !tolerant {
-				return err
-			}
-			t.lastPage = pg
-			break
-		}
-		f.RLock()
-		next := pageNext(f.Data)
-		free := pageFree(f.Data)
-		n, b := pageLive(f.Data)
-		f.RUnlock()
-		t.pool.Unpin(f, false)
-		if free > 64 {
+	bad, err := t.chain(func(pg pagestore.PageID, d []byte) {
+		if free := pageFree(d); free > 64 {
 			t.freeCache[pg] = free
 		}
+		n, b := pageLive(d)
 		count += n
 		bytes += b
 		t.lastPage = pg
-		pg = next
+	}, nil)
+	if err != nil {
+		if !tolerant {
+			return err
+		}
+		t.lastPage = bad
 	}
 	t.count.Store(count)
 	t.bytes.Store(bytes)
 	return nil
+}
+
+// chain is the one walk along the table's page chain. For each page it
+// calls read (if set) with the page's ID and image under the page's read
+// latch, then, with the latch released, then (if set), whose error ends the
+// walk. It also ends at the chain's end and at a page already visited (a
+// cycle, which only corrupt next pointers make). A page that fails to load
+// ends it with its ID and the error.
+func (t *Table) chain(read func(pg pagestore.PageID, d []byte), then func(pg pagestore.PageID) error) (pagestore.PageID, error) {
+	seen := map[pagestore.PageID]bool{}
+	for pg := t.firstPage; pg != pagestore.InvalidPage && !seen[pg]; {
+		seen[pg] = true
+		f, err := t.pool.Fetch(pg)
+		if err != nil {
+			return pg, err
+		}
+		f.RLock()
+		if read != nil {
+			read(pg, f.Data)
+		}
+		next := pageNext(f.Data)
+		f.RUnlock()
+		t.pool.Unpin(f, false)
+		if then != nil {
+			if err := then(pg); err != nil {
+				return pagestore.InvalidPage, err
+			}
+		}
+		pg = next
+	}
+	return pagestore.InvalidPage, nil
 }
 
 // FirstPage returns the table's identifying first page.
@@ -736,58 +756,39 @@ func (t *Table) rewriteSlot(d []byte, rid RID, flag byte, payload []byte) error 
 // Scan calls fn for every live record in the table, in physical order,
 // skipping forwarding stubs (each logical record is visited exactly once, at
 // its moved location if it has one). Scanning stops early if fn returns an
-// error, which is then returned.
+// error, which is then returned. Each page's records are copied out before
+// fn sees them, so fn runs with no heap latch held and may keep its payload.
 func (t *Table) Scan(fn func(rid RID, payload []byte) error) error {
-	pg := t.firstPage
-	for pg != pagestore.InvalidPage {
-		f, err := t.pool.Fetch(pg)
-		if err != nil {
-			return err
-		}
-		f.RLock()
-		slots := int(binary.BigEndian.Uint16(f.Data[hdrSlots:]))
-		type rec struct {
-			slot    uint16
-			payload []byte
-		}
-		var recs []rec
-		for i := 0; i < slots; i++ {
-			off, length := slotAt(f.Data, i)
-			if off == 0 || f.Data[off] == recForward {
+	type rec struct {
+		slot    uint16
+		payload []byte
+	}
+	var recs []rec
+	_, err := t.chain(func(_ pagestore.PageID, d []byte) {
+		recs = recs[:0]
+		for i := 0; i < int(binary.BigEndian.Uint16(d[hdrSlots:])); i++ {
+			off, length := slotAt(d, i)
+			if off == 0 || d[off] == recForward {
 				continue
 			}
-			body := make([]byte, length-1)
-			copy(body, f.Data[off+1:off+length])
-			recs = append(recs, rec{uint16(i), body})
+			recs = append(recs, rec{uint16(i), bytes.Clone(d[off+1 : off+length])})
 		}
-		next := pageNext(f.Data)
-		f.RUnlock()
-		t.pool.Unpin(f, false)
+	}, func(pg pagestore.PageID) error {
 		for _, r := range recs {
 			if err := fn(RID{Page: pg, Slot: r.slot}, r.payload); err != nil {
 				return err
 			}
 		}
-		pg = next
-	}
-	return nil
+		return nil
+	})
+	return err
 }
 
 // Pages returns the number of pages in the table's chain.
 func (t *Table) Pages() (int, error) {
 	n := 0
-	pg := t.firstPage
-	for pg != pagestore.InvalidPage {
-		f, err := t.pool.Fetch(pg)
-		if err != nil {
-			return 0, err
-		}
-		f.RLock()
-		next := pageNext(f.Data)
-		f.RUnlock()
-		t.pool.Unpin(f, false)
-		n++
-		pg = next
+	if _, err := t.chain(func(pagestore.PageID, []byte) { n++ }, nil); err != nil {
+		return 0, err
 	}
 	return n, nil
 }

@@ -59,22 +59,11 @@ func OpenTolerant(pool *buffer.Pool, first pagestore.PageID) *Table {
 // only with corrupt next pointers) also ends the walk.
 func (t *Table) ChainPages() ([]pagestore.PageID, error) {
 	var pages []pagestore.PageID
-	seen := map[pagestore.PageID]bool{}
-	pg := t.firstPage
-	for pg != pagestore.InvalidPage && !seen[pg] {
-		seen[pg] = true
-		pages = append(pages, pg)
-		f, err := t.pool.Fetch(pg)
-		if err != nil {
-			return pages, err
-		}
-		f.RLock()
-		next := pageNext(f.Data)
-		f.RUnlock()
-		t.pool.Unpin(f, false)
-		pg = next
+	bad, err := t.chain(func(pg pagestore.PageID, _ []byte) { pages = append(pages, pg) }, nil)
+	if err != nil {
+		pages = append(pages, bad)
 	}
-	return pages, nil
+	return pages, err
 }
 
 // ForwardTargets collects the targets of all forwarding stubs reachable on
@@ -82,22 +71,8 @@ func (t *Table) ChainPages() ([]pagestore.PageID, error) {
 // returns the targets found so far along with the error.
 func (t *Table) ForwardTargets() ([]RID, error) {
 	var out []RID
-	seen := map[pagestore.PageID]bool{}
-	pg := t.firstPage
-	for pg != pagestore.InvalidPage && !seen[pg] {
-		seen[pg] = true
-		f, err := t.pool.Fetch(pg)
-		if err != nil {
-			return out, err
-		}
-		f.RLock()
-		out = append(out, ForwardTargetsInPage(f.Data)...)
-		next := pageNext(f.Data)
-		f.RUnlock()
-		t.pool.Unpin(f, false)
-		pg = next
-	}
-	return out, nil
+	_, err := t.chain(func(_ pagestore.PageID, d []byte) { out = append(out, ForwardTargetsInPage(d)...) }, nil)
+	return out, err
 }
 
 // Relink rewrites the table's chain to consist of exactly the given pages in

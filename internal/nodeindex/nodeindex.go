@@ -11,6 +11,7 @@
 package nodeindex
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -66,6 +67,10 @@ func AppendKey(dst []byte, doc xml.DocID, id nodeid.ID) []byte {
 	return append(binary.BigEndian.AppendUint64(dst, uint64(doc)), id...)
 }
 
+// keyBuf sizes the stack buffers search keys are built in: a versioned key
+// fits for a NodeID of up to 48 bytes, and a longer one spills to the heap.
+const keyBuf = 64
+
 // SplitKey decomposes a composite key.
 func SplitKey(k []byte) (xml.DocID, nodeid.ID, error) {
 	if len(k) < 8 {
@@ -88,21 +93,22 @@ func (ix *Index) Delete(doc xml.DocID, upper nodeid.ID) error {
 // search of §3.4. It returns ErrNotFound when id is beyond the document's
 // last interval.
 func (ix *Index) Lookup(doc xml.DocID, id nodeid.ID) (heap.RID, error) {
-	e, err := ix.tree.Ceiling(Key(doc, id))
-	if err != nil {
-		if errors.Is(err, btree.ErrNotFound) {
-			return heap.InvalidRID, fmt.Errorf("%w: doc %d node %s", ErrNotFound, doc, id)
+	var kb [keyBuf]byte
+	rid, found := heap.InvalidRID, false
+	var bad error
+	err := ix.tree.Ceiling(AppendKey(kb[:0], doc, id), func(k, v []byte) {
+		var d xml.DocID
+		if d, _, bad = SplitKey(k); bad == nil && d == doc {
+			rid, found = heap.RIDFromBytes(v), true
 		}
-		return heap.InvalidRID, err
+	})
+	if err == nil {
+		err = bad
 	}
-	gotDoc, _, err := SplitKey(e.Key)
-	if err != nil {
-		return heap.InvalidRID, err
-	}
-	if gotDoc != doc {
+	if err == nil && !found || errors.Is(err, btree.ErrNotFound) {
 		return heap.InvalidRID, fmt.Errorf("%w: doc %d node %s", ErrNotFound, doc, id)
 	}
-	return heap.RIDFromBytes(e.Value), nil
+	return rid, err
 }
 
 // RootRID returns the record containing the document root (node ID 00),
@@ -116,14 +122,15 @@ func (ix *Index) RootRID(doc xml.DocID) (heap.RID, error) {
 // all — and returns how many it removed. One scan finds them; before the
 // first goes, each distinct RID they reference is passed to row, in scan
 // order, so a caller can drop the records while the index still finds them.
+// The scan's keys are copied out: row and the deletes reuse the leaves'
+// frames.
 func (ix *Index) DeleteDoc(doc xml.DocID, row func(heap.RID) error) (int, error) {
 	var keys [][]byte
 	var rids []heap.RID
 	seen := map[heap.RID]bool{}
-	lo := Key(doc, nodeid.Root)
-	hi := Key(doc+1, nodeid.Root)
-	err := ix.tree.Scan(lo, hi, func(e btree.Entry) bool {
-		keys = append(keys, e.Key)
+	var lo, hi [8]byte
+	err := ix.tree.Scan(AppendKey(lo[:0], doc, nodeid.Root), AppendKey(hi[:0], doc+1, nodeid.Root), func(e btree.Entry) bool {
+		keys = append(keys, bytes.Clone(e.Key))
 		if rid := heap.RIDFromBytes(e.Value); !seen[rid] {
 			seen[rid] = true
 			rids = append(rids, rid)
@@ -146,11 +153,11 @@ func (ix *Index) DeleteDoc(doc xml.DocID, row func(heap.RID) error) (int, error)
 	return len(keys), nil
 }
 
-// ScanDoc visits the document's interval entries in node-ID order.
+// ScanDoc visits the document's interval entries in node-ID order. upper is
+// borrowed from the index leaf (btree.Tree.Scan): fn copies it to keep it.
 func (ix *Index) ScanDoc(doc xml.DocID, fn func(upper nodeid.ID, rid heap.RID) bool) error {
-	lo := Key(doc, nodeid.Root)
-	hi := Key(doc+1, nodeid.Root)
-	return ix.tree.Scan(lo, hi, func(e btree.Entry) bool {
+	var lo, hi [8]byte
+	return ix.tree.Scan(AppendKey(lo[:0], doc, nodeid.Root), AppendKey(hi[:0], doc+1, nodeid.Root), func(e btree.Entry) bool {
 		_, id, err := SplitKey(e.Key)
 		if err != nil {
 			return false

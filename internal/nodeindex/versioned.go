@@ -1,6 +1,7 @@
 package nodeindex
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -51,21 +52,22 @@ func (ix *Index) PutV(doc xml.DocID, ver uint64, upper nodeid.ID, rid heap.RID) 
 // VisibleVersion resolves the newest version <= snapshot for the document,
 // or ErrNotFound if none exists.
 func (ix *Index) VisibleVersion(doc xml.DocID, snapshot uint64) (uint64, error) {
-	e, err := ix.tree.Ceiling(VKey(doc, snapshot, nodeid.Root))
-	if err != nil {
-		if errors.Is(err, btree.ErrNotFound) {
-			return 0, fmt.Errorf("%w: doc %d at snapshot %d", ErrNotFound, doc, snapshot)
+	var kb [keyBuf]byte
+	ver, found := uint64(0), false
+	var bad error
+	err := ix.tree.Ceiling(AppendVKey(kb[:0], doc, snapshot, nodeid.Root), func(k, _ []byte) {
+		var d xml.DocID
+		if d, ver, _, bad = SplitVKey(k); bad == nil && d == doc {
+			found = true
 		}
-		return 0, err
+	})
+	if err == nil {
+		err = bad
 	}
-	d, w, _, err := SplitVKey(e.Key)
-	if err != nil {
-		return 0, err
-	}
-	if d != doc {
+	if err == nil && !found || errors.Is(err, btree.ErrNotFound) {
 		return 0, fmt.Errorf("%w: doc %d at snapshot %d", ErrNotFound, doc, snapshot)
 	}
-	return w, nil
+	return ver, err
 }
 
 // LookupV finds the record containing (doc, id) as of the snapshot version.
@@ -74,29 +76,32 @@ func (ix *Index) LookupV(doc xml.DocID, snapshot uint64, id nodeid.ID) (heap.RID
 	if err != nil {
 		return heap.InvalidRID, err
 	}
-	e, err := ix.tree.Ceiling(VKey(doc, w, id))
-	if err != nil {
-		if errors.Is(err, btree.ErrNotFound) {
-			return heap.InvalidRID, fmt.Errorf("%w: doc %d node %s @%d", ErrNotFound, doc, id, w)
+	var kb [keyBuf]byte
+	rid, found := heap.InvalidRID, false
+	var bad error
+	err = ix.tree.Ceiling(AppendVKey(kb[:0], doc, w, id), func(k, v []byte) {
+		var d xml.DocID
+		var ver uint64
+		if d, ver, _, bad = SplitVKey(k); bad == nil && d == doc && ver == w {
+			rid, found = heap.RIDFromBytes(v), true
 		}
-		return heap.InvalidRID, err
+	})
+	if err == nil {
+		err = bad
 	}
-	d, ver, _, err := SplitVKey(e.Key)
-	if err != nil {
-		return heap.InvalidRID, err
-	}
-	if d != doc || ver != w {
+	if err == nil && !found || errors.Is(err, btree.ErrNotFound) {
 		return heap.InvalidRID, fmt.Errorf("%w: doc %d node %s @%d", ErrNotFound, doc, id, w)
 	}
-	return heap.RIDFromBytes(e.Value), nil
+	return rid, err
 }
 
 // ScanVersion visits the entries of exactly the given version, in node
-// order.
+// order. upper is borrowed from the index leaf (btree.Tree.Scan): fn copies
+// it to keep it.
 func (ix *Index) ScanVersion(doc xml.DocID, ver uint64, fn func(upper nodeid.ID, rid heap.RID) bool) error {
-	lo := VKey(doc, ver, nodeid.Root)
-	hi := VKey(doc, ver-1, nodeid.Root) // ^(ver-1) > ^ver: next key group
-	return ix.tree.Scan(lo, hi, func(e btree.Entry) bool {
+	var lo, hi [16]byte
+	// ^(ver-1) > ^ver: hi starts the next key group.
+	return ix.tree.Scan(AppendVKey(lo[:0], doc, ver, nodeid.Root), AppendVKey(hi[:0], doc, ver-1, nodeid.Root), func(e btree.Entry) bool {
 		_, _, id, err := SplitVKey(e.Key)
 		if err != nil {
 			return false
@@ -106,21 +111,21 @@ func (ix *Index) ScanVersion(doc xml.DocID, ver uint64, fn func(upper nodeid.ID,
 }
 
 // DropVersionsBefore removes entries of versions older than keep, returning
-// the RIDs still referenced by remaining versions and those released.
+// the RIDs still referenced by remaining versions and those released. The
+// scan's keys are copied out: the deletes reuse the leaves' frames.
 func (ix *Index) DropVersionsBefore(doc xml.DocID, keep uint64) (kept, released map[heap.RID]bool, err error) {
 	var dropKeys [][]byte
 	kept = map[heap.RID]bool{}
 	dropRIDs := map[heap.RID]bool{}
-	lo := VKey(doc, ^uint64(0), nodeid.Root) // newest version first
-	hi := VKey(doc+1, ^uint64(0), nodeid.Root)
-	err = ix.tree.Scan(lo, hi, func(e btree.Entry) bool {
+	var lo, hi [16]byte // newest version first
+	err = ix.tree.Scan(AppendVKey(lo[:0], doc, ^uint64(0), nodeid.Root), AppendVKey(hi[:0], doc+1, ^uint64(0), nodeid.Root), func(e btree.Entry) bool {
 		_, ver, _, err := SplitVKey(e.Key)
 		if err != nil {
 			return false
 		}
 		rid := heap.RIDFromBytes(e.Value)
 		if ver < keep {
-			dropKeys = append(dropKeys, e.Key)
+			dropKeys = append(dropKeys, bytes.Clone(e.Key))
 			dropRIDs[rid] = true
 		} else {
 			kept[rid] = true

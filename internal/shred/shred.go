@@ -162,19 +162,24 @@ func (s *Store) Insert(doc xml.DocID, stream []byte) (int, error) {
 func (s *Store) Traverse(doc xml.DocID, fn func(n Node) error) error {
 	from := key(nil, doc, nodeid.Root)
 	for {
-		e, err := s.ix.Ceiling(from)
+		var rid heap.RID
+		err := s.ix.Ceiling(from, func(k, v []byte) {
+			// Copied out of the borrowed entry, with room for the re-seek's
+			// 0x00: the node's ID and the next search key.
+			from = append(make([]byte, 0, len(k)+1), k...)
+			rid = heap.RIDFromBytes(v)
+		})
 		if err != nil {
 			if errors.Is(err, btree.ErrNotFound) {
 				return nil
 			}
 			return err
 		}
-		d := xml.DocID(binary.BigEndian.Uint64(e.Key))
-		if d != doc {
+		if xml.DocID(binary.BigEndian.Uint64(from)) != doc {
 			return nil
 		}
-		id := nodeid.ID(e.Key[8:])
-		row, err := s.tbl.Fetch(heap.RIDFromBytes(e.Value))
+		id := nodeid.ID(from[8:len(from):len(from)])
+		row, err := s.tbl.Fetch(rid)
 		if err != nil {
 			return err
 		}
@@ -186,7 +191,7 @@ func (s *Store) Traverse(doc xml.DocID, fn func(n Node) error) error {
 			return err
 		}
 		// Re-seek for the successor: the per-node "join".
-		from = append(append([]byte(nil), e.Key...), 0x00)
+		from = append(from, 0x00)
 	}
 }
 

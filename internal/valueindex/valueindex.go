@@ -12,6 +12,7 @@
 package valueindex
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -275,7 +276,8 @@ func prefixSuccessor(p []byte) []byte {
 // Scan visits entries whose value falls in the range, in (value, doc, node)
 // order. fn returning false stops the scan. A malformed entry fails the scan:
 // stopping there quietly would hand the caller a truncated range as if it were
-// the whole one.
+// the whole one. The entry's Node and EncodedValue are borrowed from the index
+// leaf (btree.Tree.Scan): fn copies them to keep them.
 func (ix *Index) Scan(r Range, fn func(e Entry) bool) error {
 	from, to := r.keyBounds()
 	var bad error
@@ -337,9 +339,9 @@ func (ix *Index) DeleteValue(raw []byte, doc xml.DocID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var keys [][]byte
+	var keys [][]byte // copied out: the deletes reuse the leaves' frames
 	err = ix.tree.Scan(entryKey(enc, doc, nil), entryKey(enc, doc+1, nil), func(be btree.Entry) bool {
-		keys = append(keys, be.Key)
+		keys = append(keys, bytes.Clone(be.Key))
 		return true
 	})
 	if err != nil {
