@@ -446,11 +446,13 @@ func Recover(store pagestore.Store, log *wal.Log, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Compensate losers: each transaction's logical ops in reverse order.
-	for txn, ops := range res.Losers {
-		for i := len(ops) - 1; i >= 0; i-- {
+	// Compensate losers newest first, each one's logical ops in reverse
+	// order: the same crash image always recovers to the same bytes.
+	for i := len(res.Losers) - 1; i >= 0; i-- {
+		txn, ops := res.Losers[i].Txn, res.Losers[i].Ops
+		for j := len(ops) - 1; j >= 0; j-- {
 			var op logicalOp
-			if err := json.Unmarshal(ops[i], &op); err != nil {
+			if err := json.Unmarshal(ops[j], &op); err != nil {
 				return nil, fmt.Errorf("core: recovery txn %d: %v", txn, err)
 			}
 			if err := db.compensate(op); err != nil {

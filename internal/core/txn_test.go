@@ -188,6 +188,89 @@ func TestCrashRecoveryUncommittedUpdateUndone(t *testing.T) {
 	}
 }
 
+// TestRecoverLosersDeterministic: recovery compensates its losers in a fixed
+// order, so byte-identical copies of one crash image with several open
+// transactions recover to byte-identical logs and pages.
+func TestRecoverLosersDeterministic(t *testing.T) {
+	store := pagestore.NewMemStore()
+	dev := &wal.MemDevice{}
+	log, _ := wal.Open(dev)
+	db, err := Open(store, Options{WAL: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, _ := db.CreateCollection("c", CollectionOptions{})
+	col.CreateValueIndex("ix", "//v", xml.TDouble)
+	keep := mustInsert(t, col, []byte(`<r><v>1</v></r>`))
+	gone := mustInsert(t, col, []byte(`<r><v>2</v></r>`))
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	text, _, _ := col.QueryOpts("/r[v = 1]/v/text()", QueryOptions{})
+	tx1, tx2, tx3, tx4 := db.Begin(), db.Begin(), db.Begin(), db.Begin()
+	if _, err := tx1.Insert(col, []byte(`<r><v>3</v></r>`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx2.UpdateText(col, keep, text[0].Node, []byte("4")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx3.Delete(col, gone); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx4.Insert(col, []byte(`<r><v>5</v><v>6</v></r>`)); err != nil {
+		t.Fatal(err)
+	}
+	log.FlushAll() // crash with all four open
+
+	var wantLog, wantPages []byte
+	for i := 0; i < 6; i++ {
+		store2, dev2 := pagestore.NewMemStore(), &wal.MemDevice{}
+		dev2.WriteAt(deviceBytes(t, dev), 0)
+		page := make([]byte, pagestore.PageSize)
+		for id := pagestore.PageID(0); id < store.NumPages(); id++ {
+			store.ReadPage(id, page)
+			store2.Allocate()
+			store2.WritePage(id, page)
+		}
+		log2, err := wal.Open(dev2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db2, err := Recover(store2, log2, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var pages []byte
+		for id := pagestore.PageID(0); id < store2.NumPages(); id++ {
+			store2.ReadPage(id, page)
+			pages = append(pages, page...)
+		}
+		if i == 0 {
+			wantLog, wantPages = deviceBytes(t, dev2), pages
+			continue
+		}
+		if !bytes.Equal(deviceBytes(t, dev2), wantLog) {
+			t.Fatalf("recovery %d wrote a different log from recovery 0", i)
+		}
+		if !bytes.Equal(pages, wantPages) {
+			t.Fatalf("recovery %d left different pages from recovery 0", i)
+		}
+	}
+}
+
+func deviceBytes(t *testing.T, dev *wal.MemDevice) []byte {
+	t.Helper()
+	size, _ := dev.Size()
+	b := make([]byte, size)
+	if _, err := dev.ReadAt(b, 0); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestDocLockConflict(t *testing.T) {
 	db, _, _ := newLoggedDB(t)
 	col, _ := db.CreateCollection("c", CollectionOptions{})

@@ -16,12 +16,17 @@
 //     inverse engine operations (which are themselves logged).
 //   - Checkpoints: the buffer pool is flushed, then a checkpoint record
 //     marks the redo low-water mark.
+//   - One reader: walk is the only frame parser. Open runs it once to find
+//     the log's end and the offset of the last checkpoint; Recover streams
+//     the log through it in one pass, redoing the page deltas after that
+//     checkpoint and collecting losers; Records collects its frames.
 //
 // Record framing: [length u32][crc32 u32][kind u8][payload]; a record's LSN
 // is its byte offset in the log plus one (so LSN 0 means "none").
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -191,6 +196,10 @@ type Log struct {
 	pendingCommits int
 	lastGroup      int
 	regrouped      chan struct{}
+
+	// checkpoint is the offset of the last durable checkpoint record, -1
+	// when there is none: recovery redoes only the page deltas after it.
+	checkpoint atomic.Int64
 }
 
 // Option configures a Log at Open.
@@ -214,17 +223,24 @@ var ErrCorrupt = errors.New("wal: mid-log corruption")
 // Open attaches to a log device, positioning at its end. A torn tail — an
 // incomplete or bad-CRC record at the very end of the log, the normal
 // outcome of a crash mid-append — is truncated; mid-log corruption is a
-// hard ErrCorrupt error.
+// hard ErrCorrupt error. The same pass finds the last checkpoint record.
 func Open(dev Device, opts ...Option) (*Log, error) {
 	size, err := dev.Size()
 	if err != nil {
 		return nil, err
 	}
-	end, err := scanEnd(dev, size)
+	checkpoint := int64(-1)
+	end, err := walk(dev, size, func(off int64, body []byte) error {
+		if Kind(body[0]) == KindCheckpoint {
+			checkpoint = off
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	l := &Log{dev: dev, tail: end, flushed: end}
+	l.checkpoint.Store(checkpoint)
 	for _, o := range opts {
 		o(l)
 	}
@@ -232,56 +248,59 @@ func Open(dev Device, opts ...Option) (*Log, error) {
 	return l, nil
 }
 
-// scanEnd walks frames from offset 0 and returns the length of the valid
-// prefix. A bad frame with no valid frame after it is a torn tail (the log
-// ends there); a bad frame followed by a parseable record is mid-log
-// corruption and fails with ErrCorrupt.
-func scanEnd(dev Device, size int64) (int64, error) {
-	var off int64
-	hdr := make([]byte, 8)
-	for off+9 <= size {
-		if _, err := dev.ReadAt(hdr, off); err != nil {
-			break // unreadable header at tail
-		}
-		l := binary.BigEndian.Uint32(hdr[0:4])
-		crc := binary.BigEndian.Uint32(hdr[4:8])
-		if l == 0 || off+8+int64(l) > size {
-			break // frame runs past EOF: torn tail
-		}
-		body := make([]byte, l)
-		if _, err := dev.ReadAt(body, off+8); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(body) != crc {
-			if validFrameAt(dev, off+8+int64(l), size) {
-				return 0, fmt.Errorf("%w: bad record at offset %d followed by valid records", ErrCorrupt, off)
-			}
-			break // nothing valid beyond: torn tail
-		}
-		off += 8 + int64(l)
-	}
-	return off, nil
-}
+// walkBuffer is the size of the one buffer walk reads the log through, so
+// a walk issues about one device read per MiB.
+const walkBuffer = 1 << 20
 
-// validFrameAt reports whether a complete frame with a matching CRC starts
-// at off (used to distinguish a torn tail from mid-log corruption).
-func validFrameAt(dev Device, off, size int64) bool {
-	if off+9 > size {
-		return false
+// walk is the log's one frame parser. It calls fn with the offset and body
+// (kind byte and payload) of each frame of the device's first size bytes in
+// order, and returns the end of the valid prefix. body is reused: it is
+// valid only until fn returns. A frame that is cut short, has length 0 or
+// fails its CRC ends the log there — the torn tail a crash leaves — unless
+// a bad-CRC frame is followed by a valid one: a crash tears only the last
+// write, so that is mid-log corruption and fails with ErrCorrupt. An error
+// from fn or the device stops the walk and is returned.
+func walk(dev Device, size int64, fn func(off int64, body []byte) error) (int64, error) {
+	r := bufio.NewReaderSize(io.NewSectionReader(dev, 0, size), int(min(size, walkBuffer)))
+	var hdr [8]byte
+	var body []byte
+	// next reads the frame at off into body: complete is false when no
+	// whole frame starts there, good reports whether its CRC matches.
+	next := func(off int64) (complete, good bool, err error) {
+		if off+8 > size {
+			return false, false, nil
+		}
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return false, false, err
+		}
+		n := int64(binary.BigEndian.Uint32(hdr[0:4]))
+		if n == 0 || off+8+n > size {
+			return false, false, nil
+		}
+		body = slices.Grow(body[:0], int(n))[:n]
+		if _, err := io.ReadFull(r, body); err != nil {
+			return false, false, err
+		}
+		return true, crc32.ChecksumIEEE(body) == binary.BigEndian.Uint32(hdr[4:8]), nil
 	}
-	hdr := make([]byte, 8)
-	if _, err := dev.ReadAt(hdr, off); err != nil {
-		return false
+	var off int64
+	for {
+		complete, good, err := next(off)
+		if err != nil || !complete {
+			return off, err
+		}
+		if !good {
+			complete, good, err := next(off + 8 + int64(len(body)))
+			if err == nil && complete && good {
+				err = fmt.Errorf("%w: bad record at offset %d followed by valid records", ErrCorrupt, off)
+			}
+			return off, err
+		}
+		if err := fn(off, body); err != nil {
+			return off, err
+		}
+		off += 8 + int64(len(body))
 	}
-	l := binary.BigEndian.Uint32(hdr[0:4])
-	if l == 0 || off+8+int64(l) > size {
-		return false
-	}
-	body := make([]byte, l)
-	if _, err := dev.ReadAt(body, off+8); err != nil {
-		return false
-	}
-	return crc32.ChecksumIEEE(body) == binary.BigEndian.Uint32(hdr[4:8])
 }
 
 func (l *Log) appendLocked(kind Kind, payload []byte) buffer.LSN {
@@ -400,7 +419,11 @@ func (l *Log) Checkpoint() (buffer.LSN, error) {
 	l.mu.Lock()
 	lsn := l.appendLocked(KindCheckpoint, nil)
 	l.mu.Unlock()
-	return lsn, l.Flush(lsn)
+	if err := l.Flush(lsn); err != nil {
+		return lsn, err
+	}
+	l.checkpoint.Store(int64(lsn) - 1)
+	return lsn, nil
 }
 
 // Flush makes the log durable at least through lsn. It never waits for a
@@ -522,76 +545,72 @@ func (l *Log) FlushAll() error {
 // Records decodes every durable record in order. Call after FlushAll (or on
 // a freshly opened log).
 func (l *Log) Records() ([]Record, error) {
-	l.mu.Lock()
-	size := l.tail
-	l.mu.Unlock()
 	var out []Record
-	hdr := make([]byte, 8)
-	var off int64
-	for off+9 <= size {
-		if _, err := l.dev.ReadAt(hdr, off); err != nil {
-			return nil, err
+	err := l.walkDurable(func(off int64, body []byte) error {
+		var r Record
+		if err := decode(buffer.LSN(off+1), slices.Clone(body), &r); err != nil {
+			return err
 		}
-		length := binary.BigEndian.Uint32(hdr[0:4])
-		body := make([]byte, length)
-		if _, err := l.dev.ReadAt(body, off+8); err != nil {
-			return nil, err
-		}
-		if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(hdr[4:8]) {
-			return nil, fmt.Errorf("wal: bad crc at offset %d", off)
-		}
-		rec, err := decode(buffer.LSN(off+1), body)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-		off += 8 + int64(length)
-	}
-	return out, nil
+		out = append(out, r)
+		return nil
+	})
+	return out, err
 }
 
-func decode(lsn buffer.LSN, body []byte) (Record, error) {
-	if len(body) < 1 {
-		return Record{}, errors.New("wal: empty record")
+// walkDurable walks the log through its durable tail. A bad record inside
+// that prefix is an error, never a torn tail.
+func (l *Log) walkDurable(fn func(off int64, body []byte) error) error {
+	l.mu.Lock()
+	tail := l.tail
+	l.mu.Unlock()
+	end, err := walk(l.dev, tail, fn)
+	if err == nil && end < tail {
+		err = fmt.Errorf("wal: bad record at offset %d", end)
 	}
-	r := Record{LSN: lsn, Kind: Kind(body[0])}
+	return err
+}
+
+// decode fills r from a frame body. r's byte slices alias body, and r.Runs
+// reuses r's slice.
+func decode(lsn buffer.LSN, body []byte, r *Record) error {
+	*r = Record{LSN: lsn, Kind: Kind(body[0]), Runs: r.Runs[:0]}
 	p := body[1:]
 	switch r.Kind {
 	case KindPageDelta:
 		if len(p) < 8 {
-			return Record{}, errors.New("wal: short page delta")
+			return errors.New("wal: short page delta")
 		}
 		r.Page = pagestore.PageID(binary.BigEndian.Uint32(p[0:4]))
 		n := int(binary.BigEndian.Uint32(p[4:8]))
 		p = p[8:]
 		for i := 0; i < n; i++ {
 			if len(p) < 8 {
-				return Record{}, errors.New("wal: short page delta run")
+				return errors.New("wal: short page delta run")
 			}
 			off := int(binary.BigEndian.Uint32(p[0:4]))
 			al := int(binary.BigEndian.Uint32(p[4:8]))
 			if 8+al > len(p) {
-				return Record{}, errors.New("wal: short page delta run body")
+				return errors.New("wal: short page delta run body")
 			}
 			r.Runs = append(r.Runs, buffer.PageRun{Off: off, After: p[8 : 8+al]})
 			p = p[8+al:]
 		}
 	case KindBegin, KindCommit, KindAbort:
 		if len(p) < 8 {
-			return Record{}, errors.New("wal: short txn record")
+			return errors.New("wal: short txn record")
 		}
 		r.Txn = binary.BigEndian.Uint64(p)
 	case KindLogical:
 		if len(p) < 8 {
-			return Record{}, errors.New("wal: short logical record")
+			return errors.New("wal: short logical record")
 		}
 		r.Txn = binary.BigEndian.Uint64(p)
 		r.Payload = p[8:]
 	case KindCheckpoint:
 	default:
-		return Record{}, fmt.Errorf("wal: unknown record kind %d", r.Kind)
+		return fmt.Errorf("wal: unknown record kind %d", r.Kind)
 	}
-	return r, nil
+	return nil
 }
 
 // RecoveryResult reports what recovery found and redid.
@@ -600,56 +619,51 @@ type RecoveryResult struct {
 	Redone int
 	// Skipped counts deltas skipped by the page-LSN check.
 	Skipped int
-	// Losers maps each uncommitted transaction to its logical operations in
-	// log order; the engine compensates them in reverse.
-	Losers map[uint64][][]byte
+	// Losers are the uncommitted transactions in the order of their first
+	// log record; the engine compensates them newest first.
+	Losers []Loser
 }
 
-// Recover repeats history against the store: every page delta after the
-// last checkpoint is re-applied unless the page already carries a newer LSN.
-// The caller then opens the database and compensates the losers.
+// Loser is an uncommitted transaction and its logical operations in log
+// order; the engine compensates them in reverse.
+type Loser struct {
+	Txn uint64
+	Ops [][]byte
+}
+
+// Recover repeats history against the store in one pass over the log: every
+// page delta after the last checkpoint is re-applied unless the page already
+// carries a newer LSN. A transaction with no commit or abort record anywhere
+// in the log is a loser. The caller then opens the database and compensates
+// the losers.
 func Recover(l *Log, store pagestore.Store) (*RecoveryResult, error) {
-	recs, err := l.Records()
-	if err != nil {
-		return nil, err
-	}
-	lastCP := -1
-	for i, r := range recs {
-		if r.Kind == KindCheckpoint {
-			lastCP = i
-		}
-	}
-	res := &RecoveryResult{Losers: map[uint64][][]byte{}}
-	committed := map[uint64]bool{}
-	aborted := map[uint64]bool{}
-	for _, r := range recs {
-		switch r.Kind {
-		case KindCommit:
-			committed[r.Txn] = true
-		case KindAbort:
-			aborted[r.Txn] = true
-		}
-	}
+	checkpoint := l.checkpoint.Load()
+	res := &RecoveryResult{}
+	first := map[uint64]int{} // transaction → its index in Losers, -1 once decided
+	var r Record
 	buf := make([]byte, pagestore.PageSize)
-	for i, r := range recs {
+	err := l.walkDurable(func(off int64, body []byte) error {
+		if err := decode(buffer.LSN(off+1), body, &r); err != nil {
+			return err
+		}
 		switch r.Kind {
 		case KindPageDelta:
-			if i <= lastCP {
-				continue
+			if off <= checkpoint {
+				return nil
 			}
 			// Ensure the page exists (it may have been allocated after the
 			// last store sync).
 			for store.NumPages() <= r.Page {
 				if _, err := store.Allocate(); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			if err := store.ReadPage(r.Page, buf); err != nil {
-				return nil, err
+				return err
 			}
 			if buffer.PageLSN(buf) >= r.LSN {
 				res.Skipped++
-				continue
+				return nil
 			}
 			// All runs of one Modify land together — the record is the
 			// atomicity unit, so redo can never leave the page halfway
@@ -658,22 +672,30 @@ func Recover(l *Log, store pagestore.Store) (*RecoveryResult, error) {
 				copy(buf[run.Off:], run.After)
 			}
 			stampLSN(buf, r.LSN)
-			if err := store.WritePage(r.Page, buf); err != nil {
-				return nil, err
-			}
 			res.Redone++
-		case KindLogical:
-			if !committed[r.Txn] && !aborted[r.Txn] {
-				res.Losers[r.Txn] = append(res.Losers[r.Txn], append([]byte(nil), r.Payload...))
+			return store.WritePage(r.Page, buf)
+		case KindBegin, KindLogical:
+			i, seen := first[r.Txn]
+			if !seen {
+				i = len(res.Losers)
+				first[r.Txn] = i
+				res.Losers = append(res.Losers, Loser{Txn: r.Txn})
 			}
-		case KindBegin:
-			if !committed[r.Txn] && !aborted[r.Txn] {
-				if _, ok := res.Losers[r.Txn]; !ok {
-					res.Losers[r.Txn] = nil
-				}
+			if i >= 0 && r.Kind == KindLogical {
+				res.Losers[i].Ops = append(res.Losers[i].Ops, slices.Clone(r.Payload))
 			}
+		case KindCommit, KindAbort:
+			if i, seen := first[r.Txn]; seen && i >= 0 {
+				res.Losers[i].Ops = nil
+			}
+			first[r.Txn] = -1
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	res.Losers = slices.DeleteFunc(res.Losers, func(l Loser) bool { return first[l.Txn] < 0 })
 	return res, store.Sync()
 }
 

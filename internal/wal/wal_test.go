@@ -114,10 +114,10 @@ func TestRecoverRedoAndLosers(t *testing.T) {
 	if buf[100] != 1 {
 		t.Error("redo did not restore the page")
 	}
-	if len(res.Losers) != 1 {
+	if len(res.Losers) != 1 || res.Losers[0].Txn != 2 {
 		t.Fatalf("losers = %v", res.Losers)
 	}
-	ops := res.Losers[2]
+	ops := res.Losers[0].Ops
 	if len(ops) != 2 || string(ops[0]) != "op-a-of-loser" {
 		t.Errorf("loser ops = %q", ops)
 	}
