@@ -35,7 +35,9 @@
 // for company, and only once commits have been arriving together). With
 // -checksums, every page carries a CRC32 verified on read (torn-page
 // detection); a database must be used with the same -checksums setting it
-// was created with.
+// was created with. The other setting is refused before anything is
+// written, so repair never re-derives checksums over a file created
+// without them.
 //
 // load is the bulk path: files are ingested in batches of -batch documents,
 // each batch stored with sorted index insertion and one WAL commit. insert

@@ -148,6 +148,11 @@ func Bootstrap(pool *buffer.Pool) (*Catalog, error) {
 	return c, nil
 }
 
+// IsMetaPage reports whether a raw page image carries the database meta
+// page's magic number. It lets a caller find the meta page in a file, and
+// so the file's page layout, before any engine structure is built over it.
+func IsMetaPage(page []byte) bool { return binary.BigEndian.Uint32(page[8:12]) == magic }
+
 // Open loads the catalog from an already formatted store.
 func Open(pool *buffer.Pool) (*Catalog, error) {
 	f, err := pool.Fetch(0)

@@ -1,7 +1,7 @@
 package core
 
 // Resource-exhaustion torture harness: a seeded insert/edit/delete/bulk
-// workload runs with the page store and the WAL device sharing one
+// workload runs over fault-wrapped storage whose injector meters one
 // fault.DiskBudget, so the whole engine sees a "device" with N bytes free.
 // A profile run measures how many bytes the workload wants; torture runs
 // replay it with the budget cut to every intermediate level — ENOSPC then
@@ -18,7 +18,8 @@ package core
 // present, a failed one fully absent), every error observed is
 // ErrNoSpace-typed, and recovering from the durable image afterwards
 // reproduces the same oracle — the group-commit watermark never ran ahead
-// of a failed flush.
+// of a failed flush. The durable image is the one a killed process leaves:
+// every write the engine issued, synced or not.
 
 import (
 	"bytes"
@@ -52,6 +53,7 @@ func exhaustionDoc(seq int) string {
 type exhaustionEnv struct {
 	mem    *pagestore.MemStore
 	dev    *wal.MemDevice
+	inj    *fault.Injector
 	budget *fault.DiskBudget
 	db     *DB
 	col    *Collection
@@ -81,15 +83,12 @@ func exhaustionOpenWith(t *testing.T, groupCommit bool, tune func(*exhaustionEnv
 		budget: fault.NewDiskBudget(1<<40, refills...),
 		oracle: map[xml.DocID]string{},
 	}
-	bdev, err := fault.NewBudgetDevice(env.dev, env.budget)
-	if err != nil {
-		t.Fatalf("budget device: %v", err)
-	}
+	env.inj = fault.NewInjector().WithBudget(env.budget)
 	var wopts []wal.Option
 	if groupCommit {
 		wopts = append(wopts, wal.WithGroupCommit(200*time.Microsecond))
 	}
-	log, err := wal.Open(bdev, wopts...)
+	log, err := wal.Open(fault.NewDevice(env.dev, env.inj), wopts...)
 	if err != nil {
 		t.Fatalf("wal open: %v", err)
 	}
@@ -97,7 +96,7 @@ func exhaustionOpenWith(t *testing.T, groupCommit bool, tune func(*exhaustionEnv
 	if tune != nil {
 		tune(env, &opts)
 	}
-	env.db, err = Open(fault.NewBudgetStore(env.mem, env.budget), opts)
+	env.db, err = Open(fault.NewStore(env.mem, env.inj), opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -377,11 +376,14 @@ func (env *exhaustionEnv) exhaustionVerify(t *testing.T, label string) {
 		t.Fatalf("%s: probe write failed untyped: %v", label, err)
 	}
 
-	// Recovery composition: reopen the durable image with no budget in the
-	// way. Committed work must be exactly present — in particular nothing a
-	// failed group commit acknowledged may be missing, and nothing a
-	// compensated commit rolled back may reappear.
+	// Recovery composition: kill the process, then reopen the durable image
+	// with no budget in the way. Committed work must be exactly present — in
+	// particular nothing a failed group commit acknowledged may be missing,
+	// and nothing a compensated commit rolled back may reappear.
 	_ = env.db.Close() // best effort; a full device may fail the final flush
+	if err := env.inj.Kill(); err != nil {
+		t.Fatalf("%s: kill: %v", label, err)
+	}
 	log, err := wal.Open(env.dev)
 	if err != nil {
 		t.Fatalf("%s: reopen wal: %v", label, err)

@@ -2,10 +2,11 @@ package core
 
 // Crash-recovery torture harness: a seeded workload of document inserts and
 // deletes and of all three sub-document edits (UpdateText, InsertFragment,
-// DeleteSubtree) runs over fault-wrapped storage (internal/fault), a crash-stop fault is
-// injected at every sync boundary and at sampled write indices, and after
-// each simulated power loss the engine is recovered from the durable image
-// and checked against a client-side oracle:
+// DeleteSubtree) runs over fault-wrapped storage (internal/fault), a
+// crash-stop fault is injected at every sync boundary and at every write
+// index, once as power loss and once as a process kill, and after each stop
+// the engine is recovered from the durable image and checked against a
+// client-side oracle:
 //
 //   - every transaction whose Commit returned nil is fully present,
 //   - every transaction that did not commit is fully invisible,
@@ -93,9 +94,10 @@ type tortureEnv struct {
 	order []xml.DocID // committed docs in insertion order (for rng picks)
 
 	// pending holds the ops of the transaction whose Commit was in flight
-	// when the crash hit. Under crash-stop faults that transaction is
-	// always a loser; under Tear faults a prefix of the commit batch can
-	// land durably, leaving it in doubt (see tortureVerify).
+	// when the crash hit. Under power loss that transaction is always a
+	// loser; a Tear can land a prefix of the commit batch durably, and a
+	// Kill every record written before the sync, leaving it in doubt (see
+	// tortureVerify).
 	pending []pendOp
 
 	checksums      bool   // storage stack includes a ChecksumStore
@@ -368,9 +370,9 @@ func tortureWorkload(t *testing.T, seed int64, rules []fault.Rule, checksums, ve
 
 // tortureVerify recovers the engine from the durable image and checks it
 // against the oracle. A non-nil pending set marks one in-doubt transaction
-// whose effects may be either fully present or fully absent (Tear faults
-// can persist a prefix of the commit batch, up to and including the commit
-// record itself).
+// whose effects may be either fully present or fully absent (Tear and Kill
+// faults can persist a prefix of the commit batch, up to and including the
+// commit record itself).
 func tortureVerify(t *testing.T, env *tortureEnv, label string) {
 	t.Helper()
 	if err := tortureVerifyErr(env); err != nil {
@@ -520,43 +522,60 @@ func TestCrashRecoveryTorture(t *testing.T) { crashTorture(t, false) }
 // compensated by removeDoc on the versioned key layout.
 func TestCrashRecoveryTortureVersioned(t *testing.T) { crashTorture(t, true) }
 
+// crashTorture runs on the unchecksummed stack. The checksummed suites
+// (torn page, bit flip, sidecar) stay on power loss: a kill can land a data
+// page whose sidecar checksum entry was still buffered, and the database
+// then fails to open (ROADMAP, known defects).
 func crashTorture(t *testing.T, versioned bool) {
-	total := 0
+	crashes, kills := 0, 0
 	for _, seed := range tortureSeeds() {
-		// Profile run: no faults; also verifies recovery from a crash that
-		// falls after the final operation.
+		// Profile run: no faults; also verifies recovery from a crash, and
+		// from a kill, that falls after the final operation.
 		profile := tortureWorkload(t, seed, nil, false, versioned)
 		if profile.endS <= profile.setupS {
 			t.Fatalf("seed %d: workload performed no syncs", seed)
 		}
 		profile.inj.Crash()
 		tortureVerify(t, profile, fmt.Sprintf("seed %d (clean)", seed))
+		killed := tortureWorkload(t, seed, nil, false, versioned)
+		if err := killed.inj.Kill(); err != nil {
+			t.Fatalf("seed %d: kill: %v", seed, err)
+		}
+		tortureVerify(t, killed, fmt.Sprintf("seed %d (clean, killed)", seed))
 		if t.Failed() {
 			t.FailNow()
 		}
 
-		// Crash at every sync boundary and at every write index the
-		// profile observed: the workload's I/O span is small enough
-		// (~40 writes, ~30 syncs) that coverage can be exhaustive.
+		// Stop the run at every sync boundary and at every write index the
+		// profile observed, once by power loss and once by a process kill:
+		// the workload's I/O span is small enough (~40 writes, ~30 syncs)
+		// that coverage can be exhaustive.
 		var rules []fault.Rule
 		for n := profile.setupS + 1; n <= profile.endS; n++ {
-			rules = append(rules, fault.CrashOnSync(n))
+			rules = append(rules, fault.CrashOnSync(n), fault.KillOnSync(n))
 		}
 		for n := profile.setupW + 1; n <= profile.endW; n++ {
-			rules = append(rules, fault.CrashOnWrite(n))
+			rules = append(rules, fault.CrashOnWrite(n), fault.KillOnWrite(n))
 		}
 
 		for _, rule := range rules {
-			total++
 			label := fmt.Sprintf("seed %d %s", seed, rule)
 			env := tortureWorkload(t, seed, []fault.Rule{rule}, false, versioned)
 			if !env.inj.Crashed() {
 				t.Fatalf("%s: schedule never fired (profile drift)", label)
 			}
-			// Crash-stop faults are all-or-nothing at the durability
-			// boundary: a commit that returned an error is always a loser,
-			// so the oracle is checked strictly, with no in-doubt window.
-			env.pending = nil
+			if rule.Act == fault.Crash {
+				// Crash-stop faults are all-or-nothing at the durability
+				// boundary: a commit that returned an error is always a
+				// loser, so the oracle is checked strictly, with no
+				// in-doubt window.
+				crashes++
+				env.pending = nil
+			} else {
+				// A kill lands every log record the in-flight commit wrote
+				// before its sync, so that transaction is in doubt.
+				kills++
+			}
 			tortureVerify(t, env, label)
 			if t.Failed() {
 				tortureArtifact(t, seed, rule, label)
@@ -564,9 +583,10 @@ func crashTorture(t *testing.T, versioned bool) {
 			}
 		}
 	}
-	t.Logf("torture: %d crash schedules survived", total)
-	if !testing.Short() && total < 50 {
-		t.Fatalf("only %d crash schedules exercised, want >= 50", total)
+	t.Logf("torture: %d crash schedules survived", crashes)
+	t.Logf("torture: %d kill schedules survived", kills)
+	if !testing.Short() && crashes < 50 {
+		t.Fatalf("only %d crash schedules exercised, want >= 50", crashes)
 	}
 }
 

@@ -1,27 +1,16 @@
-// Disk-space exhaustion injection: a byte budget shared by a page-store
-// wrapper and a WAL-device wrapper, so a test can run the whole engine
-// against a "device" with N bytes free and watch ENOSPC surface through the
-// WAL, the buffer pool, and the transaction layer at exact, reproducible
-// points. The budget only meters growth — overwriting bytes that already
-// exist on the device is free, exactly like a real filesystem — and refill
-// schedules model an operator freeing space after the Nth failure, which is
-// what the engine's free-space watchdog needs to observe to leave degraded
-// mode.
-//
-// Unlike the crash wrappers in this package, the budget wrappers have no
-// durability boundary of their own: they pass operations straight through to
-// the inner store/device. Compose them with Store/Device when a schedule
-// needs both exhaustion and power loss.
+// Disk-space exhaustion injection: a byte budget metered by an Injector's
+// Store and Device (Injector.WithBudget), so a test can run the whole
+// engine against a "device" with N bytes free and watch ENOSPC surface
+// through the WAL, the buffer pool, and the transaction layer at exact,
+// reproducible points. The budget only meters growth — overwriting bytes
+// that already exist on the device is free, exactly like a real filesystem
+// — and refill schedules model an operator freeing space after the Nth
+// failure, which is what the engine's free-space watchdog needs to observe
+// to leave degraded mode.
 
 package fault
 
-import (
-	"fmt"
-	"sync"
-
-	"rx/internal/pagestore"
-	"rx/internal/rxerr"
-)
+import "sync"
 
 // Refill grows the budget's capacity by Bytes immediately after the Nth
 // (1-based) denied reservation: the failing operation still fails — space
@@ -33,9 +22,8 @@ type Refill struct {
 	Bytes  int64
 }
 
-// DiskBudget is a byte budget shared by every wrapper participating in one
-// exhaustion schedule, mirroring how Injector is shared by the crash
-// wrappers. Reservations that do not fit are denied; denials are counted so
+// DiskBudget is a byte budget shared by every wrapper attached to one
+// Injector. Reservations that do not fit are denied; denials are counted so
 // refill schedules fire at exact indices.
 type DiskBudget struct {
 	mu       sync.Mutex
@@ -62,6 +50,21 @@ func (b *DiskBudget) Reserve(n int64) bool {
 	}
 	b.denyLocked()
 	return false
+}
+
+// reserveUpTo charges as much of n bytes as is free and returns the bytes
+// charged. A shortfall counts as a denial; a refill it triggers applies
+// after the grant is sized, so the failing write sees only the space that
+// existed when it hit the device.
+func (b *DiskBudget) reserveUpTo(n int64) int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	fit := min(n, max(b.capacity-b.used, 0))
+	b.used += fit
+	if fit < n {
+		b.denyLocked()
+	}
+	return fit
 }
 
 // denyLocked records a denied reservation and applies due refills.
@@ -125,173 +128,3 @@ func (b *DiskBudget) Denials() uint64 {
 	defer b.mu.Unlock()
 	return b.denials
 }
-
-// BudgetStore wraps a pagestore.Store so that extending the page file
-// (Allocate) charges the shared budget and fails with a typed no-space error
-// when the device is full. Overwriting an existing page is free, like a real
-// filesystem.
-type BudgetStore struct {
-	inner  pagestore.Store
-	budget *DiskBudget
-}
-
-// NewBudgetStore wraps inner, attaching it to the budget.
-func NewBudgetStore(inner pagestore.Store, budget *DiskBudget) *BudgetStore {
-	return &BudgetStore{inner: inner, budget: budget}
-}
-
-// ReadPage implements pagestore.Store.
-func (s *BudgetStore) ReadPage(id pagestore.PageID, buf []byte) error {
-	return s.inner.ReadPage(id, buf)
-}
-
-// WritePage implements pagestore.Store. Pages are preallocated by Allocate,
-// so overwrites are free.
-func (s *BudgetStore) WritePage(id pagestore.PageID, buf []byte) error {
-	return s.inner.WritePage(id, buf)
-}
-
-// Allocate implements pagestore.Store, charging one page against the budget.
-func (s *BudgetStore) Allocate() (pagestore.PageID, error) {
-	if !s.budget.Reserve(pagestore.PageSize) {
-		return pagestore.InvalidPage, fmt.Errorf("%w: page file extend (budget full)", rxerr.ErrNoSpace)
-	}
-	id, err := s.inner.Allocate()
-	if err != nil {
-		s.budget.Release(pagestore.PageSize)
-	}
-	return id, err
-}
-
-// NumPages implements pagestore.Store.
-func (s *BudgetStore) NumPages() pagestore.PageID { return s.inner.NumPages() }
-
-// Sync implements pagestore.Store.
-func (s *BudgetStore) Sync() error { return s.inner.Sync() }
-
-// Close implements pagestore.Store.
-func (s *BudgetStore) Close() error { return s.inner.Close() }
-
-// Inner returns the wrapped store.
-func (s *BudgetStore) Inner() pagestore.Store { return s.inner }
-
-// BudgetDevice wraps a WAL device so that growing the file charges the
-// shared budget. A write that only partially fits persists its affordable
-// prefix and then fails — the partial-write-then-ENOSPC case the WAL's
-// restore-unflushed path must survive. With ChargeOnSync set the device
-// models delayed allocation instead: writes are accepted optimistically and
-// the charge lands (and can fail) at Sync.
-type BudgetDevice struct {
-	inner  BlockDevice
-	budget *DiskBudget
-
-	// ChargeOnSync defers extension charges to Sync (delayed-allocation
-	// filesystems report ENOSPC at fsync). Set before first use.
-	ChargeOnSync bool
-
-	mu    sync.Mutex
-	alloc int64 // bytes already allocated on the device (its high-water size)
-	debt  int64 // extension bytes accepted but not yet charged (ChargeOnSync)
-}
-
-// NewBudgetDevice wraps inner, attaching it to the budget. Bytes already on
-// the device are treated as allocated (they consumed real space before the
-// schedule started).
-func NewBudgetDevice(inner BlockDevice, budget *DiskBudget) (*BudgetDevice, error) {
-	size, err := inner.Size()
-	if err != nil {
-		return nil, err
-	}
-	return &BudgetDevice{inner: inner, budget: budget, alloc: size}, nil
-}
-
-// WriteAt implements io.WriterAt. Overwrites within the allocated size are
-// free; the extension beyond it is charged, and on a shortfall the prefix
-// that fits is persisted before the typed error returns.
-func (d *BudgetDevice) WriteAt(p []byte, off int64) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	end := off + int64(len(p))
-	grow := end - d.alloc
-	if grow <= 0 {
-		return d.inner.WriteAt(p, off)
-	}
-	if d.ChargeOnSync {
-		n, err := d.inner.WriteAt(p, off)
-		if err == nil {
-			d.debt += grow
-			d.alloc = end
-		}
-		return n, err
-	}
-	// Snapshot free space before reserving: a denial can trigger a refill,
-	// and the prefix persisted by a failing write must reflect the space
-	// that existed when the write hit the device, not the space freed after.
-	free := d.budget.Free()
-	if d.budget.Reserve(grow) {
-		n, err := d.inner.WriteAt(p, off)
-		if err == nil {
-			d.alloc = end
-		} else {
-			d.budget.Release(grow)
-		}
-		return n, err
-	}
-	// Partial-write-then-ENOSPC: persist the affordable prefix, charge it,
-	// and fail. The prefix may be zero when the device is already at the
-	// budget edge.
-	fit := free
-	if fit > grow {
-		fit = grow
-	}
-	prefix := int64(len(p)) - (grow - fit)
-	if prefix < 0 {
-		prefix = 0
-	}
-	if prefix > 0 {
-		if !d.budget.Reserve(fit) {
-			prefix, fit = 0, 0
-		}
-	}
-	if prefix > 0 {
-		n, err := d.inner.WriteAt(p[:prefix], off)
-		if err != nil {
-			d.budget.Release(fit)
-			return n, err
-		}
-		if e := off + prefix; e > d.alloc {
-			d.alloc = e
-		}
-	}
-	return int(prefix), fmt.Errorf("%w: device write at %d (budget full after %d of %d bytes)",
-		rxerr.ErrNoSpace, off, prefix, len(p))
-}
-
-// ReadAt implements io.ReaderAt.
-func (d *BudgetDevice) ReadAt(p []byte, off int64) (int, error) {
-	return d.inner.ReadAt(p, off)
-}
-
-// Size implements the device contract.
-func (d *BudgetDevice) Size() (int64, error) { return d.inner.Size() }
-
-// Sync implements the device contract, settling any deferred charges first:
-// a shortfall fails the sync with the typed no-space error and keeps the
-// debt, so a retry after a refill succeeds.
-func (d *BudgetDevice) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.debt > 0 {
-		if !d.budget.Reserve(d.debt) {
-			return fmt.Errorf("%w: device sync (%d deferred bytes over budget)", rxerr.ErrNoSpace, d.debt)
-		}
-		d.debt = 0
-	}
-	return d.inner.Sync()
-}
-
-// Close implements the device contract.
-func (d *BudgetDevice) Close() error { return d.inner.Close() }
-
-// Inner returns the wrapped device.
-func (d *BudgetDevice) Inner() BlockDevice { return d.inner }

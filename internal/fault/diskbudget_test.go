@@ -43,7 +43,7 @@ func TestDiskBudgetReserveDenyRefill(t *testing.T) {
 
 func TestBudgetStoreAllocate(t *testing.T) {
 	b := NewDiskBudget(2 * pagestore.PageSize)
-	st := NewBudgetStore(pagestore.NewMemStore(), b)
+	st := NewStore(pagestore.NewMemStore(), NewInjector().WithBudget(b))
 	if _, err := st.Allocate(); err != nil {
 		t.Fatalf("first allocate: %v", err)
 	}
@@ -59,26 +59,27 @@ func TestBudgetStoreAllocate(t *testing.T) {
 	if err := st.WritePage(0, buf); err != nil {
 		t.Fatalf("overwrite on full device: %v", err)
 	}
+	if err := st.Sync(); err != nil {
+		t.Fatalf("sync on full device: %v", err)
+	}
 }
 
 func TestBudgetDevicePartialWrite(t *testing.T) {
 	b := NewDiskBudget(10)
-	dev, err := NewBudgetDevice(&wal.MemDevice{}, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj := NewInjector().WithBudget(b)
+	dev := NewDevice(&wal.MemDevice{}, inj)
 	// 16 bytes into an empty device: 10 fit, 6 do not.
 	n, err := dev.WriteAt(bytes.Repeat([]byte{0xaa}, 16), 0)
 	if !errors.Is(err, rxerr.ErrNoSpace) {
 		t.Fatalf("err = %v, want ErrNoSpace", err)
 	}
 	if n != 10 {
-		t.Fatalf("persisted prefix = %d, want 10", n)
+		t.Fatalf("accepted prefix = %d, want 10", n)
 	}
-	if size, _ := dev.Inner().Size(); size != 10 {
-		t.Fatalf("inner size = %d, want 10", size)
+	if size, _ := dev.Size(); size != 10 {
+		t.Fatalf("size = %d, want 10", size)
 	}
-	// Overwriting the persisted prefix is free.
+	// Overwriting the accepted prefix is free.
 	if _, err := dev.WriteAt([]byte{1, 2, 3}, 0); err != nil {
 		t.Fatalf("overwrite: %v", err)
 	}
@@ -87,29 +88,16 @@ func TestBudgetDevicePartialWrite(t *testing.T) {
 	if _, err := dev.WriteAt(bytes.Repeat([]byte{0xbb}, 6), 10); err != nil {
 		t.Fatalf("post-refill write: %v", err)
 	}
-}
-
-func TestBudgetDeviceChargeOnSync(t *testing.T) {
-	b := NewDiskBudget(8)
-	dev, err := NewBudgetDevice(&wal.MemDevice{}, b)
-	if err != nil {
+	// A kill lands the accepted prefix, the overwrite and the growth.
+	if err := inj.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	dev.ChargeOnSync = true
-	// Delayed allocation: the write is accepted beyond the budget...
-	if _, err := dev.WriteAt(bytes.Repeat([]byte{1}, 16), 0); err != nil {
-		t.Fatalf("buffered write: %v", err)
+	want := append(append([]byte{1, 2, 3}, bytes.Repeat([]byte{0xaa}, 7)...), bytes.Repeat([]byte{0xbb}, 6)...)
+	got := make([]byte, 16)
+	if n, _ := dev.Inner().ReadAt(got, 0); n != 16 || !bytes.Equal(got, want) {
+		t.Fatalf("landed device = %x (%d bytes), want %x", got[:n], n, want)
 	}
-	// ...and the shortfall surfaces at sync.
-	if err := dev.Sync(); !errors.Is(err, rxerr.ErrNoSpace) {
-		t.Fatalf("sync = %v, want ErrNoSpace", err)
-	}
-	// The debt survives the failure: freeing space lets a retry settle it.
-	b.SetCapacity(32)
-	if err := dev.Sync(); err != nil {
-		t.Fatalf("sync after refill: %v", err)
-	}
-	if err := dev.Sync(); err != nil {
-		t.Fatalf("idempotent sync: %v", err)
+	if got := b.Used(); got != 16 {
+		t.Fatalf("charged %d bytes, want 16", got)
 	}
 }

@@ -4,26 +4,37 @@
 // rules at exact operation indices (the Nth write, the Nth sync, ...), so a
 // failing schedule is reproducible from its rule list alone.
 //
-// The crash model is crash-stop power loss with an explicit durability
-// boundary: every write is buffered by the wrapper and reaches the inner
-// store/device only on a successful Sync. A crash (injected or explicit)
-// discards everything buffered since the last successful Sync, so reopening
-// the inner store afterwards sees exactly what a power loss would leave.
-// Sync itself is all-or-nothing: a crash or error injected on the sync
-// operation persists none of the pending writes.
+// Both wrappers have an explicit durability boundary: every write is
+// buffered by the wrapper and reaches the inner store/device only on a
+// successful Sync, which is all-or-nothing. What happens to the buffered
+// writes when the run stops is the one decision that separates the two
+// crash states a real machine leaves, and each schedule chooses it:
+//
+//   - a crash is power loss: everything buffered since the last successful
+//     Sync is discarded, so the inner store holds exactly the synced state;
+//   - a kill stops the process: the OS keeps every write it accepted, so
+//     everything buffered lands on the inner store/device.
+//
+// Either way every later operation fails with ErrCrashed, and reopening the
+// inner store observes the post-crash state.
 //
 // Supported faults:
 //
 //   - Error: the Nth write or sync fails with ErrInjected and has no effect
 //     (a transient I/O error — retrying the operation succeeds).
 //   - Crash: the Nth write or sync simulates power loss; this and all
-//     unsynced writes are lost and every later operation fails ErrCrashed.
+//     unsynced writes are lost.
+//   - Kill: the process is killed at the Nth write or sync; this operation
+//     never happens, every write accepted before it lands.
 //   - Tear: power loss strikes during the Nth write: the first Keep bytes
 //     reach the inner store/device durably (those sectors were already on
-//     their way), the rest of the write and everything unsynced is lost, and
-//     the injector transitions to the crashed state.
+//     their way), the rest of the write and everything unsynced is lost.
 //   - Flip: the Nth read returns data with one bit flipped (transient media
 //     corruption; nothing on the inner store changes).
+//
+// An injector may also meter a DiskBudget (WithBudget): extending the page
+// file or growing the log then charges the budget, and a shortfall fails
+// with the typed rxerr.ErrNoSpace.
 package fault
 
 import (
@@ -34,16 +45,17 @@ import (
 	"sync"
 
 	"rx/internal/pagestore"
+	"rx/internal/rxerr"
 )
 
 // ErrInjected reports a scripted transient I/O error; the operation had no
 // effect and may be retried.
 var ErrInjected = errors.New("fault: injected I/O error")
 
-// ErrCrashed reports that the injector simulated a crash-stop; the wrapped
-// store/device accepts no further operations. Reopen the inner store to
-// observe the post-crash state.
-var ErrCrashed = errors.New("fault: simulated crash-stop (power loss)")
+// ErrCrashed reports that the injector simulated a crash-stop (power loss
+// or process kill); the wrapped store/device accepts no further operations.
+// Reopen the inner store to observe the post-crash state.
+var ErrCrashed = errors.New("fault: simulated crash-stop")
 
 // Op classifies operations for rule matching. Write and Sync counters are
 // shared between the Store and Device attached to one Injector, so a single
@@ -84,6 +96,9 @@ const (
 	Tear
 	// Flip flips bit Bit of the data returned by this read.
 	Flip
+	// Kill kills the process at this operation: every write accepted
+	// before it lands.
+	Kill
 )
 
 func (a Action) String() string {
@@ -96,6 +111,8 @@ func (a Action) String() string {
 		return "tear"
 	case Flip:
 		return "flip"
+	case Kill:
+		return "kill"
 	}
 	return fmt.Sprintf("Action(%d)", uint8(a))
 }
@@ -129,6 +146,12 @@ func CrashOnWrite(n uint64) Rule { return Rule{Op: Write, N: n, Act: Crash} }
 // CrashOnSync crashes on the Nth sync.
 func CrashOnSync(n uint64) Rule { return Rule{Op: Sync, N: n, Act: Crash} }
 
+// KillOnWrite kills the process on the Nth write.
+func KillOnWrite(n uint64) Rule { return Rule{Op: Write, N: n, Act: Kill} }
+
+// KillOnSync kills the process on the Nth sync.
+func KillOnSync(n uint64) Rule { return Rule{Op: Sync, N: n, Act: Kill} }
+
 // ErrorOnWrite fails the Nth write transiently.
 func ErrorOnWrite(n uint64) Rule { return Rule{Op: Write, N: n, Act: Error} }
 
@@ -145,10 +168,14 @@ func FlipOnRead(n uint64, bit int) Rule { return Rule{Op: Read, N: n, Act: Flip,
 // Injector counts operations and fires rules at exact indices. One Injector
 // is shared by every wrapper participating in a schedule.
 type Injector struct {
+	// mu serializes every operation of every attached wrapper, so a fault
+	// fires against one consistent state of all of them.
 	mu      sync.Mutex
 	rules   []Rule
 	counts  map[Op]uint64
 	crashed bool
+	budget  *DiskBudget
+	landers []func() error // the attached wrappers' landLocked
 }
 
 // NewInjector builds an injector over a schedule. An empty schedule only
@@ -157,7 +184,15 @@ func NewInjector(rules ...Rule) *Injector {
 	return &Injector{rules: rules, counts: map[Op]uint64{}}
 }
 
-// Crashed reports whether a crash rule (or an explicit Crash call) fired.
+// WithBudget meters the attached wrappers' growth against b: Store.Allocate
+// charges one page, Device.WriteAt the bytes past the device's high-water
+// size. Call it before the first operation.
+func (i *Injector) WithBudget(b *DiskBudget) *Injector {
+	i.budget = b
+	return i
+}
+
+// Crashed reports whether a crash or kill (by rule or explicit call) fired.
 func (i *Injector) Crashed() bool {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -171,6 +206,34 @@ func (i *Injector) Crash() {
 	i.mu.Unlock()
 }
 
+// Kill simulates a process kill now, independent of any rule: every write
+// the wrappers accepted lands on the inner store or device. A kill after a
+// crash changes nothing. The error reports a failed inner write.
+func (i *Injector) Kill() error {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return i.killLocked()
+}
+
+func (i *Injector) killLocked() error {
+	if i.crashed {
+		return nil
+	}
+	i.crashed = true
+	for _, land := range i.landers {
+		if err := land(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (i *Injector) attach(land func() error) {
+	i.mu.Lock()
+	i.landers = append(i.landers, land)
+	i.mu.Unlock()
+}
+
 // Counts returns how many operations of each class have been observed.
 func (i *Injector) Counts() (writes, syncs, reads uint64) {
 	i.mu.Lock()
@@ -178,12 +241,11 @@ func (i *Injector) Counts() (writes, syncs, reads uint64) {
 	return i.counts[Write], i.counts[Sync], i.counts[Read]
 }
 
-// step records one operation and returns the rule that fires on it, if any.
-// It returns ErrCrashed if a crash has already happened (without counting
-// the operation) and marks the injector crashed when a Crash rule fires.
-func (i *Injector) step(op Op) (Rule, bool, error) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
+// stepLocked records one operation and returns the rule that fires on it,
+// if any. It returns ErrCrashed if a crash has already happened (without
+// counting the operation), marks the injector crashed when a Crash rule
+// fires, and lands every accepted write when a Kill rule fires.
+func (i *Injector) stepLocked(op Op) (Rule, bool, error) {
 	if i.crashed {
 		return Rule{}, false, ErrCrashed
 	}
@@ -191,8 +253,13 @@ func (i *Injector) step(op Op) (Rule, bool, error) {
 	n := i.counts[op]
 	for _, r := range i.rules {
 		if r.Op == op && r.N == n {
-			if r.Act == Crash {
+			switch r.Act {
+			case Crash:
 				i.crashed = true
+			case Kill:
+				if err := i.killLocked(); err != nil {
+					return r, true, err
+				}
 			}
 			return r, true, nil
 		}
@@ -202,12 +269,12 @@ func (i *Injector) step(op Op) (Rule, bool, error) {
 
 // Store wraps a pagestore.Store with fault injection and an explicit
 // durability boundary: writes and allocations buffer in memory and reach the
-// inner store only on a successful Sync. After a crash the inner store holds
-// exactly the last synced state.
+// inner store only on a successful Sync or a kill. After a crash the inner
+// store holds exactly the last synced state.
 type Store struct {
 	inj *Injector
 
-	mu      sync.Mutex
+	// Guarded by inj.mu.
 	inner   pagestore.Store
 	pending map[pagestore.PageID][]byte
 	pages   pagestore.PageID // logical page count incl. unsynced allocations
@@ -215,12 +282,14 @@ type Store struct {
 
 // NewStore wraps inner, attaching it to the injector's schedule.
 func NewStore(inner pagestore.Store, inj *Injector) *Store {
-	return &Store{
+	s := &Store{
 		inj:     inj,
 		inner:   inner,
 		pending: map[pagestore.PageID][]byte{},
 		pages:   inner.NumPages(),
 	}
+	inj.attach(s.landLocked)
+	return s
 }
 
 // visibleLocked returns the page's current contents as the OS cache would:
@@ -242,15 +311,15 @@ func (s *Store) visibleLocked(id pagestore.PageID, buf []byte) error {
 
 // ReadPage implements pagestore.Store.
 func (s *Store) ReadPage(id pagestore.PageID, buf []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.inj.mu.Lock()
+	defer s.inj.mu.Unlock()
 	if id >= s.pages {
 		return fmt.Errorf("%w: read page %d of %d", pagestore.ErrPageRange, id, s.pages)
 	}
 	if err := s.visibleLocked(id, buf); err != nil {
 		return err
 	}
-	r, ok, err := s.inj.step(Read)
+	r, ok, err := s.inj.stepLocked(Read)
 	if err != nil {
 		return err
 	}
@@ -264,12 +333,12 @@ func (s *Store) ReadPage(id pagestore.PageID, buf []byte) error {
 // WritePage implements pagestore.Store. The write buffers until the next
 // successful Sync.
 func (s *Store) WritePage(id pagestore.PageID, buf []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.inj.mu.Lock()
+	defer s.inj.mu.Unlock()
 	if id >= s.pages {
 		return fmt.Errorf("%w: write page %d of %d", pagestore.ErrPageRange, id, s.pages)
 	}
-	r, ok, err := s.inj.step(Write)
+	r, ok, err := s.inj.stepLocked(Write)
 	if err != nil {
 		return err
 	}
@@ -277,7 +346,7 @@ func (s *Store) WritePage(id pagestore.PageID, buf []byte) error {
 		switch r.Act {
 		case Error:
 			return fmt.Errorf("%w: write page %d", ErrInjected, id)
-		case Crash:
+		case Crash, Kill:
 			return ErrCrashed
 		case Tear:
 			// Power loss mid-write: the first Keep bytes hit the platter over
@@ -305,7 +374,7 @@ func (s *Store) WritePage(id pagestore.PageID, buf []byte) error {
 			if err := s.inner.Sync(); err != nil {
 				return err
 			}
-			s.inj.Crash()
+			s.inj.crashed = true
 			return ErrCrashed
 		}
 	}
@@ -317,12 +386,16 @@ func (s *Store) WritePage(id pagestore.PageID, buf []byte) error {
 
 // Allocate implements pagestore.Store. The allocation is buffered like a
 // write: it reaches the inner store on the next successful Sync and is lost
-// on a crash.
+// on a crash. Under a budget it charges one page, and fails with the typed
+// no-space error when the device is full.
 func (s *Store) Allocate() (pagestore.PageID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.inj.Crashed() {
+	s.inj.mu.Lock()
+	defer s.inj.mu.Unlock()
+	if s.inj.crashed {
 		return pagestore.InvalidPage, ErrCrashed
+	}
+	if b := s.inj.budget; b != nil && !b.Reserve(pagestore.PageSize) {
+		return pagestore.InvalidPage, fmt.Errorf("%w: page file extend (budget full)", rxerr.ErrNoSpace)
 	}
 	id := s.pages
 	s.pages++
@@ -331,17 +404,17 @@ func (s *Store) Allocate() (pagestore.PageID, error) {
 
 // NumPages implements pagestore.Store.
 func (s *Store) NumPages() pagestore.PageID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.inj.mu.Lock()
+	defer s.inj.mu.Unlock()
 	return s.pages
 }
 
 // Sync implements pagestore.Store: all-or-nothing persistence of every
 // buffered allocation and write, in page order.
 func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok, err := s.inj.step(Sync)
+	s.inj.mu.Lock()
+	defer s.inj.mu.Unlock()
+	r, ok, err := s.inj.stepLocked(Sync)
 	if err != nil {
 		return err
 	}
@@ -349,10 +422,19 @@ func (s *Store) Sync() error {
 		switch r.Act {
 		case Error:
 			return fmt.Errorf("%w: sync", ErrInjected)
-		case Crash:
+		case Crash, Kill:
 			return ErrCrashed
 		}
 	}
+	if err := s.landLocked(); err != nil {
+		return err
+	}
+	return s.inner.Sync()
+}
+
+// landLocked writes every buffered allocation and write through to the
+// inner store, in page order.
+func (s *Store) landLocked() error {
 	for s.inner.NumPages() < s.pages {
 		if _, err := s.inner.Allocate(); err != nil {
 			return err
@@ -367,9 +449,6 @@ func (s *Store) Sync() error {
 		if err := s.inner.WritePage(id, s.pending[id]); err != nil {
 			return err
 		}
-	}
-	if err := s.inner.Sync(); err != nil {
-		return err
 	}
 	s.pending = map[pagestore.PageID][]byte{}
 	return nil
@@ -400,26 +479,28 @@ type devWrite struct {
 }
 
 // Device wraps a WAL device with the same fault schedule and durability
-// boundary as Store: WriteAt buffers until a successful Sync; a crash
-// discards everything unsynced.
+// boundary as Store: WriteAt buffers until a successful Sync or a kill; a
+// crash discards everything unsynced.
 type Device struct {
 	inj *Injector
 
-	mu      sync.Mutex
+	// Guarded by inj.mu.
 	inner   BlockDevice
 	pending []devWrite
 }
 
 // NewDevice wraps inner, attaching it to the injector's schedule.
 func NewDevice(inner BlockDevice, inj *Injector) *Device {
-	return &Device{inj: inj, inner: inner}
+	d := &Device{inj: inj, inner: inner}
+	inj.attach(d.landLocked)
+	return d
 }
 
 // WriteAt implements io.WriterAt, buffering until Sync.
 func (d *Device) WriteAt(p []byte, off int64) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	r, ok, err := d.inj.step(Write)
+	d.inj.mu.Lock()
+	defer d.inj.mu.Unlock()
+	r, ok, err := d.inj.stepLocked(Write)
 	if err != nil {
 		return 0, err
 	}
@@ -427,7 +508,7 @@ func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 		switch r.Act {
 		case Error:
 			return 0, fmt.Errorf("%w: device write at %d", ErrInjected, off)
-		case Crash:
+		case Crash, Kill:
 			return 0, ErrCrashed
 		case Tear:
 			// Power loss mid-write: the prefix lands durably, unsynced pending
@@ -444,15 +525,49 @@ func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 					return 0, err
 				}
 			}
-			d.inj.Crash()
+			d.inj.crashed = true
 			return 0, ErrCrashed
 		}
 	}
-	d.pending = append(d.pending, devWrite{off, append([]byte(nil), p...)})
-	return len(p), nil
+	n := len(p)
+	if b := d.inj.budget; b != nil {
+		n, err = d.chargeLocked(b, p, off)
+	}
+	if n > 0 {
+		d.pending = append(d.pending, devWrite{off, append([]byte(nil), p[:n]...)})
+	}
+	return n, err
+}
+
+// chargeLocked charges b for the bytes of p past the device's high-water
+// size; overwrites are free, as on a real filesystem. On a shortfall it
+// returns how much of p fits, already charged, with the typed no-space
+// error: the partial-write-then-ENOSPC case the WAL's restore-unflushed
+// path must survive. The prefix may be zero at the budget edge.
+func (d *Device) chargeLocked(b *DiskBudget, p []byte, off int64) (int, error) {
+	size, err := d.sizeLocked()
+	if err != nil {
+		return 0, err
+	}
+	grow := off + int64(len(p)) - size
+	if grow <= 0 {
+		return len(p), nil
+	}
+	fit := b.reserveUpTo(grow)
+	if fit == grow {
+		return len(p), nil
+	}
+	keep := int64(len(p)) - (grow - fit)
+	if keep <= 0 {
+		b.Release(fit)
+		keep = 0
+	}
+	return int(keep), fmt.Errorf("%w: device write at %d (budget full after %d of %d bytes)",
+		rxerr.ErrNoSpace, off, keep, len(p))
 }
 
 // sizeLocked is the virtual size: inner size extended by pending writes.
+// Nothing shrinks a device, so it is also the high-water size.
 func (d *Device) sizeLocked() (int64, error) {
 	size, err := d.inner.Size()
 	if err != nil {
@@ -469,9 +584,9 @@ func (d *Device) sizeLocked() (int64, error) {
 // ReadAt implements io.ReaderAt over the inner device overlaid with pending
 // writes (the OS cache view).
 func (d *Device) ReadAt(p []byte, off int64) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.inj.Crashed() {
+	d.inj.mu.Lock()
+	defer d.inj.mu.Unlock()
+	if d.inj.crashed {
 		return 0, ErrCrashed
 	}
 	vsize, err := d.sizeLocked()
@@ -513,7 +628,7 @@ func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 		}
 		copy(p[from-off:to-off], w.data[from-lo:to-lo])
 	}
-	r, ok, err := d.inj.step(Read)
+	r, ok, err := d.inj.stepLocked(Read)
 	if err != nil {
 		return 0, err
 	}
@@ -529,9 +644,9 @@ func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 
 // Size implements the device contract (virtual size incl. pending writes).
 func (d *Device) Size() (int64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.inj.Crashed() {
+	d.inj.mu.Lock()
+	defer d.inj.mu.Unlock()
+	if d.inj.crashed {
 		return 0, ErrCrashed
 	}
 	return d.sizeLocked()
@@ -540,9 +655,9 @@ func (d *Device) Size() (int64, error) {
 // Sync implements the device contract: all-or-nothing persistence of
 // pending writes in order.
 func (d *Device) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	r, ok, err := d.inj.step(Sync)
+	d.inj.mu.Lock()
+	defer d.inj.mu.Unlock()
+	r, ok, err := d.inj.stepLocked(Sync)
 	if err != nil {
 		return err
 	}
@@ -550,17 +665,23 @@ func (d *Device) Sync() error {
 		switch r.Act {
 		case Error:
 			return fmt.Errorf("%w: device sync", ErrInjected)
-		case Crash:
+		case Crash, Kill:
 			return ErrCrashed
 		}
 	}
+	if err := d.landLocked(); err != nil {
+		return err
+	}
+	return d.inner.Sync()
+}
+
+// landLocked writes every pending write through to the inner device, in
+// order.
+func (d *Device) landLocked() error {
 	for _, w := range d.pending {
 		if _, err := d.inner.WriteAt(w.data, w.off); err != nil {
 			return err
 		}
-	}
-	if err := d.inner.Sync(); err != nil {
-		return err
 	}
 	d.pending = nil
 	return nil

@@ -18,32 +18,58 @@ func page(b byte) []byte {
 }
 
 func TestStoreCrashDiscardsUnsyncedWrites(t *testing.T) {
-	mem := pagestore.NewMemStore()
-	inj := NewInjector()
-	st := NewStore(mem, inj)
+	// A crash (power loss) discards the unsynced write; a kill (process
+	// death) lands it. Either way later operations fail.
+	for _, tc := range []struct {
+		name    string
+		stop    func(*Injector) error
+		durable byte
+	}{
+		{"crash", func(inj *Injector) error { inj.Crash(); return nil }, 0xAA},
+		{"kill", (*Injector).Kill, 0xBB},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := pagestore.NewMemStore()
+			inj := NewInjector()
+			st := NewStore(mem, inj)
 
-	id, _ := st.Allocate()
-	if err := st.WritePage(id, page(0xAA)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WritePage(id, page(0xBB)); err != nil {
-		t.Fatal(err)
-	}
-	// Unsynced write is visible through the wrapper (OS cache semantics)...
-	buf := make([]byte, pagestore.PageSize)
-	if err := st.ReadPage(id, buf); err != nil || buf[100] != 0xBB {
-		t.Fatalf("pre-crash read = %x, %v", buf[100], err)
-	}
-	inj.Crash()
-	if err := st.WritePage(id, page(0xCC)); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("post-crash write err = %v", err)
-	}
-	// ...but the durable state is the last sync.
-	if err := mem.ReadPage(id, buf); err != nil || buf[100] != 0xAA {
-		t.Fatalf("durable read = %x, %v", buf[100], err)
+			id, _ := st.Allocate()
+			if err := st.WritePage(id, page(0xAA)); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.WritePage(id, page(0xBB)); err != nil {
+				t.Fatal(err)
+			}
+			extra, _ := st.Allocate()
+			// Unsynced write is visible through the wrapper (OS cache semantics)...
+			buf := make([]byte, pagestore.PageSize)
+			if err := st.ReadPage(id, buf); err != nil || buf[100] != 0xBB {
+				t.Fatalf("pre-stop read = %x, %v", buf[100], err)
+			}
+			if err := tc.stop(inj); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.WritePage(id, page(0xCC)); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("post-stop write err = %v", err)
+			}
+			if err := st.Sync(); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("post-stop sync err = %v", err)
+			}
+			if _, err := st.Allocate(); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("post-stop allocate err = %v", err)
+			}
+			// ...but the durable state is the last sync, or every accepted
+			// write after a kill.
+			if err := mem.ReadPage(id, buf); err != nil || buf[100] != tc.durable {
+				t.Fatalf("durable read = %x, %v", buf[100], err)
+			}
+			if kept := mem.NumPages() > extra; kept != (tc.name == "kill") {
+				t.Fatalf("durable pages = %d after %s", mem.NumPages(), tc.name)
+			}
+		})
 	}
 }
 
@@ -176,29 +202,85 @@ func TestSyncIsAllOrNothing(t *testing.T) {
 }
 
 func TestDeviceCrashDiscardsUnsynced(t *testing.T) {
-	var mem memDevice
-	inj := NewInjector()
-	dev := NewDevice(&mem, inj)
-	if _, err := dev.WriteAt([]byte("hello"), 0); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		stop    func(*Injector) error
+		durable string
+	}{
+		{"crash", func(inj *Injector) error { inj.Crash(); return nil }, "hello"},
+		{"kill", (*Injector).Kill, "helloworld"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mem memDevice
+			inj := NewInjector()
+			dev := NewDevice(&mem, inj)
+			if _, err := dev.WriteAt([]byte("hello"), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := dev.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := dev.WriteAt([]byte("world"), 5); err != nil {
+				t.Fatal(err)
+			}
+			// Overlay read sees both.
+			buf := make([]byte, 10)
+			if _, err := dev.ReadAt(buf, 0); err != nil {
+				t.Fatal(err)
+			}
+			if string(buf) != "helloworld" {
+				t.Fatalf("overlay read = %q", buf)
+			}
+			if err := tc.stop(inj); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := dev.WriteAt([]byte("!"), 10); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("post-stop write err = %v", err)
+			}
+			if _, err := dev.ReadAt(buf, 0); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("post-stop read err = %v", err)
+			}
+			if string(mem.buf) != tc.durable {
+				t.Fatalf("durable device = %q, want %q", mem.buf, tc.durable)
+			}
+		})
 	}
-	if err := dev.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dev.WriteAt([]byte("world"), 5); err != nil {
-		t.Fatal(err)
-	}
-	// Overlay read sees both.
-	buf := make([]byte, 10)
-	if _, err := dev.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "helloworld" {
-		t.Fatalf("overlay read = %q", buf)
-	}
-	inj.Crash()
-	if !bytes.Equal(mem.buf, []byte("hello")) {
-		t.Fatalf("durable device = %q", mem.buf)
+}
+
+// TestKillRuleLandsAcceptedWrites: a kill fired by a rule on one wrapper
+// lands what every wrapper of the injector accepted before it, and the
+// killed operation itself never happens.
+func TestKillRuleLandsAcceptedWrites(t *testing.T) {
+	for _, rule := range []Rule{KillOnWrite(3), KillOnSync(1)} {
+		t.Run(rule.String(), func(t *testing.T) {
+			mem := pagestore.NewMemStore()
+			var log memDevice
+			inj := NewInjector(rule)
+			st, dev := NewStore(mem, inj), NewDevice(&log, inj)
+			id, _ := st.Allocate()
+			if err := st.WritePage(id, page(1)); err != nil { // write #1
+				t.Fatal(err)
+			}
+			if _, err := dev.WriteAt([]byte("rec"), 0); err != nil { // write #2
+				t.Fatal(err)
+			}
+			var err error
+			if rule.Op == Write {
+				_, err = dev.WriteAt([]byte("lost"), 3)
+			} else {
+				err = st.Sync()
+			}
+			if !errors.Is(err, ErrCrashed) || !inj.Crashed() {
+				t.Fatalf("%s: err = %v, crashed = %v", rule, err, inj.Crashed())
+			}
+			buf := make([]byte, pagestore.PageSize)
+			if err := mem.ReadPage(id, buf); err != nil || buf[0] != 1 {
+				t.Fatalf("landed page = %x, %v", buf[0], err)
+			}
+			if string(log.buf) != "rec" {
+				t.Fatalf("landed device = %q, want %q", log.buf, "rec")
+			}
+		})
 	}
 }
 

@@ -34,8 +34,11 @@
 package rx
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
+	"rx/internal/catalog"
 	"rx/internal/core"
 	"rx/internal/nodeid"
 	"rx/internal/pagestore"
@@ -151,6 +154,11 @@ var (
 	// (server-wide, per-session, or per-query). The offending request
 	// fails; the session, connection, and server keep running.
 	ErrOverBudget = rxerr.ErrOverBudget
+	// ErrLayout reports a database file opened in the other page layout:
+	// created with checksums and opened without them, or the reverse
+	// (RederiveChecksums included). It is returned before anything is
+	// written, so the file still opens in its own layout.
+	ErrLayout = errors.New("rx: page layout mismatch")
 )
 
 // BusyError is the detail type behind ErrBusy when the server attaches a
@@ -363,12 +371,50 @@ func RederiveChecksums(path string) error {
 	if err != nil {
 		return err
 	}
+	if err := checkLayout(s, path, true); err != nil {
+		s.Close()
+		return err
+	}
 	cs := pagestore.NewChecksumStore(s)
 	if err := cs.Rederive(); err != nil {
 		cs.Close()
 		return err
 	}
 	return cs.Close()
+}
+
+// checkLayout refuses a file created in the other page layout. The catalog
+// meta page is physical page 0 of a file created without checksums, and
+// page 1 of one created with them (page 0 is the first sidecar checksum
+// page). It reads both raw and writes nothing. A file whose meta page is in
+// neither place (empty, or damaged) is left to Open's own checks.
+func checkLayout(s pagestore.Store, path string, checksums bool) error {
+	at, other := pagestore.PageID(0), pagestore.PhysicalPage(0)
+	if checksums {
+		at, other = other, at
+	}
+	isMeta := func(id pagestore.PageID) (bool, error) {
+		if id >= s.NumPages() {
+			return false, nil
+		}
+		buf := make([]byte, pagestore.PageSize)
+		if err := s.ReadPage(id, buf); err != nil {
+			return false, err
+		}
+		return catalog.IsMetaPage(buf), nil
+	}
+	here, err := isMeta(at)
+	if err != nil || here {
+		return err
+	}
+	there, err := isMeta(other)
+	if err != nil || !there {
+		return err
+	}
+	if checksums {
+		return fmt.Errorf("%w: %s was created without checksums", ErrLayout, path)
+	}
+	return fmt.Errorf("%w: %s was created with checksums", ErrLayout, path)
 }
 
 // Open opens a database. An empty path opens a fresh in-memory store;
@@ -392,6 +438,10 @@ func Open(path string, opts ...Option) (*DB, error) {
 	} else {
 		s, err := pagestore.OpenFile(path)
 		if err != nil {
+			return nil, err
+		}
+		if err := checkLayout(s, path, cfg.checksums); err != nil {
+			s.Close()
 			return nil, err
 		}
 		store = s

@@ -280,6 +280,94 @@ func TestFacadeCursor(t *testing.T) {
 	}
 }
 
+// TestLayoutMismatchWritesNothing opens a database in the page layout it
+// was not created in (and re-derives checksums on a file created without
+// them): each attempt must fail with ErrLayout, leave the file byte for byte
+// as it was and create no log, and the file must still open in its own
+// layout.
+func TestLayoutMismatchWritesNothing(t *testing.T) {
+	for _, created := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checksums=%v", created), func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "l.rxdb")
+			own := func() []Option {
+				if created {
+					return []Option{WithChecksums()}
+				}
+				return nil
+			}
+			db, err := Open(path, own()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.CreateCollection("c", CollectionOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			id, err := db.Session().Insert(context.Background(), "c", []byte("<d><v>layout</v></d>"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			walPath := filepath.Join(dir, "l.wal")
+			var other []Option
+			if !created {
+				other = append(other, WithChecksums())
+			}
+			attempts := map[string]func() error{
+				"open": func() error {
+					db, err := Open(path, other...)
+					if err == nil {
+						db.Close()
+					}
+					return err
+				},
+				"open with wal": func() error {
+					db, err := Open(path, append(other, WithWAL(walPath))...)
+					if err == nil {
+						db.Close()
+					}
+					return err
+				},
+			}
+			if !created {
+				attempts["rederive"] = func() error { return RederiveChecksums(path) }
+			}
+			for name, attempt := range attempts {
+				if err := attempt(); !errors.Is(err, ErrLayout) {
+					t.Fatalf("%s: err = %v, want ErrLayout", name, err)
+				}
+				after, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(before, after) {
+					t.Fatalf("%s changed the file", name)
+				}
+				if _, err := os.Stat(walPath); !os.IsNotExist(err) {
+					t.Fatalf("%s created a log: %v", name, err)
+				}
+			}
+
+			db, err = Open(path, own()...)
+			if err != nil {
+				t.Fatalf("reopen in own layout: %v", err)
+			}
+			defer db.Close()
+			got, err := db.Session().Get(context.Background(), "c", id)
+			if err != nil || string(got) != "<d><v>layout</v></d>" {
+				t.Fatalf("document after refused opens = %q, %v", got, err)
+			}
+		})
+	}
+}
+
 // TestChecksumsDetectCorruption creates a checksummed database, flips one
 // bit in the closed file, and checks that both a direct read and a
 // VerifyPages scrub report ErrPageChecksum rather than serving the page.
