@@ -17,10 +17,31 @@
 //	[10:12) cell count
 //	[12:14) free-space pointer (cells grow down from the page end)
 //	[14:18) leaf: right sibling page; internal: leftmost child page
-//	[18:..) slot array, 2 bytes per cell (cell offset)
+//	[18:..) slot array, 2 bytes per cell: the cell's offset in the low 13
+//	        bits (offsets lie below PageSize, 1<<13); on a leaf the top bit
+//	        marks a restart cell
 //
-// Leaf cell:     keyLen u16, key, valLen u16, val
+// Leaf cell:     shared, suffixLen, suffix, valLen, val (lengths as uvarints)
 // Internal cell: keyLen u16, key, child u32 — child covers keys >= key.
+//
+// Leaf keys are front coded (Bayer & Unterauer, "Prefix B-trees", TODS
+// 1977): a cell stores the number of leading bytes its key shares with the
+// previous cell's key and the rest of the key. A restart cell stores its key
+// whole (shared 0); a leaf's first cell is always one, and no run — a
+// restart and the cells after it up to the next — is longer than
+// restartEvery, so a leaf search is a binary search over restart keys and a
+// forward scan of at most one run (the restart points of LevelDB's table
+// blocks). The mark lives in the slot, not in the cell index, so an insert
+// moves no mark. An insert re-encodes only the cell after it, which only
+// shrinks, unless a full run makes it a restart where the page has the room
+// (leafPut); a delete re-encodes only the cell after it, which grows by less
+// than the deleted cell frees, so a delete never splits; a split stores the
+// right page's first key whole. Inner pages keep whole keys.
+//
+// The meta page holds the root at [8:12) and the format byte at [12]. A tree
+// whose meta page lacks the format byte was written with whole-key leaves;
+// Open refuses it with ErrFormat. There is no second decoder and no
+// conversion.
 //
 // All page mutations go through buffer.Pool.Modify so the WAL sees them when
 // attached; a failed mutation rolls the page back, and a split that fails
@@ -37,9 +58,11 @@
 // Reads have one path, walk: one descent (descend, which a nil key takes to
 // the leftmost leaf) and then the leaf links. Scan, Ceiling, Get and Count
 // are its callers; Height is the descent's depth. A read lends its entries:
-// key and value alias the read-latched leaf until the callback returns, and
-// a caller that keeps one copies it (Get copies its value). EstimateRange is
-// the one reader with its own descents, two of them, to both ends of a range.
+// the walk rebuilds each key into one buffer, taken from a pool for the
+// walk, and the value aliases the read-latched leaf; both are valid until
+// the callback returns, and a caller that keeps one copies it (Get copies
+// its value). EstimateRange is the one reader with its own descents, two of
+// them, to both ends of a range.
 //
 // Inserts have one path, PutSorted: a strictly ascending run enters the tree
 // one leaf visit at a time — one descent, one Modify and so one WAL record
@@ -52,6 +75,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"rx/internal/buffer"
@@ -67,6 +91,21 @@ const (
 	slotSize   = 2
 
 	flagLeaf = 1
+
+	slotOff     = 0x1fff // a slot's cell offset
+	slotRestart = 0x8000 // a leaf slot's restart mark
+
+	// restartEvery is the longest run of leaf cells from a restart to the
+	// next. Of 8, 16 and 32, 16 measured smallest on the benchmark's write
+	// workload (EXPERIMENTS.md): a longer run stores fewer whole keys but
+	// more mid-run inserts start runs of their own.
+	restartEvery = 16
+
+	metaRoot   = 8  // [8:12) the root page
+	metaFormat = 12 // the format byte
+	// formatFrontCoded is the format byte of a tree with front-coded
+	// leaves. Trees written before it have 0 there.
+	formatFrontCoded = 1
 )
 
 // MaxKey is the largest key the tree accepts; it guarantees a minimum fanout
@@ -82,6 +121,10 @@ var ErrNotFound = errors.New("btree: key not found")
 // ErrKeyTooLarge reports a key or value exceeding the size limits.
 var ErrKeyTooLarge = errors.New("btree: key or value too large")
 
+// ErrFormat reports a tree written in an older page format, whose leaves
+// store whole keys: Open refuses it before anything is written.
+var ErrFormat = errors.New("btree: tree written in an older page format")
+
 // Tree is a B+tree index. A tree is durably identified by its meta page,
 // which stores the current root (the root moves when it splits).
 type Tree struct {
@@ -90,9 +133,21 @@ type Tree struct {
 	mu   sync.RWMutex
 	meta pagestore.PageID
 	root pagestore.PageID
-	// fence is PutSorted's copy of a leaf visit's upper bound (guarded by mu,
-	// reused so a visit does not allocate).
-	fence []byte
+	// fence is PutSorted's copy of a leaf visit's upper bound, and scratch
+	// the leaf writers' working space (both guarded by mu, reused so a write
+	// does not allocate).
+	fence   []byte
+	scratch scratch
+}
+
+// scratch holds the keys beside a leaf write's insertion point and the cells
+// it builds. After a put, at is the place after the key it stored and
+// prev[:atLen] that key, where the next, greater key of the same leaf visit
+// starts its search; at is 0 at a visit's start.
+type scratch struct {
+	prev, next [MaxKey]byte
+	cell       [maxLeafCell]byte
+	at, atLen  int
 }
 
 // Create allocates a new empty tree (a meta page plus an empty leaf root).
@@ -117,7 +172,7 @@ func Create(pool *buffer.Pool) (*Tree, error) {
 		return nil, err
 	}
 	err = pool.Modify(mf, func(d []byte) error {
-		binary.BigEndian.PutUint32(d[8:12], uint32(rootID))
+		setMeta(d, rootID)
 		return nil
 	})
 	metaID := mf.ID()
@@ -128,17 +183,29 @@ func Create(pool *buffer.Pool) (*Tree, error) {
 	return &Tree{pool: pool, meta: metaID, root: rootID}, nil
 }
 
-// Open attaches to an existing tree by its meta page ID.
+// Open attaches to an existing tree by its meta page ID. A meta page that
+// names a root but lacks the format byte is ErrFormat; one that reads as
+// zeros, never written, names no tree to refuse.
 func Open(pool *buffer.Pool, meta pagestore.PageID) (*Tree, error) {
 	f, err := pool.Fetch(meta)
 	if err != nil {
 		return nil, err
 	}
 	f.RLock()
-	root := pagestore.PageID(binary.BigEndian.Uint32(f.Data[8:12]))
+	root := pagestore.PageID(binary.BigEndian.Uint32(f.Data[metaRoot:]))
+	format := f.Data[metaFormat]
 	f.RUnlock()
 	pool.Unpin(f, false)
+	if format != formatFrontCoded && root != 0 {
+		return nil, fmt.Errorf("%w: meta page %d has format %d", ErrFormat, meta, format)
+	}
 	return &Tree{pool: pool, meta: meta, root: root}, nil
+}
+
+// setMeta writes a meta page: the root and the format byte.
+func setMeta(d []byte, root pagestore.PageID) {
+	binary.BigEndian.PutUint32(d[metaRoot:], uint32(root))
+	d[metaFormat] = formatFrontCoded
 }
 
 // MetaPage returns the tree's durable identity for catalog storage.
@@ -165,30 +232,135 @@ func setLink(d []byte, id pagestore.PageID) {
 	binary.BigEndian.PutUint32(d[hdrLink:], uint32(id))
 }
 
-func cellOff(d []byte, i int) int {
-	return int(binary.BigEndian.Uint16(d[hdrSize+i*slotSize:]))
+func slot(d []byte, i int) int {
+	p := hdrSize + i*slotSize
+	return int(d[p])<<8 | int(d[p+1])
 }
 
-func setCellOff(d []byte, i, off int) {
+func cellOff(d []byte, i int) int { return slot(d, i) & slotOff }
+
+// isRestart reports whether leaf cell i stores its key whole.
+func isRestart(d []byte, i int) bool { return d[hdrSize+i*slotSize]&(slotRestart>>8) != 0 }
+
+// restartAtOrBefore returns the last restart among leaf cells [lo, i], or
+// lo-1 when there is none. It reads the marks of four slots at a time.
+func restartAtOrBefore(d []byte, i, lo int) int {
+	for ; i-3 >= lo; i -= 4 {
+		w := binary.BigEndian.Uint64(d[hdrSize+(i-3)*slotSize:]) & 0x8000_8000_8000_8000
+		if w != 0 { // slot i's mark is bit 15, slot i-1's bit 31, ...
+			return i - bits.TrailingZeros64(w)/16
+		}
+	}
+	for ; i >= lo; i-- {
+		if isRestart(d, i) {
+			return i
+		}
+	}
+	return lo - 1
+}
+
+// setSlot points slot i at off, marked as a restart or not.
+func setSlot(d []byte, i, off int, restart bool) {
+	if restart {
+		off |= slotRestart
+	}
 	binary.BigEndian.PutUint16(d[hdrSize+i*slotSize:], uint16(off))
 }
 
-// cellKey returns the key of cell i, aliasing the page buffer; its capacity
-// ends with it, so an append by a borrower copies instead of writing into
-// the page.
-func cellKey(d []byte, i int) []byte {
+// innerKey returns the key of internal cell i, aliasing the page buffer.
+func innerKey(d []byte, i int) []byte {
 	off := cellOff(d, i)
 	end := off + 2 + int(binary.BigEndian.Uint16(d[off:]))
 	return d[off+2 : end : end]
 }
 
-// leafValue returns the value of leaf cell i, aliasing the page buffer like
-// cellKey.
-func leafValue(d []byte, i int) []byte {
-	off := cellOff(d, i)
-	vo := off + 2 + int(binary.BigEndian.Uint16(d[off:]))
-	end := vo + 2 + int(binary.BigEndian.Uint16(d[vo:]))
-	return d[vo+2 : end : end]
+// uvarint decodes the uvarint at d[p:] and returns it and the offset past
+// it. Cell lengths are below 1<<14, so two bytes always hold one.
+func uvarint(d []byte, p int) (int, int) {
+	if b := d[p]; b < 0x80 {
+		return int(b), p + 1
+	}
+	return int(d[p]&0x7f) | int(d[p+1])<<7, p + 2
+}
+
+func appendUvarint(b []byte, v int) []byte {
+	if v < 0x80 {
+		return append(b, byte(v))
+	}
+	return append(b, byte(v)|0x80, byte(v>>7))
+}
+
+func uvarintLen(v int) int {
+	if v < 0x80 {
+		return 1
+	}
+	return 2
+}
+
+// leafCell decodes the leaf cell at offset off: how many leading bytes its
+// key shares with the previous cell's key, the rest of the key, and the
+// value, both aliasing d with their capacity ending with them. It is the one
+// leaf cell decoder.
+func leafCell(d []byte, off int) (shared int, suffix, val []byte) {
+	shared, p := uvarint(d, off)
+	n, p := uvarint(d, p)
+	suffix = d[p : p+n : p+n]
+	n, p = uvarint(d, p+n)
+	return shared, suffix, d[p : p+n : p+n]
+}
+
+// leafCellSize is the size of a leaf cell with a suffix of n bytes and a
+// value of v bytes.
+func leafCellSize(shared, n, v int) int {
+	return uvarintLen(shared) + uvarintLen(n) + n + uvarintLen(v) + v
+}
+
+// leafNeed is the most a cell for key and val can take: its key stored
+// whole, as in a restart.
+func leafNeed(key, val []byte) int { return leafCellSize(0, len(key), len(val)) }
+
+// appendLeafCell appends a leaf cell to b.
+func appendLeafCell(b []byte, shared int, suffix, val []byte) []byte {
+	b = appendUvarint(b, shared)
+	b = appendUvarint(b, len(suffix))
+	b = append(b, suffix...)
+	b = appendUvarint(b, len(val))
+	return append(b, val...)
+}
+
+// leafKey returns the key of leaf cell i in buf, decoding forward from the
+// restart at or before it.
+func leafKey(d []byte, i int, buf []byte) []byte {
+	buf = buf[:0]
+	for r := max(restartAtOrBefore(d, i, 0), 0); r <= i; r++ {
+		s, x, _ := leafCell(d, cellOff(d, r))
+		buf = append(buf[:s], x...)
+	}
+	return buf
+}
+
+// nodeKey returns the key of cell i of either kind of page; a leaf's is
+// rebuilt in buf.
+func nodeKey(d []byte, i int, buf []byte) []byte {
+	if isLeaf(d) {
+		return leafKey(d, i, buf)
+	}
+	return innerKey(d, i)
+}
+
+// runEnd returns the index of the first restart after leaf cell i, or the
+// cell count.
+func runEnd(d []byte, i int) int {
+	n := nKeys(d)
+	for i++; i < n && !isRestart(d, i); i++ {
+	}
+	return i
+}
+
+// restartSize is the size leaf cell i takes stored whole.
+func restartSize(d []byte, i int) int {
+	s, x, v := leafCell(d, cellOff(d, i))
+	return leafCellSize(0, s+len(x), len(v))
 }
 
 // childAt returns the child pointer of internal cell i.
@@ -200,21 +372,25 @@ func childAt(d []byte, i int) pagestore.PageID {
 
 func cellSize(d []byte, i int) int {
 	off := cellOff(d, i)
-	kl := int(binary.BigEndian.Uint16(d[off:]))
 	if isLeaf(d) {
-		vl := int(binary.BigEndian.Uint16(d[off+2+kl:]))
-		return 2 + kl + 2 + vl
+		s, x, v := leafCell(d, off)
+		return leafCellSize(s, len(x), len(v))
 	}
-	return 2 + kl + 4
+	return 2 + int(binary.BigEndian.Uint16(d[off:])) + 4
 }
 
 // search finds the smallest cell index whose key is >= key, i.e. the
 // insertion point. Returns (index, exact match).
 func search(d []byte, key []byte) (int, bool) {
+	if isLeaf(d) {
+		var kb [MaxKey]byte
+		i, exact, _ := leafSearch(d, key, kb[:0], 0)
+		return i, exact
+	}
 	lo, hi := 0, nKeys(d)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		switch bytes.Compare(cellKey(d, mid), key) {
+		switch bytes.Compare(innerKey(d, mid), key) {
 		case -1:
 			lo = mid + 1
 		case 0:
@@ -224,6 +400,71 @@ func search(d []byte, key []byte) (int, bool) {
 		}
 	}
 	return lo, false
+}
+
+// leafSearch is search on a leaf that also returns, rebuilt in buf, the key
+// before the insertion point (empty at 0). With at > 0, buf holds the key of
+// cell at-1, which is below key: a put hands the next, greater key of its
+// leaf visit the place after its own, and the search starts there unless
+// the next restart is below key too. Otherwise it starts at the last restart
+// below key (lastRestartBelow), from that restart on. The scan forward from there, at most one run
+// unless at leads it further, compares each cell's suffix only: m is how
+// many leading bytes the previous key, which is below key, shares with key.
+// A cell that shares more than m with it agrees with it at byte m and so is
+// below key too; one that shares s <= m with it agrees with key for s bytes,
+// so its suffix decides.
+func leafSearch(d, key, buf []byte, at int) (int, bool, []byte) {
+	n, m, lo := nKeys(d), 0, 0
+	if at > 0 {
+		lo = runEnd(d, at-1)
+	}
+	if at > 0 && !restartBelow(d, lo, key) {
+		m = lcp(buf, key)
+	} else {
+		at, buf = lastRestartBelow(d, key, lo), buf[:0]
+	}
+	for i := at; i < n; i++ {
+		s, x, _ := leafCell(d, cellOff(d, i))
+		if s <= m {
+			if c := bytes.Compare(x, key[s:]); c >= 0 {
+				return i, c == 0, buf
+			}
+			m = s + lcp(x, key[s:])
+		}
+		buf = append(buf[:s], x...)
+	}
+	return n, false, buf
+}
+
+// lastRestartBelow returns the last restart cell of leaf d from lo on whose
+// key is below key, or lo (a restart, or 0): a binary search over the
+// restart cells, whose keys need no decoding, in which a probe between
+// restarts backs up to the one before it.
+func lastRestartBelow(d, key []byte, lo int) int {
+	from := lo
+	for hi := nKeys(d); lo < hi; {
+		mid := (lo + hi) / 2
+		r := restartAtOrBefore(d, mid, lo)
+		switch {
+		case r < lo: // no restart in [lo, mid]
+			lo = mid + 1
+		case restartBelow(d, r, key):
+			from, lo = r, mid+1
+		default:
+			hi = r
+		}
+	}
+	return from
+}
+
+// restartBelow reports whether restart cell r of leaf d exists and holds a
+// key below key. A restart's shared length is one zero byte.
+func restartBelow(d []byte, r int, key []byte) bool {
+	if r == nKeys(d) {
+		return false
+	}
+	n, p := uvarint(d, cellOff(d, r)+1)
+	return bytes.Compare(d[p:p+n], key) < 0
 }
 
 // route returns the child to descend into for key in an internal node — the
@@ -254,7 +495,7 @@ func freeBytes(d []byte) int {
 // allocCell reserves size bytes of cell space and slot i for a new cell,
 // shifting later slots, and returns the cell's offset for the caller to
 // fill. It returns false when the page is full even after compaction.
-func allocCell(d []byte, i, size int) (int, bool) {
+func allocCell(d []byte, i, size int, restart bool) (int, bool) {
 	if freeBytes(d) < size {
 		if !compactNode(d) || freeBytes(d) < size {
 			return 0, false
@@ -268,18 +509,30 @@ func allocCell(d []byte, i, size int) (int, bool) {
 	binary.BigEndian.PutUint16(d[hdrFreePtr:], uint16(off))
 	n := nKeys(d)
 	copy(d[hdrSize+(i+1)*slotSize:hdrSize+(n+1)*slotSize], d[hdrSize+i*slotSize:hdrSize+n*slotSize])
-	setCellOff(d, i, off)
+	setSlot(d, i, off, restart)
 	binary.BigEndian.PutUint16(d[hdrNKeys:], uint16(n+1))
 	return off, true
 }
 
 // insertCell places a prebuilt cell at index i (see allocCell).
-func insertCell(d []byte, i int, cell []byte) bool {
-	off, ok := allocCell(d, i, len(cell))
+func insertCell(d []byte, i int, cell []byte, restart bool) bool {
+	off, ok := allocCell(d, i, len(cell), restart)
 	if ok {
 		copy(d[off:], cell)
 	}
 	return ok
+}
+
+// replaceCell stores cell as cell i: in place when it is no larger, else in
+// new space (the old cell becomes a hole).
+func replaceCell(d []byte, i int, cell []byte, restart bool) bool {
+	if off := cellOff(d, i); len(cell) <= cellSize(d, i) {
+		copy(d[off:], cell)
+		setSlot(d, i, off, restart)
+		return true
+	}
+	removeCell(d, i)
+	return insertCell(d, i, cell, restart)
 }
 
 // removeCell deletes cell i (slot shift only; bytes reclaimed on compaction).
@@ -300,38 +553,124 @@ var compactScratch = sync.Pool{New: func() any {
 // cells. Returns true if space was reclaimed.
 func compactNode(d []byte) bool {
 	n := nKeys(d)
-	tb := compactScratch.Get().(*[]byte)
-	tmp := *tb
-	defer compactScratch.Put(tb)
-	w := pagestore.PageSize
-	offs := make([]int, n)
-	for i := 0; i < n; i++ {
-		sz := cellSize(d, i)
-		w -= sz
-		copy(tmp[w:], d[cellOff(d, i):cellOff(d, i)+sz])
-		offs[i] = w
-	}
 	oldFree := int(binary.BigEndian.Uint16(d[hdrFreePtr:]))
 	if oldFree == 0 {
 		oldFree = pagestore.PageSize
 	}
+	w := pagestore.PageSize
+	for i := 0; i < n; i++ {
+		w -= cellSize(d, i)
+	}
 	if w == oldFree {
 		return false
 	}
-	copy(d[w:], tmp[w:])
-	for i := 0; i < n; i++ {
-		setCellOff(d, i, offs[i])
+	tb := compactScratch.Get().(*[]byte)
+	tmp := *tb
+	defer compactScratch.Put(tb)
+	// Cell i is packed below cell i-1 and slot i repointed at once: no
+	// later step reads slot i, and the cells are read from d until the
+	// final copy.
+	for i, p := 0, pagestore.PageSize; i < n; i++ {
+		off, sz := cellOff(d, i), cellSize(d, i)
+		p -= sz
+		copy(tmp[p:], d[off:off+sz])
+		setSlot(d, i, p, slot(d, i)&slotRestart != 0)
 	}
+	copy(d[w:], tmp[w:])
 	binary.BigEndian.PutUint16(d[hdrFreePtr:], uint16(w))
 	return true
 }
 
-// putLeafCell writes a leaf cell for key and val at the start of dst.
-func putLeafCell(dst, key, val []byte) {
-	binary.BigEndian.PutUint16(dst, uint16(len(key)))
-	copy(dst[2:], key)
-	binary.BigEndian.PutUint16(dst[2+len(key):], uint16(len(val)))
-	copy(dst[4+len(key):], val)
+// maxLeafCell is the largest leaf cell: a MaxKey key stored whole and a
+// MaxValue value.
+const maxLeafCell = 2 + 2 + MaxKey + 2 + MaxValue
+
+// leafPut stores val under key in leaf d and reports false when the page
+// has no room. An equal key's cell takes the new value and keeps its key's
+// encoding. A new key's cell goes in at its insertion point, sharing the
+// previous key's prefix, and the cell after it, if it continues the same
+// run, is re-encoded against key, which shares at least as much with it as
+// the previous key did, so it can only shrink. A new first cell is a
+// restart, and takes the old first cell into its run while the run stays
+// short enough.
+//
+// A run already restartEvery long is cut. When the new cell ends it, the
+// new cell is a restart. When cells of the run follow it, the next one
+// becomes the restart instead, stored whole, if the page has the room:
+// otherwise every insert at the same place, as a run grows in front of
+// another's cells, would start a run of one. Without the room the new cell
+// is the restart, which fits wherever the preemptive split made room for
+// key stored whole. sc is its working space.
+func leafPut(d, key, val []byte, sc *scratch) bool {
+	i, ok := leafPutAt(d, key, val, sc)
+	sc.at, sc.atLen = i+1, copy(sc.prev[:], key)
+	return ok
+}
+
+// leafPutAt is leafPut, which hands on the place it stored key at.
+func leafPutAt(d, key, val []byte, sc *scratch) (int, bool) {
+	nb, cb := &sc.next, &sc.cell
+	if n := nKeys(d); sc.at == 0 && n > 0 {
+		// A visit's first put tries the last run first, since keys are
+		// often appended: a restart's key is stored whole.
+		if r := max(restartAtOrBefore(d, n-1, 0), 0); restartBelow(d, r, key) {
+			_, x, _ := leafCell(d, cellOff(d, r))
+			sc.at, sc.atLen = r+1, copy(sc.prev[:], x)
+		}
+	}
+	i, exact, prev := leafSearch(d, key, sc.prev[:sc.atLen], sc.at)
+	if exact {
+		s, x, _ := leafCell(d, cellOff(d, i))
+		return i, replaceCell(d, i, appendLeafCell(cb[:0], s, x, val), isRestart(d, i))
+	}
+	n := nKeys(d)
+	follows := i < n && !isRestart(d, i) // the next cell continues the run
+	restart, promote, shared := true, false, 0
+	if i > 0 {
+		r := max(restartAtOrBefore(d, i-1, 0), 0)
+		restart, shared = false, lcp(prev, key)
+		if runEnd(d, i-1)-r >= restartEvery {
+			size := leafCellSize(shared, len(key)-shared, len(val))
+			if promote = follows && !needsSplit(d, size+restartSize(d, i)-cellSize(d, i)); !promote {
+				restart, shared = true, 0
+			}
+		}
+	}
+	if follows || i == 0 && n > 0 && runEnd(d, 0) < restartEvery {
+		s, x, v := leafCell(d, cellOff(d, i))
+		next := append(append(nb[:0], prev[:s]...), x...)
+		if s = lcp(key, next); promote {
+			s = 0
+		}
+		if !replaceCell(d, i, appendLeafCell(cb[:0], s, next[s:], v), promote) {
+			return i, false
+		}
+	}
+	return i, insertCell(d, i, appendLeafCell(cb[:0], shared, key[shared:], val), restart)
+}
+
+// leafDelete removes leaf cell i, whose previous key is prev (see
+// leafSearch), in sc. The cell after it, if not a restart,
+// becomes one when cell i was one, else it is re-encoded against the cell
+// before: it grows by at most cell i's suffix and a length byte, less than
+// cell i and its slot free.
+func leafDelete(d []byte, i int, prev []byte, sc *scratch) bool {
+	nb, cb := &sc.next, &sc.cell
+	if i+1 == nKeys(d) || isRestart(d, i+1) {
+		removeCell(d, i)
+		return true
+	}
+	s, x, _ := leafCell(d, cellOff(d, i))
+	next := append(append(nb[:0], prev[:s]...), x...)
+	s, x, v := leafCell(d, cellOff(d, i+1))
+	next = append(next[:s], x...)
+	restart, s := isRestart(d, i), 0
+	if !restart {
+		s = lcp(prev, next)
+	}
+	cell := appendLeafCell(cb[:0], s, next[s:], v)
+	removeCell(d, i)
+	return replaceCell(d, i, cell, restart)
 }
 
 func internalCell(key []byte, child pagestore.PageID) []byte {
@@ -458,7 +797,7 @@ func (t *Tree) PutSorted(entries []Entry) error {
 // one, unless it fails).
 func (t *Tree) putVisit(run []Entry) (int, error) {
 	key := run[0].Key
-	leafNeed := 2 + len(key) + 2 + len(run[0].Value)
+	firstNeed := leafNeed(key, run[0].Value)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
@@ -469,7 +808,7 @@ func (t *Tree) putVisit(run []Entry) (int, error) {
 	f.RLock()
 	need := maxInternalCell
 	if isLeaf(f.Data) {
-		need = leafNeed
+		need = firstNeed
 	}
 	split := needsSplit(f.Data, need)
 	f.RUnlock()
@@ -498,7 +837,7 @@ func (t *Tree) putVisit(run []Entry) (int, error) {
 			var next int
 			child, next = route(f.Data, key)
 			if next < nKeys(f.Data) {
-				t.fence = append(t.fence[:0], cellKey(f.Data, next)...)
+				t.fence = append(t.fence[:0], innerKey(f.Data, next)...)
 				fence = t.fence
 			}
 		}
@@ -506,21 +845,16 @@ func (t *Tree) putVisit(run []Entry) (int, error) {
 		if leaf {
 			n := 0
 			err = t.pool.Modify(f, func(d []byte) error {
+				t.scratch.at = 0
 				for n = 0; n < len(run); n++ {
 					e := run[n]
 					if n > 0 && (split || fence != nil && bytes.Compare(e.Key, fence) >= 0 ||
-						needsSplit(d, 2+len(e.Key)+2+len(e.Value))) {
+						needsSplit(d, leafNeed(e.Key, e.Value))) {
 						break
 					}
-					i, exact := search(d, e.Key)
-					if exact {
-						removeCell(d, i)
-					}
-					off, ok := allocCell(d, i, 2+len(e.Key)+2+len(e.Value))
-					if !ok {
+					if !leafPut(d, e.Key, e.Value, &t.scratch) {
 						return errors.New("btree: leaf full after preemptive split")
 					}
-					putLeafCell(d[off:], e.Key, e.Value)
 				}
 				return nil
 			})
@@ -538,7 +872,7 @@ func (t *Tree) putVisit(run []Entry) (int, error) {
 		cf.RLock()
 		need := maxInternalCell
 		if isLeaf(cf.Data) {
-			need = leafNeed
+			need = firstNeed
 		}
 		full := needsSplit(cf.Data, need)
 		cf.RUnlock()
@@ -554,7 +888,7 @@ func (t *Tree) putVisit(run []Entry) (int, error) {
 			f.RLock()
 			next, nx := route(f.Data, key)
 			if nx < nKeys(f.Data) {
-				t.fence = append(t.fence[:0], cellKey(f.Data, nx)...)
+				t.fence = append(t.fence[:0], innerKey(f.Data, nx)...)
 				fence = t.fence
 			}
 			f.RUnlock()
@@ -575,7 +909,7 @@ func (t *Tree) putVisit(run []Entry) (int, error) {
 // before any mutation so the mutations themselves cannot fail. For a leaf,
 // the separator is the right node's first key (copied up); for an internal
 // node, the middle key moves up and its child becomes the right node's
-// leftmost child.
+// leftmost child. A leaf's first cell to move right is stored whole there.
 type splitPlan struct {
 	leaf     bool
 	mid      int
@@ -583,6 +917,7 @@ type splitPlan struct {
 	leftmost pagestore.PageID // internal: the promoted cell's child
 	oldLink  pagestore.PageID
 	cells    [][]byte // copies of the cells that move right
+	restarts []bool   // which of them are restarts
 }
 
 // planSplit plans the split of page d for an insert of key, whose cell needs
@@ -593,9 +928,13 @@ func planSplit(d, key, fence []byte, need int) (*splitPlan, error) {
 		return nil, errors.New("btree: cannot split page with fewer than 2 cells")
 	}
 	p := &splitPlan{leaf: isLeaf(d), mid: splitAt(d, key, fence, need), oldLink: link(d)}
-	p.sep = append([]byte(nil), cellKey(d, p.mid)...)
+	p.sep = bytes.Clone(nodeKey(d, p.mid, nil))
 	first := p.mid
-	if !p.leaf {
+	if p.leaf {
+		_, _, v := leafCell(d, cellOff(d, first))
+		p.cells, p.restarts = [][]byte{appendLeafCell(nil, 0, p.sep, v)}, []bool{true}
+		first++
+	} else {
 		p.leftmost = childAt(d, p.mid)
 		first = p.mid + 1
 	}
@@ -603,6 +942,7 @@ func planSplit(d, key, fence []byte, need int) (*splitPlan, error) {
 		off := cellOff(d, i)
 		sz := cellSize(d, i)
 		p.cells = append(p.cells, append([]byte(nil), d[off:off+sz]...))
+		p.restarts = append(p.restarts, p.leaf && isRestart(d, i))
 	}
 	return p, nil
 }
@@ -617,18 +957,19 @@ func planSplit(d, key, fence []byte, need int) (*splitPlan, error) {
 // and key follows it, inside it cells [i, n) move right if i is at least
 // n/2, so the left page is never emptier than after an even split (a value
 // repeated a few times in a random-order index is no run to wait for), and
-// keeps room for need bytes. Every other split is at n/2, unless skewed cell
-// sizes leave the page key routes to short of room; then the cut goes
-// beside i, where one side always has room.
+// keeps room for need bytes. Every other split is even: an inner page's at
+// n/2, a leaf's at quietCut, unless skewed cell sizes leave the page key
+// routes to short of room; then the cut goes beside i, where one side always
+// has room.
 func splitAt(d, key, fence []byte, need int) int {
 	n := nKeys(d)
 	i, _ := search(d, key)
 	if isLeaf(d) {
 		right := fence
 		if i < n {
-			right = cellKey(d, i)
+			right = leafKey(d, i, nil)
 		}
-		if right == nil || lcp(key, cellKey(d, 0)) > lcp(key, right) {
+		if right == nil || lcp(key, leafKey(d, 0, nil)) > lcp(key, right) {
 			if i == n {
 				return n - 1
 			}
@@ -637,25 +978,60 @@ func splitAt(d, key, fence []byte, need int) int {
 			}
 		}
 	}
-	for _, m := range [...]int{n / 2, max(i, 1), i - 1} {
+	mid := n / 2
+	if isLeaf(d) {
+		mid = quietCut(d)
+	}
+	for _, m := range [...]int{mid, max(i, 1), i - 1} {
 		if m >= 1 && m < n && cutFits(d, key, m, need) {
 			return m
 		}
 	}
-	return n / 2
+	return mid
+}
+
+// quietCut returns where an even split cuts leaf d: within an eighth of its
+// cells of the middle, at the cut whose two neighbouring keys share the
+// fewest leading bytes, a byte shared costing as much as n/128 cells of
+// distance from the middle. It is the split interval of Bayer & Unterauer's
+// prefix B-trees: in an index of interleaved runs the cut lands between two
+// values, not inside a run, whose head would stay behind on a page the run
+// no longer grows in; in a random-order index it stays a few cells from the
+// middle.
+func quietCut(d []byte) int {
+	n := nKeys(d)
+	lo, hi := max(n/2-n/8, 1), min(n/2+n/8, n-1)
+	best, bestCost := n/2, -1
+	k := leafKey(d, lo-1, nil)
+	for m := lo; m <= hi; m++ {
+		s, x, _ := leafCell(d, cellOff(d, m))
+		if isRestart(d, m) {
+			s, k = lcp(k, x), append(k[:0], x...)
+		} else {
+			k = append(k[:s], x...)
+		}
+		if cost := s*n + 128*max(m-n/2, n/2-m); bestCost < 0 || cost < bestCost {
+			best, bestCost = m, cost
+		}
+	}
+	return best
 }
 
 // cutFits reports whether, once page d is cut at cell m, the page key routes
-// to has room for a cell of need bytes.
+// to has room for a cell of need bytes. A leaf's cell m counts on the right
+// at the size it takes there, stored whole.
 func cutFits(d, key []byte, m, need int) bool {
 	lo, hi := 0, m
-	if bytes.Compare(key, cellKey(d, m)) >= 0 {
+	room := pagestore.PageSize - hdrSize
+	if bytes.Compare(key, nodeKey(d, m, nil)) >= 0 {
 		lo, hi = m, nKeys(d)
 		if !isLeaf(d) {
 			lo = m + 1 // the promoted cell moves up
+		} else {
+			room -= restartSize(d, m) - cellSize(d, m)
 		}
 	}
-	room := pagestore.PageSize - hdrSize - (hi-lo+1)*slotSize
+	room -= (hi - lo + 1) * slotSize
 	for j := lo; j < hi; j++ {
 		room -= cellSize(d, j)
 	}
@@ -681,7 +1057,7 @@ func (p *splitPlan) fillRight(rd []byte) error {
 		setLink(rd, p.leftmost)
 	}
 	for i, c := range p.cells {
-		if !insertCell(rd, i, c) {
+		if !insertCell(rd, i, c, p.restarts[i]) {
 			return errors.New("btree: split target overflow")
 		}
 	}
@@ -728,7 +1104,7 @@ func (t *Tree) splitChild(pf, cf *buffer.Frame, key, fence []byte, need int) err
 	}
 	return t.pool.Modify(pf, func(pd []byte) error {
 		i, _ := search(pd, plan.sep)
-		if !insertCell(pd, i, internalCell(plan.sep, rightID)) {
+		if !insertCell(pd, i, internalCell(plan.sep, rightID), false) {
 			return errors.New("btree: parent cannot absorb separator")
 		}
 		return nil
@@ -769,7 +1145,7 @@ func (t *Tree) splitRoot(rootf *buffer.Frame, key []byte, need int) error {
 		err = t.pool.Modify(nrf, func(d []byte) error {
 			initNode(d, false)
 			setLink(d, oldRootID)
-			if !insertCell(d, 0, internalCell(plan.sep, rightID)) {
+			if !insertCell(d, 0, internalCell(plan.sep, rightID), false) {
 				return errors.New("btree: root cell does not fit")
 			}
 			return nil
@@ -784,7 +1160,7 @@ func (t *Tree) splitRoot(rootf *buffer.Frame, key []byte, need int) error {
 	}
 	if err == nil {
 		err = t.pool.Modify(mf, func(d []byte) error {
-			binary.BigEndian.PutUint32(d[8:12], uint32(newRootID))
+			setMeta(d, newRootID)
 			return nil
 		})
 	}
@@ -797,7 +1173,8 @@ func (t *Tree) splitRoot(rootf *buffer.Frame, key []byte, need int) error {
 }
 
 // Delete removes key from the tree. Underflowing nodes are not merged (lazy
-// deletion, as in many production systems' online path).
+// deletion, as in many production systems' online path), and a delete never
+// splits (see leafDelete).
 func (t *Tree) Delete(key []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -807,12 +1184,14 @@ func (t *Tree) Delete(key []byte) error {
 	}
 	found := false
 	err = t.pool.Modify(f, func(d []byte) error {
-		i, exact := search(d, key)
+		i, exact, prev := leafSearch(d, key, t.scratch.prev[:0], 0)
 		if !exact {
 			return nil
 		}
 		found = true
-		removeCell(d, i)
+		if !leafDelete(d, i, prev, &t.scratch) {
+			return errors.New("btree: leaf cannot re-encode after a delete")
+		}
 		return nil
 	})
 	t.pool.Unpin(f, false)
@@ -831,14 +1210,18 @@ type Entry struct {
 	Value []byte
 }
 
+// keyBufs recycles the buffer a walk rebuilds its keys in, so a walk does
+// not allocate.
+var keyBufs = sync.Pool{New: func() any { return new([MaxKey]byte) }}
+
 // walk calls fn with the entries whose keys lie in [from, to), in ascending
 // order (nil from: from the first entry; nil to: to the last), until fn
 // returns false. It is the tree's one leaf walk: one descent, then right
 // links, which also carry it past leaves that deletes emptied. The tree is
 // read-locked throughout and each leaf read-latched while fn sees its
-// entries, so k and v alias the latched leaf and are valid only until fn
-// returns: a caller that keeps one copies it. fn must not call writers on
-// the same tree.
+// entries. k is rebuilt in one buffer for the whole walk and v aliases the
+// latched leaf, so both are valid only until fn returns: a caller that keeps
+// one copies it. fn must not call writers on the same tree.
 func (t *Tree) walk(from, to []byte, fn func(k, v []byte) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -846,18 +1229,22 @@ func (t *Tree) walk(from, to []byte, fn func(k, v []byte) bool) error {
 	if err != nil {
 		return err
 	}
+	kb := keyBufs.Get().(*[MaxKey]byte)
+	defer keyBufs.Put(kb)
 	f.RLock()
-	i, _ := search(f.Data, from)
+	i, _, k := leafSearch(f.Data, from, kb[:0], 0)
 	for {
-		for n := nKeys(f.Data); i < n; i++ {
-			k := cellKey(f.Data, i)
-			if to != nil && bytes.Compare(k, to) >= 0 || !fn(k, leafValue(f.Data, i)) {
+		d := f.Data
+		for n := nKeys(d); i < n; i++ {
+			s, x, v := leafCell(d, cellOff(d, i))
+			k = append(k[:s], x...)
+			if to != nil && bytes.Compare(k, to) >= 0 || !fn(k[:len(k):len(k)], v) {
 				f.RUnlock()
 				t.pool.Unpin(f, false)
 				return nil
 			}
 		}
-		next := link(f.Data)
+		next := link(d)
 		f.RUnlock()
 		t.pool.Unpin(f, false)
 		if next == pagestore.InvalidPage {
@@ -867,16 +1254,16 @@ func (t *Tree) walk(from, to []byte, fn func(k, v []byte) bool) error {
 			return err
 		}
 		f.RLock()
-		i = 0
+		i, k = 0, kb[:0]
 	}
 }
 
 // Scan visits entries with key in [from, to) in ascending order (nil from =
 // from the start; nil to = to the end) and calls fn for each. fn returning
-// false stops the scan. The entry is borrowed: its Key and Value alias the
-// read-latched leaf and are valid only until fn returns, so fn copies what
-// it keeps. The tree is read-locked for the duration; fn must not call
-// writers on the same tree.
+// false stops the scan. The entry is borrowed: its Key is rebuilt in the
+// walk's buffer and its Value aliases the read-latched leaf, both valid only
+// until fn returns, so fn copies what it keeps. The tree is read-locked for
+// the duration; fn must not call writers on the same tree.
 func (t *Tree) Scan(from, to []byte, fn func(e Entry) bool) error {
 	return t.walk(from, to, func(k, v []byte) bool { return fn(Entry{Key: k, Value: v}) })
 }
@@ -885,7 +1272,7 @@ func (t *Tree) Scan(from, to []byte, fn func(e Entry) bool) error {
 // ErrNotFound. This is the NodeID-index primitive: the paper finds a node's
 // record by searching for the successor entry among interval upper
 // endpoints (§3.4). It is the leaf walk's first entry, borrowed like Scan's:
-// k and v alias the read-latched leaf until fn returns.
+// k and v are valid until fn returns.
 func (t *Tree) Ceiling(from []byte, fn func(k, v []byte)) error {
 	found := false
 	err := t.walk(from, nil, func(k, v []byte) bool {
@@ -904,6 +1291,11 @@ func (t *Tree) Ceiling(from []byte, fn func(k, v []byte)) error {
 // exactly, a wider one estimated from the leaves walked.
 const exactLeaves = 4
 
+// spreadSamples is how many more leaves a wide range's estimate samples, the
+// leftmost leaves of child slots spread evenly between the two paths where
+// they part.
+const spreadSamples = 4
+
 // EstimateRange estimates how many entries have keys in [from, to) (nil ends
 // unbounded) from a descent to each end, under the tree's read lock: InnoDB's
 // "index dives" (records_in_range); compare Olken & Rotem, "Random Sampling
@@ -914,11 +1306,13 @@ const exactLeaves = 4
 // A wider one is estimated as the child slots between the two paths where
 // they part, plus the slots beside each path below that level, each slot
 // weighted by the entries a subtree of its height holds: the mean fill of
-// the leaves sampled inside the range — the walked ones and the right end
-// leaf's left sibling, empty ones skipped and the smallest dropped, since
-// the leaf where a run grows holds a cell or two (see splitAt) — times the
-// average fanout of the inner pages visited below the parting level; with
-// every sample empty, only the ends count. An empty or inverted range is 0.
+// the leaves sampled inside the range — the walked ones, the right end
+// leaf's left sibling and the leftmost leaves of spreadSamples slots spread
+// between the paths where they part, empty ones skipped and the smallest
+// dropped, since the leaf where a run grows holds a cell or two (see
+// splitAt) — times the average fanout of the inner pages visited below the
+// parting level; with every sample empty, only the ends count. An empty or
+// inverted range is 0.
 func (t *Tree) EstimateRange(from, to []byte) (float64, error) {
 	if from != nil && to != nil && bytes.Compare(from, to) >= 0 {
 		return 0, nil
@@ -930,6 +1324,7 @@ func (t *Tree) EstimateRange(from, to []byte) (float64, error) {
 	// when it is its parent's first child.
 	lo, hi, prev := t.root, t.root, t.root
 	gap, inLeaf := 0, -1
+	var spread [spreadSamples]pagestore.PageID
 	for lo == hi && inLeaf < 0 {
 		err := t.read(lo, func(d []byte) {
 			if isLeaf(d) {
@@ -938,6 +1333,12 @@ func (t *Tree) EstimateRange(from, to []byte) (float64, error) {
 			}
 			a, b := childSlot(d, from, false), childSlot(d, to, true)
 			gap, lo, hi, prev = b-a-1, slotChild(d, a), slotChild(d, b), slotChild(d, max(b-1, a))
+			for j := range spread {
+				spread[j] = pagestore.InvalidPage
+				if gap > 0 {
+					spread[j] = slotChild(d, a+1+j*gap/len(spread))
+				}
+			}
 		})
 		if err != nil {
 			return 0, err
@@ -1003,6 +1404,22 @@ func (t *Tree) EstimateRange(from, to []byte) (float64, error) {
 	}
 	if err := t.read(prev, sample); err != nil {
 		return 0, err
+	}
+	for j, pg := range spread {
+		if j > 0 && pg == spread[j-1] {
+			continue
+		}
+		for leaf := false; !leaf && pg != pagestore.InvalidPage; {
+			err := t.read(pg, func(d []byte) {
+				if leaf = isLeaf(d); leaf {
+					sample(d)
+				}
+				pg = link(d)
+			})
+			if err != nil {
+				return 0, err
+			}
+		}
 	}
 	if k > 1 { // the smallest sample may be the leaf where a run grows
 		k, sum = k-1, sum-low

@@ -21,7 +21,7 @@ func leafKeys(t *testing.T, tr *Tree) [][][]byte {
 	for {
 		var ks [][]byte
 		for i := 0; i < nKeys(f.Data); i++ {
-			ks = append(ks, bytes.Clone(cellKey(f.Data, i)))
+			ks = append(ks, leafKey(f.Data, i, nil))
 		}
 		out = append(out, ks)
 		next := link(f.Data)

@@ -3,6 +3,7 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"slices"
 	"sync"
@@ -24,12 +25,14 @@ func (l *countLog) LogPageDelta(pagestore.PageID, []buffer.PageRun) (buffer.LSN,
 
 // sortedCase is one generated PutSorted workload: entries to pre-fill in
 // insertion order, keys to delete after that (holes that only compaction
-// reclaims), then strictly ascending runs that reuse some live and some
-// deleted keys under new values (exact-key replacements).
+// reclaims), how many of the restart cells left to delete then, and
+// strictly ascending runs that reuse some live and some deleted keys under
+// new values (exact-key replacements).
 type sortedCase struct {
-	prefill []Entry
-	deletes [][]byte
-	runs    [][]Entry
+	prefill        []Entry
+	deletes        [][]byte
+	restartDeletes int
+	runs           [][]Entry
 }
 
 // genSortedCase draws a case over nKeys distinct keys whose lengths reach
@@ -129,9 +132,10 @@ func genRunCase(rng *rand.Rand, nKeys, maxStem, maxVal int) sortedCase {
 
 // checkPutSortedMatchesPut applies c to two logged trees on 8-frame pools —
 // small enough that frames are evicted in the middle of a run — one taking
-// each run as sequential Puts, the other as one PutSorted. Every page must
-// be byte-identical outside the LSN field. It returns the page-delta
-// records each tree logged for the runs.
+// each run as sequential Puts, the other as one PutSorted. Every leaf must
+// pass checkLeaf after the pre-fill, after the deletes and after each run,
+// and every page must come out byte-identical outside the LSN field. It
+// returns the page-delta records each tree logged for the runs.
 func checkPutSortedMatchesPut(t *testing.T, c sortedCase) (seqRecs, batRecs buffer.LSN) {
 	t.Helper()
 	var trees [2]*Tree
@@ -149,11 +153,21 @@ func checkPutSortedMatchesPut(t *testing.T, c sortedCase) (seqRecs, batRecs buff
 				t.Fatal(err)
 			}
 		}
+		checkTree(t, tr)
 		for _, k := range c.deletes {
 			if err := tr.Delete(k); err != nil {
 				t.Fatal(err)
 			}
 		}
+		// The trees are alike so far, so the restarts picked are too.
+		if rk := restartKeys(t, tr); c.restartDeletes > 0 && len(rk) > 0 {
+			for j := 0; j < c.restartDeletes; j++ {
+				if err := tr.Delete(rk[j*len(rk)/c.restartDeletes]); err != nil && !errors.Is(err, ErrNotFound) {
+					t.Fatal(err)
+				}
+			}
+		}
+		checkTree(t, tr)
 		trees[i] = tr
 	}
 	seq, bat := trees[0], trees[1]
@@ -167,6 +181,8 @@ func checkPutSortedMatchesPut(t *testing.T, c sortedCase) (seqRecs, batRecs buff
 		if err := bat.PutSorted(run); err != nil {
 			t.Fatal(err)
 		}
+		checkTree(t, seq)
+		checkTree(t, bat)
 	}
 	seqPages, err := seq.Pages()
 	if err != nil {
@@ -201,11 +217,72 @@ func checkPutSortedMatchesPut(t *testing.T, c sortedCase) (seqRecs, batRecs buff
 	return logs[0].n - seq0, logs[1].n - bat0
 }
 
-// genCase draws a random-key case, or with runs set a run-shaped one (its
-// stems reach maxKey less the tag and counter).
-func genCase(rng *rand.Rand, runs bool, nKeys, maxKey, maxVal int) sortedCase {
-	if runs {
+// genPrefixCase draws a case whose keys share long prefixes: each is one of
+// up to four stems of up to maxKey-1 bytes, cut short by up to four bytes,
+// and a random tail of up to eight, so keys share long runs of bytes and,
+// pre-filled in random order and then put in random subsets, land in the
+// middle of full runs. Up to 15 restart cells are deleted after the
+// pre-fill, first cells among them.
+func genPrefixCase(rng *rand.Rand, nKeys, maxKey, maxVal int) sortedCase {
+	stems := make([][]byte, 1+rng.Intn(4))
+	for i := range stems {
+		stems[i] = make([]byte, rng.Intn(maxKey))
+		rng.Read(stems[i])
+	}
+	seen := map[string]bool{}
+	var keys [][]byte
+	for tries := 0; len(keys) < nKeys && tries < 8*nKeys; tries++ {
+		st := stems[rng.Intn(len(stems))]
+		k := slices.Clip(st[:len(st)-rng.Intn(min(len(st), 4)+1)])
+		tail := make([]byte, 1+rng.Intn(min(8, maxKey-len(k))))
+		rng.Read(tail)
+		if k = append(k, tail...); !seen[string(k)] {
+			seen[string(k)] = true
+			keys = append(keys, k)
+		}
+	}
+	val := func() []byte {
+		v := make([]byte, rng.Intn(min(maxVal, 16)+1))
+		if rng.Intn(16) == 0 {
+			v = make([]byte, maxVal-rng.Intn(maxVal/8+1))
+		}
+		rng.Read(v)
+		return v
+	}
+	c := sortedCase{restartDeletes: rng.Intn(16)}
+	for _, i := range rng.Perm(len(keys))[:rng.Intn(len(keys)+1)] {
+		c.prefill = append(c.prefill, Entry{Key: keys[i], Value: val()})
+		if rng.Intn(4) == 0 {
+			c.deletes = append(c.deletes, keys[i])
+		}
+	}
+	for r := 1 + rng.Intn(3); r > 0; r-- {
+		var run []Entry
+		for _, i := range rng.Perm(len(keys))[:1+rng.Intn(len(keys))] {
+			run = append(run, Entry{Key: keys[i], Value: val()})
+		}
+		slices.SortFunc(run, func(x, y Entry) int { return bytes.Compare(x.Key, y.Key) })
+		c.runs = append(c.runs, run)
+	}
+	return c
+}
+
+// Case shapes genCase draws.
+const (
+	shapeRandom   = iota // genSortedCase
+	shapeRuns            // genRunCase
+	shapePrefixes        // genPrefixCase
+	shapes
+)
+
+// genCase draws a case of the given shape (run stems reach maxKey less the
+// tag and counter).
+func genCase(rng *rand.Rand, shape int, nKeys, maxKey, maxVal int) sortedCase {
+	switch shape {
+	case shapeRuns:
 		return genRunCase(rng, nKeys, max(maxKey-5, 0), maxVal)
+	case shapePrefixes:
+		return genPrefixCase(rng, nKeys, maxKey, maxVal)
 	}
 	return genSortedCase(rng, nKeys, maxKey, maxVal)
 }
@@ -213,26 +290,29 @@ func genCase(rng *rand.Rand, runs bool, nKeys, maxKey, maxVal int) sortedCase {
 // PutSorted is an optimisation of sequential Put, not a different tree:
 // over runs from empty trees (root splits), pre-filled and holed trees
 // (compaction), exact-key replacements, keys and values up to the size
-// limits, and ascending runs that split leaves where they grow, every page
-// comes out as sequential Put leaves it. A run of many keys costs fewer
-// page-delta records.
+// limits, ascending runs that split leaves where they grow, and keys that
+// share long prefixes put into the middle of full runs beside deleted
+// restart cells, every page comes out as sequential Put leaves it. A run of
+// many keys costs fewer page-delta records.
 func TestPutSortedMatchesPut(t *testing.T) {
-	shapes := []struct {
+	cases := []struct {
 		name           string
-		runs           bool
+		shape          int
 		keys, key, val int
 	}{
-		{"small", false, 3000, 24, 16},
-		{"max-size", false, 300, MaxKey, MaxValue},
-		{"mixed", false, 1500, MaxKey, MaxValue},
-		{"runs", true, 3000, 16, MaxValue},
-		{"runs-long", true, 600, MaxKey, MaxValue},
+		{"small", shapeRandom, 3000, 24, 16},
+		{"max-size", shapeRandom, 300, MaxKey, MaxValue},
+		{"mixed", shapeRandom, 1500, MaxKey, MaxValue},
+		{"runs", shapeRuns, 3000, 16, MaxValue},
+		{"runs-long", shapeRuns, 600, MaxKey, MaxValue},
+		{"prefixes", shapePrefixes, 3000, 64, 16},
+		{"prefixes-long", shapePrefixes, 600, MaxKey, MaxValue},
 	}
-	for _, sh := range shapes {
+	for _, sh := range cases {
 		t.Run(sh.name, func(t *testing.T) {
 			var seqRecs, batRecs buffer.LSN
 			for seed := int64(1); seed <= 8; seed++ {
-				s, b := checkPutSortedMatchesPut(t, genCase(rand.New(rand.NewSource(seed)), sh.runs, sh.keys, sh.key, sh.val))
+				s, b := checkPutSortedMatchesPut(t, genCase(rand.New(rand.NewSource(seed)), sh.shape, sh.keys, sh.key, sh.val))
 				seqRecs += s
 				batRecs += b
 			}
@@ -244,19 +324,22 @@ func TestPutSortedMatchesPut(t *testing.T) {
 }
 
 func FuzzPutSorted(f *testing.F) {
-	f.Add(int64(1), false, uint16(200), uint16(32), uint16(16))
-	f.Add(int64(2), false, uint16(120), uint16(MaxKey), uint16(MaxValue))
+	f.Add(int64(1), uint8(shapeRandom), uint16(200), uint16(32), uint16(16))
+	f.Add(int64(2), uint8(shapeRandom), uint16(120), uint16(MaxKey), uint16(MaxValue))
 	// One-byte keys, more asked for than exist.
-	f.Add(int64(1), false, uint16(579), uint16(0), uint16(432))
+	f.Add(int64(1), uint8(shapeRandom), uint16(579), uint16(0), uint16(432))
 	// Keys near MaxKey beside short ones: an even split by count leaves the
 	// page the key routes to without room for it.
-	f.Add(int64(145), false, uint16(265), uint16(1009), uint16(MaxValue))
+	f.Add(int64(145), uint8(shapeRandom), uint16(265), uint16(1009), uint16(MaxValue))
 	// Run-shaped cases whose leaves split where runs grow, at both seeds
 	// also behind the room-guard fallback to an even split.
-	f.Add(int64(1), true, uint16(599), uint16(16), uint16(MaxValue))
-	f.Add(int64(11), true, uint16(599), uint16(MaxKey-1), uint16(MaxValue))
-	f.Fuzz(func(t *testing.T, seed int64, runs bool, keys, maxKey, maxVal uint16) {
-		c := genCase(rand.New(rand.NewSource(seed)), runs,
+	f.Add(int64(1), uint8(shapeRuns), uint16(599), uint16(16), uint16(MaxValue))
+	f.Add(int64(11), uint8(shapeRuns), uint16(599), uint16(MaxKey-1), uint16(MaxValue))
+	// Long shared prefixes, mid-run inserts and deleted restart cells.
+	f.Add(int64(3), uint8(shapePrefixes), uint16(599), uint16(200), uint16(16))
+	f.Add(int64(4), uint8(shapePrefixes), uint16(400), uint16(MaxKey-1), uint16(MaxValue))
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8, keys, maxKey, maxVal uint16) {
+		c := genCase(rand.New(rand.NewSource(seed)), int(shape)%shapes,
 			1+int(keys)%600, 1+int(maxKey)%MaxKey, int(maxVal)%(MaxValue+1))
 		checkPutSortedMatchesPut(t, c)
 	})

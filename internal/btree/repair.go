@@ -110,7 +110,7 @@ func (t *Tree) Reset() error {
 		for i := 8; i < len(d); i++ {
 			d[i] = 0
 		}
-		binary.BigEndian.PutUint32(d[8:12], uint32(rootID))
+		setMeta(d, rootID)
 		return nil
 	})
 	t.pool.Unpin(mf, false)

@@ -77,9 +77,11 @@ func leafFill(t *testing.T, tr *Tree) float64 {
 // an even split leaves behind it, and one fed in random order fills as the
 // even split did.
 func TestSplitFillByShape(t *testing.T) {
-	// randomFill is what the even split gives the random shape at these
-	// seeds; the run rule must not move it by more than 2 %.
-	const randomFill = 0.6948
+	// randomFill is what a split at n/2 gives the random shape at these
+	// seeds (0.6948 when leaves stored whole keys: front-coded cells shrink
+	// as a leaf's keys grow denser); the run rule and the quiet cut must not
+	// move it by more than 2 %.
+	const randomFill = 0.7652
 	for _, sh := range loadShapes {
 		fill := 0.0
 		const seeds = 4
@@ -103,8 +105,9 @@ func TestSplitFillByShape(t *testing.T) {
 // the last value and from a random value and DocID on, whose ends lie
 // outside the exact window, the mean |log(estimate/count)| is at most 0.1
 // and no estimate is off by more than 1.35x either way. Random order is the
-// loosest (about 1.3x): adjacent leaves fill alike, so five samples from two
-// places miss how the fill varies across the tree.
+// loosest (about 1.2x): adjacent leaves fill alike, which is why the dive
+// also samples leaves spread across the range, not just the walked ones and
+// the right end's sibling.
 //
 // Deletes leave emptied leaves linked (no leaf is reclaimed), so once the
 // entries of the older half of the documents are deleted a dive from the

@@ -526,6 +526,12 @@ func (p *Pool) pin(f *Frame) {
 // unmapped, one already unmapped (a failed load, a lost install race) is
 // simply taken. A full circle of pinned frames is ErrPoolFull.
 //
+// A write-back that fails (a full device) leaves its frame dirty, mapped and
+// unpinned, and the hand moves on: from then on the call passes dirty frames
+// by without writing them and takes the first clean one, so a full device
+// does not fail a read that a clean frame can serve. Two circles without one
+// — the first may only clear reference bits — return the write error.
+//
 // A frame's label changes only here, under the old page's shard mutex, so
 // once the hand holds that mutex and sees the label it read, the label is
 // stable and no fetch can pin the frame behind the claim.
@@ -540,9 +546,16 @@ func (p *Pool) victim(id pagestore.PageID) (*Frame, error) {
 		p.notePinned()
 		return f, nil
 	}
-	for run := 0; ; {
+	var wbErr error // the call's first failed write-back
+	for run, left := 0, 0; ; {
 		f := p.frames[p.hand]
 		p.hand = (p.hand + 1) % len(p.frames)
+		if wbErr != nil {
+			if left--; left < 0 { // two circles since the first failure
+				p.clock.Unlock()
+				return nil, wbErr
+			}
+		}
 		if f.pins.Load() > 0 {
 			// The pinned counter confirms the circle: a frame the hand
 			// passed pinned may have been unpinned since.
@@ -553,7 +566,7 @@ func (p *Pool) victim(id pagestore.PageID) (*Frame, error) {
 			continue
 		}
 		run = 0
-		if f.ref.CompareAndSwap(true, false) {
+		if f.ref.CompareAndSwap(true, false) || wbErr != nil && f.dirty.Load() {
 			continue
 		}
 		old := f.ID()
@@ -567,10 +580,18 @@ func (p *Pool) victim(id pagestore.PageID) (*Frame, error) {
 		p.notePinned()
 		if s.frames[old] == f {
 			if f.dirty.Load() {
-				if err := p.writeBack(f); err != nil {
+				err := wbErr
+				if err == nil {
+					err = p.writeBack(f)
+				}
+				if err != nil {
 					s.mu.Unlock()
 					p.Unpin(f, false)
-					return nil, err
+					if wbErr == nil {
+						wbErr, left = err, 2*len(p.frames)
+					}
+					p.clock.Lock()
+					continue
 				}
 				p.writeBacks.Add(1)
 			}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rx/internal/pagestore"
+	"rx/internal/rxerr"
 )
 
 func TestFetchMissRead(t *testing.T) {
@@ -716,5 +717,69 @@ func TestWriteBackRetryExhaustion(t *testing.T) {
 	fs.failures = 0
 	if err := p.FlushAll(); err != nil {
 		t.Fatalf("flush after heal: %v", err)
+	}
+}
+
+// fullStore rejects every page write with the typed no-space error while
+// full is set.
+type fullStore struct {
+	pagestore.Store
+	full bool
+}
+
+func (s *fullStore) WritePage(id pagestore.PageID, buf []byte) error {
+	if s.full {
+		return fmt.Errorf("%w: device write of page %d", rxerr.ErrNoSpace, id)
+	}
+	return s.Store.WritePage(id, buf)
+}
+
+// TestVictimSkipsFailedWriteBack: on a full device a read still gets a
+// frame while any unpinned frame is clean. The dirty victim whose write-back
+// failed stays dirty and resident and the clock moves on; only when every
+// unpinned frame is dirty does the read fail, with the write error, not
+// ErrPoolFull. The pages survive to be written once the device has room.
+func TestVictimSkipsFailedWriteBack(t *testing.T) {
+	store := &fullStore{Store: pagestore.NewMemStore()}
+	for i := 0; i < 4; i++ {
+		if _, err := store.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := New(store, 2)
+	f, err := p.Fetch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Data[100] = 7
+	p.Unpin(f, true)
+	if f, err = p.Fetch(1); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(f, false)
+	store.full = true
+	// Page 0's frame comes first round the clock and fails its write-back;
+	// page 1's is clean.
+	if f, err = p.Fetch(2); err != nil {
+		t.Fatalf("fetch with a clean unpinned frame: %v", err)
+	}
+	if !mapped(p, 0) || mapped(p, 1) {
+		t.Fatalf("page 0 resident %v, page 1 resident %v; want the clean page 1 evicted", mapped(p, 0), mapped(p, 1))
+	}
+	f.Data[100] = 9
+	p.Unpin(f, true)
+	_, err = p.Fetch(3)
+	if !errors.Is(err, rxerr.ErrNoSpace) || errors.Is(err, ErrPoolFull) {
+		t.Fatalf("fetch with every frame dirty: %v, want the no-space write error", err)
+	}
+	store.full = false
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, pagestore.PageSize)
+	for id, want := range map[pagestore.PageID]byte{0: 7, 2: 9} {
+		if err := store.ReadPage(id, buf); err != nil || buf[100] != want {
+			t.Fatalf("page %d holds %d, %v; want %d", id, buf[100], err, want)
+		}
 	}
 }

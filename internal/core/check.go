@@ -59,7 +59,9 @@ func (c *Collection) CheckConsistency() error {
 	}
 	var errs []error
 	for _, doc := range docs {
-		if f := c.checkDoc(doc, nil); f.reason != "" {
+		if f := c.checkDoc(doc, nil); f.err != nil {
+			errs = append(errs, fmt.Errorf("doc %d: %w", doc, f.err))
+		} else if f.reason != "" {
 			errs = append(errs, fmt.Errorf("doc %d: %s", doc, f.reason))
 		}
 	}
@@ -103,10 +105,14 @@ type docFault struct {
 	// resolves to the wrong record. Only an index rebuilt from the heap
 	// leads a walk to the stored document again.
 	nodeIx bool
+	// err is the read error of an unreadable record, so that
+	// CheckConsistency reports a read a full device failed (no frame could
+	// be evicted) as that error, not as damage.
+	err error
 }
 
 func logicalFault(nodeIx bool, format string, args ...any) docFault {
-	return docFault{fmt.Sprintf(format, args...), pagestore.InvalidPage, nodeIx}
+	return docFault{reason: fmt.Sprintf(format, args...), page: pagestore.InvalidPage, nodeIx: nodeIx}
 }
 
 // docEntry is one NodeID-index entry of a document being checked: the index
@@ -154,26 +160,27 @@ func (c *Collection) checkDoc(doc xml.DocID, bad map[pagestore.PageID]bool) docF
 	var logical docFault
 	for g, rid := range rids {
 		if bad[rid.Page] {
-			return docFault{fmt.Sprintf("record page %d failed verification", rid.Page), rid.Page, false}
+			return docFault{reason: fmt.Sprintf("record page %d failed verification", rid.Page), page: rid.Page}
 		}
 		rec, release, err := c.borrowRecord(rid)
 		if err != nil {
 			var pe pagestore.ErrPageChecksum
 			if errors.As(err, &pe) {
-				return docFault{fmt.Sprintf("record page %d failed checksum", pe.PageID), pe.PageID, false}
+				return docFault{reason: fmt.Sprintf("record page %d failed checksum", pe.PageID), page: pe.PageID}
 			}
-			return docFault{fmt.Sprintf("record %s unreadable: %v", rid, err), rid.Page, false}
+			err = fmt.Errorf("record %s unreadable: %w", rid, err)
+			return docFault{reason: err.Error(), page: rid.Page, err: err}
 		}
 		uppers[g], _, err = rec.Intervals()
 		release()
 		if err != nil && logical.reason == "" {
-			logical = docFault{fmt.Sprintf("record %s undecodable: %v", rid, err), rid.Page, false}
+			logical = docFault{reason: fmt.Sprintf("record %s undecodable: %v", rid, err), page: rid.Page}
 		}
 	}
 	if serr != nil {
 		var pe pagestore.ErrPageChecksum
 		if errors.As(serr, &pe) {
-			return docFault{fmt.Sprintf("NodeID index entries unreadable (page %d)", pe.PageID), pe.PageID, false}
+			return docFault{reason: fmt.Sprintf("NodeID index entries unreadable (page %d)", pe.PageID), page: pe.PageID}
 		}
 		return logicalFault(false, "NodeID index entries unreadable: %v", serr)
 	}

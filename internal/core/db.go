@@ -83,6 +83,10 @@ type DB struct {
 
 	quarantine quarantineSet
 	stats      dbStats
+
+	// txnSeq is the last transaction ID handed out. With a log it starts at
+	// the log's largest ID, so no ID repeats across restarts.
+	txnSeq atomic.Uint64
 }
 
 // Open opens (bootstrapping if empty) a database over the given store and
@@ -134,7 +138,39 @@ func open(store pagestore.Store, opts Options) (*DB, error) {
 		watch: opts.SpaceWatch,
 	}
 	db.spaceFree.Store(-1)
+	if opts.WAL != nil {
+		db.txnSeq.Store(opts.WAL.MaxTxn())
+	}
 	return db, nil
+}
+
+// CheckFormat returns btree.ErrFormat when an index tree that store's
+// catalog names was written in an older page format. It reads through a
+// small pool of its own and writes nothing, so a caller can refuse the file
+// before recovery or anything else writes to it. A store without a readable
+// catalog, or a tree whose meta page cannot be read, is left to Open.
+func CheckFormat(store pagestore.Store) error {
+	if store.NumPages() == 0 {
+		return nil
+	}
+	pool := buffer.New(store, 8)
+	cat, err := catalog.Open(pool)
+	if err != nil {
+		return nil
+	}
+	for _, name := range cat.Collections() {
+		m := cat.GetCollection(name)
+		metas := []pagestore.PageID{m.DocIDIndex, m.NodeIDIndex}
+		for _, im := range m.Indexes {
+			metas = append(metas, im.Meta)
+		}
+		for _, pg := range metas {
+			if _, err := btree.Open(pool, pg); errors.Is(err, btree.ErrFormat) {
+				return fmt.Errorf("collection %q: %w", name, err)
+			}
+		}
+	}
+	return nil
 }
 
 // OpenMemory opens a fresh in-memory database.

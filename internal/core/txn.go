@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"rx/internal/lock"
 	"rx/internal/nodeid"
@@ -31,8 +30,6 @@ import (
 // contains an operation's deltas also contains its undo record; compensation
 // in turn tolerates partially-applied operations (the durable prefix may end
 // mid-operation), see compensate.
-
-var txnSeq atomic.Uint64
 
 // Txn is an open transaction.
 type Txn struct {
@@ -67,7 +64,7 @@ type logicalOp struct {
 
 // Begin starts a transaction.
 func (db *DB) Begin() *Txn {
-	t := &Txn{db: db, id: txnSeq.Add(1), lk: db.locks.Begin()}
+	t := &Txn{db: db, id: db.txnSeq.Add(1), lk: db.locks.Begin()}
 	if db.log != nil {
 		db.log.Begin(t.id)
 	}

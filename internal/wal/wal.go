@@ -200,6 +200,8 @@ type Log struct {
 	// checkpoint is the offset of the last durable checkpoint record, -1
 	// when there is none: recovery redoes only the page deltas after it.
 	checkpoint atomic.Int64
+	// maxTxn is the largest transaction ID in the log at Open.
+	maxTxn uint64
 }
 
 // Option configures a Log at Open.
@@ -223,23 +225,30 @@ var ErrCorrupt = errors.New("wal: mid-log corruption")
 // Open attaches to a log device, positioning at its end. A torn tail — an
 // incomplete or bad-CRC record at the very end of the log, the normal
 // outcome of a crash mid-append — is truncated; mid-log corruption is a
-// hard ErrCorrupt error. The same pass finds the last checkpoint record.
+// hard ErrCorrupt error. The same pass finds the last checkpoint record and
+// the largest transaction ID (MaxTxn).
 func Open(dev Device, opts ...Option) (*Log, error) {
 	size, err := dev.Size()
 	if err != nil {
 		return nil, err
 	}
 	checkpoint := int64(-1)
+	var maxTxn uint64
 	end, err := walk(dev, size, func(off int64, body []byte) error {
-		if Kind(body[0]) == KindCheckpoint {
+		switch Kind(body[0]) {
+		case KindCheckpoint:
 			checkpoint = off
+		case KindBegin, KindCommit, KindAbort, KindLogical:
+			if len(body) >= 9 {
+				maxTxn = max(maxTxn, binary.BigEndian.Uint64(body[1:9]))
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{dev: dev, tail: end, flushed: end}
+	l := &Log{dev: dev, tail: end, flushed: end, maxTxn: maxTxn}
 	l.checkpoint.Store(checkpoint)
 	for _, o := range opts {
 		o(l)
@@ -353,6 +362,12 @@ func (l *Log) LogPageDelta(id pagestore.PageID, runs []buffer.PageRun) (buffer.L
 	l.deltas.Add(1)
 	return lsn, nil
 }
+
+// MaxTxn returns the largest transaction ID the log held when it was
+// opened, 0 for an empty log. Recovery decides a transaction by the commit
+// or abort records under its ID anywhere in the log, so a new transaction
+// must take an ID above it.
+func (l *Log) MaxTxn() uint64 { return l.maxTxn }
 
 // Begin logs a transaction start.
 func (l *Log) Begin(txn uint64) buffer.LSN {

@@ -156,8 +156,9 @@ var (
 	ErrOverBudget = rxerr.ErrOverBudget
 	// ErrLayout reports a database file opened in the other page layout:
 	// created with checksums and opened without them, or the reverse
-	// (RederiveChecksums included). It is returned before anything is
-	// written, so the file still opens in its own layout.
+	// (RederiveChecksums included), or written before index leaves were
+	// front coded (there is no conversion). It is returned before anything
+	// is written, so the file still opens in its own layout.
 	ErrLayout = errors.New("rx: page layout mismatch")
 )
 
@@ -448,6 +449,10 @@ func Open(path string, opts ...Option) (*DB, error) {
 	}
 	if cfg.checksums {
 		store = pagestore.NewChecksumStore(store)
+	}
+	if err := core.CheckFormat(store); err != nil {
+		store.Close()
+		return nil, fmt.Errorf("%w: %s: %w", ErrLayout, path, err)
 	}
 	if cfg.spaceWatch && path != "" {
 		cfg.core.SpaceWatch.Probe = core.DiskFreeProbe(path)
