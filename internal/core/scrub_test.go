@@ -10,19 +10,15 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
-	"rx/internal/fault"
 	"rx/internal/heap"
 	"rx/internal/nodeid"
 	"rx/internal/pack"
 	"rx/internal/pagestore"
-	"rx/internal/wal"
 	"rx/internal/xml"
 )
 
@@ -761,77 +757,6 @@ func TestRederiveSidecarClusterHeuristic(t *testing.T) {
 	if len(out) != 0 {
 		t.Fatalf("rescan after re-derivation still failing: %v", out)
 	}
-}
-
-// TestTortureSidecarWALCrashRecovery crashes the checksummed, WAL-logged
-// stack at every sync boundary (and a sample of write indices) and requires
-// that after recovery every page — data and sidecar — verifies: the
-// all-or-nothing durability boundary must keep the sidecars in the same
-// epoch as the data across any crash point.
-func TestTortureSidecarWALCrashRecovery(t *testing.T) {
-	seeds := []int64{11, 22}
-	if s := os.Getenv("TORTURE_SEEDS"); s != "" {
-		var override []int64
-		if err := json.Unmarshal([]byte(s), &override); err == nil && len(override) > 0 {
-			seeds = override
-		}
-	}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	schedules := 0
-	for _, seed := range seeds {
-		profile := tortureWorkload(t, seed, nil, true, false)
-		profile.inj.Crash()
-		if err := tortureVerifyErr(profile); err != nil {
-			t.Fatalf("seed %d (clean): %v", seed, err)
-		}
-		var rules []fault.Rule
-		for n := profile.setupS + 1; n <= profile.endS; n++ {
-			rules = append(rules, fault.CrashOnSync(n))
-		}
-		for n := profile.setupW + 1; n <= profile.endW; n += 3 {
-			rules = append(rules, fault.CrashOnWrite(n))
-		}
-		for _, rule := range rules {
-			label := fmt.Sprintf("seed %d %s", seed, rule)
-			env := tortureWorkload(t, seed, []fault.Rule{rule}, true, false)
-			if !env.inj.Crashed() {
-				t.Fatalf("%s: schedule never fired (profile drift)", label)
-			}
-			env.pending = nil
-			if err := tortureVerifyErr(env); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			// Logical recovery passed; now the physical layer: every page
-			// must verify against its sidecar checksum.
-			log, err := wal.Open(env.dev)
-			if err != nil {
-				t.Fatalf("%s: reopen wal: %v", label, err)
-			}
-			rdb, err := Recover(pagestore.NewChecksumStore(env.mem), log, Options{PoolPages: 64, LockTimeoutMillis: 500})
-			if err != nil {
-				t.Fatalf("%s: recover: %v", label, err)
-			}
-			_, errsP, err := rdb.ScanPages(nil)
-			if err != nil {
-				t.Fatalf("%s: scan: %v", label, err)
-			}
-			if len(errsP) != 0 {
-				t.Fatalf("%s: %d pages fail verification after crash recovery (first: page %d: %v)",
-					label, len(errsP), errsP[0].Page, errsP[0].Err)
-			}
-			srep, err := rdb.ScrubPass(nil)
-			if err != nil {
-				t.Fatalf("%s: scrub: %v", label, err)
-			}
-			if !srep.Clean() {
-				t.Fatalf("%s: scrub not clean after crash recovery: %+v", label, srep)
-			}
-			schedules++
-		}
-	}
-	t.Logf("sidecar crash schedules verified clean: %d", schedules)
 }
 
 // BenchmarkCheckDoc times the one per-document check — the scrubber's,

@@ -1,6 +1,7 @@
 package pagestore
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sort"
@@ -45,9 +46,15 @@ const crcBytes = 4 * crcPerPage
 const verOff = crcBytes + crcPerPage/8
 
 // sidecarVersion 1 marks sidecars whose entries use the Castagnoli
-// polynomial. Version 0 (the zero value, as written by earlier builds) means
-// IEEE entries; such groups are migrated in place on first load.
+// polynomial. Version 0 (the zero value) was written by builds whose files
+// also hold whole-key B+trees, which are refused anyway; CheckVersion lets an
+// opener refuse such a file before anything is written.
 const sidecarVersion = 1
+
+// ErrSidecarVersion reports a first sidecar checksum page that holds
+// version-0 entries: a file written by an older build (or a damaged sidecar,
+// which RederiveChecksums rewrites).
+var ErrSidecarVersion = errors.New("pagestore: sidecar checksum page is not version 1")
 
 // ErrPageChecksum reports a page whose contents do not match its stored
 // CRC32 — a torn write or silent media corruption. Retrieve the page with
@@ -148,15 +155,6 @@ func pageCRC(buf []byte) uint32 {
 	return c
 }
 
-// pageCRCIEEE is the pre-version-1 checksum, kept for sidecar migration.
-func pageCRCIEEE(buf []byte) uint32 {
-	c := crc32.ChecksumIEEE(buf[:PageSize])
-	if c == 0 {
-		c = 1
-	}
-	return c
-}
-
 // newGroup returns a fresh (never-persisted) group image, already stamped
 // with the current sidecar version.
 func newGroup(dirty bool) *crcGroup {
@@ -166,7 +164,7 @@ func newGroup(dirty bool) *crcGroup {
 }
 
 // groupLocked returns group g's cached checksum page, loading it from the
-// inner store on first touch and migrating pre-Castagnoli sidecars in place.
+// inner store on first touch.
 func (c *ChecksumStore) groupLocked(g PageID) (*crcGroup, error) {
 	if grp, ok := c.groups[g]; ok {
 		return grp, nil
@@ -177,50 +175,14 @@ func (c *ChecksumStore) groupLocked(g PageID) (*crcGroup, error) {
 		if err := c.inner.ReadPage(crcPhys(g), grp.data); err != nil {
 			return nil, err
 		}
-		if grp.data[verOff] != sidecarVersion {
-			if err := c.migrateGroupLocked(g, grp); err != nil {
-				return nil, err
-			}
-		}
+		// A never-synced page reads as zeros; stamp it so its first flush
+		// writes a current page. (An old group 0 was refused by CheckVersion.)
+		grp.data[verOff] = sidecarVersion
 	} else {
 		grp = newGroup(false)
 	}
 	c.groups[g] = grp
 	return grp, nil
-}
-
-// migrateGroupLocked rewrites a version-0 (IEEE) group's entries as
-// Castagnoli. Each written page is read and verified against its old IEEE
-// entry first; a page that fails the old checksum keeps its stale entry, so
-// the corruption is still reported when the page itself is read (under the
-// new polynomial a stale IEEE entry can only verify by a 2^-32 accident).
-// The migration mutates only the cached image — it becomes durable with the
-// next Sync, and a crash before that simply re-runs it on reopen.
-func (c *ChecksumStore) migrateGroupLocked(g PageID, grp *crcGroup) error {
-	lo := g * crcPerPage
-	hi := lo + crcPerPage
-	if hi > c.pages {
-		hi = c.pages
-	}
-	buf := make([]byte, PageSize)
-	for id := lo; id < hi; id++ {
-		idx := id % crcPerPage
-		if !grp.written(idx) {
-			continue
-		}
-		if physOf(id) >= c.inner.NumPages() {
-			continue
-		}
-		if err := c.inner.ReadPage(physOf(id), buf); err != nil {
-			return err
-		}
-		if pageCRCIEEE(buf) == grp.get(idx) {
-			grp.set(idx, pageCRC(buf))
-		}
-	}
-	grp.data[verOff] = sidecarVersion
-	grp.dirty = true
-	return nil
 }
 
 func (g *crcGroup) get(idx PageID) uint32 {
@@ -402,6 +364,29 @@ func (c *ChecksumStore) NumPages() PageID {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.pages
+}
+
+// CheckVersion reports ErrSidecarVersion when the first sidecar page holds
+// version-0 entries: a version byte of 0 on a page with any entry or written
+// bit set. Builds before version 1 always synced group 0, so that page alone
+// tells an old file. An all-zero page is one that was allocated but never
+// synced (Allocate extends the inner store at once, the sidecar reaches it
+// only at Sync), and passes. It reads the raw page and writes nothing, so an
+// opener can refuse a file before the first write.
+func (c *ChecksumStore) CheckVersion() error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if c.inner.NumPages() == 0 {
+		return nil
+	}
+	buf := make([]byte, PageSize)
+	if err := c.inner.ReadPage(crcPhys(0), buf); err != nil {
+		return err
+	}
+	if buf[verOff] == 0 && !allZero(buf[:PageSize]) {
+		return fmt.Errorf("%w: page %d holds version 0", ErrSidecarVersion, crcPhys(0))
+	}
+	return nil
 }
 
 // Rederive rebuilds every sidecar page from the current contents of the

@@ -1,6 +1,7 @@
 package pagestore
 
 import (
+	"bytes"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -269,15 +270,14 @@ func TestChecksumRederiveRepairsLostSidecar(t *testing.T) {
 	}
 }
 
-// TestChecksumSidecarMigration: a version-0 (IEEE) sidecar is rewritten to
-// Castagnoli entries on first load, pages verify throughout, and a page that
-// fails its old IEEE checksum keeps a stale entry so the corruption is still
-// reported after migration.
-func TestChecksumSidecarMigration(t *testing.T) {
+// TestChecksumSidecarOldVersionRefused: a version-0 sidecar (as builds
+// before Castagnoli entries wrote it) is reported by CheckVersion with
+// ErrSidecarVersion, and checking writes nothing: the inner store stays byte
+// for byte as it was, also after Close.
+func TestChecksumSidecarOldVersionRefused(t *testing.T) {
 	mem := NewMemStore()
 	cs := NewChecksumStore(mem)
 	buf := make([]byte, PageSize)
-	var ids []PageID
 	for i := 0; i < 4; i++ {
 		id, err := cs.Allocate()
 		if err != nil {
@@ -289,65 +289,101 @@ func TestChecksumSidecarMigration(t *testing.T) {
 		if err := cs.WritePage(id, buf); err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
 	}
 	if err := cs.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	if err := NewChecksumStore(mem).CheckVersion(); err != nil {
+		t.Fatalf("current sidecar: CheckVersion = %v", err)
+	}
 
-	// Rewrite the sidecar as an old build would have: IEEE entries, no
-	// version byte.
 	side := make([]byte, PageSize)
 	if err := mem.ReadPage(crcPhys(0), side); err != nil {
 		t.Fatal(err)
 	}
 	side[verOff] = 0
-	for _, id := range ids {
-		if err := mem.ReadPage(physOf(id), buf); err != nil {
-			t.Fatal(err)
-		}
-		crc := pageCRCIEEE(buf)
-		d := side[id%crcPerPage*4:]
-		d[0], d[1], d[2], d[3] = byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc)
-	}
 	if err := mem.WritePage(crcPhys(0), side); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the last page underneath the sidecar: its IEEE entry no longer
-	// matches, so migration must keep the stale entry.
-	if err := mem.ReadPage(physOf(ids[3]), buf); err != nil {
+	image := func() []byte {
+		var all []byte
+		for id := PageID(0); id < mem.NumPages(); id++ {
+			if err := mem.ReadPage(id, buf); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, buf...)
+		}
+		return all
+	}
+	before := image()
+	old := NewChecksumStore(mem)
+	if err := old.CheckVersion(); !errors.Is(err, ErrSidecarVersion) {
+		t.Fatalf("version-0 sidecar: CheckVersion = %v, want ErrSidecarVersion", err)
+	}
+	if err := old.Close(); err != nil {
 		t.Fatal(err)
 	}
-	buf[100] ^= 0xff
-	if err := mem.WritePage(physOf(ids[3]), buf); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(before, image()) {
+		t.Fatal("checking an old sidecar changed the store")
 	}
+}
 
-	// Reopen: loading the group migrates it; intact pages verify.
-	cs2 := NewChecksumStore(mem)
-	for _, id := range ids[:3] {
-		if err := cs2.ReadPage(id, buf); err != nil {
-			t.Fatalf("post-migration read of page %d: %v", id, err)
+// TestChecksumUnsyncedSidecarPasses: Allocate extends the inner store with a
+// new group's sidecar page at once, but writes it only at Sync, so a crash
+// before that sync leaves a zero sidecar page. CheckVersion must pass such an
+// image, its never-written pages must read as zeros, and the group's first
+// sync must write a current sidecar.
+func TestChecksumUnsyncedSidecarPasses(t *testing.T) {
+	mem := NewMemStore()
+	cs := NewChecksumStore(mem)
+	buf := make([]byte, PageSize)
+	for i := 0; i < crcPerPage+3; i++ {
+		if _, err := cs.Allocate(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if err := cs2.ReadPage(ids[3], buf); !errors.Is(err, ErrPageChecksum{PageID: ids[3]}) {
-		t.Fatalf("corrupted page read = %v, want checksum error", err)
-	}
-	if err := cs2.Sync(); err != nil {
+	buf[7] = 9
+	if err := cs.WritePage(0, buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.ReadPage(crcPhys(0), side); err != nil {
+	for _, check := range []string{"empty", "group 0 synced"} {
+		if check == "group 0 synced" {
+			// Sync group 0 alone, then zero group 1's sidecar as a crash
+			// before its first sync leaves it.
+			if err := cs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := mem.WritePage(crcPhys(1), make([]byte, PageSize)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := NewChecksumStore(mem).CheckVersion(); err != nil {
+			t.Fatalf("%s: CheckVersion = %v", check, err)
+		}
+		re := NewChecksumStore(mem)
+		for _, id := range []PageID{crcPerPage, crcPerPage + 2} {
+			if err := re.ReadPage(id, buf); err != nil || !allZero(buf) {
+				t.Fatalf("%s: never-written page %d: err %v, zero %v", check, id, err, allZero(buf))
+			}
+		}
+	}
+
+	re := NewChecksumStore(mem)
+	buf[7] = 5
+	if err := re.WritePage(crcPerPage+1, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	side := make([]byte, PageSize)
+	if err := mem.ReadPage(crcPhys(1), side); err != nil {
 		t.Fatal(err)
 	}
 	if side[verOff] != sidecarVersion {
-		t.Fatalf("sidecar version after migration+sync = %d, want %d", side[verOff], sidecarVersion)
+		t.Fatalf("group 1 sidecar synced at version %d", side[verOff])
 	}
-	// A third open must not need to migrate: entries already verify as
-	// Castagnoli.
-	cs3 := NewChecksumStore(mem)
-	for _, id := range ids[:3] {
-		if err := cs3.ReadPage(id, buf); err != nil {
-			t.Fatalf("second reopen read of page %d: %v", id, err)
-		}
+	if err := NewChecksumStore(mem).ReadPage(crcPerPage+1, buf); err != nil || buf[7] != 5 {
+		t.Fatalf("reread group 1 page: err %v, byte %d", err, buf[7])
 	}
 }

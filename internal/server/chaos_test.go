@@ -18,17 +18,14 @@ package server_test
 //   - nothing leaks: connections drain on shutdown and goroutine counts
 //     converge (leakcheck).
 //
-// CHAOS_SEEDS overrides the seed matrix (comma-separated); a failing run
-// appends its seed to the file named by CHAOS_ARTIFACT so CI can publish
-// the repro.
+// FAULT_SEEDS chooses the seed window (default 1-20; see fault.Seeds); a
+// failing seed appends the line that reruns it to the file FAULT_ARTIFACT
+// names.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -38,43 +35,6 @@ import (
 	"rx/internal/server"
 	"rx/internal/xml"
 )
-
-// chaosSeeds returns the seed matrix: CHAOS_SEEDS ("3,17,42") or 1..20.
-func chaosSeeds(t *testing.T) []int64 {
-	env := strings.TrimSpace(os.Getenv("CHAOS_SEEDS"))
-	if env == "" {
-		seeds := make([]int64, 20)
-		for i := range seeds {
-			seeds[i] = int64(i + 1)
-		}
-		return seeds
-	}
-	var seeds []int64
-	for _, f := range strings.FieldsFunc(env, func(r rune) bool { return r == ',' || r == ' ' }) {
-		n, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			t.Fatalf("CHAOS_SEEDS: bad seed %q: %v", f, err)
-		}
-		seeds = append(seeds, n)
-	}
-	return seeds
-}
-
-// recordChaosFailure appends a failing seed to the CHAOS_ARTIFACT file so a
-// CI run can publish the exact repro (CHAOS_SEEDS=<seed> re-runs it).
-func recordChaosFailure(t *testing.T, seed int64) {
-	path := os.Getenv("CHAOS_ARTIFACT")
-	if path == "" {
-		return
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Logf("chaos artifact: %v", err)
-		return
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "CHAOS_SEEDS=%d\n", seed)
-}
 
 // requireTyped fails the test on any error outside the resilience
 // contract: the rx taxonomy, the connection-loss sentinel, and context
@@ -98,12 +58,18 @@ func requireTyped(t *testing.T, op string, err error) {
 }
 
 func TestChaosSeedMatrix(t *testing.T) {
-	for _, seed := range chaosSeeds(t) {
+	seeds, err := fault.Seeds("1-20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range seeds {
 		ok := t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			runChaosSeed(t, seed)
 		})
 		if !ok {
-			recordChaosFailure(t, seed)
+			if err := fault.Record(seed, "./internal/server", "TestChaosSeedMatrix", "network chaos"); err != nil {
+				t.Logf("%s: %v", fault.ArtifactEnv, err)
+			}
 		}
 	}
 }

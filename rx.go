@@ -219,6 +219,7 @@ func WithSessionMemLimit(n int64) SessionOption { return session.WithMemLimit(n)
 type DB struct {
 	*core.DB
 	sess *Session
+	dev  wal.Device // the log file WithWAL opened; nil without one
 }
 
 // Session returns the database's default session: the context-first API
@@ -238,10 +239,14 @@ func (db *DB) NewSession(opts ...SessionOption) *Session {
 func (db *DB) Engine() *core.DB { return db.DB }
 
 // Close closes the default session (rolling back its open transaction, if
-// any) and then the engine.
+// any), then the engine, then the log file.
 func (db *DB) Close() error {
 	db.sess.Close()
-	return db.DB.Close()
+	err := db.DB.Close()
+	if db.dev != nil {
+		err = errors.Join(err, db.dev.Close())
+	}
+	return err
 }
 
 // WithDeadlockRetry makes DB.RunTxn re-run a transaction aborted as a
@@ -448,7 +453,15 @@ func Open(path string, opts ...Option) (*DB, error) {
 		store = s
 	}
 	if cfg.checksums {
-		store = pagestore.NewChecksumStore(store)
+		cs := pagestore.NewChecksumStore(store)
+		if err := cs.CheckVersion(); err != nil {
+			store.Close()
+			if errors.Is(err, pagestore.ErrSidecarVersion) {
+				err = fmt.Errorf("%w: %s: %w", ErrLayout, path, err)
+			}
+			return nil, err
+		}
+		store = cs
 	}
 	if err := core.CheckFormat(store); err != nil {
 		store.Close()
@@ -458,30 +471,39 @@ func Open(path string, opts ...Option) (*DB, error) {
 		cfg.core.SpaceWatch.Probe = core.DiskFreeProbe(path)
 	}
 	var cdb *core.DB
+	var dev wal.Device
 	var err error
 	if cfg.walPath == "" {
 		cdb, err = core.Open(store, cfg.core)
 	} else {
-		var dev wal.Device
-		dev, err = wal.OpenFileDevice(cfg.walPath)
-		if err != nil {
-			return nil, err
-		}
-		var wopts []wal.Option
-		if cfg.groupDelay > 0 {
-			wopts = append(wopts, wal.WithGroupCommit(cfg.groupDelay))
-		}
-		var log *wal.Log
-		log, err = wal.Open(dev, wopts...)
-		if err != nil {
-			return nil, err
-		}
-		cfg.core.WAL = log
-		cdb, err = core.Recover(store, log, cfg.core)
+		cdb, dev, err = recoverFrom(store, cfg)
 	}
 	if err != nil {
 		store.Close()
 		return nil, err
 	}
-	return &DB{DB: cdb, sess: session.New(cdb)}, nil
+	return &DB{DB: cdb, sess: session.New(cdb), dev: dev}, nil
+}
+
+// recoverFrom opens the log file cfg names and recovers the engine over
+// store from it. On failure it closes the log file; the caller closes store.
+func recoverFrom(store pagestore.Store, cfg openConfig) (*core.DB, wal.Device, error) {
+	dev, err := wal.OpenFileDevice(cfg.walPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	var wopts []wal.Option
+	if cfg.groupDelay > 0 {
+		wopts = append(wopts, wal.WithGroupCommit(cfg.groupDelay))
+	}
+	log, err := wal.Open(dev, wopts...)
+	if err == nil {
+		cfg.core.WAL = log
+		var cdb *core.DB
+		if cdb, err = core.Recover(store, log, cfg.core); err == nil {
+			return cdb, dev, nil
+		}
+	}
+	dev.Close()
+	return nil, nil, err
 }

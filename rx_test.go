@@ -284,14 +284,24 @@ func TestFacadeCursor(t *testing.T) {
 // was not created in (and re-derives checksums on a file created without
 // them): each attempt must fail with ErrLayout, leave the file byte for byte
 // as it was and create no log, and the file must still open in its own
-// layout.
+// layout. The v0 row is a checksummed file whose sidecar is at version 0, as
+// builds before version-1 sidecars left it: every open, in either layout, is
+// refused before anything is written.
 func TestLayoutMismatchWritesNothing(t *testing.T) {
-	for _, created := range []bool{false, true} {
-		t.Run(fmt.Sprintf("checksums=%v", created), func(t *testing.T) {
+	for _, row := range []struct {
+		name      string
+		checksums bool // the layout the file was created in
+		v0        bool
+	}{
+		{"checksums=false", false, false},
+		{"checksums=true", true, false},
+		{"v0-sidecar", true, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "l.rxdb")
 			own := func() []Option {
-				if created {
+				if row.checksums {
 					return []Option{WithChecksums()}
 				}
 				return nil
@@ -310,6 +320,20 @@ func TestLayoutMismatchWritesNothing(t *testing.T) {
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
+			if row.v0 {
+				// Version byte 0 in the first sidecar page.
+				const sidecarVersionByte = 4*1984 + 1984/8
+				f, err := os.OpenFile(path, os.O_RDWR, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.WriteAt([]byte{0}, sidecarVersionByte); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			before, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -317,27 +341,35 @@ func TestLayoutMismatchWritesNothing(t *testing.T) {
 
 			walPath := filepath.Join(dir, "l.wal")
 			var other []Option
-			if !created {
+			if !row.checksums {
 				other = append(other, WithChecksums())
 			}
-			attempts := map[string]func() error{
-				"open": func() error {
-					db, err := Open(path, other...)
-					if err == nil {
-						db.Close()
-					}
-					return err
-				},
-				"open with wal": func() error {
-					db, err := Open(path, append(other, WithWAL(walPath))...)
-					if err == nil {
-						db.Close()
-					}
-					return err
-				},
+			opens := func(opts []Option) map[string]func() error {
+				return map[string]func() error{
+					"open": func() error {
+						db, err := Open(path, opts...)
+						if err == nil {
+							db.Close()
+						}
+						return err
+					},
+					"open with wal": func() error {
+						db, err := Open(path, append(opts, WithWAL(walPath))...)
+						if err == nil {
+							db.Close()
+						}
+						return err
+					},
+				}
 			}
-			if !created {
+			attempts := opens(other)
+			if !row.checksums {
 				attempts["rederive"] = func() error { return RederiveChecksums(path) }
+			}
+			if row.v0 {
+				for name, attempt := range opens(own()) {
+					attempts[name+" in own layout"] = attempt
+				}
 			}
 			for name, attempt := range attempts {
 				if err := attempt(); !errors.Is(err, ErrLayout) {
@@ -354,6 +386,9 @@ func TestLayoutMismatchWritesNothing(t *testing.T) {
 					t.Fatalf("%s created a log: %v", name, err)
 				}
 			}
+			if row.v0 {
+				return
+			}
 
 			db, err = Open(path, own()...)
 			if err != nil {
@@ -365,6 +400,47 @@ func TestLayoutMismatchWritesNothing(t *testing.T) {
 				t.Fatalf("document after refused opens = %q, %v", got, err)
 			}
 		})
+	}
+}
+
+// TestOpenCloseKeepsNoFileOpen counts the process's open descriptors across
+// opens and closes with a log: a closed database holds no file, and an open
+// that fails (here, a log path that is a directory) closes what it opened.
+func TestOpenCloseKeepsNoFileOpen(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no descriptor table to count: %v", err)
+		}
+		return len(ents)
+	}
+	dir := t.TempDir()
+	path, walPath := filepath.Join(dir, "f.rxdb"), filepath.Join(dir, "f.wal")
+	cycle := func() {
+		db, err := Open(path, WithWAL(walPath))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // creates both files; the runtime's poller opens its own descriptors once
+	start := fds()
+	for i := 0; i < 5; i++ {
+		cycle()
+	}
+	if n := fds(); n != start {
+		t.Fatalf("5 open/close cycles left %d descriptors open", n-start)
+	}
+	for i := 0; i < 3; i++ {
+		if db, err := Open(path, WithWAL(dir)); err == nil {
+			db.Close()
+			t.Fatal("open with a directory as the log succeeded")
+		}
+	}
+	if n := fds(); n != start {
+		t.Fatalf("3 failed opens left %d descriptors open", n-start)
 	}
 }
 
