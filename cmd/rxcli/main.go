@@ -489,8 +489,6 @@ func printDBStats(db *rx.DB) int {
 	}
 	fmt.Printf("memory budget:       %s (used %d, peak %d, denials %d)\n",
 		limit, s.MemUsed, s.MemHighWater, s.MemDenials)
-	fmt.Printf("plan cache:          %d hits / %d misses\n", s.PlanCacheHits, s.PlanCacheMisses)
-	fmt.Printf("stats refreshes:     %d\n", s.StatsRefreshPasses)
 	if s.DegradedReadOnly {
 		return 2
 	}

@@ -58,6 +58,9 @@ func (c *Collection) CheckConsistency() error {
 		return err
 	}
 	var errs []error
+	if err := c.rewalkHeaps(); err != nil {
+		errs = append(errs, err)
+	}
 	for _, doc := range docs {
 		if f := c.checkDoc(doc, nil); f.err != nil {
 			errs = append(errs, fmt.Errorf("doc %d: %w", doc, f.err))
@@ -92,6 +95,14 @@ func (c *Collection) CheckConsistency() error {
 		errs = append(errs, fmt.Errorf("XML table counts %d rows of %d bytes, its scan %d of %d", n, b, rows, size))
 	}
 	return errors.Join(errs...)
+}
+
+// rewalkHeaps walks the heap chains again where the open walk stopped short
+// at a page that failed to load (heap.OpenTolerant), so that their live
+// counts and last pages cover the whole chain once it reads. It returns the
+// error of a page that still fails. Caller holds writeMu.
+func (c *Collection) rewalkHeaps() error {
+	return errors.Join(c.base.Rewalk(), c.xmlTbl.Rewalk())
 }
 
 // docFault is checkDoc's verdict on one document; the zero value is sound.

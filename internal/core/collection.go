@@ -39,10 +39,6 @@ type Collection struct {
 	// CreateValueIndex appends; writers additionally hold writeMu.
 	ixMu   sync.RWMutex
 	valIxs []*openValueIndex
-
-	// epoch is the plan-cache epoch (CollectionStats.Epoch). No plan cache
-	// outlives the DB, so it lives in memory only.
-	epoch atomic.Uint64
 }
 
 // indexSnapshot returns the current value-index list for read-only use by
@@ -69,14 +65,12 @@ type openValueIndex struct {
 // document's entries, so the catalog row is rewritten before them and its log
 // record precedes theirs: any durable prefix of the log that holds a violating
 // entry also holds the clear, and a rollback of the write leaves the flag
-// cleared. The plan-cache epoch moves with it, so cached plans that merged
-// conjuncts on ov are planned again. Caller holds writeMu.
+// cleared. Caller holds writeMu.
 func (c *Collection) noteMatches(ov *openValueIndex, matches int) error {
 	if matches < 2 || !ov.single.Load() {
 		return nil
 	}
 	ov.single.Store(false)
-	c.epoch.Add(1)
 	return c.db.cat.ClearSingleValued(c.meta, ov.meta.Name)
 }
 
@@ -124,8 +118,6 @@ func (c *Collection) CreateValueIndex(name, path string, typ xml.TypeID) (err er
 	c.valIxs = append(c.valIxs, ov)
 	c.ixMu.Unlock()
 	c.meta.Indexes = append(c.meta.Indexes, im)
-	// Move the epoch so cached plans replan against the new index.
-	c.epoch.Add(1)
 	return c.db.cat.UpdateCollection(c.meta)
 }
 

@@ -51,19 +51,15 @@ func (c *Collection) Cursor(expr string, opts QueryOptions) (*Cursor, error) {
 	return c.CursorPlanned(p, opts)
 }
 
-// CursorPlanned executes a plan produced by Plan. The plan is not consumed:
-// execution works on a copy, so a cached plan can be executed repeatedly.
-func (c *Collection) CursorPlanned(p *Plan, opts QueryOptions) (*Cursor, error) {
+// CursorPlanned executes a plan produced by Plan and fills in its execution
+// fields (Parallelism, and CandidateDocs when the plan is not exact).
+func (c *Collection) CursorPlanned(plan *Plan, opts QueryOptions) (*Cursor, error) {
 	if err := opts.context().Err(); err != nil {
 		return nil, err
 	}
 	if opts.MemLimit > 0 {
 		opts.Mem = opts.Mem.Child("query", opts.MemLimit)
 	}
-	cp := *p
-	cp.Indexes = append([]string(nil), p.Indexes...)
-	cp.Alternatives = append([]PlanAlt(nil), p.Alternatives...)
-	plan := &cp
 	plan.Parallelism = 1
 	list, err := c.candidates(opts.context(), plan.recipe)
 	if err != nil {

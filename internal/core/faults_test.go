@@ -753,16 +753,10 @@ func (r *faultRun) recoverCheck() (string, error) {
 	if err != nil {
 		return "recover", fmt.Errorf("collection after recovery: %w", err)
 	}
-	// A flip the open absorbed: heap tables open tolerantly, so a flipped
-	// chain page leaves their live counts short (ROADMAP, known defects).
-	// CheckConsistency may then report those counts, invariant 9, and
-	// nothing else; every document is still held to the model.
-	_, _, opened := vinj.Counts()
-	absorbed := r.sch.rule.Op == fault.Read && r.sch.rule.N <= opened
-	return "read", r.holds(db, col, vinj, absorbed)
+	return "read", r.holds(db, col, vinj)
 }
 
-func (r *faultRun) holds(db *DB, col *Collection, vinj *fault.Injector, absorbed bool) error {
+func (r *faultRun) holds(db *DB, col *Collection, vinj *fault.Injector) error {
 	model := r.model
 	if act := r.sch.rule.Act; r.pending != nil && (act == fault.Kill || act == fault.Tear) {
 		// The stop landed writes the engine had not synced, so the
@@ -804,7 +798,7 @@ func (r *faultRun) holds(db *DB, col *Collection, vinj *fault.Injector, absorbed
 			return fmt.Errorf("doc %d content mismatch (got %d bytes, want %d)", id, len(got), len(model[id]))
 		}
 	}
-	if err := col.CheckConsistency(); err != nil && !(absorbed && onlyHeapCounts(err)) {
+	if err := col.CheckConsistency(); err != nil {
 		return fmt.Errorf("consistency after recovery: %w", err)
 	}
 	_, _, r.reads = vinj.Counts()
@@ -834,22 +828,10 @@ func (r *faultRun) holds(db *DB, col *Collection, vinj *fault.Injector, absorbed
 	if !col.Has(id) {
 		return fmt.Errorf("post-recovery insert invisible")
 	}
+	if err := col.CheckConsistency(); err != nil {
+		return fmt.Errorf("consistency after the post-recovery insert: %w", err)
+	}
 	return nil
-}
-
-// onlyHeapCounts reports whether a CheckConsistency error holds nothing but
-// invariant 9's heap-count violations.
-func onlyHeapCounts(err error) bool {
-	errs := []error{err}
-	if j, ok := err.(interface{ Unwrap() []error }); ok {
-		errs = j.Unwrap()
-	}
-	for _, e := range errs {
-		if m := e.Error(); !strings.HasPrefix(m, "base table counts ") && !strings.HasPrefix(m, "XML table counts ") {
-			return false
-		}
-	}
-	return true
 }
 
 func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {

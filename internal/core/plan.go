@@ -114,8 +114,8 @@ func (o QueryOptions) context() context.Context {
 
 // Plan parses expr and runs access-path selection without executing the
 // query: the returned Plan carries the chosen method, its cost estimates,
-// and every alternative considered. EXPLAIN and the session plan cache are
-// built on it; pass it to CursorPlanned to execute.
+// and every alternative considered. EXPLAIN and every query are built on
+// it, once per execution; pass it to CursorPlanned to execute.
 func (c *Collection) Plan(expr string, opts QueryOptions) (*Plan, error) {
 	q, err := xpath.Parse(expr)
 	if err != nil {

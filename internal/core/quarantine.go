@@ -220,10 +220,9 @@ type Stats struct {
 	MemHighWater     int64  // peak bytes ever reserved
 	MemDenials       uint64 // reservations denied at the engine root
 
-	// Query planning (colstats.go, session plan cache).
-	PlanCacheHits      uint64 // session plan-cache lookups answered from cache
-	PlanCacheMisses    uint64 // lookups that had to plan from scratch
-	StatsRefreshPasses uint64 // completed statistics refresh passes
+	// PlanCacheHits and PlanCacheMisses are always 0: every execution
+	// plans afresh. They are kept for readers of the old counters.
+	PlanCacheHits, PlanCacheMisses uint64
 }
 
 // dbStats holds the DB's atomic counters behind Stats().
@@ -239,9 +238,6 @@ type dbStats struct {
 	writesShed      uint64
 	degradedEnters  uint64
 	degradedExits   uint64
-	planCacheHits   uint64
-	planCacheMisses uint64
-	statsRefreshes  uint64
 }
 
 // Stats returns a consistent-enough snapshot of the engine counters (each
@@ -283,9 +279,6 @@ func (db *DB) Stats() Stats {
 	s.MemUsed = db.mem.Used()
 	s.MemHighWater = db.mem.HighWater()
 	s.MemDenials = db.mem.Denials()
-	s.PlanCacheHits = atomic.LoadUint64(&db.stats.planCacheHits)
-	s.PlanCacheMisses = atomic.LoadUint64(&db.stats.planCacheMisses)
-	s.StatsRefreshPasses = atomic.LoadUint64(&db.stats.statsRefreshes)
 	q := &db.quarantine
 	q.mu.Lock()
 	for _, docs := range q.docs {

@@ -177,6 +177,10 @@ func (s *Scrubber) Repair() (*RepairReport, error) {
 // runs checkDoc over every document.
 func (db *DB) scrubCollection(c *Collection, bad map[pagestore.PageID]bool, rep *ScrubReport, throttle func()) {
 	name := c.meta.Name
+	// A page that still fails is in rep.PageErrors already.
+	c.writeMu.Lock()
+	_ = c.rewalkHeaps()
+	c.writeMu.Unlock()
 	sets := c.structurePages()
 	addRef := func(kind, ixName string, pages map[pagestore.PageID]bool) bool {
 		for p := range pages {

@@ -236,9 +236,6 @@ func e18Cases() ([]Case, error) {
 		if err := createIndexes(col, indexes...); err != nil {
 			return nil, err
 		}
-		if err := col.RefreshStats(); err != nil {
-			return nil, err
-		}
 		if _, p, err := col.QueryOpts(expr, core.QueryOptions{}); err != nil {
 			return nil, err
 		} else if p.Method != want {

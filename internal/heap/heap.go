@@ -105,6 +105,10 @@ type Table struct {
 	mu        sync.Mutex
 	firstPage pagestore.PageID
 	lastPage  pagestore.PageID
+	// short records that the last chain walk stopped at a page that failed
+	// to load: lastPage is that page and the counts cover the prefix before
+	// it, so neither is trusted until a walk reaches the chain's end.
+	short bool
 	// freeCache maps pages believed to have free space to the free byte
 	// count observed; consulted before extending the table.
 	freeCache map[pagestore.PageID]int
@@ -138,17 +142,17 @@ func Create(pool *buffer.Pool) (*Table, error) {
 // to find the last page and count the live records.
 func Open(pool *buffer.Pool, first pagestore.PageID) (*Table, error) {
 	t := &Table{pool: pool, firstPage: first}
-	if err := t.attach(false); err != nil {
+	if err := t.attach(); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
 // attach derives the table's in-memory state — last page, free cache, live
-// counts — from its page chain. A page that fails to load fails the walk,
-// or, when tolerant, ends it with lastPage at that page. Caller holds t.mu or
-// owns t.
-func (t *Table) attach(tolerant bool) error {
+// counts — from its page chain. A page that fails to load ends the walk with
+// its error, lastPage at that page and the table marked short. Caller holds
+// t.mu or owns t.
+func (t *Table) attach() error {
 	t.freeCache = make(map[pagestore.PageID]int)
 	t.lastPage = t.firstPage
 	var count, bytes int64
@@ -162,14 +166,12 @@ func (t *Table) attach(tolerant bool) error {
 		t.lastPage = pg
 	}, nil)
 	if err != nil {
-		if !tolerant {
-			return err
-		}
 		t.lastPage = bad
 	}
+	t.short = err != nil
 	t.count.Store(count)
 	t.bytes.Store(bytes)
-	return nil
+	return err
 }
 
 // chain is the one walk along the table's page chain. For each page it
@@ -391,6 +393,13 @@ func (t *Table) insert(flag byte, payload []byte) (RID, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	// A short walk's lastPage is not the chain's end, and extending from it
+	// would cut the chain there: walk again first. A page that still fails
+	// fails the append with its error once it would reach the last page.
+	var shortErr error
+	if t.short {
+		shortErr = t.attach()
+	}
 	// First try pages known to have space, then the last page, then extend.
 	// Candidates are visited in page order: record placement must be a pure
 	// function of the operation history so that crash-recovery torture runs
@@ -409,6 +418,9 @@ func (t *Table) insert(flag byte, payload []byte) (RID, error) {
 			return rid, nil
 		}
 		delete(t.freeCache, pg)
+	}
+	if shortErr != nil {
+		return InvalidRID, shortErr
 	}
 	if rid, ok, err := t.tryInsert(t.lastPage, flag, payload); err != nil {
 		return InvalidRID, err

@@ -2,8 +2,10 @@ package heap
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -259,6 +261,89 @@ func TestExactCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("reattach", reopened)
+}
+
+// failReads fails the next n reads of one page with errUnreadable, then
+// reads it normally.
+type failReads struct {
+	pagestore.Store
+	page pagestore.PageID
+	n    int
+}
+
+var errUnreadable = errors.New("unreadable page")
+
+func (s *failReads) ReadPage(id pagestore.PageID, buf []byte) error {
+	if id == s.page && s.n > 0 {
+		s.n--
+		return errUnreadable
+	}
+	return s.Store.ReadPage(id, buf)
+}
+
+// TestShortOpenWalkKeepsChain: a tolerant open whose chain walk stops at a
+// page that fails to load must not cut the chain there once the page reads
+// again. Twelve records fill a four-page chain; the open's read of its
+// second page fails once; six more inserts extend the chain past its old
+// end, and the chain, Scan and Count hold all eighteen. While the page keeps
+// failing, an insert that would reach the last page fails with its error and
+// leaves the chain as it was.
+func TestShortOpenWalkKeepsChain(t *testing.T) {
+	payload := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, pagestore.PageSize/3-40) }
+	mem := pagestore.NewMemStore()
+	insert := func(tbl *Table, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if _, err := tbl.Insert(payload(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tbl.pool.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// check holds the chain, as a fresh pool over the store reads it, to
+	// start with prefix and have n pages, and the table to count records.
+	check := func(step string, tbl *Table, prefix []pagestore.PageID, n, records int) []pagestore.PageID {
+		t.Helper()
+		chain, err := OpenTolerant(buffer.New(mem, 16), tbl.FirstPage()).ChainPages()
+		if err != nil || len(chain) != n || !slices.Equal(chain[:len(prefix)], prefix) {
+			t.Fatalf("%s: chain %v (%v), want %d pages starting %v", step, chain, err, n, prefix)
+		}
+		scanned := 0
+		if err := tbl.Scan(func(RID, []byte) error { scanned++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if scanned != records || tbl.Count() != uint64(records) {
+			t.Fatalf("%s: Scan finds %d records, Count %d, want %d", step, scanned, tbl.Count(), records)
+		}
+		return chain
+	}
+	tbl, err := Create(buffer.New(mem, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert(tbl, 0, 12)
+	chain := check("load", tbl, nil, 4, 12)
+
+	transient := OpenTolerant(buffer.New(&failReads{Store: mem, page: chain[1], n: 1}, 16), tbl.FirstPage())
+	if transient.Count() != 3 {
+		t.Fatalf("short open counts %d records, want the first page's 3", transient.Count())
+	}
+	insert(transient, 12, 18)
+	chain = check("after a transient read error", transient, chain, 6, 18)
+
+	failing := &failReads{Store: mem, page: chain[1], n: 1 << 30}
+	damaged := OpenTolerant(buffer.New(failing, 16), tbl.FirstPage())
+	if _, err := damaged.Insert(payload(18)); !errors.Is(err, errUnreadable) {
+		t.Fatalf("insert past a page that keeps failing: %v, want its error", err)
+	}
+	if err := damaged.Rewalk(); !errors.Is(err, errUnreadable) {
+		t.Fatalf("Rewalk past a page that keeps failing: %v, want its error", err)
+	}
+	failing.n = 0
+	insert(damaged, 18, 19)
+	check("after the page reads again", damaged, chain, 7, 19)
 }
 
 func TestScan(t *testing.T) {

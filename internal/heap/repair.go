@@ -40,15 +40,15 @@ func ForwardTargetsInPage(d []byte) []RID {
 }
 
 // OpenTolerant opens a table whose chain may contain unreadable pages.
-// The walk stops at the first page that fails to load, leaving lastPage AT
-// that page: reads of intact pages work normally, and appends that would
-// extend the chain fail with the page's error instead of severing the
-// damaged tail (inserts into earlier free space still succeed — the chain
-// is never mutated). After repair reformats and relinks the chain,
-// Reattach re-derives the full insertion state.
+// The walk stops at the first page that fails to load and marks the table
+// short: reads of intact pages work normally, and each insert walks the
+// chain again before it trusts the last page. While the page still fails,
+// inserts into the prefix's free space succeed, one that would reach the
+// last page fails with the page's error, and the chain is left as it is
+// for repair, which relinks it and calls Reattach.
 func OpenTolerant(pool *buffer.Pool, first pagestore.PageID) *Table {
 	t := &Table{pool: pool, firstPage: first}
-	_ = t.attach(true) // tolerant: never fails
+	_ = t.attach() // tolerant: a short walk is recorded, not returned
 	return t
 }
 
@@ -111,5 +111,17 @@ func (t *Table) Relink(pages []pagestore.PageID) error {
 func (t *Table) Reattach() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.attach(false)
+	return t.attach()
+}
+
+// Rewalk re-derives the in-memory state as Reattach does, but only when the
+// last walk stopped short; it returns the error of a page that still fails.
+// Callers that trust the live counts (consistency checks) run it first.
+func (t *Table) Rewalk() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.short {
+		return nil
+	}
+	return t.attach()
 }

@@ -42,9 +42,6 @@ func TestExplainLocalEqualsRemote(t *testing.T) {
 	if err := col.CreateValueIndex("ix_qty", "/item/qty", xml.TDouble); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.RefreshStats(); err != nil {
-		t.Fatal(err)
-	}
 
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -115,8 +115,7 @@ func MemLimit(n int64) QueryOption {
 
 // ForceMethod bypasses cost-based access-path selection and runs the named
 // method ("scan", "nodeid-list", ...). Planning fails if the query does not
-// admit it. For differential tests and benchmarks; forced plans skip the
-// plan cache.
+// admit it. For differential tests and benchmarks.
 func ForceMethod(m string) QueryOption {
 	return func(o *core.QueryOptions) { o.ForceMethod = m }
 }
@@ -160,7 +159,6 @@ type Session struct {
 	db       *core.DB
 	defaults core.QueryOptions
 	mem      *memgov.Budget
-	plans    *planCache
 
 	mu     sync.Mutex
 	txn    *core.Txn
@@ -170,7 +168,7 @@ type Session struct {
 // New opens a session over an engine. Governed allocations charge the
 // engine's server-wide memory budget; WithMemLimit interposes a session cap.
 func New(db *core.DB, opts ...Option) *Session {
-	s := &Session{db: db, mem: db.MemBudget(), plans: newPlanCache()}
+	s := &Session{db: db, mem: db.MemBudget()}
 	for _, o := range opts {
 		o(s)
 	}
@@ -312,10 +310,10 @@ func (s *Session) Get(ctx context.Context, col string, doc xml.DocID) ([]byte, e
 	return buf.Bytes(), nil
 }
 
-// Query opens a streaming cursor. The session's default options apply
-// first, then the per-call options; ctx cancels evaluation between
-// documents. Inside a transaction the query additionally holds an S
-// collection lock for the transaction's lifetime.
+// Query opens a streaming cursor over a plan made for this execution. The
+// session's default options apply first, then the per-call options; ctx
+// cancels evaluation between documents. Inside a transaction the query
+// additionally holds an S collection lock for the transaction's lifetime.
 func (s *Session) Query(ctx context.Context, col, expr string, opts ...QueryOption) (Cursor, error) {
 	txn, err := s.guard(ctx)
 	if err != nil {
@@ -325,26 +323,18 @@ func (s *Session) Query(ctx context.Context, col, expr string, opts ...QueryOpti
 	if err != nil {
 		return nil, err
 	}
-	qo := s.defaults
-	for _, o := range opts {
-		o(&qo)
-	}
+	qo := s.options(opts)
 	qo.Ctx = ctx
 	qo.Mem = s.mem
 	if txn != nil {
-		// Transactional queries bypass the plan cache: they are rare enough
-		// that the lock-scoped path stays simple.
 		return txn.Cursor(c, expr, qo)
 	}
-	p, err := s.plan(c, col, expr, qo)
-	if err != nil {
-		return nil, err
-	}
-	return c.CursorPlanned(p, qo)
+	return c.Cursor(expr, qo)
 }
 
-// Explain plans a query without executing it. It goes through the same plan
-// cache as Query, so EXPLAIN shows exactly the plan the next Query will run.
+// Explain plans a query without executing it. Query plans the same way
+// from the same live statistics, so with no write in between EXPLAIN shows
+// the plan the next Query runs.
 func (s *Session) Explain(ctx context.Context, col, expr string, opts ...QueryOption) (*core.Plan, error) {
 	if _, err := s.guard(ctx); err != nil {
 		return nil, err
@@ -353,11 +343,16 @@ func (s *Session) Explain(ctx context.Context, col, expr string, opts ...QueryOp
 	if err != nil {
 		return nil, err
 	}
+	return c.Plan(expr, s.options(opts))
+}
+
+// options applies the session's defaults, then the per-call options.
+func (s *Session) options(opts []QueryOption) core.QueryOptions {
 	qo := s.defaults
 	for _, o := range opts {
 		o(&qo)
 	}
-	return s.plan(c, col, expr, qo)
+	return qo
 }
 
 // Begin opens a transaction on the session.
