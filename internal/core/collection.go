@@ -330,9 +330,14 @@ func (c *Collection) DocIDs() ([]xml.DocID, error) {
 // heap frame until release is called. Callers must follow the single-borrow
 // rule (heap.FetchBorrowed): never hold two borrows on one goroutine, and
 // never touch the B+trees while a borrow is outstanding. Every stored-record
-// read in the engine comes through here.
+// read in the engine comes through here, or through decodeRow from a cursor
+// worker's borrow slot (worker.borrow).
 func (c *Collection) borrowRecord(rid heap.RID) (*pack.Record, func(), error) {
-	row, release, err := c.xmlTbl.FetchBorrowed(rid)
+	return decodeRow(c.xmlTbl.FetchBorrowed(rid))
+}
+
+// decodeRow decodes a borrowed XML-table row, releasing it on failure.
+func decodeRow(row []byte, release func(), err error) (*pack.Record, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
@@ -405,15 +410,24 @@ func (r docReader) entries(fn func(upper nodeid.ID, rid heap.RID) bool) error {
 // borrow outstanding, so the index lookup never nests under a heap-page
 // latch.
 func (r docReader) borrow(id nodeid.ID) (*pack.Record, func(), error) {
+	rid, err := r.locate(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r.c.borrowRecord(rid)
+}
+
+// locate is lookup with a missing node reported as ErrNotFound.
+func (r docReader) locate(id nodeid.ID) (heap.RID, error) {
 	rid, err := r.lookup(id)
 	if err != nil {
 		what := fmt.Sprintf("doc %d node %s", r.doc, id)
 		if len(id) == 0 {
 			what = fmt.Sprintf("document %d", r.doc)
 		}
-		return nil, nil, lookupErr(err, what)
+		return heap.InvalidRID, lookupErr(err, what)
 	}
-	return r.c.borrowRecord(rid)
+	return rid, nil
 }
 
 // find locates a node through the NodeID index (§3.4: "when a (docid, nodeid)
@@ -472,13 +486,20 @@ func (r docReader) walkDoc(h vsax.Handler, lost *int) error {
 	return h.EndDocument()
 }
 
+// serializers recycles serializers with their buffers across documents.
+var serializers = sync.Pool{New: func() any { return new(serialize.Serializer) }}
+
 // serialize writes the document as XML text.
 func (r docReader) serialize(w io.Writer) error {
-	s := serialize.New(w, r.c.db.cat)
-	if err := r.walkDoc(s, nil); err != nil {
-		return err
+	s := serializers.Get().(*serialize.Serializer)
+	s.Reset(w, r.c.db.cat)
+	err := r.walkDoc(s, nil)
+	if err == nil {
+		err = s.Err()
 	}
-	return s.Err()
+	s.Reset(nil, nil)
+	serializers.Put(s)
+	return err
 }
 
 // handlerVisitor adapts the pack walker to vsax events. The node, its ID and
@@ -756,12 +777,19 @@ func (r docReader) eval(e *quickxscan.Eval) ([]quickxscan.Match, error) {
 	if err != nil {
 		return nil, err
 	}
+	return evalRoot(e, root, release, r.borrow)
+}
+
+// evalRoot evaluates the document whose root record root is borrowed
+// (release), after the root-signature rule, resolving proxies through fetch.
+// e has been Reset.
+func evalRoot(e *quickxscan.Eval, root *pack.Record, release func(), fetch pack.FetchBorrow) ([]quickxscan.Match, error) {
 	if e.Need()&^root.Sig != 0 {
 		release()
 		return nil, nil
 	}
 	e.StartDocument()
-	if err := pack.Walk(root, release, r.borrow, evalVisitor{e}); err != nil {
+	if err := pack.Walk(root, release, fetch, evalVisitor{e}); err != nil {
 		return nil, err
 	}
 	return e.EndDocument()

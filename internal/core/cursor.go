@@ -19,7 +19,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"rx/internal/heap"
 	"rx/internal/memgov"
+	"rx/internal/nodeid"
+	"rx/internal/pack"
 	"rx/internal/pagestore"
 	"rx/internal/quickxscan"
 	"rx/internal/xml"
@@ -167,24 +170,124 @@ func (c *Collection) newCursor(plan *Plan, list *keyList, opts QueryOptions) (*C
 		return cu, nil
 	}
 	plan.Parallelism = plan.workers(n, opts.Parallelism)
-	evals := make([]*quickxscan.Eval, plan.Parallelism)
-	for i := range evals {
+	workers := make([]*worker, plan.Parallelism)
+	for i := range workers {
 		e, err := quickxscan.Compile(plan.q, c.db.cat, nil, quickxscan.Options{NeedValues: opts.NeedValues})
 		if err != nil {
 			return nil, err
 		}
-		evals[i] = e
+		workers[i] = c.newWorker(e)
 	}
 	s := &source{
 		run: &candidateRun{col: c, list: list, exact: plan.recipe.exact, values: opts.NeedValues,
 			degraded: opts.Degraded, skipped: &cu.skipped},
-		eval: evals[0],
-		ctx:  opts.context(),
-		mem:  opts.Mem,
+		w:   workers[0],
+		ctx: opts.context(),
+		mem: opts.Mem,
 	}
-	s.startHelpers(evals[1:])
+	s.startHelpers(workers[1:])
 	cu.src = s
 	return cu, nil
+}
+
+// worker is one goroutine's state for the candidates it visits, made once
+// per cursor and kept across them: its compiled evaluator, its heap borrow
+// slot, the root record an anchored read decodes into, the reader of the
+// candidate at hand with its proxy resolver bound once, and the slab its
+// result batches are cut from.
+type worker struct {
+	e     *quickxscan.Eval
+	heap  *heap.Borrower
+	root  pack.Record
+	r     docReader
+	fetch pack.FetchBorrow // w.borrow
+	res   []Result
+	one   [1]quickxscan.Match // an exact key's match
+}
+
+func (c *Collection) newWorker(e *quickxscan.Eval) *worker {
+	w := &worker{e: e, heap: c.xmlTbl.NewBorrower()}
+	w.fetch = w.borrow
+	return w
+}
+
+// borrow resolves a node of the candidate at hand (docReader.borrow),
+// through the worker's borrow slot.
+func (w *worker) borrow(id nodeid.ID) (*pack.Record, func(), error) {
+	rid, err := w.r.locate(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	return decodeRow(w.heap.Fetch(rid))
+}
+
+// evalDoc evaluates candidate document doc as docReader.eval does, with the
+// worker's borrow slot and root record. On a plain collection it starts from
+// rid, the record the candidate's value-index entry named, when that row is
+// the document's root record now: the row's DocID is doc and its header has
+// an empty context path. Anything else — a versioned collection, whose
+// entries keep the RIDs of replaced versions, a scan's key, a freed slot, a
+// slot reused by another document or by a non-root record, a fetch, decode
+// or walk error — sends it through the NodeID index as if there were no RID,
+// and only that read's error counts: a stale RID can name another
+// document's page, whose checksum failure is not this document's. On a
+// plain collection a document has one root record, rewritten in place by
+// every edit, so the row that passes the checks is the one the index would
+// have found.
+func (w *worker) evalDoc(c *Collection, doc xml.DocID, rid heap.RID) ([]quickxscan.Match, error) {
+	w.r = docReader{c: c, doc: doc}
+	if rid != heap.InvalidRID && !c.meta.Versioned {
+		if ms, err := w.evalFrom(rid, true); err == nil {
+			return ms, nil
+		}
+	}
+	var err error
+	if w.r.ver, err = c.currentVersion(doc); err != nil {
+		return nil, err
+	}
+	if rid, err = w.r.locate(nodeid.Root); err != nil {
+		return nil, err
+	}
+	return w.evalFrom(rid, false)
+}
+
+// errNotRoot refuses a row an index entry named that is not the candidate's
+// root record.
+var errNotRoot = errors.New("core: the named row is not the document's root record")
+
+// evalFrom evaluates the candidate from its root record at rid, decoded into
+// the worker's root record; anchored, the row must first prove to be the
+// candidate's root record.
+func (w *worker) evalFrom(rid heap.RID, anchored bool) ([]quickxscan.Match, error) {
+	w.e.Reset()
+	row, release, err := w.heap.Fetch(rid)
+	if err != nil {
+		return nil, err
+	}
+	doc, _, payload, err := splitXMLRow(row)
+	if err == nil {
+		err = pack.DecodeInto(&w.root, payload)
+	}
+	if err == nil && anchored && (doc != w.r.doc || len(w.root.ContextID) != 0) {
+		err = errNotRoot
+	}
+	if err != nil {
+		release()
+		return nil, err
+	}
+	return evalRoot(w.e, &w.root, release, w.fetch)
+}
+
+// results cuts n results from the worker's slab. A batch stays with the
+// cursor after the visit — parked, or out until the next Next — so the slab
+// is never rewound: one with too little left is replaced.
+func (w *worker) results(n int) []Result {
+	if cap(w.res)-len(w.res) < n {
+		w.res = make([]Result, 0, quickxscan.SlabCap(cap(w.res), n, 8, 64))
+	}
+	start := len(w.res)
+	w.res = w.res[:start+n]
+	return w.res[start : start+n : start+n]
 }
 
 // candidateRun is what a cursor's source needs to visit its candidates: the
@@ -207,7 +310,7 @@ type candidateRun struct {
 // detection-on-read feeds the same registry the scrubber fills — then
 // applies the same policy. A document deleted since it was listed as a
 // candidate yields no results (deletedUnder).
-func (r *candidateRun) visit(i int, e *quickxscan.Eval) (res []Result, skipped bool, err error) {
+func (r *candidateRun) visit(i int, w *worker) (res []Result, skipped bool, err error) {
 	c, k := r.col, r.list.keys[i]
 	node := r.list.node(k)
 	if q, ok := c.db.quarantined(c.meta.Name, k.doc); ok {
@@ -219,15 +322,17 @@ func (r *candidateRun) visit(i int, e *quickxscan.Eval) (res []Result, skipped b
 	var matches []quickxscan.Match
 	switch {
 	case !r.exact && len(node) > 0:
-		matches, err = c.evalSubtree(k.doc, node, e)
+		matches, err = c.evalSubtree(k.doc, node, w.e)
 	case !r.exact:
-		matches, err = c.evalStored(k.doc, e)
+		matches, err = w.evalDoc(c, k.doc, k.rid)
 	case r.values:
 		var v []byte
 		v, err = c.NodeString(k.doc, node)
-		matches = []quickxscan.Match{{ID: node, Value: v}}
+		w.one[0] = quickxscan.Match{ID: node, Value: v}
+		matches = w.one[:]
 	default:
-		matches = []quickxscan.Match{{ID: node}}
+		w.one[0] = quickxscan.Match{ID: node}
+		matches = w.one[:]
 	}
 	if err != nil {
 		var pe pagestore.ErrPageChecksum
@@ -250,7 +355,7 @@ func (r *candidateRun) visit(i int, e *quickxscan.Eval) (res []Result, skipped b
 	if len(matches) == 0 {
 		return nil, false, nil
 	}
-	res = make([]Result, len(matches))
+	res = w.results(len(matches))
 	for j, m := range matches {
 		res[j] = Result{Doc: k.doc, Node: m.ID, Value: m.Value}
 	}
@@ -293,7 +398,7 @@ type keyBatch struct {
 // for its successor or the source closes.
 type source struct {
 	run     *candidateRun
-	eval    *quickxscan.Eval // the caller's
+	w       *worker // the caller's
 	ctx     context.Context
 	mem     *memgov.Budget
 	claimed atomic.Int64 // positions handed out, to the caller or a helper
@@ -307,9 +412,9 @@ type source struct {
 	wg     sync.WaitGroup
 }
 
-// startHelpers starts one helper goroutine per evaluator.
-func (s *source) startHelpers(evals []*quickxscan.Eval) {
-	if len(evals) == 0 {
+// startHelpers starts one helper goroutine per worker.
+func (s *source) startHelpers(workers []*worker) {
+	if len(workers) == 0 {
 		return
 	}
 	s.ctx, s.cancel = context.WithCancel(s.ctx)
@@ -317,8 +422,8 @@ func (s *source) startHelpers(evals []*quickxscan.Eval) {
 	// early Close only has to cancel and wait, never drain.
 	s.ch = make(chan keyBatch, len(s.run.list.keys))
 	s.pending = make(map[int]keyBatch)
-	s.wg.Add(len(evals))
-	for _, e := range evals {
+	s.wg.Add(len(workers))
+	for _, w := range workers {
 		go func() {
 			defer s.wg.Done()
 			for s.ctx.Err() == nil {
@@ -326,7 +431,7 @@ func (s *source) startHelpers(evals []*quickxscan.Eval) {
 				if !ok {
 					return
 				}
-				s.ch <- s.produce(i, e)
+				s.ch <- s.produce(i, w)
 			}
 		}()
 	}
@@ -346,8 +451,8 @@ func (s *source) claim() (int, bool) {
 
 // produce visits candidate i and reserves its results against the memory
 // budget; a breach fails the batch.
-func (s *source) produce(i int, e *quickxscan.Eval) keyBatch {
-	res, skip, err := s.run.visit(i, e)
+func (s *source) produce(i int, w *worker) keyBatch {
+	res, skip, err := s.run.visit(i, w)
 	var n int64
 	if err == nil {
 		if n = resultsBytes(res); n > 0 {
@@ -403,7 +508,7 @@ func (s *source) await() (keyBatch, error) {
 		case b = <-s.ch: // without helpers ch is nil: never ready
 		default:
 			if i, ok := s.claim(); ok {
-				b = s.produce(i, s.eval)
+				b = s.produce(i, s.w)
 			} else {
 				select {
 				case b = <-s.ch:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 
+	"rx/internal/heap"
 	"rx/internal/nodeid"
 	"rx/internal/valueindex"
 	"rx/internal/xml"
@@ -77,12 +78,16 @@ const ctxCheckEvery = 1024
 
 // candidate is one key of a recipe's candidate list: a document and, for
 // node-level plans, a subtree root or result node within it, whose ID is
-// ids[lo:hi] of the list's buffer (lo == hi: the document itself). Keys hold
-// no pointer: a list of thousands is one allocation the collector need not
-// scan.
+// ids[lo:hi] of the list's buffer (lo == hi: the document itself). rid is
+// the record the key's value-index entry named (heap.InvalidRID for a scan's
+// keys): of the entries cut to one key, the first kept. A document key reads
+// its document from there when that row is still the document's root record
+// (worker.evalDoc). Keys hold no pointer: a list of thousands is one
+// allocation the collector need not scan.
 type candidate struct {
 	doc    xml.DocID
 	lo, hi uint32
+	rid    heap.RID
 }
 
 // keyList is a recipe's candidate keys in (DocID, NodeID) order — result
@@ -119,7 +124,7 @@ func (c *Collection) candidates(ctx context.Context, rc recipe) (*keyList, error
 		}
 		l.keys = make([]candidate, len(docs))
 		for i, d := range docs {
-			l.keys[i].doc = d
+			l.keys[i] = candidate{doc: d, rid: heap.InvalidRID}
 		}
 		return l, nil
 	}
@@ -163,7 +168,7 @@ func (l *keyList) scan(ctx context.Context, pc planConjunct, level int) ([]candi
 		if len(prefix) > 0 {
 			l.ids = append(l.ids, prefix...)
 		}
-		k := candidate{e.Doc, lo, lo + uint32(len(prefix))}
+		k := candidate{e.Doc, lo, lo + uint32(len(prefix)), e.RID}
 		if n := len(keys); n > 0 && keys[n-1].doc >= k.doc {
 			switch c := l.compare(keys[n-1], k); {
 			case c == 0:

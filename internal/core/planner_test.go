@@ -398,8 +398,11 @@ func TestKeyListSort(t *testing.T) {
 			for d := rng.Intn(3); d > 0; d-- {
 				l.ids = append(l.ids, byte(2+2*rng.Intn(3)))
 			}
-			keys = append(keys, candidate{xml.DocID(rng.Int63n(maxDoc)), uint32(lo), uint32(len(l.ids))})
+			// Each key's RID names its position, so the sort must carry it.
+			keys = append(keys, candidate{doc: xml.DocID(rng.Int63n(maxDoc)), lo: uint32(lo), hi: uint32(len(l.ids)),
+				rid: heap.RID{Page: pagestore.PageID(i)}})
 		}
+		orig := slices.Clone(keys)
 		want := slices.Clone(keys)
 		slices.SortStableFunc(want, l.compare)
 		got := l.sort(keys)
@@ -407,6 +410,9 @@ func TestKeyListSort(t *testing.T) {
 			if l.compare(got[i], want[i]) != 0 {
 				t.Fatalf("max doc %d: key %d = (%d, %s), want (%d, %s)", maxDoc, i,
 					got[i].doc, l.node(got[i]), want[i].doc, l.node(want[i]))
+			}
+			if from := orig[got[i].rid.Page]; from != got[i] {
+				t.Fatalf("max doc %d: key %d lost its RID: %+v, RID of %+v", maxDoc, i, got[i], from)
 			}
 		}
 	}

@@ -58,6 +58,7 @@ func Registry() []Experiment {
 		{"E16", e16, e16Cases},
 		{"E18", nil, e18Cases},
 		{"E19", nil, e19Cases},
+		{"E20", nil, e20Cases},
 	}
 }
 

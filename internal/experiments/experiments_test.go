@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -102,5 +103,28 @@ func TestBenchRunsTableOperations(t *testing.T) {
 	}}
 	if testing.Benchmark(e.Bench).N == 0 || runs == 0 {
 		t.Fatalf("benchmark failed or never ran the table's operation (%d runs)", runs)
+	}
+}
+
+// TestE20AllocsIndependentOfDocumentSize is the read path's tripwire, as
+// TestEvalStoredAllocsIndependentOfDocumentSize is the scan kernel's: a Get
+// and an indexed query allocate the same per operation for 8-item and
+// 64-item orders. A per-node term would add hundreds; the slack of 2 is for
+// the walker and serializer pools, which a GC cycle empties.
+func TestE20AllocsIndependentOfDocumentSize(t *testing.T) {
+	cases, err := e20Cases()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := map[string]int64{}
+	for _, c := range cases {
+		allocs[c.Name] = testing.Benchmark(c.Run).AllocsPerOp()
+		t.Logf("%s: %d allocs/op", c.Name, allocs[c.Name])
+	}
+	for _, op := range []string{"get-order", "indexed-query"} {
+		small, large := allocs[fmt.Sprintf("%s/items=%d", op, e20Sizes[0])], allocs[fmt.Sprintf("%s/items=%d", op, e20Sizes[1])]
+		if large > small+2 || small > large+2 {
+			t.Errorf("%s: %d allocs at %d items, %d at %d; want the same constant", op, small, e20Sizes[0], large, e20Sizes[1])
+		}
 	}
 }

@@ -526,56 +526,102 @@ func (t *Table) Fetch(rid RID) ([]byte, error) {
 //     with writers queued between them, can deadlock.
 //   - the caller must not write through the payload slice.
 func (t *Table) FetchBorrowed(rid RID) ([]byte, func(), error) {
-	payload, release, fwd, err := t.fetchBorrowedRaw(rid)
+	payload, f, err := t.borrow(rid)
 	if err != nil {
 		return nil, nil, err
 	}
-	if fwd != InvalidRID {
-		payload, release, fwd2, err := t.fetchBorrowedRaw(fwd)
-		if err != nil {
-			return nil, nil, err
-		}
-		if fwd2 != InvalidRID {
-			release()
-			return nil, nil, fmt.Errorf("heap: forwarding chain longer than one hop at %s", rid)
-		}
-		return payload, release, nil
-	}
-	return payload, release, nil
+	return payload, func() { t.unlatch(f) }, nil
 }
 
-// fetchBorrowedRaw is the one slot reader: on success the returned payload
-// aliases the frame, which stays pinned and share-latched until release. A
-// forwarding stub releases the page immediately and returns the target RID
-// instead (stub bytes are decoded before the release).
-func (t *Table) fetchBorrowedRaw(rid RID) ([]byte, func(), RID, error) {
+// Borrower is one goroutine's reusable borrow slot: FetchBorrowed whose
+// release function is made once, with the slot, instead of once per fetch. It
+// lends at most one page at a time — the single-borrow rule FetchBorrowed
+// states — and refuses a fetch while a page is still out. A Borrower is not
+// safe for concurrent use.
+type Borrower struct {
+	t       *Table
+	f       *buffer.Frame // the page lent out; nil when none is
+	release func()        // b.drop, bound once
+}
+
+// NewBorrower returns a borrow slot on t.
+func (t *Table) NewBorrower() *Borrower {
+	b := &Borrower{t: t}
+	b.release = b.drop
+	return b
+}
+
+func (b *Borrower) drop() {
+	f := b.f
+	b.f = nil
+	b.t.unlatch(f)
+}
+
+// Fetch is FetchBorrowed through the slot, with the same lifetime rules; the
+// release function it returns is the slot's own.
+func (b *Borrower) Fetch(rid RID) ([]byte, func(), error) {
+	if b.f != nil {
+		return nil, nil, fmt.Errorf("heap: fetch of %s while the borrower still lends a page", rid)
+	}
+	payload, f, err := b.t.borrow(rid)
+	if err != nil {
+		return nil, nil, err
+	}
+	b.f = f
+	return payload, b.release, nil
+}
+
+// borrow is the one borrowing read: the record's payload, one forwarding
+// stub followed, aliasing the frame returned pinned and share-latched.
+func (t *Table) borrow(rid RID) ([]byte, *buffer.Frame, error) {
+	payload, f, fwd, err := t.readSlot(rid)
+	if err != nil || fwd == InvalidRID {
+		return payload, f, err
+	}
+	payload, f, fwd2, err := t.readSlot(fwd)
+	if err != nil {
+		return nil, nil, err
+	}
+	if fwd2 != InvalidRID {
+		return nil, nil, fmt.Errorf("heap: forwarding chain longer than one hop at %s", rid)
+	}
+	return payload, f, nil
+}
+
+// unlatch ends a borrow of f.
+func (t *Table) unlatch(f *buffer.Frame) {
+	f.RUnlock()
+	t.pool.Unpin(f, false)
+}
+
+// readSlot is the one slot reader: on success the returned payload aliases
+// the frame, which stays pinned and share-latched until unlatch. A
+// forwarding stub releases the page at once and returns the target RID
+// instead, with no frame (stub bytes are decoded before the release).
+func (t *Table) readSlot(rid RID) ([]byte, *buffer.Frame, RID, error) {
 	f, err := t.pool.Fetch(rid.Page)
 	if err != nil {
 		return nil, nil, InvalidRID, err
 	}
 	f.RLock()
-	drop := func() {
-		f.RUnlock()
-		t.pool.Unpin(f, false)
-	}
 	slots := int(binary.BigEndian.Uint16(f.Data[hdrSlots:]))
 	if int(rid.Slot) >= slots {
-		drop()
+		t.unlatch(f)
 		return nil, nil, InvalidRID, fmt.Errorf("%w: %s", ErrNotFound, rid)
 	}
 	off, length := slotAt(f.Data, int(rid.Slot))
 	if off == 0 {
-		drop()
+		t.unlatch(f)
 		return nil, nil, InvalidRID, fmt.Errorf("%w: %s", ErrNotFound, rid)
 	}
 	flag := f.Data[off]
 	body := f.Data[off+1 : off+length : off+length]
 	if flag == recForward {
 		fwd := RIDFromBytes(body)
-		drop()
+		t.unlatch(f)
 		return nil, nil, fwd, nil
 	}
-	return body, drop, InvalidRID, nil
+	return body, f, InvalidRID, nil
 }
 
 // Delete removes the record, following and removing a forwarding stub.

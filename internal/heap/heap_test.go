@@ -488,6 +488,49 @@ func TestFetchBorrowed(t *testing.T) {
 	}
 }
 
+// TestBorrowerLendsOnePageWithoutAllocating: the borrow slot's fetch and
+// release allocate nothing, a second fetch while a page is out is refused
+// (the single-borrow rule), and a released page is writable again.
+func TestBorrowerLendsOnePageWithoutAllocating(t *testing.T) {
+	tbl := newTable(t, 16)
+	a, err := tbl.Insert([]byte("first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := tbl.Insert([]byte("second"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := tbl.NewBorrower()
+	payload, release, err := br.Fetch(a)
+	if err != nil || string(payload) != "first" {
+		t.Fatalf("Fetch = %q, %v", payload, err)
+	}
+	if _, _, err := br.Fetch(b); err == nil {
+		t.Fatal("second fetch while a page is lent succeeded")
+	}
+	release()
+	if _, _, err := br.Fetch(InvalidRID); err == nil {
+		t.Fatal("fetch of an invalid RID succeeded")
+	}
+	if _, _, err := br.Fetch(RID{Page: a.Page, Slot: 999}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("fetch of a missing slot: %v, want ErrNotFound", err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		payload, release, err := br.Fetch(b)
+		if err != nil || string(payload) != "second" {
+			t.Fatalf("Fetch = %q, %v", payload, err)
+		}
+		release()
+	})
+	if allocs != 0 {
+		t.Errorf("Borrower.Fetch+release: %v allocs, want 0", allocs)
+	}
+	if err := tbl.Update(a, []byte("rewritten")); err != nil {
+		t.Fatalf("update after the borrow was released: %v", err)
+	}
+}
+
 func TestFetchBorrowedFollowsForwarding(t *testing.T) {
 	pool := buffer.New(pagestore.NewMemStore(), 32)
 	tbl, err := Create(pool)
@@ -531,6 +574,11 @@ func TestFetchBorrowedFollowsForwarding(t *testing.T) {
 		if payload[i] != big[i] {
 			t.Fatalf("byte %d = %d, want %d", i, payload[i], big[i])
 		}
+	}
+	release()
+	payload, release, err = tbl.NewBorrower().Fetch(rid)
+	if err != nil || !bytes.Equal(payload, big) {
+		t.Fatalf("Borrower.Fetch through the stub: %d bytes, %v", len(payload), err)
 	}
 	release()
 }

@@ -65,6 +65,29 @@ func DecodeString(b []byte) (string, []byte, error) {
 	return "", nil, errors.New("keycodec: unterminated string")
 }
 
+// SkipString returns the bytes after the String-encoded value at the start
+// of b, without decoding it: DecodeString's rest, and its error on the same
+// truncated, unterminated or badly escaped input.
+func SkipString(b []byte) ([]byte, error) {
+	for i := 0; i < len(b); i++ {
+		if b[i] != 0x00 {
+			continue
+		}
+		if i+1 >= len(b) {
+			return nil, errors.New("keycodec: truncated string")
+		}
+		switch b[i+1] {
+		case 0xFF:
+			i++
+		case 0x01:
+			return b[i+2:], nil
+		default:
+			return nil, fmt.Errorf("keycodec: bad string escape 0x%02x", b[i+1])
+		}
+	}
+	return nil, errors.New("keycodec: unterminated string")
+}
+
 // Uint64 appends a big-endian uint64 (already order-preserving).
 func Uint64(dst []byte, v uint64) []byte {
 	var b [8]byte

@@ -245,3 +245,45 @@ func TestDecodeErrors(t *testing.T) {
 		t.Error("unterminated positive decimal should fail")
 	}
 }
+
+// TestSkipStringAgreesWithDecodeString: SkipString finds the end DecodeString
+// finds — across escaped 0x00 bytes and with a suffix after the value — and
+// fails, with the same message, on every input DecodeString rejects, without
+// allocating.
+func TestSkipStringAgreesWithDecodeString(t *testing.T) {
+	inputs := [][]byte{
+		nil,
+		{0x00},                   // truncated after the escape byte
+		{0x61, 0x00},             // truncated
+		{0x61},                   // unterminated
+		{0x61, 0x00, 0xFF},       // an escaped 0x00, then unterminated
+		{0x00, 0x02, 0x00, 0x01}, // bad escape before a terminator
+		{0x00, 0xFF, 0x00, 0x7F}, // bad escape after an escaped 0x00
+	}
+	for _, s := range []string{"", "a", "ab\x00cd", "\x00", "\x00\x00", "abc\x00", "\xff\x01"} {
+		enc := String(nil, s)
+		inputs = append(inputs, enc, Uint64(bytes.Clone(enc), 42), enc[:len(enc)-1])
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, rng.Intn(8))
+		for j := range b {
+			b[j] = []byte{0x00, 0x01, 0xFF, 0x61, 0x02}[rng.Intn(5)]
+		}
+		inputs = append(inputs, b)
+	}
+	for _, in := range inputs {
+		_, wantRest, wantErr := DecodeString(in)
+		rest, err := SkipString(in)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("%x: SkipString error %v, DecodeString %v", in, err, wantErr)
+		}
+		if err == nil && (len(rest) != len(wantRest) || !bytes.Equal(rest, wantRest)) {
+			t.Fatalf("%x: SkipString rest %x, DecodeString %x", in, rest, wantRest)
+		}
+	}
+	key := Uint64(String(nil, "customer\x00name"), 7)
+	if n := testing.AllocsPerRun(100, func() { _, _ = SkipString(key) }); n != 0 {
+		t.Errorf("SkipString: %v allocs, want 0", n)
+	}
+}

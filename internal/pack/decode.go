@@ -84,15 +84,16 @@ func (r *Record) Detach() {
 // Decode parses a record payload.
 func Decode(payload []byte) (*Record, error) {
 	r := new(Record)
-	if err := r.decode(payload); err != nil {
+	if err := DecodeInto(r, payload); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// decode parses a record payload into r, overwriting it (the capacity of
-// Path and NS is reused).
-func (r *Record) decode(payload []byte) error {
+// DecodeInto parses a record payload into r, overwriting it and reusing the
+// capacity of its Path and NS, so a reader that decodes one record after
+// another keeps one Record. On error r is left partly overwritten.
+func DecodeInto(r *Record, payload []byte) error {
 	d := decoder{buf: payload}
 	ctxLen, err := d.uvarint()
 	if err != nil {

@@ -477,7 +477,7 @@ func makeProxy(a *arena.Arena, run []segment) segment {
 
 // finishRecord computes MinNodeID and the node-ID intervals of a payload.
 func (p *Packer) finishRecord(payload []byte) (EncodedRecord, error) {
-	if err := p.rec.decode(payload); err != nil {
+	if err := DecodeInto(&p.rec, payload); err != nil {
 		return EncodedRecord{}, err
 	}
 	intervals, minID, err := p.rec.intervals(p.a, &p.sc)

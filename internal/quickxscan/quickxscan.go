@@ -187,6 +187,14 @@ type Eval struct {
 	// is never referenced again (candidates are copied out at finalize and
 	// upward links only ever point at still-open ancestors).
 	free []*instance
+	// matchSlab and bytesSlab are where EndDocument cuts the matches it
+	// returns from, the headers and the ID and value bytes: a document's
+	// matches take the slabs' next free stretch, and a slab with too little
+	// left is replaced, never rewound. Returned matches are the caller's,
+	// as if each document had its own block, while the documents a cursor
+	// evaluates share one allocation per slab.
+	matchSlab []Match
+	bytesSlab []byte
 }
 
 // Compile builds an evaluator for the query. Names are resolved against the
@@ -701,26 +709,39 @@ func (e *Eval) EndDocument() ([]Match, error) {
 	slices.SortFunc(out, func(a, b cand) int { return bytes.Compare(id(a), id(b)) })
 	// Defense in depth: propagation should be duplicate-free.
 	out = slices.CompactFunc(out, func(a, b cand) bool { return bytes.Equal(id(a), id(b)) })
-	// Matches outlive the scan: copy them out of the kept buffer into one
-	// block the caller owns.
+	// Matches outlive the scan: copy them out of the kept buffer into the
+	// slabs, which no later document overwrites.
 	size := 0
 	for _, c := range out {
 		size += c.id.end - c.id.off + c.value.end - c.value.off
 	}
-	block := make([]byte, 0, size)
+	if cap(e.bytesSlab)-len(e.bytesSlab) < size {
+		e.bytesSlab = make([]byte, 0, SlabCap(cap(e.bytesSlab), size, 256, 4096))
+	}
+	if cap(e.matchSlab)-len(e.matchSlab) < len(out) {
+		e.matchSlab = make([]Match, 0, SlabCap(cap(e.matchSlab), len(out), 8, 64))
+	}
 	own := func(s span) []byte {
 		if s.off == s.end {
 			return nil
 		}
-		start := len(block)
-		block = append(block, kept[s.off:s.end]...)
-		return block[start:len(block):len(block)]
+		start := len(e.bytesSlab)
+		e.bytesSlab = append(e.bytesSlab, kept[s.off:s.end]...)
+		return e.bytesSlab[start:len(e.bytesSlab):len(e.bytesSlab)]
 	}
-	matches := make([]Match, len(out))
-	for i, c := range out {
-		matches[i] = Match{ID: own(c.id), Value: own(c.value)}
+	start := len(e.matchSlab)
+	for _, c := range out {
+		e.matchSlab = append(e.matchSlab, Match{ID: own(c.id), Value: own(c.value)})
 	}
-	return matches, nil
+	return e.matchSlab[start:len(e.matchSlab):len(e.matchSlab)], nil
+}
+
+// SlabCap is the capacity of the slab that replaces one of capacity old when
+// need does not fit what is left of it: double the old one, from least up to
+// most, so a short scan takes little and a long one few allocations — and
+// never less than need.
+func SlabCap(old, need, least, most int) int {
+	return max(need, min(max(2*old, least), most))
 }
 
 // keep copies b into the kept buffer.

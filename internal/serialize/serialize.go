@@ -7,30 +7,48 @@
 // element's own namespace declarations (which follow the StartElement event)
 // can be used when choosing prefixes; prefixes are invented only for URIs
 // with no in-scope binding.
+//
+// Text goes into one output buffer the serializer keeps, written to the
+// io.Writer whenever it passes flushAt bytes and when a top-level node ends
+// (the root element, a fragment's element, a comment or PI outside them).
+// The pending start tag, its attributes and the open elements' rendered
+// names are values in reusable buffers, and escaping appends to the output
+// buffer directly, so a warm serializer allocates nothing per node.
 package serialize
 
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"rx/internal/nodeid"
 	"rx/internal/xml"
 )
 
-// Serializer implements vsax.Handler, writing XML text to an io.Writer.
+// Serializer implements vsax.Handler, writing XML text to an io.Writer. The
+// output of a top-level node has reached the writer once its last event
+// returned.
 type Serializer struct {
 	w     io.Writer
 	names xml.Names
 
 	err      error
+	buf      []byte // output not yet written to w
 	depth    int
 	nsStack  []nsFrame
 	genCount int
-	openTags []string // rendered tag names for end tags
-	tagOpen  bool     // a flushed start tag still needs its '>'
+	// tags holds the open elements' rendered names (prefix:local) back to
+	// back; ends[i] is where the i-th open element's name ends.
+	tags    []byte
+	ends    []int
+	tagOpen bool // a flushed start tag still needs its '>'
 
-	pending *startTag
+	// The buffered start tag: its name, its own namespace declarations and
+	// its attributes, whose values sit back to back in vals.
+	pending bool
+	name    xml.QName
+	decls   []nsFrame
+	attrs   []pendingAttr
+	vals    []byte
 }
 
 type nsFrame struct {
@@ -39,31 +57,65 @@ type nsFrame struct {
 	uri    xml.NameID
 }
 
-type startTag struct {
-	name  xml.QName
-	decls []nsFrame
-	attrs []pendingAttr
+type pendingAttr struct {
+	name xml.QName
+	end  int // the value is vals[previous attribute's end:end]
 }
 
-type pendingAttr struct {
-	name  xml.QName
-	value string
-}
+// flushAt is the output buffer's size at which it is written out; a
+// document smaller than this reaches the writer in one Write, when its root
+// element ends.
+const flushAt = 8 << 10
+
+// keepAtMost is the largest buffer Reset keeps for the next document.
+const keepAtMost = 64 << 10
 
 // New creates a serializer writing to w, resolving name IDs via names.
 func New(w io.Writer, names xml.Names) *Serializer {
 	return &Serializer{w: w, names: names}
 }
 
+// Reset makes s a fresh serializer writing to w, keeping the capacity of its
+// buffers (up to keepAtMost each), so a caller that serializes document
+// after document can keep one.
+func (s *Serializer) Reset(w io.Writer, names xml.Names) {
+	*s = Serializer{
+		w: w, names: names,
+		buf: keep(s.buf), tags: keep(s.tags), vals: keep(s.vals),
+		nsStack: s.nsStack[:0], ends: s.ends[:0], decls: s.decls[:0], attrs: s.attrs[:0],
+	}
+}
+
+func keep(b []byte) []byte {
+	if cap(b) > keepAtMost {
+		return nil
+	}
+	return b[:0]
+}
+
 // Err returns the first error encountered.
 func (s *Serializer) Err() error { return s.err }
 
-func (s *Serializer) write(str string) {
-	if s.err != nil {
-		return
+// writeOut writes the buffered output to the writer and returns the first
+// error encountered.
+func (s *Serializer) writeOut() error {
+	if s.err == nil && len(s.buf) > 0 {
+		_, s.err = s.w.Write(s.buf)
 	}
-	_, s.err = io.WriteString(s.w, str)
+	s.buf = s.buf[:0]
+	return s.err
 }
+
+// spill writes the output buffer out once it has grown past flushAt or a
+// top-level node ended.
+func (s *Serializer) spill() error {
+	if len(s.buf) >= flushAt || s.depth == 0 {
+		return s.writeOut()
+	}
+	return s.err
+}
+
+func (s *Serializer) write(str string) { s.buf = append(s.buf, str...) }
 
 // findPrefix locates an unshadowed in-scope prefix for uri. For attributes
 // the empty (default) prefix is not usable.
@@ -97,73 +149,83 @@ func (s *Serializer) defaultNS() xml.NameID {
 	return xml.NoName
 }
 
+// invent binds a generated prefix to uri at the current depth.
+func (s *Serializer) invent(uri xml.NameID) nsFrame {
+	s.genCount++
+	f := nsFrame{depth: s.depth, prefix: fmt.Sprintf("ns%d", s.genCount), uri: uri}
+	s.nsStack = append(s.nsStack, f)
+	return f
+}
+
 // flush writes the buffered start tag, if any, leaving it open for '>' or
 // '/>' at the next content or end event.
 func (s *Serializer) flush() {
-	st := s.pending
-	if st == nil || s.err != nil {
+	if !s.pending || s.err != nil {
 		return
 	}
-	s.pending = nil
-	local, err := s.names.Lookup(st.name.Local)
+	s.pending = false
+	local, err := s.names.Lookup(s.name.Local)
 	if err != nil {
 		s.err = err
 		return
 	}
-	var extra []nsFrame
+	// Declarations this tag needs beyond its own go on nsStack from here.
+	extra := len(s.nsStack)
 	var prefix string
 	switch {
-	case st.name.URI == xml.NoName:
+	case s.name.URI == xml.NoName:
 		// No namespace: the default namespace must not be bound here.
 		if s.defaultNS() != xml.NoName {
-			extra = append(extra, nsFrame{depth: s.depth, prefix: "", uri: xml.NoName})
-			s.nsStack = append(s.nsStack, extra[len(extra)-1])
+			s.nsStack = append(s.nsStack, nsFrame{depth: s.depth, prefix: "", uri: xml.NoName})
 		}
 	default:
-		p, ok := s.findPrefix(st.name.URI, false)
+		p, ok := s.findPrefix(s.name.URI, false)
 		if !ok {
-			s.genCount++
-			p = fmt.Sprintf("ns%d", s.genCount)
-			f := nsFrame{depth: s.depth, prefix: p, uri: st.name.URI}
-			extra = append(extra, f)
-			s.nsStack = append(s.nsStack, f)
+			p = s.invent(s.name.URI).prefix
 		}
 		prefix = p
 	}
-	tag := local
+	start := len(s.tags)
 	if prefix != "" {
-		tag = prefix + ":" + local
+		s.tags = append(append(s.tags, prefix...), ':')
 	}
-	s.write("<" + tag)
+	s.tags = append(s.tags, local...)
+	s.ends = append(s.ends, len(s.tags))
+	s.buf = append(append(s.buf, '<'), s.tags[start:]...)
 	// Original declarations, then invented ones.
-	for _, d := range st.decls {
+	for _, d := range s.decls {
 		s.writeDecl(d)
 	}
-	for _, d := range extra {
+	for _, d := range s.nsStack[extra:] {
 		s.writeDecl(d)
 	}
 	// Attributes (prefix resolution may invent further declarations).
-	for _, a := range st.attrs {
+	from := 0
+	for _, a := range s.attrs {
 		alocal, err := s.names.Lookup(a.name.Local)
 		if err != nil {
 			s.err = err
 			return
 		}
-		qn := alocal
+		var p string
 		if a.name.URI != xml.NoName {
-			p, ok := s.findPrefix(a.name.URI, true)
-			if !ok {
-				s.genCount++
-				p = fmt.Sprintf("ns%d", s.genCount)
-				f := nsFrame{depth: s.depth, prefix: p, uri: a.name.URI}
-				s.nsStack = append(s.nsStack, f)
+			var ok bool
+			if p, ok = s.findPrefix(a.name.URI, true); !ok {
+				f := s.invent(a.name.URI)
 				s.writeDecl(f)
+				p = f.prefix
 			}
-			qn = p + ":" + alocal
 		}
-		s.write(" " + qn + `="` + escapeAttr(a.value) + `"`)
+		s.buf = append(s.buf, ' ')
+		if p != "" {
+			s.buf = append(append(s.buf, p...), ':')
+		}
+		s.write(alocal)
+		s.write(`="`)
+		s.buf = appendEscaped(s.buf, s.vals[from:a.end], true)
+		s.buf = append(s.buf, '"')
+		from = a.end
 	}
-	s.openTags = append(s.openTags, tag)
 	s.tagOpen = true
 }
 
@@ -174,20 +236,24 @@ func (s *Serializer) writeDecl(d nsFrame) {
 		return
 	}
 	if d.prefix == "" {
-		s.write(` xmlns="` + escapeAttr(u) + `"`)
+		s.write(` xmlns="`)
 	} else {
-		s.write(` xmlns:` + d.prefix + `="` + escapeAttr(u) + `"`)
+		s.write(` xmlns:`)
+		s.write(d.prefix)
+		s.write(`="`)
 	}
+	s.buf = appendEscaped(s.buf, u, true)
+	s.buf = append(s.buf, '"')
 }
 
 // content prepares for writing element content: flush the pending tag and
 // emit the '>' if the innermost start tag is still open.
 func (s *Serializer) content() {
-	if s.pending != nil {
+	if s.pending {
 		s.flush()
 	}
 	if s.tagOpen {
-		s.write(">")
+		s.buf = append(s.buf, '>')
 		s.tagOpen = false
 	}
 }
@@ -196,41 +262,58 @@ func (s *Serializer) content() {
 func (s *Serializer) StartDocument() error { return s.err }
 
 // EndDocument implements vsax.Handler.
-func (s *Serializer) EndDocument() error { return s.err }
+func (s *Serializer) EndDocument() error { return s.writeOut() }
 
 // StartElement implements vsax.Handler.
 func (s *Serializer) StartElement(name xml.QName, _ nodeid.ID) error {
+	if s.err != nil {
+		return s.err
+	}
 	s.content()
 	s.depth++
-	s.pending = &startTag{name: name}
+	s.pending, s.name = true, name
+	s.decls, s.attrs, s.vals = s.decls[:0], s.attrs[:0], s.vals[:0]
 	return s.err
 }
 
 // EndElement implements vsax.Handler.
 func (s *Serializer) EndElement(nodeid.ID) error {
-	if s.pending != nil {
-		s.flush()
-		s.tagOpen = false
-		s.write("/>")
-		s.openTags = s.openTags[:len(s.openTags)-1]
-	} else {
-		if s.tagOpen {
-			s.write(">")
-			s.tagOpen = false
-		}
-		tag := s.openTags[len(s.openTags)-1]
-		s.openTags = s.openTags[:len(s.openTags)-1]
-		s.write("</" + tag + ">")
+	if s.err != nil {
+		return s.err
 	}
+	empty := s.pending
+	if empty {
+		if s.flush(); s.err != nil {
+			return s.err
+		}
+	}
+	// The element's rendered name is the top of the tag stack.
+	top, start := len(s.ends)-1, 0
+	if top > 0 {
+		start = s.ends[top-1]
+	}
+	switch {
+	case empty:
+		s.write("/>")
+	case s.tagOpen:
+		s.buf = append(append(append(s.buf, "></"...), s.tags[start:]...), '>')
+	default:
+		s.buf = append(append(append(s.buf, "</"...), s.tags[start:]...), '>')
+	}
+	s.tagOpen = false
+	s.tags, s.ends = s.tags[:start], s.ends[:top]
 	for len(s.nsStack) > 0 && s.nsStack[len(s.nsStack)-1].depth == s.depth {
 		s.nsStack = s.nsStack[:len(s.nsStack)-1]
 	}
 	s.depth--
-	return s.err
+	return s.spill()
 }
 
 // NSDecl implements vsax.Handler.
 func (s *Serializer) NSDecl(prefix, uri xml.NameID, _ nodeid.ID) error {
+	if s.err != nil {
+		return s.err
+	}
 	p, err := s.names.Lookup(prefix)
 	if err != nil {
 		s.err = err
@@ -238,53 +321,84 @@ func (s *Serializer) NSDecl(prefix, uri xml.NameID, _ nodeid.ID) error {
 	}
 	f := nsFrame{depth: s.depth, prefix: p, uri: uri}
 	s.nsStack = append(s.nsStack, f)
-	if s.pending != nil {
-		s.pending.decls = append(s.pending.decls, f)
+	if s.pending {
+		s.decls = append(s.decls, f)
 	}
 	return s.err
 }
 
 // Attribute implements vsax.Handler.
 func (s *Serializer) Attribute(name xml.QName, value []byte, _ xml.TypeID, _ nodeid.ID) error {
-	if s.pending == nil {
+	if !s.pending {
 		return fmt.Errorf("serialize: attribute outside a start tag")
 	}
-	s.pending.attrs = append(s.pending.attrs, pendingAttr{name: name, value: string(value)})
+	s.vals = append(s.vals, value...)
+	s.attrs = append(s.attrs, pendingAttr{name: name, end: len(s.vals)})
 	return s.err
 }
 
 // Text implements vsax.Handler.
 func (s *Serializer) Text(value []byte, _ xml.TypeID, _ nodeid.ID) error {
+	if s.err != nil {
+		return s.err
+	}
 	s.content()
-	s.write(escapeText(string(value)))
-	return s.err
+	s.buf = appendEscaped(s.buf, value, false)
+	return s.spill()
 }
 
 // Comment implements vsax.Handler.
 func (s *Serializer) Comment(value []byte, _ nodeid.ID) error {
+	if s.err != nil {
+		return s.err
+	}
 	s.content()
-	s.write("<!--" + string(value) + "-->")
-	return s.err
+	s.write("<!--")
+	s.buf = append(s.buf, value...)
+	s.write("-->")
+	return s.spill()
 }
 
 // PI implements vsax.Handler.
 func (s *Serializer) PI(target xml.NameID, value []byte, _ nodeid.ID) error {
+	if s.err != nil {
+		return s.err
+	}
 	s.content()
 	t, err := s.names.Lookup(target)
 	if err != nil {
 		s.err = err
 		return err
 	}
+	s.write("<?")
+	s.write(t)
 	if len(value) > 0 {
-		s.write("<?" + t + " " + string(value) + "?>")
-	} else {
-		s.write("<?" + t + "?>")
+		s.buf = append(append(s.buf, ' '), value...)
 	}
-	return s.err
+	s.write("?>")
+	return s.spill()
 }
 
-var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-var attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
-
-func escapeText(s string) string { return textEscaper.Replace(s) }
-func escapeAttr(s string) string { return attrEscaper.Replace(s) }
+// appendEscaped appends v to dst with the markup characters of text content
+// (&, <, >) or of a double-quoted attribute value (&, <, ") escaped.
+func appendEscaped[T string | []byte](dst []byte, v T, attr bool) []byte {
+	from := 0
+	for i := 0; i < len(v); i++ {
+		var esc string
+		switch c := v[i]; {
+		case c == '&':
+			esc = "&amp;"
+		case c == '<':
+			esc = "&lt;"
+		case c == '>' && !attr:
+			esc = "&gt;"
+		case c == '"' && attr:
+			esc = "&quot;"
+		default:
+			continue
+		}
+		dst = append(append(dst, v[from:i]...), esc...)
+		from = i + 1
+	}
+	return append(dst, v[from:]...)
+}

@@ -1,9 +1,11 @@
 package serialize
 
 import (
+	"io"
 	"strings"
 	"testing"
 
+	"rx/internal/nodeid"
 	"rx/internal/vsax"
 	"rx/internal/xml"
 	"rx/internal/xmlparse"
@@ -100,5 +102,99 @@ func TestNestedNamespaceShadowing(t *testing.T) {
 	}
 	if !strings.Contains(out, `xmlns:p="urn:two"`) || !strings.Contains(out, `xmlns:p="urn:one"`) {
 		t.Errorf("got %s", out)
+	}
+}
+
+// countingWriter records the Writes a serializer makes.
+type countingWriter struct {
+	strings.Builder
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Builder.Write(p)
+}
+
+// TestReusedSerializerAllocatesNothing: once its buffers are warm, a Reset
+// serializer renders a document — attributes, namespaces, escapes, comments
+// and PIs — without allocating, and a document smaller than flushAt reaches
+// the writer in one Write.
+func TestReusedSerializerAllocatesNothing(t *testing.T) {
+	doc := `<p:a xmlns:p="urn:one" k="1 &lt; 2"><b x="&quot;q&quot;">a &amp; b</b><p:c/><!--n--><?pi d?><d xmlns="urn:d"><e>t</e></d></p:a>`
+	dict := xml.NewDict()
+	stream, err := xmlparse.Parse([]byte(doc), dict, xmlparse.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w countingWriter
+	s := New(&w, dict)
+	if err := vsax.FromTokens(stream, s); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes != 1 || roundTrip(t, doc) != w.String() {
+		t.Fatalf("%d writes of %s", w.writes, w.String())
+	}
+	// The token driver's own allocations are measured alone and taken off.
+	driver := testing.AllocsPerRun(100, func() {
+		if err := vsax.FromTokens(stream, nopHandler{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Reset(io.Discard, dict)
+		if err := vsax.FromTokens(stream, s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != driver {
+		t.Errorf("a reused serializer: %v allocs per document, the token driver alone %v; want no more", allocs, driver)
+	}
+}
+
+type nopHandler struct{}
+
+func (nopHandler) StartDocument() error                                     { return nil }
+func (nopHandler) EndDocument() error                                       { return nil }
+func (nopHandler) StartElement(xml.QName, nodeid.ID) error                  { return nil }
+func (nopHandler) EndElement(nodeid.ID) error                               { return nil }
+func (nopHandler) NSDecl(xml.NameID, xml.NameID, nodeid.ID) error           { return nil }
+func (nopHandler) Attribute(xml.QName, []byte, xml.TypeID, nodeid.ID) error { return nil }
+func (nopHandler) Text([]byte, xml.TypeID, nodeid.ID) error                 { return nil }
+func (nopHandler) Comment([]byte, nodeid.ID) error                          { return nil }
+func (nopHandler) PI(xml.NameID, []byte, nodeid.ID) error                   { return nil }
+
+// TestSerializerWritesAtTopLevelAndPastFlushAt: output reaches the writer
+// when a top-level node ends, so a fragment driven without EndDocument is
+// complete, and a document larger than flushAt is written as it grows.
+func TestSerializerWritesAtTopLevelAndPastFlushAt(t *testing.T) {
+	dict := xml.NewDict()
+	a, _ := dict.Intern("a")
+	var w countingWriter
+	s := New(&w, dict)
+	for i := 0; i < 3; i++ {
+		s.StartElement(xml.QName{Local: a}, nil)
+		s.Text([]byte("x"), xml.TString, nil)
+		s.EndElement(nil)
+		if got, want := w.String(), strings.Repeat("<a>x</a>", i+1); got != want {
+			t.Fatalf("after fragment %d the writer holds %q, want %q", i, got, want)
+		}
+	}
+	var sb strings.Builder
+	sb.WriteString("<r>")
+	for i := 0; i < 3*flushAt/16; i++ {
+		sb.WriteString("<i>0123456789</i>")
+	}
+	sb.WriteString("</r>")
+	stream, err := xmlparse.Parse([]byte(sb.String()), dict, xmlparse.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = countingWriter{}
+	if err := vsax.FromTokens(stream, New(&w, dict)); err != nil {
+		t.Fatal(err)
+	}
+	if w.String() != sb.String() || w.writes < 3 {
+		t.Fatalf("%d writes, output equal: %v", w.writes, w.String() == sb.String())
 	}
 }

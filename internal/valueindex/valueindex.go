@@ -308,7 +308,7 @@ func (ix *Index) splitKey(k []byte) ([]byte, xml.DocID, nodeid.ID, error) {
 	var valLen int
 	switch ix.typ {
 	case xml.TString:
-		_, rest, err := keycodec.DecodeString(k)
+		rest, err := keycodec.SkipString(k)
 		if err != nil {
 			return nil, 0, nil, err
 		}

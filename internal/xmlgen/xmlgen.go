@@ -85,6 +85,22 @@ func Product(i int) []byte {
 	return []byte(sb.String())
 }
 
+// Order generates E20's order document: a customer out of 16, a date, items
+// line items with a SKU attribute, a quantity and a price each, and a total
+// — the shape of the benchmark's lookup corpus, ≈90 bytes per item.
+func Order(i, items int) []byte {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, `<Order id="%d"><Customer>cust-%04d</Customer><Date>2004-05-%02d</Date><Items>`, i, i%16, 1+i%28)
+	total := 0
+	for j := 0; j < items; j++ {
+		qty, cents := 1+(i+j)%5, 100+(i*31+j*17)%9000
+		total += qty * cents
+		fmt.Fprintf(&sb, `<Item sku="SKU-%d-%d"><Qty>%d</Qty><Price>%d.%02d</Price></Item>`, i, j, qty, cents/100, cents%100)
+	}
+	fmt.Fprintf(&sb, `</Items><Total>%d.%02d</Total></Order>`, total/100, total%100)
+	return []byte(sb.String())
+}
+
 // Parts generates E18's adversarial planner shape: one selective field (Sku)
 // and parts Part/Qty entries, so an index over Qty holds parts entries per
 // document and walking it costs far more than evaluating the document once.

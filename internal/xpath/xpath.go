@@ -642,70 +642,78 @@ func Covers(index, query *Query) bool {
 	if !index.Rooted || !query.Rooted {
 		return false
 	}
-	var isteps, qsteps []*Step
+	// The planner asks this per index and conjunct on every execution, so
+	// the steps and the memo live on the stack for paths of usual length.
+	var ibuf, qbuf [16]*Step
+	var mbuf [256]int8
+	d := coverDP{is: ibuf[:0], qs: qbuf[:0]}
 	for s := index.Steps; s != nil; s = s.Next {
 		if len(s.Preds) > 0 {
 			return false
 		}
-		isteps = append(isteps, s)
+		d.is = append(d.is, s)
 	}
 	for s := query.Steps; s != nil; s = s.Next {
-		qsteps = append(qsteps, s)
+		d.qs = append(d.qs, s)
 	}
-	return coversFrom(isteps, qsteps)
+	if n := len(d.is) * len(d.qs); n <= len(mbuf) {
+		d.memo = mbuf[:n]
+	} else {
+		d.memo = make([]int8, n)
+	}
+	return d.covers(0, 0)
 }
 
-// coversFrom: can the index pattern isteps match every concrete path that
-// the query qsteps describes? Conservative DP over step alignment.
-func coversFrom(isteps, qsteps []*Step) bool {
-	// memoized on (i, j)
-	type key struct{ i, j int }
-	memo := map[key]int{}
-	var rec func(i, j int) bool
-	rec = func(i, j int) bool {
-		k := key{i, j}
-		if v, ok := memo[k]; ok {
-			return v == 1
-		}
-		memo[k] = 0
-		res := false
-		switch {
-		case i == len(isteps):
-			res = j == len(qsteps)
-		case j == len(qsteps):
-			res = false
-		default:
-			is, qs := isteps[i], qsteps[j]
-			if stepTestCovers(is, qs) {
-				switch is.Axis {
-				case Child, Attribute:
-					// Must match exactly here; the query step must also be a
-					// direct step (a query descendant step could skip levels
-					// the index insists on).
-					if qs.Axis == Child || qs.Axis == Attribute {
-						res = rec(i+1, j+1)
-					}
-				case Descendant, DescendantOrSelf:
-					// The index's // can absorb any number of intervening
-					// query levels, or match here.
-					res = rec(i+1, j+1) || rec(i, j+1)
-				}
-			} else if is.Axis == Descendant || is.Axis == DescendantOrSelf {
-				// Skip a query level under the index's descendant step, but
-				// only when the query level is a concrete child step (a
-				// query // here makes containment undecidable for this
-				// conservative test).
-				if qs.Axis == Child {
-					res = rec(i, j+1)
-				}
-			}
-		}
-		if res {
-			memo[k] = 1
-		}
-		return res
+// coverDP decides whether the index pattern is can match every concrete path
+// that the query qs describes: a conservative DP over step alignment,
+// memoized on (i, j) for i < len(is), j < len(qs) (0 unknown, 1 false,
+// 2 true).
+type coverDP struct {
+	is, qs []*Step
+	memo   []int8
+}
+
+func (d *coverDP) covers(i, j int) bool {
+	switch {
+	case i == len(d.is):
+		return j == len(d.qs)
+	case j == len(d.qs):
+		return false
 	}
-	return rec(0, 0)
+	k := i*len(d.qs) + j
+	if v := d.memo[k]; v != 0 {
+		return v == 2
+	}
+	res := false
+	is, qs := d.is[i], d.qs[j]
+	if stepTestCovers(is, qs) {
+		switch is.Axis {
+		case Child, Attribute:
+			// Must match exactly here; the query step must also be a
+			// direct step (a query descendant step could skip levels
+			// the index insists on).
+			if qs.Axis == Child || qs.Axis == Attribute {
+				res = d.covers(i+1, j+1)
+			}
+		case Descendant, DescendantOrSelf:
+			// The index's // can absorb any number of intervening
+			// query levels, or match here.
+			res = d.covers(i+1, j+1) || d.covers(i, j+1)
+		}
+	} else if is.Axis == Descendant || is.Axis == DescendantOrSelf {
+		// Skip a query level under the index's descendant step, but
+		// only when the query level is a concrete child step (a
+		// query // here makes containment undecidable for this
+		// conservative test).
+		if qs.Axis == Child {
+			res = d.covers(i, j+1)
+		}
+	}
+	d.memo[k] = 1
+	if res {
+		d.memo[k] = 2
+	}
+	return res
 }
 
 // stepTestCovers reports whether the index step's node test matches at least

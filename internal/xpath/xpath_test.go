@@ -262,6 +262,31 @@ func TestEquivalent(t *testing.T) {
 	}
 }
 
+// TestCoversAllocs is the planner's tripwire: Covers and Equivalent run per
+// index and conjunct on every execution and must not allocate for paths of
+// usual length. Paths past the stack buffers still decide correctly.
+func TestCoversAllocs(t *testing.T) {
+	pairs := [][2]*Query{
+		{mustParse(t, "//Discount"), mustParse(t, "/Catalog/Categories/Product/Discount")},
+		{mustParse(t, "/Catalog//RegPrice"), mustParse(t, "/Catalog/Categories/Product/RegPrice")},
+		{mustParse(t, "//a/@id"), mustParse(t, "/r/a/id")},
+		{mustParse(t, "/Order/Customer"), mustParse(t, "/Order[Customer = 'c']/Customer")},
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, p := range pairs {
+			Covers(p[0], p[1])
+			Equivalent(p[0], p[1])
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Covers and Equivalent: %v allocs per round, want 0", allocs)
+	}
+	deep := "/r" + strings.Repeat("/x", 30) + "/leaf"
+	if !Covers(mustParse(t, "//x//leaf"), mustParse(t, deep)) || Covers(mustParse(t, "//y//leaf"), mustParse(t, deep)) {
+		t.Errorf("Covers over a %d-step path decided wrong", 32)
+	}
+}
+
 func TestHasPredicates(t *testing.T) {
 	if mustParse(t, "/a/b").HasPredicates() {
 		t.Error("no preds expected")
