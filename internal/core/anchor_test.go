@@ -353,7 +353,7 @@ func TestAnchoredReadsVersioned(t *testing.T) {
 // would.
 func forgeRID(t *testing.T, col *Collection, name string, doc xml.DocID, rid heap.RID) {
 	t.Helper()
-	for _, ov := range col.valIxs {
+	for _, ov := range col.indexSnapshot() {
 		if ov.meta.Name != name {
 			continue
 		}

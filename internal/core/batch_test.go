@@ -176,13 +176,13 @@ func TestInsertBatchMatchesSequentialInserts(t *testing.T) {
 				}
 				treesEqual(t, "docIx", dumpTree(t, refCol.docIx), dumpTree(t, col.docIx))
 				treesEqual(t, "nodeIx", dumpTree(t, refCol.nodeIx.Tree()), dumpTree(t, col.nodeIx.Tree()))
-				if len(refCol.valIxs) != 2 || len(col.valIxs) != 2 {
-					t.Fatalf("value index count: %d vs %d", len(refCol.valIxs), len(col.valIxs))
+				if len(refCol.indexSnapshot()) != 2 || len(col.indexSnapshot()) != 2 {
+					t.Fatalf("value index count: %d vs %d", len(refCol.indexSnapshot()), len(col.indexSnapshot()))
 				}
-				for i := range refCol.valIxs {
-					treesEqual(t, "valIx "+refCol.valIxs[i].meta.Name,
-						dumpTree(t, refCol.valIxs[i].ix.Tree()),
-						dumpTree(t, col.valIxs[i].ix.Tree()))
+				for i := range refCol.indexSnapshot() {
+					treesEqual(t, "valIx "+refCol.indexSnapshot()[i].meta.Name,
+						dumpTree(t, refCol.indexSnapshot()[i].ix.Tree()),
+						dumpTree(t, col.indexSnapshot()[i].ix.Tree()))
 				}
 			})
 		}

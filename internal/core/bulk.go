@@ -414,11 +414,11 @@ func (c *Collection) ingestLocked(ids []xml.DocID, st *staged) error {
 	}
 
 	// Pass 4 — value indexes (§3.3).
-	if len(c.valIxs) > 0 {
+	if ixs := c.indexSnapshot(); len(ixs) > 0 {
 		if err := c.valueKeys(ids, st, nodes); err != nil {
 			return err
 		}
-		for j, ov := range c.valIxs {
+		for j, ov := range ixs {
 			most := 0
 			ents = ents[:0]
 			for _, w := range st.workers {
@@ -446,10 +446,11 @@ func (c *Collection) ingestLocked(ids []xml.DocID, st *staged) error {
 // the most matches one of its documents had on index j in most[j]. Caller
 // holds writeMu.
 func (c *Collection) valueKeys(ids []xml.DocID, st *staged, nodes []nodeEntry) error {
+	ixs := c.indexSnapshot()
 	for k, w := range st.workers {
-		w.keys = slices.Grow(w.keys[:0], len(c.valIxs))[:len(c.valIxs)]
-		w.most = slices.Grow(w.most[:0], len(c.valIxs))[:len(c.valIxs)]
-		for j, ov := range c.valIxs {
+		w.keys = slices.Grow(w.keys[:0], len(ixs))[:len(ixs)]
+		w.most = slices.Grow(w.most[:0], len(ixs))[:len(ixs)]
+		for j, ov := range ixs {
 			ev := ov.keygen
 			if k > 0 { // an evaluator is single-threaded
 				var err error
@@ -469,7 +470,7 @@ func (c *Collection) valueKeys(ids []xml.DocID, st *staged, nodes []nodeEntry) e
 				return err
 			}
 			w.most[j] = max(w.most[j], len(matches))
-			typ := c.valIxs[j].ix.Type()
+			typ := ixs[j].ix.Type()
 			for _, m := range matches {
 				r, _ := slices.BinarySearchFunc(ivs, m.ID, func(e nodeEntry, id nodeid.ID) int {
 					return bytes.Compare(e.upper, id)

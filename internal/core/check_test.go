@@ -225,12 +225,12 @@ func TestRestoreVersionedHalfDeleted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := col.evalStored(id, col.valIxs[0].keygen)
+	keys, err := col.evalStored(id, col.indexSnapshot()[0].keygen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range keys {
-		if err := col.valIxs[0].ix.Delete(m.Value, id, m.ID); err != nil {
+		if err := col.indexSnapshot()[0].ix.Delete(m.Value, id, m.ID); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -35,20 +36,18 @@ type Collection struct {
 	// writeMu serializes structural writers (insert/delete/update/index
 	// DDL). Readers coordinate through the lock manager / MVCC.
 	writeMu sync.Mutex
-	// ixMu guards valIxs against concurrent readers (query planning) while
-	// CreateValueIndex appends; writers additionally hold writeMu.
-	ixMu   sync.RWMutex
-	valIxs []*openValueIndex
+	// ixs is the current value-index set. Index DDL, under writeMu,
+	// publishes a new one; readers load it without a lock.
+	ixs atomic.Pointer[indexSet]
 }
 
-// indexSnapshot returns the current value-index list for read-only use by
-// the query planner; the slice is a copy, so concurrent index DDL cannot
-// race with a query iterating it.
-func (c *Collection) indexSnapshot() []*openValueIndex {
-	c.ixMu.RLock()
-	defer c.ixMu.RUnlock()
-	return append([]*openValueIndex(nil), c.valIxs...)
-}
+// indexes returns the current value-index set.
+func (c *Collection) indexes() *indexSet { return c.ixs.Load() }
+
+// indexSnapshot returns the current value indexes. The slice is never
+// written once published, so index DDL cannot race with a reader iterating
+// it.
+func (c *Collection) indexSnapshot() []*openValueIndex { return c.indexes().ixs }
 
 type openValueIndex struct {
 	meta   catalog.ValueIndexMeta
@@ -84,7 +83,7 @@ func (c *Collection) CreateValueIndex(name, path string, typ xml.TypeID) (err er
 	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	for _, ov := range c.valIxs {
+	for _, ov := range c.indexSnapshot() {
 		if ov.meta.Name == name {
 			return fmt.Errorf("core: index %q already exists on %s", name, c.meta.Name)
 		}
@@ -114,9 +113,7 @@ func (c *Collection) CreateValueIndex(name, path string, typ xml.TypeID) (err er
 	im := catalog.ValueIndexMeta{Name: name, Path: path, Type: typ, Meta: ix.MetaPage(), SingleValued: single}
 	ov := &openValueIndex{meta: im, ix: ix, keygen: kg}
 	ov.single.Store(single)
-	c.ixMu.Lock()
-	c.valIxs = append(c.valIxs, ov)
-	c.ixMu.Unlock()
+	c.ixs.Store(&indexSet{ixs: append(slices.Clip(c.indexSnapshot()), ov)})
 	c.meta.Indexes = append(c.meta.Indexes, im)
 	return c.db.cat.UpdateCollection(c.meta)
 }
@@ -202,14 +199,16 @@ func createCollection(db *DB, name string, opts CollectionOptions) (*Collection,
 	if err := db.cat.AddCollection(meta); err != nil {
 		return nil, err
 	}
-	return &Collection{
+	c := &Collection{
 		db:     db,
 		meta:   meta,
 		base:   base,
 		xmlTbl: xmlTbl,
 		docIx:  docIx,
 		nodeIx: nodeIx,
-	}, nil
+	}
+	c.ixs.Store(&indexSet{})
+	return c, nil
 }
 
 func openCollection(db *DB, meta *catalog.Collection) (*Collection, error) {
@@ -234,13 +233,15 @@ func openCollection(db *DB, meta *catalog.Collection) (*Collection, error) {
 		docIx:  docIx,
 		nodeIx: nodeIx,
 	}
+	set := &indexSet{}
 	for _, im := range meta.Indexes {
 		ov, err := c.openValueIndex(im)
 		if err != nil {
 			return nil, err
 		}
-		c.valIxs = append(c.valIxs, ov)
+		set.ixs = append(set.ixs, ov)
 	}
+	c.ixs.Store(set)
 	return c, nil
 }
 
@@ -603,7 +604,7 @@ func (c *Collection) Serialize(doc xml.DocID, w io.Writer) error {
 // Caller holds writeMu.
 func (c *Collection) removeDoc(doc xml.DocID, prior []byte) error {
 	r, walkErr := c.reader(doc)
-	for _, ov := range c.valIxs {
+	for _, ov := range c.indexSnapshot() {
 		var keys []quickxscan.Match
 		if walkErr == nil {
 			keys, walkErr = r.eval(ov.keygen)

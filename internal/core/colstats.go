@@ -5,9 +5,10 @@ package core
 // records the XML table's rows, and bytes the XML table's live row bytes,
 // each an exact count the heap keeps as it writes (heap.Table.Count, Bytes).
 // What a conjunct matches, and how many anchors a NodeID-filtering plan
-// re-evaluates, are dives into the conjunct's own value index
-// (valueindex.Index.Estimate). Nothing here is persisted, refreshed or
-// reconciled, and nothing keeps a plan: every execution plans afresh.
+// below level 1 re-evaluates, are dives into the conjunct's own value index
+// (valueindex.Index.Estimate); level-1 anchors are the documents. Nothing
+// here is persisted, refreshed or reconciled, and nothing keeps a plan:
+// every execution plans afresh.
 
 // CollectionStats is a snapshot of a collection's statistics.
 type CollectionStats struct {

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"rx/internal/nodeid"
 	"rx/internal/pagestore"
 	"rx/internal/xml"
+	"rx/internal/xpath"
 )
 
 // TestIncrementalStats holds the statistics to a recount after every write
@@ -368,7 +370,10 @@ func differentialDocs(rng *rand.Rand) []string {
 // planner's golden file: every plan (method, probe order, exactness,
 // estimates as float bits, and every priced alternative) is rendered and
 // compared with testdata/planner.golden, so any drift in a cost or a choice
-// fails here.
+// fails here. Every query is planned cold (its shape not yet prepared), warm,
+// and with other literals of the same shape, each plan held to a fresh parse
+// that no prepared shape touched (shapePlans); the other literals' query
+// runs the same differential as the query.
 func TestPlannerDifferential(t *testing.T) {
 	var golden strings.Builder
 	for _, fx := range []struct {
@@ -382,16 +387,14 @@ func TestPlannerDifferential(t *testing.T) {
 		methods := map[string]bool{}
 		for _, q := range queries {
 			for _, values := range []bool{false, true} {
-				p, err := col.Plan(q, QueryOptions{NeedValues: values})
-				if err != nil {
-					t.Fatalf("%s: plan: %v", q, err)
-				}
+				p := shapePlans(t, col, q, values)
 				renderPlan(&golden, fx.name, q, values, p)
 				for _, a := range p.Alternatives {
 					methods[a.Method] = true
 				}
 			}
 			plannerDifferentialQuery(t, col, q)
+			plannerDifferentialQuery(t, col, otherLiterals(t, q))
 		}
 		if fx.name == "shapes" && len(methods) != 7 {
 			t.Fatalf("shapes fixture reaches %d access methods, want all 7: %v", len(methods), methods)
@@ -414,6 +417,142 @@ func TestPlannerDifferential(t *testing.T) {
 		}
 		t.Fatalf("plans differ from %s in length: %d lines, want %d (rendering in %s.got)", path, len(gl), len(wl), path)
 	}
+}
+
+// shapePlans plans q on an index set with no shape prepared (cold), again
+// (warm), and with otherLiterals, and holds each plan to the plan of a fresh
+// parse; the warm and other-literal plans must come from the shape the cold
+// one prepared. It returns the cold plan.
+func shapePlans(t *testing.T, col *Collection, q string, values bool) *Plan {
+	t.Helper()
+	col.ixs.Store(&indexSet{ixs: col.indexSnapshot()})
+	opts := QueryOptions{NeedValues: values}
+	var cold *Plan
+	for i, text := range []string{q, q, otherLiterals(t, q)} {
+		p, err := col.Plan(text, opts)
+		if err != nil {
+			t.Fatalf("%s: plan: %v", text, err)
+		}
+		pq, err := xpath.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := col.selectAccessPath(newShape(pq, col.indexSnapshot()), pq.Lits, opts)
+		if err != nil {
+			t.Fatalf("%s: fresh plan: %v", text, err)
+		}
+		var got, want strings.Builder
+		renderPlan(&got, "", text, values, p)
+		renderPlan(&want, "", text, values, fresh)
+		if got.String() != want.String() {
+			t.Fatalf("plan %d of %s differs from a fresh parse's:\n%s\nwant\n%s", i, q, got.String(), want.String())
+		}
+		if i == 0 {
+			cold = p
+		} else if p.shape != cold.shape {
+			t.Fatalf("%s: planned from a new parse, not from the shape %s prepared", text, q)
+		}
+	}
+	return cold
+}
+
+// otherLiterals is q with every literal changed to another of its kind: a
+// number plus one, a string with its last byte bumped.
+func otherLiterals(t *testing.T, q string) string {
+	_, slots, ok := xpath.Lift(q, nil, nil)
+	if !ok {
+		t.Fatalf("%s does not lift", q)
+	}
+	out, at := "", 0
+	for _, sl := range slots {
+		lit, err := xpath.BindLiteral(q, sl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := strconv.FormatFloat(lit.Num+1, 'g', -1, 64)
+		if !lit.IsNum {
+			bumped := []byte(lit.Str + "a")[:max(1, len(lit.Str))]
+			bumped[len(bumped)-1]++
+			text = string(sl.Quote) + string(bumped) + string(sl.Quote)
+		}
+		out += q[at:sl.Pos] + text
+		at = sl.End
+	}
+	return out + q[at:]
+}
+
+// TestPlannerDifferentialShapeSeesIndexDDL: a shape prepared while no index
+// served it is not kept across index DDL — the next execution of the shape
+// uses the new index, and its answer is the scan's.
+func TestPlannerDifferentialShapeSeesIndexDDL(t *testing.T) {
+	db := newDB(t)
+	col, _ := db.CreateCollection("c", CollectionOptions{})
+	for i := 0; i < 40; i++ {
+		mustInsert(t, col, []byte(fmt.Sprintf(`<r><a>%d</a><b>%d</b></r>`, i%4, i)))
+	}
+	before, err := col.Plan(`/r[b = 3]/a`, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Method != "scan" {
+		t.Fatalf("before the index: %s, want scan", before.Method)
+	}
+	if err := col.CreateValueIndex("ix_b", "/r/b", xml.TDouble); err != nil {
+		t.Fatal(err)
+	}
+	after, err := col.Plan(`/r[b = 5]/a`, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Method == "scan" || !slices.Equal(after.Indexes, []string{"ix_b"}) {
+		t.Fatalf("after the index: %s %v, want ix_b", after.Method, after.Indexes)
+	}
+	plannerDifferentialQuery(t, col, `/r[b = 5]/a`)
+}
+
+// TestPlannerDifferentialShapeSeesSingleValuedClear: a window on a
+// single-valued index plans as one merged range; once a document with two
+// values on the path clears SingleValued, the next execution of the same
+// prepared shape keeps the two comparisons apart, and its answer — which
+// the new document joins only existentially — is the scan's.
+func TestPlannerDifferentialShapeSeesSingleValuedClear(t *testing.T) {
+	db := newDB(t)
+	col, _ := db.CreateCollection("c", CollectionOptions{})
+	for i := 0; i < 40; i++ {
+		mustInsert(t, col, []byte(fmt.Sprintf(`<r><b>%d</b></r>`, i)))
+	}
+	if err := col.CreateValueIndex("ix_b", "/r/b", xml.TDouble); err != nil {
+		t.Fatal(err)
+	}
+	alts := func(p *Plan) []string {
+		var m []string
+		for _, a := range p.Alternatives {
+			m = append(m, a.Method)
+		}
+		return m
+	}
+	merged, err := col.Plan(`/r[b > 3 and b < 9]`, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := alts(merged); !slices.Contains(m, "nodeid-list") || slices.Contains(m, "nodeid-anding") {
+		t.Fatalf("single-valued window: alternatives %v, want one merged nodeid-list", m)
+	}
+	mustInsert(t, col, []byte(`<r><b>1</b><b>30</b></r>`))
+	if col.indexSnapshot()[0].single.Load() {
+		t.Fatal("two values on the path left SingleValued set")
+	}
+	apart, err := col.Plan(`/r[b > 2 and b < 8]`, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if apart.shape != merged.shape {
+		t.Fatal("the second execution did not reuse the prepared shape")
+	}
+	if m := alts(apart); !slices.Contains(m, "nodeid-anding") {
+		t.Fatalf("multi-valued window: alternatives %v, want nodeid-anding", m)
+	}
+	plannerDifferentialQuery(t, col, `/r[b > 2 and b < 8]`)
 }
 
 // renderPlan writes one plan as golden-file lines: costs as float64 bits, so

@@ -172,7 +172,7 @@ func (c *Collection) newCursor(plan *Plan, list *keyList, opts QueryOptions) (*C
 	plan.Parallelism = plan.workers(n, opts.Parallelism)
 	workers := make([]*worker, plan.Parallelism)
 	for i := range workers {
-		e, err := quickxscan.Compile(plan.q, c.db.cat, nil, quickxscan.Options{NeedValues: opts.NeedValues})
+		e, err := plan.shape.evaluator(c, opts.NeedValues, plan.lits)
 		if err != nil {
 			return nil, err
 		}
@@ -181,9 +181,11 @@ func (c *Collection) newCursor(plan *Plan, list *keyList, opts QueryOptions) (*C
 	s := &source{
 		run: &candidateRun{col: c, list: list, exact: plan.recipe.exact, values: opts.NeedValues,
 			degraded: opts.Degraded, skipped: &cu.skipped},
-		w:   workers[0],
-		ctx: opts.context(),
-		mem: opts.Mem,
+		shape:   plan.shape,
+		workers: workers,
+		w:       workers[0],
+		ctx:     opts.context(),
+		mem:     opts.Mem,
 	}
 	s.startHelpers(workers[1:])
 	cu.src = s
@@ -398,7 +400,9 @@ type keyBatch struct {
 // for its successor or the source closes.
 type source struct {
 	run     *candidateRun
-	w       *worker // the caller's
+	shape   *shape    // whose evaluators the workers hold until close
+	workers []*worker // the caller's first, then the helpers'
+	w       *worker   // the caller's
 	ctx     context.Context
 	mem     *memgov.Budget
 	claimed atomic.Int64 // positions handed out, to the caller or a helper
@@ -540,4 +544,8 @@ func (s *source) close() {
 	s.pending = nil
 	s.mem.Release(s.held)
 	s.held = 0
+	for _, w := range s.workers {
+		s.shape.release(w.e, s.run.values)
+	}
+	s.workers = nil
 }

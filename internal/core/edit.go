@@ -661,7 +661,7 @@ type valueKeySnapshot struct {
 // an update.
 func (c *Collection) captureValueKeys(r docReader) ([]valueKeySnapshot, error) {
 	var out []valueKeySnapshot
-	for _, ov := range c.valIxs {
+	for _, ov := range c.indexSnapshot() {
 		ms, err := r.eval(ov.keygen)
 		if err != nil {
 			return nil, err

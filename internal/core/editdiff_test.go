@@ -277,7 +277,7 @@ func (e *editDiff) apply(s editStep) {
 func indexValues(t *testing.T, col *Collection, name string, doc xml.DocID) []string {
 	t.Helper()
 	var out []string
-	for _, ov := range col.valIxs {
+	for _, ov := range col.indexSnapshot() {
 		if ov.meta.Name != name {
 			continue
 		}

@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"rx/internal/dom"
@@ -168,4 +172,147 @@ func fuzzStoredRead(t *testing.T, db *DB, col *Collection, doc xml.DocID, text [
 			}
 		}
 	}
+}
+
+// FuzzShapeBind holds a prepared shape to a whole parse: for any text,
+// lifting its literals and binding them through the shape a text of the same
+// shape prepared gives the query xpath.Parse gives (the same String()) or
+// Parse's error, and the plan of a fresh parse. The sibling text that
+// prepares the shape has each literal replaced by another of its kind. The
+// index set holds a string, a number and a date index, so a string literal
+// bound against the date index exercises a range that binding can refuse.
+// Seeds: every query of testdata/planner.golden and the benchmark's lookup
+// templates, beside malformed numbers, quotes inside literals, names with
+// digits and date literals.
+func FuzzShapeBind(f *testing.F) {
+	golden, err := os.ReadFile("testdata/planner.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range strings.Split(string(golden), "\n") {
+		if line == "" || line[0] == ' ' {
+			continue
+		}
+		_, rest, _ := strings.Cut(line, " ")
+		if i := strings.LastIndex(rest, " values="); i >= 0 {
+			f.Add(rest[:i])
+		}
+	}
+	for _, q := range []string{
+		`/Order[Customer="cust-0003"]/Total`,
+		`/Order[Total >= 10.5 and Total < 20.25]/Customer`,
+		`/Order[Customer="cust-0007" and Total > 99.99]/Total`,
+		`/r[b = 1.2.3]`, `/r[b = -]`, `/r[b = +.]`, `/r[b = -4]/a`, `/r[b=.5]`,
+		`/r[a = "it's"]`, `/r[a = '"q"' or b != 2]`, `/r[a = 'x]`, `/r[a = ]`, `/r[a <= = 1]`,
+		`/a1[b2 = 3]/c3`, `/r[a1-b.2 >= 10]`, `/r[d = '2004-05-06']`, `/r[d < 'not a date']`,
+		`/r[not(a = 1) and b[c = 'x'] = 2]`, `//r[. = 5]`, `r[a = 1]`, "/r[a = '\x00']", "/r\x00[a = 1]",
+	} {
+		f.Add(q)
+	}
+	db := newDB(f)
+	col, _ := db.CreateCollection("c", CollectionOptions{})
+	for i := 0; i < 8; i++ {
+		mustInsert(f, col, []byte(fmt.Sprintf(`<r><a>%d</a><b>%d</b><d>2004-05-%02d</d></r>`, i%3, i, 1+i)))
+	}
+	for _, ix := range []struct {
+		name, path string
+		typ        xml.TypeID
+	}{{"ix_a", "/r/a", xml.TString}, {"ix_b", "/r/b", xml.TDouble}, {"ix_d", "/r/d", xml.TDate}} {
+		if err := col.CreateValueIndex(ix.name, ix.path, ix.typ); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		want, wantErr := xpath.Parse(text)
+		if wantErr == nil && !want.Rooted {
+			wantErr = errors.New("core: collection queries must be rooted paths")
+		}
+		set := &indexSet{ixs: col.indexSnapshot()}
+		key, slots, lifted := xpath.Lift(text, nil, nil)
+		var primed *shape
+		if lifted {
+			// Prime the shape with a sibling text: each literal replaced.
+			sibling, at := "", 0
+			for _, sl := range slots {
+				lit := "7"
+				if sl.Quote != 0 {
+					lit = string(sl.Quote) + "s" + string(sl.Quote)
+				}
+				sibling += text[at:sl.Pos] + lit
+				at = sl.End
+			}
+			sibling += text[at:]
+			if k, _, ok := xpath.Lift(sibling, nil, nil); !ok || string(k) != string(key) {
+				t.Fatalf("%q: sibling %q lifts to %q, not %q", text, sibling, k, key)
+			}
+			if _, _, err := set.prepare(sibling); err == nil {
+				if primed = set.shapes[string(key)]; primed == nil {
+					t.Fatalf("%q: sibling %q prepared, but its shape was not kept", text, sibling)
+				}
+			}
+		}
+		sh, lits, err := set.prepare(text)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("%q: prepared error %v, parse %v", text, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if primed != nil && sh != primed {
+			t.Fatalf("%q: parsed whole, not bound through the shape its sibling prepared", text)
+		}
+		if got := bindQuery(sh.q, lits).String(); got != want.String() {
+			t.Fatalf("%q: bound %s, parsed %s", text, got, want)
+		}
+		got, err := col.selectAccessPath(sh, lits, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := col.selectAccessPath(newShape(want, set.ixs), want.Lits, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gb, fb strings.Builder
+		renderPlan(&gb, "c", text, false, got)
+		renderPlan(&fb, "c", text, false, fresh)
+		if gb.String() != fb.String() {
+			t.Fatalf("%q: prepared plan\n%s\nfresh parse\n%s", text, gb.String(), fb.String())
+		}
+	})
+}
+
+// bindQuery copies q with each comparison's literal replaced by lits[Slot]:
+// the query a text of q's shape with literals lits parses to.
+func bindQuery(q *xpath.Query, lits []xpath.Literal) *xpath.Query {
+	var steps func(s *xpath.Step) *xpath.Step
+	var expr func(e xpath.Expr) xpath.Expr
+	steps = func(s *xpath.Step) *xpath.Step {
+		if s == nil {
+			return nil
+		}
+		cp := *s
+		cp.Preds = nil
+		for _, p := range s.Preds {
+			cp.Preds = append(cp.Preds, expr(p))
+		}
+		cp.Next = steps(s.Next)
+		return &cp
+	}
+	expr = func(e xpath.Expr) xpath.Expr {
+		switch x := e.(type) {
+		case xpath.And:
+			return xpath.And{L: expr(x.L), R: expr(x.R)}
+		case xpath.Or:
+			return xpath.Or{L: expr(x.L), R: expr(x.R)}
+		case xpath.Not:
+			return xpath.Not{E: expr(x.E)}
+		case xpath.Exists:
+			return xpath.Exists{Path: steps(x.Path)}
+		case xpath.Cmp:
+			x.Path, x.Lit = steps(x.Path), lits[x.Slot]
+			return x
+		}
+		return e
+	}
+	return &xpath.Query{Rooted: q.Rooted, Steps: steps(q.Steps)}
 }

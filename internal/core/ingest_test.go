@@ -301,7 +301,7 @@ func TestIngestBudgetIngest(t *testing.T) {
 		if n, _ := col.nodeIx.Count(); n != 0 {
 			t.Fatalf("rollback left %d NodeID-index entries", n)
 		}
-		for _, ov := range col.valIxs {
+		for _, ov := range col.indexSnapshot() {
 			if n := len(dumpTree(t, ov.ix.Tree())); n != 0 {
 				t.Fatalf("rollback left %d entries in %s", n, ov.meta.Name)
 			}

@@ -6,12 +6,12 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 
 	"rx/internal/memgov"
 	"rx/internal/valueindex"
@@ -47,7 +47,10 @@ type Plan struct {
 	// first; the chosen plan is among them. EXPLAIN surfaces this.
 	Alternatives []PlanAlt
 
-	q      *xpath.Query
+	// shape and lits are the query the plan runs: its prepared shape and
+	// the execution's literals, by slot.
+	shape  *shape
+	lits   []xpath.Literal
 	recipe recipe
 	// perCandidate is the priced cost of visiting one candidate key: what
 	// the cursor weighs against fanOutCost to decide its workers.
@@ -112,19 +115,25 @@ func (o QueryOptions) context() context.Context {
 	return context.Background()
 }
 
-// Plan parses expr and runs access-path selection without executing the
-// query: the returned Plan carries the chosen method, its cost estimates,
-// and every alternative considered. EXPLAIN and every query are built on
-// it, once per execution; pass it to CursorPlanned to execute.
+// Plan runs access-path selection for expr without executing the query:
+// the returned Plan carries the chosen method, its cost estimates, and
+// every alternative considered. EXPLAIN and every query are built on it,
+// once per execution; pass it to CursorPlanned to execute.
+//
+// What no literal of expr changes is prepared once per query shape (the
+// text with its comparison literals lifted to slots) and value-index set:
+// the parse, the indexes each conjunct could use, and the compiled
+// evaluators (shape.go). Each call binds expr's literals, derives each
+// candidate index's range from them, reads SingleValued, dives into the
+// indexes and prices, so the choice always follows the bound values and
+// the data as they stand. A text that does not parse fails as xpath.Parse
+// fails on it.
 func (c *Collection) Plan(expr string, opts QueryOptions) (*Plan, error) {
-	q, err := xpath.Parse(expr)
+	sh, lits, err := c.indexes().prepare(expr)
 	if err != nil {
 		return nil, err
 	}
-	if !q.Rooted {
-		return nil, errors.New("core: collection queries must be rooted paths")
-	}
-	return c.selectAccessPath(q, c.indexSnapshot(), opts)
+	return c.selectAccessPath(sh, lits, opts)
 }
 
 // planConjunct is one usable comparison conjunct with its matched index and
@@ -142,8 +151,9 @@ type planConjunct struct {
 	// est is the index's estimate of the entries rng covers (a dive).
 	est float64
 	// anchors estimates the subtrees NodeID filtering could re-evaluate, read
-	// only when the conjunct can drive it: a whole-range dive into the same
-	// index, one per entry (selectAccessPath states the rule); 0 if unknown.
+	// only when the conjunct can drive it: the documents at level 1, else a
+	// whole-range dive into the same index, one per entry (selectAccessPath
+	// states the rule); 0 if unknown.
 	anchors float64
 }
 
@@ -292,18 +302,18 @@ func (ps planStats) price(rc recipe) (docs, cost, per float64) {
 	return subtrees, cost + subtrees*perSub, perSub
 }
 
-// plan prices a recipe and labels it: the one place a Plan is built.
-func (ps planStats) plan(rc recipe) *Plan {
+// pricedRecipe is a candidate recipe with its price, labelled as EXPLAIN
+// lists it.
+type pricedRecipe struct {
+	rc  recipe
+	alt PlanAlt
+	per float64
+}
+
+// priced prices a recipe and labels it.
+func (ps planStats) priced(rc recipe) pricedRecipe {
 	docs, cost, per := ps.price(rc)
-	return &Plan{
-		Method:       rc.method(),
-		Indexes:      rc.indexes(),
-		Exact:        rc.exact,
-		EstDocs:      int(math.Round(docs)),
-		EstCost:      cost,
-		recipe:       rc,
-		perCandidate: per,
-	}
+	return pricedRecipe{rc: rc, alt: PlanAlt{Method: rc.method(), EstDocs: int(math.Round(docs)), EstCost: cost}, per: per}
 }
 
 // docIDRecipe builds the DocID-filtering recipe: probe the most selective
@@ -314,11 +324,11 @@ func (ps planStats) plan(rc recipe) *Plan {
 // its order).
 func (ps planStats) docIDRecipe(matched []planConjunct) recipe {
 	order := slices.Clone(matched)
-	sort.SliceStable(order, func(a, b int) bool {
-		if order[a].est != order[b].est {
-			return order[a].est < order[b].est
+	slices.SortStableFunc(order, func(a, b planConjunct) int {
+		if a.est != b.est {
+			return cmp.Compare(a.est, b.est)
 		}
-		return order[a].ov.meta.Name < order[b].ov.meta.Name
+		return strings.Compare(a.ov.meta.Name, b.ov.meta.Name)
 	})
 	// A rejected conjunct's slot is overwritten by the next one tried.
 	rc := recipe{conjuncts: order[:1:len(order)]}
@@ -338,49 +348,35 @@ func (ps planStats) docIDRecipe(matched []planConjunct) recipe {
 // merely contains the query path, ANDing/ORing across multiple indexes, and
 // always the parallel scan — prices each against the collection's
 // statistics, and returns the cheapest (or the candidate named by
-// opts.ForceMethod). valIxs is the caller's snapshot of the collection's
-// value indexes.
-func (c *Collection) selectAccessPath(q *xpath.Query, valIxs []*openValueIndex, opts QueryOptions) (*Plan, error) {
-	var spine []*xpath.Step
-	for s := q.Steps; s != nil; s = s.Next {
-		spine = append(spine, s)
-	}
+// opts.ForceMethod). sh is the query's prepared shape and lits its
+// literals for this execution.
+func (c *Collection) selectAccessPath(sh *shape, lits []xpath.Literal, opts QueryOptions) (*Plan, error) {
 	// Predicates on any spine step can narrow the candidate documents; only
 	// result-step predicates can support exact node-level access (the
 	// result node is then a node-ID prefix of the predicate node).
 	var matched, orParts []planConjunct
-	conjuncts, unindexed, exactAtResult := 0, 0, true
-	for i, s := range spine {
-		prefix := spine[:i+1]
-		for _, p := range s.Preds {
-			for _, e := range flattenAnd(p) {
-				conjuncts++
-				switch e := e.(type) {
-				case xpath.Cmp:
-					if pc, ok := matchIndex(valIxs, prefix, e); ok {
-						matched = append(matched, pc)
-						exactAtResult = exactAtResult && pc.exact && i == len(spine)-1
-						continue
-					}
-				case xpath.Or:
-					// ORing applies when both sides are indexable
-					// comparisons and this is the only conjunct (checked
-					// below); the OR itself counts as unindexed.
-					l, lok := e.L.(xpath.Cmp)
-					r, rok := e.R.(xpath.Cmp)
-					if lok && rok {
-						pl, okl := matchIndex(valIxs, prefix, l)
-						pr, okr := matchIndex(valIxs, prefix, r)
-						if okl && okr {
-							orParts = []planConjunct{pl, pr}
-						}
-					}
-				}
-				unindexed++
+	unindexed, exactAtResult := 0, true
+	for _, cj := range sh.conjuncts {
+		switch len(cj.cmps) {
+		case 1:
+			if pc, ok := cj.cmps[0].match(lits, cj.level); ok {
+				matched = append(matched, pc)
+				exactAtResult = exactAtResult && pc.exact && cj.level == len(sh.spine)
+				continue
+			}
+		case 2:
+			// ORing applies when both sides are indexable comparisons and
+			// this is the only conjunct (checked below); the OR itself
+			// counts as unindexed.
+			pl, okl := cj.cmps[0].match(lits, cj.level)
+			pr, okr := cj.cmps[1].match(lits, cj.level)
+			if okl && okr {
+				orParts = []planConjunct{pl, pr}
 			}
 		}
+		unindexed++
 	}
-	if conjuncts != 1 {
+	if len(sh.conjuncts) != 1 {
 		orParts = nil
 	}
 	matched = mergeConjuncts(matched)
@@ -389,16 +385,16 @@ func (c *Collection) selectAccessPath(q *xpath.Query, valIxs []*openValueIndex, 
 	// child-axis spine; subtree filtering needs a single conjunct whose
 	// anchor is reachable by a pure child-axis prefix and no predicate
 	// residue outside the subtree.
-	nodeListOK := len(matched) > 0 && exactAtResult && unindexed == 0 && pureChildSpine(spine)
-	filterOK := len(matched) == 1 && unindexed == 0 && pureChildSpine(spine[:matched[0].level])
+	nodeListOK := len(matched) > 0 && exactAtResult && unindexed == 0 && pureChildSpine(sh.spine)
+	filterOK := len(matched) == 1 && unindexed == 0 && pureChildSpine(sh.spine[:matched[0].level])
 
 	// The collection-wide numbers are the heap tables' own counts, read
 	// without a lock (heap.Table.Count). Each conjunct's entries come from a
-	// dive into its index. So do a filtering conjunct's anchors: the whole
-	// index, one anchor per entry. An anchor with no indexed leaf is not
-	// counted, one with two is counted twice, and entries an index path
-	// covers off the predicate's path count too. A level-1 anchor is the
-	// document element, so there are at most as many as documents.
+	// dive into its index. A filtering conjunct's anchors at level 1 are the
+	// document elements, one per document. Deeper, they are a dive into the
+	// whole index, one anchor per entry: an anchor with no indexed leaf is
+	// not counted, one with two is counted twice, and entries an index path
+	// covers off the predicate's path count too.
 	ps := planStats{values: opts.NeedValues, docs: float64(c.base.Count()), recordsPerDoc: 1}
 	if ps.docs > 0 {
 		ps.recordsPerDoc = max(1, float64(c.xmlTbl.Count())/ps.docs)
@@ -414,87 +410,85 @@ func (c *Collection) selectAccessPath(q *xpath.Query, valIxs []*openValueIndex, 
 		}
 	}
 	if filterOK {
-		anchors, err := matched[0].ov.ix.Estimate(valueindex.Range{})
-		if err != nil {
-			return nil, err
+		matched[0].anchors = ps.docs
+		if matched[0].level > 1 {
+			anchors, err := matched[0].ov.ix.Estimate(valueindex.Range{})
+			if err != nil {
+				return nil, err
+			}
+			matched[0].anchors = anchors
 		}
-		if matched[0].level == 1 {
-			anchors = min(anchors, ps.docs)
-		}
-		matched[0].anchors = anchors
 	}
 
 	// Parallel full scan: always a candidate (and the differential oracle).
-	cands := []*Plan{ps.plan(recipe{})}
+	var buf [5]pricedRecipe
+	cands := append(buf[:0], ps.priced(recipe{}))
 	if orParts != nil {
-		cands = append(cands, ps.plan(recipe{conjuncts: orParts, or: true}))
+		cands = append(cands, ps.priced(recipe{conjuncts: orParts, or: true}))
 	}
 	if len(matched) > 0 {
-		cands = append(cands, ps.plan(ps.docIDRecipe(matched)))
+		cands = append(cands, ps.priced(ps.docIDRecipe(matched)))
 	}
 	if nodeListOK {
 		// Every conjunct participates: dropping one would widen the exact
 		// result.
-		cands = append(cands, ps.plan(recipe{conjuncts: matched, level: len(spine), exact: true}))
+		cands = append(cands, ps.priced(recipe{conjuncts: matched, level: len(sh.spine), exact: true}))
 	}
 	if filterOK {
-		cands = append(cands, ps.plan(recipe{conjuncts: matched, level: matched[0].level}))
+		cands = append(cands, ps.priced(recipe{conjuncts: matched, level: matched[0].level}))
 	}
 
 	// Cheapest wins; ties break on method name so plans are deterministic.
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].EstCost != cands[b].EstCost {
-			return cands[a].EstCost < cands[b].EstCost
+	slices.SortStableFunc(cands, func(a, b pricedRecipe) int {
+		if a.alt.EstCost != b.alt.EstCost {
+			return cmp.Compare(a.alt.EstCost, b.alt.EstCost)
 		}
-		return cands[a].Method < cands[b].Method
+		return strings.Compare(a.alt.Method, b.alt.Method)
 	})
 	alts := make([]PlanAlt, len(cands))
-	for i, p := range cands {
-		alts[i] = PlanAlt{Method: p.Method, EstDocs: p.EstDocs, EstCost: p.EstCost}
+	for i, pr := range cands {
+		alts[i] = pr.alt
 	}
-	chosen := cands[0]
+	chosen := 0
 	if opts.ForceMethod != "" {
-		i := slices.IndexFunc(cands, func(p *Plan) bool { return p.Method == opts.ForceMethod })
-		if i < 0 {
+		if chosen = slices.IndexFunc(alts, func(a PlanAlt) bool { return a.Method == opts.ForceMethod }); chosen < 0 {
 			return nil, fmt.Errorf("core: access method %q not available for this query", opts.ForceMethod)
 		}
-		chosen = cands[i]
 	}
-	chosen.Alternatives = alts
-	chosen.q = q
-	return chosen, nil
+	ch := cands[chosen]
+	return &Plan{
+		Method:       ch.alt.Method,
+		Indexes:      ch.rc.indexes(),
+		Exact:        ch.rc.exact,
+		EstDocs:      ch.alt.EstDocs,
+		EstCost:      ch.alt.EstCost,
+		Alternatives: alts,
+		shape:        sh,
+		lits:         lits,
+		recipe:       ch.rc,
+		perCandidate: ch.per,
+	}, nil
 }
 
-// matchIndex finds an index usable for the comparison predicate anchored at
-// the last step of prefix: the full predicate path (spine prefix + leaf
-// path) must be covered by the index path and the literal must be
-// comparable under the index's key type. An operator without a contiguous
-// range (!=) matches no index: RangeForOp rejects it.
-func matchIndex(valIxs []*openValueIndex, prefix []*xpath.Step, cmp xpath.Cmp) (planConjunct, bool) {
-	full := fullPredicatePath(prefix, cmp.Path)
-	if full == nil {
-		return planConjunct{}, false
-	}
-	var best planConjunct
-	for _, ov := range valIxs {
-		if !typeCompatible(ov.meta.Type, cmp.Lit) {
-			continue
-		}
-		exact := xpath.Equivalent(ov.ix.Path(), full)
-		if !exact && !xpath.Covers(ov.ix.Path(), full) {
-			continue
-		}
-		rng, err := ov.ix.RangeForOp(cmp.Op, cmp.Lit)
+// match is a comparison's index match for one execution: of the indexes
+// the shape lists, those that give the bound literal a range under their
+// key type (RangeForOp; != has no contiguous range and matches none), the
+// first one whose path is equivalent to the predicate path, or else the
+// first one.
+func (sc *shapeCmp) match(lits []xpath.Literal, level int) (planConjunct, bool) {
+	best := planConjunct{level: level, path: sc.path, oneNode: sc.oneNode}
+	for _, si := range sc.ixs {
+		rng, err := si.ov.ix.RangeForOp(sc.op, lits[sc.slot])
 		if err != nil {
 			continue
 		}
-		if best.ov == nil || exact && !best.exact {
-			best = planConjunct{ov: ov, rng: rng, exact: exact, level: len(prefix), path: full}
+		if best.ov == nil || si.exact {
+			best.ov, best.rng, best.exact = si.ov, rng, si.exact
+		}
+		if si.exact {
+			break
 		}
 	}
-	// The anchor itself (.) or one named attribute of it: never two nodes.
-	leaf := cmp.Path
-	best.oneNode = leaf.Next == nil && (leaf.Axis == xpath.Self || leaf.Axis == xpath.Attribute && leaf.Test == xpath.TestName)
 	return best, best.ov != nil
 }
 

@@ -1,7 +1,8 @@
 package experiments
 
 // E20: the read path's allocation budget — a Get and an indexed query return
-// their results without a per-node allocation.
+// their results without a per-node allocation, and planning a query whose
+// shape is prepared neither parses nor compiles.
 
 import (
 	"bytes"
@@ -24,10 +25,13 @@ var e20Sizes = []int{8, 64}
 // (plan, one value-index probe, four candidates read from the records their
 // entries name). Each runs at two document sizes: allocs/op is the same
 // constant at both (TestE20AllocsIndependentOfDocumentSize), and
-// bench/BENCH_E20.json gates it in CI.
+// bench/BENCH_E20.json gates it in CI. Beside them, plan-warm-shape plans
+// that query with each of the 16 customers in turn: one shape, warm, so an
+// execution only lifts, binds, dives and prices, and its allocations and
+// time gate per-execution parsing and compiling out.
 func e20Cases() ([]Case, error) {
 	var out []Case
-	for _, items := range e20Sizes {
+	for k, items := range e20Sizes {
 		col, err := stored(core.CollectionOptions{}, generate(e20Orders, func(i int) []byte { return xmlgen.Order(i, items) }))
 		if err != nil {
 			return nil, err
@@ -51,6 +55,26 @@ func e20Cases() ([]Case, error) {
 		out = append(out,
 			Case{Name: fmt.Sprintf("get-order/items=%d", items), Gated: true, Run: loop(get)},
 			Case{Name: fmt.Sprintf("indexed-query/items=%d", items), Gated: true, Run: loop(query)})
+		if k == 0 {
+			out = append(out, Case{Name: "plan-warm-shape", Gated: true, Run: loop(planShape(col))})
+		}
 	}
 	return out, nil
+}
+
+// planShape plans the E20 customer query, one customer per call in turn.
+func planShape(col *core.Collection) func() error {
+	var texts []string
+	for c := 0; c < e20Orders/4; c++ {
+		texts = append(texts, fmt.Sprintf(`/Order[Customer = "cust-%04d"]`, c))
+	}
+	i := 0
+	return func() error {
+		p, err := col.Plan(texts[i%len(texts)], core.QueryOptions{})
+		i++
+		if err == nil && p.Method == "scan" {
+			err = fmt.Errorf("e20: %s planned as a scan", texts[0])
+		}
+		return err
+	}
 }

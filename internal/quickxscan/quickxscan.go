@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"unsafe"
 
 	"rx/internal/nodeid"
 	"rx/internal/xml"
@@ -103,9 +104,10 @@ type qnode struct {
 }
 
 type cmpInfo struct {
-	op  xpath.CmpOp
-	lit xpath.Literal
-	str []byte // lit.Str, for allocation-free comparison against node values
+	op   xpath.CmpOp
+	slot int // the comparison's xpath.Cmp.Slot, which Bind fills
+	lit  xpath.Literal
+	str  []byte // lit.Str, for allocation-free comparison against node values
 }
 
 // cand is a candidate result flowing up the query tree. Its node ID and
@@ -151,7 +153,8 @@ func (e peLeaf) eval(l []bool) bool { return l[e.slot] }
 type Eval struct {
 	opts  Options
 	doc   *qnode
-	nodes []*qnode // topological order (parents before children)
+	nodes []*qnode   // topological order (parents before children)
+	cmps  []*cmpInfo // every comparison, for Bind
 
 	// Dispatch tables, built by Compile: the query nodes each event kind
 	// can match, in nodes order. An element node tests a name, * or
@@ -361,12 +364,29 @@ func (e *Eval) compilePred(pe xpath.Expr, anchor *qnode, names xml.Names, nsMap 
 		}
 		term.terminal = true
 		term.makesCand = true
-		term.cmp = &cmpInfo{op: x.Op, lit: x.Lit, str: []byte(x.Lit.Str)}
+		term.cmp = &cmpInfo{op: x.Op, slot: x.Slot, lit: x.Lit, str: []byte(x.Lit.Str)}
+		e.cmps = append(e.cmps, term.cmp)
 		term.needValue = true
 		return peLeaf{slot}, nil
 	default:
 		return nil, fmt.Errorf("quickxscan: unsupported predicate %T", pe)
 	}
+}
+
+// Bind replaces the literals the evaluator compares with: each comparison
+// takes lits[Slot], so one compiled query serves every text of its shape
+// (xpath.Lift). lits must cover every slot of the compiled query.
+func (e *Eval) Bind(lits []xpath.Literal) {
+	for _, c := range e.cmps {
+		c.lit = lits[c.slot]
+		c.str = append(c.str[:0], c.lit.Str...)
+	}
+}
+
+// Retained is the bytes the evaluator keeps between documents: its buffer
+// of candidate IDs and values and its match slabs.
+func (e *Eval) Retained() int {
+	return cap(e.kept) + cap(e.bytesSlab) + cap(e.matchSlab)*int(unsafe.Sizeof(Match{}))
 }
 
 // Reset clears per-document state so the evaluator can scan another

@@ -242,7 +242,7 @@ func TestQueryReplaysAcrossMidStreamReset(t *testing.T) {
 // poisons the session with rx.ErrConnLost until Rollback acknowledges the
 // loss; the server rolls the transaction back.
 func TestTxnLostSurfacesTypedError(t *testing.T) {
-	_, addr := startServer(t, server.Options{})
+	srv, addr := startServer(t, server.Options{})
 	ctx := context.Background()
 	admin := dial(t, addr)
 	if err := admin.CreateCollection(ctx, "w"); err != nil {
@@ -289,6 +289,13 @@ func TestTxnLostSurfacesTypedError(t *testing.T) {
 	if err := c.Commit(ctx); err != nil {
 		t.Fatalf("commit after recovery: %v", err)
 	}
+
+	// The client's Rollback after the loss answers locally; the server rolls
+	// the lost transaction back when it tears the dead connection down, and
+	// drops the connection from its count only after that. Wait for it: the
+	// DocIDs read below takes no lock, so an insert not yet rolled back would
+	// still be listed. Left are the admin connection and the recovered one.
+	waitFor(t, "the lost connection's teardown", func() bool { return srv.Stats().ActiveConns == 2 })
 
 	// Only the committed transaction's document exists.
 	ids, err := admin.DocIDs(ctx, "w")

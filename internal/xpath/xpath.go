@@ -86,6 +86,9 @@ type Cmp struct {
 	Path *Step
 	Op   CmpOp
 	Lit  Literal
+	// Slot numbers the literal among the query's literals in text order,
+	// from 0 (Query.Lits): the i-th slot Lift finds in the text is Slot i.
+	Slot int
 }
 
 func (And) isExpr()    {}
@@ -126,6 +129,9 @@ type Query struct {
 	// starts at the document node. Relative paths start at a caller-supplied
 	// context node.
 	Rooted bool
+	// Lits are the comparison literals Parse read, in text order: a Cmp's
+	// literal is Lits[Slot].
+	Lits []Literal
 }
 
 // Result returns the spine's final step (whose matches are the result).
@@ -271,12 +277,14 @@ func Parse(src string) (*Query, error) {
 	if p.pos != len(p.src) {
 		return nil, p.errf("trailing input")
 	}
+	q.Lits = p.lits
 	return q, nil
 }
 
 type parser struct {
-	src string
-	pos int
+	src  string
+	pos  int
+	lits []Literal // the literals parsed so far
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -284,10 +292,12 @@ func (p *parser) errf(format string, args ...any) error {
 }
 
 func (p *parser) skipSpace() {
-	for p.pos < len(p.src) && (p.src[p.pos] == ' ' || p.src[p.pos] == '\t' || p.src[p.pos] == '\n') {
+	for p.pos < len(p.src) && isSpace(p.src[p.pos]) {
 		p.pos++
 	}
 }
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' }
 
 func (p *parser) peek(s string) bool {
 	p.skipSpace()
@@ -556,7 +566,8 @@ func (p *parser) comparison() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Cmp{Path: path, Op: op, Lit: lit}, nil
+	p.lits = append(p.lits, lit)
+	return Cmp{Path: path, Op: op, Lit: lit, Slot: len(p.lits) - 1}, nil
 }
 
 // predPath parses a relative path inside a predicate: it may start with
@@ -585,39 +596,118 @@ func (p *parser) predPath() (*Step, error) {
 
 func (p *parser) literal() (Literal, error) {
 	p.skipSpace()
-	if p.pos >= len(p.src) {
-		return Literal{}, p.errf("expected literal")
-	}
-	c := p.src[p.pos]
-	if c == '\'' || c == '"' {
-		q := c
-		p.pos++
-		start := p.pos
-		for p.pos < len(p.src) && p.src[p.pos] != q {
-			p.pos++
-		}
-		if p.pos >= len(p.src) {
-			return Literal{}, p.errf("unterminated string literal")
-		}
-		s := p.src[start:p.pos]
-		p.pos++
-		return Literal{Str: s}, nil
-	}
 	start := p.pos
-	if c == '-' || c == '+' {
-		p.pos++
-	}
-	for p.pos < len(p.src) && (p.src[p.pos] >= '0' && p.src[p.pos] <= '9' || p.src[p.pos] == '.') {
-		p.pos++
-	}
-	if p.pos == start {
+	end, quote := literalEnd(p.src, start)
+	switch {
+	case quote != 0 && end > len(p.src):
+		p.pos = len(p.src)
+		return Literal{}, p.errf("unterminated string literal")
+	case quote != 0:
+		p.pos = end
+		return Literal{Str: p.src[start+1 : end-1]}, nil
+	case end == start:
 		return Literal{}, p.errf("expected literal")
 	}
-	n, err := strconv.ParseFloat(p.src[start:p.pos], 64)
+	p.pos = end
+	n, err := strconv.ParseFloat(p.src[start:end], 64)
 	if err != nil {
-		return Literal{}, p.errf("bad number %q", p.src[start:p.pos])
+		return Literal{}, p.errf("bad number %q", p.src[start:end])
 	}
 	return Literal{IsNum: true, Num: n}, nil
+}
+
+// literalEnd is where the literal that starts at src[pos] ends, by the one
+// rule literal parses and Lift lifts with: a string runs from its quote
+// (returned) to the next quote of the same kind, and end passes len(src)
+// when there is none; a number is an optional sign, then digits and dots.
+// end == pos when no literal starts there.
+func literalEnd(src string, pos int) (end int, quote byte) {
+	if pos >= len(src) {
+		return pos, 0
+	}
+	if c := src[pos]; c == '\'' || c == '"' {
+		i := strings.IndexByte(src[pos+1:], c)
+		if i < 0 {
+			return len(src) + 1, c
+		}
+		return pos + i + 2, c
+	}
+	end = pos
+	if c := src[end]; c == '-' || c == '+' {
+		end++
+	}
+	for end < len(src) && (src[end] >= '0' && src[end] <= '9' || src[end] == '.') {
+		end++
+	}
+	return end, 0
+}
+
+// Slot is where Lift found one comparison literal: src[Pos:End], a string
+// opened by Quote, or a number when Quote is 0.
+type Slot struct {
+	Pos, End int
+	Quote    byte
+}
+
+// shapeMark stands for a literal in a key Lift makes. No query that parses
+// holds it outside a string literal.
+const shapeMark = 0
+
+// Lift splits a query text into its shape and its literals. It appends to
+// key the text with each comparison literal replaced by shapeMark and the
+// literal's kind (its quote, or 'n' for a number), and to slots where each
+// literal sits, in text order. A comparison operator is the only place a
+// literal follows, and Lift finds operators and literal ends by the
+// parser's own rules, so two texts with one key read alike to Parse
+// everywhere but inside their literals: where one parses, the other parses
+// to the same tree but for its literals, which BindLiteral reads, or fails
+// at the literal BindLiteral fails on. ok is false for a text Lift cannot
+// split so — one holding shapeMark, or an operator with no literal or an
+// unclosed string after it — which only a whole parse should read.
+func Lift(src string, key []byte, slots []Slot) ([]byte, []Slot, bool) {
+	for i := 0; i < len(src); {
+		op := 0
+		switch c := src[i]; {
+		case c == shapeMark:
+			return key, slots, false
+		case c == '!' || c == '<' || c == '>':
+			if i+1 < len(src) && src[i+1] == '=' {
+				op = 2
+			} else if c != '!' {
+				op = 1
+			}
+		case c == '=':
+			op = 1
+		}
+		if op == 0 {
+			key = append(key, src[i])
+			i++
+			continue
+		}
+		key = append(key, src[i:i+op]...)
+		for i += op; i < len(src) && isSpace(src[i]); i++ {
+			key = append(key, src[i])
+		}
+		end, quote := literalEnd(src, i)
+		if end == i || end > len(src) {
+			return key, slots, false
+		}
+		kind := quote
+		if kind == 0 {
+			kind = 'n'
+		}
+		key = append(key, shapeMark, kind)
+		slots = append(slots, Slot{Pos: i, End: end, Quote: quote})
+		i = end
+	}
+	return key, slots, true
+}
+
+// BindLiteral reads the literal of slot s, which Lift found in src, as Parse
+// reads it there: the literal, or the error Parse reports at it.
+func BindLiteral(src string, s Slot) (Literal, error) {
+	p := parser{src: src, pos: s.Pos}
+	return p.literal()
 }
 
 // ErrUnsupported marks XPath features outside the supported subset.

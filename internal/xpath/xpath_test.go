@@ -295,3 +295,57 @@ func TestHasPredicates(t *testing.T) {
 		t.Error("preds expected")
 	}
 }
+
+// TestLift: texts that differ only inside their literals share a key; a
+// literal's kind and quote, and every byte outside the literals, are part of
+// it; digits in names are not literals; and a text with no literal after an
+// operator, an unclosed string or the marker byte does not lift.
+func TestLift(t *testing.T) {
+	key := func(src string) string {
+		k, _, ok := Lift(src, nil, nil)
+		if !ok {
+			return "(not lifted)"
+		}
+		return string(k)
+	}
+	for _, p := range [][2]string{
+		{`/a[b = 1]`, `/a[b = -2.5]`},
+		{`/a[b='x' and c>=3]`, `/a[b='y"y' and c>=40]`},
+		{`/a1[b2 != 3]/c3`, `/a1[b2 != 1.2.3]/c3`},
+	} {
+		if key(p[0]) != key(p[1]) {
+			t.Errorf("%s and %s: keys %q and %q differ", p[0], p[1], key(p[0]), key(p[1]))
+		}
+	}
+	for _, p := range [][2]string{
+		{`/a[b = 1]`, `/a[b = '1']`},
+		{`/a[b = 'x']`, `/a[b = "x"]`},
+		{`/a1[b = 1]`, `/a2[b = 1]`},
+		{`/a[b = 1]`, `/a[b =1]`},
+		{`/a[b < 1]`, `/a[b <= 1]`},
+	} {
+		if key(p[0]) == key(p[1]) {
+			t.Errorf("%s and %s share key %q", p[0], p[1], key(p[0]))
+		}
+	}
+	for _, src := range []string{`/a[b = ]`, `/a[b = 'x]`, "/a\x00[b = 1]", `/a[b == 1]`} {
+		if k := key(src); k != "(not lifted)" {
+			t.Errorf("%q lifted to %q", src, k)
+		}
+	}
+	src := `/a[b = 'it' or c > -4.5]`
+	_, slots, _ := Lift(src, nil, nil)
+	want := []Slot{{Pos: 7, End: 11, Quote: '\''}, {Pos: 19, End: 23}}
+	if len(slots) != len(want) || slots[0] != want[0] || slots[1] != want[1] {
+		t.Fatalf("slots of %s: %+v, want %+v", src, slots, want)
+	}
+	q, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sl := range slots {
+		if lit, err := BindLiteral(src, sl); err != nil || lit != q.Lits[i] {
+			t.Errorf("slot %d binds to %+v, %v; the parse read %+v", i, lit, err, q.Lits[i])
+		}
+	}
+}
