@@ -11,26 +11,29 @@ package core
 
 import (
 	"errors"
+	"hash/maphash"
 	"sync"
+	"sync/atomic"
 
 	"rx/internal/quickxscan"
 	"rx/internal/xpath"
 )
 
-// shapeCap is how many shapes one index set keeps: an application's query
-// templates, not its texts. A shape holds a parse, its conjuncts' index
-// lists and at most 2·shapeEvals idle evaluators of at most
-// maxFreeEvalBytes each, so a full set keeps at most 8 MiB of evaluators
-// (an indexed lookup's holds about 8 KiB). Past it a new shape evicts a
-// random one.
+// shapeCap is how many shapes one index set keeps, well above the few
+// templates per collection the benchmark's workloads run (DESIGN.md
+// "Prepared shapes"). A shape holds a parse, its conjuncts' index lists
+// and at most 2·shapeEvals idle evaluators of at most maxFreeEvalBytes
+// each, so a full set keeps at most 8 MiB of evaluators. Past it a shape
+// that misses twice evicts a random one (keep).
 const shapeCap = 64
 
 // shapeEvals is how many idle evaluators a shape keeps for each result kind
 // (with and without values): one per cursor that runs the shape at once.
 const shapeEvals = 4
 
-// maxFreeEvalBytes is the most an idle evaluator may retain (its buffers
-// grow with the documents it evaluated); a larger one is dropped.
+// maxFreeEvalBytes is the most an idle evaluator may retain
+// (quickxscan.Eval.Retained: its buffers grow with the documents it
+// evaluated); a larger one is dropped.
 const maxFreeEvalBytes = 16 << 10
 
 // indexSet is one snapshot of a collection's value indexes and the query
@@ -42,7 +45,10 @@ type indexSet struct {
 
 	mu     sync.RWMutex
 	shapes map[string]*shape
+	seen   [shapeCap]atomic.Uint64 // hashes of keys that missed a full set
 }
+
+var shapeSeed = maphash.MakeSeed()
 
 // shape is what planning and compiling need of a query that no literal
 // changes: the parse of the first text of the shape, its predicate
@@ -84,8 +90,8 @@ type shapeIndex struct {
 
 // prepare returns expr's shape and its literals by slot. A text whose shape
 // this set holds is only lifted and bound; any other is parsed whole, and
-// its shape kept when the text lifts and the lifted literals bind to the
-// parse's own.
+// its shape offered to keep when the text lifts and the lifted literals
+// bind to the parse's own.
 func (s *indexSet) prepare(expr string) (*shape, []xpath.Literal, error) {
 	var kbuf [128]byte
 	var sbuf [8]xpath.Slot
@@ -114,20 +120,38 @@ func (s *indexSet) prepare(expr string) (*shape, []xpath.Literal, error) {
 	}
 	sh, lits := newShape(q, s.ixs), q.Lits
 	if lifted && bindsTo(expr, slots, lits) {
-		s.mu.Lock()
-		if len(s.shapes) >= shapeCap {
-			for k := range s.shapes {
-				delete(s.shapes, k)
-				break
-			}
-		}
-		if s.shapes == nil {
-			s.shapes = make(map[string]*shape)
-		}
-		s.shapes[string(key)] = sh
-		s.mu.Unlock()
+		s.keep(key, sh)
 	}
 	return sh, lits, nil
+}
+
+// keep adds a prepared shape under key. While the set has room every shape
+// is kept. A full set evicts a random shape, and only for a key that missed
+// once before (seen remembers recent misses past the cap by hash), so
+// traffic whose shapes do not repeat pays a hash per miss and leaves the
+// kept shapes be.
+func (s *indexSet) keep(key []byte, sh *shape) {
+	s.mu.RLock()
+	full := len(s.shapes) >= shapeCap
+	s.mu.RUnlock()
+	if full {
+		h := maphash.Bytes(shapeSeed, key)
+		if s.seen[h%shapeCap].Swap(h) != h {
+			return
+		}
+	}
+	s.mu.Lock()
+	if len(s.shapes) >= shapeCap {
+		for k := range s.shapes {
+			delete(s.shapes, k)
+			break
+		}
+	}
+	if s.shapes == nil {
+		s.shapes = make(map[string]*shape)
+	}
+	s.shapes[string(key)] = sh
+	s.mu.Unlock()
 }
 
 // bindsTo reports whether the lifted slots bind to exactly the parse's

@@ -7,6 +7,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"strings"
 
 	"rx/internal/core"
 	"rx/internal/xml"
@@ -28,7 +29,10 @@ var e20Sizes = []int{8, 64}
 // bench/BENCH_E20.json gates it in CI. Beside them, plan-warm-shape plans
 // that query with each of the 16 customers in turn: one shape, warm, so an
 // execution only lifts, binds, dives and prices, and its allocations and
-// time gate per-execution parsing and compiling out.
+// time gate per-execution parsing and compiling out. plan-cold-shape plans
+// it in 4,096 spellings that differ only in their spaces, each a shape of
+// its own, so every call misses a full shape set: it gates what a query
+// whose shape does not repeat pays for the cache.
 func e20Cases() ([]Case, error) {
 	var out []Case
 	for k, items := range e20Sizes {
@@ -56,18 +60,37 @@ func e20Cases() ([]Case, error) {
 			Case{Name: fmt.Sprintf("get-order/items=%d", items), Gated: true, Run: loop(get)},
 			Case{Name: fmt.Sprintf("indexed-query/items=%d", items), Gated: true, Run: loop(query)})
 		if k == 0 {
-			out = append(out, Case{Name: "plan-warm-shape", Gated: true, Run: loop(planShape(col))})
+			out = append(out,
+				Case{Name: "plan-warm-shape", Gated: true, Run: loop(planTexts(col, warmTexts()))},
+				Case{Name: "plan-cold-shape", Gated: true, Run: loop(planTexts(col, coldTexts()))})
 		}
 	}
 	return out, nil
 }
 
-// planShape plans the E20 customer query, one customer per call in turn.
-func planShape(col *core.Collection) func() error {
+// warmTexts are the E20 customer query for each of the 16 customers: one
+// shape.
+func warmTexts() []string {
 	var texts []string
 	for c := 0; c < e20Orders/4; c++ {
 		texts = append(texts, fmt.Sprintf(`/Order[Customer = "cust-%04d"]`, c))
 	}
+	return texts
+}
+
+// coldTexts are the E20 customer query with 0–7 spaces at each of four
+// token gaps: 4,096 shapes, far more than a shape set keeps.
+func coldTexts() []string {
+	var texts []string
+	for i := 0; i < 1<<12; i++ {
+		sp := func(gap int) string { return strings.Repeat(" ", i>>(3*gap)&7) }
+		texts = append(texts, fmt.Sprintf(`/Order%s[%sCustomer%s=%s"cust-%04d"]`, sp(0), sp(1), sp(2), sp(3), i%(e20Orders/4)))
+	}
+	return texts
+}
+
+// planTexts plans the texts, one per call in turn.
+func planTexts(col *core.Collection, texts []string) func() error {
 	i := 0
 	return func() error {
 		p, err := col.Plan(texts[i%len(texts)], core.QueryOptions{})

@@ -1,5 +1,7 @@
 package nodeid
 
+import "unsafe"
+
 // Stack synthesizes absolute node IDs along a depth-first traversal in one
 // reusable buffer: the ID of the node being visited is the ID of the
 // innermost open parent (a prefix of the buffer) followed by the node's
@@ -29,6 +31,19 @@ type Stack struct {
 type level struct {
 	plen int
 	next int
+}
+
+// Retained is the bytes the Stack holds outside itself: its buffers once a
+// deep traversal spilled them out of the Stack's own arrays.
+func (s *Stack) Retained() int {
+	n := 0
+	if cap(s.buf) > len(s.buf0) {
+		n += cap(s.buf)
+	}
+	if cap(s.open) > len(s.open0) {
+		n += cap(s.open) * int(unsafe.Sizeof(level{}))
+	}
+	return n
 }
 
 // Reset starts a traversal of the children of the node with absolute ID

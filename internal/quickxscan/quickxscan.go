@@ -383,10 +383,39 @@ func (e *Eval) Bind(lits []xpath.Literal) {
 	}
 }
 
-// Retained is the bytes the evaluator keeps between documents: its buffer
-// of candidate IDs and values and its match slabs.
+// Retained is the bytes the evaluator keeps between documents: every
+// buffer Reset truncates but does not free — the candidate buffer, the
+// match slabs, the instance stacks, the ID synthesizer, the recycled
+// instances with their candidate, leaf and value buffers, and the
+// instances of a document left unfinished — plus its compiled nodes. A
+// buffer grows with the documents the evaluator read (a long text under a
+// compared node, many candidates per document), so this bounds what
+// keeping an idle evaluator costs.
 func (e *Eval) Retained() int {
-	return cap(e.kept) + cap(e.bytesSlab) + cap(e.matchSlab)*int(unsafe.Sizeof(Match{}))
+	const ptr = int(unsafe.Sizeof((*instance)(nil)))
+	n := int(unsafe.Sizeof(*e)) + len(e.nodes)*int(unsafe.Sizeof(qnode{}))
+	n += cap(e.kept) + cap(e.bytesSlab) + cap(e.matchSlab)*int(unsafe.Sizeof(Match{}))
+	n += cap(e.openElems)*int(unsafe.Sizeof(0)) + (cap(e.pushed)+cap(e.valueMIs)+cap(e.free))*ptr
+	n += e.ids.Retained() + e.docMI.retained()
+	for _, q := range e.nodes {
+		n += cap(q.stack) * ptr
+	}
+	for _, c := range e.cmps {
+		n += cap(c.str)
+	}
+	for _, mi := range e.free {
+		n += mi.retained() + int(unsafe.Sizeof(*mi))
+	}
+	for _, mi := range e.pushed {
+		n += mi.retained() + int(unsafe.Sizeof(*mi))
+	}
+	return n
+}
+
+// retained is the capacity of an instance's buffers, in bytes.
+func (mi *instance) retained() int {
+	return (cap(mi.raw)+cap(mi.valid)+cap(mi.rawRemainder))*int(unsafe.Sizeof(cand{})) +
+		cap(mi.leafVals) + cap(mi.value)
 }
 
 // Reset clears per-document state so the evaluator can scan another
